@@ -40,9 +40,11 @@ class ArtinComonoid:
 
     Counitality, coassociativity and cocommutativity are enforced exactly
     at construction; non-canonical structures satisfying them are allowed.
+    Whether the structure is the canonical one of the carrier is read from
+    the entries once, here, and selects the morphism checker.
     """
 
-    __slots__ = ("carrier", "counit", "comult")
+    __slots__ = ("carrier", "counit", "comult", "_canonical")
 
     def __init__(self, carrier: FinSet, counit: QMatrix, comult: QMatrix):
         n = carrier.size
@@ -62,6 +64,7 @@ class ArtinComonoid:
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "counit", counit)
         object.__setattr__(self, "comult", comult)
+        object.__setattr__(self, "_canonical", _is_canonical(counit, comult, n))
 
     def __setattr__(self, name, value):
         raise AttributeError("ArtinComonoid is immutable")
@@ -131,6 +134,15 @@ class ArtinMonoid:
         return f"ArtinMonoid(|X|={self.size})"
 
 
+def _is_canonical(counit: QMatrix, comult: QMatrix, n: int) -> bool:
+    """Counit all ones, comultiplication the diagonal indicator."""
+    # comult entry ((x', x''), x) sits at (x' * n + x'') * n + x
+    diagonal = {x * (n * n + n + 1) for x in range(n)}
+    return (all(v == 1 for v in counit.entries)
+            and all(v == (1 if i in diagonal else 0)
+                    for i, v in enumerate(comult.entries)))
+
+
 def counit_matrix(n: int) -> QMatrix:
     """The all-ones row vector on a set of size n."""
     return QMatrix(1, n, [1] * n)
@@ -169,15 +181,42 @@ def coalgebra_morphism_violations(c: QMatrix, x: ArtinComonoid,
                                   y: ArtinComonoid) -> list:
     """Names of the failing equations for C as a comonoid morphism X -> Y.
 
-    Empty means C commutes with both structure maps.  A mismatch in the
-    comultiplication square is classified by the row block: "(delta1)" on
-    diagonal rows (y, y), "(delta2)" off the diagonal.
+    Empty means C commutes with both structure maps: "(eps)" names the
+    counit square, and a mismatch in the comultiplication square is
+    classified by the row block, "(delta1)" on diagonal rows (y, y) and
+    "(delta2)" off the diagonal.  The names come in that order.
+
+    When both structures are canonical the squares are checked through
+    their entrywise form from the module docstring: every column of C sums
+    to 1 (eps), C[y, x]^2 = C[y, x] (delta1), and C[y', x] C[y'', x] = 0
+    for y' != y'' (delta2).  Any other structure is checked through the
+    dense products kron(C, C) comult_X = comult_Y C and counit_Y C =
+    counit_X, since the entrywise form holds only for the canonical ones.
     """
     if c.rows != y.size or c.cols != x.size:
         raise ValueError(f"morphism matrix must be {y.size} x {x.size}")
-    violations = []
-    if matmul(y.counit, c) != x.counit:
-        violations.append("(eps)")
+    if x._canonical and y._canonical:
+        failed = _entrywise_failures(c)
+    else:
+        failed = _dense_failures(c, x, y)
+    return [name for name, bad in zip(("(eps)", "(delta1)", "(delta2)"), failed)
+            if bad]
+
+
+def _entrywise_failures(c: QMatrix) -> tuple:
+    """(eps, delta1, delta2) failures between canonical comonoids."""
+    columns = [c.entries[x::c.cols] for x in range(c.cols)]
+    eps = any(sum(col) != 1 for col in columns)
+    delta1 = any(v * v != v for v in c.entries)
+    # a product of two nonzero rationals is nonzero, so (delta2) holds
+    # exactly when no column has two nonzero entries
+    delta2 = any(sum(1 for v in col if v) > 1 for col in columns)
+    return eps, delta1, delta2
+
+
+def _dense_failures(c: QMatrix, x: ArtinComonoid, y: ArtinComonoid) -> tuple:
+    """(eps, delta1, delta2) failures, read off the dense products."""
+    eps = matmul(y.counit, c) != x.counit
     lhs = matmul(kron(c, c), x.comult)
     rhs = matmul(y.comult, c)
     diag = off = False
@@ -188,11 +227,7 @@ def coalgebra_morphism_violations(c: QMatrix, x: ArtinComonoid,
                 diag = True
             else:
                 off = True
-    if diag:
-        violations.append("(delta1)")
-    if off:
-        violations.append("(delta2)")
-    return violations
+    return eps, diag, off
 
 
 def is_coalgebra_morphism(c: QMatrix, x: ArtinComonoid, y: ArtinComonoid) -> bool:

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .artin import solve_coalgebra_morphisms, verify_mcffe
 from .finsets import FinDiagram, FinSet, automorphism_group, enumerate_diagrams
@@ -43,8 +43,7 @@ class RunConfig:
     dim: int = 0
     cross: str = ""
     show_matrices: bool = False
-    max_size: int = field(default_factory=lambda: int(
-        os.environ.get("MOTIVIC_KIT_MAX_SIZE", DEFAULT_MAX_SIZE)))
+    max_size: int | None = None  # None: read MOTIVIC_KIT_MAX_SIZE in `run`
 
     def check_limits(self):
         values = [self.x, self.y, self.k, self.bound, *self.bounds]
@@ -61,9 +60,12 @@ def _emit(config: RunConfig, table_lines, data) -> str:
     return "\n".join(table_lines)
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top-level JSON value must be an object")
+    return data
 
 
 def _cmd_enumerate_diagrams(config: RunConfig):
@@ -229,9 +231,27 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig):
-    """Execute one command; returns (exit status, report text)."""
+def _max_size_from_env() -> int:
+    text = os.environ.get("MOTIVIC_KIT_MAX_SIZE", str(DEFAULT_MAX_SIZE))
     try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"MOTIVIC_KIT_MAX_SIZE must be a positive integer, "
+                     f"got {text!r}")
+
+
+def run(config: RunConfig):
+    """Execute one command; returns (exit status, report text).
+
+    The safety limit is read from MOTIVIC_KIT_MAX_SIZE here, so a bad value
+    is reported like any other configuration error.
+    """
+    try:
+        if config.max_size is None:
+            config = replace(config, max_size=_max_size_from_env())
         config.check_limits()
         return _COMMANDS[config.command](config)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

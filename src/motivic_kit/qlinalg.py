@@ -4,6 +4,9 @@ kernels, and bounded chain complexes with their homology.
 All entries are `fractions.Fraction`, so every result is exact and fully
 reduced; there is no floating point anywhere.  Storage is dense row-major,
 elimination uses the first nonzero pivot, and all outputs are reproducible.
+The products (`matmul`, `kron`) visit only the nonzero entries of their
+factors, since the structure matrices of finite sets are mostly zeros;
+their results are still stored densely, zeros included.
 """
 
 from __future__ import annotations
@@ -122,18 +125,27 @@ class QMatrix:
 
 
 def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Exact matrix product; requires a.cols = b.rows."""
+    """Exact matrix product; requires a.cols = b.rows.
+
+    Row i of the product accumulates x * (row t of b) over the nonzero
+    entries x = a[i, t], and each row of b contributes only its nonzero
+    entries; a zero term never changes an exact sum.
+    """
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    n, m = a.cols, b.cols
+    b_rows = [[(j, y) for j, y in enumerate(b.entries[t * m:(t + 1) * m]) if y]
+              for t in range(n)]
+    zero = Fraction(0)
     out = []
-    bt = b.transpose()
     for i in range(a.rows):
-        ra = a.row(i)
-        for j in range(b.cols):
-            rb = bt.row(j)
-            out.append(sum((x * y for x, y in zip(ra, rb) if x and y),
-                           Fraction(0)))
-    return QMatrix(a.rows, b.cols, out)
+        acc = [zero] * m
+        for t, x in enumerate(a.entries[i * n:(i + 1) * n]):
+            if x:
+                for j, y in b_rows[t]:
+                    acc[j] += x * y
+        out.extend(acc)
+    return QMatrix(a.rows, m, out)
 
 
 def kron(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -141,21 +153,21 @@ def kron(a: QMatrix, b: QMatrix) -> QMatrix:
 
     Index convention: row (s', t') of the result is flattened as
     s'*b.rows + t', and likewise for columns, so the left factor owns the
-    most significant digit.
+    most significant digit.  Only products of two nonzero entries are
+    written; every other entry is zero.
     """
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     out = [Fraction(0)] * (rows * cols)
+    b_nonzero = [(p * cols + q, y) for p in range(b.rows) for q in range(b.cols)
+                 if (y := b.entries[p * b.cols + q])]
     for i in range(a.rows):
         for j in range(a.cols):
             x = a.entries[i * a.cols + j]
-            if x == 0:
-                continue
-            for p in range(b.rows):
-                base = (i * b.rows + p) * cols + j * b.cols
-                brow = p * b.cols
-                for q in range(b.cols):
-                    out[base + q] = x * b.entries[brow + q]
+            if x:
+                base = i * b.rows * cols + j * b.cols
+                for offset, y in b_nonzero:
+                    out[base + offset] = x * y
     return QMatrix(rows, cols, out)
 
 

@@ -21,6 +21,7 @@ checked in the tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .artin import graph_matrix, solve_coalgebra_morphisms
@@ -312,13 +313,35 @@ def level(k: int, x: FinSet, y: FinSet, bound: int) -> TowerLevel:
     raise ValueError("only levels 0..2 are implemented")
 
 
+def cofaces_agree(f: QMatrix, s: int) -> bool:
+    """coface_d0(f, s) == coface_d1(f, s), decided entry by entry.
+
+    Entry (y, (x_1, ..., x_s)) of d0 is the product of the f[y, x_i], and
+    of d1 it is f[y, x_1] when all x_i are equal and 0 otherwise; at s = 0
+    the two columns are all ones and the row sums of f.  Both sides vanish
+    as soon as one f[y, x_i] is zero, so only tuples drawn from the
+    nonzero entries of row y are compared.
+    """
+    if s == 0:
+        return all(sum(f.row(y)) == 1 for y in range(f.rows))
+    for y in range(f.rows):
+        support = [(x, v) for x, v in enumerate(f.row(y)) if v]
+        for combo in itertools.product(support, repeat=s):
+            xs, vs = zip(*combo)
+            if math.prod(vs) != (vs[0] if len(set(xs)) == 1 else 0):
+                return False
+    return True
+
+
 def equalizer(x: FinSet, y: FinSet, bound: int = 2) -> list:
     """All f in Hom(X, Y) with equal cofaces at every bounded class.
 
     The size-2 class forces idempotent entries and row orthogonality, the
     size-0 class forces unit row sums, so the candidates are the matrices
     with exactly one 1 in each row; every candidate is then verified
-    against the coface equations at all classes up to the bound.
+    against the coface equations at all classes up to the bound, compared
+    entry by entry (`cofaces_agree`) rather than through the dense coface
+    matrices.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
@@ -329,8 +352,7 @@ def equalizer(x: FinSet, y: FinSet, bound: int = 2) -> list:
         for row, col in enumerate(choice):
             entries[row * nx + col] = 1
         f = QMatrix(ny, nx, entries)
-        if all(coface_d0(f, s) == coface_d1(f, s)
-               for s in level1_classes(bound)):
+        if all(cofaces_agree(f, s) for s in level1_classes(bound)):
             out.append(f)
     return out
 

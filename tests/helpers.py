@@ -4,7 +4,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from motivic_kit.qlinalg import QMatrix, rank, nullity
+from hypothesis import strategies as st
+
+from motivic_kit.qlinalg import QMatrix, kron, matmul, nullity, rank
 
 
 def schoolbook_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -18,6 +20,52 @@ def schoolbook_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
                 acc += a[i, t] * b[t, j]
             out.append(acc)
     return QMatrix(a.rows, b.cols, out)
+
+
+def schoolbook_kron(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Kronecker product entry by entry, independent of the library routine.
+
+    Entry ((i, p), (j, q)) is a[i, j] * b[p, q], with the left factor's
+    index as the more significant digit.
+    """
+    entries = [a[i, j] * b[p, q]
+               for i in range(a.rows) for p in range(b.rows)
+               for j in range(a.cols) for q in range(b.cols)]
+    return QMatrix(a.rows * b.rows, a.cols * b.cols, entries)
+
+
+def dense_coalgebra_violations(c: QMatrix, x, y) -> list:
+    """The comonoid morphism check through the dense structure squares.
+
+    counit_Y C = counit_X gives "(eps)"; kron(C, C) comult_X = comult_Y C
+    gives "(delta1)" on the diagonal rows (y, y) and "(delta2)" elsewhere.
+    """
+    violations = []
+    if matmul(y.counit, c) != x.counit:
+        violations.append("(eps)")
+    lhs = matmul(kron(c, c), x.comult)
+    rhs = matmul(y.comult, c)
+    ny = y.size
+    bad = [r for r in range(ny * ny) if lhs.row(r) != rhs.row(r)]
+    if any(r // ny == r % ny for r in bad):
+        violations.append("(delta1)")
+    if any(r // ny != r % ny for r in bad):
+        violations.append("(delta2)")
+    return violations
+
+
+# Mostly zeros, as in the structure matrices, plus ones, negatives and
+# non-integers.
+sparse_rationals = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)),
+    st.just(Fraction(1)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def qmatrices(rows: int, cols: int, entries=sparse_rationals):
+    """Strategy for rows x cols matrices with the given entry strategy."""
+    return st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda e: QMatrix(rows, cols, e))
 
 
 def random_qmatrix(rng: random.Random, rows: int, cols: int,

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_qmatrix
+from helpers import dense_coalgebra_violations, qmatrices, random_qmatrix
 from motivic_kit.artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
                                artin_monoid, coalgebra_morphism_violations,
                                dual_comonoid, dual_monoid, dualize,
@@ -73,6 +75,11 @@ class TestCanonicalStructures:
         assert twisted.counit != c.counit
         # the conjugating matrix carries the canonical structure over
         assert is_coalgebra_morphism(a, c, twisted)
+        # and the checker takes the dense path, the only valid one here
+        assert c._canonical and not twisted._canonical
+        m = QMatrix(2, 2, [1, 0, 0, 1])
+        assert (coalgebra_morphism_violations(m, c, twisted)
+                == dense_coalgebra_violations(m, c, twisted) != [])
 
 
 class TestMorphismChecking:
@@ -101,6 +108,21 @@ class TestMorphismChecking:
         y = artin_comonoid(FinSet(3))
         with pytest.raises(ValueError):
             coalgebra_morphism_violations(QMatrix.zeros(2, 3), x, y)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda s: st.tuples(st.just(s), st.one_of(
+            qmatrices(s[1], s[0]),
+            qmatrices(s[1], s[0], st.sampled_from([Fraction(0), Fraction(1)])),
+            st.sampled_from([graph_matrix(f) for f in
+                             all_maps(FinSet(s[0]), FinSet(s[1]))])))))
+    def test_entrywise_matches_dense_on_canonical(self, case):
+        (nx, ny), c = case
+        x = artin_comonoid(FinSet(nx))
+        y = artin_comonoid(FinSet(ny))
+        assert x._canonical and y._canonical
+        assert (coalgebra_morphism_violations(c, x, y)
+                == dense_coalgebra_violations(c, x, y))
 
 
 class TestSolver:

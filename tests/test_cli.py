@@ -203,6 +203,29 @@ class TestErrors:
         status, _ = run_cli(["verify-mcffe", "--x", "2", "--y", "2"])
         assert status == 0
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
+    def test_env_override_must_be_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("MOTIVIC_KIT_MAX_SIZE", value)
+        status, text = run_cli(["verify-mcffe", "--x", "2", "--y", "2"])
+        assert status == 2
+        assert text.startswith("error:")
+        assert "MOTIVIC_KIT_MAX_SIZE" in text
+
+    @pytest.mark.parametrize("argv", [
+        ["aut", "--diagram", "{bad}"],
+        ["galois-fixed", "--x", "{bad}",
+         "--y", data_path("gset_c2_trivial2.json")],
+        ["hocolim", "--diagram", "{bad}"],
+    ])
+    def test_top_level_json_must_be_object(self, tmp_path, argv):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        argv = [a.replace("{bad}", str(bad)) for a in argv]
+        status, text = run_cli(argv)
+        assert status == 2
+        assert text.startswith("error:")
+        assert str(bad) in text
+
     def test_main_returns_status(self, capsys):
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0
         out = capsys.readouterr().out

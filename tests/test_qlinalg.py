@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_qmatrix, schoolbook_matmul
+from helpers import (qmatrices, random_qmatrix, schoolbook_kron,
+                     schoolbook_matmul)
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, kernel_basis, kron,
                                  kron_power, matmul, nullity, rank,
                                  single_degree_complex)
@@ -59,8 +62,22 @@ class TestMatmul:
         with pytest.raises(ValueError):
             matmul(QMatrix.identity(2), QMatrix.identity(3))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.integers(0, 4)] * 3).flatmap(
+        lambda s: st.tuples(qmatrices(s[0], s[1]), qmatrices(s[1], s[2]))))
+    def test_sparse_product_matches_schoolbook(self, pair):
+        a, b = pair
+        assert matmul(a, b) == schoolbook_matmul(a, b)
+
 
 class TestKron:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.integers(0, 3)] * 4).flatmap(
+        lambda s: st.tuples(qmatrices(s[0], s[1]), qmatrices(s[2], s[3]))))
+    def test_sparse_kron_matches_schoolbook(self, pair):
+        a, b = pair
+        assert kron(a, b) == schoolbook_kron(a, b)
+
     def test_identity_tensor(self):
         assert kron(QMatrix.identity(2), QMatrix.identity(3)) == \
             QMatrix.identity(6)

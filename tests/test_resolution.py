@@ -3,16 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_qmatrix
+from helpers import qmatrices, random_qmatrix
 from motivic_kit.artin import graph_matrix, solve_coalgebra_morphisms
 from motivic_kit.finsets import FinSet, all_maps
 from motivic_kit.qlinalg import QMatrix, kernel_basis, kron, matmul
 from motivic_kit.resolution import (CofaceMap, codegeneracy_level1,
                                     codegeneracy_level2_s0,
                                     codegeneracy_level2_s1, coface_d0,
-                                    coface_d1, equalizer, iterated_mult,
-                                    level, level1_classes, level2_classes,
+                                    coface_d1, cofaces_agree, equalizer,
+                                    iterated_mult, level, level1_classes,
+                                    level2_classes,
                                     level2_coface_d0, level2_coface_d1,
                                     level2_coface_d2, mult_along,
                                     verify_mdffe, _digit_perm)
@@ -83,6 +86,23 @@ class TestCofaces:
             m = transposed_graph(f)  # one 1 per row
             for s in (0, 1, 2, 3):
                 assert coface_d0(m, s) == coface_d1(m, s)
+
+    def test_entrywise_agreement_on_every_candidate(self):
+        for ny in range(1, 4):
+            for nx in range(1, 4):
+                for choice in itertools.product(range(nx), repeat=ny):
+                    f = QMatrix(ny, nx, [1 if col == c else 0
+                                         for c in choice
+                                         for col in range(nx)])
+                    for s in range(4):
+                        assert cofaces_agree(f, s) is (
+                            coface_d0(f, s) == coface_d1(f, s))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda s: qmatrices(*s)), st.integers(0, 3))
+    def test_entrywise_agreement_on_random_matrices(self, f, s):
+        assert cofaces_agree(f, s) is (coface_d0(f, s) == coface_d1(f, s))
 
     def test_scaled_graph_fails_binary(self):
         f = next(iter(all_maps(FinSet(2), FinSet(2))))
