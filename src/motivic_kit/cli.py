@@ -46,6 +46,12 @@ class RunConfig:
     max_size: int | None = None  # None: read MOTIVIC_KIT_MAX_SIZE in `run`
 
     def check_limits(self):
+        if self.dim < 0:
+            raise ValueError(f"--dim must be >= 0, got {self.dim}")
+        if any(b < 1 for b in self.bounds):
+            bounds = ",".join(map(str, self.bounds))
+            raise ValueError(f"--bounds entries must be >= 1 (sets are "
+                             f"nonempty), got {bounds}")
         values = [self.x, self.y, self.k, self.bound, *self.bounds]
         for v in values:
             if v > self.max_size:
@@ -60,11 +66,15 @@ def _emit(config: RunConfig, table_lines, data) -> str:
     return "\n".join(table_lines)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, required) -> dict:
+    """Read a JSON object and check its required top-level fields exist."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top-level JSON value must be an object")
+    for field in required:
+        if field not in data:
+            raise ValueError(f"{path}: missing required field {field!r}")
     return data
 
 
@@ -92,7 +102,8 @@ def _check_loaded_sizes(config: RunConfig, sizes):
 
 
 def _cmd_aut(config: RunConfig):
-    d = FinDiagram.from_json(_load_json(config.diagram_path))
+    payload = _load_json(config.diagram_path, ("sets", "maps"))
+    d = FinDiagram.from_json(payload)
     _check_loaded_sizes(config, d.sizes())
     group = automorphism_group(d)
     lines = [f"degrees: {','.join(str(n) for n in group.degrees)}",
@@ -121,8 +132,9 @@ def _cmd_solve_comonoid(config: RunConfig):
 
 
 def _cmd_galois_fixed(config: RunConfig):
-    x = GSet.from_json(_load_json(config.x_path))
-    y = GSet.from_json(_load_json(config.y_path))
+    fields = ("group", "carrier", "action")
+    x = GSet.from_json(_load_json(config.x_path, fields))
+    y = GSet.from_json(_load_json(config.y_path, fields))
     _check_loaded_sizes(config, [x.carrier.size, y.carrier.size])
     maps = equivariant_set_maps(x, y)
     fixed = fixed_coalgebra_morphisms(x, y)
@@ -159,7 +171,8 @@ def _cmd_verify_monad(config: RunConfig):
 
 
 def _cmd_hocolim(config: RunConfig):
-    payload = _load_json(config.diagram_path)
+    payload = _load_json(config.diagram_path,
+                         ("index_size", "vertices", "edges"))
     cube = CubeDiagram.from_json(payload)
     if "ambient" in payload:
         from .qlinalg import ChainComplex, QMatrix

@@ -3,13 +3,21 @@
 The basic combinatorial layer: sets are {0..n-1} with optional display
 labels, maps are value lists, and a k-diagram is a composable chain of
 maps.  Isomorphisms of diagrams are tuples of bijections making every
-square commute.  Canonical forms are computed by minimizing a fixed
-lexicographic encoding over all relabelings, which makes isomorphism
-testing and class enumeration a matter of comparing representatives.
+square commute.
+
+A chain is a forest: the roots are the elements of Sk and an element's
+children are its preimages.  Canonical forms refine each level into
+classes of isomorphic subtrees, bottom-up, and then number the levels
+top-down by (class, label of the image); one relabeling reaches the
+lexicographic minimum of a fixed encoding over all relabelings, so
+isomorphism testing and class enumeration compare representatives.  The
+automorphism group is the iterated wreath product over the forest,
+generated by swaps of isomorphic siblings.  `automorphisms` alone still
+tries every relabeling: it is the independent count the monad census
+checks the group order against, and it is factorial in the set sizes.
 
 Everything here is immutable after construction and all functions are
-pure; worst-case costs are factorial in the set sizes, which is fine at
-the intended sizes (<= 6).
+pure.
 """
 
 from __future__ import annotations
@@ -283,21 +291,52 @@ def _all_relabelings(sizes):
     return itertools.product(*(itertools.permutations(range(n)) for n in sizes))
 
 
+def _level_classes(d: FinDiagram) -> list:
+    """Isomorphism-class index of the subtree below each element, per level.
+
+    Level 1 is one class.  An element of level j+1 has the key (number of
+    preimages, -(preimages in each class of level j, in class order)); the
+    classes of level j+1 are the distinct keys in sorted order.  Two
+    elements of a level share a class iff their preimage trees are
+    isomorphic, since a tree is the multiset of its children's classes.
+    """
+    classes = [[0] * d.sets[0].size]
+    for m in d.maps:
+        prev = classes[-1]
+        width = max(prev) + 1
+        counts = [[0] * width for _ in range(m.cod.size)]
+        for x, y in enumerate(m.values):
+            counts[y][prev[x]] -= 1
+        keys = [(-sum(row), tuple(row)) for row in counts]
+        index = {key: c for c, key in enumerate(sorted(set(keys)))}
+        classes.append([index[key] for key in keys])
+    return classes
+
+
 def _canonical_with_perms(d: FinDiagram):
-    """Minimal-encoding representative plus the relabeling achieving it."""
+    """Minimal-encoding representative plus the relabeling achieving it.
+
+    The last level is numbered by class, then each level below it by
+    (class, new label of its image).  Fibers come out sorted at every
+    level, and each map's values are as small as the levels above allow,
+    which is the lexicographic minimum of `FinDiagram.encoding` over all
+    relabelings.  Remaining ties are broken by old index.
+    """
     if d.k == 0:
         return FinDiagram([], []), ()
-    best = None
-    best_key = None
-    best_perms = None
-    for perms in _all_relabelings(d.sizes()):
-        cand = d.relabel(perms)
-        key = cand.encoding()
-        if best_key is None or key < best_key:
-            best = cand
-            best_key = key
-            best_perms = perms
-    return best, best_perms
+    classes = _level_classes(d)
+    perms = [None] * d.k
+    image = [0] * d.sets[-1].size  # the roots hang from one virtual root
+    for i in range(d.k - 1, -1, -1):
+        keys = sorted((c, image[x], x) for x, c in enumerate(classes[i]))
+        perm = [0] * len(keys)
+        for label, (_, _, x) in enumerate(keys):
+            perm[x] = label
+        perms[i] = tuple(perm)
+        if i > 0:
+            image = [perm[y] for y in d.maps[i - 1].values]
+    perms = tuple(perms)
+    return d.relabel(perms), perms
 
 
 def canonical_form(d: FinDiagram) -> FinDiagram:
@@ -334,7 +373,7 @@ def are_isomorphic(d1: FinDiagram, d2: FinDiagram):
 
 
 class PermGroup:
-    """Automorphism group of a diagram: generators plus the closure order."""
+    """Automorphism group of a diagram: generators plus the group order."""
 
     __slots__ = ("degrees", "generators", "order")
 
@@ -365,27 +404,6 @@ class PermGroup:
         return PermGroup(data["degrees"], gens, data["order"])
 
 
-def _compose_perm_tuples(a, b):
-    # pointwise "a then b" on tuples of permutations
-    return tuple(tuple(q[x] for x in p) for p, q in zip(a, b))
-
-
-def _closure(generator_tuples, identity):
-    """Breadth-first closure of permutation tuples under composition."""
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in generator_tuples:
-                c = _compose_perm_tuples(el, g)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return seen
-
-
 def automorphisms(d: FinDiagram):
     """All self-isomorphisms of d, as tuples of value-permutations."""
     result = []
@@ -408,25 +426,51 @@ def automorphisms(d: FinDiagram):
 def automorphism_group(d: FinDiagram) -> PermGroup:
     """Generators and order of the self-isomorphism group of d.
 
-    All automorphisms are found by brute force; a small generating set is
-    then extracted greedily, and the order is recomputed by breadth-first
-    closure over those generators (and checked against the brute count).
+    The chain is a forest: the roots are the elements of the last set, and
+    an element's children are its preimages, all hung from a virtual root.
+    The group is the iterated wreath product over that forest, so its
+    order is the product, over every node, of mult! for each class of
+    isomorphic children.  Each generator swaps two adjacent isomorphic
+    siblings (children sorted by (class, index)) and carries one subtree
+    onto the other by pairing their children in the same order.
     """
-    auts = automorphisms(d)
     if d.k == 0:
         return PermGroup((), (), 1)
-    identity = tuple(tuple(range(n)) for n in d.sizes())
+    classes = _level_classes(d)
+    children = [None]
+    for i, m in enumerate(d.maps):
+        kids = [[] for _ in range(m.cod.size)]
+        for x, y in enumerate(m.values):
+            kids[y].append(x)
+        children.append([sorted(c, key=lambda x: (classes[i][x], x))
+                         for c in kids])
+    top = d.k - 1
+    roots = sorted(range(d.sets[top].size), key=lambda y: (classes[top][y], y))
+    # (level of the siblings, sorted siblings), the virtual root first
+    nodes = [(top, roots)]
+    for level in range(top, 0, -1):
+        nodes.extend((level - 1, kids) for kids in children[level])
+    order = 1
     gens = []
-    closed = {identity}
-    for a in auts:
-        if a not in closed:
-            gens.append(a)
-            closed = _closure(gens, identity)
-    assert len(closed) == len(auts)
-    gen_isos = tuple(
-        DiagramIso(d, d, tuple(SetMap(s, s, p) for s, p in zip(d.sets, perms)))
-        for perms in gens)
-    return PermGroup(d.sizes(), gen_isos, len(auts))
+    for level, kids in nodes:
+        run = 1
+        for a, b in zip(kids, kids[1:]):
+            if classes[level][a] != classes[level][b]:
+                run = 1
+                continue
+            run += 1
+            order *= run
+            perms = [list(range(s.size)) for s in d.sets]
+            pairs = [(level, a, b)]
+            while pairs:
+                lv, u, v = pairs.pop()
+                perms[lv][u], perms[lv][v] = v, u
+                if lv > 0:
+                    pairs.extend((lv - 1, p, q) for p, q in
+                                 zip(children[lv][u], children[lv][v]))
+            gens.append(DiagramIso(d, d, tuple(
+                SetMap(s, s, p) for s, p in zip(d.sets, perms))))
+    return PermGroup(d.sizes(), gens, order)
 
 
 def enumerate_diagrams(k: int, max_sizes) -> list:

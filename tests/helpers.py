@@ -1,11 +1,13 @@
 """Shared independent oracles and small generators for the test suite."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from motivic_kit.finsets import FinDiagram, FinSet, SetMap
 from motivic_kit.qlinalg import QMatrix, kron, matmul, nullity, rank
 
 
@@ -52,6 +54,96 @@ def dense_coalgebra_violations(c: QMatrix, x, y) -> list:
     if any(r // ny != r % ny for r in bad):
         violations.append("(delta2)")
     return violations
+
+
+def _relabelings(sizes):
+    return itertools.product(*(itertools.permutations(range(n))
+                               for n in sizes))
+
+
+def brute_canonical_with_perms(d: FinDiagram):
+    """Minimal-encoding representative and the first relabeling reaching it.
+
+    Tries all prod |S_i|! relabelings, independent of the library's
+    structural labelling.
+    """
+    if d.k == 0:
+        return FinDiagram([], []), ()
+    best_key = best_perms = None
+    for perms in _relabelings(d.sizes()):
+        key = d.relabel(perms).encoding()
+        if best_key is None or key < best_key:
+            best_key, best_perms = key, perms
+    return d.relabel(best_perms), best_perms
+
+
+def labelled_diagrams(bounds):
+    """Every chain diagram with |S_i| <= bounds[i], all labellings."""
+    for sizes in itertools.product(*(range(1, b + 1) for b in bounds)):
+        sets = [FinSet(n) for n in sizes]
+        values = [itertools.product(range(sizes[i + 1]), repeat=sizes[i])
+                  for i in range(len(sizes) - 1)]
+        for combo in itertools.product(*values):
+            yield FinDiagram(sets, [SetMap(sets[i], sets[i + 1], v)
+                                    for i, v in enumerate(combo)])
+
+
+def brute_census(bounds) -> dict:
+    """The brute canonical form of every diagram from `labelled_diagrams`.
+
+    Relabeling one diagram every possible way visits its whole isomorphism
+    class, so one brute search serves every member of the class.
+    """
+    reps = {}
+    for d in labelled_diagrams(bounds):
+        if d not in reps:
+            rep, _ = brute_canonical_with_perms(d)
+            for perms in _relabelings(d.sizes()):
+                reps[d.relabel(perms)] = rep
+    return reps
+
+
+def closure_size(generators, sizes) -> int:
+    """Order of the group the permutation tuples generate, by BFS."""
+    identity = tuple(tuple(range(n)) for n in sizes)
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for g in generators:
+                c = tuple(tuple(q[x] for x in p) for p, q in zip(el, g))
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return len(seen)
+
+
+@st.composite
+def small_diagrams(draw, max_relabelings=20_000):
+    """Random chain diagrams with prod |S_i|! <= max_relabelings.
+
+    Each map draws its values from a short prefix of its codomain, so
+    fibers are large and the diagrams have many symmetries; a random
+    relabeling then scatters the labels.
+    """
+    length = draw(st.integers(1, 5))
+    sizes = [draw(st.integers(1, 6))]
+    while len(sizes) < length:
+        n = draw(st.integers(1, 6))
+        if math.prod(math.factorial(s) for s in sizes + [n]) \
+                > max_relabelings:
+            break
+        sizes.append(n)
+    sets = [FinSet(n) for n in sizes]
+    maps = []
+    for i in range(len(sizes) - 1):
+        image = draw(st.integers(1, sizes[i + 1]))
+        values = draw(st.lists(st.integers(0, image - 1),
+                               min_size=sizes[i], max_size=sizes[i]))
+        maps.append(SetMap(sets[i], sets[i + 1], values))
+    perms = [draw(st.permutations(range(n))) for n in sizes]
+    return FinDiagram(sets, maps).relabel(perms)
 
 
 # Mostly zeros, as in the structure matrices, plus ones, negatives and

@@ -1,4 +1,6 @@
 import json
+import math
+import time
 from importlib import resources
 
 import pytest
@@ -170,6 +172,29 @@ class TestJsonReparses:
         assert text == "H0=1 H1=0 H2=0"
 
 
+class TestAutAtTheCap:
+    """`aut` on size-6 diagrams whose relabeling count is out of reach."""
+
+    @pytest.mark.parametrize("sizes, maps, order", [
+        ((6, 6, 6, 6), [list(range(6))] * 3, 720),
+        ((6, 6), [[0] * 6], math.factorial(6) * math.factorial(5)),
+    ])
+    def test_finishes_in_under_a_second(self, tmp_path, sizes, maps, order):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(
+            {"sets": [{"size": n} for n in sizes],
+             "maps": [{"dom": sizes[i], "cod": sizes[i + 1], "values": v}
+                      for i, v in enumerate(maps)]}))
+        start = time.perf_counter()
+        status, text = run_cli(["aut", "--diagram", str(path),
+                                "--format", "json"])
+        assert time.perf_counter() - start < 1.0
+        assert status == 0
+        data = json.loads(text)
+        assert data["order"] == order
+        assert data["degrees"] == list(sizes)
+
+
 class TestErrors:
     def test_missing_file(self):
         status, text = run_cli(["aut", "--diagram", "/nonexistent.json"])
@@ -225,6 +250,38 @@ class TestErrors:
         assert status == 2
         assert text.startswith("error:")
         assert str(bad) in text
+
+    @pytest.mark.parametrize("argv, field", [
+        (["kappa", "--components", "A", "--ambient", "X", "--dim", "-3"],
+         "--dim"),
+        (["enumerate-diagrams", "--k", "2", "--bounds", "0,2"], "--bounds"),
+        (["verify-monad", "--k", "1", "--bounds", "2,-1"], "--bounds"),
+    ])
+    def test_lower_limits_name_the_field(self, argv, field):
+        status, text = run_cli(argv)
+        assert status == 2
+        assert text.startswith("error:") and field in text
+
+    @pytest.mark.parametrize("argv, fixture, field", [
+        (argv, fixture, field) for argv, fixture, fields in (
+            (["aut", "--diagram", "{file}"], "diagram_3to2.json",
+             ("sets", "maps")),
+            (["galois-fixed", "--x", "{file}",
+              "--y", data_path("gset_c2_trivial2.json")],
+             "gset_c2_regular.json", ("group", "carrier", "action")),
+            (["hocolim", "--diagram", "{file}"], "cover_two_patches.json",
+             ("index_size", "vertices", "edges")))
+        for field in fields])
+    def test_missing_field_is_named(self, tmp_path, argv, fixture, field):
+        with open(data_path(fixture)) as fh:
+            payload = json.load(fh)
+        del payload[field]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli([a.replace("{file}", str(path))
+                                for a in argv])
+        assert status == 2
+        assert text == f"error: {path}: missing required field {field!r}"
 
     def test_main_returns_status(self, capsys):
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0

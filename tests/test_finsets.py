@@ -2,7 +2,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
 
+from helpers import (brute_canonical_with_perms, brute_census, closure_size,
+                     small_diagrams)
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
                                  SetMap, all_maps, are_isomorphic,
                                  automorphism_group, automorphisms,
@@ -181,6 +184,86 @@ class TestAutomorphismGroup:
         assert back.order == g.order
         assert [x.to_json() for x in back.generators] == \
             [x.to_json() for x in g.generators]
+
+
+class TestCanonicalFormOracle:
+    """The structural labelling against the brute search over relabelings."""
+
+    @pytest.mark.parametrize("bounds", [(4, 4), (3, 3, 3), (2, 2, 2, 2)])
+    def test_every_labelled_diagram(self, bounds):
+        reps = brute_census(bounds)
+        for d, rep in reps.items():
+            assert canonical_form(d) == rep
+            iso = are_isomorphic(d, rep)
+            assert iso is not None and iso.target == rep
+        # witnesses between two members of one class, and none across classes
+        by_class = {}
+        for d, rep in reps.items():
+            by_class.setdefault(rep, []).append(d)
+        members = [ds[-1] for ds in by_class.values()]
+        for ds in by_class.values():
+            iso = are_isomorphic(ds[0], ds[-1])
+            assert iso.source == ds[0] and iso.target == ds[-1]
+        for d1, d2 in zip(members, members[1:]):
+            assert are_isomorphic(d1, d2) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_diagrams())
+    def test_random_diagrams(self, d):
+        rep, perms = brute_canonical_with_perms(d)
+        assert canonical_form(d) == rep
+        iso = are_isomorphic(d, rep)
+        assert iso is not None and iso.target == rep
+        # the brute relabeling is a second witness; the two differ by an
+        # automorphism of d, which DiagramIso checks square by square
+        brute = DiagramIso(d, rep, [SetMap(s, t, p) for s, t, p
+                                    in zip(d.sets, rep.sets, perms)])
+        assert brute.then(iso.inverse()).target == d
+        assert are_isomorphic(rep, d).target == d
+
+
+class TestAutomorphismGroupStructure:
+    """Forest wreath-product groups against the brute automorphism list."""
+
+    @staticmethod
+    def check(d):
+        g = automorphism_group(d)
+        assert g.order == len(automorphisms(d))
+        for gen in g.generators:
+            # DiagramIso checks bijectivity and every naturality square
+            assert isinstance(gen, DiagramIso)
+            assert gen.source == d and gen.target == d
+        perms = [tuple(c.values for c in gen.components)
+                 for gen in g.generators]
+        assert closure_size(perms, d.sizes()) == g.order
+
+    def test_census_333(self):
+        for d in enumerate_diagrams(3, (3, 3, 3)):
+            self.check(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_diagrams())
+    def test_random_diagrams(self, d):
+        self.check(d)
+
+    def test_empty_diagram(self):
+        g = automorphism_group(FinDiagram([], []))
+        assert g.order == 1 and g.generators == ()
+
+    def test_swap_carries_children_of_every_class(self):
+        # two isomorphic roots, each over a 1-element and a 2-element fiber:
+        # a root swap must pair the children class by class
+        d = diagram((6, 4, 2), [[0, 1, 1, 2, 3, 3], [0, 0, 1, 1]])
+        self.check(d)
+        assert automorphism_group(d).order == 8
+
+    def test_identity_chain(self):
+        # the brute count would try 720^4 relabelings; the closure is cheap
+        d = diagram((6, 6, 6, 6), [list(range(6))] * 3)
+        g = automorphism_group(d)
+        perms = [tuple(c.values for c in gen.components)
+                 for gen in g.generators]
+        assert g.order == closure_size(perms, d.sizes()) == 720
 
 
 class TestEnumerateDiagrams:
