@@ -20,19 +20,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finsets import FinSet, SetMap, all_maps
-from .qlinalg import QMatrix, kron, matmul
+from .qlinalg import QMatrix, kron, matmul, tensor_index_map
 
 
-def swap_matrix(n: int, m: int = None) -> QMatrix:
-    """The permutation matrix exchanging tensor factors of sizes n and m."""
-    if m is None:
-        m = n
-    size = n * m
-    entries = [0] * (size * size)
-    for i in range(n):
-        for j in range(m):
-            entries[(j * n + i) * size + (i * m + j)] = 1
-    return QMatrix(size, size, entries)
+def graph_matrix(f: SetMap) -> QMatrix:
+    """The |cod| x |dom| indicator of the graph of f."""
+    nx, ny = f.dom.size, f.cod.size
+    entries = [0] * (ny * nx)
+    for x, y in enumerate(f.values):
+        entries[y * nx + x] = 1
+    return QMatrix(ny, nx, entries)
+
+
+def tensor_map_matrix(n: int, factors, t: int) -> QMatrix:
+    """Graph of `tensor_index_map`: X^(x)t -> X^(x)len(factors), |X| = n."""
+    return graph_matrix(SetMap(FinSet(n ** t), FinSet(n ** len(factors)),
+                               tensor_index_map(n, factors, t)))
+
+
+def swap_matrix(n: int) -> QMatrix:
+    """The permutation matrix exchanging the two tensor factors of size n."""
+    return tensor_map_matrix(n, (1, 0), 2)
 
 
 class ArtinComonoid:
@@ -136,8 +144,8 @@ class ArtinMonoid:
 
 def _is_canonical(counit: QMatrix, comult: QMatrix, n: int) -> bool:
     """Counit all ones, comultiplication the diagonal indicator."""
-    # comult entry ((x', x''), x) sits at (x' * n + x'') * n + x
-    diagonal = {x * (n * n + n + 1) for x in range(n)}
+    # comult entry ((x', x''), x) is the entry (x', x'', x) of the flat list
+    diagonal = set(tensor_index_map(n, (0, 0, 0), 1))
     return (all(v == 1 for v in counit.entries)
             and all(v == (1 if i in diagonal else 0)
                     for i, v in enumerate(comult.entries)))
@@ -150,10 +158,7 @@ def counit_matrix(n: int) -> QMatrix:
 
 def comult_matrix(n: int) -> QMatrix:
     """The diagonal indicator: entry ((x', x''), x) is 1 iff x'' = x' = x."""
-    entries = [0] * (n * n * n)
-    for x in range(n):
-        entries[(x * n + x) * n + x] = 1
-    return QMatrix(n * n, n, entries)
+    return tensor_map_matrix(n, (0, 0), 1)
 
 
 def artin_comonoid(x: FinSet) -> ArtinComonoid:
@@ -219,15 +224,10 @@ def _dense_failures(c: QMatrix, x: ArtinComonoid, y: ArtinComonoid) -> tuple:
     eps = matmul(y.counit, c) != x.counit
     lhs = matmul(kron(c, c), x.comult)
     rhs = matmul(y.comult, c)
-    diag = off = False
-    ny = y.size
-    for r in range(ny * ny):
-        if lhs.row(r) != rhs.row(r):
-            if r // ny == r % ny:
-                diag = True
-            else:
-                off = True
-    return eps, diag, off
+    diagonal = set(tensor_index_map(y.size, (0, 0), 1))
+    bad = [r for r in range(lhs.rows) if lhs.row(r) != rhs.row(r)]
+    return (eps, any(r in diagonal for r in bad),
+            any(r not in diagonal for r in bad))
 
 
 def is_coalgebra_morphism(c: QMatrix, x: ArtinComonoid, y: ArtinComonoid) -> bool:
@@ -242,21 +242,13 @@ def monoid_morphism_violations(m: QMatrix, x: ArtinMonoid,
     violations = []
     if matmul(m, x.unit) != y.unit:
         violations.append("(eta)")
-    lhs = matmul(m, x.mult)
-    rhs = matmul(y.mult, kron(m, m))
-    diag = off = False
-    nx = x.size
-    lt = lhs.transpose()
-    rt = rhs.transpose()
-    for col in range(nx * nx):
-        if lt.row(col) != rt.row(col):
-            if col // nx == col % nx:
-                diag = True
-            else:
-                off = True
-    if diag:
+    lt = matmul(m, x.mult).transpose()
+    rt = matmul(y.mult, kron(m, m)).transpose()
+    diagonal = set(tensor_index_map(x.size, (0, 0), 1))
+    bad = [c for c in range(lt.rows) if lt.row(c) != rt.row(c)]
+    if any(c in diagonal for c in bad):
         violations.append("(mu1)")
-    if off:
+    if any(c not in diagonal for c in bad):
         violations.append("(mu2)")
     return violations
 
@@ -302,15 +294,6 @@ class CoalgMorphism:
         return CoalgMorphism(QMatrix.from_json(data["matrix"]),
                              artin_comonoid(FinSet.from_json(data["source"])),
                              artin_comonoid(FinSet.from_json(data["target"])))
-
-
-def graph_matrix(f: SetMap) -> QMatrix:
-    """The |cod| x |dom| indicator of the graph of f."""
-    nx, ny = f.dom.size, f.cod.size
-    entries = [0] * (ny * nx)
-    for x, y in enumerate(f.values):
-        entries[y * nx + x] = 1
-    return QMatrix(ny, nx, entries)
 
 
 def morphism_from_setmap(f: SetMap) -> CoalgMorphism:

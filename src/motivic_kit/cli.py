@@ -12,56 +12,58 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 
-from .artin import solve_coalgebra_morphisms, verify_mcffe
+from .artin import graph_matrix, solve_coalgebra_morphisms, verify_mcffe
 from .finsets import FinDiagram, FinSet, automorphism_group, enumerate_diagrams
 from .galois import GSet, equivariant_set_maps, fixed_coalgebra_morphisms
-from .hypercube import CubeDiagram, build_kappa, ks_hocolim, punctured_cube_hocolim
+from .hypercube import (ChainMap, CubeDiagram, build_kappa, ks_hocolim,
+                        punctured_cube_hocolim)
 from .monad import verify_m_identity
+from .qlinalg import ChainComplex, QMatrix
 from .resolution import verify_mdffe
-from . import artin
 
 DEFAULT_MAX_SIZE = 6
 
 
-@dataclass
-class RunConfig:
-    """A parsed invocation: command name, bounds, paths, output format."""
-    command: str
-    format: str = "table"
-    x: int = 0
-    y: int = 0
-    k: int = 0
-    bounds: tuple = ()
-    bound: int = 2
-    diagram_path: str = ""
-    x_path: str = ""
-    y_path: str = ""
-    components: tuple = ()
-    ambient: str = ""
-    dim: int = 0
-    cross: str = ""
-    show_matrices: bool = False
-    max_size: int | None = None  # None: read MOTIVIC_KIT_MAX_SIZE in `run`
-
-    def check_limits(self):
-        if self.dim < 0:
-            raise ValueError(f"--dim must be >= 0, got {self.dim}")
-        if any(b < 1 for b in self.bounds):
-            bounds = ",".join(map(str, self.bounds))
-            raise ValueError(f"--bounds entries must be >= 1 (sets are "
-                             f"nonempty), got {bounds}")
-        values = [self.x, self.y, self.k, self.bound, *self.bounds]
-        for v in values:
-            if v > self.max_size:
-                raise ValueError(
-                    f"size bound {v} exceeds the safety limit "
-                    f"{self.max_size} (override with MOTIVIC_KIT_MAX_SIZE)")
+def _max_size_from_env() -> int:
+    text = os.environ.get("MOTIVIC_KIT_MAX_SIZE", str(DEFAULT_MAX_SIZE))
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"MOTIVIC_KIT_MAX_SIZE must be a positive integer, "
+                     f"got {text!r}")
 
 
-def _emit(config: RunConfig, table_lines, data) -> str:
-    if config.format == "json":
+def _check_sizes(what: str, values, limit: int):
+    """Reject any value above the safety limit."""
+    for v in values:
+        if v > limit:
+            raise ValueError(f"{what} {v} exceeds the safety limit {limit} "
+                             "(override with MOTIVIC_KIT_MAX_SIZE)")
+
+
+def _check_limits(args, limit: int):
+    """Bound the numeric arguments of any subcommand from both sides.
+
+    Subcommands without --bound are checked as if they passed its default
+    2, so a limit of 1 rejects every command.
+    """
+    bounds = getattr(args, "bounds", ())
+    if getattr(args, "dim", 0) < 0:
+        raise ValueError(f"--dim must be >= 0, got {args.dim}")
+    if any(b < 1 for b in bounds):
+        raise ValueError(f"--bounds entries must be >= 1 (sets are "
+                         f"nonempty), got {','.join(map(str, bounds))}")
+    _check_sizes("size bound", [getattr(args, "x", 0), getattr(args, "y", 0),
+                                getattr(args, "k", 0),
+                                getattr(args, "bound", 2), *bounds], limit)
+
+
+def _emit(args, table_lines, data) -> str:
+    if args.format == "json":
         return json.dumps(data, sort_keys=True, indent=2)
     return "\n".join(table_lines)
 
@@ -72,14 +74,18 @@ def _load_json(path: str, required) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top-level JSON value must be an object")
-    for field in required:
-        if field not in data:
-            raise ValueError(f"{path}: missing required field {field!r}")
+    _require(data, required, path)
     return data
 
 
-def _cmd_enumerate_diagrams(config: RunConfig):
-    classes = enumerate_diagrams(config.k, config.bounds)
+def _require(data: dict, fields, path: str):
+    for field in fields:
+        if field not in data:
+            raise ValueError(f"{path}: missing required field {field!r}")
+
+
+def _cmd_enumerate_diagrams(args):
+    classes = enumerate_diagrams(args.k, args.bounds)
     lines = []
     for i, d in enumerate(classes):
         sizes = ",".join(str(s) for s in d.sizes())
@@ -87,69 +93,62 @@ def _cmd_enumerate_diagrams(config: RunConfig):
         aut = automorphism_group(d).order
         lines.append(f"{i}: sizes={sizes} maps={maps or '-'} |Aut|={aut}")
     lines.append(f"classes: {len(classes)}")
-    data = {"k": config.k, "bounds": list(config.bounds),
+    data = {"k": args.k, "bounds": list(args.bounds),
             "count": len(classes),
             "classes": [d.to_json() for d in classes]}
-    return 0, _emit(config, lines, data)
+    return 0, _emit(args, lines, data)
 
 
-def _check_loaded_sizes(config: RunConfig, sizes):
-    for v in sizes:
-        if v > config.max_size:
-            raise ValueError(
-                f"input set of size {v} exceeds the safety limit "
-                f"{config.max_size} (override with MOTIVIC_KIT_MAX_SIZE)")
-
-
-def _cmd_aut(config: RunConfig):
-    payload = _load_json(config.diagram_path, ("sets", "maps"))
+def _cmd_aut(args):
+    payload = _load_json(args.diagram_path, ("sets", "maps"))
     d = FinDiagram.from_json(payload)
-    _check_loaded_sizes(config, d.sizes())
+    _check_sizes("input set of size", d.sizes(), _max_size_from_env())
     group = automorphism_group(d)
     lines = [f"degrees: {','.join(str(n) for n in group.degrees)}",
              f"order: {group.order}",
              f"generators: {len(group.generators)}"]
     for g in group.generators:
         lines.append("  " + " ".join(str(list(c.values)) for c in g.components))
-    return 0, _emit(config, lines, group.to_json())
+    return 0, _emit(args, lines, group.to_json())
 
 
-def _cmd_solve_comonoid(config: RunConfig):
-    x, y = FinSet(config.x), FinSet(config.y)
+def _cmd_solve_comonoid(args):
+    x, y = FinSet(args.x), FinSet(args.y)
     morphisms = solve_coalgebra_morphisms(x, y)
     expected = y.size ** x.size
     ok = len(morphisms) == expected
     lines = [f"morphisms: {len(morphisms)} (expected {expected})"]
-    if config.show_matrices:
+    if args.show_matrices:
         for c in morphisms:
             lines.append("  " + json.dumps(c.matrix.to_json()["entries"]))
     lines.append("PASS" if ok else "FAIL")
-    data = {"x": config.x, "y": config.y, "count": len(morphisms),
+    data = {"x": args.x, "y": args.y, "count": len(morphisms),
             "expected": expected, "passed": ok}
-    if config.show_matrices:
+    if args.show_matrices:
         data["matrices"] = [c.matrix.to_json() for c in morphisms]
-    return (0 if ok else 1), _emit(config, lines, data)
+    return (0 if ok else 1), _emit(args, lines, data)
 
 
-def _cmd_galois_fixed(config: RunConfig):
+def _cmd_galois_fixed(args):
     fields = ("group", "carrier", "action")
-    x = GSet.from_json(_load_json(config.x_path, fields))
-    y = GSet.from_json(_load_json(config.y_path, fields))
-    _check_loaded_sizes(config, [x.carrier.size, y.carrier.size])
+    x = GSet.from_json(_load_json(args.x_path, fields))
+    y = GSet.from_json(_load_json(args.y_path, fields))
+    _check_sizes("input set of size", [x.carrier.size, y.carrier.size],
+                 _max_size_from_env())
     maps = equivariant_set_maps(x, y)
     fixed = fixed_coalgebra_morphisms(x, y)
-    graphs = {artin.graph_matrix(f) for f in maps}
+    graphs = {graph_matrix(f) for f in maps}
     ok = {c.matrix for c in fixed} == graphs
     lines = [f"equivariant maps: {len(maps)}",
              f"fixed comonoid morphisms: {len(fixed)}",
              "PASS" if ok else "FAIL"]
     data = {"equivariant_maps": len(maps), "fixed_morphisms": len(fixed),
             "passed": ok}
-    return (0 if ok else 1), _emit(config, lines, data)
+    return (0 if ok else 1), _emit(args, lines, data)
 
 
-def _cmd_verify_monad(config: RunConfig):
-    report = verify_m_identity(config.k, config.bounds)
+def _cmd_verify_monad(args):
+    report = verify_m_identity(args.k, args.bounds)
     lines = []
     for row in report.rows:
         sizes, fibers, values = row.encoding
@@ -167,17 +166,16 @@ def _cmd_verify_monad(config: RunConfig):
                       "wreath": r.wreath_count,
                       "preimage_sizes": [list(s) for s in r.preimage_sizes]}
                      for r in report.rows]}
-    return (0 if report.passed else 1), _emit(config, lines, data)
+    return (0 if report.passed else 1), _emit(args, lines, data)
 
 
-def _cmd_hocolim(config: RunConfig):
-    payload = _load_json(config.diagram_path,
+def _cmd_hocolim(args):
+    payload = _load_json(args.diagram_path,
                          ("index_size", "vertices", "edges"))
     cube = CubeDiagram.from_json(payload)
     if "ambient" in payload:
-        from .qlinalg import ChainComplex, QMatrix
-        from .hypercube import ChainMap
         ambient = ChainComplex.from_json(payload["ambient"])
+        _require(payload, ("ambient_edges",), args.diagram_path)
         singles = {}
         for key, blocks in payload["ambient_edges"].items():
             s = frozenset(int(v) for v in key.split(","))
@@ -191,34 +189,34 @@ def _cmd_hocolim(config: RunConfig):
     lines = [" ".join(f"H{n}={hom[n]}" for n in sorted(hom))]
     data = {"homology": {str(n): hom[n] for n in sorted(hom)},
             "euler_characteristic": int(total.euler_characteristic())}
-    return 0, _emit(config, lines, data)
+    return 0, _emit(args, lines, data)
 
 
-def _cmd_kappa(config: RunConfig):
-    diagram = build_kappa(config.components, config.ambient, config.dim)
-    if config.cross:
-        diagram = diagram.cross_with(config.cross)
+def _cmd_kappa(args):
+    diagram = build_kappa(args.components, args.ambient, args.dim)
+    if args.cross:
+        diagram = diagram.cross_with(args.cross)
     lines = [f"{name}: {expr}" for name, expr in diagram.rows()]
     lines.append(diagram.annotation())
-    return 0, _emit(config, lines, diagram.to_json())
+    return 0, _emit(args, lines, diagram.to_json())
 
 
-def _cmd_verify_mcffe(config: RunConfig):
-    report = verify_mcffe(FinSet(config.x), FinSet(config.y))
+def _cmd_verify_mcffe(args):
+    report = verify_mcffe(FinSet(args.x), FinSet(args.y))
     line = (f"{report.morphism_count} = {report.setmap_count}, "
             + ("PASS" if report.passed else "FAIL"))
     data = {"x": report.x_size, "y": report.y_size,
             "morphisms": report.morphism_count,
             "set_maps": report.setmap_count, "passed": report.passed}
-    return (0 if report.passed else 1), _emit(config, [line], data)
+    return (0 if report.passed else 1), _emit(args, [line], data)
 
 
-def _cmd_verify_mdffe(config: RunConfig):
-    report = verify_mdffe(FinSet(config.x), FinSet(config.y),
-                          bound=config.bound,
-                          recheck_bound=config.bound + 1)
-    lines = [f"equalizer (bound {config.bound}): {report.equalizer_count}",
-             f"equalizer (bound {config.bound + 1}): {report.recheck_count}",
+def _cmd_verify_mdffe(args):
+    report = verify_mdffe(FinSet(args.x), FinSet(args.y),
+                          bound=args.bound,
+                          recheck_bound=args.bound + 1)
+    lines = [f"equalizer (bound {args.bound}): {report.equalizer_count}",
+             f"equalizer (bound {args.bound + 1}): {report.recheck_count}",
              f"transposed comonoid morphisms: {report.transposed_morphism_count}",
              f"set maps: {report.setmap_count}",
              "PASS" if report.passed else "FAIL"]
@@ -228,7 +226,7 @@ def _cmd_verify_mdffe(config: RunConfig):
             "transposed_morphisms": report.transposed_morphism_count,
             "set_maps": report.setmap_count,
             "passed": report.passed}
-    return (0 if report.passed else 1), _emit(config, lines, data)
+    return (0 if report.passed else 1), _emit(args, lines, data)
 
 
 _COMMANDS = {
@@ -244,29 +242,15 @@ _COMMANDS = {
 }
 
 
-def _max_size_from_env() -> int:
-    text = os.environ.get("MOTIVIC_KIT_MAX_SIZE", str(DEFAULT_MAX_SIZE))
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"MOTIVIC_KIT_MAX_SIZE must be a positive integer, "
-                     f"got {text!r}")
-
-
-def run(config: RunConfig):
-    """Execute one command; returns (exit status, report text).
+def run(args):
+    """Execute one parsed command line; returns (exit status, report text).
 
     The safety limit is read from MOTIVIC_KIT_MAX_SIZE here, so a bad value
     is reported like any other configuration error.
     """
     try:
-        if config.max_size is None:
-            config = replace(config, max_size=_max_size_from_env())
-        config.check_limits()
-        return _COMMANDS[config.command](config)
+        _check_limits(args, _max_size_from_env())
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         return 2, f"error: {exc}"
 
@@ -345,14 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    return RunConfig(**fields)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    status, text = run(config_from_args(args))
+    status, text = run(args)
     print(text)
     return status
 

@@ -226,6 +226,10 @@ class FinDiagram:
         sets = [FinSet.from_json(s) for s in data["sets"]]
         maps = []
         for i, m in enumerate(data["maps"]):
+            if i + 1 >= len(sets):
+                raise ValueError("need exactly k-1 maps for k sets")
+            if "values" not in m:
+                raise ValueError(f"map {i} is missing required field 'values'")
             maps.append(SetMap(sets[i], sets[i + 1], m["values"]))
         return FinDiagram(sets, maps)
 

@@ -80,22 +80,32 @@ class FiniteGroup:
         for g in self.elements():
             if g not in closed:
                 gens.append(g)
-                closed = self._closure(gens)
+                closed = self.closure(gens)
         return gens
 
-    def _closure(self, gens) -> set:
+    def cayley_edges(self, gens):
+        """Breadth-first walk of the subgroup generated by gens.
+
+        Starting from the identity, yields (a, i, gens[i] * a) for every
+        element a reached and every generator index i; each element is
+        expanded once, after the edge that first reaches it.
+        """
         seen = {self.identity}
         frontier = [self.identity]
         while frontier:
             nxt = []
             for a in frontier:
-                for g in gens:
-                    b = self.mul(a, g)
+                for i, g in enumerate(gens):
+                    b = self.mul(g, a)
+                    yield a, i, b
                     if b not in seen:
                         seen.add(b)
                         nxt.append(b)
             frontier = nxt
-        return seen
+
+    def closure(self, gens) -> set:
+        """The elements of the subgroup generated by gens."""
+        return {self.identity} | {b for _, _, b in self.cayley_edges(gens)}
 
     def to_json(self):
         return {"order": self.order, "table": [list(r) for r in self.table]}
@@ -202,20 +212,12 @@ def gset_from_generator_images(group: FiniteGroup, carrier: FinSet,
                                gens, images) -> GSet:
     """Extend bijections assigned to generators to a full action, or raise."""
     assigned = {group.identity: identity_map(carrier)}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g, img in zip(gens, images):
-                b = group.mul(g, a)
-                m = compose(assigned[a], img)  # g acts after a
-                if b in assigned:
-                    if assigned[b].values != m.values:
-                        raise ValueError("generator images are inconsistent")
-                else:
-                    assigned[b] = m
-                    nxt.append(b)
-        frontier = nxt
+    for a, i, b in group.cayley_edges(gens):
+        m = compose(assigned[a], images[i])  # generator i acts after a
+        if b not in assigned:
+            assigned[b] = m
+        elif assigned[b].values != m.values:
+            raise ValueError("generator images are inconsistent")
     if len(assigned) != group.order:
         raise ValueError("generators do not generate")
     return GSet(group, carrier, [assigned[g] for g in group.elements()])
@@ -245,7 +247,7 @@ def all_gset_actions(group: FiniteGroup, size: int) -> list:
 def sub_gset(x: GSet, elements) -> GSet:
     """Restrict the action to the subgroup generated by the given elements."""
     group = x.group
-    closed = sorted(group._closure(list(elements)))
+    closed = sorted(group.closure(list(elements)))
     index = {g: i for i, g in enumerate(closed)}
     table = [[index[group.mul(a, b)] for b in closed] for a in closed]
     sub = FiniteGroup(table)

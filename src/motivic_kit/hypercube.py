@@ -225,6 +225,16 @@ def _total_layout(d: CubeDiagram):
     return lo, hi, dims, offsets, summands
 
 
+def _add_block(entries: list, cols: int, block: QMatrix, r0: int, c0: int,
+               sign: int = 1):
+    """Add sign * block into a row-major entry list at row r0, column c0."""
+    for i in range(block.rows):
+        base = (r0 + i) * cols + c0
+        for j, v in enumerate(block.row(i)):
+            if v:
+                entries[base + j] += v if sign == 1 else -v
+
+
 def punctured_cube_hocolim(d: CubeDiagram) -> ChainComplex:
     """The total complex computing the homotopy colimit of the cube.
 
@@ -240,37 +250,21 @@ def punctured_cube_hocolim(d: CubeDiagram) -> ChainComplex:
     for m in range(lo + 1, hi + 1):
         rows, cols = dims[m - 1], dims[m]
         entries = [Fraction(0)] * (rows * cols)
-
-        def place(block, r0, c0):
-            for i in range(block.rows):
-                base = (r0 + i) * cols + c0
-                brow = i * block.cols
-                for j in range(block.cols):
-                    v = block.entries[brow + j]
-                    if v:
-                        entries[base + j] += v
-
         for p, s in summands:
             q = m - p
-            src_dim = d.vertices[s].dim(q)
-            if src_dim == 0:
+            if not d.vertices[s].dim(q):
                 continue
             c0 = offsets[m][s]
             # internal differential, sign (-1)^p
-            dmat = d.vertices[s].differential(q)
-            if dmat.rows:
-                block = dmat if p % 2 == 0 else -dmat
-                place(block, offsets[m - 1][s], c0)
+            _add_block(entries, cols, d.vertices[s].differential(q),
+                       offsets[m - 1][s], c0, (-1) ** p)
             # edge maps to one-step-smaller subsets
             for idx, el in enumerate(sorted(s)):
                 small = s - {el}
                 if not small:
                     continue
-                emat = d.edges[(s, small)].at(q)
-                if emat.rows == 0:
-                    continue
-                block = emat if idx % 2 == 0 else -emat
-                place(block, offsets[m - 1][small], c0)
+                _add_block(entries, cols, d.edges[(s, small)].at(q),
+                           offsets[m - 1][small], c0, (-1) ** idx)
         diffs[m] = QMatrix(rows, cols, entries)
     return ChainComplex(lo, hi, dims, diffs)
 
@@ -315,32 +309,17 @@ def ks_hocolim(ambient: ChainComplex, d: CubeDiagram,
     for m in range(lo + 1, hi + 1):
         rows, cols = dims[m - 1], dims[m]
         entries = [Fraction(0)] * (rows * cols)
-
-        def place(block, r0, c0, sign=1):
-            for i in range(block.rows):
-                base = (r0 + i) * cols + c0
-                brow = i * block.cols
-                for j in range(block.cols):
-                    v = block.entries[brow + j]
-                    if v:
-                        entries[base + j] += sign * v
-
-        da = ambient.differential(m)
-        if da.rows and da.cols:
-            place(da, 0, 0)
+        _add_block(entries, cols, ambient.differential(m), 0, 0)
         # columns: A_m then Tot_{m-1}; rows: A_{m-1} then Tot_{m-2}
-        dt = tot.differential(m - 1)
-        if dt.rows and dt.cols:
-            place(dt, ambient.dim(m - 1), ambient.dim(m), sign=-1)
+        _add_block(entries, cols, tot.differential(m - 1),
+                   ambient.dim(m - 1), ambient.dim(m), -1)
         # the induced map Tot -> ambient lives on the p = 0 column
         if tot.dim(m - 1):
             for p, s in summands:
                 if p != 0:
                     continue
-                q = m - 1
-                block = into_ambient[s].at(q)
-                if block.rows and block.cols:
-                    place(block, 0, ambient.dim(m) + toffsets[m - 1][s])
+                _add_block(entries, cols, into_ambient[s].at(m - 1),
+                           0, ambient.dim(m) + toffsets[m - 1][s])
         diffs[m] = QMatrix(rows, cols, entries)
     return ChainComplex(lo, hi, dims, diffs)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .artin import ArtinComonoid
+from .artin import ArtinComonoid, tensor_map_matrix
 from .finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
                       automorphism_group, automorphisms, canonical_form,
                       enumerate_diagrams)
@@ -237,40 +237,18 @@ def verify_m_identity(k: int, bounds) -> MonadReport:
                        preimages_unique, aut_ok and same)
 
 
-def _separating_shuffle(n: int, s: int) -> QMatrix:
-    """Permutation taking (x1,x1',...,xs,xs') to ((x1..xs),(x1'..xs')).
-
-    Indices are base-n digit strings, most significant digit first, under
-    the fixed Kronecker flattening.
-    """
-    size = n ** (2 * s)
-    entries = [0] * (size * size)
-    for j in range(size):
-        digits = []
-        rest = j
-        for _ in range(2 * s):
-            digits.append(rest % n)
-            rest //= n
-        digits.reverse()  # most significant first
-        left = digits[0::2]
-        right = digits[1::2]
-        i = 0
-        for d in left + right:
-            i = i * n + d
-        entries[i * size + j] = 1
-    return QMatrix(size, size, entries)
-
-
 def tensor_power_comonoid(e: ArtinComonoid, s: int) -> ArtinComonoid:
     """The comonoid structure on the s-fold tensor power of a comonoid.
 
     The counit is the Kronecker power of the counit; the comultiplication
     is the Kronecker power of the comultiplication followed by the shuffle
-    that separates the interleaved factors.
+    taking (x1,x1',...,xs,xs') to ((x1..xs),(x1'..xs')).
     """
     n = e.size
     counit = kron_power(e.counit, s)
-    comult = matmul(_separating_shuffle(n, s), kron_power(e.comult, s))
+    separate = [*range(0, 2 * s, 2), *range(1, 2 * s, 2)]
+    comult = matmul(tensor_map_matrix(n, separate, 2 * s),
+                    kron_power(e.comult, s))
     return ArtinComonoid(FinSet(n ** s), counit, comult)
 
 
@@ -291,20 +269,4 @@ def functoriality_on_iso(iso: DiagramIso, e: ArtinComonoid) -> QMatrix:
     if iso.source.k < 1:
         raise ValueError("need diagrams of length at least 1")
     sigma = iso.components[0]
-    s = sigma.dom.size
-    n = e.size
-    size = n ** s
-    entries = [0] * (size * size)
-    inv = sigma.inverse().values
-    for col in range(size):
-        digits = []
-        rest = col
-        for _ in range(s):
-            digits.append(rest % n)
-            rest //= n
-        digits.reverse()
-        row = 0
-        for j in range(s):
-            row = row * n + digits[inv[j]]
-        entries[row * size + col] = 1
-    return QMatrix(size, size, entries)
+    return tensor_map_matrix(e.size, sigma.inverse().values, sigma.dom.size)

@@ -24,15 +24,6 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def format_rational(q: Fraction) -> str:
-    """Render as "p/q", or "p" when the denominator is 1."""
-    return str(q)
-
-
-def parse_rational(s) -> Fraction:
-    return _frac(s)
-
-
 class QMatrix:
     """An exact rational matrix, stored row-major."""
 
@@ -86,7 +77,7 @@ class QMatrix:
         return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
-        body = "; ".join(" ".join(format_rational(x) for x in self.row(i))
+        body = "; ".join(" ".join(str(x) for x in self.row(i))
                          for i in range(self.rows))
         return f"QMatrix({self.rows}x{self.cols}: {body})"
 
@@ -116,12 +107,11 @@ class QMatrix:
 
     def to_json(self):
         return {"rows": self.rows, "cols": self.cols,
-                "entries": [format_rational(x) for x in self.entries]}
+                "entries": [str(x) for x in self.entries]}
 
     @staticmethod
     def from_json(data) -> "QMatrix":
-        return QMatrix(data["rows"], data["cols"],
-                       [parse_rational(x) for x in data["entries"]])
+        return QMatrix(data["rows"], data["cols"], data["entries"])
 
 
 def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -177,6 +167,27 @@ def kron_power(a: QMatrix, n: int) -> QMatrix:
     for _ in range(n):
         result = kron(result, a)
     return result
+
+
+def tensor_index_map(n: int, factors, t: int) -> list:
+    """Index map X^(x)t -> X^(x)s of a map of tensor factors, dim X = n.
+
+    `factors` lists sigma(0), ..., sigma(s-1) for a map sigma from the s
+    target positions to the t source factors: the basis vector indexed by
+    (x_0, ..., x_{t-1}) goes to the one indexed by (x_sigma(0), ...,
+    x_sigma(s-1)).  A permutation reorders the factors (source factor
+    sigma(j) lands in position j) and a constant map gives the diagonal.
+    Indices are flattened as in `kron`, the first factor the most
+    significant digit; no other function splits or joins tensor indices.
+    """
+    weights = [n ** (t - 1 - j) for j in range(t)]
+    out = []
+    for index in range(n ** t):
+        target = 0
+        for f in factors:
+            target = target * n + index // weights[f] % n
+        out.append(target)
+    return out
 
 
 def _row_echelon(a: QMatrix):

@@ -24,63 +24,33 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .artin import graph_matrix, solve_coalgebra_morphisms
+from .artin import graph_matrix, solve_coalgebra_morphisms, tensor_map_matrix
 from .finsets import FinSet, all_maps
-from .qlinalg import QMatrix, kron, kron_power, matmul
+from .qlinalg import QMatrix, kron, kron_power, matmul, tensor_index_map
 
 
 def mult_along(n: int, fibers) -> QMatrix:
     """Matrix of the multiplication X^(x)(sum fibers) -> X^(x)(len fibers).
 
-    Column indices are base-n digit strings grouped into consecutive
-    blocks by the fiber sizes; the entry is 1 iff within every block all
-    digits agree with the corresponding row digit.  Empty blocks impose no
-    condition (they insert the unit).
+    Column indices are grouped into consecutive blocks by the fiber sizes,
+    and each block is multiplied into one factor: the Kronecker product of
+    the per-fiber `iterated_mult`.  An empty fiber inserts the unit.
     """
-    fibers = tuple(fibers)
-    t = len(fibers)
-    s = sum(fibers)
-    rows = n ** t
-    cols = n ** s
-    entries = [0] * (rows * cols)
-    for col in range(cols):
-        digits = []
-        rest = col
-        for _ in range(s):
-            digits.append(rest % n)
-            rest //= n
-        digits.reverse()
-        pos = 0
-        row_digits = []
-        ok = True
-        for size in fibers:
-            block = digits[pos:pos + size]
-            pos += size
-            if size == 0:
-                row_digits.append(None)  # free digit
-            elif all(b == block[0] for b in block):
-                row_digits.append(block[0])
-            else:
-                ok = False
-                break
-        if not ok:
-            continue
-        # expand the free digits of empty fibers
-        free = [i for i, d in enumerate(row_digits) if d is None]
-        for assign in itertools.product(range(n), repeat=len(free)):
-            full = list(row_digits)
-            for i, v in zip(free, assign):
-                full[i] = v
-            row = 0
-            for d in full:
-                row = row * n + d
-            entries[row * cols + col] = 1
-    return QMatrix(rows, cols, entries)
+    out = QMatrix.identity(1)
+    for size in fibers:
+        out = kron(out, iterated_mult(n, size))
+    return out
 
 
 def iterated_mult(n: int, s: int) -> QMatrix:
-    """The s-ary multiplication X^(x)s -> X; s = 0 gives the unit column."""
-    return mult_along(n, (s,))
+    """The s-ary multiplication X^(x)s -> X; s = 0 gives the unit column.
+
+    It is the transposed graph of the diagonal X -> X^(x)s, |X| = n.  A
+    FinSet is never empty, so n = 0 is built apart: the 0 x 0^s matrix.
+    """
+    if n == 0:
+        return QMatrix.zeros(0, 0 ** s)
+    return tensor_map_matrix(n, (0,) * s, 1).transpose()
 
 
 def coface_d0(f: QMatrix, s: int) -> QMatrix:
@@ -183,26 +153,6 @@ def level2_classes(bound: int) -> list:
     return out
 
 
-def _digit_perm(perm, n: int, s: int):
-    """Column permutation of X^(x)s induced by a permutation of the factors."""
-    inv = [0] * s
-    for i, v in enumerate(perm):
-        inv[v] = i
-    mapping = [0] * (n ** s)
-    for col in range(n ** s):
-        digits = []
-        rest = col
-        for _ in range(s):
-            digits.append(rest % n)
-            rest //= n
-        digits.reverse()
-        row = 0
-        for j in range(s):
-            row = row * n + digits[inv[j]]
-        mapping[col] = row
-    return mapping
-
-
 def _column_orbits(generators, size: int) -> list:
     seen = [False] * size
     orbits = []
@@ -239,7 +189,9 @@ def _chain_aut_column_perms(fibers, n: int) -> list:
     """Generators of the column action of the chain automorphisms.
 
     The first component of an automorphism permutes within fibers and
-    swaps equal fibers wholesale; these generate its image.
+    swaps equal fibers wholesale; these generate its image.  Each generator
+    is an involution of the factors, so it is its own inverse in
+    `tensor_index_map`.
     """
     s = sum(fibers)
     gens = []
@@ -252,7 +204,7 @@ def _chain_aut_column_perms(fibers, n: int) -> list:
         for i in range(size - 1):
             perm = list(range(s))
             perm[off + i], perm[off + i + 1] = perm[off + i + 1], perm[off + i]
-            gens.append(_digit_perm(perm, n, s))
+            gens.append(tensor_index_map(n, perm, s))
     for t in range(len(fibers)):
         for u in range(t + 1, len(fibers)):
             if fibers[t] == fibers[u] and fibers[t] > 0:
@@ -260,7 +212,7 @@ def _chain_aut_column_perms(fibers, n: int) -> list:
                 for i in range(fibers[t]):
                     perm[offsets[t] + i] = offsets[u] + i
                     perm[offsets[u] + i] = offsets[t] + i
-                gens.append(_digit_perm(perm, n, s))
+                gens.append(tensor_index_map(n, perm, s))
     return gens
 
 
@@ -286,31 +238,21 @@ def level(k: int, x: FinSet, y: FinSet, bound: int) -> TowerLevel:
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    nx, ny = x.size, y.size
     if k == 0:
-        basis = []
-        for y_i in range(ny):
-            for x_i in range(nx):
-                entries = [0] * (ny * nx)
-                entries[y_i * nx + x_i] = 1
-                basis.append(QMatrix(ny, nx, entries))
-        return TowerLevel(0, nx, ny, bound, {(): tuple(basis)})
-    if k == 1:
-        components = {}
-        for s in level1_classes(bound):
-            gens = _chain_aut_column_perms((s,), nx) if s > 1 else []
-            orbits = _column_orbits(gens, nx ** s)
-            components[s] = tuple(_orbit_basis(ny, nx ** s, orbits))
-        return TowerLevel(1, nx, ny, bound, components)
-    if k == 2:
-        components = {}
-        for fibers in level2_classes(bound):
-            s = sum(fibers)
-            gens = _chain_aut_column_perms(fibers, nx)
-            orbits = _column_orbits(gens, nx ** s)
-            components[fibers] = tuple(_orbit_basis(ny, nx ** s, orbits))
-        return TowerLevel(2, nx, ny, bound, components)
-    raise ValueError("only levels 0..2 are implemented")
+        shapes = {(): (1,)}  # Hom(X, Y): one 1-element set, no automorphisms
+    elif k == 1:
+        shapes = {s: (s,) for s in level1_classes(bound)}
+    elif k == 2:
+        shapes = {fibers: fibers for fibers in level2_classes(bound)}
+    else:
+        raise ValueError("only levels 0..2 are implemented")
+    nx, ny = x.size, y.size
+    components = {}
+    for key, fibers in shapes.items():
+        ncols = nx ** sum(fibers)
+        orbits = _column_orbits(_chain_aut_column_perms(fibers, nx), ncols)
+        components[key] = tuple(_orbit_basis(ny, ncols, orbits))
+    return TowerLevel(k, nx, ny, bound, components)
 
 
 def cofaces_agree(f: QMatrix, s: int) -> bool:

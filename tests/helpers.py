@@ -8,7 +8,9 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from motivic_kit.finsets import FinDiagram, FinSet, SetMap
-from motivic_kit.qlinalg import QMatrix, kron, matmul, nullity, rank
+from motivic_kit.hypercube import ChainMap, cover_cube_diagram
+from motivic_kit.qlinalg import (QMatrix, kron, matmul, nullity, rank,
+                                 single_degree_complex)
 
 
 def schoolbook_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -34,6 +36,21 @@ def schoolbook_kron(a: QMatrix, b: QMatrix) -> QMatrix:
                for i in range(a.rows) for p in range(b.rows)
                for j in range(a.cols) for q in range(b.cols)]
     return QMatrix(a.rows * b.rows, a.cols * b.cols, entries)
+
+
+def tuple_index_matrix(n: int, factors, t: int) -> QMatrix:
+    """0/1 matrix of X^(x)t -> X^(x)s, (x_0..x_{t-1}) -> (x_f for f in factors).
+
+    Basis tuples are numbered in `itertools.product` order, independent of
+    the library's digit arithmetic; dim X = n and s = len(factors).
+    """
+    source = list(itertools.product(range(n), repeat=t))
+    target = {x: i for i, x in
+              enumerate(itertools.product(range(n), repeat=len(factors)))}
+    entries = [0] * (len(target) * len(source))
+    for col, x in enumerate(source):
+        entries[target[tuple(x[f] for f in factors)] * len(source) + col] = 1
+    return QMatrix(len(target), len(source), entries)
 
 
 def dense_coalgebra_violations(c: QMatrix, x, y) -> list:
@@ -166,6 +183,24 @@ def random_qmatrix(rng: random.Random, rows: int, cols: int,
                         rng.randint(1, den_bound))
                for _ in range(rows * cols)]
     return QMatrix(rows, cols, entries)
+
+
+def ambient_cube_payload() -> dict:
+    """`hocolim` input: the two-patch cover of {a, b, c} mapping into the
+    four ambient points {a, b, c, d}."""
+    comps = [["a", "b"], ["b", "c"]]
+    cube, _ = cover_cube_diagram(comps)
+    ambient = single_degree_complex(4)
+    pts = ["a", "b", "c", "d"]
+    payload = cube.to_json()
+    payload["ambient"] = ambient.to_json()
+    payload["ambient_edges"] = {}
+    for i, comp in enumerate(comps):
+        m = QMatrix(4, len(comp), [1 if pts[r] == p else 0
+                                   for r in range(4) for p in comp])
+        chain = ChainMap(cube.vertices[frozenset({i})], ambient, {0: m})
+        payload["ambient_edges"][str(i)] = chain.to_json()
+    return payload
 
 
 def union_find_components(components) -> int:

@@ -6,17 +6,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_coalgebra_violations, qmatrices, random_qmatrix
+from helpers import (dense_coalgebra_violations, qmatrices, random_qmatrix,
+                     tuple_index_matrix)
 from motivic_kit.artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
                                artin_monoid, coalgebra_morphism_violations,
-                               dual_comonoid, dual_monoid, dualize,
-                               graph_matrix, is_coalgebra_morphism,
+                               comult_matrix, dual_comonoid, dual_monoid,
+                               dualize, graph_matrix, is_coalgebra_morphism,
                                is_monoid_morphism, monoid_morphism_violations,
                                morphism_from_setmap, setmap_from_morphism,
                                solve_coalgebra_morphisms, swap_matrix,
-                               verify_mcffe)
+                               tensor_map_matrix, verify_mcffe)
 from motivic_kit.finsets import FinSet, SetMap, all_maps, compose
 from motivic_kit.qlinalg import QMatrix, kron, matmul
+
+
+class TestTensorIndexMap:
+    """`tensor_index_map` against tuples numbered by itertools.product."""
+
+    def test_every_permutation(self):
+        for n in range(1, 4):
+            for s in range(4):
+                for perm in itertools.permutations(range(s)):
+                    assert tensor_map_matrix(n, perm, s) == \
+                        tuple_index_matrix(n, perm, s), (n, perm)
+
+    def test_every_factor_map(self):
+        for n in range(1, 4):
+            for t in range(4):
+                for s in range(4):
+                    for factors in itertools.product(range(t), repeat=s):
+                        assert tensor_map_matrix(n, factors, t) == \
+                            tuple_index_matrix(n, factors, t), (n, factors)
+
+    def test_structure_matrices(self):
+        for n in range(1, 4):
+            assert swap_matrix(n) == tuple_index_matrix(n, (1, 0), 2)
+            assert comult_matrix(n) == tuple_index_matrix(n, (0, 0), 1)
 
 
 class TestCanonicalStructures:

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from helpers import ambient_cube_payload
 from motivic_kit import cli
 from motivic_kit.finsets import FinDiagram, PermGroup
 from motivic_kit.hypercube import CubeDiagram
@@ -15,9 +16,7 @@ def data_path(name: str) -> str:
 
 
 def run_cli(argv):
-    status, text = cli.run(cli.config_from_args(cli.build_parser()
-                                                .parse_args(argv)))
-    return status, text
+    return cli.run(cli.build_parser().parse_args(argv))
 
 
 class TestCommands:
@@ -151,22 +150,8 @@ class TestJsonReparses:
         assert len(matrices) == 4
 
     def test_hocolim_with_ambient(self, tmp_path):
-        from motivic_kit.hypercube import ChainMap, cover_cube_diagram
-        from motivic_kit.qlinalg import QMatrix, single_degree_complex
-        cube, _ = cover_cube_diagram([["a", "b"], ["b", "c"]])
-        ambient = single_degree_complex(4)
-        pts = ["a", "b", "c", "d"]
-        payload = cube.to_json()
-        payload["ambient"] = ambient.to_json()
-        payload["ambient_edges"] = {}
-        for i, comp in enumerate([["a", "b"], ["b", "c"]]):
-            m = QMatrix(4, len(comp),
-                        [1 if pts[r] == p else 0
-                         for r in range(4) for p in comp])
-            chain = ChainMap(cube.vertices[frozenset({i})], ambient, {0: m})
-            payload["ambient_edges"][str(i)] = chain.to_json()
         path = tmp_path / "ks.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(ambient_cube_payload()))
         status, text = run_cli(["hocolim", "--diagram", str(path)])
         assert status == 0
         assert text == "H0=1 H1=0 H2=0"
@@ -282,6 +267,34 @@ class TestErrors:
                                 for a in argv])
         assert status == 2
         assert text == f"error: {path}: missing required field {field!r}"
+
+    def test_more_maps_than_sets_names_invariant(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"sets": [{"size": 2}],
+                                   "maps": [{"dom": 2}]}))
+        status, text = run_cli(["aut", "--diagram", str(bad)])
+        assert status == 2
+        assert text == "error: need exactly k-1 maps for k sets"
+
+    def test_map_without_values_is_named(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"sets": [{"size": 2}, {"size": 1}],
+                                   "maps": [{"dom": 2, "cod": 1}]}))
+        status, text = run_cli(["aut", "--diagram", str(bad)])
+        assert status == 2
+        assert text == "error: map 0 is missing required field 'values'"
+
+    def test_ambient_without_edges_is_named(self, tmp_path):
+        with open(data_path("cover_two_patches.json")) as fh:
+            payload = json.load(fh)
+        payload["ambient"] = {"lo": 0, "hi": 0, "dims": {"0": 3},
+                              "differentials": {}}
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert status == 2
+        assert text == (f"error: {path}: missing required field "
+                        "'ambient_edges'")
 
     def test_main_returns_status(self, capsys):
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0

@@ -7,7 +7,8 @@ from motivic_kit.artin import graph_matrix, morphism_from_setmap
 from motivic_kit.finsets import FinSet, SetMap
 from motivic_kit.galois import (FiniteGroup, GSet, all_gset_actions,
                                 cyclic_group, equivariant_set_maps,
-                                fixed_coalgebra_morphisms, klein_four_group,
+                                fixed_coalgebra_morphisms,
+                                gset_from_generator_images, klein_four_group,
                                 regular_gset, sub_gset, symmetric_group,
                                 trivial_gset)
 
@@ -58,7 +59,7 @@ class TestFiniteGroup:
     def test_generating_set(self):
         g = load_group("c6")
         gens = g.generating_set()
-        assert g._closure(gens) == set(range(6))
+        assert g.closure(gens) == set(range(6))
         assert len(gens) <= 2
 
 
@@ -93,6 +94,14 @@ class TestGSet:
         assert len(all_gset_actions(cyclic_group(2), 3)) == 4
         # homomorphisms C3 -> Sym(3): identity plus the two 3-cycles
         assert len(all_gset_actions(cyclic_group(3), 3)) == 3
+
+    def test_inconsistent_generator_images_rejected(self):
+        # a 3-cycle cannot be the image of the generator of C2: the walk
+        # reaches the identity again as g * g with the image squared
+        s = FinSet(3)
+        with pytest.raises(ValueError, match="inconsistent"):
+            gset_from_generator_images(cyclic_group(2), s, [1],
+                                       [SetMap(s, s, [1, 2, 0])])
 
 
 class TestEquivariantMaps:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from helpers import tuple_index_matrix
 from motivic_kit.artin import artin_comonoid, is_coalgebra_morphism
 from motivic_kit.finsets import (FinDiagram, FinSet, SetMap, are_isomorphic,
                                  automorphism_group, automorphisms,
@@ -170,6 +171,20 @@ class TestFunctorialityOnIso:
         from motivic_kit.finsets import DiagramIso
         swap = DiagramIso(d, d, [SetMap(s2, s2, [1, 0])])
         assert functoriality_on_iso(swap, e) == swap_matrix(2)
+
+    def test_against_tuple_oracle(self):
+        # (x_i) goes to (x'_j) with x'_sigma(i) = x_i
+        from motivic_kit.finsets import DiagramIso
+        for n in range(1, 4):
+            e = artin_comonoid(FinSet(n))
+            for s in range(1, 4):
+                fs = FinSet(s)
+                d = FinDiagram([fs], [])
+                for p in itertools.permutations(range(s)):
+                    iso = DiagramIso(d, d, [SetMap(fs, fs, p)])
+                    inverse = [p.index(j) for j in range(s)]
+                    assert functoriality_on_iso(iso, e) == \
+                        tuple_index_matrix(n, inverse, s), (n, p)
 
     def test_composition(self):
         e = artin_comonoid(FinSet(2))

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import qmatrices, random_qmatrix
-from motivic_kit.artin import graph_matrix, solve_coalgebra_morphisms
+from helpers import qmatrices, random_qmatrix, tuple_index_matrix
+from motivic_kit.artin import (graph_matrix, solve_coalgebra_morphisms,
+                               tensor_map_matrix)
 from motivic_kit.finsets import FinSet, all_maps
-from motivic_kit.qlinalg import QMatrix, kernel_basis, kron, matmul
+from motivic_kit.qlinalg import (QMatrix, kernel_basis, matmul,
+                                 tensor_index_map)
 from motivic_kit.resolution import (CofaceMap, codegeneracy_level1,
                                     codegeneracy_level2_s0,
                                     codegeneracy_level2_s1, coface_d0,
@@ -18,20 +20,12 @@ from motivic_kit.resolution import (CofaceMap, codegeneracy_level1,
                                     level2_classes,
                                     level2_coface_d0, level2_coface_d1,
                                     level2_coface_d2, mult_along,
-                                    verify_mdffe, _digit_perm)
+                                    verify_mdffe)
 
 
 def transposed_graph(f) -> QMatrix:
     """One-1-per-row matrix of a map, the shape the tower equalizes."""
     return graph_matrix(f).transpose()
-
-
-def perm_matrix(mapping) -> QMatrix:
-    n = len(mapping)
-    entries = [0] * (n * n)
-    for c, r in enumerate(mapping):
-        entries[r * n + c] = 1
-    return QMatrix(n, n, entries)
 
 
 class TestMultAlong:
@@ -48,12 +42,16 @@ class TestMultAlong:
         assert m == QMatrix(2, 4, [1, 0, 0, 0,
                                    0, 0, 0, 1])
 
-    def test_blockwise_kron(self):
-        for fibers in [(1, 2), (2, 0), (0, 1), (2, 2), (0, 0)]:
-            n = 2
-            blocks = iterated_mult(n, fibers[0])
-            blocks = kron(blocks, iterated_mult(n, fibers[1]))
-            assert mult_along(n, fibers) == blocks
+    def test_against_tuple_oracle(self):
+        # mult_along transposes the diagonal X^(x)t -> X^(x)s that copies
+        # factor b of the target into every position of fiber b
+        for t in range(4):
+            for fibers in itertools.product(range(3), repeat=t):
+                factors = [b for b, size in enumerate(fibers)
+                           for _ in range(size)]
+                for n in range(4):
+                    oracle = tuple_index_matrix(n, factors, t).transpose()
+                    assert mult_along(n, fibers) == oracle, (n, fibers)
 
     def test_associativity(self):
         # multiplying along fibers then collapsing equals collapsing at once
@@ -114,8 +112,7 @@ class TestCofaces:
         f = random_qmatrix(rng, 2, 3)
         for s in (2, 3):
             for perm in itertools.permutations(range(s)):
-                cols = _digit_perm(perm, 3, s)
-                p = perm_matrix(cols)
+                p = tensor_map_matrix(3, perm, s)
                 assert matmul(coface_d0(f, s), p) == coface_d0(f, s)
                 assert matmul(coface_d1(f, s), p) == coface_d1(f, s)
 
@@ -221,7 +218,7 @@ class TestTowerLevels:
         t = level(1, FinSet(2), FinSet(2), 3)
         for s in (2, 3):
             for perm in itertools.permutations(range(s)):
-                p = perm_matrix(_digit_perm(perm, 2, s))
+                p = tensor_map_matrix(2, perm, s)
                 for b in t.components[s]:
                     assert matmul(b, p) == b
 
@@ -237,7 +234,7 @@ class TestTowerLevels:
         # dimension of the swap-fixed space via an explicit linear system
         nx, ny, s = 2, 3, 2
         t = level(1, FinSet(nx), FinSet(ny), 2)
-        swap_cols = _digit_perm((1, 0), nx, s)
+        swap_cols = tensor_index_map(nx, (1, 0), s)
         ncols = nx ** s
         rows = []
         for y in range(ny):
@@ -258,7 +255,7 @@ class TestTowerLevels:
         nvars = 2 * ny * ncols  # one matrix per object
         rows = []
         for perm in itertools.permutations(range(s)):
-            cols = _digit_perm(perm, nx, s)
+            cols = tensor_index_map(nx, perm, s)
             # compatibility f_B[y, sigma(c)] = f_A[y, c] for iso A -> B
             for y in range(ny):
                 for c in range(ncols):
