@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._value import Value
 from .finsets import FinSet, SetMap, all_maps
 from .qlinalg import QMatrix, kron, matmul, tensor_index_map
 
@@ -43,7 +44,7 @@ def swap_matrix(n: int) -> QMatrix:
     return tensor_map_matrix(n, (1, 0), 2)
 
 
-class ArtinComonoid:
+class ArtinComonoid(Value):
     """A finite set with a counit row and a comultiplication matrix.
 
     Counitality, coassociativity and cocommutativity are enforced exactly
@@ -74,19 +75,9 @@ class ArtinComonoid:
         object.__setattr__(self, "comult", comult)
         object.__setattr__(self, "_canonical", _is_canonical(counit, comult, n))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ArtinComonoid is immutable")
-
     @property
     def size(self) -> int:
         return self.carrier.size
-
-    def __eq__(self, other):
-        return (isinstance(other, ArtinComonoid) and self.carrier == other.carrier
-                and self.counit == other.counit and self.comult == other.comult)
-
-    def __hash__(self):
-        return hash((self.carrier, self.counit, self.comult))
 
     def __repr__(self):
         return f"ArtinComonoid(|X|={self.size})"
@@ -103,7 +94,7 @@ class ArtinComonoid:
                              QMatrix.from_json(data["comult"]))
 
 
-class ArtinMonoid:
+class ArtinMonoid(Value):
     """The dual structure: a unit column and a multiplication matrix."""
 
     __slots__ = ("carrier", "unit", "mult")
@@ -127,16 +118,9 @@ class ArtinMonoid:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "mult", mult)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ArtinMonoid is immutable")
-
     @property
     def size(self) -> int:
         return self.carrier.size
-
-    def __eq__(self, other):
-        return (isinstance(other, ArtinMonoid) and self.carrier == other.carrier
-                and self.unit == other.unit and self.mult == other.mult)
 
     def __repr__(self):
         return f"ArtinMonoid(|X|={self.size})"
@@ -257,7 +241,7 @@ def is_monoid_morphism(m: QMatrix, x: ArtinMonoid, y: ArtinMonoid) -> bool:
     return not monoid_morphism_violations(m, x, y)
 
 
-class CoalgMorphism:
+class CoalgMorphism(Value):
     """A matrix morphism of comonoids, validated at construction."""
 
     __slots__ = ("matrix", "source", "target")
@@ -270,13 +254,6 @@ class CoalgMorphism:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoalgMorphism is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, CoalgMorphism) and self.matrix == other.matrix
-                and self.source == other.source and self.target == other.target)
 
     def __hash__(self):
         return hash((self.matrix, self.source.carrier, self.target.carrier))

@@ -48,8 +48,8 @@ def _check_sizes(what: str, values, limit: int):
 def _check_limits(args, limit: int):
     """Bound the numeric arguments of any subcommand from both sides.
 
-    Subcommands without --bound are checked as if they passed its default
-    2, so a limit of 1 rejects every command.
+    Only the arguments the subcommand has are checked; --bound counts with
+    its default 2 where it exists.
     """
     bounds = getattr(args, "bounds", ())
     if getattr(args, "dim", 0) < 0:
@@ -57,9 +57,9 @@ def _check_limits(args, limit: int):
     if any(b < 1 for b in bounds):
         raise ValueError(f"--bounds entries must be >= 1 (sets are "
                          f"nonempty), got {','.join(map(str, bounds))}")
-    _check_sizes("size bound", [getattr(args, "x", 0), getattr(args, "y", 0),
-                                getattr(args, "k", 0),
-                                getattr(args, "bound", 2), *bounds], limit)
+    sizes = [getattr(args, name) for name in ("x", "y", "k", "bound")
+             if hasattr(args, name)]
+    _check_sizes("size bound", [*sizes, *bounds], limit)
 
 
 def _emit(args, table_lines, data) -> str:

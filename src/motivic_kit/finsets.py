@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import itertools
 
+from ._value import Value
 
-class FinSet:
+
+class FinSet(Value):
     """A finite nonempty set {0..size-1}, optionally carrying display labels."""
 
     __slots__ = ("size", "labels")
@@ -42,16 +44,6 @@ class FinSet:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "labels", labels)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FinSet is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, FinSet) and self.size == other.size
-                and self.labels == other.labels)
-
-    def __hash__(self):
-        return hash((self.size, self.labels))
-
     def __repr__(self):
         if self.labels is None:
             return f"FinSet({self.size})"
@@ -65,10 +57,12 @@ class FinSet:
 
     @staticmethod
     def from_json(data) -> "FinSet":
+        if "size" not in data:
+            raise ValueError("set is missing required field 'size'")
         return FinSet(data["size"], data.get("labels"))
 
 
-class SetMap:
+class SetMap(Value):
     """A map of finite sets, stored as values[i] = image of element i."""
 
     __slots__ = ("dom", "cod", "values")
@@ -84,18 +78,8 @@ class SetMap:
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "values", values)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SetMap is immutable")
-
     def __call__(self, i: int) -> int:
         return self.values[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, SetMap) and self.dom == other.dom
-                and self.cod == other.cod and self.values == other.values)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.values))
 
     def __repr__(self):
         return f"SetMap({self.dom.size}->{self.cod.size}, {list(self.values)})"
@@ -145,7 +129,7 @@ def all_maps(dom: FinSet, cod: FinSet):
         yield SetMap(dom, cod, values)
 
 
-class FinDiagram:
+class FinDiagram(Value):
     """A chain S1 -> S2 -> ... -> Sk of maps of finite nonempty sets.
 
     k = 0 encodes the unique empty diagram (the one object in degree zero
@@ -167,22 +151,12 @@ class FinDiagram:
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "maps", maps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FinDiagram is immutable")
-
     @property
     def k(self) -> int:
         return len(self.sets)
 
     def sizes(self) -> tuple:
         return tuple(s.size for s in self.sets)
-
-    def __eq__(self, other):
-        return (isinstance(other, FinDiagram) and self.sets == other.sets
-                and self.maps == other.maps)
-
-    def __hash__(self):
-        return hash((self.sets, self.maps))
 
     def __repr__(self):
         if self.k == 0:
@@ -234,7 +208,7 @@ class FinDiagram:
         return FinDiagram(sets, maps)
 
 
-class DiagramIso:
+class DiagramIso(Value):
     """An isomorphism of k-diagrams: bijections sigma_i with commuting squares."""
 
     __slots__ = ("source", "target", "components")
@@ -257,17 +231,6 @@ class DiagramIso:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiagramIso is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, DiagramIso) and self.source == other.source
-                and self.target == other.target
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.components))
 
     def __repr__(self):
         return f"DiagramIso({[list(c.values) for c in self.components]})"
@@ -376,7 +339,7 @@ def are_isomorphic(d1: FinDiagram, d2: FinDiagram):
     return DiagramIso(d1, d2, components)
 
 
-class PermGroup:
+class PermGroup(Value):
     """Automorphism group of a diagram: generators plus the group order."""
 
     __slots__ = ("degrees", "generators", "order")
@@ -385,9 +348,6 @@ class PermGroup:
         object.__setattr__(self, "degrees", tuple(degrees))
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PermGroup is immutable")
 
     def __repr__(self):
         return f"PermGroup(degrees={self.degrees}, order={self.order})"
@@ -490,14 +450,8 @@ def enumerate_diagrams(k: int, max_sizes) -> list:
     found = {}
     for sizes in itertools.product(*(range(1, b + 1) for b in max_sizes)):
         sets = tuple(FinSet(n) for n in sizes)
-        map_choices = [
-            [tuple(values)
-             for values in itertools.product(range(sizes[i + 1]), repeat=sizes[i])]
-            for i in range(k - 1)
-        ]
-        for combo in itertools.product(*map_choices):
-            maps = [SetMap(sets[i], sets[i + 1], vals)
-                    for i, vals in enumerate(combo)]
+        map_choices = [list(all_maps(a, b)) for a, b in zip(sets, sets[1:])]
+        for maps in itertools.product(*map_choices):
             c = canonical_form(FinDiagram(sets, maps))
             found[c.encoding()] = c
     return [found[key] for key in sorted(found)]

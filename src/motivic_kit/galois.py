@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 
+from ._value import Value
 from .artin import graph_matrix, solve_coalgebra_morphisms
 from .finsets import FinSet, SetMap, all_maps, compose, identity_map
 from .qlinalg import matmul
 
 
-class FiniteGroup:
+class FiniteGroup(Value):
     """A group given by its order x order multiplication table.
 
     table[g][h] is the product g*h.  Identity, inverses and associativity
@@ -52,9 +53,6 @@ class FiniteGroup:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "identity", identity)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
-
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
 
@@ -63,12 +61,6 @@ class FiniteGroup:
 
     def elements(self):
         return range(self.order)
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -135,7 +127,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(table)
 
 
-class GSet:
+class GSet(Value):
     """A finite set with a left action of a finite group.
 
     action[g] is the bijection of the carrier by g, and
@@ -165,18 +157,8 @@ class GSet:
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "action", action)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GSet is immutable")
-
     def act(self, g: int) -> SetMap:
         return self.action[g]
-
-    def __eq__(self, other):
-        return (isinstance(other, GSet) and self.group == other.group
-                and self.carrier == other.carrier and self.action == other.action)
-
-    def __hash__(self):
-        return hash((self.group, self.carrier, self.action))
 
     def __repr__(self):
         return f"GSet(|G|={self.group.order}, |X|={self.carrier.size})"

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .qlinalg import ChainComplex, QMatrix, matmul, single_degree_complex
 
 ID0 = "id0"
@@ -75,7 +76,7 @@ def compose_edge_labels(first, second) -> tuple:
     return tuple(out)
 
 
-class ChainMap:
+class ChainMap(Value):
     """A degreewise matrix map of chain complexes, commuting with d."""
 
     __slots__ = ("source", "target", "blocks")
@@ -95,9 +96,6 @@ class ChainMap:
             right = matmul(target.differential(q), self.at(q))
             if left != right:
                 raise ValueError(f"does not commute with d in degree {q}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainMap is immutable")
 
     def at(self, q: int) -> QMatrix:
         if q in self.blocks:
@@ -130,7 +128,7 @@ def _subset_key(s) -> tuple:
     return (len(s), tuple(sorted(s)))
 
 
-class CubeDiagram:
+class CubeDiagram(Value):
     """A punctured-cube diagram of chain complexes on an index set.
 
     One complex per nonempty subset of {0..index_size-1}; one chain map
@@ -172,9 +170,6 @@ class CubeDiagram:
         object.__setattr__(self, "index_size", index_size)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CubeDiagram is immutable")
 
     def subsets(self) -> list:
         return sorted(self.vertices, key=_subset_key)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from ._value import Value
 from .artin import ArtinComonoid, tensor_map_matrix
 from .finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
                       automorphism_group, automorphisms, canonical_form,
@@ -24,15 +25,17 @@ from .finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
 from .qlinalg import QMatrix, kron_power, matmul
 
 
-class MultisetOfDiagrams:
+class MultisetOfDiagrams(Value):
     """An unordered collection of fiber diagrams for one ambient length k.
 
     Entries are diagrams of length at most k; an entry of length j < k is
-    read as a chain whose first k-j sets are empty.  Entries are stored
-    sorted by their canonical encodings, so equal multisets compare equal.
+    read as a chain whose first k-j sets are empty.  Each entry's class
+    key (length, canonical encoding) is computed once: `class_keys` is
+    their sorted tuple, and entries are stored in the same order, so equal
+    multisets compare equal.
     """
 
-    __slots__ = ("k", "entries")
+    __slots__ = ("k", "entries", "class_keys")
 
     def __init__(self, k: int, entries):
         entries = list(entries)
@@ -41,31 +44,18 @@ class MultisetOfDiagrams:
         for e in entries:
             if e.k > k:
                 raise ValueError("entry longer than the ambient length")
-        entries.sort(key=lambda e: (e.k, canonical_form(e).encoding(),
-                                    e.encoding()))
+        keyed = sorted((((e.k, canonical_form(e).encoding()), e)
+                        for e in entries),
+                       key=lambda pair: (pair[0], pair[1].encoding()))
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultisetOfDiagrams is immutable")
+        object.__setattr__(self, "entries", tuple(e for _, e in keyed))
+        object.__setattr__(self, "class_keys", tuple(c for c, _ in keyed))
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __eq__(self, other):
-        return (isinstance(other, MultisetOfDiagrams) and self.k == other.k
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.k, self.entries))
-
     def __repr__(self):
         return f"MultisetOfDiagrams(k={self.k}, n={len(self.entries)})"
-
-    def class_multiset(self) -> tuple:
-        """The entries as a sorted tuple of canonical-class keys."""
-        return tuple(sorted((e.k, canonical_form(e).encoding())
-                            for e in self.entries))
 
 
 def assemble(m: MultisetOfDiagrams) -> FinDiagram:
@@ -152,8 +142,7 @@ def wreath_order(m: MultisetOfDiagrams) -> int:
     """Product of entry automorphism orders times factorials of multiplicities."""
     counts = {}
     auts = {}
-    for e in m.entries:
-        key = (e.k, canonical_form(e).encoding())
+    for key, e in zip(m.class_keys, m.entries):
         counts[key] = counts.get(key, 0) + 1
         if key not in auts:
             auts[key] = automorphism_group(e).order
@@ -213,7 +202,7 @@ def verify_m_identity(k: int, bounds) -> MonadReport:
     target = enumerate_diagrams(k + 1, bounds)
     target_keys = {d.encoding(): d for d in target}
     preimages_unique = all(
-        len({m.class_multiset() for m in ms}) == 1
+        len({m.class_keys for m in ms}) == 1
         for ms in by_class.values())
     rows = []
     aut_ok = True

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._value import Value
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -24,7 +26,7 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class QMatrix:
+class QMatrix(Value):
     """An exact rational matrix, stored row-major."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -38,18 +40,6 @@ class QMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
-
-    @staticmethod
-    def from_rows(rows) -> "QMatrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        return QMatrix(n, m, [x for r in rows for x in r])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "QMatrix":
@@ -68,13 +58,6 @@ class QMatrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def __eq__(self, other):
-        return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i))
@@ -111,6 +94,10 @@ class QMatrix:
 
     @staticmethod
     def from_json(data) -> "QMatrix":
+        for x in data["entries"]:
+            if not isinstance(x, (int, str)):
+                raise ValueError("matrix entries must be integers or "
+                                 f"rational strings, got {x!r}")
         return QMatrix(data["rows"], data["cols"], data["entries"])
 
 
@@ -248,7 +235,7 @@ def nullity(a: QMatrix) -> int:
     return a.cols - rank(a)
 
 
-class ChainComplex:
+class ChainComplex(Value):
     """A bounded chain complex of Q-vector spaces.
 
     `dims[n]` is the dimension in degree n for lo <= n <= hi, and
@@ -285,9 +272,6 @@ class ChainComplex:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "differentials", differentials)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainComplex is immutable")
-
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
@@ -296,11 +280,6 @@ class ChainComplex:
         if self.lo < n <= self.hi:
             return self.differentials[n]
         return QMatrix.zeros(self.dim(n - 1), self.dim(n))
-
-    def __eq__(self, other):
-        return (isinstance(other, ChainComplex) and self.lo == other.lo
-                and self.hi == other.hi and self.dims == other.dims
-                and self.differentials == other.differentials)
 
     def __repr__(self):
         dims = " ".join(f"{n}:{self.dims[n]}" for n in range(self.lo, self.hi + 1))

@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .artin import graph_matrix, solve_coalgebra_morphisms, tensor_map_matrix
-from .finsets import FinSet, all_maps
+from .finsets import (FinDiagram, FinSet, SetMap, all_maps,
+                      automorphism_group)
 from .qlinalg import QMatrix, kron, kron_power, matmul, tensor_index_map
 
 
@@ -188,32 +189,20 @@ def _orbit_basis(ny: int, ncols: int, orbits) -> list:
 def _chain_aut_column_perms(fibers, n: int) -> list:
     """Generators of the column action of the chain automorphisms.
 
-    The first component of an automorphism permutes within fibers and
-    swaps equal fibers wholesale; these generate its image.  Each generator
-    is an involution of the factors, so it is its own inverse in
-    `tensor_index_map`.
+    The chain is S1 -> S2 with the given fibers, and its automorphisms act
+    on X^(x)S1 through their first component.  Each generator of
+    `automorphism_group` swaps two isomorphic siblings, so its first
+    component is an involution of the factors and is its own inverse in
+    `tensor_index_map`.  The empty tensor power has no generators.
     """
     s = sum(fibers)
-    gens = []
-    offsets = []
-    pos = 0
-    for size in fibers:
-        offsets.append(pos)
-        pos += size
-    for off, size in zip(offsets, fibers):
-        for i in range(size - 1):
-            perm = list(range(s))
-            perm[off + i], perm[off + i + 1] = perm[off + i + 1], perm[off + i]
-            gens.append(tensor_index_map(n, perm, s))
-    for t in range(len(fibers)):
-        for u in range(t + 1, len(fibers)):
-            if fibers[t] == fibers[u] and fibers[t] > 0:
-                perm = list(range(s))
-                for i in range(fibers[t]):
-                    perm[offsets[t] + i] = offsets[u] + i
-                    perm[offsets[u] + i] = offsets[t] + i
-                gens.append(tensor_index_map(n, perm, s))
-    return gens
+    if s == 0:
+        return []
+    s1, s2 = FinSet(s), FinSet(len(fibers))
+    values = [j for j, size in enumerate(fibers) for _ in range(size)]
+    chain = FinDiagram([s1, s2], [SetMap(s1, s2, values)])
+    return [tensor_index_map(n, g.components[0].values, s)
+            for g in automorphism_group(chain).generators]
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,16 @@ class TestErrors:
         status, _ = run_cli(["verify-mcffe", "--x", "2", "--y", "2"])
         assert status == 0
 
+    def test_limit_checks_only_the_subcommand_arguments(self, monkeypatch):
+        # verify-mcffe has no --bound, so its default does not apply
+        monkeypatch.setenv("MOTIVIC_KIT_MAX_SIZE", "1")
+        status, text = run_cli(["verify-mcffe", "--x", "1", "--y", "1"])
+        assert (status, text) == (0, "1 = 1, PASS")
+        status, text = run_cli(["verify-mdffe", "--x", "1", "--y", "1"])
+        assert status == 2
+        assert text.startswith("error: size bound 2 exceeds the safety "
+                               "limit 1")
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
     def test_env_override_must_be_positive_integer(self, monkeypatch, value):
         monkeypatch.setenv("MOTIVIC_KIT_MAX_SIZE", value)
@@ -283,6 +293,28 @@ class TestErrors:
         status, text = run_cli(["aut", "--diagram", str(bad)])
         assert status == 2
         assert text == "error: map 0 is missing required field 'values'"
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_set_without_size_is_named(self, tmp_path, fmt):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"sets": [{"sz": 2}], "maps": []}))
+        status, text = run_cli(["aut", "--diagram", str(bad),
+                                "--format", fmt])
+        assert status == 2
+        assert text == "error: set is missing required field 'size'"
+
+    def test_float_entries_are_named(self, tmp_path):
+        with open(data_path("cover_two_patches.json")) as fh:
+            payload = json.load(fh)
+        for blocks in payload["edges"].values():
+            for m in blocks.values():
+                m["entries"] = [float(v) for v in m["entries"]]
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert status == 2
+        assert text == ("error: matrix entries must be integers or rational "
+                        "strings, got 0.0")
 
     def test_ambient_without_edges_is_named(self, tmp_path):
         with open(data_path("cover_two_patches.json")) as fh:

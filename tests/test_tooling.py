@@ -1,4 +1,5 @@
-"""Repository-wide checks: a stdlib-only runtime and a resolvable API."""
+"""Repository-wide checks: a stdlib-only runtime, a resolvable API, and one
+base class for the immutable values."""
 
 import ast
 import sys
@@ -33,3 +34,36 @@ def test_every_exported_name_resolves():
     missing = [name for name in motivic_kit.__all__
                if not hasattr(motivic_kit, name)]
     assert missing == []
+
+
+def class_definitions():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                yield path.name, node
+
+
+def slot_names(node: ast.ClassDef) -> list:
+    for stmt in node.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in stmt.targets)):
+            return list(ast.literal_eval(stmt.value))
+    return []
+
+
+def test_only_the_value_base_defines_setattr():
+    defines = {(path_name, node.name) for path_name, node in class_definitions()
+               for stmt in node.body
+               if isinstance(stmt, ast.FunctionDef)
+               and stmt.name == "__setattr__"}
+    assert defines == {("_value.py", "Value")}
+
+
+def test_every_slotted_class_derives_from_the_value_base():
+    # the base itself declares empty slots
+    slotted = {(path_name, node.name): [ast.unparse(b) for b in node.bases]
+               for path_name, node in class_definitions() if slot_names(node)}
+    assert ("finsets.py", "FinSet") in slotted
+    assert {name: bases for name, bases in slotted.items()
+            if bases != ["Value"]} == {}
