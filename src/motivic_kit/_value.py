@@ -1,4 +1,5 @@
-"""The base class of the package's immutable, validated values."""
+"""The base class of the package's immutable, validated values, and the
+field check their `from_json` readers share."""
 
 from operator import attrgetter
 
@@ -31,3 +32,16 @@ class Value:
 
     def __hash__(self):
         return hash(self._values)
+
+
+def require_fields(data, what: str, fields):
+    """Check that `data` is a JSON object holding every one of `fields`.
+
+    Otherwise raise a `ValueError` that names `what` and the field.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object with required field "
+                         f"{fields[0]!r}, got {data!r}")
+    for field in fields:
+        if field not in data:
+            raise ValueError(f"{what} is missing required field {field!r}")

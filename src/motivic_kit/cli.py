@@ -174,7 +174,7 @@ def _cmd_hocolim(args):
                          ("index_size", "vertices", "edges"))
     cube = CubeDiagram.from_json(payload)
     if "ambient" in payload:
-        ambient = ChainComplex.from_json(payload["ambient"])
+        ambient = ChainComplex.from_json(payload["ambient"], "ambient")
         _require(payload, ("ambient_edges",), args.diagram_path)
         singles = {}
         for key, blocks in payload["ambient_edges"].items():
@@ -188,7 +188,7 @@ def _cmd_hocolim(args):
     hom = total.homology_dims()
     lines = [" ".join(f"H{n}={hom[n]}" for n in sorted(hom))]
     data = {"homology": {str(n): hom[n] for n in sorted(hom)},
-            "euler_characteristic": int(total.euler_characteristic())}
+            "euler_characteristic": total.euler_characteristic()}
     return 0, _emit(args, lines, data)
 
 

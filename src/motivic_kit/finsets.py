@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._value import Value
+from ._value import Value, require_fields
 
 
 class FinSet(Value):
@@ -57,8 +57,7 @@ class FinSet(Value):
 
     @staticmethod
     def from_json(data) -> "FinSet":
-        if "size" not in data:
-            raise ValueError("set is missing required field 'size'")
+        require_fields(data, "set", ("size",))
         return FinSet(data["size"], data.get("labels"))
 
 
@@ -202,8 +201,7 @@ class FinDiagram(Value):
         for i, m in enumerate(data["maps"]):
             if i + 1 >= len(sets):
                 raise ValueError("need exactly k-1 maps for k sets")
-            if "values" not in m:
-                raise ValueError(f"map {i} is missing required field 'values'")
+            require_fields(m, f"map {i}", ("values",))
             maps.append(SetMap(sets[i], sets[i + 1], m["values"]))
         return FinDiagram(sets, maps)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._value import Value
+from ._value import Value, require_fields
 from .artin import graph_matrix, solve_coalgebra_morphisms
 from .finsets import FinSet, SetMap, all_maps, compose, identity_map
 from .qlinalg import matmul
@@ -104,6 +104,7 @@ class FiniteGroup(Value):
 
     @staticmethod
     def from_json(data) -> "FiniteGroup":
+        require_fields(data, "group", ("table", "order"))
         g = FiniteGroup(data["table"])
         if g.order != data["order"]:
             raise ValueError("declared order does not match table")

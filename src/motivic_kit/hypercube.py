@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._value import Value
 from .qlinalg import ChainComplex, QMatrix, matmul, single_degree_complex
@@ -190,7 +189,7 @@ class CubeDiagram(Value):
     def from_json(data) -> "CubeDiagram":
         def parse(key):
             return frozenset(int(x) for x in key.split(","))
-        vertices = {parse(k): ChainComplex.from_json(v)
+        vertices = {parse(k): ChainComplex.from_json(v, f"vertex {k}")
                     for k, v in data["vertices"].items()}
         edges = {}
         for k, blocks in data["edges"].items():
@@ -244,7 +243,7 @@ def punctured_cube_hocolim(d: CubeDiagram) -> ChainComplex:
     diffs = {}
     for m in range(lo + 1, hi + 1):
         rows, cols = dims[m - 1], dims[m]
-        entries = [Fraction(0)] * (rows * cols)
+        entries = [0] * (rows * cols)
         for p, s in summands:
             q = m - p
             if not d.vertices[s].dim(q):
@@ -303,7 +302,7 @@ def ks_hocolim(ambient: ChainComplex, d: CubeDiagram,
     diffs = {}
     for m in range(lo + 1, hi + 1):
         rows, cols = dims[m - 1], dims[m]
-        entries = [Fraction(0)] * (rows * cols)
+        entries = [0] * (rows * cols)
         _add_block(entries, cols, ambient.differential(m), 0, 0)
         # columns: A_m then Tot_{m-1}; rows: A_{m-1} then Tot_{m-2}
         _add_block(entries, cols, tot.differential(m - 1),

@@ -1,9 +1,14 @@
 """Exact rational linear algebra: dense matrices, Kronecker products,
 kernels, and bounded chain complexes with their homology.
 
-All entries are `fractions.Fraction`, so every result is exact and fully
-reduced; there is no floating point anywhere.  Storage is dense row-major,
-elimination uses the first nonzero pivot, and all outputs are reproducible.
+Entries are exact rationals in one normal form: an `int` when integral, a
+fully reduced `fractions.Fraction` otherwise.  The two compare, hash and
+print alike, so the form does not show in equality or output, but the 0/1
+and 0/+-1 matrices of finite sets are multiplied, added and eliminated in
+plain integers.  There is no floating point anywhere: elimination divides
+only by a `Fraction`, and a pivot of +-1 needs no division.  Storage is
+dense row-major, elimination uses the first nonzero pivot, and all outputs
+are reproducible.
 The products (`matmul`, `kron`) visit only the nonzero entries of their
 factors, since the structure matrices of finite sets are mostly zeros;
 their results are still stored densely, zeros included.
@@ -13,16 +18,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value
+from ._value import Value, require_fields
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _frac(x):
+    """The normal form of an exact rational: `int` if integral, else `Fraction`."""
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -32,7 +38,9 @@ class QMatrix(Value):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(_frac(x) for x in entries)
+        entries = tuple(entries)
+        if not set(map(type, entries)) <= {int}:
+            entries = tuple(map(_frac, entries))
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         if len(entries) != rows * cols:
@@ -50,7 +58,7 @@ class QMatrix(Value):
         return QMatrix(n, n, [1 if i == j else 0
                               for i in range(n) for j in range(n)])
 
-    def __getitem__(self, ij) -> Fraction:
+    def __getitem__(self, ij):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
@@ -94,8 +102,13 @@ class QMatrix(Value):
 
     @staticmethod
     def from_json(data) -> "QMatrix":
+        require_fields(data, "matrix", ("rows", "cols", "entries"))
+        if not isinstance(data["entries"], list):
+            raise ValueError("matrix field 'entries' must be a list, "
+                             f"got {data['entries']!r}")
         for x in data["entries"]:
-            if not isinstance(x, (int, str)):
+            # a JSON boolean is a Python int, but not a matrix entry
+            if isinstance(x, bool) or not isinstance(x, (int, str)):
                 raise ValueError("matrix entries must be integers or "
                                  f"rational strings, got {x!r}")
         return QMatrix(data["rows"], data["cols"], data["entries"])
@@ -113,10 +126,9 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     n, m = a.cols, b.cols
     b_rows = [[(j, y) for j, y in enumerate(b.entries[t * m:(t + 1) * m]) if y]
               for t in range(n)]
-    zero = Fraction(0)
     out = []
     for i in range(a.rows):
-        acc = [zero] * m
+        acc = [0] * m
         for t, x in enumerate(a.entries[i * n:(i + 1) * n]):
             if x:
                 for j, y in b_rows[t]:
@@ -135,7 +147,7 @@ def kron(a: QMatrix, b: QMatrix) -> QMatrix:
     """
     rows = a.rows * b.rows
     cols = a.cols * b.cols
-    out = [Fraction(0)] * (rows * cols)
+    out = [0] * (rows * cols)
     b_nonzero = [(p * cols + q, y) for p in range(b.rows) for q in range(b.cols)
                  if (y := b.entries[p * b.cols + q])]
     for i in range(a.rows):
@@ -192,7 +204,12 @@ def _row_echelon(a: QMatrix):
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        if pv == -1:
+            m[r] = [-x for x in m[r]]
+        elif pv != 1:
+            # Fraction, not the pivot itself: int / int would be a float
+            pv = Fraction(pv)
+            m[r] = [x / pv for x in m[r]]
         for i in range(a.rows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
@@ -220,8 +237,8 @@ def kernel_basis(a: QMatrix) -> QMatrix:
     free = [c for c in range(a.cols) if c not in pivot_set]
     basis_cols = []
     for f in free:
-        v = [Fraction(0)] * a.cols
-        v[f] = Fraction(1)
+        v = [0] * a.cols
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -m[i][f]
         basis_cols.append(v)
@@ -285,7 +302,7 @@ class ChainComplex(Value):
         dims = " ".join(f"{n}:{self.dims[n]}" for n in range(self.lo, self.hi + 1))
         return f"ChainComplex([{self.lo},{self.hi}], dims {dims})"
 
-    def euler_characteristic(self) -> Fraction:
+    def euler_characteristic(self) -> int:
         return sum(((-1) ** n) * self.dims[n] for n in range(self.lo, self.hi + 1))
 
     def homology_dims(self) -> dict:
@@ -311,7 +328,8 @@ class ChainComplex(Value):
                                   for n in range(self.lo + 1, self.hi + 1)}}
 
     @staticmethod
-    def from_json(data) -> "ChainComplex":
+    def from_json(data, what: str = "chain complex") -> "ChainComplex":
+        require_fields(data, what, ("lo", "hi", "dims", "differentials"))
         dims = {int(n): d for n, d in data["dims"].items()}
         diffs = {int(n): QMatrix.from_json(m)
                  for n, m in data["differentials"].items()}

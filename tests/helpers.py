@@ -38,6 +38,57 @@ def schoolbook_kron(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(a.rows * b.rows, a.cols * b.cols, entries)
 
 
+def dense_row_echelon(a: QMatrix):
+    """Gauss-Jordan over `Fraction` with first-nonzero pivots.
+
+    Every entry is made a `Fraction` first and every pivot row is divided
+    by its pivot, with no integer or unit-pivot shortcut; returns (rows,
+    pivot columns) as the library's elimination does.
+    """
+    m = [[Fraction(x) for x in a.row(i)] for i in range(a.rows)]
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        pivot_row = next((i for i in range(r, a.rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(a.rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == a.rows:
+            break
+    return m, pivots
+
+
+def dense_kernel_basis(a: QMatrix) -> QMatrix:
+    """The standard kernel basis (free variable = 1) from `dense_row_echelon`."""
+    m, pivots = dense_row_echelon(a)
+    free = [c for c in range(a.cols) if c not in pivots]
+    columns = []
+    for f in free:
+        v = [Fraction(0)] * a.cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -m[i][f]
+        columns.append(v)
+    return QMatrix(a.cols, len(free),
+                   [columns[j][i] for i in range(a.cols)
+                    for j in range(len(free))])
+
+
+def is_normal_form(m: QMatrix) -> bool:
+    """Every entry is an `int` if integral and a `Fraction` otherwise."""
+    return all(type(x) is int
+               or (type(x) is Fraction and x.denominator != 1)
+               for x in m.entries)
+
+
 def tuple_index_matrix(n: int, factors, t: int) -> QMatrix:
     """0/1 matrix of X^(x)t -> X^(x)s, (x_0..x_{t-1}) -> (x_f for f in factors).
 
@@ -169,6 +220,17 @@ sparse_rationals = st.one_of(
     st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)),
     st.just(Fraction(1)),
     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+# The same mix as `sparse_rationals`, but every integral value is an `int`.
+mixed_rationals = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.just(1), st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+        lambda x: x.denominator != 1))
+# Incidence-like entries: every pivot is a unit.
+unit_entries = st.sampled_from([0, 0, 0, 1, -1])
+# Mostly zeros, with integer pivots other than +-1.
+integer_entries = st.one_of(st.just(0), st.just(0), st.integers(-6, 6))
 
 
 def qmatrices(rows: int, cols: int, entries=sparse_rationals):

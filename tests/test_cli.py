@@ -316,6 +316,44 @@ class TestErrors:
         assert text == ("error: matrix entries must be integers or rational "
                         "strings, got 0.0")
 
+    @pytest.mark.parametrize("argv, fixture, keys, value, message", [
+        (["aut", "--diagram", "{file}"], "diagram_3to2.json",
+         ("sets", 0), 2,
+         "set must be an object with required field 'size', got 2"),
+        (["hocolim", "--diagram", "{file}"], "cover_two_patches.json",
+         ("edges", "0,1->0", "0", "entries"), 5,
+         "matrix field 'entries' must be a list, got 5"),
+        (["hocolim", "--diagram", "{file}"], "cover_two_patches.json",
+         ("edges", "0,1->0", "0", "entries"), [False, True],
+         "matrix entries must be integers or rational strings, got False"),
+        (["hocolim", "--diagram", "{file}"], "cover_two_patches.json",
+         ("vertices", "0", "dims"), None,
+         "vertex 0 is missing required field 'dims'"),
+        (["galois-fixed", "--x", "{file}",
+          "--y", data_path("gset_c2_trivial2.json")], "gset_c2_regular.json",
+         ("group", "table"), None,
+         "group is missing required field 'table'"),
+    ])
+    def test_bad_nested_field_is_named(self, tmp_path, argv, fixture, keys,
+                                       value, message):
+        """Set the nested field at `keys` to `value` (delete it if None)."""
+        with open(data_path(fixture)) as fh:
+            payload = json.load(fh)
+        *parents, last = keys
+        target = payload
+        for key in parents:
+            target = target[key]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli([a.replace("{file}", str(path))
+                                for a in argv])
+        assert status == 2
+        assert text == f"error: {message}"
+
     def test_ambient_without_edges_is_named(self, tmp_path):
         with open(data_path("cover_two_patches.json")) as fh:
             payload = json.load(fh)

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (qmatrices, random_qmatrix, schoolbook_kron,
-                     schoolbook_matmul)
-from motivic_kit.qlinalg import (ChainComplex, QMatrix, kernel_basis, kron,
-                                 kron_power, matmul, nullity, rank,
-                                 single_degree_complex)
+from helpers import (dense_kernel_basis, dense_row_echelon, integer_entries,
+                     is_normal_form, mixed_rationals, qmatrices,
+                     random_qmatrix, schoolbook_kron, schoolbook_matmul,
+                     sparse_rationals, unit_entries)
+from motivic_kit.qlinalg import (ChainComplex, QMatrix, _row_echelon,
+                                 kernel_basis, kron, kron_power, matmul,
+                                 nullity, rank, single_degree_complex)
+
+
+def matrices_of(entries, max_rows=5, max_cols=6):
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols)) \
+        .flatmap(lambda s: qmatrices(s[0], s[1], entries))
 
 
 class TestQMatrix:
@@ -30,6 +37,35 @@ class TestQMatrix:
         data = m.to_json()
         assert data["entries"] == ["1/2", "-3", "0", "7/5"]
         assert QMatrix.from_json(data) == m
+
+
+class TestNormalForm:
+    @pytest.mark.parametrize("value, kind", [
+        (3, int), (-2, int), (True, int), (Fraction(4, 2), int),
+        ("6/3", int), ("-4", int), ("1/2", Fraction),
+        (Fraction(-3, 6), Fraction)])
+    def test_constructor_normalises(self, value, kind):
+        (x,) = QMatrix(1, 1, [value]).entries
+        assert type(x) is kind
+        assert x == Fraction(value)
+
+    def test_int_and_fraction_entries_equal_and_hash_alike(self):
+        a, b = QMatrix(1, 1, [1]), QMatrix(1, 1, [Fraction(1)])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert str(a) == str(b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.integers(0, 3)] * 3).flatmap(
+        lambda s: st.tuples(qmatrices(s[0], s[1], mixed_rationals),
+                            qmatrices(s[1], s[2], sparse_rationals))),
+        sparse_rationals)
+    def test_results_in_normal_form(self, pair, c):
+        a, b = pair
+        for m in (a, b, matmul(a, b), kron(a, b), kron(b, a), a.scale(c),
+                  a.transpose(), -a, a + a, a - a, kernel_basis(a),
+                  kernel_basis(b)):
+            assert is_normal_form(m)
 
 
 class TestMatmul:
@@ -70,7 +106,24 @@ class TestMatmul:
         assert matmul(a, b) == schoolbook_matmul(a, b)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.integers(0, 4)] * 3).flatmap(
+        lambda s: st.tuples(qmatrices(s[0], s[1], mixed_rationals),
+                            qmatrices(s[1], s[2], mixed_rationals))))
+    def test_mixed_entries_match_schoolbook(self, pair):
+        a, b = pair
+        assert matmul(a, b) == schoolbook_matmul(a, b)
+
+
 class TestKron:
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.integers(0, 3)] * 4).flatmap(
+        lambda s: st.tuples(qmatrices(s[0], s[1], mixed_rationals),
+                            qmatrices(s[2], s[3], mixed_rationals))))
+    def test_mixed_entries_match_schoolbook(self, pair):
+        a, b = pair
+        assert kron(a, b) == schoolbook_kron(a, b)
+
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(*[st.integers(0, 3)] * 4).flatmap(
         lambda s: st.tuples(qmatrices(s[0], s[1]), qmatrices(s[2], s[3]))))
@@ -154,6 +207,33 @@ class TestKernelRank:
         rng = random.Random(17)
         a = random_qmatrix(rng, 3, 5)
         assert kernel_basis(a) == kernel_basis(a)
+
+    @pytest.mark.parametrize("entries", [mixed_rationals, unit_entries,
+                                         integer_entries],
+                             ids=["mixed", "unit", "integer"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_fraction_oracle(self, entries, data):
+        a = data.draw(matrices_of(entries))
+        assert rank(a) == len(dense_row_echelon(a)[1])
+        k = kernel_basis(a)
+        assert k == dense_kernel_basis(a)
+        assert is_normal_form(k)
+
+    def test_non_unit_pivot_divides_exactly(self):
+        k = kernel_basis(QMatrix(1, 2, [2, 1]))
+        assert k.entries == (Fraction(-1, 2), 1)
+        assert [type(x) for x in k.entries] == [Fraction, int]
+
+    def test_unit_pivots_stay_integers(self):
+        # the incidence matrix of the complete directed graph on 5 vertices
+        # is totally unimodular: every pivot is +-1, no row is divided
+        edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        d = QMatrix(5, len(edges), [(v == j) - (v == i) for v in range(5)
+                                    for i, j in edges])
+        rows, pivots = _row_echelon(d)
+        assert len(pivots) == 4
+        assert all(type(x) is int for row in rows for x in row)
 
     def test_empty_shapes(self):
         a = QMatrix.zeros(0, 3)

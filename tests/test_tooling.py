@@ -1,5 +1,5 @@
-"""Repository-wide checks: a stdlib-only runtime, a resolvable API, and one
-base class for the immutable values."""
+"""Repository-wide checks: a stdlib-only runtime, a resolvable API, one
+base class for the immutable values, and integers kept as integers."""
 
 import ast
 import sys
@@ -67,3 +67,19 @@ def test_every_slotted_class_derives_from_the_value_base():
     assert ("finsets.py", "FinSet") in slotted
     assert {name: bases for name, bases in slotted.items()
             if bases != ["Value"]} == {}
+
+
+def is_int_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and type(node.value) is int)
+
+
+def test_no_fraction_of_an_integer_literal():
+    # an integral value is an int in the normal form of qlinalg entries
+    calls = {(path.name, node.lineno) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("Fraction", "fractions.Fraction")
+             and len(node.args) == 1 and is_int_literal(node.args[0])}
+    assert calls == set()
