@@ -82,17 +82,6 @@ class ArtinComonoid(Value):
     def __repr__(self):
         return f"ArtinComonoid(|X|={self.size})"
 
-    def to_json(self):
-        return {"carrier": self.carrier.to_json(),
-                "counit": self.counit.to_json(),
-                "comult": self.comult.to_json()}
-
-    @staticmethod
-    def from_json(data) -> "ArtinComonoid":
-        return ArtinComonoid(FinSet.from_json(data["carrier"]),
-                             QMatrix.from_json(data["counit"]),
-                             QMatrix.from_json(data["comult"]))
-
 
 class ArtinMonoid(Value):
     """The dual structure: a unit column and a multiplication matrix."""
@@ -260,17 +249,6 @@ class CoalgMorphism(Value):
 
     def __repr__(self):
         return f"CoalgMorphism({self.source.size}->{self.target.size})"
-
-    def to_json(self):
-        return {"source": self.source.carrier.to_json(),
-                "target": self.target.carrier.to_json(),
-                "matrix": self.matrix.to_json()}
-
-    @staticmethod
-    def from_json(data) -> "CoalgMorphism":
-        return CoalgMorphism(QMatrix.from_json(data["matrix"]),
-                             artin_comonoid(FinSet.from_json(data["source"])),
-                             artin_comonoid(FinSet.from_json(data["target"])))
 
 
 def morphism_from_setmap(f: SetMap) -> CoalgMorphism:

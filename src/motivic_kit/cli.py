@@ -13,13 +13,12 @@ import json
 import os
 import sys
 
+from ._value import read
 from .artin import graph_matrix, solve_coalgebra_morphisms, verify_mcffe
 from .finsets import FinDiagram, FinSet, automorphism_group, enumerate_diagrams
 from .galois import GSet, equivariant_set_maps, fixed_coalgebra_morphisms
-from .hypercube import (ChainMap, CubeDiagram, build_kappa, ks_hocolim,
-                        punctured_cube_hocolim)
+from .hypercube import build_kappa, hocolim_from_json
 from .monad import verify_m_identity
-from .qlinalg import ChainComplex, QMatrix
 from .resolution import verify_mdffe
 
 DEFAULT_MAX_SIZE = 6
@@ -68,20 +67,14 @@ def _emit(args, table_lines, data) -> str:
     return "\n".join(table_lines)
 
 
-def _load_json(path: str, required) -> dict:
-    """Read a JSON object and check its required top-level fields exist."""
+def _read(path: str, reader):
+    """`reader` applied to the JSON object in file `path`; any error in
+    the file's content is reported with the path in front."""
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: top-level JSON value must be an object")
-    _require(data, required, path)
-    return data
-
-
-def _require(data: dict, fields, path: str):
-    for field in fields:
-        if field not in data:
-            raise ValueError(f"{path}: missing required field {field!r}")
+        try:
+            return reader(read(json.load(fh), dict))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_enumerate_diagrams(args):
@@ -100,8 +93,7 @@ def _cmd_enumerate_diagrams(args):
 
 
 def _cmd_aut(args):
-    payload = _load_json(args.diagram_path, ("sets", "maps"))
-    d = FinDiagram.from_json(payload)
+    d = _read(args.diagram_path, FinDiagram.from_json)
     _check_sizes("input set of size", d.sizes(), _max_size_from_env())
     group = automorphism_group(d)
     lines = [f"degrees: {','.join(str(n) for n in group.degrees)}",
@@ -130,9 +122,8 @@ def _cmd_solve_comonoid(args):
 
 
 def _cmd_galois_fixed(args):
-    fields = ("group", "carrier", "action")
-    x = GSet.from_json(_load_json(args.x_path, fields))
-    y = GSet.from_json(_load_json(args.y_path, fields))
+    x = _read(args.x_path, GSet.from_json)
+    y = _read(args.y_path, GSet.from_json)
     _check_sizes("input set of size", [x.carrier.size, y.carrier.size],
                  _max_size_from_env())
     maps = equivariant_set_maps(x, y)
@@ -170,21 +161,7 @@ def _cmd_verify_monad(args):
 
 
 def _cmd_hocolim(args):
-    payload = _load_json(args.diagram_path,
-                         ("index_size", "vertices", "edges"))
-    cube = CubeDiagram.from_json(payload)
-    if "ambient" in payload:
-        ambient = ChainComplex.from_json(payload["ambient"], "ambient")
-        _require(payload, ("ambient_edges",), args.diagram_path)
-        singles = {}
-        for key, blocks in payload["ambient_edges"].items():
-            s = frozenset(int(v) for v in key.split(","))
-            singles[s] = ChainMap(cube.vertices[s], ambient,
-                                  {int(q): QMatrix.from_json(m)
-                                   for q, m in blocks.items()})
-        total = ks_hocolim(ambient, cube, singles)
-    else:
-        total = punctured_cube_hocolim(cube)
+    total = _read(args.diagram_path, hocolim_from_json)
     hom = total.homology_dims()
     lines = [" ".join(f"H{n}={hom[n]}" for n in sorted(hom))]
     data = {"homology": {str(n): hom[n] for n in sorted(hom)},
@@ -251,7 +228,7 @@ def run(args):
     try:
         _check_limits(args, _max_size_from_env())
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         return 2, f"error: {exc}"
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._value import Value, require_fields
+from ._value import InputError, Value, field, show
 
 
 class FinSet(Value):
@@ -57,8 +57,15 @@ class FinSet(Value):
 
     @staticmethod
     def from_json(data) -> "FinSet":
-        require_fields(data, "set", ("size",))
-        return FinSet(data["size"], data.get("labels"))
+        return FinSet(field(data, "size", int),
+                      field(data, "labels", [_label], optional=True))
+
+
+def _label(x):
+    """A display label read from JSON: any value but a list or an object."""
+    if type(x) in (list, dict):
+        raise InputError(f"must be a string or a number, got {show(x)}")
+    return x
 
 
 class SetMap(Value):
@@ -108,7 +115,9 @@ class SetMap(Value):
 
     @staticmethod
     def from_json(data) -> "SetMap":
-        return SetMap(FinSet(data["dom"]), FinSet(data["cod"]), data["values"])
+        return SetMap(FinSet(field(data, "dom", int)),
+                      FinSet(field(data, "cod", int)),
+                      field(data, "values", [int]))
 
 
 def identity_map(s: FinSet) -> SetMap:
@@ -196,14 +205,21 @@ class FinDiagram(Value):
 
     @staticmethod
     def from_json(data) -> "FinDiagram":
-        sets = [FinSet.from_json(s) for s in data["sets"]]
-        maps = []
-        for i, m in enumerate(data["maps"]):
-            if i + 1 >= len(sets):
-                raise ValueError("need exactly k-1 maps for k sets")
-            require_fields(m, f"map {i}", ("values",))
-            maps.append(SetMap(sets[i], sets[i + 1], m["values"]))
-        return FinDiagram(sets, maps)
+        sets = field(data, "sets", [FinSet.from_json])
+        if len(field(data, "maps", list)) != max(len(sets) - 1, 0):
+            raise ValueError("need exactly k-1 maps for k sets")
+        index = iter(range(len(sets)))
+
+        def chain(m):
+            """The next map; a `dom` or `cod` it declares is checked."""
+            i = next(index)
+            for name, j in (("dom", i), ("cod", i + 1)):
+                size = field(m, name, int, optional=True)
+                if size not in (None, sets[j].size):
+                    raise InputError(f"is {size}, but sets[{j}] has size "
+                                     f"{sets[j].size}", name)
+            return SetMap(sets[i], sets[i + 1], field(m, "values", [int]))
+        return FinDiagram(sets, field(data, "maps", [chain]))
 
 
 class DiagramIso(Value):
@@ -357,13 +373,12 @@ class PermGroup(Value):
 
     @staticmethod
     def from_json(data, diagram: FinDiagram) -> "PermGroup":
-        gens = []
-        for g in data["generators"]:
-            comps = [SetMap(diagram.sets[i], diagram.sets[i],
-                            c["values"])
-                     for i, c in enumerate(g["components"])]
-            gens.append(DiagramIso(diagram, diagram, comps))
-        return PermGroup(data["degrees"], gens, data["order"])
+        def generator(g):
+            return DiagramIso(diagram, diagram,
+                              field(g, "components", [SetMap.from_json]))
+        return PermGroup(field(data, "degrees", [int]),
+                         field(data, "generators", [generator]),
+                         field(data, "order", int))
 
 
 def automorphisms(d: FinDiagram):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._value import Value, require_fields
+from ._value import InputError, Value, field
 from .artin import graph_matrix, solve_coalgebra_morphisms
 from .finsets import FinSet, SetMap, all_maps, compose, identity_map
 from .qlinalg import matmul
@@ -104,10 +104,11 @@ class FiniteGroup(Value):
 
     @staticmethod
     def from_json(data) -> "FiniteGroup":
-        require_fields(data, "group", ("table", "order"))
-        g = FiniteGroup(data["table"])
-        if g.order != data["order"]:
-            raise ValueError("declared order does not match table")
+        order = field(data, "order", int)
+        g = FiniteGroup(field(data, "table", [[int]]))
+        if g.order != order:
+            raise InputError(f"is {order}, but the table has order {g.order}",
+                             "order")
         return g
 
 
@@ -171,9 +172,10 @@ class GSet(Value):
 
     @staticmethod
     def from_json(data) -> "GSet":
-        group = FiniteGroup.from_json(data["group"])
-        carrier = FinSet.from_json(data["carrier"])
-        action = [SetMap(carrier, carrier, values) for values in data["action"]]
+        group = field(data, "group", FiniteGroup.from_json)
+        carrier = field(data, "carrier", FinSet.from_json)
+        action = [SetMap(carrier, carrier, values)
+                  for values in field(data, "action", [[int]])]
         return GSet(group, carrier, action)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ._value import Value
+from ._value import InputError, Value, degree_key, field
 from .qlinalg import ChainComplex, QMatrix, matmul, single_degree_complex
 
 ID0 = "id0"
@@ -140,6 +140,10 @@ class CubeDiagram(Value):
     def __init__(self, index_size: int, vertices, edges):
         vertices = {frozenset(s): c for s, c in vertices.items()}
         edges = {(frozenset(b), frozenset(s)): m for (b, s), m in edges.items()}
+        # compare the counts first: 2^index_size may be out of reach
+        if (index_size > len(vertices)
+                or len(vertices) != 2 ** index_size - 1):
+            raise ValueError("need exactly the nonempty subsets as vertices")
         expected = {frozenset(c)
                     for r in range(1, index_size + 1)
                     for c in itertools.combinations(range(index_size), r)}
@@ -187,18 +191,29 @@ class CubeDiagram(Value):
 
     @staticmethod
     def from_json(data) -> "CubeDiagram":
-        def parse(key):
-            return frozenset(int(x) for x in key.split(","))
-        vertices = {parse(k): ChainComplex.from_json(v, f"vertex {k}")
-                    for k, v in data["vertices"].items()}
-        edges = {}
-        for k, blocks in data["edges"].items():
-            bkey, skey = k.split("->")
-            big, small = parse(bkey), parse(skey)
-            edges[(big, small)] = ChainMap(
-                vertices[big], vertices[small],
-                {int(q): QMatrix.from_json(m) for q, m in blocks.items()})
-        return CubeDiagram(data["index_size"], vertices, edges)
+        vertices = field(data, "vertices", {_subset: ChainComplex.from_json})
+
+        def ends(name):
+            """The vertices an edge key such as "0,1->0" joins."""
+            big, arrow, small = name.partition("->")
+            if not arrow:
+                raise InputError('is not keyed by two subsets joined by "->"')
+            return _subset(big, vertices), _subset(small, vertices)
+        edges = field(data, "edges", {ends: {degree_key: QMatrix.from_json}})
+        return CubeDiagram(field(data, "index_size", int), vertices, {
+            (big, small): ChainMap(vertices[big], vertices[small], blocks)
+            for (big, small), blocks in edges.items()})
+
+
+def _subset(name: str, vertices=None) -> frozenset:
+    """The subset a key such as "0,2" names; one of `vertices`, if given."""
+    try:
+        s = frozenset(int(i) for i in name.split(","))
+    except ValueError:
+        raise InputError("is not keyed by comma-separated integers") from None
+    if vertices is not None and s not in vertices:
+        raise InputError(f"names {sorted(s)}, which is not a vertex")
+    return s
 
 
 def _total_layout(d: CubeDiagram):
@@ -316,6 +331,20 @@ def ks_hocolim(ambient: ChainComplex, d: CubeDiagram,
                            0, ambient.dim(m) + toffsets[m - 1][s])
         diffs[m] = QMatrix(rows, cols, entries)
     return ChainComplex(lo, hi, dims, diffs)
+
+
+def hocolim_from_json(data) -> ChainComplex:
+    """The total complex of a `hocolim` input, a mapping cone if it has an
+    `ambient` (with `ambient_edges`, a chain map from each singleton)."""
+    cube = CubeDiagram.from_json(data)
+    ambient = field(data, "ambient", ChainComplex.from_json, optional=True)
+    if ambient is None:
+        return punctured_cube_hocolim(cube)
+    singles = field(data, "ambient_edges", {
+        lambda k: _subset(k, cube.vertices): {degree_key: QMatrix.from_json}})
+    return ks_hocolim(ambient, cube, {
+        s: ChainMap(cube.vertices[s], ambient, blocks)
+        for s, blocks in singles.items()})
 
 
 def cover_cube_diagram(components) -> tuple:

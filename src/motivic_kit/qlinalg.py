@@ -18,13 +18,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, require_fields
+from ._value import InputError, Value, degree_key, field, show
 
 
 def _frac(x):
     """The normal form of an exact rational: `int` if integral, else `Fraction`."""
     if isinstance(x, str):
-        x = Fraction(x)
+        try:
+            return int(x)
+        except ValueError:
+            x = Fraction(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
@@ -102,16 +105,18 @@ class QMatrix(Value):
 
     @staticmethod
     def from_json(data) -> "QMatrix":
-        require_fields(data, "matrix", ("rows", "cols", "entries"))
-        if not isinstance(data["entries"], list):
-            raise ValueError("matrix field 'entries' must be a list, "
-                             f"got {data['entries']!r}")
-        for x in data["entries"]:
-            # a JSON boolean is a Python int, but not a matrix entry
-            if isinstance(x, bool) or not isinstance(x, (int, str)):
-                raise ValueError("matrix entries must be integers or "
-                                 f"rational strings, got {x!r}")
-        return QMatrix(data["rows"], data["cols"], data["entries"])
+        return QMatrix(field(data, "rows", int), field(data, "cols", int),
+                       field(data, "entries", [_entry]))
+
+
+def _entry(x):
+    """A matrix entry read from JSON: an integer or a rational string."""
+    try:
+        if type(x) in (int, str):
+            return _frac(x)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise InputError(f"must be an integer or a rational string, got {show(x)}")
 
 
 def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -328,12 +333,11 @@ class ChainComplex(Value):
                                   for n in range(self.lo + 1, self.hi + 1)}}
 
     @staticmethod
-    def from_json(data, what: str = "chain complex") -> "ChainComplex":
-        require_fields(data, what, ("lo", "hi", "dims", "differentials"))
-        dims = {int(n): d for n, d in data["dims"].items()}
-        diffs = {int(n): QMatrix.from_json(m)
-                 for n, m in data["differentials"].items()}
-        return ChainComplex(data["lo"], data["hi"], dims, diffs)
+    def from_json(data) -> "ChainComplex":
+        return ChainComplex(field(data, "lo", int), field(data, "hi", int),
+                            field(data, "dims", {degree_key: int}),
+                            field(data, "differentials",
+                                  {degree_key: QMatrix.from_json}))
 
 
 def single_degree_complex(dim: int, degree: int = 0) -> ChainComplex:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import tempfile
 import time
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ambient_cube_payload
 from motivic_kit import cli
@@ -257,17 +261,21 @@ class TestErrors:
         assert status == 2
         assert text.startswith("error:") and field in text
 
-    @pytest.mark.parametrize("argv, fixture, field", [
-        (argv, fixture, field) for argv, fixture, fields in (
+    @pytest.mark.parametrize("argv, fixture, field, kind", [
+        (argv, fixture, field, kind) for argv, fixture, fields in (
             (["aut", "--diagram", "{file}"], "diagram_3to2.json",
-             ("sets", "maps")),
+             (("sets", "a list"), ("maps", "a list"))),
             (["galois-fixed", "--x", "{file}",
               "--y", data_path("gset_c2_trivial2.json")],
-             "gset_c2_regular.json", ("group", "carrier", "action")),
+             "gset_c2_regular.json", (("group", "an object"),
+                                      ("carrier", "an object"),
+                                      ("action", "a list"))),
             (["hocolim", "--diagram", "{file}"], "cover_two_patches.json",
-             ("index_size", "vertices", "edges")))
-        for field in fields])
-    def test_missing_field_is_named(self, tmp_path, argv, fixture, field):
+             (("index_size", "an integer"), ("vertices", "an object"),
+              ("edges", "an object"))))
+        for field, kind in fields])
+    def test_missing_field_is_named(self, tmp_path, argv, fixture, field,
+                                    kind):
         with open(data_path(fixture)) as fh:
             payload = json.load(fh)
         del payload[field]
@@ -276,7 +284,7 @@ class TestErrors:
         status, text = run_cli([a.replace("{file}", str(path))
                                 for a in argv])
         assert status == 2
-        assert text == f"error: {path}: missing required field {field!r}"
+        assert text == f"error: {path}: {field} is missing, must be {kind}"
 
     def test_more_maps_than_sets_names_invariant(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -284,7 +292,7 @@ class TestErrors:
                                    "maps": [{"dom": 2}]}))
         status, text = run_cli(["aut", "--diagram", str(bad)])
         assert status == 2
-        assert text == "error: need exactly k-1 maps for k sets"
+        assert text == f"error: {bad}: need exactly k-1 maps for k sets"
 
     def test_map_without_values_is_named(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -292,7 +300,8 @@ class TestErrors:
                                    "maps": [{"dom": 2, "cod": 1}]}))
         status, text = run_cli(["aut", "--diagram", str(bad)])
         assert status == 2
-        assert text == "error: map 0 is missing required field 'values'"
+        assert text == (f"error: {bad}: maps[0].values is missing, "
+                        "must be a list")
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_set_without_size_is_named(self, tmp_path, fmt):
@@ -301,7 +310,8 @@ class TestErrors:
         status, text = run_cli(["aut", "--diagram", str(bad),
                                 "--format", fmt])
         assert status == 2
-        assert text == "error: set is missing required field 'size'"
+        assert text == (f"error: {bad}: sets[0].size is missing, "
+                        "must be an integer")
 
     def test_float_entries_are_named(self, tmp_path):
         with open(data_path("cover_two_patches.json")) as fh:
@@ -313,26 +323,27 @@ class TestErrors:
         path.write_text(json.dumps(payload))
         status, text = run_cli(["hocolim", "--diagram", str(path)])
         assert status == 2
-        assert text == ("error: matrix entries must be integers or rational "
-                        "strings, got 0.0")
+        assert text == (f'error: {path}: edges["0,1->0"]["0"].entries[0] '
+                        "must be an integer or a rational string, got 0.0")
 
     @pytest.mark.parametrize("argv, fixture, keys, value, message", [
         (["aut", "--diagram", "{file}"], "diagram_3to2.json",
          ("sets", 0), 2,
-         "set must be an object with required field 'size', got 2"),
+         "sets[0] must be an object, got 2"),
         (["hocolim", "--diagram", "{file}"], "cover_two_patches.json",
          ("edges", "0,1->0", "0", "entries"), 5,
-         "matrix field 'entries' must be a list, got 5"),
+         'edges["0,1->0"]["0"].entries must be a list, got 5'),
         (["hocolim", "--diagram", "{file}"], "cover_two_patches.json",
          ("edges", "0,1->0", "0", "entries"), [False, True],
-         "matrix entries must be integers or rational strings, got False"),
+         'edges["0,1->0"]["0"].entries[0] must be an integer or a rational '
+         "string, got false"),
         (["hocolim", "--diagram", "{file}"], "cover_two_patches.json",
          ("vertices", "0", "dims"), None,
-         "vertex 0 is missing required field 'dims'"),
+         'vertices["0"].dims is missing, must be an object'),
         (["galois-fixed", "--x", "{file}",
           "--y", data_path("gset_c2_trivial2.json")], "gset_c2_regular.json",
          ("group", "table"), None,
-         "group is missing required field 'table'"),
+         "group.table is missing, must be a list"),
     ])
     def test_bad_nested_field_is_named(self, tmp_path, argv, fixture, keys,
                                        value, message):
@@ -352,7 +363,7 @@ class TestErrors:
         status, text = run_cli([a.replace("{file}", str(path))
                                 for a in argv])
         assert status == 2
-        assert text == f"error: {message}"
+        assert text == f"error: {path}: {message}"
 
     def test_ambient_without_edges_is_named(self, tmp_path):
         with open(data_path("cover_two_patches.json")) as fh:
@@ -363,10 +374,189 @@ class TestErrors:
         path.write_text(json.dumps(payload))
         status, text = run_cli(["hocolim", "--diagram", str(path)])
         assert status == 2
-        assert text == (f"error: {path}: missing required field "
-                        "'ambient_edges'")
+        assert text == (f"error: {path}: ambient_edges is missing, "
+                        "must be an object")
+
+    def test_declared_dom_cod_must_match_the_sets(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for declared, message in (
+                ({"dom": 5, "cod": 9}, "maps[0].dom is 5, but sets[0] has "
+                                       "size 3"),
+                ({"dom": 3, "cod": 9}, "maps[0].cod is 9, but sets[1] has "
+                                       "size 2")):
+            path.write_text(json.dumps(
+                {"sets": [{"size": 3}, {"size": 2}],
+                 "maps": [{**declared, "values": [0, 0, 1]}]}))
+            status, text = run_cli(["aut", "--diagram", str(path)])
+            assert (status, text) == (2, f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("index_size", [40, 10 ** 9])
+    def test_large_index_size_is_rejected_at_once(self, tmp_path,
+                                                  index_size):
+        with open(data_path("cover_two_patches.json")) as fh:
+            payload = json.load(fh)
+        payload["index_size"] = index_size
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (status, text) == (2, f"error: {path}: need exactly the "
+                                  "nonempty subsets as vertices")
 
     def test_main_returns_status(self, capsys):
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+
+# --- malformed input files ---------------------------------------------------
+
+AUT = (["aut", "--diagram", "{file}"], "diagram_3to2.json")
+GALOIS = (["galois-fixed", "--x", "{file}",
+           "--y", data_path("gset_c2_trivial2.json")], "gset_c2_regular.json")
+HOCOLIM = (["hocolim", "--diagram", "{file}"], "cover_two_patches.json")
+EDGE = ("edges", "0,1->0")
+BLOCK = (*EDGE, "0")
+
+# (command, keys of the changed node, operation, message after the file
+# name); an operation is ("set", value) or ("key", new key), the latter
+# renaming the member of a keyed object.
+SINGLE_FIELD_MUTATIONS = [
+    (AUT, ("sets",), ("set", 5), "sets must be a list, got 5"),
+    (AUT, ("maps",), ("set", 5), "maps must be a list, got 5"),
+    (AUT, ("sets", 0), ("set", 2), "sets[0] must be an object, got 2"),
+    (AUT, ("sets", 0, "size"), ("set", "2"),
+     'sets[0].size must be an integer, got "2"'),
+    (AUT, ("sets", 0, "size"), ("set", True),
+     "sets[0].size must be an integer, got true"),
+    (AUT, ("sets", 1, "size"), ("set", 2.5),
+     "sets[1].size must be an integer, got 2.5"),
+    (AUT, ("sets", 0, "labels"), ("set", 5),
+     "sets[0].labels must be a list, got 5"),
+    (AUT, ("sets", 0, "labels"), ("set", [[0], [1], [2]]),
+     "sets[0].labels[0] must be a string or a number, got a list"),
+    (AUT, ("maps", 0), ("set", 5), "maps[0] must be an object, got 5"),
+    (AUT, ("maps", 0, "values"), ("set", 5),
+     "maps[0].values must be a list, got 5"),
+    (AUT, ("maps", 0, "values", 2), ("set", "1"),
+     'maps[0].values[2] must be an integer, got "1"'),
+    (AUT, ("maps", 0, "dom"), ("set", 5),
+     "maps[0].dom is 5, but sets[0] has size 3"),
+    (AUT, ("maps", 0, "cod"), ("set", True),
+     "maps[0].cod must be an integer, got true"),
+    (GALOIS, ("group",), ("set", 5), "group must be an object, got 5"),
+    (GALOIS, ("group", "table"), ("set", 5),
+     "group.table must be a list, got 5"),
+    (GALOIS, ("group", "table", 0), ("set", 5),
+     "group.table[0] must be a list, got 5"),
+    (GALOIS, ("group", "table", 1, 0), ("set", "1"),
+     'group.table[1][0] must be an integer, got "1"'),
+    (GALOIS, ("group", "order"), ("set", True),
+     "group.order must be an integer, got true"),
+    (GALOIS, ("group", "order"), ("set", 3),
+     "group.order is 3, but the table has order 2"),
+    (GALOIS, ("carrier", "size"), ("set", "2"),
+     'carrier.size must be an integer, got "2"'),
+    (GALOIS, ("action",), ("set", 5), "action must be a list, got 5"),
+    (GALOIS, ("action", 1), ("set", {}),
+     "action[1] must be a list, got an object"),
+    (GALOIS, ("action", 1, 0), ("set", None),
+     "action[1][0] must be an integer, got null"),
+    (HOCOLIM, ("index_size",), ("set", "2"),
+     'index_size must be an integer, got "2"'),
+    (HOCOLIM, ("vertices",), ("set", []),
+     "vertices must be an object, got a list"),
+    (HOCOLIM, ("vertices", "0"), ("key", "x"),
+     'vertices["x"] is not keyed by comma-separated integers'),
+    (HOCOLIM, ("vertices", "0", "differentials"), ("set", 5),
+     'vertices["0"].differentials must be an object, got 5'),
+    (HOCOLIM, ("vertices", "0", "dims", "0"), ("key", "zero"),
+     'vertices["0"].dims["zero"] is not keyed by an integer'),
+    (HOCOLIM, ("vertices", "0", "dims", "0"), ("set", "2"),
+     'vertices["0"].dims["0"] must be an integer, got "2"'),
+    (HOCOLIM, ("vertices", "0", "lo"), ("set", True),
+     'vertices["0"].lo must be an integer, got true'),
+    (HOCOLIM, EDGE, ("key", "0,1->5"),
+     'edges["0,1->5"] names [5], which is not a vertex'),
+    (HOCOLIM, EDGE, ("key", "0,1"),
+     'edges["0,1"] is not keyed by two subsets joined by "->"'),
+    (HOCOLIM, (*BLOCK, "entries", 0), ("set", "1/0"),
+     'edges["0,1->0"]["0"].entries[0] must be an integer or a rational '
+     'string, got "1/0"'),
+    (HOCOLIM, BLOCK, ("set", 5), 'edges["0,1->0"]["0"] must be an object, got 5'),
+    (HOCOLIM, BLOCK, ("key", "q"),
+     'edges["0,1->0"]["q"] is not keyed by an integer'),
+    (HOCOLIM, (*BLOCK, "rows"), ("set", "2"),
+     'edges["0,1->0"]["0"].rows must be an integer, got "2"'),
+]
+
+
+def fixture(name: str):
+    with open(data_path(name)) as fh:
+        return json.load(fh)
+
+
+def mutated(payload, keys, op):
+    """A copy of `payload` with the node at `keys` changed by `op`."""
+    payload = json.loads(json.dumps(payload))
+    *parents, last = keys
+    parent = payload
+    for k in parents:
+        parent = parent[k]
+    kind, arg = op
+    if kind == "set":
+        parent[last] = arg
+    elif kind == "key":
+        parent[arg] = parent.pop(last)
+    else:  # "del"
+        del parent[last]
+    return payload
+
+
+@pytest.mark.parametrize("command, keys, op, message",
+                         SINGLE_FIELD_MUTATIONS)
+def test_single_field_mutation_names_file_and_field(tmp_path, command, keys,
+                                                    op, message):
+    argv, name = command
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutated(fixture(name), keys, op)))
+    status, text = run_cli([a.replace("{file}", str(path)) for a in argv])
+    assert (status, text) == (2, f"error: {path}: {message}")
+
+
+def nodes(value, keys=()):
+    """The keys of every node below the root of a JSON value."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for k, child in children:
+        yield (*keys, k)
+        yield from nodes(child, (*keys, k))
+
+
+def fuzz_inputs():
+    """(argv, payload, keys of one node) for every node of every input."""
+    inputs = [(argv, fixture(name)) for argv, name in (AUT, GALOIS, HOCOLIM)]
+    inputs.append((["galois-fixed", "--x", data_path("gset_c2_regular.json"),
+                    "--y", "{file}"], fixture("gset_c2_trivial2.json")))
+    inputs.append((HOCOLIM[0], ambient_cube_payload()))
+    return [(argv, payload, keys) for argv, payload in inputs
+            for keys in nodes(payload)]
+
+
+REPLACEMENTS = [None, True, 2.5, -1, "x", "1/0", [], {}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(fuzz_inputs()),
+       st.sampled_from([("del", None)] + [("set", v) for v in REPLACEMENTS]))
+def test_any_one_node_changed_exits_through_run(case, op):
+    argv, payload, keys = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(mutated(payload, keys, op), fh)
+        status, text = run_cli([a.replace("{file}", path) for a in argv])
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert text.startswith("error:")

@@ -1,5 +1,6 @@
 """Repository-wide checks: a stdlib-only runtime, a resolvable API, one
-base class for the immutable values, and integers kept as integers."""
+base class for the immutable values, integers kept as integers, and one
+reader for outside JSON."""
 
 import ast
 import sys
@@ -83,3 +84,35 @@ def test_no_fraction_of_an_integer_literal():
              and ast.unparse(node.func) in ("Fraction", "fractions.Fraction")
              and len(node.args) == 1 and is_int_literal(node.args[0])}
     assert calls == set()
+
+
+def function_definitions(name: str):
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                yield path.name, node
+
+
+def test_from_json_reads_its_argument_only_through_the_reader():
+    # a subscript or method call on the JSON argument skips the type check
+    readers = list(function_definitions("from_json"))
+    assert len(readers) >= 9
+    direct = {(path_name, node.lineno) for path_name, fn in readers
+              for node in ast.walk(fn)
+              if isinstance(node, (ast.Subscript, ast.Attribute))
+              and isinstance(node.value, ast.Name)
+              and node.value.id == fn.args.args[0].arg}
+    assert direct == set()
+
+
+def test_cli_run_catches_no_internal_error():
+    # an internal KeyError or TypeError is a bug, not an input error
+    [(_, run)] = [(p, fn) for p, fn in function_definitions("run")
+                  if p == "cli.py"]
+    caught = {node.id for handler in ast.walk(run)
+              if isinstance(handler, ast.ExceptHandler)
+              for node in ast.walk(handler.type)
+              if isinstance(node, ast.Name)}
+    assert "ValueError" in caught
+    assert caught.isdisjoint({"KeyError", "TypeError", "AttributeError",
+                              "IndexError"})
