@@ -9,7 +9,7 @@ rationals, with a batch verification CLI.
 
 from .finsets import (FinSet, SetMap, FinDiagram, DiagramIso, PermGroup,
                       compose, canonical_form, are_isomorphic,
-                      automorphism_group, enumerate_diagrams)
+                      automorphism_group)
 from .qlinalg import (QMatrix, ChainComplex, matmul, kron, kron_power,
                       kernel_basis, rank, nullity, homology_dims)
 from .artin import (ArtinComonoid, ArtinMonoid, CoalgMorphism,
@@ -19,8 +19,8 @@ from .artin import (ArtinComonoid, ArtinMonoid, CoalgMorphism,
                     verify_mcffe)
 from .galois import (FiniteGroup, GSet, equivariant_set_maps,
                      fixed_coalgebra_morphisms)
-from .monad import (MultisetOfDiagrams, assemble, verify_m_identity,
-                    omega_power, functoriality_on_iso)
+from .monad import (MultisetOfDiagrams, assemble, enumerate_diagrams,
+                    verify_m_identity, omega_power, functoriality_on_iso)
 from .hypercube import (CubeDiagram, ChainMap, psi, psi_inverse, psi_edge,
                         compose_edge_labels, punctured_cube_hocolim,
                         ks_hocolim, build_kappa, cover_cube_diagram)

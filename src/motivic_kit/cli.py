@@ -15,10 +15,10 @@ import sys
 
 from ._value import read
 from .artin import graph_matrix, solve_coalgebra_morphisms, verify_mcffe
-from .finsets import FinDiagram, FinSet, automorphism_group, enumerate_diagrams
+from .finsets import FinDiagram, FinSet, automorphism_group
 from .galois import GSet, equivariant_set_maps, fixed_coalgebra_morphisms
 from .hypercube import build_kappa, hocolim_from_json
-from .monad import verify_m_identity
+from .monad import enumerate_diagrams, verify_m_identity
 from .resolution import verify_mdffe
 
 DEFAULT_MAX_SIZE = 6

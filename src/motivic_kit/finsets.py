@@ -10,11 +10,10 @@ children are its preimages.  Canonical forms refine each level into
 classes of isomorphic subtrees, bottom-up, and then number the levels
 top-down by (class, label of the image); one relabeling reaches the
 lexicographic minimum of a fixed encoding over all relabelings, so
-isomorphism testing and class enumeration compare representatives.  The
-automorphism group is the iterated wreath product over the forest,
-generated by swaps of isomorphic siblings.  `automorphisms` alone still
-tries every relabeling: it is the independent count the monad census
-checks the group order against, and it is factorial in the set sizes.
+isomorphism testing compares representatives.  The automorphism group is
+the iterated wreath product over the forest, generated by swaps of
+isomorphic siblings.  No function here tries every relabeling, and
+bounded classes are generated in `monad`, by multiset assembly.
 
 Everything here is immutable after construction and all functions are
 pure.
@@ -268,10 +267,6 @@ def identity_iso(d: FinDiagram) -> DiagramIso:
     return DiagramIso(d, d, tuple(identity_map(s) for s in d.sets))
 
 
-def _all_relabelings(sizes):
-    return itertools.product(*(itertools.permutations(range(n)) for n in sizes))
-
-
 def _level_classes(d: FinDiagram) -> list:
     """Isomorphism-class index of the subtree below each element, per level.
 
@@ -381,25 +376,6 @@ class PermGroup(Value):
                          field(data, "order", int))
 
 
-def automorphisms(d: FinDiagram):
-    """All self-isomorphisms of d, as tuples of value-permutations."""
-    result = []
-    if d.k == 0:
-        return [()]
-    for perms in _all_relabelings(d.sizes()):
-        ok = True
-        for i, m in enumerate(d.maps):
-            for x in range(m.dom.size):
-                if perms[i + 1][m.values[x]] != m.values[perms[i][x]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            result.append(perms)
-    return result
-
-
 def automorphism_group(d: FinDiagram) -> PermGroup:
     """Generators and order of the self-isomorphism group of d.
 
@@ -449,22 +425,3 @@ def automorphism_group(d: FinDiagram) -> PermGroup:
                 SetMap(s, s, p) for s, p in zip(d.sets, perms))))
     return PermGroup(d.sizes(), gens, order)
 
-
-def enumerate_diagrams(k: int, max_sizes) -> list:
-    """One canonical representative per iso class with |S_i| <= max_sizes[i].
-
-    Deterministic output order (sorted by the canonical encoding).
-    """
-    max_sizes = tuple(max_sizes)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(max_sizes) != k:
-        raise ValueError("need one bound per set")
-    found = {}
-    for sizes in itertools.product(*(range(1, b + 1) for b in max_sizes)):
-        sets = tuple(FinSet(n) for n in sizes)
-        map_choices = [list(all_maps(a, b)) for a, b in zip(sets, sets[1:])]
-        for maps in itertools.product(*map_choices):
-            c = canonical_form(FinDiagram(sets, maps))
-            found[c.encoding()] = c
-    return [found[key] for key in sorted(found)]

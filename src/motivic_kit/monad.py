@@ -8,6 +8,13 @@ fully empty diagram marks an empty fiber.  With these fibers admitted,
 assembly induces a bijection between bounded multisets and bounded
 (k+1)-classes, with automorphism groups matching wreath-style counts.
 
+This is how classes are generated: `enumerate_diagrams` assembles every
+bounded multiset of shorter classes, recursively.  `verify_m_identity`
+certifies that census complete without enumerating a labelled chain: the
+orbit-counting mass formula sums prod |S_i|! / |Aut d| over the classes of
+each size tuple and compares it with the closed-form count of labelled
+chains.
+
 The same construction on coefficients sends a finite set S to the tensor
 power E^(x)S of a comonoid E, functorially in isomorphisms of S.
 """
@@ -15,13 +22,14 @@ power E^(x)S of a comonoid E, functorially in isomorphisms of S.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ._value import Value
 from .artin import ArtinComonoid, tensor_map_matrix
 from .finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
-                      automorphism_group, automorphisms, canonical_form,
-                      enumerate_diagrams)
+                      automorphism_group, canonical_form)
 from .qlinalg import QMatrix, kron_power, matmul
 
 
@@ -109,33 +117,53 @@ def _entry_pool(k: int, bounds) -> list:
     """Canonical candidate entries: full and padded classes within bounds."""
     pool = [FinDiagram([], [])]  # the empty fiber
     for j in range(1, k + 1):
-        pad = k - j
-        sub_bounds = bounds[pad:k]
-        pool.extend(enumerate_diagrams(j, sub_bounds))
+        pool.extend(enumerate_diagrams(j, bounds[k - j:k]))
     return pool
 
 
 def _admissible_multisets(k: int, bounds):
-    """All multisets of pool entries within the level bounds.
+    """Every multiset of pool entries within the level bounds, once each.
 
     bounds has length k+1; the last entry bounds the multiset size, the
-    rest bound the levelwise total sizes.
+    rest bound the levelwise total sizes.  Pool indices are chosen
+    nondecreasing.  Each step keeps only the candidates whose weight
+    (padded entry sizes, plus 1 for the multiset size) still fits on top
+    of the running level-size vector, so a branch ends once none fits.
+    Multisets without a full-length entry are not yielded: they would
+    leave the first level empty.
     """
     pool = _entry_pool(k, bounds)
-    for n in range(1, bounds[k] + 1):
-        for combo in itertools.combinations_with_replacement(pool, n):
-            level_sizes = [0] * k
-            ok = False
-            for e in combo:
-                p = k - e.k
-                if p == 0:
-                    ok = True
-                for i in range(p, k):
-                    level_sizes[i] += e.sets[i - p].size
-            if not ok:
-                continue
-            if all(level_sizes[i] <= bounds[i] for i in range(k)):
-                yield MultisetOfDiagrams(k, combo)
+    weights = [(0,) * (k - e.k) + e.sizes() + (1,) for e in pool]
+
+    def walk(candidates, used, chosen, full):
+        if full:
+            yield MultisetOfDiagrams(k, chosen)
+        fits = [i for i in candidates if all(
+            u + w <= b for u, w, b in zip(used, weights[i], bounds))]
+        for n, i in enumerate(fits):
+            total = [u + w for u, w in zip(used, weights[i])]
+            yield from walk(fits[n:], total, chosen + [pool[i]],
+                            full or pool[i].k == k)
+    return walk(range(len(pool)), [0] * (k + 1), [], False)
+
+
+def enumerate_diagrams(k: int, max_sizes) -> list:
+    """One canonical representative per iso class with |S_i| <= max_sizes[i].
+
+    Each class is assembled from its multiset of fibers over S_k, so k = 1
+    gives the bare sets and longer chains recurse on shorter ones.
+    Deterministic output order (sorted by the canonical encoding).
+    """
+    max_sizes = tuple(max_sizes)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(max_sizes) != k:
+        raise ValueError("need one bound per set")
+    found = {}
+    for m in _admissible_multisets(k - 1, max_sizes):
+        c = canonical_form(assemble(m))
+        found[c.encoding()] = c
+    return [found[key] for key in sorted(found)]
 
 
 def wreath_order(m: MultisetOfDiagrams) -> int:
@@ -165,18 +193,21 @@ class MonadClassRow:
 
 @dataclass(frozen=True)
 class MonadReport:
+    """The census: `enumerated_classes` counts the multisets the walk
+    enumerated and `assembled_classes` the distinct (k+1)-classes they
+    assemble to, so the two agree iff no class has two preimages."""
     k: int
     bounds: tuple
     assembled_classes: int
     enumerated_classes: int
     rows: tuple
-    preimages_unique: bool
     aut_orders_match: bool
+    mass_formula_holds: bool
 
     @property
     def passed(self) -> bool:
         return (self.assembled_classes == self.enumerated_classes
-                and self.preimages_unique and self.aut_orders_match)
+                and self.aut_orders_match and self.mass_formula_holds)
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -186,44 +217,43 @@ class MonadReport:
 
 
 def verify_m_identity(k: int, bounds) -> MonadReport:
-    """Check that assembly reproduces the bounded (k+1)-class census.
+    """Check that assembly is a bijection onto the bounded (k+1)-classes.
 
-    Every bounded (k+1)-class must arise from exactly one multiset of
-    classes, and the automorphism order of the assembled diagram (brute
-    forced) must equal the wreath-style count from the multiset.
+    One walk over the bounded multisets assembles every class.  No class
+    may have two preimage multisets, and the automorphism order of each
+    class must equal the wreath-style count from its multiset.
+    Completeness is checked against a closed form, by the orbit-counting
+    mass formula: for every size tuple within bounds, the sum over
+    assembled multisets of prod |S_i|! / |Aut d| must equal the number of
+    labelled chains, prod |S_{i+1}|^|S_i|.  A missing or repeated class,
+    or a wrong automorphism order, breaks the sum.
     """
     bounds = tuple(bounds)
     if len(bounds) != k + 1:
         raise ValueError("need k+1 bounds")
     by_class = {}
+    enumerated = 0
     for m in _admissible_multisets(k, bounds):
+        enumerated += 1
         d = canonical_form(assemble(m))
-        by_class.setdefault(d.encoding(), []).append(m)
-    target = enumerate_diagrams(k + 1, bounds)
-    target_keys = {d.encoding(): d for d in target}
-    preimages_unique = all(
-        len({m.class_keys for m in ms}) == 1
-        for ms in by_class.values())
+        by_class.setdefault(d.encoding(), (d, []))[1].append(m)
     rows = []
     aut_ok = True
+    mass = {}
     for key in sorted(by_class):
-        d = target_keys.get(key)
-        ms = by_class[key]
-        rep = ms[0]
-        wreath = wreath_order(rep)
-        if d is None:
-            aut = -1
-            aut_ok = False
-        else:
-            aut = automorphism_group(d).order
-            brute = len(automorphisms(d))
-            if not (aut == brute == wreath):
-                aut_ok = False
+        d, ms = by_class[key]
+        aut = automorphism_group(d).order
+        wreath = wreath_order(ms[0])
+        aut_ok = aut_ok and aut == wreath
+        orbit = Fraction(math.prod(map(math.factorial, d.sizes())), aut)
+        mass[d.sizes()] = mass.get(d.sizes(), 0) + len(ms) * orbit
         rows.append(MonadClassRow(key, aut, wreath,
-                                  tuple(e.sizes() for e in rep.entries)))
-    same = set(by_class) == set(target_keys)
-    return MonadReport(k, bounds, len(by_class), len(target), tuple(rows),
-                       preimages_unique, aut_ok and same)
+                                  tuple(e.sizes() for e in ms[0].entries)))
+    labelled = {sizes: math.prod(t ** s for s, t in zip(sizes, sizes[1:]))
+                for sizes in itertools.product(*(range(1, b + 1)
+                                                 for b in bounds))}
+    return MonadReport(k, bounds, len(by_class), enumerated, tuple(rows),
+                       aut_ok, mass == labelled)
 
 
 def tensor_power_comonoid(e: ArtinComonoid, s: int) -> ArtinComonoid:

@@ -129,6 +129,18 @@ def _relabelings(sizes):
                                for n in sizes))
 
 
+def brute_automorphisms(d: FinDiagram) -> list:
+    """All self-isomorphisms of d, as tuples of value-permutations.
+
+    Tries all prod |S_i|! relabelings and keeps those that commute with
+    every map, independent of the library's wreath-product group.
+    """
+    return [perms for perms in _relabelings(d.sizes())
+            if all(perms[i + 1][y] == m.values[perms[i][x]]
+                   for i, m in enumerate(d.maps)
+                   for x, y in enumerate(m.values))]
+
+
 def brute_canonical_with_perms(d: FinDiagram):
     """Minimal-encoding representative and the first relabeling reaching it.
 

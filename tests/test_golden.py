@@ -36,6 +36,18 @@ GOLDEN = [
     (["verify-monad", "--k", "2", "--bounds", "2,2,3"], 0,
      "bc04847662d44382b4c0d76e712202143f34889366319d2f22bb26db6a62c7c7",
      "f4ddb131b3a28005c1fd0890974c402dee39d0591cb254111891f9ea03c760e2"),
+    (["enumerate-diagrams", "--k", "4", "--bounds", "2,2,2,2"], 0,
+     "de6efe9918dcfbf3a8ee832f14c38c470c0504987b3efa81a55eaf4e6a750627",
+     "35176248a87109d1061b0388996400938969673266c1b75b0fa0bf86cbc5dcd2"),
+    (["verify-monad", "--k", "3", "--bounds", "2,2,2,2"], 0,
+     "47d292d993e9ca22ef039c35b65fbe7e257e63f51390d3b3db00e8c3e0d64abc",
+     "369b509f0155adfeeacedead899da9745235c77c0fe855c0300aab3cf30804fb"),
+    (["enumerate-diagrams", "--k", "2", "--bounds", "6,6"], 0,
+     "f5cfface15d0c3b366dda39816428afcb70d82d026321cce55f3d09273608453",
+     "c8be81faa2272a02aac79fc48f5ba87a75f49bf2dd90b1225b6bf075d52acc7f"),
+    (["verify-monad", "--k", "1", "--bounds", "6,6"], 0,
+     "fd6ee57032a7bd6c6080a71e8ce15cf260401d098c2781db2e89528aee6796ab",
+     "6c27808ba39af8154dfda53074f0378bef22d0d02463939ffa9b88b3f718bec9"),
     (["aut", "--diagram", "{data}/diagram_3to2.json"], 0,
      "ccdd869e7985ec1045d22ce82f1b4004c1ee436655a26f6490e0aec311423748",
      "52d413f024b914e71ffbcb0029852702d3b1e9afc58fdef9f1c06abd250cbe6d"),

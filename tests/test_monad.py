@@ -2,16 +2,16 @@ import itertools
 
 import pytest
 
-from helpers import tuple_index_matrix
+from helpers import brute_automorphisms, brute_census, tuple_index_matrix
+from motivic_kit import cli, monad
 from motivic_kit.artin import artin_comonoid, is_coalgebra_morphism
-from motivic_kit.finsets import (FinDiagram, FinSet, SetMap, are_isomorphic,
-                                 automorphism_group, automorphisms,
-                                 canonical_form, enumerate_diagrams,
-                                 identity_iso)
+from motivic_kit.finsets import (FinDiagram, FinSet, PermGroup, SetMap,
+                                 are_isomorphic, automorphism_group,
+                                 canonical_form, identity_iso)
 from motivic_kit.monad import (MultisetOfDiagrams, assemble,
-                               functoriality_on_iso, omega_power,
-                               tensor_power_comonoid, verify_m_identity,
-                               wreath_order)
+                               enumerate_diagrams, functoriality_on_iso,
+                               omega_power, tensor_power_comonoid,
+                               verify_m_identity, wreath_order)
 from motivic_kit.artin import swap_matrix
 from motivic_kit.qlinalg import QMatrix, matmul
 
@@ -120,7 +120,92 @@ class TestCensusIdentity:
         # each 2-set has Aut order 2, and the two equal entries swap
         assert wreath_order(m) == 2 * 2 * 2
         assert automorphism_group(assemble(m)).order == 8
-        assert len(automorphisms(assemble(m))) == 8
+        assert len(brute_automorphisms(assemble(m))) == 8
+
+
+class TestGenerator:
+    """Classes from multiset assembly against the brute census and the
+    independently counted class numbers."""
+
+    @pytest.mark.parametrize("bounds", [(4, 4), (3, 3, 3), (2, 2, 2, 2)])
+    def test_equals_brute_census(self, bounds):
+        reps = sorted(set(brute_census(bounds).values()),
+                      key=FinDiagram.encoding)
+        assert enumerate_diagrams(len(bounds), bounds) == reps
+
+    @pytest.mark.parametrize("bounds, count", [
+        ((6, 6), 126), ((3, 3, 3), 82), ((4, 4, 4), 428),
+        ((3, 3, 3, 3), 525), ((5, 5, 5), 1879)])
+    def test_count_ladder(self, bounds, count):
+        assert len(enumerate_diagrams(len(bounds), bounds)) == count
+        report = verify_m_identity(len(bounds) - 1, bounds)
+        assert report.passed, report.summary()
+        assert report.assembled_classes == count
+
+
+K, BOUNDS = 2, (2, 2, 3)
+
+
+class TestMassFormulaHasTeeth:
+    """Every single-class fault of the census fails `verify_m_identity`, and
+    `verify-monad` exits 1 on it; a dropped multiset is seen by the mass
+    formula alone."""
+
+    @staticmethod
+    def patch_walk(monkeypatch, change):
+        """Apply `change` to the top-level walk, not to the entry pools."""
+        original = monad._admissible_multisets
+
+        def walk(k, bounds):
+            found = list(original(k, bounds))
+            return change(found) if k == K else found
+        monkeypatch.setattr(monad, "_admissible_multisets", walk)
+
+    @staticmethod
+    def cli_status(capsys):
+        status = cli.main(["verify-monad", "--k", str(K), "--bounds",
+                           ",".join(map(str, BOUNDS))])
+        capsys.readouterr()
+        return status
+
+    def test_dropped_multiset(self, monkeypatch, capsys):
+        count = verify_m_identity(K, BOUNDS).assembled_classes
+        for i in range(count):
+            with monkeypatch.context() as mp:
+                self.patch_walk(mp, lambda ms: ms[:i] + ms[i + 1:])
+                report = verify_m_identity(K, BOUNDS)
+                assert report.assembled_classes == report.enumerated_classes
+                assert report.aut_orders_match
+                assert not report.mass_formula_holds and not report.passed
+                if i == count - 1:
+                    assert self.cli_status(capsys) == 1
+
+    def test_repeated_multiset(self, monkeypatch, capsys):
+        count = verify_m_identity(K, BOUNDS).assembled_classes
+        for i in range(count):
+            with monkeypatch.context() as mp:
+                self.patch_walk(mp, lambda ms: ms + [ms[i]])
+                report = verify_m_identity(K, BOUNDS)
+                assert report.enumerated_classes == count + 1
+                assert not report.mass_formula_holds and not report.passed
+                if i == 0:
+                    assert self.cli_status(capsys) == 1
+
+    def test_wrong_automorphism_order(self, monkeypatch, capsys):
+        rows = verify_m_identity(K, BOUNDS).rows
+        for row in rows:
+            def off_by_one(d, original=automorphism_group, key=row.encoding):
+                g = original(d)
+                if canonical_form(d).encoding() != key:
+                    return g
+                return PermGroup(g.degrees, g.generators, g.order + 1)
+            with monkeypatch.context() as mp:
+                mp.setattr(monad, "automorphism_group", off_by_one)
+                report = verify_m_identity(K, BOUNDS)
+                assert not report.aut_orders_match
+                assert not report.mass_formula_holds and not report.passed
+                if row is rows[0]:
+                    assert self.cli_status(capsys) == 1
 
 
 class TestOmegaPower:

@@ -1,6 +1,6 @@
 """Repository-wide checks: a stdlib-only runtime, a resolvable API, one
-base class for the immutable values, integers kept as integers, and one
-reader for outside JSON."""
+base class for the immutable values, integers kept as integers, one
+reader for outside JSON, and no relabeling search on the census path."""
 
 import ast
 import sys
@@ -116,3 +116,13 @@ def test_cli_run_catches_no_internal_error():
     assert "ValueError" in caught
     assert caught.isdisjoint({"KeyError", "TypeError", "AttributeError",
                               "IndexError"})
+
+
+def test_census_path_has_no_permutation_search():
+    # the factorial relabeling search is a test oracle, not a census step
+    calls = {(path.name, node.lineno) for path in SOURCES
+             if path.name in ("finsets.py", "monad.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] == "permutations"}
+    assert calls == set()
