@@ -306,8 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, at import: a process calling main many times parses only
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     status, text = run(args)
     print(text)
     return status

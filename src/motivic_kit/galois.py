@@ -44,14 +44,16 @@ class FiniteGroup(Value):
         for g in range(n):
             if identity not in table[g]:
                 raise ValueError(f"element {g} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise ValueError("multiplication is not associative")
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "identity", identity)
+        # Light's test: the g with (a*b)*g = a*(b*g) for all a, b include
+        # the identity and are closed under products, so generators suffice
+        for g in self.generating_set():
+            column = [row[g] for row in table]
+            if any(column[ab] != row[column[b]]
+                   for row in table for b, ab in enumerate(row)):
+                raise ValueError("multiplication is not associative")
 
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]

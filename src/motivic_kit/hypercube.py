@@ -108,7 +108,12 @@ class ChainMap(Value):
         hi = max(self.source.hi, other.target.hi)
         blocks = {q: matmul(other.at(q), self.at(q))
                   for q in range(lo, hi + 1)}
-        return ChainMap(self.source, other.target, blocks)
+        # unchecked: d(g f) = g d f = (g f) d holds since f and g commute with d
+        composite = object.__new__(ChainMap)
+        object.__setattr__(composite, "source", self.source)
+        object.__setattr__(composite, "target", other.target)
+        object.__setattr__(composite, "blocks", blocks)
+        return composite
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):

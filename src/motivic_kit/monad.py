@@ -166,10 +166,11 @@ def enumerate_diagrams(k: int, max_sizes) -> list:
     return [found[key] for key in sorted(found)]
 
 
-def wreath_order(m: MultisetOfDiagrams) -> int:
-    """Product of entry automorphism orders times factorials of multiplicities."""
+def wreath_order(m: MultisetOfDiagrams, auts=None) -> int:
+    """Product of entry automorphism orders times factorials of multiplicities;
+    a dict `auts` (class key -> order) passed in is shared and filled in."""
+    auts = {} if auts is None else auts
     counts = {}
-    auts = {}
     for key, e in zip(m.class_keys, m.entries):
         counts[key] = counts.get(key, 0) + 1
         if key not in auts:
@@ -240,10 +241,11 @@ def verify_m_identity(k: int, bounds) -> MonadReport:
     rows = []
     aut_ok = True
     mass = {}
+    entry_auts = {}
     for key in sorted(by_class):
         d, ms = by_class[key]
         aut = automorphism_group(d).order
-        wreath = wreath_order(ms[0])
+        wreath = wreath_order(ms[0], entry_auts)
         aut_ok = aut_ok and aut == wreath
         orbit = Fraction(math.prod(map(math.factorial, d.sizes())), aut)
         mass[d.sizes()] = mass.get(d.sizes(), 0) + len(ms) * orbit

@@ -199,6 +199,57 @@ def closure_size(generators, sizes) -> int:
     return len(seen)
 
 
+def brute_is_associative(table) -> bool:
+    """(a*b)*c == a*(b*c) over all n^3 triples of a multiplication table."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+@st.composite
+def group_like_tables(draw, max_order: int = 6):
+    """Multiplication tables with an identity and a right inverse of every
+    element, associative or not.
+
+    Half are group tables (cyclic, Klein four or S3) under a random
+    relabeling, with at most one entry then changed; the rest are random
+    outside the identity's row and column.  A row left without the
+    identity gets it in a random place.
+    """
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(
+            [[[(i + j) % n for j in range(n)] for i in range(n)]
+             for n in range(1, max_order + 1)]
+            + [[[i ^ j for j in range(4)] for i in range(4)],
+               [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4],
+                [2, 4, 0, 5, 1, 3], [3, 5, 1, 4, 0, 2],
+                [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]]))
+        n = len(base)
+        perm = draw(st.permutations(range(n)))
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[perm[a]][perm[b]] = perm[base[a][b]]
+        identity = perm[0]
+        if n > 1 and draw(st.booleans()):
+            others = [g for g in range(n) if g != identity]
+            a, b = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+            table[a][b] = draw(st.integers(0, n - 1))
+    else:
+        n = draw(st.integers(1, max_order))
+        identity = draw(st.integers(0, n - 1))
+        table = [[draw(st.integers(0, n - 1)) for _ in range(n)]
+                 for _ in range(n)]
+        for g in range(n):
+            table[identity][g] = table[g][identity] = g
+    for g in range(n):
+        if identity not in table[g]:
+            column = draw(st.sampled_from(
+                [c for c in range(n) if c != identity]))
+            table[g][column] = identity
+    return table
+
+
 @st.composite
 def small_diagrams(draw, max_relabelings=20_000):
     """Random chain diagrams with prod |S_i|! <= max_relabelings.

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ambient_cube_payload
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import DATA as GOLDEN_DATA
 from motivic_kit import cli
 from motivic_kit.finsets import FinDiagram, PermGroup
 from motivic_kit.hypercube import CubeDiagram
@@ -20,7 +24,7 @@ def data_path(name: str) -> str:
 
 
 def run_cli(argv):
-    return cli.run(cli.build_parser().parse_args(argv))
+    return cli.run(cli.PARSER.parse_args(argv))
 
 
 class TestCommands:
@@ -408,6 +412,56 @@ class TestErrors:
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+
+class TestSharedParser:
+    """`main` parses every command line with the one parser built at
+    import; no call may leave state behind for the next."""
+
+    def test_golden_sequence_with_errors_between(self, capsys, tmp_path):
+        ambient = tmp_path / "ks.json"
+        ambient.write_text(json.dumps(ambient_cube_payload(), sort_keys=True))
+        for argv, status, digest in GOLDEN_CASES:
+            argv = [a.replace("{data}", GOLDEN_DATA)
+                    .replace("{ambient}", str(ambient)) for a in argv]
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["verify-mcffe", "--x", "two", "--y", "2"])
+            assert exit_info.value.code == 2
+            assert cli.main(["verify-mcffe", "--x", "9", "--y", "2"]) == 2
+            capsys.readouterr()
+            assert cli.main(argv) == status
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_cap_is_read_on_every_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("MOTIVIC_KIT_MAX_SIZE", raising=False)
+        argv = ["verify-mcffe", "--x", "7", "--y", "1"]
+        assert cli.main(argv) == 2
+        monkeypatch.setenv("MOTIVIC_KIT_MAX_SIZE", "7")
+        assert cli.main(argv) == 0
+        monkeypatch.setenv("MOTIVIC_KIT_MAX_SIZE", "2")
+        assert cli.main(["verify-mcffe", "--x", "3", "--y", "1"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "error: size bound 7 exceeds the safety limit 6 (override with "
+            "MOTIVIC_KIT_MAX_SIZE)", "1 = 1, PASS",
+            "error: size bound 3 exceeds the safety limit 2 (override with "
+            "MOTIVIC_KIT_MAX_SIZE)"]
+
+    def test_main_constructs_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0
+        assert cli.main(["kappa", "--components", "A", "--ambient", "X",
+                         "--dim", "1"]) == 0
+        with pytest.raises(SystemExit):
+            cli.main(["no-such-command"])
+        assert built == []
 
 
 # --- malformed input files ---------------------------------------------------

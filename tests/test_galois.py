@@ -1,7 +1,12 @@
+import itertools
 import json
+import time
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+
+from helpers import brute_is_associative, group_like_tables
 
 from motivic_kit.artin import graph_matrix, morphism_from_setmap
 from motivic_kit.finsets import FinSet, SetMap
@@ -42,6 +47,36 @@ class TestFiniteGroup:
                  [4, 3, 1, 2, 0]]
         with pytest.raises(ValueError):
             FiniteGroup(table)
+
+    @staticmethod
+    def accepted(table) -> bool:
+        try:
+            FiniteGroup(table)
+        except ValueError as exc:
+            assert str(exc) == "multiplication is not associative"
+            return False
+        return True
+
+    @settings(max_examples=400, deadline=None)
+    @given(group_like_tables())
+    def test_light_test_agrees_with_brute_force(self, table):
+        assert self.accepted(table) == brute_is_associative(table)
+
+    def test_light_test_agrees_on_every_order_three_table(self):
+        # identity 0; the four other entries range over all 3^4 choices
+        verdicts = set()
+        for a, b, c, d in itertools.product(range(3), repeat=4):
+            table = [[0, 1, 2], [1, a, b], [2, c, d]]
+            if 0 in table[1] and 0 in table[2]:
+                verdict = brute_is_associative(table)
+                assert self.accepted(table) == verdict
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_large_cyclic_group_is_quick(self):
+        start = time.perf_counter()
+        assert cyclic_group(400).order == 400
+        assert time.perf_counter() - start < 1.0
 
     def test_no_identity_rejected(self):
         with pytest.raises(ValueError):

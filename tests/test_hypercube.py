@@ -3,9 +3,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (inclusion_exclusion_euler, nerve_oracle_homology,
-                     random_cover, union_find_components)
+                     random_cover, schoolbook_matmul, union_find_components)
 from motivic_kit.hypercube import (ChainMap, CStar, CubeDiagram, KSVertex,
                                    Product, Shift, Twist, ZeroMotive,
                                    build_kappa, compose_edge_labels,
@@ -280,3 +282,131 @@ class TestFormalMotive:
     def test_rendering(self):
         assert str(Shift(Twist(CStar(("A", "B")), -1), -2)) == \
             "C_*(A&B)(-1)[-2]"
+
+
+# --- composites against the checked constructor ------------------------------
+
+def assert_composite_rechecks(f: ChainMap, g: ChainMap):
+    """f.then(g), which skips the d-commutation check, passes the checked
+    constructor unchanged and is the blockwise schoolbook product."""
+    composite = f.then(g)
+    checked = ChainMap(f.source, g.target, composite.blocks)
+    assert checked == composite
+    for q in range(min(f.source.lo, g.target.lo),
+                   max(f.source.hi, g.target.hi) + 1):
+        assert composite.at(q) == schoolbook_matmul(g.at(q), f.at(q))
+
+
+def inclusion_map(source_pts, target_pts, source, target) -> ChainMap:
+    index = {p: i for i, p in enumerate(target_pts)}
+    return ChainMap(source, target, {0: QMatrix(
+        len(target_pts), len(source_pts),
+        [1 if index[p] == i else 0
+         for i in range(len(target_pts)) for p in source_pts])})
+
+
+def cover_into_union(comps):
+    """The cover cube of `comps` and the inclusions of its singletons into
+    the complex on the union."""
+    cube, union = cover_cube_diagram(comps)
+    ambient = single_degree_complex(len(union))
+    singles = {frozenset({i}): inclusion_map(sorted(set(c)), union,
+                                             cube.vertices[frozenset({i})],
+                                             ambient)
+               for i, c in enumerate(comps)}
+    return cube, ambient, singles
+
+
+def changed_entry(m: ChainMap, row: int, col: int) -> ChainMap:
+    block = m.at(0)
+    entries = list(block.entries)
+    entries[row * block.cols + col] += 1
+    return ChainMap(m.source, m.target,
+                    {0: QMatrix(block.rows, block.cols, entries)})
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes in degrees 0..hi <= 2 with d_1 d_2 = 0: d_2 lands in the
+    first r basis vectors of degree 1, and d_1 vanishes on them."""
+    hi = draw(st.integers(0, 2))
+    dims = {q: draw(st.integers(0, 3)) for q in range(hi + 1)}
+    entries = st.integers(-2, 2)
+    r = draw(st.integers(0, dims[1])) if hi == 2 else 0
+    diffs = {}
+    if hi >= 1:
+        diffs[1] = QMatrix(dims[0], dims[1], [
+            0 if j < r else draw(entries)
+            for _ in range(dims[0]) for j in range(dims[1])])
+    if hi == 2:
+        diffs[2] = QMatrix(dims[1], dims[2], [
+            draw(entries) if i < r else 0
+            for i in range(dims[1]) for _ in range(dims[2])])
+    return ChainComplex(0, hi, dims, diffs)
+
+
+@st.composite
+def chain_maps(draw, source: ChainComplex, target: ChainComplex):
+    """d h + h d for a random h of degree +1, plus the identity when the
+    ends agree: a chain map by construction."""
+    h = {q: QMatrix(target.dim(q + 1), source.dim(q), [
+        draw(st.integers(-2, 2))
+        for _ in range(target.dim(q + 1) * source.dim(q))])
+        for q in range(-1, max(source.hi, target.hi) + 1)}
+    blocks = {}
+    for q in range(0, max(source.hi, target.hi) + 1):
+        block = (matmul(target.differential(q + 1), h[q])
+                 + matmul(h[q - 1], source.differential(q)))
+        if source == target:
+            block = block + QMatrix.identity(source.dim(q))
+        blocks[q] = block
+    return ChainMap(source, target, blocks)
+
+
+@st.composite
+def composable_pairs(draw):
+    a, b, c = (draw(small_complexes()) for _ in range(3))
+    if draw(st.booleans()):
+        b = a
+    return draw(chain_maps(a, b)), draw(chain_maps(b, c))
+
+
+class TestComposites:
+    @settings(max_examples=150, deadline=None)
+    @given(composable_pairs())
+    def test_small_complexes(self, pair):
+        assert_composite_rechecks(*pair)
+
+    def test_randomized_covers(self):
+        rng = random.Random(2026)
+        for trial in range(25):
+            cube, _, singles = cover_into_union(random_cover(rng))
+            for (big, small), f in cube.edges.items():
+                for (start, _), g in cube.edges.items():
+                    if start == small:
+                        assert_composite_rechecks(f, g)
+                if len(small) == 1:
+                    assert_composite_rechecks(f, singles[small])
+
+    def test_square_with_one_changed_entry_rejected(self):
+        rng = random.Random(7)
+        for trial in range(10):
+            # a shared point keeps the triple intersection nonempty
+            comps = [c + ["shared"] for c in random_cover(rng, 3)]
+            while len(comps) < 3:
+                comps.append(["shared"])
+            cube, ambient, singles = cover_into_union(comps)
+            CubeDiagram(3, cube.vertices, cube.edges)
+            edges = dict(cube.edges)
+            key = (frozenset({0, 1, 2}), frozenset({0, 1}))
+            edges[key] = changed_entry(edges[key], 0, 0)
+            with pytest.raises(ValueError, match=r"^square at \[0, 1, 2\] "
+                               r"minus \{0,2\} does not commute$"):
+                CubeDiagram(3, cube.vertices, edges)
+            ks_hocolim(ambient, cube, singles)
+            zero = frozenset({0})
+            shared = sorted(set(comps[0])).index("shared")
+            singles[zero] = changed_entry(singles[zero], 0, shared)
+            with pytest.raises(ValueError, match=r"^maps into ambient from "
+                               r"\[0, 1\] are incompatible$"):
+                ks_hocolim(ambient, cube, singles)

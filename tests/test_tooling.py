@@ -1,6 +1,7 @@
 """Repository-wide checks: a stdlib-only runtime, a resolvable API, one
 base class for the immutable values, integers kept as integers, one
-reader for outside JSON, and no relabeling search on the census path."""
+reader for outside JSON, no relabeling search on the census path, one
+unchecked construction path, and a CLI parser built only at import."""
 
 import ast
 import sys
@@ -126,3 +127,42 @@ def test_census_path_has_no_permutation_search():
              if isinstance(node, ast.Call)
              and ast.unparse(node.func).split(".")[-1] == "permutations"}
     assert calls == set()
+
+
+def calls_by_function(path: Path):
+    """(enclosing 'Class.function' or 'function' or None, unparsed callee)
+    for every call in a source file."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, ast.ClassDef):
+                inner = child.name
+            elif isinstance(child, ast.FunctionDef):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            if isinstance(child, ast.Call):
+                yield inner, ast.unparse(child.func)
+            yield from visit(child, inner)
+    yield from visit(ast.parse(path.read_text(), str(path)), None)
+
+
+def test_chain_map_composite_is_the_only_unchecked_construction():
+    # object.__new__ skips a constructor's validation
+    sites = [(path.name, owner) for path in SOURCES
+             for owner, callee in calls_by_function(path)
+             if callee == "object.__new__"]
+    assert sites == [("hypercube.py", "ChainMap.then")]
+
+
+def test_cli_builds_its_parser_only_at_import():
+    [cli] = [p for p in SOURCES if p.name == "cli.py"]
+    calls = list(calls_by_function(cli))
+    builders = {owner for owner, callee in calls
+                if callee.split(".")[-1] == "ArgumentParser"}
+    at_import = {callee for owner, callee in calls if owner is None}
+    assert builders and None not in builders
+    # each function that constructs a parser runs at import ...
+    assert builders <= at_import
+    # ... and neither main nor run constructs one or calls a builder
+    for entry in ("main", "run"):
+        called = {callee for owner, callee in calls if owner == entry}
+        assert called.isdisjoint(builders | {"argparse.ArgumentParser"})
