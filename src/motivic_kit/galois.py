@@ -135,7 +135,8 @@ class GSet(Value):
     """A finite set with a left action of a finite group.
 
     action[g] is the bijection of the carrier by g, and
-    action[g*h] = action[g] o action[h] is checked on the full table.
+    action[g*s] = action[g] o action[s] is checked for every g and every
+    generator s, which gives it for every pair.
     """
 
     __slots__ = ("group", "carrier", "action")
@@ -151,11 +152,12 @@ class GSet(Value):
                 raise ValueError("action maps must be bijective")
         if action[group.identity].values != tuple(range(carrier.size)):
             raise ValueError("identity must act trivially")
-        for g in group.elements():
-            for h in group.elements():
-                # left action: (g*h).x = g.(h.x)
-                gh = compose(action[h], action[g])
-                if gh.values != action[group.mul(g, h)].values:
+        # left action: (g*s).x = g.(s.x) for the generators s gives every
+        # product, by induction on the length of a word in them
+        for s in group.generating_set():
+            for g in group.elements():
+                gs = compose(action[s], action[g])
+                if gs.values != action[group.mul(g, s)].values:
                     raise ValueError("action is not a homomorphism")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "carrier", carrier)
@@ -242,7 +244,11 @@ def sub_gset(x: GSet, elements) -> GSet:
 
 
 def equivariant_set_maps(x: GSet, y: GSet) -> list:
-    """All set maps f with f(g.a) = g.f(a) for every group element g."""
+    """All set maps f with f(g.a) = g.f(a) for every group element g.
+
+    Checked on every element, not on a generating set, so that the two
+    sides of the descent comparison do not rest on the same generators.
+    """
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
     out = []
@@ -262,16 +268,9 @@ def fixed_coalgebra_morphisms(x: GSet, y: GSet) -> list:
     """
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
-    morphisms = solve_coalgebra_morphisms(x.carrier, y.carrier)
-    out = []
-    for c in morphisms:
-        fixed = True
-        for g in x.group.elements():
-            py = graph_matrix(y.act(g))
-            px_inv = graph_matrix(x.act(g)).transpose()
-            if matmul(matmul(py, c.matrix), px_inv) != c.matrix:
-                fixed = False
-                break
-        if fixed:
-            out.append(c)
-    return out
+    # a matrix fixed by the generators is fixed by every product of them
+    actions = [(graph_matrix(y.act(g)), graph_matrix(x.act(g)).transpose())
+               for g in x.group.generating_set()]
+    return [c for c in solve_coalgebra_morphisms(x.carrier, y.carrier)
+            if all(matmul(matmul(py, c.matrix), px_inv) == c.matrix
+                   for py, px_inv in actions)]

@@ -5,11 +5,17 @@ I via characteristic functions.  A punctured cube diagram assigns a chain
 complex to every nonempty subset and a chain map to every one-step
 inclusion, contravariantly (deeper intersections map to shallower ones);
 its homotopy colimit is realized as the total complex with alternating
-signs, one column per subset size.  Adding an ambient complex and a zero
-vertex gives the compactly-supported model, realized as a mapping cone.
+signs, one column per subset size.  The compactly-supported model puts
+an ambient complex at the empty vertex, with one chain map into it from
+each singleton; the total complex of that full cube is the mapping cone
+of the punctured colimit into the ambient.  One builder serves both:
+column p holds the subsets of size p + (smallest size), the internal
+differential of column p carries the sign (-1)^p, and the edge
+s -> s - {i} the sign (-1)^(position of i in sorted(s)).
 
 The compactification diagrams themselves are symbolic: vertices carry
-formal expressions with twist and shift annotations, never evaluated.
+formal expressions, never evaluated, and the twist and shift of the
+colimit are integers on the diagram.
 """
 
 from __future__ import annotations
@@ -221,24 +227,6 @@ def _subset(name: str, vertices=None) -> frozenset:
     return s
 
 
-def _total_layout(d: CubeDiagram):
-    """Degree range, dimensions, and summand offsets of the total complex."""
-    summands = [(len(s) - 1, s) for s in d.subsets()]
-    lo = min(d.vertices[s].lo for _, s in summands)
-    hi = max(p + d.vertices[s].hi for p, s in summands)
-    dims = {}
-    offsets = {}
-    for m in range(lo, hi + 1):
-        off = {}
-        total = 0
-        for p, s in summands:
-            off[s] = total
-            total += d.vertices[s].dim(m - p)
-        dims[m] = total
-        offsets[m] = off
-    return lo, hi, dims, offsets, summands
-
-
 def _add_block(entries: list, cols: int, block: QMatrix, r0: int, c0: int,
                sign: int = 1):
     """Add sign * block into a row-major entry list at row r0, column c0."""
@@ -249,93 +237,83 @@ def _add_block(entries: list, cols: int, block: QMatrix, r0: int, c0: int,
                 entries[base + j] += v if sign == 1 else -v
 
 
-def punctured_cube_hocolim(d: CubeDiagram) -> ChainComplex:
-    """The total complex computing the homotopy colimit of the cube.
+def _total_complex(vertices, edges) -> ChainComplex:
+    """The total complex of a cube diagram on the subsets in `vertices`.
 
-    Column p collects the subsets of size p+1, shifted up by p; the
+    Column p collects the subsets of size p + (smallest size), shifted up
+    by p, and the degree range is that of the shifted vertices; the
     differential combines internal differentials with sign (-1)^p and the
-    alternating sum of one-step edge maps, signed by the position of the
-    omitted index.
+    one-step edge maps s -> s - {i} between vertices, signed by the
+    position of i in sorted(s).
     """
-    if not d.vertices:
-        return single_degree_complex(0)
-    lo, hi, dims, offsets, summands = _total_layout(d)
+    summands = sorted(vertices, key=_subset_key)
+    column = {s: len(s) - len(summands[0]) for s in summands}
+    lo = min(column[s] + vertices[s].lo for s in summands)
+    hi = max(column[s] + vertices[s].hi for s in summands)
+    dims = {}
+    offsets = {}
+    for m in range(lo, hi + 1):
+        offsets[m] = {}
+        total = 0
+        for s in summands:
+            offsets[m][s] = total
+            total += vertices[s].dim(m - column[s])
+        dims[m] = total
     diffs = {}
     for m in range(lo + 1, hi + 1):
         rows, cols = dims[m - 1], dims[m]
         entries = [0] * (rows * cols)
-        for p, s in summands:
-            q = m - p
-            if not d.vertices[s].dim(q):
+        for s in summands:
+            q = m - column[s]
+            if not vertices[s].dim(q):
                 continue
             c0 = offsets[m][s]
-            # internal differential, sign (-1)^p
-            _add_block(entries, cols, d.vertices[s].differential(q),
-                       offsets[m - 1][s], c0, (-1) ** p)
-            # edge maps to one-step-smaller subsets
+            _add_block(entries, cols, vertices[s].differential(q),
+                       offsets[m - 1][s], c0, (-1) ** column[s])
             for idx, el in enumerate(sorted(s)):
                 small = s - {el}
-                if not small:
-                    continue
-                _add_block(entries, cols, d.edges[(s, small)].at(q),
-                           offsets[m - 1][small], c0, (-1) ** idx)
+                if small in vertices:
+                    _add_block(entries, cols, edges[(s, small)].at(q),
+                               offsets[m - 1][small], c0, (-1) ** idx)
         diffs[m] = QMatrix(rows, cols, entries)
     return ChainComplex(lo, hi, dims, diffs)
+
+
+def punctured_cube_hocolim(d: CubeDiagram) -> ChainComplex:
+    """The total complex computing the homotopy colimit of the cube:
+    column p collects the subsets of size p+1, shifted up by p."""
+    if not d.vertices:
+        return single_degree_complex(0)
+    return _total_complex(d.vertices, d.edges)
 
 
 def ks_hocolim(ambient: ChainComplex, d: CubeDiagram,
                singleton_maps) -> ChainComplex:
     """Mapping cone of the punctured-cube colimit mapping into an ambient.
 
-    `singleton_maps` assigns a chain map D({i}) -> ambient to each
-    singleton.  Composites from deeper subsets must be path independent;
-    any incompatibility is rejected.  The empty cube returns the ambient
-    unchanged.
+    The ambient sits at the empty vertex, and `singleton_maps` assigns the
+    edge D({i}) -> ambient to each singleton; the total complex of the
+    augmented cube is the cone.  The squares at the empty corner must
+    commute, and then every longer path agrees, since the squares of `d`
+    do.  The empty cube returns the ambient unchanged.
     """
-    if not d.vertices:
-        return ChainComplex(ambient.lo, ambient.hi, ambient.dims,
-                            ambient.differentials)
     singleton_maps = {frozenset(s): m for s, m in singleton_maps.items()}
-    into_ambient = {}
-    for s in d.subsets():
-        if len(s) == 1:
-            if s not in singleton_maps:
-                raise ValueError(f"missing map into ambient for {sorted(s)}")
-            m = singleton_maps[s]
-            if m.source != d.vertices[s] or m.target != ambient:
-                raise ValueError("singleton map has wrong endpoints")
-            into_ambient[s] = m
-        else:
-            candidates = [d.edges[(s, s - {el})].then(into_ambient[s - {el}])
-                          for el in sorted(s)]
-            for other in candidates[1:]:
-                if other != candidates[0]:
-                    raise ValueError(f"maps into ambient from {sorted(s)} "
-                                     "are incompatible")
-            into_ambient[s] = candidates[0]
-
-    tot = punctured_cube_hocolim(d)
-    _, _, _, toffsets, summands = _total_layout(d)
-    lo = min(ambient.lo, tot.lo + 1)
-    hi = max(ambient.hi, tot.hi + 1)
-    dims = {m: ambient.dim(m) + tot.dim(m - 1) for m in range(lo, hi + 1)}
-    diffs = {}
-    for m in range(lo + 1, hi + 1):
-        rows, cols = dims[m - 1], dims[m]
-        entries = [0] * (rows * cols)
-        _add_block(entries, cols, ambient.differential(m), 0, 0)
-        # columns: A_m then Tot_{m-1}; rows: A_{m-1} then Tot_{m-2}
-        _add_block(entries, cols, tot.differential(m - 1),
-                   ambient.dim(m - 1), ambient.dim(m), -1)
-        # the induced map Tot -> ambient lives on the p = 0 column
-        if tot.dim(m - 1):
-            for p, s in summands:
-                if p != 0:
-                    continue
-                _add_block(entries, cols, into_ambient[s].at(m - 1),
-                           0, ambient.dim(m) + toffsets[m - 1][s])
-        diffs[m] = QMatrix(rows, cols, entries)
-    return ChainComplex(lo, hi, dims, diffs)
+    edges = dict(d.edges)
+    for i in range(d.index_size):
+        s = frozenset({i})
+        if s not in singleton_maps:
+            raise ValueError(f"missing map into ambient for {[i]}")
+        m = edges[(s, frozenset())] = singleton_maps[s]
+        if m.source != d.vertices[s] or m.target != ambient:
+            raise ValueError("singleton map has wrong endpoints")
+    for i, j in itertools.combinations(range(d.index_size), 2):
+        big, one, two = frozenset({i, j}), frozenset({i}), frozenset({j})
+        via_i = edges[(big, one)].then(edges[(one, frozenset())])
+        via_j = edges[(big, two)].then(edges[(two, frozenset())])
+        if via_i != via_j:
+            raise ValueError(f"maps into ambient from {[i, j]} "
+                             "are incompatible")
+    return _total_complex({frozenset(): ambient, **d.vertices}, edges)
 
 
 def hocolim_from_json(data) -> ChainComplex:
@@ -345,8 +323,14 @@ def hocolim_from_json(data) -> ChainComplex:
     ambient = field(data, "ambient", ChainComplex.from_json, optional=True)
     if ambient is None:
         return punctured_cube_hocolim(cube)
-    singles = field(data, "ambient_edges", {
-        lambda k: _subset(k, cube.vertices): {degree_key: QMatrix.from_json}})
+
+    def singleton(name):
+        s = _subset(name, cube.vertices)
+        if len(s) != 1:
+            raise InputError(f"names {sorted(s)}, which is not a singleton")
+        return s
+    singles = field(data, "ambient_edges",
+                    {singleton: {degree_key: QMatrix.from_json}})
     return ks_hocolim(ambient, cube, {
         s: ChainMap(cube.vertices[s], ambient, blocks)
         for s, blocks in singles.items()})
@@ -424,56 +408,10 @@ class Product(FormalMotive):
         inner = self.inner.normalized()
         if isinstance(inner, ZeroMotive):
             return inner
-        if isinstance(inner, (Twist, Shift)):
-            # pull twists and shifts outside the product
-            rebuilt = type(inner)(Product(inner.inner, self.label).normalized(),
-                                  inner.amount)
-            return rebuilt.normalized()
         return Product(inner, self.label)
 
     def __str__(self):
         return f"{self.inner}xC_*({self.label})"
-
-
-@dataclass(frozen=True)
-class Twist(FormalMotive):
-    inner: FormalMotive
-    amount: int
-
-    def normalized(self):
-        inner = self.inner.normalized()
-        if isinstance(inner, ZeroMotive):
-            return inner
-        if isinstance(inner, Twist):
-            return Twist(inner.inner, inner.amount + self.amount).normalized()
-        if isinstance(inner, Shift):
-            return Shift(Twist(inner.inner, self.amount).normalized(),
-                         inner.amount).normalized()
-        if self.amount == 0:
-            return inner
-        return Twist(inner, self.amount)
-
-    def __str__(self):
-        return f"{self.inner}({self.amount})"
-
-
-@dataclass(frozen=True)
-class Shift(FormalMotive):
-    inner: FormalMotive
-    amount: int
-
-    def normalized(self):
-        inner = self.inner.normalized()
-        if isinstance(inner, ZeroMotive):
-            return inner
-        if isinstance(inner, Shift):
-            return Shift(inner.inner, inner.amount + self.amount).normalized()
-        if self.amount == 0:
-            return inner
-        return Shift(inner, self.amount)
-
-    def __str__(self):
-        return f"{self.inner}[{self.amount}]"
 
 
 @dataclass(frozen=True, order=True)

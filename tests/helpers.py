@@ -7,10 +7,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from motivic_kit.finsets import FinDiagram, FinSet, SetMap
+from motivic_kit.finsets import FinDiagram, FinSet, SetMap, compose
 from motivic_kit.hypercube import ChainMap, cover_cube_diagram
-from motivic_kit.qlinalg import (QMatrix, kron, matmul, nullity, rank,
-                                 single_degree_complex)
+from motivic_kit.qlinalg import (ChainComplex, QMatrix, kron, matmul, nullity,
+                                 rank, single_degree_complex)
 
 
 def schoolbook_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -206,6 +206,13 @@ def brute_is_associative(table) -> bool:
                for a in range(n) for b in range(n) for c in range(n))
 
 
+def brute_is_homomorphism(group, action) -> bool:
+    """action[g*h] == action[g] o action[h] over all n^2 pairs of elements."""
+    return all(compose(action[h], action[g]).values
+               == action[group.mul(g, h)].values
+               for g in group.elements() for h in group.elements())
+
+
 @st.composite
 def group_like_tables(draw, max_order: int = 6):
     """Multiplication tables with an identity and a right inverse of every
@@ -326,6 +333,112 @@ def ambient_cube_payload() -> dict:
         chain = ChainMap(cube.vertices[frozenset({i})], ambient, {0: m})
         payload["ambient_edges"][str(i)] = chain.to_json()
     return payload
+
+
+def _place(entries: list, cols: int, block: QMatrix, r0: int, c0: int,
+           sign: int = 1):
+    for i in range(block.rows):
+        for j, v in enumerate(block.row(i)):
+            entries[(r0 + i) * cols + c0 + j] += sign * v
+
+
+def _dense_layout(d):
+    """Degree range, dimensions and summand offsets of the punctured total
+    complex: column p = |s| - 1, subsets by size, then sorted."""
+    summands = [(len(s) - 1, s) for s in d.subsets()]
+    lo = min(d.vertices[s].lo for _, s in summands)
+    hi = max(p + d.vertices[s].hi for p, s in summands)
+    dims = {}
+    offsets = {}
+    for m in range(lo, hi + 1):
+        off = {}
+        total = 0
+        for p, s in summands:
+            off[s] = total
+            total += d.vertices[s].dim(m - p)
+        dims[m] = total
+        offsets[m] = off
+    return lo, hi, dims, offsets, summands
+
+
+def dense_punctured_total(d) -> ChainComplex:
+    """The punctured total complex, assembled on its own: internal sign
+    (-1)^p, edge s -> s - {el} signed by the position of el."""
+    if not d.vertices:
+        return single_degree_complex(0)
+    lo, hi, dims, offsets, summands = _dense_layout(d)
+    diffs = {}
+    for m in range(lo + 1, hi + 1):
+        rows, cols = dims[m - 1], dims[m]
+        entries = [0] * (rows * cols)
+        for p, s in summands:
+            q = m - p
+            c0 = offsets[m][s]
+            _place(entries, cols, d.vertices[s].differential(q),
+                   offsets[m - 1][s], c0, (-1) ** p)
+            for idx, el in enumerate(sorted(s)):
+                small = s - {el}
+                if small:
+                    _place(entries, cols, d.edges[(s, small)].at(q),
+                           offsets[m - 1][small], c0, (-1) ** idx)
+        diffs[m] = QMatrix(rows, cols, entries)
+    return ChainComplex(lo, hi, dims, diffs)
+
+
+def dense_cone(ambient: ChainComplex, d, singleton_maps) -> ChainComplex:
+    """The mapping cone of the punctured total complex into the ambient,
+    [[d_A, f], [0, -d_Tot]] with A_m before Tot_{m-1}, where f is the map
+    each summand of column 0 sends into the ambient.  Every path from a
+    subset into the ambient is composed and compared."""
+    if not d.vertices:
+        return ambient
+    into_ambient = {}
+    for s in d.subsets():
+        if len(s) == 1:
+            if s not in singleton_maps:
+                raise ValueError(f"missing map into ambient for {sorted(s)}")
+            m = singleton_maps[s]
+            if m.source != d.vertices[s] or m.target != ambient:
+                raise ValueError("singleton map has wrong endpoints")
+            into_ambient[s] = m
+        else:
+            candidates = [d.edges[(s, s - {el})].then(into_ambient[s - {el}])
+                          for el in sorted(s)]
+            if any(other != candidates[0] for other in candidates[1:]):
+                raise ValueError(f"maps into ambient from {sorted(s)} "
+                                 "are incompatible")
+            into_ambient[s] = candidates[0]
+    tot = dense_punctured_total(d)
+    _, _, _, toffsets, summands = _dense_layout(d)
+    lo = min(ambient.lo, tot.lo + 1)
+    hi = max(ambient.hi, tot.hi + 1)
+    dims = {m: ambient.dim(m) + tot.dim(m - 1) for m in range(lo, hi + 1)}
+    diffs = {}
+    for m in range(lo + 1, hi + 1):
+        rows, cols = dims[m - 1], dims[m]
+        entries = [0] * (rows * cols)
+        _place(entries, cols, ambient.differential(m), 0, 0)
+        _place(entries, cols, tot.differential(m - 1),
+               ambient.dim(m - 1), ambient.dim(m), -1)
+        # the induced map Tot -> ambient lives on the p = 0 column
+        if tot.dim(m - 1):
+            for p, s in summands:
+                if p == 0:
+                    _place(entries, cols, into_ambient[s].at(m - 1),
+                           0, ambient.dim(m) + toffsets[m - 1][s])
+        diffs[m] = QMatrix(rows, cols, entries)
+    return ChainComplex(lo, hi, dims, diffs)
+
+
+def cone_basis_signs(ambient: ChainComplex, d, m: int) -> QMatrix:
+    """The diagonal basis change E in degree m of the cone: +1 on the
+    ambient and (-1)^(|s|-1) on the summand of each nonempty s."""
+    signs = [1] * ambient.dim(m)
+    for s in d.subsets():
+        signs += [(-1) ** (len(s) - 1)] * d.vertices[s].dim(m - len(s))
+    n = len(signs)
+    return QMatrix(n, n, [signs[i] if i == j else 0
+                          for i in range(n) for j in range(n)])
 
 
 def union_find_components(components) -> int:

@@ -381,6 +381,19 @@ class TestErrors:
         assert text == (f"error: {path}: ambient_edges is missing, "
                         "must be an object")
 
+    def test_ambient_edge_from_a_pair_is_rejected(self, tmp_path):
+        # a map into the ambient comes from a singleton; one keyed by a
+        # deeper subset used to be read and then dropped
+        payload = ambient_cube_payload()
+        payload["ambient_edges"]["0,1"] = {
+            "0": {"rows": 4, "cols": 1, "entries": ["5", "0", "0", "0"]}}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert status == 2
+        assert text == (f'error: {path}: ambient_edges["0,1"] names [0, 1], '
+                        "which is not a singleton")
+
     def test_declared_dom_cod_must_match_the_sets(self, tmp_path):
         path = tmp_path / "bad.json"
         for declared, message in (

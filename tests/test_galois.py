@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import time
@@ -5,11 +6,13 @@ from importlib import resources
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_is_associative, group_like_tables
+from helpers import (brute_is_associative, brute_is_homomorphism,
+                     group_like_tables)
 
 from motivic_kit.artin import graph_matrix, morphism_from_setmap
-from motivic_kit.finsets import FinSet, SetMap
+from motivic_kit.finsets import FinSet, SetMap, compose
 from motivic_kit.galois import (FiniteGroup, GSet, all_gset_actions,
                                 cyclic_group, equivariant_set_maps,
                                 fixed_coalgebra_morphisms,
@@ -98,6 +101,51 @@ class TestFiniteGroup:
         assert len(gens) <= 2
 
 
+SMALL_GROUPS = [cyclic_group(n) for n in range(1, 7)] + [
+    klein_four_group(), symmetric_group(3)]
+
+
+@functools.lru_cache(maxsize=None)
+def actions_of(group_index: int, size: int) -> list:
+    return all_gset_actions(SMALL_GROUPS[group_index], size)
+
+
+@st.composite
+def group_actions(draw, max_size: int = 4):
+    """(group, carrier, action): an action of a small group, and two times
+    in three a perturbed one.  One perturbation replaces a non-identity
+    element's bijection or swaps two; the other composes every bijection
+    on one left coset g<s> of a generator's cyclic subgroup (g outside
+    it) with one permutation, which keeps action[x*s] = action[x] o
+    action[s] for that generator s."""
+    index = draw(st.integers(0, len(SMALL_GROUPS) - 1))
+    group = SMALL_GROUPS[index]
+    x = draw(st.sampled_from(actions_of(index, draw(st.integers(1, max_size)))))
+    action = list(x.action)
+    others = [g for g in group.elements() if g != group.identity]
+    kind = draw(st.sampled_from(["none", "element", "coset"]))
+    if others and kind == "element":
+        g = draw(st.sampled_from(others))
+        if draw(st.booleans()):
+            h = draw(st.sampled_from(others))
+            action[g], action[h] = action[h], action[g]
+        else:
+            values = draw(st.permutations(range(x.carrier.size)))
+            action[g] = SetMap(x.carrier, x.carrier, values)
+    elif others and kind == "coset":
+        cyclic = group.closure([draw(st.sampled_from(
+            group.generating_set()))])
+        outside = [g for g in group.elements() if g not in cyclic]
+        if outside:
+            g = draw(st.sampled_from(outside))
+            follow = SetMap(x.carrier, x.carrier,
+                            draw(st.permutations(range(x.carrier.size))))
+            for h in cyclic:
+                gh = group.mul(g, h)
+                action[gh] = compose(action[gh], follow)
+    return group, x.carrier, action
+
+
 class TestGSet:
     def test_identity_must_act_trivially(self):
         c2 = cyclic_group(2)
@@ -114,6 +162,27 @@ class TestGSet:
         # the generator squares to swap, not to the identity
         with pytest.raises(ValueError):
             GSet(c4, s, [ident, swap, swap, swap])
+
+    @settings(max_examples=400, deadline=None)
+    @given(group_actions())
+    def test_generator_check_agrees_with_every_pair(self, group_action):
+        group, carrier, action = group_action
+        try:
+            GSet(group, carrier, action)
+        except ValueError as exc:
+            assert str(exc) == "action is not a homomorphism"
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == brute_is_homomorphism(group, action)
+
+    def test_large_cyclic_group_on_a_point_is_quick(self):
+        group = cyclic_group(1000)
+        start = time.perf_counter()
+        x = trivial_gset(group, FinSet(1))
+        assert len(fixed_coalgebra_morphisms(x, x)) == 1
+        assert len(equivariant_set_maps(x, x)) == 1
+        assert time.perf_counter() - start < 1.0
 
     def test_regular_action(self):
         g = load_group("s3")
@@ -215,6 +284,17 @@ class TestDescent:
                 graphs = {graph_matrix(f)
                           for f in equivariant_set_maps(x, y)}
                 assert fixed == graphs
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_descent_on_random_actions(self, data):
+        # fixedness is checked on generators, equivariance on every element
+        index = data.draw(st.integers(0, len(SMALL_GROUPS) - 1))
+        x, y = (data.draw(st.sampled_from(
+            actions_of(index, data.draw(st.integers(1, 3)))))
+            for _ in range(2))
+        fixed = {c.matrix for c in fixed_coalgebra_morphisms(x, y)}
+        assert fixed == {graph_matrix(f) for f in equivariant_set_maps(x, y)}
 
     def test_subgroup_restriction_enlarges(self):
         s3 = load_group("s3")

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (inclusion_exclusion_euler, nerve_oracle_homology,
+from helpers import (cone_basis_signs, dense_cone, dense_punctured_total,
+                     inclusion_exclusion_euler, nerve_oracle_homology,
                      random_cover, schoolbook_matmul, union_find_components)
 from motivic_kit.hypercube import (ChainMap, CStar, CubeDiagram, KSVertex,
-                                   Product, Shift, Twist, ZeroMotive,
-                                   build_kappa, compose_edge_labels,
-                                   cover_cube_diagram, ks_hocolim,
-                                   psi, psi_edge, psi_inverse,
+                                   Product, ZeroMotive, build_kappa,
+                                   compose_edge_labels, cover_cube_diagram,
+                                   ks_hocolim, psi, psi_edge, psi_inverse,
                                    punctured_cube_hocolim)
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex)
@@ -153,6 +153,22 @@ class TestPuncturedHocolim:
         # each vertex is acyclic, so the colimit is too
         assert all(v == 0 for v in tot.homology_dims().values())
 
+    def test_degree_range_is_that_of_the_shifted_vertices(self):
+        # [0, 1] declares degree -1, which lands in degree 0 in column 1
+        one = single_degree_complex(1)
+        deep = ChainComplex(-1, 0, {-1: 0, 0: 1}, {})
+        ident = {0: QMatrix.identity(1)}
+        cube = CubeDiagram(2, {frozenset({0}): one, frozenset({1}): one,
+                               frozenset({0, 1}): deep},
+                           {(frozenset({0, 1}), frozenset({i})):
+                            ChainMap(deep, one, ident) for i in (0, 1)})
+        tot = punctured_cube_hocolim(cube)
+        assert (tot.lo, tot.hi, tot.dims) == (0, 1, {0: 2, 1: 1})
+        ambient = single_degree_complex(2, degree=1)
+        cone = ks_hocolim(ambient, cube, {
+            frozenset({i}): ChainMap(one, ambient, {}) for i in (0, 1)})
+        assert (cone.lo, cone.hi, cone.dims) == (1, 2, {1: 4, 2: 1})
+
     def test_randomized_cover_oracles(self):
         rng = random.Random(2026)
         for trial in range(25):
@@ -187,10 +203,13 @@ def four_point_ambient_setup():
 
 class TestKsHocolim:
     def test_empty_cover_returns_ambient(self):
-        ambient = single_degree_complex(4)
-        empty = CubeDiagram(0, {}, {})
-        cone = ks_hocolim(ambient, empty, {})
-        assert cone.homology_dims() == ambient.homology_dims()
+        for ambient in (single_degree_complex(4),
+                        ChainComplex(0, 1, {0: 1, 1: 1},
+                                     {1: QMatrix(1, 1, [2])})):
+            empty = CubeDiagram(0, {}, {})
+            cone = ks_hocolim(ambient, empty, {})
+            assert cone == ambient
+            assert cone.homology_dims() == ambient.homology_dims()
 
     def test_four_points_minus_three(self):
         ambient, cube, singles = four_point_ambient_setup()
@@ -259,29 +278,8 @@ class TestKappa:
 
 
 class TestFormalMotive:
-    def test_twists_add(self):
-        e = Twist(Twist(CStar(("X",)), 1), 2).normalized()
-        assert e == Twist(CStar(("X",)), 3)
-
-    def test_shifts_add(self):
-        e = Shift(Shift(CStar(("X",)), -2), -2).normalized()
-        assert e == Shift(CStar(("X",)), -4)
-
-    def test_twist_shift_commute(self):
-        a = Twist(Shift(CStar(("X",)), 2), 1).normalized()
-        b = Shift(Twist(CStar(("X",)), 1), 2).normalized()
-        assert a == b
-
-    def test_zero_twist_dropped(self):
-        assert Twist(CStar(("X",)), 0).normalized() == CStar(("X",))
-
     def test_zero_absorbs(self):
-        assert Twist(ZeroMotive(), 5).normalized() == ZeroMotive()
         assert Product(ZeroMotive(), "Y").normalized() == ZeroMotive()
-
-    def test_rendering(self):
-        assert str(Shift(Twist(CStar(("A", "B")), -1), -2)) == \
-            "C_*(A&B)(-1)[-2]"
 
 
 # --- composites against the checked constructor ------------------------------
@@ -410,3 +408,96 @@ class TestComposites:
             with pytest.raises(ValueError, match=r"^maps into ambient from "
                                r"\[0, 1\] are incompatible$"):
                 ks_hocolim(ambient, cube, singles)
+
+
+# --- one total complex against the separately assembled cone ----------------
+
+def scaled(m: ChainMap, c: int) -> ChainMap:
+    return ChainMap(m.source, m.target,
+                    {q: block.scale(c) for q, block in m.blocks.items()})
+
+
+@st.composite
+def graded_cubes(draw):
+    """A cube on n <= 3 indices with an ambient C_0: vertex s carries
+    C_|s|, and the edge that removes index k from s, the ones into the
+    ambient included, is c_k h_|s|, for chain maps h_r : C_r -> C_(r-1)
+    and scalars c_k; so every square commutes, those at the empty corner
+    too."""
+    n = draw(st.integers(1, 3))
+    complexes = [draw(small_complexes()) for _ in range(n + 1)]
+    maps = [draw(chain_maps(complexes[k], complexes[k - 1]))
+            for k in range(1, n + 1)]
+    scales = [draw(st.sampled_from([1, -1, 2])) for _ in range(n)]
+    vertices = {frozenset(s): complexes[r]
+                for r in range(1, n + 1)
+                for s in itertools.combinations(range(n), r)}
+    edges = {(big, big - {k}): scaled(maps[len(big) - 1], scales[k])
+             for big in vertices for k in big if len(big) > 1}
+    singles = {frozenset({i}): scaled(maps[0], scales[i]) for i in range(n)}
+    return complexes[0], CubeDiagram(n, vertices, edges), singles
+
+
+def assert_one_total_complex(ambient, cube, singles):
+    """The punctured total is the separately assembled one, and the cone
+    is the block cone [[d_A, f], [0, -d_Tot]] up to the basis signs E:
+    D = E D_block E."""
+    assert punctured_cube_hocolim(cube) == dense_punctured_total(cube)
+    cone = ks_hocolim(ambient, cube, singles)
+    old = dense_cone(ambient, cube, singles)
+    assert (cone.lo, cone.hi, cone.dims) == (old.lo, old.hi, old.dims)
+    for m in range(cone.lo + 1, cone.hi + 1):
+        assert cone.differentials[m] == matmul(
+            matmul(cone_basis_signs(ambient, cube, m - 1),
+                   old.differentials[m]),
+            cone_basis_signs(ambient, cube, m))
+    assert cone.homology_dims() == old.homology_dims()
+
+
+class TestOneTotalComplex:
+    def test_randomized_covers(self):
+        rng = random.Random(2026)
+        for trial in range(25):
+            cube, ambient, singles = cover_into_union(random_cover(rng))
+            assert_one_total_complex(ambient, cube, singles)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_cubes())
+    def test_graded_cubes(self, cube_with_ambient):
+        assert_one_total_complex(*cube_with_ambient)
+
+    def test_one_complex_and_only_the_corner_squares(self, monkeypatch):
+        cube, ambient, singles = cover_into_union(
+            [["a", "b"], ["b", "c"], ["b", "d"]])
+        built, composed = [], []
+        init, then = ChainComplex.__init__, ChainMap.then
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def counting_then(self, other):
+            composed.append((self, other))
+            return then(self, other)
+        monkeypatch.setattr(ChainComplex, "__init__", counting_init)
+        monkeypatch.setattr(ChainMap, "then", counting_then)
+        ks_hocolim(ambient, cube, singles)
+        assert len(built) == 1
+        # two paths for each of the three pairs, none from [0, 1, 2]
+        assert len(composed) == 6
+        assert all(other.target == ambient for _, other in composed)
+
+    def test_missing_and_misplaced_singleton_maps(self):
+        cube, ambient, singles = cover_into_union([["a", "b"], ["b", "c"]])
+        with pytest.raises(ValueError,
+                           match=r"^missing map into ambient for \[1\]$"):
+            ks_hocolim(ambient, cube, {frozenset({0}): singles[frozenset({0})]})
+        zero = frozenset({0})
+        elsewhere = single_degree_complex(ambient.dim(0) + 1)
+        for source, target in ((ambient, ambient),
+                               (cube.vertices[zero], elsewhere)):
+            misplaced = dict(singles)
+            misplaced[zero] = ChainMap(source, target, {})
+            with pytest.raises(ValueError,
+                               match=r"^singleton map has wrong endpoints$"):
+                ks_hocolim(ambient, cube, misplaced)

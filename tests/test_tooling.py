@@ -1,7 +1,8 @@
 """Repository-wide checks: a stdlib-only runtime, a resolvable API, one
 base class for the immutable values, integers kept as integers, one
 reader for outside JSON, no relabeling search on the census path, one
-unchecked construction path, and a CLI parser built only at import."""
+unchecked construction path, a CLI parser built only at import, and one
+builder for the cube's total complexes."""
 
 import ast
 import sys
@@ -166,3 +167,23 @@ def test_cli_builds_its_parser_only_at_import():
     for entry in ("main", "run"):
         called = {callee for owner, callee in calls if owner == entry}
         assert called.isdisjoint(builders | {"argparse.ArgumentParser"})
+
+
+def test_one_builder_places_blocks_of_total_complexes():
+    # the cube's total complex and its cone come from one builder
+    placers = {(path.name, owner) for path in SOURCES
+               for owner, callee in calls_by_function(path)
+               if callee == "_add_block"}
+    assert placers == {("hypercube.py", "_total_complex")}
+
+
+def test_cone_composes_only_the_squares_at_the_empty_corner():
+    # deeper paths into the ambient agree because the cube's squares do
+    [(_, ks)] = [(p, fn) for p, fn in function_definitions("ks_hocolim")]
+    callees = {ast.unparse(node.func) for node in ast.walk(ks)
+               if isinstance(node, ast.Call)}
+    assert "_total_complex" in callees
+    assert callees.isdisjoint({"_add_block", "punctured_cube_hocolim"})
+    loops = [ast.unparse(node.iter) for node in ast.walk(ks)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert loops and not any("subsets()" in loop for loop in loops)
