@@ -21,10 +21,12 @@ from .galois import (FiniteGroup, GSet, equivariant_set_maps,
                      fixed_coalgebra_morphisms)
 from .monad import (MultisetOfDiagrams, assemble, enumerate_diagrams,
                     verify_m_identity, omega_power, functoriality_on_iso)
-from .hypercube import (CubeDiagram, ChainMap, psi, psi_inverse, psi_edge,
-                        compose_edge_labels, punctured_cube_hocolim,
+from .hypercube import (CubeDiagram, ChainMap, punctured_cube_hocolim,
                         ks_hocolim, build_kappa, cover_cube_diagram)
-from .resolution import (coface_d0, coface_d1, equalizer, level,
+from .resolution import (coface_d0, coface_d1, level2_coface_d0,
+                         level2_coface_d1, level2_coface_d2,
+                         codegeneracy_level1, codegeneracy_level2_s0,
+                         codegeneracy_level2_s1, equalizer, level,
                          verify_mdffe)
 
 __version__ = "0.1.0"
@@ -43,8 +45,9 @@ __all__ = [
     "fixed_coalgebra_morphisms",
     "MultisetOfDiagrams", "assemble", "verify_m_identity", "omega_power",
     "functoriality_on_iso",
-    "CubeDiagram", "ChainMap", "psi", "psi_inverse", "psi_edge",
-    "compose_edge_labels", "punctured_cube_hocolim", "ks_hocolim",
+    "CubeDiagram", "ChainMap", "punctured_cube_hocolim", "ks_hocolim",
     "build_kappa", "cover_cube_diagram",
-    "coface_d0", "coface_d1", "equalizer", "level", "verify_mdffe",
+    "coface_d0", "coface_d1", "level2_coface_d0", "level2_coface_d1",
+    "level2_coface_d2", "codegeneracy_level1", "codegeneracy_level2_s0",
+    "codegeneracy_level2_s1", "equalizer", "level", "verify_mdffe",
 ]

@@ -11,8 +11,10 @@ three equation families
     (delta1)  every entry is idempotent, hence 0 or 1,
     (delta2)  distinct entries in one column multiply to 0,
 
-which together force C to be the graph of a set map.  The solver follows
-exactly this derivation, and duality transposes everything onto monoids.
+which together force C to be the graph of a set map.  The solver does not
+solve these equations: it enumerates the graphs of all set maps and checks
+each one, so that no other matrix is a morphism rests on this derivation
+alone.  Duality transposes everything onto monoids.
 """
 
 from __future__ import annotations
@@ -151,10 +153,6 @@ def dual_monoid(c: ArtinComonoid) -> ArtinMonoid:
     return ArtinMonoid(c.carrier, c.counit.transpose(), c.comult.transpose())
 
 
-def dual_comonoid(m: ArtinMonoid) -> ArtinComonoid:
-    return ArtinComonoid(m.carrier, m.unit.transpose(), m.mult.transpose())
-
-
 def coalgebra_morphism_violations(c: QMatrix, x: ArtinComonoid,
                                   y: ArtinComonoid) -> list:
     """Names of the failing equations for C as a comonoid morphism X -> Y.
@@ -226,10 +224,6 @@ def monoid_morphism_violations(m: QMatrix, x: ArtinMonoid,
     return violations
 
 
-def is_monoid_morphism(m: QMatrix, x: ArtinMonoid, y: ArtinMonoid) -> bool:
-    return not monoid_morphism_violations(m, x, y)
-
-
 class CoalgMorphism(Value):
     """A matrix morphism of comonoids, validated at construction."""
 
@@ -274,13 +268,13 @@ def setmap_from_morphism(c: CoalgMorphism) -> SetMap:
 
 
 def solve_coalgebra_morphisms(x: FinSet, y: FinSet) -> list:
-    """The complete finite list of comonoid morphisms C_*X -> C_*Y.
+    """The comonoid morphisms C_*X -> C_*Y, one per set map X -> Y.
 
-    Equation (delta1) makes every entry an idempotent rational, hence 0 or
-    1; (delta2) leaves at most one nonzero per column; (eps) then pins each
-    column sum to 1.  The candidates are therefore exactly the graphs of
-    set maps X -> Y, and each one is verified against both diagrams before
-    being returned.  Deterministic order (lexicographic in the map).
+    The candidates are the graphs of the maps from `all_maps`, and no other
+    matrix is tried; each graph is checked against both diagrams, and one
+    that fails raises AssertionError.  That the list is complete is the
+    derivation in the module docstring, not a search.  Deterministic order
+    (lexicographic in the map).
     """
     cx = artin_comonoid(x)
     cy = artin_comonoid(y)

@@ -48,7 +48,8 @@ def _check_limits(args, limit: int):
     """Bound the numeric arguments of any subcommand from both sides.
 
     Only the arguments the subcommand has are checked; --bound counts with
-    its default 2 where it exists.
+    its default 2 where it exists, and --components by its length, since
+    kappa prints one row per subset of the components.
     """
     bounds = getattr(args, "bounds", ())
     if getattr(args, "dim", 0) < 0:
@@ -59,6 +60,8 @@ def _check_limits(args, limit: int):
     sizes = [getattr(args, name) for name in ("x", "y", "k", "bound")
              if hasattr(args, name)]
     _check_sizes("size bound", [*sizes, *bounds], limit)
+    if hasattr(args, "components"):
+        _check_sizes("number of components", [len(args.components)], limit)
 
 
 def _emit(args, table_lines, data) -> str:
@@ -173,7 +176,7 @@ def _cmd_kappa(args):
     diagram = build_kappa(args.components, args.ambient, args.dim)
     if args.cross:
         diagram = diagram.cross_with(args.cross)
-    lines = [f"{name}: {expr}" for name, expr in diagram.rows()]
+    lines = [f"{name}: {expr}" for name, expr in diagram.rows]
     lines.append(diagram.annotation())
     return 0, _emit(args, lines, diagram.to_json())
 

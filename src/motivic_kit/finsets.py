@@ -119,10 +119,6 @@ class SetMap(Value):
                       field(data, "values", [int]))
 
 
-def identity_map(s: FinSet) -> SetMap:
-    return SetMap(s, s, range(s.size))
-
-
 def compose(f: SetMap, g: SetMap) -> SetMap:
     """The composite "f then g", i.e. g o f; requires f.cod = g.dom."""
     if f.cod.size != g.dom.size:
@@ -261,10 +257,6 @@ class DiagramIso(Value):
 
     def to_json(self):
         return {"components": [c.to_json() for c in self.components]}
-
-
-def identity_iso(d: FinDiagram) -> DiagramIso:
-    return DiagramIso(d, d, tuple(identity_map(s) for s in d.sets))
 
 
 def _level_classes(d: FinDiagram) -> list:

@@ -9,11 +9,9 @@ matching them up.
 
 from __future__ import annotations
 
-import itertools
-
 from ._value import InputError, Value, field
 from .artin import graph_matrix, solve_coalgebra_morphisms
-from .finsets import FinSet, SetMap, all_maps, compose, identity_map
+from .finsets import FinSet, SetMap, all_maps, compose
 from .qlinalg import matmul
 
 
@@ -114,23 +112,6 @@ class FiniteGroup(Value):
         return g
 
 
-def cyclic_group(n: int) -> FiniteGroup:
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
-
-
-def klein_four_group() -> FiniteGroup:
-    # elements are bit pairs 0..3, product is xor
-    return FiniteGroup([[i ^ j for j in range(4)] for i in range(4)])
-
-
-def symmetric_group(n: int) -> FiniteGroup:
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms]
-             for p in perms]
-    return FiniteGroup(table)
-
-
 class GSet(Value):
     """A finite set with a left action of a finite group.
 
@@ -181,66 +162,6 @@ class GSet(Value):
         action = [SetMap(carrier, carrier, values)
                   for values in field(data, "action", [[int]])]
         return GSet(group, carrier, action)
-
-
-def trivial_gset(group: FiniteGroup, carrier: FinSet) -> GSet:
-    return GSet(group, carrier,
-                [identity_map(carrier) for _ in group.elements()])
-
-
-def regular_gset(group: FiniteGroup) -> GSet:
-    """The group acting on itself by left translation."""
-    carrier = FinSet(group.order)
-    action = [SetMap(carrier, carrier,
-                     [group.mul(g, h) for h in group.elements()])
-              for g in group.elements()]
-    return GSet(group, carrier, action)
-
-
-def gset_from_generator_images(group: FiniteGroup, carrier: FinSet,
-                               gens, images) -> GSet:
-    """Extend bijections assigned to generators to a full action, or raise."""
-    assigned = {group.identity: identity_map(carrier)}
-    for a, i, b in group.cayley_edges(gens):
-        m = compose(assigned[a], images[i])  # generator i acts after a
-        if b not in assigned:
-            assigned[b] = m
-        elif assigned[b].values != m.values:
-            raise ValueError("generator images are inconsistent")
-    if len(assigned) != group.order:
-        raise ValueError("generators do not generate")
-    return GSet(group, carrier, [assigned[g] for g in group.elements()])
-
-
-def all_gset_actions(group: FiniteGroup, size: int) -> list:
-    """Every action of the group on a set of the given size.
-
-    Enumerated via images of a generating set, so the cost is
-    (size!)^(number of generators) candidate tuples.
-    """
-    carrier = FinSet(size)
-    gens = group.generating_set()
-    if not gens:
-        return [trivial_gset(group, carrier)]
-    perms = [SetMap(carrier, carrier, p)
-             for p in itertools.permutations(range(size))]
-    out = []
-    for images in itertools.product(perms, repeat=len(gens)):
-        try:
-            out.append(gset_from_generator_images(group, carrier, gens, images))
-        except ValueError:
-            continue
-    return out
-
-
-def sub_gset(x: GSet, elements) -> GSet:
-    """Restrict the action to the subgroup generated by the given elements."""
-    group = x.group
-    closed = sorted(group.closure(list(elements)))
-    index = {g: i for i, g in enumerate(closed)}
-    table = [[index[group.mul(a, b)] for b in closed] for a in closed]
-    sub = FiniteGroup(table)
-    return GSet(sub, x.carrier, [x.action[g] for g in closed])
 
 
 def equivariant_set_maps(x: GSet, y: GSet) -> list:

@@ -1,7 +1,7 @@
-"""Hypercube index combinatorics and exact homotopy colimits of cubes.
+"""Exact homotopy colimits of cubes of chain complexes.
 
-Vertices of a hypercube on an index set I are identified with subsets of
-I via characteristic functions.  A punctured cube diagram assigns a chain
+Vertices of a hypercube on an index set I are the subsets of I, keyed in
+input files by their comma-joined sorted indices.  A punctured cube diagram assigns a chain
 complex to every nonempty subset and a chain map to every one-step
 inclusion, contravariantly (deeper intersections map to shallower ones);
 its homotopy colimit is realized as the total complex with alternating
@@ -13,9 +13,10 @@ column p holds the subsets of size p + (smallest size), the internal
 differential of column p carries the sign (-1)^p, and the edge
 s -> s - {i} the sign (-1)^(position of i in sorted(s)).
 
-The compactification diagrams themselves are symbolic: vertices carry
-formal expressions, never evaluated, and the twist and shift of the
-colimit are integers on the diagram.
+The compactification diagrams of `kappa` are only rendered: each vertex
+is a row of its name and a symbolic expression such as "C_*(A&B)" that
+nothing evaluates, and the twist and shift of the colimit are integers
+on the diagram.
 """
 
 from __future__ import annotations
@@ -25,60 +26,6 @@ from dataclasses import dataclass
 
 from ._value import InputError, Value, degree_key, field
 from .qlinalg import ChainComplex, QMatrix, matmul, single_degree_complex
-
-ID0 = "id0"
-ID1 = "id1"
-TAU = "tau"
-
-
-def psi(n: int, subset) -> tuple:
-    """Characteristic 0/1 vector of a subset of {0..n-1}."""
-    subset = frozenset(subset)
-    if not subset <= set(range(n)):
-        raise ValueError("not a subset of the index set")
-    return tuple(1 if i in subset else 0 for i in range(n))
-
-
-def psi_inverse(vector) -> frozenset:
-    """The subset a 0/1 vector is the characteristic function of."""
-    vector = tuple(vector)
-    if any(v not in (0, 1) for v in vector):
-        raise ValueError("not a 0/1 vector")
-    return frozenset(i for i, v in enumerate(vector) if v == 1)
-
-
-def psi_edge(n: int, smaller, bigger) -> tuple:
-    """Coordinatewise image of an inclusion of subsets.
-
-    Coordinate s maps to the identity of 1 on the smaller subset, to the
-    unique arrow 0 -> 1 on the difference, and to the identity of 0
-    elsewhere.
-    """
-    smaller = frozenset(smaller)
-    bigger = frozenset(bigger)
-    if not (smaller <= bigger and bigger <= set(range(n))):
-        raise ValueError("need nested subsets of the index set")
-    out = []
-    for s in range(n):
-        if s in smaller:
-            out.append(ID1)
-        elif s in bigger:
-            out.append(TAU)
-        else:
-            out.append(ID0)
-    return tuple(out)
-
-
-def compose_edge_labels(first, second) -> tuple:
-    """Composite of two coordinatewise edge labels (first, then second)."""
-    table = {(ID0, ID0): ID0, (ID0, TAU): TAU,
-             (TAU, ID1): TAU, (ID1, ID1): ID1}
-    out = []
-    for a, b in zip(first, second):
-        if (a, b) not in table:
-            raise ValueError(f"labels {a}, {b} do not compose")
-        out.append(table[(a, b)])
-    return tuple(out)
 
 
 class ChainMap(Value):
@@ -184,9 +131,6 @@ class CubeDiagram(Value):
         object.__setattr__(self, "index_size", index_size)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-
-    def subsets(self) -> list:
-        return sorted(self.vertices, key=_subset_key)
 
     def to_json(self):
         def key(s):
@@ -374,107 +318,32 @@ def cover_cube_diagram(components) -> tuple:
     return CubeDiagram(n, vertices, edges), union
 
 
-# --- symbolic compactification diagrams ---------------------------------
-
-class FormalMotive:
-    """A symbolic motive expression; never evaluated."""
-
-    def normalized(self) -> "FormalMotive":
-        return self
-
-
-@dataclass(frozen=True)
-class ZeroMotive(FormalMotive):
-    def __str__(self):
-        return "0"
-
-
-@dataclass(frozen=True)
-class CStar(FormalMotive):
-    """The homological motive of an intersection of labeled pieces."""
-    labels: tuple
-
-    def __str__(self):
-        return "C_*(" + "&".join(str(x) for x in self.labels) + ")"
-
-
-@dataclass(frozen=True)
-class Product(FormalMotive):
-    """A symbolic product with another labeled factor."""
-    inner: FormalMotive
-    label: str
-
-    def normalized(self):
-        inner = self.inner.normalized()
-        if isinstance(inner, ZeroMotive):
-            return inner
-        return Product(inner, self.label)
-
-    def __str__(self):
-        return f"{self.inner}xC_*({self.label})"
-
-
-@dataclass(frozen=True, order=True)
-class KSVertex:
-    """A vertex of the augmented cube shape: inner subset, or l, or u."""
-    rank: int
-    subset: tuple
-
-    @staticmethod
-    def lower() -> "KSVertex":
-        return KSVertex(0, ())
-
-    @staticmethod
-    def inner(subset) -> "KSVertex":
-        return KSVertex(1, tuple(sorted(subset)))
-
-    @staticmethod
-    def upper() -> "KSVertex":
-        return KSVertex(2, ())
-
-    @property
-    def tag(self) -> str:
-        return {0: "l", 1: "inner", 2: "u"}[self.rank]
-
-    def __str__(self):
-        if self.rank == 0:
-            return "l"
-        if self.rank == 2:
-            return "u"
-        return "{" + ",".join(str(i) for i in self.subset) + "}"
-
+# --- compactification diagrams, as rendered rows -----------------------
 
 @dataclass(frozen=True)
 class KappaDiagram:
     """The labeled compactification diagram of an open piece.
 
-    Inner vertices carry the motives of intersections of the boundary
-    components, the lower vertex the ambient motive, the upper vertex
-    zero; the colimit is to be twisted by (-dim) and shifted by [-2 dim],
-    recorded as a global annotation.
+    `rows` holds one (vertex, expression) pair per vertex, in order: the
+    lower vertex "l" carries the ambient motive, the inner vertex "{0,2}"
+    the intersection of boundary components 0 and 2, and the upper
+    vertex "u" zero.  The colimit is to be twisted by (-dim) and shifted
+    by [-2 dim], recorded as a global annotation.
     """
     components: tuple
     ambient: str
     dim: int
-    vertices: tuple  # ordered pairs (KSVertex, FormalMotive)
+    rows: tuple  # (vertex name, expression) pairs
     twist: int
     shift: int
 
-    def vertex_map(self) -> dict:
-        return dict(self.vertices)
-
     def cross_with(self, label: str) -> "KappaDiagram":
-        """Multiply every vertex by another factor, as in the product diagram."""
-        vertices = tuple((v, Product(expr, label).normalized())
-                         for v, expr in self.vertices)
+        """Multiply every vertex by another factor, as in the product
+        diagram; the zero vertex absorbs it."""
+        rows = tuple((name, expr if expr == "0" else f"{expr}xC_*({label})")
+                     for name, expr in self.rows)
         return KappaDiagram(self.components, self.ambient, self.dim,
-                            vertices, self.twist, self.shift)
-
-    def rows(self) -> list:
-        out = []
-        for v, expr in self.vertices:
-            out.append((str(v), str(expr.normalized())))
-        return out
+                            rows, self.twist, self.shift)
 
     def annotation(self) -> str:
         return f"colimit twisted by ({self.twist}) and shifted by [{self.shift}]"
@@ -485,7 +354,7 @@ class KappaDiagram:
                 "dim": self.dim,
                 "twist": self.twist,
                 "shift": self.shift,
-                "vertices": {name: expr for name, expr in self.rows()}}
+                "vertices": dict(self.rows)}
 
 
 def build_kappa(components, ambient: str, dim: int) -> KappaDiagram:
@@ -498,11 +367,11 @@ def build_kappa(components, ambient: str, dim: int) -> KappaDiagram:
     components = tuple(components)
     if len(set(components)) != len(components):
         raise ValueError("component labels must be distinct")
-    vertices = [(KSVertex.lower(), CStar((ambient,)))]
+    rows = [("l", f"C_*({ambient})")]
     for r in range(1, len(components) + 1):
         for combo in itertools.combinations(range(len(components)), r):
-            labels = tuple(components[i] for i in combo)
-            vertices.append((KSVertex.inner(combo), CStar(labels)))
-    vertices.append((KSVertex.upper(), ZeroMotive()))
-    return KappaDiagram(components, ambient, dim, tuple(vertices),
-                        -dim, -2 * dim)
+            name = "{" + ",".join(str(i) for i in combo) + "}"
+            labels = "&".join(str(components[i]) for i in combo)
+            rows.append((name, f"C_*({labels})"))
+    rows.append(("u", "0"))
+    return KappaDiagram(components, ambient, dim, tuple(rows), -dim, -2 * dim)

@@ -87,10 +87,6 @@ class QMatrix(Value):
     def __neg__(self) -> "QMatrix":
         return QMatrix(self.rows, self.cols, (-a for a in self.entries))
 
-    def scale(self, c) -> "QMatrix":
-        c = _frac(c)
-        return QMatrix(self.rows, self.cols, (c * a for a in self.entries))
-
     def transpose(self) -> "QMatrix":
         return QMatrix(self.cols, self.rows,
                        (self.entries[i * self.cols + j]

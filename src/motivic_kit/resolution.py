@@ -82,42 +82,6 @@ def level2_coface_d2(family: dict, fibers, nx: int) -> QMatrix:
     return matmul(family[len(fibers)], mult_along(nx, fibers))
 
 
-@dataclass(frozen=True)
-class CofaceMap:
-    """One coface of the truncated tower, acting per component.
-
-    `index` is the coface number at the given source level.  Out of level
-    0 the two maps multiply after or before applying the matrix; out of
-    level 1 they are the fiberwise target multiplication, the projection
-    onto the source class, and the fiberwise source multiplication.
-    """
-    source_level: int
-    index: int
-
-    def __post_init__(self):
-        if self.source_level == 0 and self.index not in (0, 1):
-            raise ValueError("level 0 has cofaces 0 and 1")
-        if self.source_level == 1 and self.index not in (0, 1, 2):
-            raise ValueError("level 1 has cofaces 0, 1 and 2")
-        if self.source_level not in (0, 1):
-            raise ValueError("only the level 0..2 truncation is implemented")
-
-    @property
-    def target_level(self) -> int:
-        return self.source_level + 1
-
-    def apply(self, family, key, nx: int, ny: int) -> QMatrix:
-        """Value of the coface image at one target-level class."""
-        if self.source_level == 0:
-            return (coface_d0(family, key) if self.index == 0
-                    else coface_d1(family, key))
-        if self.index == 0:
-            return level2_coface_d0(family, key, ny)
-        if self.index == 1:
-            return level2_coface_d1(family, key)
-        return level2_coface_d2(family, key, nx)
-
-
 def codegeneracy_level1(family: dict) -> QMatrix:
     """Project a level-1 family onto the singleton class."""
     return family[1]
@@ -213,9 +177,6 @@ class TowerLevel:
     y_size: int
     bound: int
     components: dict  # class key -> tuple of basis matrices
-
-    def dimension(self, key) -> int:
-        return len(self.components[key])
 
 
 def level(k: int, x: FinSet, y: FinSet, bound: int) -> TowerLevel:

@@ -1,13 +1,16 @@
 """Shared independent oracles and small generators for the test suite."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 from hypothesis import strategies as st
 
 from motivic_kit.finsets import FinDiagram, FinSet, SetMap, compose
+from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import ChainMap, cover_cube_diagram
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, kron, matmul, nullity,
                                  rank, single_degree_complex)
@@ -213,6 +216,80 @@ def brute_is_homomorphism(group, action) -> bool:
                for g in group.elements() for h in group.elements())
 
 
+def identity_map(s: FinSet) -> SetMap:
+    return SetMap(s, s, range(s.size))
+
+
+def load_group(name: str) -> FiniteGroup:
+    """One of the packaged group tables, data/groups/<name>.json."""
+    path = resources.files("motivic_kit").joinpath(f"data/groups/{name}.json")
+    return FiniteGroup.from_json(json.loads(path.read_text()))
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+
+
+def trivial_gset(group: FiniteGroup, carrier: FinSet) -> GSet:
+    return GSet(group, carrier,
+                [identity_map(carrier) for _ in group.elements()])
+
+
+def regular_gset(group: FiniteGroup) -> GSet:
+    """The group acting on itself by left translation."""
+    carrier = FinSet(group.order)
+    action = [SetMap(carrier, carrier,
+                     [group.mul(g, h) for h in group.elements()])
+              for g in group.elements()]
+    return GSet(group, carrier, action)
+
+
+def gset_from_generator_images(group: FiniteGroup, carrier: FinSet,
+                               gens, images) -> GSet:
+    """Extend bijections assigned to generators to a full action, or raise."""
+    assigned = {group.identity: identity_map(carrier)}
+    for a, i, b in group.cayley_edges(gens):
+        m = compose(assigned[a], images[i])  # generator i acts after a
+        if b not in assigned:
+            assigned[b] = m
+        elif assigned[b].values != m.values:
+            raise ValueError("generator images are inconsistent")
+    if len(assigned) != group.order:
+        raise ValueError("generators do not generate")
+    return GSet(group, carrier, [assigned[g] for g in group.elements()])
+
+
+def all_gset_actions(group: FiniteGroup, size: int) -> list:
+    """Every action of the group on a set of the given size.
+
+    Enumerated via images of a generating set, so the cost is
+    (size!)^(number of generators) candidate tuples.
+    """
+    carrier = FinSet(size)
+    gens = group.generating_set()
+    if not gens:
+        return [trivial_gset(group, carrier)]
+    perms = [SetMap(carrier, carrier, p)
+             for p in itertools.permutations(range(size))]
+    out = []
+    for images in itertools.product(perms, repeat=len(gens)):
+        try:
+            out.append(gset_from_generator_images(group, carrier, gens, images))
+        except ValueError:
+            continue
+    return out
+
+
+def sub_gset(x: GSet, elements) -> GSet:
+    """Restrict the action to the subgroup generated by the given elements."""
+    group = x.group
+    closed = sorted(group.closure(list(elements)))
+    index = {g: i for i, g in enumerate(closed)}
+    table = [[index[group.mul(a, b)] for b in closed] for a in closed]
+    sub = FiniteGroup(table)
+    return GSet(sub, x.carrier, [x.action[g] for g in closed])
+
+
 @st.composite
 def group_like_tables(draw, max_order: int = 6):
     """Multiplication tables with an identity and a right inverse of every
@@ -335,6 +412,11 @@ def ambient_cube_payload() -> dict:
     return payload
 
 
+def cube_subsets(d) -> list:
+    """The vertices of a cube diagram, by size, then sorted."""
+    return sorted(d.vertices, key=lambda s: (len(s), sorted(s)))
+
+
 def _place(entries: list, cols: int, block: QMatrix, r0: int, c0: int,
            sign: int = 1):
     for i in range(block.rows):
@@ -345,7 +427,7 @@ def _place(entries: list, cols: int, block: QMatrix, r0: int, c0: int,
 def _dense_layout(d):
     """Degree range, dimensions and summand offsets of the punctured total
     complex: column p = |s| - 1, subsets by size, then sorted."""
-    summands = [(len(s) - 1, s) for s in d.subsets()]
+    summands = [(len(s) - 1, s) for s in cube_subsets(d)]
     lo = min(d.vertices[s].lo for _, s in summands)
     hi = max(p + d.vertices[s].hi for p, s in summands)
     dims = {}
@@ -393,7 +475,7 @@ def dense_cone(ambient: ChainComplex, d, singleton_maps) -> ChainComplex:
     if not d.vertices:
         return ambient
     into_ambient = {}
-    for s in d.subsets():
+    for s in cube_subsets(d):
         if len(s) == 1:
             if s not in singleton_maps:
                 raise ValueError(f"missing map into ambient for {sorted(s)}")
@@ -434,7 +516,7 @@ def cone_basis_signs(ambient: ChainComplex, d, m: int) -> QMatrix:
     """The diagonal basis change E in degree m of the cone: +1 on the
     ambient and (-1)^(|s|-1) on the summand of each nonempty s."""
     signs = [1] * ambient.dim(m)
-    for s in d.subsets():
+    for s in cube_subsets(d):
         signs += [(-1) ** (len(s) - 1)] * d.vertices[s].dim(m - len(s))
     n = len(signs)
     return QMatrix(n, n, [signs[i] if i == j else 0

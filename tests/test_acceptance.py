@@ -5,13 +5,12 @@ rationals) and carries the stated wall-clock budget.
 """
 
 import itertools
-import json
 import random
 import time
-from importlib import resources
 
-from helpers import (inclusion_exclusion_euler, nerve_oracle_homology,
-                     random_cover, union_find_components)
+from helpers import (all_gset_actions, inclusion_exclusion_euler,
+                     load_group, nerve_oracle_homology, random_cover,
+                     union_find_components)
 from motivic_kit.artin import (artin_comonoid, coalgebra_morphism_violations,
                                dual_monoid, graph_matrix,
                                monoid_morphism_violations,
@@ -19,9 +18,7 @@ from motivic_kit.artin import (artin_comonoid, coalgebra_morphism_violations,
                                solve_coalgebra_morphisms, swap_matrix,
                                verify_mcffe)
 from motivic_kit.finsets import FinSet, all_maps, canonical_form
-from motivic_kit.galois import (FiniteGroup, all_gset_actions,
-                                equivariant_set_maps,
-                                fixed_coalgebra_morphisms)
+from motivic_kit.galois import equivariant_set_maps, fixed_coalgebra_morphisms
 from motivic_kit.hypercube import cover_cube_diagram, punctured_cube_hocolim
 from motivic_kit.monad import verify_m_identity
 from motivic_kit.qlinalg import QMatrix, kron, matmul
@@ -71,9 +68,7 @@ def test_criterion_3_galois_descent():
     start = time.perf_counter()
     names = ["c2", "c3", "c4", "v4", "c5", "c6", "s3"]
     for name in names:
-        path = resources.files("motivic_kit").joinpath(
-            f"data/groups/{name}.json")
-        group = FiniteGroup.from_json(json.loads(path.read_text()))
+        group = load_group(name)
         actions = []
         for size in (1, 2, 3):
             actions.extend(all_gset_actions(group, size))

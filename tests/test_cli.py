@@ -231,6 +231,19 @@ class TestErrors:
         assert text.startswith("error: size bound 2 exceeds the safety "
                                "limit 1")
 
+    def test_kappa_components_count_against_the_limit(self, monkeypatch):
+        # the output has 2^components + 1 rows, so the count is a size
+        argv = ["kappa", "--components", "A,B,C,D,E,F,G", "--ambient", "X",
+                "--dim", "1"]
+        monkeypatch.delenv("MOTIVIC_KIT_MAX_SIZE", raising=False)
+        assert run_cli(argv) == (
+            2, "error: number of components 7 exceeds the safety limit 6 "
+            "(override with MOTIVIC_KIT_MAX_SIZE)")
+        monkeypatch.setenv("MOTIVIC_KIT_MAX_SIZE", "7")
+        status, text = run_cli(argv)
+        assert status == 0
+        assert len(text.splitlines()) == 2 ** 7 + 2
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
     def test_env_override_must_be_positive_integer(self, monkeypatch, value):
         monkeypatch.setenv("MOTIVIC_KIT_MAX_SIZE", value)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (brute_automorphisms, brute_canonical_with_perms,
-                     brute_census, closure_size, small_diagrams)
+                     brute_census, closure_size, identity_map, small_diagrams)
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
                                  SetMap, all_maps, are_isomorphic,
-                                 automorphism_group, canonical_form, compose,
-                                 identity_map)
+                                 automorphism_group, canonical_form, compose)
 from motivic_kit.monad import enumerate_diagrams
 
 

@@ -1,31 +1,22 @@
 import functools
 import itertools
-import json
 import time
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_is_associative, brute_is_homomorphism,
-                     group_like_tables)
+from helpers import (all_gset_actions, brute_is_associative,
+                     brute_is_homomorphism, cyclic_group,
+                     group_like_tables, gset_from_generator_images,
+                     load_group, regular_gset, sub_gset, trivial_gset)
 
 from motivic_kit.artin import graph_matrix, morphism_from_setmap
 from motivic_kit.finsets import FinSet, SetMap, compose
-from motivic_kit.galois import (FiniteGroup, GSet, all_gset_actions,
-                                cyclic_group, equivariant_set_maps,
-                                fixed_coalgebra_morphisms,
-                                gset_from_generator_images, klein_four_group,
-                                regular_gset, sub_gset, symmetric_group,
-                                trivial_gset)
+from motivic_kit.galois import (FiniteGroup, GSet, equivariant_set_maps,
+                                fixed_coalgebra_morphisms)
 
 FIXTURE_NAMES = ["c2", "c3", "c4", "v4", "c5", "c6", "s3"]
-
-
-def load_group(name: str) -> FiniteGroup:
-    path = resources.files("motivic_kit").joinpath(f"data/groups/{name}.json")
-    return FiniteGroup.from_json(json.loads(path.read_text()))
 
 
 class TestFiniteGroup:
@@ -37,9 +28,14 @@ class TestFiniteGroup:
             assert g.order == orders[name]
 
     def test_fixtures_match_constructors(self):
-        assert load_group("c4") == cyclic_group(4)
-        assert load_group("v4") == klein_four_group()
-        assert load_group("s3") == symmetric_group(3)
+        for n in range(2, 7):
+            assert load_group(f"c{n}") == cyclic_group(n)
+        # of the groups of order 4 and 6, V4 is the one in which every
+        # element squares to 1, and S3 the non-abelian one
+        v4, s3 = load_group("v4"), load_group("s3")
+        assert all(v4.mul(g, g) == v4.identity for g in v4.elements())
+        assert any(s3.mul(g, h) != s3.mul(h, g)
+                   for g in s3.elements() for h in s3.elements())
 
     def test_non_associative_rejected(self):
         # a Latin square that is not a group table
@@ -101,8 +97,7 @@ class TestFiniteGroup:
         assert len(gens) <= 2
 
 
-SMALL_GROUPS = [cyclic_group(n) for n in range(1, 7)] + [
-    klein_four_group(), symmetric_group(3)]
+SMALL_GROUPS = [cyclic_group(1)] + [load_group(n) for n in FIXTURE_NAMES]
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,14 +143,14 @@ def group_actions(draw, max_size: int = 4):
 
 class TestGSet:
     def test_identity_must_act_trivially(self):
-        c2 = cyclic_group(2)
+        c2 = load_group("c2")
         s = FinSet(2)
         swap = SetMap(s, s, [1, 0])
         with pytest.raises(ValueError):
             GSet(c2, s, [swap, swap])
 
     def test_homomorphism_enforced(self):
-        c4 = cyclic_group(4)
+        c4 = load_group("c4")
         s = FinSet(2)
         ident = SetMap(s, s, [0, 1])
         swap = SetMap(s, s, [1, 0])
@@ -190,21 +185,21 @@ class TestGSet:
         assert x.carrier.size == 6
 
     def test_json_round_trip(self):
-        x = regular_gset(cyclic_group(3))
+        x = regular_gset(load_group("c3"))
         assert GSet.from_json(x.to_json()) == x
 
     def test_all_actions_counts(self):
         # homomorphisms C2 -> Sym(3): identity plus the three transpositions
-        assert len(all_gset_actions(cyclic_group(2), 3)) == 4
+        assert len(all_gset_actions(load_group("c2"), 3)) == 4
         # homomorphisms C3 -> Sym(3): identity plus the two 3-cycles
-        assert len(all_gset_actions(cyclic_group(3), 3)) == 3
+        assert len(all_gset_actions(load_group("c3"), 3)) == 3
 
     def test_inconsistent_generator_images_rejected(self):
         # a 3-cycle cannot be the image of the generator of C2: the walk
         # reaches the identity again as g * g with the image squared
         s = FinSet(3)
         with pytest.raises(ValueError, match="inconsistent"):
-            gset_from_generator_images(cyclic_group(2), s, [1],
+            gset_from_generator_images(load_group("c2"), s, [1],
                                        [SetMap(s, s, [1, 2, 0])])
 
 
@@ -216,7 +211,7 @@ class TestEquivariantMaps:
         assert len(equivariant_set_maps(x, y)) == 9
 
     def test_regular_to_trivial(self):
-        c2 = cyclic_group(2)
+        c2 = load_group("c2")
         x = regular_gset(c2)
         y = trivial_gset(c2, FinSet(2))
         maps = equivariant_set_maps(x, y)
@@ -224,13 +219,13 @@ class TestEquivariantMaps:
         assert all(len(set(f.values)) == 1 for f in maps)  # constants
 
     def test_regular_to_regular(self):
-        c2 = cyclic_group(2)
+        c2 = load_group("c2")
         x = regular_gset(c2)
         assert len(equivariant_set_maps(x, x)) == 2
 
     def test_group_mismatch(self):
-        x = regular_gset(cyclic_group(2))
-        y = regular_gset(cyclic_group(3))
+        x = regular_gset(load_group("c2"))
+        y = regular_gset(load_group("c3"))
         with pytest.raises(ValueError):
             equivariant_set_maps(x, y)
 
@@ -243,7 +238,7 @@ class TestDescent:
         assert len(fixed_coalgebra_morphisms(x, y)) == 4
 
     def test_c2_regular_to_trivial(self):
-        c2 = cyclic_group(2)
+        c2 = load_group("c2")
         x = regular_gset(c2)
         y = trivial_gset(c2, FinSet(2))
         fixed = fixed_coalgebra_morphisms(x, y)
@@ -265,7 +260,7 @@ class TestDescent:
                     assert fixed == graphs
 
     def test_descent_size_four_carrier(self):
-        c2 = cyclic_group(2)
+        c2 = load_group("c2")
         s4 = FinSet(4)
         # swap two pairs
         act = SetMap(s4, s4, [1, 0, 3, 2])
@@ -277,7 +272,7 @@ class TestDescent:
 
     def test_descent_size_four_regular_actions(self):
         # order-4 groups acting on themselves, against small targets
-        for g in (cyclic_group(4), klein_four_group()):
+        for g in (load_group("c4"), load_group("v4")):
             x = regular_gset(g)
             for y in (trivial_gset(g, FinSet(2)), x):
                 fixed = {c.matrix for c in fixed_coalgebra_morphisms(x, y)}
@@ -315,7 +310,7 @@ class TestDescent:
                 {graph_matrix(f) for f in sub_maps}
 
     def test_fixed_morphisms_are_valid_morphisms(self):
-        c3 = cyclic_group(3)
+        c3 = load_group("c3")
         x = regular_gset(c3)
         y = trivial_gset(c3, FinSet(2))
         for c in fixed_coalgebra_morphisms(x, y):

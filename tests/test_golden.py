@@ -42,6 +42,9 @@ GOLDEN = [
     (["verify-monad", "--k", "3", "--bounds", "2,2,2,2"], 0,
      "47d292d993e9ca22ef039c35b65fbe7e257e63f51390d3b3db00e8c3e0d64abc",
      "369b509f0155adfeeacedead899da9745235c77c0fe855c0300aab3cf30804fb"),
+    (["verify-monad", "--k", "3", "--bounds", "3,3,3,3"], 0,
+     "00b243485aa5182549dcf0f7f71536ae98c9e872039181d96e34c7ac4a83c730",
+     "d89eed8dee6c05289e72a6dfcd9eb2d6aaaeedca4164376ac2c4153ffdd88a64"),
     (["enumerate-diagrams", "--k", "2", "--bounds", "6,6"], 0,
      "f5cfface15d0c3b366dda39816428afcb70d82d026321cce55f3d09273608453",
      "c8be81faa2272a02aac79fc48f5ba87a75f49bf2dd90b1225b6bf075d52acc7f"),

@@ -9,48 +9,39 @@ from hypothesis import strategies as st
 from helpers import (cone_basis_signs, dense_cone, dense_punctured_total,
                      inclusion_exclusion_euler, nerve_oracle_homology,
                      random_cover, schoolbook_matmul, union_find_components)
-from motivic_kit.hypercube import (ChainMap, CStar, CubeDiagram, KSVertex,
-                                   Product, ZeroMotive, build_kappa,
-                                   compose_edge_labels, cover_cube_diagram,
-                                   ks_hocolim, psi, psi_edge, psi_inverse,
-                                   punctured_cube_hocolim)
+from motivic_kit._value import InputError
+from motivic_kit.hypercube import (ChainMap, CubeDiagram, _subset,
+                                   build_kappa, cover_cube_diagram,
+                                   ks_hocolim, punctured_cube_hocolim)
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex)
 
 
-class TestPsi:
-    def test_empty_subset(self):
-        assert psi(3, set()) == (0, 0, 0)
-
-    def test_singleton(self):
-        assert psi(2, {0}) == (1, 0)
-
-    def test_bijection(self):
-        n = 3
-        seen = set()
-        for r in range(n + 1):
-            for combo in itertools.combinations(range(n), r):
-                v = psi(n, combo)
-                assert psi_inverse(v) == frozenset(combo)
-                seen.add(v)
-        assert len(seen) == 2 ** n
-
-    def test_edge_case_split(self):
-        labels = psi_edge(3, {0}, {0, 1})
-        assert labels == ("id1", "tau", "id0")
-
-    def test_functoriality_on_chain(self):
-        first = psi_edge(2, set(), {0})
-        second = psi_edge(2, {0}, {0, 1})
-        assert compose_edge_labels(first, second) == psi_edge(2, set(), {0, 1})
-
-    def test_bad_subset_rejected(self):
-        with pytest.raises(ValueError):
-            psi(2, {5})
-
-
 def two_patch_cover():
     return cover_cube_diagram([["a", "b"], ["b", "c"]])
+
+
+class TestCubeKeys:
+    """A cube vertex is keyed in JSON by its elements, as in "0,2"."""
+
+    def test_singleton_key(self):
+        assert _subset("1") == frozenset({1})
+
+    def test_keys_round_trip(self):
+        cube, _ = cover_cube_diagram([["a", "b"], ["b", "c"], ["a", "c"]])
+        keys = cube.to_json()["vertices"]
+        assert len(keys) == 2 ** 3 - 1
+        assert {_subset(k, cube.vertices) for k in keys} == set(cube.vertices)
+
+    def test_empty_key_rejected(self):
+        # the empty subset is the ambient, not a vertex of the punctured cube
+        with pytest.raises(InputError):
+            _subset("")
+
+    def test_non_vertex_key_rejected(self):
+        cube, _ = two_patch_cover()
+        with pytest.raises(InputError, match="not a vertex"):
+            _subset("0,5", cube.vertices)
 
 
 class TestCubeDiagram:
@@ -191,7 +182,7 @@ def four_point_ambient_setup():
     pts = ["a", "b", "c", "d"]
     comps = [["a", "b"], ["b", "c"]]
     singles = {}
-    for s in cube.subsets():
+    for s in cube.vertices:
         if len(s) != 1:
             continue
         comp = comps[next(iter(s))]
@@ -249,37 +240,34 @@ class TestKsHocolim:
 class TestKappa:
     def test_no_components(self):
         d = build_kappa([], "Xbar", 2)
-        names = [name for name, _ in d.rows()]
+        names = [name for name, _ in d.rows]
         assert names == ["l", "u"]
         assert d.twist == -2 and d.shift == -4
 
     def test_two_components(self):
         d = build_kappa(["A", "B"], "Xbar", 1)
-        vm = d.vertex_map()
-        inner = [v for v in vm if v.tag == "inner"]
-        assert len(inner) == 3
-        assert vm[KSVertex.lower()] == CStar(("Xbar",))
-        assert vm[KSVertex.upper()] == ZeroMotive()
-        assert vm[KSVertex.inner((0, 1))] == CStar(("A", "B"))
+        assert d.rows == (("l", "C_*(Xbar)"), ("{0}", "C_*(A)"),
+                          ("{1}", "C_*(B)"), ("{0,1}", "C_*(A&B)"),
+                          ("u", "0"))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             build_kappa(["A", "A"], "X", 1)
 
     def test_cross_with(self):
-        d = build_kappa(["A"], "Xbar", 1).cross_with("Y")
-        vm = d.vertex_map()
-        assert vm[KSVertex.lower()] == Product(CStar(("Xbar",)), "Y")
-        assert vm[KSVertex.upper()] == ZeroMotive()  # zero absorbs the factor
+        d = build_kappa(["A"], "Xbar", 1).cross_with("Y").cross_with("Z")
+        assert d.rows == (("l", "C_*(Xbar)xC_*(Y)xC_*(Z)"),
+                          ("{0}", "C_*(A)xC_*(Y)xC_*(Z)"),
+                          ("u", "0"))  # zero absorbs the factors
+
+    def test_zero_absorbs(self):
+        d = build_kappa([], "Xbar", 1).cross_with("Y")
+        assert d.rows == (("l", "C_*(Xbar)xC_*(Y)"), ("u", "0"))
+        assert d.to_json()["vertices"]["u"] == "0"
 
     def test_annotation(self):
         d = build_kappa(["A"], "X", 3)
         assert "(-3)" in d.annotation() and "[-6]" in d.annotation()
-
-
-class TestFormalMotive:
-    def test_zero_absorbs(self):
-        assert Product(ZeroMotive(), "Y").normalized() == ZeroMotive()
 
 
 # --- composites against the checked constructor ------------------------------
@@ -414,7 +402,9 @@ class TestComposites:
 
 def scaled(m: ChainMap, c: int) -> ChainMap:
     return ChainMap(m.source, m.target,
-                    {q: block.scale(c) for q, block in m.blocks.items()})
+                    {q: QMatrix(block.rows, block.cols,
+                                [c * v for v in block.entries])
+                     for q, block in m.blocks.items()})
 
 
 @st.composite

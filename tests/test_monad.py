@@ -2,12 +2,13 @@ import itertools
 
 import pytest
 
-from helpers import brute_automorphisms, brute_census, tuple_index_matrix
+from helpers import (brute_automorphisms, brute_census, identity_map,
+                     tuple_index_matrix)
 from motivic_kit import cli, monad
 from motivic_kit.artin import artin_comonoid, is_coalgebra_morphism
-from motivic_kit.finsets import (FinDiagram, FinSet, PermGroup, SetMap,
-                                 are_isomorphic, automorphism_group,
-                                 canonical_form, identity_iso)
+from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
+                                 SetMap, are_isomorphic, automorphism_group,
+                                 canonical_form)
 from motivic_kit.monad import (MultisetOfDiagrams, assemble,
                                enumerate_diagrams, functoriality_on_iso,
                                omega_power, tensor_power_comonoid,
@@ -246,20 +247,19 @@ class TestFunctorialityOnIso:
     def test_identity_iso(self):
         e = artin_comonoid(FinSet(2))
         d = bare_set(2)
-        p = functoriality_on_iso(identity_iso(d), e)
+        identity = DiagramIso(d, d, [identity_map(s) for s in d.sets])
+        p = functoriality_on_iso(identity, e)
         assert p == QMatrix.identity(4)
 
     def test_swap_gives_kron_swap(self):
         e = artin_comonoid(FinSet(2))
         s2 = FinSet(2)
         d = FinDiagram([s2], [])
-        from motivic_kit.finsets import DiagramIso
         swap = DiagramIso(d, d, [SetMap(s2, s2, [1, 0])])
         assert functoriality_on_iso(swap, e) == swap_matrix(2)
 
     def test_against_tuple_oracle(self):
         # (x_i) goes to (x'_j) with x'_sigma(i) = x_i
-        from motivic_kit.finsets import DiagramIso
         for n in range(1, 4):
             e = artin_comonoid(FinSet(n))
             for s in range(1, 4):
@@ -275,7 +275,6 @@ class TestFunctorialityOnIso:
         e = artin_comonoid(FinSet(2))
         s3 = FinSet(3)
         d = FinDiagram([s3], [])
-        from motivic_kit.finsets import DiagramIso
         perms = list(itertools.permutations(range(3)))
         for p1 in perms:
             for p2 in perms:
@@ -291,7 +290,6 @@ class TestFunctorialityOnIso:
         s3 = FinSet(3)
         d = FinDiagram([s3], [])
         power = tensor_power_comonoid(e, 3)
-        from motivic_kit.finsets import DiagramIso
         for p in itertools.permutations(range(3)):
             iso = DiagramIso(d, d, [SetMap(s3, s3, p)])
             mat = functoriality_on_iso(iso, e)

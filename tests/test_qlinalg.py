@@ -62,9 +62,9 @@ class TestNormalForm:
         sparse_rationals)
     def test_results_in_normal_form(self, pair, c):
         a, b = pair
-        for m in (a, b, matmul(a, b), kron(a, b), kron(b, a), a.scale(c),
-                  a.transpose(), -a, a + a, a - a, kernel_basis(a),
-                  kernel_basis(b)):
+        for m in (a, b, matmul(a, b), kron(a, b), kron(b, a),
+                  kron(QMatrix(1, 1, [c]), a), a.transpose(), -a, a + a,
+                  a - a, kernel_basis(a), kernel_basis(b)):
             assert is_normal_form(m)
 
 
@@ -76,7 +76,8 @@ class TestMatmul:
         assert matmul(a, QMatrix.identity(3)) == a
 
     def test_scalar_case(self):
-        half_of_two = QMatrix(1, 1, [2]).scale(Fraction(1, 2))  # [1]
+        half_of_two = matmul(QMatrix(1, 1, [Fraction(1, 2)]),
+                             QMatrix(1, 1, [2]))  # [1]
         assert matmul(half_of_two, QMatrix(1, 1, [3])) == QMatrix(1, 1, [3])
 
     def test_against_schoolbook_oracle(self):

@@ -1,12 +1,16 @@
 """Repository-wide checks: a stdlib-only runtime, a resolvable API, one
 base class for the immutable values, integers kept as integers, one
 reader for outside JSON, no relabeling search on the census path, one
-unchecked construction path, a CLI parser built only at import, and one
-builder for the cube's total complexes."""
+unchecked construction path, a CLI parser built only at import, one
+builder for the cube's total complexes, and no definition in the library
+that only the tests reach."""
 
 import ast
+import collections
 import sys
 from pathlib import Path
+
+import pytest
 
 import motivic_kit
 
@@ -187,3 +191,100 @@ def test_cone_composes_only_the_squares_at_the_empty_corner():
     loops = [ast.unparse(node.iter) for node in ast.walk(ks)
              if isinstance(node, (ast.For, ast.comprehension))]
     assert loops and not any("subsets()" in loop for loop in loops)
+
+
+def loaded_names(node) -> collections.Counter:
+    """How often each name is read under `node`, as a variable or as an
+    attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+        and isinstance(n.ctx, ast.Load))
+
+
+def source_trees() -> dict:
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in SOURCES}
+
+
+def unreached(definitions, exported=(), trees=None) -> list:
+    """The (file, name) of each definition whose name is read nowhere in
+    the sources outside the definition itself, unless exported."""
+    trees = trees or source_trees()
+    everywhere = sum((loaded_names(t) for t in trees.values()),
+                     collections.Counter())
+    return [(path_name, name)
+            for path_name, name, node in definitions(trees)
+            if name not in exported
+            and everywhere[name] == loaded_names(node)[name]]
+
+
+def top_level(trees):
+    for path_name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path_name, node.name, node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (isinstance(target, ast.Name)
+                            and not target.id.startswith("__")):
+                        yield path_name, target.id, node
+
+
+def methods(trees):
+    for path_name, tree in trees.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if (isinstance(node, ast.FunctionDef)
+                            and not node.name.startswith("__")):
+                        yield path_name, node.name, node
+
+
+def test_every_top_level_definition_is_reached_or_exported():
+    # code that only the tests call belongs in tests/helpers
+    assert unreached(top_level, motivic_kit.__all__) == []
+
+
+def test_every_method_is_reached_from_the_library():
+    assert unreached(methods) == []
+
+
+# definitions that only the tests reached, put back where they stood:
+# (file, enclosing class or None, name, source)
+ONLY_TESTS_REACHED = [
+    ("hypercube.py", None, "ID0", 'ID0 = "id0"'),
+    ("hypercube.py", None, "psi",
+     "def psi(n, subset):\n"
+     "    return tuple(1 if i in subset else 0 for i in range(n))"),
+    ("resolution.py", None, "CofaceMap",
+     "class CofaceMap:\n"
+     "    def __init__(self, level, index):\n"
+     "        self.level, self.index = level, index"),
+    ("artin.py", None, "dual_comonoid",
+     "def dual_comonoid(m):\n"
+     "    return ArtinComonoid(m.carrier, m.unit.transpose(),\n"
+     "                         m.mult.transpose())"),
+    ("qlinalg.py", "QMatrix", "scale",
+     "def scale(self, c):\n"
+     "    return QMatrix(self.rows, self.cols,\n"
+     "                   (c * a for a in self.entries))"),
+    ("hypercube.py", "KappaDiagram", "vertex_map",
+     "def vertex_map(self):\n"
+     "    return dict(self.rows)"),
+]
+
+
+@pytest.mark.parametrize("path_name,cls,name,source", ONLY_TESTS_REACHED,
+                         ids=[case[2] for case in ONLY_TESTS_REACHED])
+def test_a_definition_only_the_tests_reach_is_caught(path_name, cls, name,
+                                                     source):
+    trees = source_trees()
+    body = trees[path_name].body
+    if cls is not None:
+        body = next(node for node in body if isinstance(node, ast.ClassDef)
+                    and node.name == cls).body
+    body.extend(ast.parse(source).body)
+    caught = (unreached(top_level, motivic_kit.__all__, trees)
+              + unreached(methods, (), trees))
+    assert caught == [(path_name, name)]

@@ -6,14 +6,15 @@ import itertools
 
 import pytest
 
-from helpers import brute_automorphisms
+from helpers import (brute_automorphisms, identity_map, load_group,
+                     regular_gset)
 from motivic_kit._value import Value
 from motivic_kit.artin import (ArtinComonoid, ArtinMonoid, CoalgMorphism,
                                artin_comonoid, artin_monoid,
                                morphism_from_setmap)
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
-                                 SetMap, automorphism_group, identity_iso)
-from motivic_kit.galois import FiniteGroup, GSet, cyclic_group, regular_gset
+                                 SetMap, automorphism_group)
+from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import ChainMap, CubeDiagram, cover_cube_diagram
 from motivic_kit.monad import MultisetOfDiagrams
 from motivic_kit.qlinalg import ChainComplex, QMatrix
@@ -35,7 +36,8 @@ BUILDERS = {
     FinSet: lambda: FinSet(3, labels=["a", "b", "c"]),
     SetMap: lambda: SetMap(FinSet(3), FinSet(2), [0, 1, 1]),
     FinDiagram: diagram,
-    DiagramIso: lambda: identity_iso(diagram()),
+    DiagramIso: lambda: DiagramIso(diagram(), diagram(),
+                                   [identity_map(s) for s in diagram().sets]),
     PermGroup: lambda: automorphism_group(diagram()),
     QMatrix: lambda: QMatrix(2, 2, [1, "1/2", 0, -3]),
     ChainComplex: chain_complex,
@@ -43,8 +45,8 @@ BUILDERS = {
     ArtinMonoid: lambda: artin_monoid(FinSet(2)),
     CoalgMorphism: lambda: morphism_from_setmap(
         SetMap(FinSet(2), FinSet(3), [2, 0])),
-    FiniteGroup: lambda: cyclic_group(3),
-    GSet: lambda: regular_gset(cyclic_group(3)),
+    FiniteGroup: lambda: load_group("c3"),
+    GSet: lambda: regular_gset(load_group("c3")),
     ChainMap: lambda: ChainMap(chain_complex(), chain_complex(),
                                {0: QMatrix.identity(2),
                                 1: QMatrix.identity(1)}),
@@ -147,4 +149,4 @@ def test_level_dimensions_against_orbit_oracle(k, nx, ny, bound):
     t = level(k, FinSet(nx), FinSet(ny), bound)
     for key in t.components:
         fibers = (key,) if k == 1 else key
-        assert t.dimension(key) == ny * orbit_count(nx, fibers), key
+        assert len(t.components[key]) == ny * orbit_count(nx, fibers), key
