@@ -1,9 +1,10 @@
 """The base class of the package's immutable, validated values, and the
 one reader of outside JSON that their `from_json` methods share.
 
-Every field a `from_json` reads goes through `field`, which checks its
-JSON type and raises an `InputError` naming the field's path and the
-expected type.
+Each `from_json` reads its input through a reader that `compile_reader`
+builds once, at import, from a spec of the JSON shape it expects; the
+reader checks every JSON type and raises an `InputError` naming the
+field's path and the expected type.
 """
 
 import json
@@ -51,6 +52,12 @@ class InputError(ValueError):
     def __str__(self):
         return f"{self.path or 'top-level value'} {self.args[0]}"
 
+    def inside(self, head: str) -> "InputError":
+        """This error, with `head` (a field name, or "[index]") in front."""
+        dot = "." if self.path[:1] not in ("", "[") else ""
+        self.path = head + dot + self.path
+        return self
+
 
 _KINDS = {dict: "an object", list: "a list", int: "an integer",
           str: "a string"}
@@ -63,40 +70,71 @@ def show(value) -> str:
     return json.dumps(value, default=repr)
 
 
-def read(value, spec, step=None):
-    """`value` read by `spec`: a JSON type (exact: a boolean is no integer),
-    `[spec]` for a list, `{key: spec}` for an object whose member names the
-    function `key` parses, or a function such as a `from_json`.  `step` is
-    where `value` sits in its parent: an index, a member or a (field,)."""
-    try:
-        if type(spec) is type:
+def compile_reader(spec):
+    """The function that reads a JSON value by `spec`, compiled once.
+
+    A spec is a JSON type (exact: a boolean is no integer), `[spec]` for
+    a list, `{key: spec}` for an object whose member names the function
+    `key` parses, `{"name": spec, "other?": spec, ...}` for the fields of
+    an object, read in this order into a tuple (a name ending in "?" may
+    be absent and reads as None), or a function such as a `from_json`.
+    An `InputError` leaving a nested read gets that step put in front.
+    """
+    if type(spec) is type:
+        def read_type(value):
             if type(value) is not spec:
                 raise InputError(f"must be {_KINDS[spec]}, got {show(value)}")
             return value
-        if type(spec) is list:
-            return [read(v, spec[0], i)
-                    for i, v in enumerate(read(value, list))]
-        if type(spec) is dict:
-            [(key, inner)] = spec.items()
-            return {read(k, key, k): read(v, inner, k)
-                    for k, v in read(value, dict).items()}
-        return spec(value)
-    except InputError as exc:
-        if step is not None:
-            dot = "." if exc.path[:1] not in ("", "[") else ""
-            head = step[0] if type(step) is tuple else f"[{json.dumps(step)}]"
-            exc.path = head + dot + exc.path
-        raise
+        return read_type
+    if type(spec) is list:
+        read_list, item = compile_reader(list), compile_reader(spec[0])
 
+        def read_items(value):
+            out = []
+            for v in read_list(value):
+                try:
+                    out.append(item(v))
+                except InputError as exc:
+                    raise exc.inside(f"[{len(out)}]")
+            return out
+        return read_items
+    if type(spec) is not dict:
+        return spec
+    read_object = compile_reader(dict)
+    if type(next(iter(spec))) is not str:
+        [(key, inner)] = spec.items()
+        key, inner = compile_reader(key), compile_reader(inner)
 
-def field(data, name: str, spec, optional: bool = False):
-    """Field `name` of the object `data`, read by `spec`; an absent field
-    is an error unless `optional`, and then reads as None."""
-    if name in read(data, dict):
-        return read(data[name], spec, (name,))
-    if not optional:
-        kind = _KINDS.get(spec if type(spec) is type else type(spec))
-        raise InputError(f"is missing, must be {kind or 'an object'}", name)
+        def read_members(value):
+            out = {}
+            for k, v in read_object(value).items():
+                try:
+                    k_read = key(k)  # the key first, as the file lists it
+                    out[k_read] = inner(v)
+                except InputError as exc:
+                    raise exc.inside(f"[{json.dumps(k)}]")
+            return out
+        return read_members
+    fields = [(name.rstrip("?"), name.endswith("?"), compile_reader(inner),
+               "is missing, must be " + _KINDS.get(
+                   inner if type(inner) is type else type(inner), "an object"))
+              for name, inner in spec.items()]
+
+    def read_fields(value):
+        read_object(value)
+        out = []
+        for name, optional, inner, missing in fields:
+            if name in value:
+                try:
+                    out.append(inner(value[name]))
+                except InputError as exc:
+                    raise exc.inside(name)
+            elif optional:
+                out.append(None)
+            else:
+                raise InputError(missing, name)
+        return tuple(out)
+    return read_fields
 
 
 def degree_key(name: str) -> int:

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from ._value import read
 from .artin import graph_matrix, solve_coalgebra_morphisms, verify_mcffe
 from .finsets import FinDiagram, FinSet, automorphism_group
 from .galois import GSet, equivariant_set_maps, fixed_coalgebra_morphisms
@@ -75,7 +74,7 @@ def _read(path: str, reader):
     the file's content is reported with the path in front."""
     with open(path) as fh:
         try:
-            return reader(read(json.load(fh), dict))
+            return reader(json.load(fh))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

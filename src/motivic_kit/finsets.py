@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._value import InputError, Value, field, show
+from ._value import InputError, Value, compile_reader, show
 
 
 class FinSet(Value):
@@ -56,8 +56,7 @@ class FinSet(Value):
 
     @staticmethod
     def from_json(data) -> "FinSet":
-        return FinSet(field(data, "size", int),
-                      field(data, "labels", [_label], optional=True))
+        return FinSet(*_READ_FINSET(data))
 
 
 def _label(x):
@@ -114,9 +113,8 @@ class SetMap(Value):
 
     @staticmethod
     def from_json(data) -> "SetMap":
-        return SetMap(FinSet(field(data, "dom", int)),
-                      FinSet(field(data, "cod", int)),
-                      field(data, "values", [int]))
+        dom, cod, values = _READ_SET_MAP(data)
+        return SetMap(FinSet(dom), FinSet(cod), values)
 
 
 def compose(f: SetMap, g: SetMap) -> SetMap:
@@ -200,21 +198,19 @@ class FinDiagram(Value):
 
     @staticmethod
     def from_json(data) -> "FinDiagram":
-        sets = field(data, "sets", [FinSet.from_json])
-        if len(field(data, "maps", list)) != max(len(sets) - 1, 0):
+        sets, maps = _READ_DIAGRAM(data)
+        if len(maps) != max(len(sets) - 1, 0):
             raise ValueError("need exactly k-1 maps for k sets")
-        index = iter(range(len(sets)))
-
-        def chain(m):
-            """The next map; a `dom` or `cod` it declares is checked."""
-            i = next(index)
-            for name, j in (("dom", i), ("cod", i + 1)):
-                size = field(m, name, int, optional=True)
+        (declared,) = _READ_DIAGRAM_MAPS(data)
+        chain = []
+        for i, (dom, cod, values) in enumerate(declared):
+            # a `dom` or `cod` the map declares is checked
+            for name, size, j in (("dom", dom, i), ("cod", cod, i + 1)):
                 if size not in (None, sets[j].size):
                     raise InputError(f"is {size}, but sets[{j}] has size "
-                                     f"{sets[j].size}", name)
-            return SetMap(sets[i], sets[i + 1], field(m, "values", [int]))
-        return FinDiagram(sets, field(data, "maps", [chain]))
+                                     f"{sets[j].size}", f"maps[{i}].{name}")
+            chain.append(SetMap(sets[i], sets[i + 1], values))
+        return FinDiagram(sets, chain)
 
 
 class DiagramIso(Value):
@@ -243,13 +239,6 @@ class DiagramIso(Value):
 
     def __repr__(self):
         return f"DiagramIso({[list(c.values) for c in self.components]})"
-
-    def then(self, other: "DiagramIso") -> "DiagramIso":
-        if self.target != other.source:
-            raise ValueError("isos do not compose")
-        return DiagramIso(self.source, other.target,
-                          tuple(compose(a, b)
-                                for a, b in zip(self.components, other.components)))
 
     def inverse(self) -> "DiagramIso":
         return DiagramIso(self.target, self.source,
@@ -360,12 +349,9 @@ class PermGroup(Value):
 
     @staticmethod
     def from_json(data, diagram: FinDiagram) -> "PermGroup":
-        def generator(g):
-            return DiagramIso(diagram, diagram,
-                              field(g, "components", [SetMap.from_json]))
-        return PermGroup(field(data, "degrees", [int]),
-                         field(data, "generators", [generator]),
-                         field(data, "order", int))
+        degrees, generators, order = _READ_PERM_GROUP(data)
+        return PermGroup(degrees, [DiagramIso(diagram, diagram, components)
+                                   for (components,) in generators], order)
 
 
 def automorphism_group(d: FinDiagram) -> PermGroup:
@@ -417,3 +403,13 @@ def automorphism_group(d: FinDiagram) -> PermGroup:
                 SetMap(s, s, p) for s, p in zip(d.sets, perms))))
     return PermGroup(d.sizes(), gens, order)
 
+
+# the readers of input files, compiled once
+_READ_FINSET = compile_reader({"size": int, "labels?": [_label]})
+_READ_SET_MAP = compile_reader({"dom": int, "cod": int, "values": [int]})
+_READ_DIAGRAM = compile_reader({"sets": [FinSet.from_json], "maps": list})
+_READ_DIAGRAM_MAPS = compile_reader(
+    {"maps": [{"dom?": int, "cod?": int, "values": [int]}]})
+_READ_PERM_GROUP = compile_reader({
+    "degrees": [int], "generators": [{"components": [SetMap.from_json]}],
+    "order": int})

@@ -9,7 +9,7 @@ matching them up.
 
 from __future__ import annotations
 
-from ._value import InputError, Value, field
+from ._value import InputError, Value, compile_reader
 from .artin import graph_matrix, solve_coalgebra_morphisms
 from .finsets import FinSet, SetMap, all_maps, compose
 from .qlinalg import matmul
@@ -104,8 +104,8 @@ class FiniteGroup(Value):
 
     @staticmethod
     def from_json(data) -> "FiniteGroup":
-        order = field(data, "order", int)
-        g = FiniteGroup(field(data, "table", [[int]]))
+        order, table = _READ_GROUP(data)
+        g = FiniteGroup(table)
         if g.order != order:
             raise InputError(f"is {order}, but the table has order {g.order}",
                              "order")
@@ -157,11 +157,9 @@ class GSet(Value):
 
     @staticmethod
     def from_json(data) -> "GSet":
-        group = field(data, "group", FiniteGroup.from_json)
-        carrier = field(data, "carrier", FinSet.from_json)
-        action = [SetMap(carrier, carrier, values)
-                  for values in field(data, "action", [[int]])]
-        return GSet(group, carrier, action)
+        group, carrier, action = _READ_GSET(data)
+        return GSet(group, carrier, [SetMap(carrier, carrier, values)
+                                     for values in action])
 
 
 def equivariant_set_maps(x: GSet, y: GSet) -> list:
@@ -195,3 +193,9 @@ def fixed_coalgebra_morphisms(x: GSet, y: GSet) -> list:
     return [c for c in solve_coalgebra_morphisms(x.carrier, y.carrier)
             if all(matmul(matmul(py, c.matrix), px_inv) == c.matrix
                    for py, px_inv in actions)]
+
+
+# the readers of input files, compiled once
+_READ_GROUP = compile_reader({"order": int, "table": [[int]]})
+_READ_GSET = compile_reader({"group": FiniteGroup.from_json,
+                             "carrier": FinSet.from_json, "action": [[int]]})

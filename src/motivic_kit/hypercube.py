@@ -24,8 +24,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ._value import InputError, Value, degree_key, field
-from .qlinalg import ChainComplex, QMatrix, matmul, single_degree_complex
+from ._value import InputError, Value, compile_reader, degree_key, show
+from .qlinalg import (ChainComplex, QMatrix, product_terms,
+                      single_degree_complex)
 
 
 class ChainMap(Value):
@@ -44,8 +45,8 @@ class ChainMap(Value):
         lo = min(source.lo, target.lo)
         hi = max(source.hi, target.hi)
         for q in range(lo + 1, hi + 1):
-            left = matmul(self.at(q - 1), source.differential(q))
-            right = matmul(target.differential(q), self.at(q))
+            left = product_terms(self.at(q - 1), source.differential(q))
+            right = product_terms(target.differential(q), self.at(q))
             if left != right:
                 raise ValueError(f"does not commute with d in degree {q}")
 
@@ -53,20 +54,6 @@ class ChainMap(Value):
         if q in self.blocks:
             return self.blocks[q]
         return QMatrix.zeros(self.target.dim(q), self.source.dim(q))
-
-    def then(self, other: "ChainMap") -> "ChainMap":
-        if other.source is not self.target and other.source != self.target:
-            raise ValueError("chain maps do not compose")
-        lo = min(self.source.lo, other.target.lo)
-        hi = max(self.source.hi, other.target.hi)
-        blocks = {q: matmul(other.at(q), self.at(q))
-                  for q in range(lo, hi + 1)}
-        # unchecked: d(g f) = g d f = (g f) d holds since f and g commute with d
-        composite = object.__new__(ChainMap)
-        object.__setattr__(composite, "source", self.source)
-        object.__setattr__(composite, "target", other.target)
-        object.__setattr__(composite, "blocks", blocks)
-        return composite
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
@@ -79,6 +66,13 @@ class ChainMap(Value):
 
     def to_json(self):
         return {str(q): m.to_json() for q, m in sorted(self.blocks.items())}
+
+
+def _composite_terms(f: ChainMap, g: ChainMap) -> dict:
+    """The nonzero terms of g_q f_q by degree q, where there are any: two
+    paths of chain maps with the same ends agree iff these do."""
+    return {q: terms for q in f.blocks.keys() & g.blocks.keys()
+            if (terms := product_terms(g.blocks[q], f.blocks[q]))}
 
 
 def _subset_key(s) -> tuple:
@@ -123,8 +117,10 @@ class CubeDiagram(Value):
             if len(big) < 3:
                 continue
             for s, t in itertools.combinations(sorted(big), 2):
-                one = edges[(big, big - {s})].then(edges[(big - {s}, big - {s, t})])
-                two = edges[(big, big - {t})].then(edges[(big - {t}, big - {s, t})])
+                one = _composite_terms(edges[(big, big - {s})],
+                                       edges[(big - {s}, big - {s, t})])
+                two = _composite_terms(edges[(big, big - {t})],
+                                       edges[(big - {t}, big - {s, t})])
                 if one != two:
                     raise ValueError(f"square at {sorted(big)} minus "
                                      f"{{{s},{t}}} does not commute")
@@ -146,7 +142,7 @@ class CubeDiagram(Value):
 
     @staticmethod
     def from_json(data) -> "CubeDiagram":
-        vertices = field(data, "vertices", {_subset: ChainComplex.from_json})
+        vertices, edges, index_size = _READ_CUBE(data)
 
         def ends(name):
             """The vertices an edge key such as "0,1->0" joins."""
@@ -154,21 +150,31 @@ class CubeDiagram(Value):
             if not arrow:
                 raise InputError('is not keyed by two subsets joined by "->"')
             return _subset(big, vertices), _subset(small, vertices)
-        edges = field(data, "edges", {ends: {degree_key: QMatrix.from_json}})
-        return CubeDiagram(field(data, "index_size", int), vertices, {
+        return CubeDiagram(index_size, vertices, {
             (big, small): ChainMap(vertices[big], vertices[small], blocks)
-            for (big, small), blocks in edges.items()})
+            for (big, small), blocks in _keyed(edges, ends, "edges").items()})
 
 
 def _subset(name: str, vertices=None) -> frozenset:
     """The subset a key such as "0,2" names; one of `vertices`, if given."""
     try:
-        s = frozenset(int(i) for i in name.split(","))
+        s = frozenset(map(int, name.split(",")))
     except ValueError:
         raise InputError("is not keyed by comma-separated integers") from None
     if vertices is not None and s not in vertices:
         raise InputError(f"names {sorted(s)}, which is not a vertex")
     return s
+
+
+def _keyed(members: dict, key, name: str) -> dict:
+    """Field `name`'s members, read, keyed anew by the parser `key`."""
+    out = {}
+    for k, v in members.items():
+        try:
+            out[key(k)] = v
+        except InputError as exc:
+            raise exc.inside(f"{name}[{show(k)}]")
+    return out
 
 
 def _add_block(entries: list, cols: int, block: QMatrix, r0: int, c0: int,
@@ -252,8 +258,8 @@ def ks_hocolim(ambient: ChainComplex, d: CubeDiagram,
             raise ValueError("singleton map has wrong endpoints")
     for i, j in itertools.combinations(range(d.index_size), 2):
         big, one, two = frozenset({i, j}), frozenset({i}), frozenset({j})
-        via_i = edges[(big, one)].then(edges[(one, frozenset())])
-        via_j = edges[(big, two)].then(edges[(two, frozenset())])
+        via_i = _composite_terms(edges[(big, one)], edges[(one, frozenset())])
+        via_j = _composite_terms(edges[(big, two)], edges[(two, frozenset())])
         if via_i != via_j:
             raise ValueError(f"maps into ambient from {[i, j]} "
                              "are incompatible")
@@ -264,7 +270,7 @@ def hocolim_from_json(data) -> ChainComplex:
     """The total complex of a `hocolim` input, a mapping cone if it has an
     `ambient` (with `ambient_edges`, a chain map from each singleton)."""
     cube = CubeDiagram.from_json(data)
-    ambient = field(data, "ambient", ChainComplex.from_json, optional=True)
+    (ambient,) = _READ_AMBIENT(data)
     if ambient is None:
         return punctured_cube_hocolim(cube)
 
@@ -273,11 +279,10 @@ def hocolim_from_json(data) -> ChainComplex:
         if len(s) != 1:
             raise InputError(f"names {sorted(s)}, which is not a singleton")
         return s
-    singles = field(data, "ambient_edges",
-                    {singleton: {degree_key: QMatrix.from_json}})
+    (singles,) = _READ_AMBIENT_EDGES(data)
     return ks_hocolim(ambient, cube, {
         s: ChainMap(cube.vertices[s], ambient, blocks)
-        for s, blocks in singles.items()})
+        for s, blocks in _keyed(singles, singleton, "ambient_edges").items()})
 
 
 def cover_cube_diagram(components) -> tuple:
@@ -362,9 +367,14 @@ def build_kappa(components, ambient: str, dim: int) -> KappaDiagram:
 
     One inner vertex per nonempty subset of the components, carrying the
     intersection; the lower vertex carries the ambient, the upper vertex
-    zero.  The global twist is -dim and the global shift -2*dim.
+    zero.  The global twist is -dim and the global shift -2*dim.  A label
+    with "&", "(" or ")" would render like an intersection or a product.
     """
     components = tuple(components)
+    for label in (*components, ambient):
+        if not str(label) or set(str(label)) & set("&()"):
+            raise ValueError(f"label {show(str(label))} must be nonempty "
+                             'and contain none of "&", "(" and ")"')
     if len(set(components)) != len(components):
         raise ValueError("component labels must be distinct")
     rows = [("l", f"C_*({ambient})")]
@@ -375,3 +385,11 @@ def build_kappa(components, ambient: str, dim: int) -> KappaDiagram:
             rows.append((name, f"C_*({labels})"))
     rows.append(("u", "0"))
     return KappaDiagram(components, ambient, dim, tuple(rows), -dim, -2 * dim)
+
+
+# the readers of input files, compiled once
+_BLOCKS = {degree_key: QMatrix.from_json}
+_READ_CUBE = compile_reader({"vertices": {_subset: ChainComplex.from_json},
+                             "edges": {str: _BLOCKS}, "index_size": int})
+_READ_AMBIENT = compile_reader({"ambient?": ChainComplex.from_json})
+_READ_AMBIENT_EDGES = compile_reader({"ambient_edges": {str: _BLOCKS}})

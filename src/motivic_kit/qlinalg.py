@@ -9,16 +9,18 @@ plain integers.  There is no floating point anywhere: elimination divides
 only by a `Fraction`, and a pivot of +-1 needs no division.  Storage is
 dense row-major, elimination uses the first nonzero pivot, and all outputs
 are reproducible.
-The products (`matmul`, `kron`) visit only the nonzero entries of their
-factors, since the structure matrices of finite sets are mostly zeros;
-their results are still stored densely, zeros included.
+The products (`product_terms`, `matmul` built on it, and `kron`) visit
+only the nonzero entries of their factors, since the structure matrices
+of finite sets are mostly zeros; `matmul` and `kron` store their results
+densely, zeros included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
-from ._value import InputError, Value, degree_key, field, show
+from ._value import InputError, Value, compile_reader, degree_key, show
 
 
 def _frac(x):
@@ -92,17 +94,14 @@ class QMatrix(Value):
                        (self.entries[i * self.cols + j]
                         for j in range(self.cols) for i in range(self.rows)))
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
     def to_json(self):
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [str(x) for x in self.entries]}
 
     @staticmethod
     def from_json(data) -> "QMatrix":
-        return QMatrix(field(data, "rows", int), field(data, "cols", int),
-                       field(data, "entries", [_entry]))
+        rows, cols, entries = _READ_QMATRIX(data)
+        return QMatrix(rows, cols, _entries(entries, data))
 
 
 def _entry(x):
@@ -115,27 +114,47 @@ def _entry(x):
     raise InputError(f"must be an integer or a rational string, got {show(x)}")
 
 
-def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Exact matrix product; requires a.cols = b.rows.
+def _entries(entries: list, data) -> list:
+    """The `entries` of the matrix object `data`: one `int()` pass if all
+    are ints or strs, as `_frac` reads them, else `_entry` on each in turn,
+    so that every value and every error is the per-entry reader's."""
+    if set(map(type, entries)) <= {int, str}:
+        try:
+            return list(map(int, entries))
+        except ValueError:
+            pass
+    return _READ_ENTRIES(data)[0]
 
-    Row i of the product accumulates x * (row t of b) over the nonzero
-    entries x = a[i, t], and each row of b contributes only its nonzero
-    entries; a zero term never changes an exact sum.
-    """
+
+def product_terms(a: QMatrix, b: QMatrix) -> dict:
+    """The nonzero entries of the exact product a b (a.cols = b.rows) by
+    row-major index i * b.cols + j: each nonzero a[i, t] meets the nonzero
+    entries of row t of b.  Products of one shape are equal iff these are."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    if not (a.entries and b.entries):
+        return {}
     n, m = a.cols, b.cols
-    b_rows = [[(j, y) for j, y in enumerate(b.entries[t * m:(t + 1) * m]) if y]
-              for t in range(n)]
-    out = []
-    for i in range(a.rows):
-        acc = [0] * m
-        for t, x in enumerate(a.entries[i * n:(i + 1) * n]):
-            if x:
-                for j, y in b_rows[t]:
-                    acc[j] += x * y
-        out.extend(acc)
-    return QMatrix(a.rows, m, out)
+    b_rows = {}  # t -> the nonzero (j, b[t, j])
+    for k in compress(range(len(b.entries)), b.entries):
+        t, j = divmod(k, m)
+        b_rows.setdefault(t, []).append((j, b.entries[k]))
+    out = {}
+    for k in compress(range(len(a.entries)), a.entries):
+        i, t = divmod(k, n)
+        if t in b_rows:
+            x, base = a.entries[k], i * m
+            for j, y in b_rows[t]:
+                out[base + j] = out.get(base + j, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Exact matrix product, stored densely; requires a.cols = b.rows."""
+    out = [0] * (a.rows * b.cols)
+    for k, v in product_terms(a, b).items():
+        out[k] = v
+    return QMatrix(a.rows, b.cols, out)
 
 
 def kron(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -283,7 +302,7 @@ class ChainComplex(Value):
             if not (lo < n <= hi):
                 raise ValueError(f"differential {n} outside degree range")
         for n in range(lo + 2, hi + 1):
-            if not matmul(differentials[n - 1], differentials[n]).is_zero():
+            if product_terms(differentials[n - 1], differentials[n]):
                 raise ValueError(f"d_{n-1} o d_{n} != 0")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -330,10 +349,7 @@ class ChainComplex(Value):
 
     @staticmethod
     def from_json(data) -> "ChainComplex":
-        return ChainComplex(field(data, "lo", int), field(data, "hi", int),
-                            field(data, "dims", {degree_key: int}),
-                            field(data, "differentials",
-                                  {degree_key: QMatrix.from_json}))
+        return ChainComplex(*_READ_CHAIN_COMPLEX(data))
 
 
 def single_degree_complex(dim: int, degree: int = 0) -> ChainComplex:
@@ -343,3 +359,11 @@ def single_degree_complex(dim: int, degree: int = 0) -> ChainComplex:
 
 def homology_dims(c: ChainComplex) -> dict:
     return c.homology_dims()
+
+
+# the readers of input files, compiled once
+_READ_QMATRIX = compile_reader({"rows": int, "cols": int, "entries": list})
+_READ_ENTRIES = compile_reader({"entries": [_entry]})
+_READ_CHAIN_COMPLEX = compile_reader({
+    "lo": int, "hi": int, "dims": {degree_key: int},
+    "differentials": {degree_key: QMatrix.from_json}})

@@ -9,7 +9,7 @@ from importlib import resources
 
 from hypothesis import strategies as st
 
-from motivic_kit.finsets import FinDiagram, FinSet, SetMap, compose
+from motivic_kit.finsets import DiagramIso, FinDiagram, FinSet, SetMap, compose
 from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import ChainMap, cover_cube_diagram
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, kron, matmul, nullity,
@@ -27,6 +27,25 @@ def schoolbook_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
                 acc += a[i, t] * b[t, j]
             out.append(acc)
     return QMatrix(a.rows, b.cols, out)
+
+
+def schoolbook_composite(f: ChainMap, g: ChainMap) -> ChainMap:
+    """The chain map "f then g", blockwise by `schoolbook_matmul`, through
+    the checked constructor."""
+    assert f.target == g.source
+    lo = min(f.source.lo, g.target.lo)
+    hi = max(f.source.hi, g.target.hi)
+    return ChainMap(f.source, g.target,
+                    {q: schoolbook_matmul(g.at(q), f.at(q))
+                     for q in range(lo, hi + 1)})
+
+
+def iso_then(first: DiagramIso, second: DiagramIso) -> DiagramIso:
+    """The isomorphism "first then second", checked square by square."""
+    assert first.target == second.source
+    return DiagramIso(first.source, second.target,
+                      [compose(a, b) for a, b in zip(first.components,
+                                                     second.components)])
 
 
 def schoolbook_kron(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -484,7 +503,8 @@ def dense_cone(ambient: ChainComplex, d, singleton_maps) -> ChainComplex:
                 raise ValueError("singleton map has wrong endpoints")
             into_ambient[s] = m
         else:
-            candidates = [d.edges[(s, s - {el})].then(into_ambient[s - {el}])
+            candidates = [schoolbook_composite(d.edges[(s, s - {el})],
+                                               into_ambient[s - {el}])
                           for el in sorted(s)]
             if any(other != candidates[0] for other in candidates[1:]):
                 raise ValueError(f"maps into ambient from {sorted(s)} "

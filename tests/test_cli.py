@@ -80,6 +80,16 @@ class TestCommands:
         assert "u: 0" in text
         assert "(-2)" in text and "[-4]" in text
 
+    @pytest.mark.parametrize("components, ambient, label", [
+        ("A,,B", "X", '""'), ("A,B", "", '""'), ("A&B,C", "X", '"A&B"'),
+        ("A,B(1)", "X", '"B(1)"')])
+    def test_kappa_rejects_labels_that_render_ambiguously(
+            self, components, ambient, label):
+        status, text = run_cli(["kappa", "--components", components,
+                                "--ambient", ambient, "--dim", "1"])
+        assert (status, text) == (2, f"error: label {label} must be nonempty "
+                                  'and contain none of "&", "(" and ")"')
+
     def test_kappa_cross(self):
         status, text = run_cli(["kappa", "--components", "A",
                                 "--ambient", "X", "--dim", "1",

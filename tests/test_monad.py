@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from helpers import (brute_automorphisms, brute_census, identity_map,
-                     tuple_index_matrix)
+                     iso_then, tuple_index_matrix)
 from motivic_kit import cli, monad
 from motivic_kit.artin import artin_comonoid, is_coalgebra_morphism
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
@@ -280,7 +280,7 @@ class TestFunctorialityOnIso:
             for p2 in perms:
                 i1 = DiagramIso(d, d, [SetMap(s3, s3, p1)])
                 i2 = DiagramIso(d, d, [SetMap(s3, s3, p2)])
-                left = functoriality_on_iso(i1.then(i2), e)
+                left = functoriality_on_iso(iso_then(i1, i2), e)
                 right = matmul(functoriality_on_iso(i2, e),
                                functoriality_on_iso(i1, e))
                 assert left == right

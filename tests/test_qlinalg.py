@@ -9,9 +9,11 @@ from helpers import (dense_kernel_basis, dense_row_echelon, integer_entries,
                      is_normal_form, mixed_rationals, qmatrices,
                      random_qmatrix, schoolbook_kron, schoolbook_matmul,
                      sparse_rationals, unit_entries)
-from motivic_kit.qlinalg import (ChainComplex, QMatrix, _row_echelon,
-                                 kernel_basis, kron, kron_power, matmul,
-                                 nullity, rank, single_degree_complex)
+from motivic_kit._value import InputError, show
+from motivic_kit.qlinalg import (_READ_ENTRIES, ChainComplex, QMatrix,
+                                 _entries, _row_echelon, kernel_basis, kron,
+                                 kron_power, matmul, nullity, product_terms,
+                                 rank, single_degree_complex)
 
 
 def matrices_of(entries, max_rows=5, max_cols=6):
@@ -116,6 +118,91 @@ class TestMatmul:
         assert matmul(a, b) == schoolbook_matmul(a, b)
 
 
+def nonzero_entries(m: QMatrix) -> dict:
+    return {k: v for k, v in enumerate(m.entries) if v}
+
+
+class TestProductTerms:
+    """The nonzero entries of a product, as the square checks compare them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.integers(0, 4)] * 3).flatmap(
+        lambda s: st.tuples(qmatrices(s[0], s[1], mixed_rationals),
+                            qmatrices(s[1], s[2], mixed_rationals))))
+    def test_matches_schoolbook(self, pair):
+        a, b = pair
+        assert product_terms(a, b) == nonzero_entries(schoolbook_matmul(a, b))
+
+    def test_cancelling_terms_are_dropped(self):
+        a, b = QMatrix(1, 2, [1, 1]), QMatrix(2, 1, [Fraction(1, 2), "-1/2"])
+        assert product_terms(a, b) == {}
+
+    def test_row_major_keys(self):
+        a = QMatrix(2, 1, [0, 2])
+        b = QMatrix(1, 3, [0, 0, Fraction(1, 3)])
+        assert product_terms(a, b) == {5: Fraction(2, 3)}
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            product_terms(QMatrix.zeros(2, 0), QMatrix.zeros(1, 2))
+
+
+@st.composite
+def decimal_strings(draw):
+    """Integer strings as `int()` reads them: a sign, padding, a `_`."""
+    digits = str(draw(st.integers(0, 10 ** 6)))
+    if len(digits) > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:i] + "_" + digits[i:]
+    pad = draw(st.sampled_from(["", " ", "\t", " \n"]))
+    return pad + draw(st.sampled_from(["", "+", "-"])) + digits + pad
+
+
+accepted_entries = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6), decimal_strings(),
+    st.sampled_from(["1/2", "2/2", "1e3", "-3/6"]))
+rejected_entries = st.sampled_from([True, 2.5, None, "1/0", [1], "x"])
+
+
+def read_by_both(entries):
+    """What the one-pass reader and the per-entry reader make of a list:
+    the values and their types, or the error's path and message."""
+    outcomes = []
+    for reader in (lambda data: _entries(data["entries"], data),
+                   lambda data: _READ_ENTRIES(data)[0]):
+        try:
+            values = reader({"entries": list(entries)})
+        except InputError as exc:
+            outcomes.append((exc.path, str(exc)))
+        else:
+            outcomes.append((values, [type(v) for v in values]))
+    return outcomes
+
+
+class TestEntryReaders:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(accepted_entries, max_size=8))
+    def test_agree_on_accepted_lists(self, entries):
+        fast, each = read_by_both(entries)
+        assert fast == each
+        assert set(fast[1]) <= {int, Fraction}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(accepted_entries, max_size=6), rejected_entries,
+           st.lists(st.one_of(accepted_entries, rejected_entries),
+                    max_size=4))
+    def test_agree_on_the_first_rejected_entry(self, head, bad, tail):
+        fast, each = read_by_both(head + [bad] + tail)
+        assert fast == each
+        assert fast == (f"entries[{len(head)}]",
+                        f"entries[{len(head)}] must be an integer or a "
+                        f"rational string, got {show(bad)}")
+
+    def test_integer_strings_read_as_integers(self):
+        assert read_by_both(["-1", " 2 ", "1_0", 3])[0][0] == [-1, 2, 10, 3]
+        assert read_by_both(["2/2", "1/2"])[0][1] == [int, Fraction]
+
+
 class TestKron:
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(*[st.integers(0, 3)] * 4).flatmap(
@@ -195,14 +282,14 @@ class TestKernelRank:
         # spanned by (1, -1): the computed column is (-1, 1)
         assert k.entries in ((Fraction(-1), Fraction(1)),
                              (Fraction(1), Fraction(-1)))
-        assert matmul(a, k).is_zero()
+        assert not any(matmul(a, k).entries)
 
     def test_rank_nullity(self):
         rng = random.Random(13)
         for _ in range(15):
             a = random_qmatrix(rng, 3, 4)
             assert rank(a) + nullity(a) == 4
-            assert matmul(a, kernel_basis(a)).is_zero()
+            assert not any(matmul(a, kernel_basis(a)).entries)
 
     def test_kernel_deterministic(self):
         rng = random.Random(17)

@@ -1,9 +1,9 @@
 """Repository-wide checks: a stdlib-only runtime, a resolvable API, one
 base class for the immutable values, integers kept as integers, one
-reader for outside JSON, no relabeling search on the census path, one
-unchecked construction path, a CLI parser built only at import, one
-builder for the cube's total complexes, and no definition in the library
-that only the tests reach."""
+reader for outside JSON compiled only at import, no relabeling search on
+the census path, no construction that skips validation, a CLI parser
+built only at import, one builder for the cube's total complexes, and no
+definition in the library that only the tests reach."""
 
 import ast
 import collections
@@ -150,12 +150,24 @@ def calls_by_function(path: Path):
     yield from visit(ast.parse(path.read_text(), str(path)), None)
 
 
-def test_chain_map_composite_is_the_only_unchecked_construction():
+def test_no_construction_skips_validation():
     # object.__new__ skips a constructor's validation
     sites = [(path.name, owner) for path in SOURCES
              for owner, callee in calls_by_function(path)
              if callee == "object.__new__"]
-    assert sites == [("hypercube.py", "ChainMap.then")]
+    assert sites == []
+
+
+def test_readers_are_compiled_only_at_import():
+    # a spec compiled inside a function would be compiled again per value
+    calls = [(path.name, owner) for path in SOURCES
+             for owner, callee in calls_by_function(path)
+             if callee.split(".")[-1] == "compile_reader"]
+    assert {name for name, owner in calls if owner is None} >= {
+        "finsets.py", "galois.py", "hypercube.py", "qlinalg.py"}
+    # the compiler's own recursion into nested specs runs at import too
+    assert {(name, owner) for name, owner in calls
+            if owner is not None} == {("_value.py", "compile_reader")}
 
 
 def test_cli_builds_its_parser_only_at_import():
