@@ -30,7 +30,8 @@ from .qlinalg import (ChainComplex, QMatrix, product_terms,
 
 
 class ChainMap(Value):
-    """A degreewise matrix map of chain complexes, commuting with d."""
+    """A degreewise matrix map of chain complexes, commuting with d.  Only
+    blocks with a nonzero entry are stored: an absent one is zero."""
 
     __slots__ = ("source", "target", "blocks")
 
@@ -39,33 +40,24 @@ class ChainMap(Value):
         for q, m in blocks.items():
             if m.rows != target.dim(q) or m.cols != source.dim(q):
                 raise ValueError(f"block {q} has wrong shape")
+        blocks = {q: m for q, m in blocks.items() if any(m.entries)}
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "blocks", blocks)
         lo = min(source.lo, target.lo)
         hi = max(source.hi, target.hi)
         for q in range(lo + 1, hi + 1):
-            left = product_terms(self.at(q - 1), source.differential(q))
-            right = product_terms(target.differential(q), self.at(q))
-            if left != right:
+            if (_terms(blocks.get(q - 1), source.differentials.get(q))
+                    != _terms(target.differentials.get(q), blocks.get(q))):
                 raise ValueError(f"does not commute with d in degree {q}")
-
-    def at(self, q: int) -> QMatrix:
-        if q in self.blocks:
-            return self.blocks[q]
-        return QMatrix.zeros(self.target.dim(q), self.source.dim(q))
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainMap):
-            return False
-        if self.source != other.source or self.target != other.target:
-            return False
-        lo = min(self.source.lo, self.target.lo)
-        hi = max(self.source.hi, self.target.hi)
-        return all(self.at(q) == other.at(q) for q in range(lo, hi + 1))
 
     def to_json(self):
         return {str(q): m.to_json() for q, m in sorted(self.blocks.items())}
+
+
+def _terms(a, b) -> dict:
+    """The nonzero entries of a b, none if a factor is absent (zero)."""
+    return {} if a is None or b is None else product_terms(a, b)
 
 
 def _composite_terms(f: ChainMap, g: ChainMap) -> dict:
@@ -178,7 +170,7 @@ def _keyed(members: dict, key, name: str) -> dict:
 
 
 def _add_block(entries: list, cols: int, block: QMatrix, r0: int, c0: int,
-               sign: int = 1):
+               sign: int):
     """Add sign * block into a row-major entry list at row r0, column c0."""
     for i in range(block.rows):
         base = (r0 + i) * cols + c0
@@ -194,7 +186,8 @@ def _total_complex(vertices, edges) -> ChainComplex:
     by p, and the degree range is that of the shifted vertices; the
     differential combines internal differentials with sign (-1)^p and the
     one-step edge maps s -> s - {i} between vertices, signed by the
-    position of i in sorted(s).
+    position of i in sorted(s).  Only stored blocks are placed, and a
+    degree's entries are allocated only if one lands there.
     """
     summands = sorted(vertices, key=_subset_key)
     column = {s: len(s) - len(summands[0]) for s in summands}
@@ -211,21 +204,27 @@ def _total_complex(vertices, edges) -> ChainComplex:
         dims[m] = total
     diffs = {}
     for m in range(lo + 1, hi + 1):
-        rows, cols = dims[m - 1], dims[m]
-        entries = [0] * (rows * cols)
+        placed = []  # (block, first row, first column, sign)
         for s in summands:
             q = m - column[s]
             if not vertices[s].dim(q):
                 continue
             c0 = offsets[m][s]
-            _add_block(entries, cols, vertices[s].differential(q),
-                       offsets[m - 1][s], c0, (-1) ** column[s])
+            internal = vertices[s].differentials
+            if q in internal:
+                placed.append((internal[q], offsets[m - 1][s], c0,
+                               (-1) ** column[s]))
             for idx, el in enumerate(sorted(s)):
                 small = s - {el}
-                if small in vertices:
-                    _add_block(entries, cols, edges[(s, small)].at(q),
-                               offsets[m - 1][small], c0, (-1) ** idx)
-        diffs[m] = QMatrix(rows, cols, entries)
+                if small in vertices and q in edges[(s, small)].blocks:
+                    placed.append((edges[(s, small)].blocks[q],
+                                   offsets[m - 1][small], c0, (-1) ** idx))
+        if placed:
+            rows, cols = dims[m - 1], dims[m]
+            entries = [0] * (rows * cols)
+            for block, r0, c0, sign in placed:
+                _add_block(entries, cols, block, r0, c0, sign)
+            diffs[m] = QMatrix(rows, cols, entries)
     return ChainComplex(lo, hi, dims, diffs)
 
 

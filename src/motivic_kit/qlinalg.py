@@ -275,9 +275,10 @@ def nullity(a: QMatrix) -> int:
 class ChainComplex(Value):
     """A bounded chain complex of Q-vector spaces.
 
-    `dims[n]` is the dimension in degree n for lo <= n <= hi, and
+    `dims[n]` is the dimension in degree n, for exactly lo <= n <= hi, and
     `differentials[n]` is the matrix of d_n : degree n -> degree n-1 for
-    lo < n <= hi.  The identity d o d = 0 is enforced exactly at
+    lo < n <= hi.  Only differentials with a nonzero entry are stored: an
+    absent one is zero.  The identity d o d = 0 is enforced exactly at
     construction.
     """
 
@@ -287,22 +288,23 @@ class ChainComplex(Value):
         if lo > hi:
             raise ValueError("empty degree range")
         dims = {int(n): int(d) for n, d in dims.items()}
-        differentials = dict(differentials)
         for n in range(lo, hi + 1):
             if n not in dims or dims[n] < 0:
                 raise ValueError(f"missing or negative dimension in degree {n}")
-        for n in range(lo + 1, hi + 1):
-            d = differentials.get(n)
-            if d is None:
-                d = QMatrix.zeros(dims[n - 1], dims[n])
-                differentials[n] = d
-            if d.rows != dims[n - 1] or d.cols != dims[n]:
-                raise ValueError(f"differential {n} has wrong shape")
-        for n in list(differentials):
+        for n in sorted(dims):
+            if not (lo <= n <= hi):
+                raise ValueError(f"dimension in degree {n} outside degree "
+                                 f"range [{lo}, {hi}]")
+        differentials = dict(sorted(differentials.items()))
+        for n, d in differentials.items():
             if not (lo < n <= hi):
                 raise ValueError(f"differential {n} outside degree range")
-        for n in range(lo + 2, hi + 1):
-            if product_terms(differentials[n - 1], differentials[n]):
+            if d.rows != dims[n - 1] or d.cols != dims[n]:
+                raise ValueError(f"differential {n} has wrong shape")
+        differentials = {n: d for n, d in differentials.items()
+                         if any(d.entries)}
+        for n, d in differentials.items():
+            if n - 1 in differentials and product_terms(differentials[n - 1], d):
                 raise ValueError(f"d_{n-1} o d_{n} != 0")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -312,12 +314,6 @@ class ChainComplex(Value):
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
-    def differential(self, n: int) -> QMatrix:
-        """d_n as a matrix, the zero map outside the stored range."""
-        if self.lo < n <= self.hi:
-            return self.differentials[n]
-        return QMatrix.zeros(self.dim(n - 1), self.dim(n))
-
     def __repr__(self):
         dims = " ".join(f"{n}:{self.dims[n]}" for n in range(self.lo, self.hi + 1))
         return f"ChainComplex([{self.lo},{self.hi}], dims {dims})"
@@ -326,26 +322,18 @@ class ChainComplex(Value):
         return sum(((-1) ** n) * self.dims[n] for n in range(self.lo, self.hi + 1))
 
     def homology_dims(self) -> dict:
-        """dim H_n = nullity(d_n) - rank(d_{n+1}), per degree in range."""
-        out = {}
-        for n in range(self.lo, self.hi + 1):
-            if n == self.lo:
-                null_n = self.dims[n]
-            else:
-                null_n = nullity(self.differentials[n])
-            if n == self.hi:
-                rank_next = 0
-            else:
-                rank_next = rank(self.differentials[n + 1])
-            out[n] = null_n - rank_next
-        return out
+        """dim H_n = dims[n] - rank(d_n) - rank(d_{n+1}), per degree in
+        range, with one elimination per stored differential."""
+        ranks = {n: rank(d) for n, d in self.differentials.items()}
+        return {n: self.dims[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
+                for n in range(self.lo, self.hi + 1)}
 
     def to_json(self):
         return {"lo": self.lo, "hi": self.hi,
                 "dims": {str(n): self.dims[n]
                          for n in range(self.lo, self.hi + 1)},
-                "differentials": {str(n): self.differentials[n].to_json()
-                                  for n in range(self.lo + 1, self.hi + 1)}}
+                "differentials": {str(n): d.to_json()
+                                  for n, d in self.differentials.items()}}
 
     @staticmethod
     def from_json(data) -> "ChainComplex":

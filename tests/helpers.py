@@ -29,6 +29,25 @@ def schoolbook_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(a.rows, b.cols, out)
 
 
+def dense_at(value, n: int) -> QMatrix:
+    """The differential d_n of a complex, or block n of a chain map, as a
+    matrix with its zeros: a matrix that is not stored is zero."""
+    if isinstance(value, ChainComplex):
+        stored, rows, cols = value.differentials, value.dim(n - 1), value.dim(n)
+    else:
+        stored = value.blocks
+        rows, cols = value.target.dim(n), value.source.dim(n)
+    return stored[n] if n in stored else QMatrix.zeros(rows, cols)
+
+
+def dense_homology(c: ChainComplex) -> dict:
+    """dim H_n = nullity(d_n) - rank(d_{n+1}), on the zero-filled
+    differentials: the oracle of `homology_dims`, which subtracts the
+    ranks of the stored differentials from the dimension instead."""
+    return {n: nullity(dense_at(c, n)) - rank(dense_at(c, n + 1))
+            for n in range(c.lo, c.hi + 1)}
+
+
 def schoolbook_composite(f: ChainMap, g: ChainMap) -> ChainMap:
     """The chain map "f then g", blockwise by `schoolbook_matmul`, through
     the checked constructor."""
@@ -36,7 +55,7 @@ def schoolbook_composite(f: ChainMap, g: ChainMap) -> ChainMap:
     lo = min(f.source.lo, g.target.lo)
     hi = max(f.source.hi, g.target.hi)
     return ChainMap(f.source, g.target,
-                    {q: schoolbook_matmul(g.at(q), f.at(q))
+                    {q: schoolbook_matmul(dense_at(g, q), dense_at(f, q))
                      for q in range(lo, hi + 1)})
 
 
@@ -475,12 +494,12 @@ def dense_punctured_total(d) -> ChainComplex:
         for p, s in summands:
             q = m - p
             c0 = offsets[m][s]
-            _place(entries, cols, d.vertices[s].differential(q),
+            _place(entries, cols, dense_at(d.vertices[s], q),
                    offsets[m - 1][s], c0, (-1) ** p)
             for idx, el in enumerate(sorted(s)):
                 small = s - {el}
                 if small:
-                    _place(entries, cols, d.edges[(s, small)].at(q),
+                    _place(entries, cols, dense_at(d.edges[(s, small)], q),
                            offsets[m - 1][small], c0, (-1) ** idx)
         diffs[m] = QMatrix(rows, cols, entries)
     return ChainComplex(lo, hi, dims, diffs)
@@ -519,14 +538,14 @@ def dense_cone(ambient: ChainComplex, d, singleton_maps) -> ChainComplex:
     for m in range(lo + 1, hi + 1):
         rows, cols = dims[m - 1], dims[m]
         entries = [0] * (rows * cols)
-        _place(entries, cols, ambient.differential(m), 0, 0)
-        _place(entries, cols, tot.differential(m - 1),
+        _place(entries, cols, dense_at(ambient, m), 0, 0)
+        _place(entries, cols, dense_at(tot, m - 1),
                ambient.dim(m - 1), ambient.dim(m), -1)
         # the induced map Tot -> ambient lives on the p = 0 column
         if tot.dim(m - 1):
             for p, s in summands:
                 if p == 0:
-                    _place(entries, cols, into_ambient[s].at(m - 1),
+                    _place(entries, cols, dense_at(into_ambient[s], m - 1),
                            0, ambient.dim(m) + toffsets[m - 1][s])
         diffs[m] = QMatrix(rows, cols, entries)
     return ChainComplex(lo, hi, dims, diffs)

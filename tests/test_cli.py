@@ -17,6 +17,7 @@ from test_golden import DATA as GOLDEN_DATA
 from motivic_kit import cli
 from motivic_kit.finsets import FinDiagram, PermGroup
 from motivic_kit.hypercube import CubeDiagram
+from motivic_kit.qlinalg import QMatrix
 
 
 def data_path(name: str) -> str:
@@ -70,6 +71,26 @@ class TestCommands:
                                 data_path("cover_two_patches.json")])
         assert status == 0
         assert text == "H0=3 H1=0"
+
+    def test_hocolim_builds_no_matrix_for_absent_differentials(
+            self, tmp_path, monkeypatch):
+        # an absent differential is zero and is never built: a dense zero
+        # d_1 here would be a 3000 x 3000 matrix
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "index_size": 1, "edges": {},
+            "vertices": {"0": {"lo": 0, "hi": 1,
+                               "dims": {"0": 3000, "1": 3000},
+                               "differentials": {}}}}))
+        shapes, init = [], QMatrix.__init__
+
+        def counting_init(self, rows, cols, entries):
+            shapes.append((rows, cols))
+            init(self, rows, cols, entries)
+        monkeypatch.setattr(QMatrix, "__init__", counting_init)
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert (status, text) == (0, "H0=3000 H1=3000")
+        assert [(r, c) for r, c in shapes if r * c] == []
 
     def test_kappa(self):
         status, text = run_cli(["kappa", "--components", "A,B",
@@ -443,6 +464,16 @@ class TestErrors:
         assert time.perf_counter() - start < 1.0
         assert (status, text) == (2, f"error: {path}: need exactly the "
                                   "nonempty subsets as vertices")
+
+    def test_dimension_outside_the_degree_range_is_rejected(self, tmp_path):
+        with open(data_path("cover_two_patches.json")) as fh:
+            payload = json.load(fh)
+        path = tmp_path / "stray.json"
+        payload["vertices"]["0"]["dims"]["1"] = 5
+        path.write_text(json.dumps(payload))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert (status, text) == (2, f"error: {path}: dimension in degree 1 "
+                                  "outside degree range [0, 0]")
 
     def test_main_returns_status(self, capsys):
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cone_basis_signs, dense_cone, dense_punctured_total,
-                     inclusion_exclusion_euler, nerve_oracle_homology,
-                     random_cover, schoolbook_composite,
-                     union_find_components)
+from helpers import (cone_basis_signs, dense_at, dense_cone, dense_homology,
+                     dense_punctured_total, inclusion_exclusion_euler,
+                     nerve_oracle_homology, random_cover,
+                     schoolbook_composite, union_find_components)
 from motivic_kit import hypercube
 from motivic_kit._value import InputError
 from motivic_kit.hypercube import (ChainMap, CubeDiagram, _composite_terms,
                                    _subset, build_kappa, cover_cube_diagram,
-                                   ks_hocolim, punctured_cube_hocolim)
+                                   hocolim_from_json, ks_hocolim,
+                                   punctured_cube_hocolim)
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex)
 
@@ -78,6 +79,15 @@ class TestCubeDiagram:
         with pytest.raises(ValueError):
             ChainMap(src, tgt, {0: QMatrix(1, 1, [1]),
                                 1: QMatrix(1, 1, [1])})
+
+    def test_chain_map_with_an_absent_factor_must_commute(self):
+        # f_0 d_1 is 1, while d_1 f_1 is zero: the target has no d_1
+        src = ChainComplex(0, 1, {0: 1, 1: 1}, {1: QMatrix(1, 1, [1])})
+        tgt = ChainComplex(0, 1, {0: 1, 1: 1}, {})
+        with pytest.raises(ValueError,
+                           match=r"^does not commute with d in degree 1$"):
+            ChainMap(src, tgt, {0: QMatrix(1, 1, [1])})
+        assert ChainMap(src, tgt, {0: QMatrix(1, 1, [0])}).blocks == {}
 
     def test_json_round_trip(self):
         cube, _ = two_patch_cover()
@@ -174,8 +184,8 @@ class TestPuncturedHocolim:
             assert tot.euler_characteristic() == \
                 inclusion_exclusion_euler(comps)
             for n in range(tot.lo + 2, tot.hi + 1):
-                assert not any(matmul(tot.differentials[n - 1],
-                                      tot.differentials[n]).entries)
+                assert not any(matmul(dense_at(tot, n - 1),
+                                      dense_at(tot, n)).entries)
 
 
 def four_point_ambient_setup():
@@ -281,7 +291,7 @@ def assert_composite_terms(f: ChainMap, g: ChainMap):
     expected = {}
     for q in range(min(f.source.lo, g.target.lo),
                    max(f.source.hi, g.target.hi) + 1):
-        terms = {k: v for k, v in enumerate(composite.at(q).entries) if v}
+        terms = {k: v for k, v in enumerate(dense_at(composite, q).entries) if v}
         if terms:
             expected[q] = terms
     assert _composite_terms(f, g) == expected
@@ -308,7 +318,7 @@ def cover_into_union(comps):
 
 
 def changed_entry(m: ChainMap, row: int, col: int) -> ChainMap:
-    block = m.at(0)
+    block = dense_at(m, 0)
     entries = list(block.entries)
     entries[row * block.cols + col] += 1
     return ChainMap(m.source, m.target,
@@ -345,8 +355,8 @@ def chain_maps(draw, source: ChainComplex, target: ChainComplex):
         for q in range(-1, max(source.hi, target.hi) + 1)}
     blocks = {}
     for q in range(0, max(source.hi, target.hi) + 1):
-        block = (matmul(target.differential(q + 1), h[q])
-                 + matmul(h[q - 1], source.differential(q)))
+        block = (matmul(dense_at(target, q + 1), h[q])
+                 + matmul(h[q - 1], dense_at(source, q)))
         if source == target:
             block = block + QMatrix.identity(source.dim(q))
         blocks[q] = block
@@ -441,9 +451,9 @@ def assert_one_total_complex(ambient, cube, singles):
     old = dense_cone(ambient, cube, singles)
     assert (cone.lo, cone.hi, cone.dims) == (old.lo, old.hi, old.dims)
     for m in range(cone.lo + 1, cone.hi + 1):
-        assert cone.differentials[m] == matmul(
+        assert dense_at(cone, m) == matmul(
             matmul(cone_basis_signs(ambient, cube, m - 1),
-                   old.differentials[m]),
+                   dense_at(old, m)),
             cone_basis_signs(ambient, cube, m))
     assert cone.homology_dims() == old.homology_dims()
 
@@ -495,3 +505,60 @@ class TestOneTotalComplex:
             with pytest.raises(ValueError,
                                match=r"^singleton map has wrong endpoints$"):
                 ks_hocolim(ambient, cube, misplaced)
+
+
+# --- an absent differential or block is zero ---------------------------------
+
+def with_zero_differentials(c: ChainComplex) -> ChainComplex:
+    """`c`, given every absent differential as an explicit zero matrix."""
+    return ChainComplex(c.lo, c.hi, c.dims, {
+        **{n: QMatrix.zeros(c.dim(n - 1), c.dim(n))
+           for n in range(c.lo + 1, c.hi + 1)},
+        **c.differentials})
+
+
+def with_zero_blocks(m: ChainMap, source, target) -> ChainMap:
+    """`m` between `source` and `target`, given every absent block as an
+    explicit zero matrix, 0 x 0 ones one degree past either end too."""
+    return ChainMap(source, target, {
+        **{q: QMatrix.zeros(target.dim(q), source.dim(q))
+           for q in range(min(source.lo, target.lo) - 1,
+                          max(source.hi, target.hi) + 2)},
+        **m.blocks})
+
+
+class TestAbsentIsZero:
+    @settings(max_examples=60, deadline=None)
+    @given(graded_cubes())
+    def test_explicit_zeros_change_nothing(self, cube_with_ambient):
+        ambient, cube, singles = cube_with_ambient
+        vertices = {s: with_zero_differentials(c)
+                    for s, c in cube.vertices.items()}
+        edges = {(big, small): with_zero_blocks(m, vertices[big],
+                                                vertices[small])
+                 for (big, small), m in cube.edges.items()}
+        zero_ambient = with_zero_differentials(ambient)
+        zero_singles = {s: with_zero_blocks(m, vertices[s], zero_ambient)
+                        for s, m in singles.items()}
+        zero_cube = CubeDiagram(cube.index_size, vertices, edges)
+        assert zero_ambient == ambient and vertices == cube.vertices
+        assert zero_singles == singles and edges == cube.edges
+        assert zero_cube == cube
+        totals = (punctured_cube_hocolim(zero_cube),
+                  ks_hocolim(zero_ambient, zero_cube, zero_singles))
+        assert totals == (punctured_cube_hocolim(cube),
+                          ks_hocolim(ambient, cube, singles))
+        for t in totals:
+            assert t.homology_dims() == dense_homology(t)
+        payload = zero_cube.to_json()
+        payload["ambient"] = zero_ambient.to_json()
+        payload["ambient_edges"] = {",".join(map(str, s)): m.to_json()
+                                    for s, m in zero_singles.items()}
+        payload = json.loads(json.dumps(payload))
+        assert CubeDiagram.from_json(payload) == cube
+        assert hocolim_from_json(payload) == totals[1]
+        stored = [matrix for c in (zero_ambient, *vertices.values(), *totals)
+                  for matrix in c.differentials.values()]
+        stored += [matrix for m in (*edges.values(), *zero_singles.values())
+                   for matrix in m.blocks.values()]
+        assert all(any(matrix.entries) for matrix in stored)

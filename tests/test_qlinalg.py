@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (dense_kernel_basis, dense_row_echelon, integer_entries,
-                     is_normal_form, mixed_rationals, qmatrices,
-                     random_qmatrix, schoolbook_kron, schoolbook_matmul,
-                     sparse_rationals, unit_entries)
+from helpers import (dense_homology, dense_kernel_basis, dense_row_echelon,
+                     integer_entries, is_normal_form, mixed_rationals,
+                     qmatrices, random_qmatrix, schoolbook_kron,
+                     schoolbook_matmul, sparse_rationals, unit_entries)
 from motivic_kit._value import InputError, show
 from motivic_kit.qlinalg import (_READ_ENTRIES, ChainComplex, QMatrix,
                                  _entries, _row_echelon, kernel_basis, kron,
@@ -374,6 +374,28 @@ class TestChainComplex:
             hom = c.homology_dims()
             alt = sum((-1) ** n * hom[n] for n in hom)
             assert c.euler_characteristic() == alt
+
+    def test_homology_matches_the_dense_oracle(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            c = _random_complex(rng)
+            assert c.homology_dims() == dense_homology(c)
+
+    def test_zero_differentials_are_not_stored(self):
+        # 0-row, 0-column and all-zero differentials alike
+        dims = {0: 1, 1: 0, 2: 2, 3: 1}
+        c = ChainComplex(0, 3, dims, {1: QMatrix.zeros(1, 0),
+                                      2: QMatrix.zeros(0, 2),
+                                      3: QMatrix.zeros(2, 1)})
+        assert c.differentials == {}
+        assert c == ChainComplex(0, 3, dims, {})
+        assert c.to_json()["differentials"] == {}
+        assert c.homology_dims() == dense_homology(c) == dims
+
+    def test_dimension_outside_the_range_rejected(self):
+        with pytest.raises(ValueError, match=r"^dimension in degree 1 "
+                           r"outside degree range \[0, 0\]$"):
+            ChainComplex(0, 0, {0: 1, 1: 5}, {})
 
     def test_json_round_trip(self):
         rng = random.Random(29)

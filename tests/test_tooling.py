@@ -1,9 +1,10 @@
 """Repository-wide checks: a stdlib-only runtime, a resolvable API, one
 base class for the immutable values, integers kept as integers, one
 reader for outside JSON compiled only at import, no relabeling search on
-the census path, no construction that skips validation, a CLI parser
-built only at import, one builder for the cube's total complexes, and no
-definition in the library that only the tests reach."""
+the census path, no construction that skips validation, no zero matrix
+built for an absent block, a CLI parser built only at import, one
+builder for the cube's total complexes, and no definition in the library
+that only the tests reach."""
 
 import ast
 import collections
@@ -156,6 +157,18 @@ def test_no_construction_skips_validation():
              for owner, callee in calls_by_function(path)
              if callee == "object.__new__"]
     assert sites == []
+
+
+def test_no_zero_matrix_stands_for_an_absent_block():
+    # an absent differential or chain-map block is zero: neither the cube
+    # code nor a chain complex builds one on demand
+    sites = [(path.name, owner) for path in SOURCES
+             for owner, callee in calls_by_function(path)
+             if callee.split(".")[-1] == "zeros"]
+    assert ("resolution.py", "iterated_mult") in sites  # the guard sees calls
+    assert [(name, owner) for name, owner in sites
+            if name == "hypercube.py"
+            or (owner or "").startswith("ChainComplex.")] == []
 
 
 def test_readers_are_compiled_only_at_import():
