@@ -295,10 +295,6 @@ class DualityCheck:
     target: ArtinMonoid
     violations: tuple
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def dualize(c: CoalgMorphism) -> DualityCheck:
     """Check the transpose as a monoid morphism between the dual monoids.

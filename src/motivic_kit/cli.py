@@ -191,9 +191,7 @@ def _cmd_verify_mcffe(args):
 
 
 def _cmd_verify_mdffe(args):
-    report = verify_mdffe(FinSet(args.x), FinSet(args.y),
-                          bound=args.bound,
-                          recheck_bound=args.bound + 1)
+    report = verify_mdffe(FinSet(args.x), FinSet(args.y), bound=args.bound)
     lines = [f"equalizer (bound {args.bound}): {report.equalizer_count}",
              f"equalizer (bound {args.bound + 1}): {report.recheck_count}",
              f"transposed comonoid morphisms: {report.transposed_morphism_count}",

@@ -56,9 +56,6 @@ class FiniteGroup(Value):
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
 
-    def inv(self, g: int) -> int:
-        return self.table[g].index(self.identity)
-
     def elements(self):
         return range(self.order)
 

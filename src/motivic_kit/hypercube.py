@@ -1,14 +1,16 @@
 """Exact homotopy colimits of cubes of chain complexes.
 
 Vertices of a hypercube on an index set I are the subsets of I, keyed in
-input files by their comma-joined sorted indices.  A punctured cube diagram assigns a chain
-complex to every nonempty subset and a chain map to every one-step
-inclusion, contravariantly (deeper intersections map to shallower ones);
-its homotopy colimit is realized as the total complex with alternating
-signs, one column per subset size.  The compactly-supported model puts
-an ambient complex at the empty vertex, with one chain map into it from
-each singleton; the total complex of that full cube is the mapping cone
-of the punctured colimit into the ambient.  One builder serves both:
+input files by their comma-joined sorted indices.  A punctured cube
+diagram assigns a chain complex to every nonempty subset and a chain map
+to every one-step inclusion, contravariantly (deeper intersections map
+to shallower ones); its homotopy colimit is realized as the total complex
+with alternating signs, one column per subset size.  The
+compactly-supported model puts an ambient complex at the empty vertex,
+with one chain map into it from each singleton; the total complex of
+that full cube is the mapping cone of the punctured colimit into the
+ambient.  One value, `CubeDiagram`, holds either cube and checks every
+edge and square of it, and one builder serves both colimits:
 column p holds the subsets of size p + (smallest size), the internal
 differential of column p carries the sign (-1)^p, and the edge
 s -> s - {i} the sign (-1)^(position of i in sorted(s)).
@@ -44,9 +46,8 @@ class ChainMap(Value):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "blocks", blocks)
-        lo = min(source.lo, target.lo)
-        hi = max(source.hi, target.hi)
-        for q in range(lo + 1, hi + 1):
+        # both sides vanish in a degree q with no block at q - 1 or q
+        for q in sorted({*blocks, *(q + 1 for q in blocks)}):
             if (_terms(blocks.get(q - 1), source.differentials.get(q))
                     != _terms(target.differentials.get(q), blocks.get(q))):
                 raise ValueError(f"does not commute with d in degree {q}")
@@ -72,11 +73,13 @@ def _subset_key(s) -> tuple:
 
 
 class CubeDiagram(Value):
-    """A punctured-cube diagram of chain complexes on an index set.
+    """A cube diagram of chain complexes on an index set.
 
-    One complex per nonempty subset of {0..index_size-1}; one chain map
-    per one-step inclusion, directed from the larger subset to the
-    smaller.  All commuting squares are verified exactly.
+    One complex per nonempty subset of {0..index_size-1} and, if the cube
+    has an ambient, one at the empty subset; one chain map per one-step
+    inclusion between vertices, directed from the larger subset to the
+    smaller.  Every square whose four corners are vertices is verified
+    exactly.
     """
 
     __slots__ = ("index_size", "vertices", "edges")
@@ -84,31 +87,30 @@ class CubeDiagram(Value):
     def __init__(self, index_size: int, vertices, edges):
         vertices = {frozenset(s): c for s, c in vertices.items()}
         edges = {(frozenset(b), frozenset(s)): m for (b, s), m in edges.items()}
-        # compare the counts first: 2^index_size may be out of reach
+        # as many distinct subsets of the index range as there are nonempty
+        # ones (or subsets, with the empty one): compare the counts first,
+        # 2^index_size may be out of reach
         if (index_size > len(vertices)
-                or len(vertices) != 2 ** index_size - 1):
-            raise ValueError("need exactly the nonempty subsets as vertices")
-        expected = {frozenset(c)
-                    for r in range(1, index_size + 1)
-                    for c in itertools.combinations(range(index_size), r)}
-        if set(vertices) != expected:
+                or len(vertices) != 2 ** index_size - (frozenset() not in vertices)
+                or not frozenset().union(*vertices) <= set(range(index_size))):
             raise ValueError("need exactly the nonempty subsets as vertices")
         for (big, small), m in edges.items():
             if not (small < big and len(big) == len(small) + 1):
                 raise ValueError("edges must be one-step inclusions")
-            if m.source != vertices[big] or m.target != vertices[small]:
+            if (m.source != vertices.get(big)
+                    or m.target != vertices.get(small)):
                 raise ValueError(f"edge {sorted(big)}->{sorted(small)} has "
                                  "wrong endpoints")
         for big in vertices:
             for s in big:
                 small = big - {s}
-                if small and (big, small) not in edges:
+                if small in vertices and (big, small) not in edges:
                     raise ValueError(f"missing edge {sorted(big)}->{sorted(small)}")
         # squares commute: removing two indices in either order agrees
         for big in vertices:
-            if len(big) < 3:
-                continue
             for s, t in itertools.combinations(sorted(big), 2):
+                if big - {s, t} not in vertices:
+                    continue
                 one = _composite_terms(edges[(big, big - {s})],
                                        edges[(big - {s}, big - {s, t})])
                 two = _composite_terms(edges[(big, big - {t})],
@@ -121,20 +123,30 @@ class CubeDiagram(Value):
         object.__setattr__(self, "edges", edges)
 
     def to_json(self):
+        """The cube as a `hocolim` input: the empty vertex, if any, is the
+        `ambient`, and the edges into it are the `ambient_edges`."""
         def key(s):
             return ",".join(str(i) for i in sorted(s))
-        return {"index_size": self.index_size,
-                "vertices": {key(s): c.to_json()
-                             for s, c in sorted(self.vertices.items(),
-                                                key=lambda kv: _subset_key(kv[0]))},
-                "edges": {f"{key(b)}->{key(s)}": m.to_json()
-                          for (b, s), m in sorted(self.edges.items(),
-                                                  key=lambda kv: (_subset_key(kv[0][0]),
-                                                                  _subset_key(kv[0][1])))}}
+        vertices = sorted(self.vertices.items(),
+                          key=lambda kv: _subset_key(kv[0]))
+        edges = sorted(self.edges.items(),
+                       key=lambda kv: (_subset_key(kv[0][0]),
+                                       _subset_key(kv[0][1])))
+        out = {"index_size": self.index_size,
+               "vertices": {key(s): c.to_json() for s, c in vertices if s},
+               "edges": {f"{key(b)}->{key(s)}": m.to_json()
+                         for (b, s), m in edges if s}}
+        if frozenset() in self.vertices:
+            out["ambient"] = self.vertices[frozenset()].to_json()
+            out["ambient_edges"] = {key(b): m.to_json()
+                                    for (b, s), m in edges if not s}
+        return out
 
     @staticmethod
     def from_json(data) -> "CubeDiagram":
-        vertices, edges, index_size = _READ_CUBE(data)
+        """The cube of a `hocolim` input; an `ambient`, if present, is its
+        empty vertex and `ambient_edges` the edges from the singletons."""
+        vertices, edges, index_size, ambient = _READ_CUBE(data)
 
         def ends(name):
             """The vertices an edge key such as "0,1->0" joins."""
@@ -142,9 +154,19 @@ class CubeDiagram(Value):
             if not arrow:
                 raise InputError('is not keyed by two subsets joined by "->"')
             return _subset(big, vertices), _subset(small, vertices)
-        return CubeDiagram(index_size, vertices, {
-            (big, small): ChainMap(vertices[big], vertices[small], blocks)
-            for (big, small), blocks in _keyed(edges, ends, "edges").items()})
+        edges = {(big, small): ChainMap(vertices[big], vertices[small], blocks)
+                 for (big, small), blocks in _keyed(edges, ends, "edges").items()}
+        if ambient is not None:
+            def singleton(name):
+                s = _subset(name, vertices)
+                if len(s) != 1:
+                    raise InputError(f"names {sorted(s)}, which is not a singleton")
+                return s
+            (singles,) = _READ_AMBIENT_EDGES(data)
+            for s, blocks in _keyed(singles, singleton, "ambient_edges").items():
+                edges[(s, frozenset())] = ChainMap(vertices[s], ambient, blocks)
+            vertices[frozenset()] = ambient
+        return CubeDiagram(index_size, vertices, edges)
 
 
 def _subset(name: str, vertices=None) -> frozenset:
@@ -183,105 +205,77 @@ def _total_complex(vertices, edges) -> ChainComplex:
     """The total complex of a cube diagram on the subsets in `vertices`.
 
     Column p collects the subsets of size p + (smallest size), shifted up
-    by p, and the degree range is that of the shifted vertices; the
-    differential combines internal differentials with sign (-1)^p and the
-    one-step edge maps s -> s - {i} between vertices, signed by the
-    position of i in sorted(s).  Only stored blocks are placed, and a
-    degree's entries are allocated only if one lands there.
+    by p, and the degree range is that of the shifted vertices; it may
+    span no more degrees than the vertices list together, so that the
+    output stays within the size of the input.  The differential combines
+    the stored internal differentials with sign (-1)^p and the stored
+    blocks of the one-step edges s -> s - {i}, signed by the position of
+    i in sorted(s).
     """
     summands = sorted(vertices, key=_subset_key)
     column = {s: len(s) - len(summands[0]) for s in summands}
     lo = min(column[s] + vertices[s].lo for s in summands)
     hi = max(column[s] + vertices[s].hi for s in summands)
-    dims = {}
-    offsets = {}
-    for m in range(lo, hi + 1):
-        offsets[m] = {}
-        total = 0
-        for s in summands:
-            offsets[m][s] = total
-            total += vertices[s].dim(m - column[s])
-        dims[m] = total
+    listed = sum(len(vertices[s].dims) for s in summands)
+    if hi - lo + 1 > listed:
+        raise ValueError(f"the total complex spans {hi - lo + 1} degrees, "
+                         f"more than the {listed} its vertices list together")
+    dims = dict.fromkeys(range(lo, hi + 1), 0)
+    offsets = {}  # (subset, its degree q) -> first index in degree q + p
+    placed = {}  # degree -> [(block, first row, first column, sign)]
+    for s in summands:
+        p = column[s]
+        for q, n in vertices[s].dims.items():
+            offsets[(s, q)] = dims[q + p]
+            dims[q + p] += n
+        for q, d in vertices[s].differentials.items():
+            placed.setdefault(q + p, []).append(
+                (d, offsets[(s, q - 1)], offsets[(s, q)], (-1) ** p))
+    for (big, small), m in edges.items():
+        (i,) = big - small
+        sign = (-1) ** sorted(big).index(i)
+        for q, block in m.blocks.items():
+            placed.setdefault(q + column[big], []).append(
+                (block, offsets[(small, q)], offsets[(big, q)], sign))
     diffs = {}
-    for m in range(lo + 1, hi + 1):
-        placed = []  # (block, first row, first column, sign)
-        for s in summands:
-            q = m - column[s]
-            if not vertices[s].dim(q):
-                continue
-            c0 = offsets[m][s]
-            internal = vertices[s].differentials
-            if q in internal:
-                placed.append((internal[q], offsets[m - 1][s], c0,
-                               (-1) ** column[s]))
-            for idx, el in enumerate(sorted(s)):
-                small = s - {el}
-                if small in vertices and q in edges[(s, small)].blocks:
-                    placed.append((edges[(s, small)].blocks[q],
-                                   offsets[m - 1][small], c0, (-1) ** idx))
-        if placed:
-            rows, cols = dims[m - 1], dims[m]
-            entries = [0] * (rows * cols)
-            for block, r0, c0, sign in placed:
-                _add_block(entries, cols, block, r0, c0, sign)
-            diffs[m] = QMatrix(rows, cols, entries)
+    for m, blocks in placed.items():
+        rows, cols = dims[m - 1], dims[m]
+        entries = [0] * (rows * cols)
+        for block, r0, c0, sign in blocks:
+            _add_block(entries, cols, block, r0, c0, sign)
+        diffs[m] = QMatrix(rows, cols, entries)
     return ChainComplex(lo, hi, dims, diffs)
 
 
 def punctured_cube_hocolim(d: CubeDiagram) -> ChainComplex:
-    """The total complex computing the homotopy colimit of the cube:
-    column p collects the subsets of size p+1, shifted up by p."""
+    """The total complex computing the homotopy colimit of the punctured
+    cube: column p collects the subsets of size p+1, shifted up by p."""
+    if frozenset() in d.vertices:
+        raise ValueError("the cube has an ambient: its colimit is ks_hocolim")
     if not d.vertices:
         return single_degree_complex(0)
     return _total_complex(d.vertices, d.edges)
 
 
-def ks_hocolim(ambient: ChainComplex, d: CubeDiagram,
-               singleton_maps) -> ChainComplex:
+def ks_hocolim(d: CubeDiagram) -> ChainComplex:
     """Mapping cone of the punctured-cube colimit mapping into an ambient.
 
-    The ambient sits at the empty vertex, and `singleton_maps` assigns the
-    edge D({i}) -> ambient to each singleton; the total complex of the
-    augmented cube is the cone.  The squares at the empty corner must
-    commute, and then every longer path agrees, since the squares of `d`
-    do.  The empty cube returns the ambient unchanged.
+    The ambient sits at the empty vertex of `d`, and the edges into it
+    are the maps from the singletons; the total complex of the full cube
+    is the cone.  The cube with no other vertex gives the ambient itself.
     """
-    singleton_maps = {frozenset(s): m for s, m in singleton_maps.items()}
-    edges = dict(d.edges)
-    for i in range(d.index_size):
-        s = frozenset({i})
-        if s not in singleton_maps:
-            raise ValueError(f"missing map into ambient for {[i]}")
-        m = edges[(s, frozenset())] = singleton_maps[s]
-        if m.source != d.vertices[s] or m.target != ambient:
-            raise ValueError("singleton map has wrong endpoints")
-    for i, j in itertools.combinations(range(d.index_size), 2):
-        big, one, two = frozenset({i, j}), frozenset({i}), frozenset({j})
-        via_i = _composite_terms(edges[(big, one)], edges[(one, frozenset())])
-        via_j = _composite_terms(edges[(big, two)], edges[(two, frozenset())])
-        if via_i != via_j:
-            raise ValueError(f"maps into ambient from {[i, j]} "
-                             "are incompatible")
-    return _total_complex({frozenset(): ambient, **d.vertices}, edges)
+    if frozenset() not in d.vertices:
+        raise ValueError("the cube has no ambient at the empty vertex")
+    return _total_complex(d.vertices, d.edges)
 
 
 def hocolim_from_json(data) -> ChainComplex:
     """The total complex of a `hocolim` input, a mapping cone if it has an
     `ambient` (with `ambient_edges`, a chain map from each singleton)."""
     cube = CubeDiagram.from_json(data)
-    (ambient,) = _READ_AMBIENT(data)
-    if ambient is None:
-        return punctured_cube_hocolim(cube)
-
-    def singleton(name):
-        s = _subset(name, cube.vertices)
-        if len(s) != 1:
-            raise InputError(f"names {sorted(s)}, which is not a singleton")
-        return s
-    (singles,) = _READ_AMBIENT_EDGES(data)
-    return ks_hocolim(ambient, cube, {
-        s: ChainMap(cube.vertices[s], ambient, blocks)
-        for s, blocks in _keyed(singles, singleton, "ambient_edges").items()})
+    if frozenset() in cube.vertices:
+        return ks_hocolim(cube)
+    return punctured_cube_hocolim(cube)
 
 
 def cover_cube_diagram(components) -> tuple:
@@ -389,6 +383,6 @@ def build_kappa(components, ambient: str, dim: int) -> KappaDiagram:
 # the readers of input files, compiled once
 _BLOCKS = {degree_key: QMatrix.from_json}
 _READ_CUBE = compile_reader({"vertices": {_subset: ChainComplex.from_json},
-                             "edges": {str: _BLOCKS}, "index_size": int})
-_READ_AMBIENT = compile_reader({"ambient?": ChainComplex.from_json})
+                             "edges": {str: _BLOCKS}, "index_size": int,
+                             "ambient?": ChainComplex.from_json})
 _READ_AMBIENT_EDGES = compile_reader({"ambient_edges": {str: _BLOCKS}})

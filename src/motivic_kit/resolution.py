@@ -274,25 +274,24 @@ class MdffeReport:
                 f"set maps {self.setmap_count}, {verdict}")
 
 
-def verify_mdffe(x: FinSet, y: FinSet, bound: int = 2,
-                 recheck_bound: int = 3) -> MdffeReport:
+def verify_mdffe(x: FinSet, y: FinSet, bound: int = 2) -> MdffeReport:
     """Morphisms of the towers agree with set maps X -> Y.
 
     The tower pairs the powers of Y against X (the contravariant roles of
     the statement), so the equalizer is computed on (Y, X); its solutions
     are exactly the transposes of the comonoid morphisms C_*X -> C_*Y,
-    which are the graphs of set maps X -> Y.  The equalizer is recomputed
-    at a higher truncation bound and must not change.
+    which are the graphs of set maps X -> Y.  The equalizer is rechecked
+    at truncation bound + 1 and must not change: its classes are those of
+    `bound` and one more, so it is the equalizer at `bound` filtered by
+    the coface equations of class bound + 1.
     """
-    eq = equalizer(y, x, bound)
-    eq_re = equalizer(y, x, recheck_bound)
+    eq = sorted(equalizer(y, x, bound), key=lambda m: m.entries)
+    eq_re = [f for f in eq if cofaces_agree(f, bound + 1)]
     transposed = sorted((c.matrix.transpose()
                          for c in solve_coalgebra_morphisms(x, y)),
                         key=lambda m: m.entries)
     graphs = sorted((graph_matrix(f).transpose() for f in all_maps(x, y)),
                     key=lambda m: m.entries)
-    eq_sorted = sorted(eq, key=lambda m: m.entries)
-    eq_re_sorted = sorted(eq_re, key=lambda m: m.entries)
-    sets_equal = eq_sorted == eq_re_sorted == transposed == graphs
+    sets_equal = eq == eq_re == transposed == graphs
     return MdffeReport(x.size, y.size, len(eq), len(eq_re),
                        len(transposed), len(graphs), sets_equal)

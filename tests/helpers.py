@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from motivic_kit.finsets import DiagramIso, FinDiagram, FinSet, SetMap, compose
 from motivic_kit.galois import FiniteGroup, GSet
-from motivic_kit.hypercube import ChainMap, cover_cube_diagram
+from motivic_kit.hypercube import ChainMap, CubeDiagram, cover_cube_diagram
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, kron, matmul, nullity,
                                  rank, single_degree_complex)
 
@@ -448,6 +448,15 @@ def ambient_cube_payload() -> dict:
         chain = ChainMap(cube.vertices[frozenset({i})], ambient, {0: m})
         payload["ambient_edges"][str(i)] = chain.to_json()
     return payload
+
+
+def full_cube(ambient: ChainComplex, cube, singles) -> CubeDiagram:
+    """The punctured `cube` with `ambient` at its empty vertex and the maps
+    `singles`, keyed by singleton, as the edges into it."""
+    empty = frozenset()
+    return CubeDiagram(cube.index_size, {**cube.vertices, empty: ambient},
+                       {**cube.edges, **{(frozenset(s), empty): m
+                                         for s, m in singles.items()}})
 
 
 def cube_subsets(d) -> list:

@@ -54,8 +54,7 @@ def test_criterion_2_mdffe_reproduction():
     start = time.perf_counter()
     for nx in range(1, 4):
         for ny in range(1, 4):
-            report = verify_mdffe(FinSet(nx), FinSet(ny),
-                                  bound=2, recheck_bound=3)
+            report = verify_mdffe(FinSet(nx), FinSet(ny), bound=2)
             assert report.passed, report.summary()
             assert report.equalizer_count == ny ** nx
             assert report.recheck_count == report.equalizer_count

@@ -475,6 +475,62 @@ class TestErrors:
         assert (status, text) == (2, f"error: {path}: dimension in degree 1 "
                                   "outside degree range [0, 0]")
 
+    @pytest.mark.parametrize("singleton, entries, message", [
+        ("1", None, "missing edge [1]->[]"),
+        # b, the point of [0, 1], sent to d rather than to b from [0]
+        ("0", ["1", "0", "0", "0", "0", "0", "0", "1"],
+         "square at [0, 1] minus {0,1} does not commute"),
+    ])
+    def test_ambient_faults_are_named_as_cube_faults(self, tmp_path,
+                                                     singleton, entries,
+                                                     message):
+        # the ambient is the empty vertex [] of the cube
+        payload = ambient_cube_payload()
+        if entries is None:
+            del payload["ambient_edges"][singleton]
+        else:
+            payload["ambient_edges"][singleton]["0"]["entries"] = entries
+        path = tmp_path / "ks.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert (status, text) == (2, f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("degree", [10 ** 5, 10 ** 7])
+    def test_degree_span_beyond_the_listed_degrees_is_rejected_at_once(
+            self, tmp_path, degree):
+        # 285 bytes at degree 10^7 spanned ten million empty degrees
+        def point(q):
+            return {"lo": q, "hi": q, "dims": {str(q): 1},
+                    "differentials": {}}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(
+            {"index_size": 2, "vertices": {"0": point(0), "1": point(degree),
+                                           "0,1": point(0)},
+             "edges": {"0,1->0": {}, "0,1->1": {}}}))
+        start = time.perf_counter()
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (status, text) == (2, f"error: {path}: the total complex spans "
+                                  f"{degree + 1} degrees, more than the 3 its "
+                                  "vertices list together")
+
+    def test_a_gap_within_the_listed_degrees_is_kept(self, tmp_path):
+        # 5 listed (vertex, degree) pairs span the degrees 0..4, and
+        # degree 3 is empty
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(
+            {"index_size": 2,
+             "vertices": {"0": {"lo": 0, "hi": 2,
+                                "dims": {"0": 1, "1": 1, "2": 1},
+                                "differentials": {}},
+                          "1": {"lo": 4, "hi": 4, "dims": {"4": 1},
+                                "differentials": {}},
+                          "0,1": {"lo": 0, "hi": 0, "dims": {"0": 1},
+                                  "differentials": {}}},
+             "edges": {"0,1->0": {}, "0,1->1": {}}}))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert (status, text) == (0, "H0=1 H1=2 H2=1 H3=0 H4=1")
+
     def test_main_returns_status(self, capsys):
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0
         out = capsys.readouterr().out

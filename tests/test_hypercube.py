@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (cone_basis_signs, dense_at, dense_cone, dense_homology,
-                     dense_punctured_total, inclusion_exclusion_euler,
+                     dense_punctured_total, full_cube,
+                     inclusion_exclusion_euler,
                      nerve_oracle_homology, random_cover,
                      schoolbook_composite, union_find_components)
 from motivic_kit import hypercube
@@ -37,7 +38,7 @@ class TestCubeKeys:
         assert {_subset(k, cube.vertices) for k in keys} == set(cube.vertices)
 
     def test_empty_key_rejected(self):
-        # the empty subset is the ambient, not a vertex of the punctured cube
+        # the empty vertex is read from `ambient`, never from a vertex key
         with pytest.raises(InputError):
             _subset("")
 
@@ -88,6 +89,35 @@ class TestCubeDiagram:
                            match=r"^does not commute with d in degree 1$"):
             ChainMap(src, tgt, {0: QMatrix(1, 1, [1])})
         assert ChainMap(src, tgt, {0: QMatrix(1, 1, [0])}).blocks == {}
+
+    def test_vertices_are_the_nonempty_subsets_and_maybe_the_empty_one(self):
+        cube, ambient, singles = cover_into_union([["a", "b"], ["b", "c"]])
+        full = full_cube(ambient, cube, singles)
+        assert set(full.vertices) == set(cube.vertices) | {frozenset()}
+        partial = dict(full.vertices)
+        del partial[frozenset({0})]
+        outside = dict(cube.vertices)
+        outside[frozenset({0, 2})] = outside.pop(frozenset({0, 1}))
+        for index_size, vertices in ((2, partial), (2, outside),
+                                     (3, cube.vertices)):
+            with pytest.raises(ValueError, match="^need exactly the "
+                               "nonempty subsets as vertices$"):
+                CubeDiagram(index_size, vertices, {})
+
+    def test_an_edge_into_a_missing_empty_vertex_rejected(self):
+        cube, ambient, singles = cover_into_union([["a", "b"], ["b", "c"]])
+        edges = {**cube.edges, (frozenset({0}), frozenset()):
+                 singles[frozenset({0})]}
+        with pytest.raises(ValueError, match=r"^edge \[0\]->\[\] has "
+                           "wrong endpoints$"):
+            CubeDiagram(2, cube.vertices, edges)
+
+    def test_each_colimit_rejects_the_other_shape(self):
+        cube, ambient, singles = cover_into_union([["a", "b"], ["b", "c"]])
+        with pytest.raises(ValueError, match="no ambient"):
+            ks_hocolim(cube)
+        with pytest.raises(ValueError, match="has an ambient"):
+            punctured_cube_hocolim(full_cube(ambient, cube, singles))
 
     def test_json_round_trip(self):
         cube, _ = two_patch_cover()
@@ -168,8 +198,8 @@ class TestPuncturedHocolim:
         tot = punctured_cube_hocolim(cube)
         assert (tot.lo, tot.hi, tot.dims) == (0, 1, {0: 2, 1: 1})
         ambient = single_degree_complex(2, degree=1)
-        cone = ks_hocolim(ambient, cube, {
-            frozenset({i}): ChainMap(one, ambient, {}) for i in (0, 1)})
+        cone = ks_hocolim(full_cube(ambient, cube, {
+            frozenset({i}): ChainMap(one, ambient, {}) for i in (0, 1)}))
         assert (cone.lo, cone.hi, cone.dims) == (1, 2, {1: 4, 2: 1})
 
     def test_randomized_cover_oracles(self):
@@ -210,13 +240,13 @@ class TestKsHocolim:
                         ChainComplex(0, 1, {0: 1, 1: 1},
                                      {1: QMatrix(1, 1, [2])})):
             empty = CubeDiagram(0, {}, {})
-            cone = ks_hocolim(ambient, empty, {})
+            cone = ks_hocolim(full_cube(ambient, empty, {}))
             assert cone == ambient
             assert cone.homology_dims() == ambient.homology_dims()
 
     def test_four_points_minus_three(self):
         ambient, cube, singles = four_point_ambient_setup()
-        cone = ks_hocolim(ambient, cube, singles)
+        cone = ks_hocolim(full_cube(ambient, cube, singles))
         hom = cone.homology_dims()
         assert hom[0] == 1 and hom[1] == 0
 
@@ -226,7 +256,7 @@ class TestKsHocolim:
         s0 = frozenset({0})
         singles = {s0: ChainMap(cube.vertices[s0], ambient,
                                 {0: QMatrix.identity(3)})}
-        cone = ks_hocolim(ambient, cube, singles)
+        cone = ks_hocolim(full_cube(ambient, cube, singles))
         assert all(v == 0 for v in cone.homology_dims().values())
 
     def test_incompatible_maps_rejected(self):
@@ -239,11 +269,11 @@ class TestKsHocolim:
                                      {0: QMatrix(2, 1, [0, 1])}),
         }
         with pytest.raises(ValueError):
-            ks_hocolim(ambient, cube, singles)
+            ks_hocolim(full_cube(ambient, cube, singles))
 
     def test_cone_dd_zero(self):
         ambient, cube, singles = four_point_ambient_setup()
-        cone = ks_hocolim(ambient, cube, singles)
+        cone = ks_hocolim(full_cube(ambient, cube, singles))
         for n in range(cone.lo + 2, cone.hi + 1):
             assert not any(matmul(cone.differentials[n - 1],
                                   cone.differentials[n]).entries)
@@ -403,13 +433,13 @@ class TestComposites:
             with pytest.raises(ValueError, match=r"^square at \[0, 1, 2\] "
                                r"minus \{0,2\} does not commute$"):
                 CubeDiagram(3, cube.vertices, edges)
-            ks_hocolim(ambient, cube, singles)
+            ks_hocolim(full_cube(ambient, cube, singles))
             zero = frozenset({0})
             shared = sorted(set(comps[0])).index("shared")
             singles[zero] = changed_entry(singles[zero], 0, shared)
-            with pytest.raises(ValueError, match=r"^maps into ambient from "
-                               r"\[0, 1\] are incompatible$"):
-                ks_hocolim(ambient, cube, singles)
+            with pytest.raises(ValueError, match=r"^square at \[0, 1\] "
+                               r"minus \{0,1\} does not commute$"):
+                ks_hocolim(full_cube(ambient, cube, singles))
 
 
 # --- one total complex against the separately assembled cone ----------------
@@ -447,7 +477,7 @@ def assert_one_total_complex(ambient, cube, singles):
     is the block cone [[d_A, f], [0, -d_Tot]] up to the basis signs E:
     D = E D_block E."""
     assert punctured_cube_hocolim(cube) == dense_punctured_total(cube)
-    cone = ks_hocolim(ambient, cube, singles)
+    cone = ks_hocolim(full_cube(ambient, cube, singles))
     old = dense_cone(ambient, cube, singles)
     assert (cone.lo, cone.hi, cone.dims) == (old.lo, old.hi, old.dims)
     for m in range(cone.lo + 1, cone.hi + 1):
@@ -485,17 +515,20 @@ class TestOneTotalComplex:
             return terms(f, g)
         monkeypatch.setattr(ChainComplex, "__init__", counting_init)
         monkeypatch.setattr(hypercube, "_composite_terms", counting_terms)
-        ks_hocolim(ambient, cube, singles)
+        full = full_cube(ambient, cube, singles)
+        # two paths for each square: the three at [0, 1, 2] and the three
+        # at the ambient corner, each composed once, by the cube
+        assert len(composed) == 12
+        assert sum(g.target == ambient for _, g in composed) == 6
+        ks_hocolim(full)
         assert len(built) == 1
-        # two paths for each of the three pairs, none from [0, 1, 2]
-        assert len(composed) == 6
-        assert all(g.target == ambient for _, g in composed)
+        assert len(composed) == 12
 
     def test_missing_and_misplaced_singleton_maps(self):
         cube, ambient, singles = cover_into_union([["a", "b"], ["b", "c"]])
-        with pytest.raises(ValueError,
-                           match=r"^missing map into ambient for \[1\]$"):
-            ks_hocolim(ambient, cube, {frozenset({0}): singles[frozenset({0})]})
+        with pytest.raises(ValueError, match=r"^missing edge \[1\]->\[\]$"):
+            ks_hocolim(full_cube(ambient, cube,
+                                 {frozenset({0}): singles[frozenset({0})]}))
         zero = frozenset({0})
         elsewhere = single_degree_complex(ambient.dim(0) + 1)
         for source, target in ((ambient, ambient),
@@ -503,8 +536,8 @@ class TestOneTotalComplex:
             misplaced = dict(singles)
             misplaced[zero] = ChainMap(source, target, {})
             with pytest.raises(ValueError,
-                               match=r"^singleton map has wrong endpoints$"):
-                ks_hocolim(ambient, cube, misplaced)
+                               match=r"^edge \[0\]->\[\] has wrong endpoints$"):
+                ks_hocolim(full_cube(ambient, cube, misplaced))
 
 
 # --- an absent differential or block is zero ---------------------------------
@@ -545,9 +578,9 @@ class TestAbsentIsZero:
         assert zero_singles == singles and edges == cube.edges
         assert zero_cube == cube
         totals = (punctured_cube_hocolim(zero_cube),
-                  ks_hocolim(zero_ambient, zero_cube, zero_singles))
+                  ks_hocolim(full_cube(zero_ambient, zero_cube, zero_singles)))
         assert totals == (punctured_cube_hocolim(cube),
-                          ks_hocolim(ambient, cube, singles))
+                          ks_hocolim(full_cube(ambient, cube, singles)))
         for t in totals:
             assert t.homology_dims() == dense_homology(t)
         payload = zero_cube.to_json()
@@ -555,7 +588,11 @@ class TestAbsentIsZero:
         payload["ambient_edges"] = {",".join(map(str, s)): m.to_json()
                                     for s, m in zero_singles.items()}
         payload = json.loads(json.dumps(payload))
-        assert CubeDiagram.from_json(payload) == cube
+        assert CubeDiagram.from_json(zero_cube.to_json()) == cube
+        assert CubeDiagram.from_json(payload) == full_cube(ambient, cube,
+                                                           singles)
+        assert full_cube(zero_ambient, zero_cube,
+                         zero_singles).to_json() == payload
         assert hocolim_from_json(payload) == totals[1]
         stored = [matrix for c in (zero_ambient, *vertices.values(), *totals)
                   for matrix in c.differentials.values()]

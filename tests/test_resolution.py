@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import qmatrices, random_qmatrix, tuple_index_matrix
 from motivic_kit.artin import (graph_matrix, solve_coalgebra_morphisms,
                                tensor_map_matrix)
+from motivic_kit import resolution
 from motivic_kit.finsets import FinSet, all_maps
 from motivic_kit.qlinalg import (QMatrix, kernel_basis, matmul,
                                  tensor_index_map)
@@ -295,6 +296,23 @@ class TestVerifyMdffe:
         report = verify_mdffe(FinSet(nx), FinSet(ny))
         assert report.passed
         assert report.equalizer_count == ny ** nx
+
+    def test_recheck_applies_the_next_class(self, monkeypatch):
+        # one candidate that fails only the class bound + 1 = 3 leaves the
+        # recheck, and the report fails
+        agree, rejected = resolution.cofaces_agree, []
+
+        def reject_one_at_three(f, s):
+            if s == 3 and not rejected:
+                rejected.append(f)
+                return False
+            return agree(f, s)
+        monkeypatch.setattr(resolution, "cofaces_agree", reject_one_at_three)
+        report = verify_mdffe(FinSet(2), FinSet(3), bound=2)
+        assert len(rejected) == 1
+        assert not report.passed
+        assert report.equalizer_count == 9
+        assert report.recheck_count == report.equalizer_count - 1
 
     def test_equalizer_matches_transposed_solver(self):
         x, y = FinSet(2), FinSet(3)

@@ -3,8 +3,9 @@ base class for the immutable values, integers kept as integers, one
 reader for outside JSON compiled only at import, no relabeling search on
 the census path, no construction that skips validation, no zero matrix
 built for an absent block, a CLI parser built only at import, one
-builder for the cube's total complexes, and no definition in the library
-that only the tests reach."""
+builder for the cube's total complexes, squares composed only when a
+cube is built, and no definition in the library that only the tests
+reach."""
 
 import ast
 import collections
@@ -206,25 +207,35 @@ def test_one_builder_places_blocks_of_total_complexes():
     assert placers == {("hypercube.py", "_total_complex")}
 
 
-def test_cone_composes_only_the_squares_at_the_empty_corner():
-    # deeper paths into the ambient agree because the cube's squares do
-    [(_, ks)] = [(p, fn) for p, fn in function_definitions("ks_hocolim")]
-    callees = {ast.unparse(node.func) for node in ast.walk(ks)
-               if isinstance(node, ast.Call)}
-    assert "_total_complex" in callees
-    assert callees.isdisjoint({"_add_block", "punctured_cube_hocolim"})
-    loops = [ast.unparse(node.iter) for node in ast.walk(ks)
-             if isinstance(node, (ast.For, ast.comprehension))]
-    assert loops and not any("subsets()" in loop for loop in loops)
+def test_squares_are_composed_only_when_a_cube_is_built():
+    # a cube checks its squares, those at the ambient corner too; the
+    # colimits only build its total complex, from the stored blocks
+    composers = {(path.name, owner) for path in SOURCES
+                 for owner, callee in calls_by_function(path)
+                 if callee == "_composite_terms"}
+    assert composers == {("hypercube.py", "CubeDiagram.__init__")}
+    colimits = ("ks_hocolim", "punctured_cube_hocolim")
+    for name in colimits:
+        [(_, fn)] = function_definitions(name)
+        callees = {ast.unparse(node.func) for node in ast.walk(fn)
+                   if isinstance(node, ast.Call)}
+        assert "_total_complex" in callees
+        assert callees.isdisjoint({"_composite_terms", "_add_block",
+                                   *colimits})
+        # no loop: the cube's constructor checked every edge and square
+        assert not [node for node in ast.walk(fn)
+                    if isinstance(node, (ast.For, ast.comprehension))]
+    [(_, total)] = function_definitions("_total_complex")
+    assert not [node for node in ast.walk(total) if isinstance(node, ast.Call)
+                and ast.unparse(node.func).endswith(".dim")]
 
 
-def loaded_names(node) -> collections.Counter:
+def loaded_names(node, kinds=(ast.Name, ast.Attribute)) -> collections.Counter:
     """How often each name is read under `node`, as a variable or as an
-    attribute."""
+    attribute, or only as one of the node `kinds` given."""
     return collections.Counter(
         n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-        and isinstance(n.ctx, ast.Load))
+        if isinstance(n, kinds) and isinstance(n.ctx, ast.Load))
 
 
 def source_trees() -> dict:
@@ -234,14 +245,18 @@ def source_trees() -> dict:
 
 def unreached(definitions, exported=(), trees=None) -> list:
     """The (file, name) of each definition whose name is read nowhere in
-    the sources outside the definition itself, unless exported."""
+    the sources outside the definition itself, unless exported.  A
+    method is reached only by an attribute read, such as `g.mul`: a
+    local variable of the same name does not count."""
     trees = trees or source_trees()
-    everywhere = sum((loaded_names(t) for t in trees.values()),
+    kinds = (ast.Attribute,) if definitions is methods else (ast.Name,
+                                                             ast.Attribute)
+    everywhere = sum((loaded_names(t, kinds) for t in trees.values()),
                      collections.Counter())
     return [(path_name, name)
             for path_name, name, node in definitions(trees)
             if name not in exported
-            and everywhere[name] == loaded_names(node)[name]]
+            and everywhere[name] == loaded_names(node, kinds)[name]]
 
 
 def top_level(trees):
@@ -297,6 +312,10 @@ ONLY_TESTS_REACHED = [
     ("hypercube.py", "KappaDiagram", "vertex_map",
      "def vertex_map(self):\n"
      "    return dict(self.rows)"),
+    # a local `inv` in finsets.py is no read of the method
+    ("galois.py", "FiniteGroup", "inv",
+     "def inv(self, g):\n"
+     "    return self.table[g].index(self.identity)"),
 ]
 
 
