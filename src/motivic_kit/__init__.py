@@ -9,7 +9,7 @@ rationals, with a batch verification CLI.
 
 from .finsets import (FinSet, SetMap, FinDiagram, DiagramIso, PermGroup,
                       compose, canonical_form, are_isomorphic,
-                      automorphism_group)
+                      automorphism_group, automorphism_order)
 from .qlinalg import (QMatrix, ChainComplex, matmul, kron, kron_power,
                       kernel_basis, rank, nullity, homology_dims)
 from .artin import (ArtinComonoid, ArtinMonoid, CoalgMorphism,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FinSet", "SetMap", "FinDiagram", "DiagramIso", "PermGroup",
     "compose", "canonical_form", "are_isomorphic", "automorphism_group",
-    "enumerate_diagrams",
+    "automorphism_order", "enumerate_diagrams",
     "QMatrix", "ChainComplex", "matmul", "kron", "kron_power",
     "kernel_basis", "rank", "nullity", "homology_dims",
     "ArtinComonoid", "ArtinMonoid", "CoalgMorphism", "artin_comonoid",

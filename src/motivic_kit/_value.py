@@ -59,6 +59,20 @@ class InputError(ValueError):
         return self
 
 
+class RepeatedKey(InputError):
+    """The first member name that `parse` reads to an earlier one's key."""
+
+    def __init__(self, members, parse):
+        seen = {}
+        k = next(k for k in members if seen.setdefault(parse(k), k) != k)
+        self.earlier = f"[{json.dumps(seen[parse(k)])}]"
+        super().__init__("names the same member as", f"[{json.dumps(k)}]")
+
+    def __str__(self):  # the two members' paths differ in the last step
+        parent = self.path[:self.path.rindex("[")]
+        return f"{super().__str__()} {parent}{self.earlier}"
+
+
 _KINDS = {dict: "an object", list: "a list", int: "an integer",
           str: "a string"}
 
@@ -75,9 +89,9 @@ def compile_reader(spec):
 
     A spec is a JSON type (exact: a boolean is no integer), `[spec]` for
     a list, `{key: spec}` for an object whose member names the function
-    `key` parses, `{"name": spec, "other?": spec, ...}` for the fields of
-    an object, read in this order into a tuple (a name ending in "?" may
-    be absent and reads as None), or a function such as a `from_json`.
+    `key` parses to distinct keys, `{"name": spec, ...}` for the fields
+    of an object, read in this order into a tuple (a name ending in "?"
+    may be absent and reads as None), or a function such as `from_json`.
     An `InputError` leaving a nested read gets that step put in front.
     """
     if type(spec) is type:
@@ -113,6 +127,8 @@ def compile_reader(spec):
                     out[k_read] = inner(v)
                 except InputError as exc:
                     raise exc.inside(f"[{json.dumps(k)}]")
+            if len(out) < len(value):
+                raise RepeatedKey(value, key)
             return out
         return read_members
     fields = [(name.rstrip("?"), name.endswith("?"), compile_reader(inner),

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .artin import graph_matrix, solve_coalgebra_morphisms, verify_mcffe
-from .finsets import FinDiagram, FinSet, automorphism_group
+from .finsets import FinDiagram, FinSet, automorphism_group, automorphism_order
 from .galois import GSet, equivariant_set_maps, fixed_coalgebra_morphisms
 from .hypercube import build_kappa, hocolim_from_json
 from .monad import enumerate_diagrams, verify_m_identity
@@ -85,7 +85,7 @@ def _cmd_enumerate_diagrams(args):
     for i, d in enumerate(classes):
         sizes = ",".join(str(s) for s in d.sizes())
         maps = " ".join(str(list(m.values)) for m in d.maps)
-        aut = automorphism_group(d).order
+        aut = automorphism_order(d)
         lines.append(f"{i}: sizes={sizes} maps={maps or '-'} |Aut|={aut}")
     lines.append(f"classes: {len(classes)}")
     data = {"k": args.k, "bounds": list(args.bounds),

@@ -22,6 +22,7 @@ pure.
 from __future__ import annotations
 
 import itertools
+from math import factorial, prod
 
 from ._value import InputError, Value, compile_reader, show
 
@@ -354,16 +355,34 @@ class PermGroup(Value):
                                    for (components,) in generators], order)
 
 
-def automorphism_group(d: FinDiagram) -> PermGroup:
-    """Generators and order of the self-isomorphism group of d.
+def automorphism_order(d: FinDiagram) -> int:
+    """The order of the self-isomorphism group of d, without generators.
 
     The chain is a forest: the roots are the elements of the last set, and
     an element's children are its preimages, all hung from a virtual root.
-    The group is the iterated wreath product over that forest, so its
-    order is the product, over every node, of mult! for each class of
-    isomorphic children.  Each generator swaps two adjacent isomorphic
-    siblings (children sorted by (class, index)) and carries one subtree
-    onto the other by pairing their children in the same order.
+    The group is the iterated wreath product over it, so its order is the
+    product over every node of mult! for each class of isomorphic children.
+    """
+    return _forest_order(d, _level_classes(d)) if d.k else 1
+
+
+def _forest_order(d: FinDiagram, classes) -> int:
+    """The product of mult! over (node, class of its children) pairs."""
+    parents = [*(m.values for m in d.maps), [0] * d.sets[-1].size]
+    order = 1
+    for up, level in zip(parents, classes):
+        mults = {}
+        for pair in zip(up, level):
+            mults[pair] = mults.get(pair, 0) + 1
+        order *= prod(map(factorial, mults.values()))
+    return order
+
+
+def automorphism_group(d: FinDiagram) -> PermGroup:
+    """Generators and order (as `automorphism_order`'s) of the
+    self-isomorphism group of d.  Each generator swaps two adjacent
+    isomorphic siblings (children sorted by (class, index)) and carries
+    one subtree onto the other, pairing their children in the same order.
     """
     if d.k == 0:
         return PermGroup((), (), 1)
@@ -381,16 +400,11 @@ def automorphism_group(d: FinDiagram) -> PermGroup:
     nodes = [(top, roots)]
     for level in range(top, 0, -1):
         nodes.extend((level - 1, kids) for kids in children[level])
-    order = 1
     gens = []
     for level, kids in nodes:
-        run = 1
         for a, b in zip(kids, kids[1:]):
             if classes[level][a] != classes[level][b]:
-                run = 1
                 continue
-            run += 1
-            order *= run
             perms = [list(range(s.size)) for s in d.sets]
             pairs = [(level, a, b)]
             while pairs:
@@ -401,7 +415,7 @@ def automorphism_group(d: FinDiagram) -> PermGroup:
                                  zip(children[lv][u], children[lv][v]))
             gens.append(DiagramIso(d, d, tuple(
                 SetMap(s, s, p) for s, p in zip(d.sets, perms))))
-    return PermGroup(d.sizes(), gens, order)
+    return PermGroup(d.sizes(), gens, _forest_order(d, classes))
 
 
 # the readers of input files, compiled once

@@ -26,7 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ._value import InputError, Value, compile_reader, degree_key, show
+from ._value import (InputError, RepeatedKey, Value, compile_reader,
+                     degree_key, show)
 from .qlinalg import (ChainComplex, QMatrix, product_terms,
                       single_degree_complex)
 
@@ -154,18 +155,16 @@ class CubeDiagram(Value):
             if not arrow:
                 raise InputError('is not keyed by two subsets joined by "->"')
             return _subset(big, vertices), _subset(small, vertices)
-        edges = {(big, small): ChainMap(vertices[big], vertices[small], blocks)
-                 for (big, small), blocks in _keyed(edges, ends, "edges").items()}
+        edges = _edges(edges, ends, "edges", vertices)
         if ambient is not None:
             def singleton(name):
                 s = _subset(name, vertices)
                 if len(s) != 1:
                     raise InputError(f"names {sorted(s)}, which is not a singleton")
-                return s
+                return s, frozenset()
             (singles,) = _READ_AMBIENT_EDGES(data)
-            for s, blocks in _keyed(singles, singleton, "ambient_edges").items():
-                edges[(s, frozenset())] = ChainMap(vertices[s], ambient, blocks)
             vertices[frozenset()] = ambient
+            edges.update(_edges(singles, singleton, "ambient_edges", vertices))
         return CubeDiagram(index_size, vertices, edges)
 
 
@@ -180,14 +179,20 @@ def _subset(name: str, vertices=None) -> frozenset:
     return s
 
 
-def _keyed(members: dict, key, name: str) -> dict:
-    """Field `name`'s members, read, keyed anew by the parser `key`."""
+def _edges(members: dict, ends, name: str, vertices) -> dict:
+    """Field `name`'s chain maps, keyed by `ends`; a fault names the member."""
     out = {}
-    for k, v in members.items():
+    for k, blocks in members.items():
         try:
-            out[key(k)] = v
+            big, small = parsed = ends(k)
+            out[parsed] = ChainMap(vertices[big], vertices[small], blocks)
         except InputError as exc:
             raise exc.inside(f"{name}[{show(k)}]")
+        except ValueError as exc:
+            raise InputError(f"is not a chain map: {exc}").inside(
+                f"{name}[{show(k)}]") from None
+    if len(out) < len(members):
+        raise RepeatedKey(members, ends).inside(name)
     return out
 
 

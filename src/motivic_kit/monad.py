@@ -25,11 +25,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, le, sub
 
 from ._value import Value
 from .artin import ArtinComonoid, tensor_map_matrix
 from .finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
-                      automorphism_group, canonical_form)
+                      automorphism_order, canonical_form)
 from .qlinalg import QMatrix, kron_power, matmul
 
 
@@ -38,23 +39,23 @@ class MultisetOfDiagrams(Value):
 
     Entries are diagrams of length at most k; an entry of length j < k is
     read as a chain whose first k-j sets are empty.  Each entry's class
-    key (length, canonical encoding) is computed once: `class_keys` is
-    their sorted tuple, and entries are stored in the same order, so equal
-    multisets compare equal.
+    key (length, canonical encoding) is computed once, or passed in
+    `class_keys`: `class_keys` is their sorted tuple, and entries are
+    stored in the same order, so equal multisets compare equal.
     """
 
     __slots__ = ("k", "entries", "class_keys")
 
-    def __init__(self, k: int, entries):
+    def __init__(self, k: int, entries, class_keys=None):
         entries = list(entries)
         if len(entries) == 0:
             raise ValueError("empty multiset rejected (sets must be nonempty)")
-        for e in entries:
-            if e.k > k:
-                raise ValueError("entry longer than the ambient length")
-        keyed = sorted((((e.k, canonical_form(e).encoding()), e)
-                        for e in entries),
-                       key=lambda pair: (pair[0], pair[1].encoding()))
+        if any(e.k > k for e in entries):
+            raise ValueError("entry longer than the ambient length")
+        if class_keys is None:  # one class's entries by their encoding
+            entries.sort(key=FinDiagram.encoding)
+            class_keys = [(e.k, canonical_form(e).encoding()) for e in entries]
+        keyed = sorted(zip(class_keys, entries, strict=True), key=itemgetter(0))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "entries", tuple(e for _, e in keyed))
         object.__setattr__(self, "class_keys", tuple(c for c, _ in keyed))
@@ -113,38 +114,31 @@ def assemble(m: MultisetOfDiagrams) -> FinDiagram:
     return FinDiagram(sets, maps)
 
 
-def _entry_pool(k: int, bounds) -> list:
-    """Canonical candidate entries: full and padded classes within bounds."""
-    pool = [FinDiagram([], [])]  # the empty fiber
-    for j in range(1, k + 1):
-        pool.extend(enumerate_diagrams(j, bounds[k - j:k]))
-    return pool
-
-
 def _admissible_multisets(k: int, bounds):
     """Every multiset of pool entries within the level bounds, once each.
 
-    bounds has length k+1; the last entry bounds the multiset size, the
-    rest bound the levelwise total sizes.  Pool indices are chosen
-    nondecreasing.  Each step keeps only the candidates whose weight
-    (padded entry sizes, plus 1 for the multiset size) still fits on top
-    of the running level-size vector, so a branch ends once none fits.
-    Multisets without a full-length entry are not yielded: they would
-    leave the first level empty.
+    bounds has length k+1: the last entry bounds the multiset size, the
+    rest the levelwise total sizes.  Pool indices are chosen nondecreasing,
+    and each step keeps the candidates whose weight (padded entry sizes,
+    plus 1 for the multiset size) fits in the headroom the bounds leave.
+    Pool entries are canonical, so their class keys are their encodings.
+    Multisets without a full-length entry are not yielded.
     """
-    pool = _entry_pool(k, bounds)
+    pool = [FinDiagram([], [])]  # the empty fiber, then padded classes
+    for j in range(1, k + 1):
+        pool.extend(enumerate_diagrams(j, bounds[k - j:k]))
+    keys = [(e.k, e.encoding()) for e in pool]
     weights = [(0,) * (k - e.k) + e.sizes() + (1,) for e in pool]
 
-    def walk(candidates, used, chosen, full):
+    def walk(candidates, headroom, chosen, full):
         if full:
-            yield MultisetOfDiagrams(k, chosen)
-        fits = [i for i in candidates if all(
-            u + w <= b for u, w, b in zip(used, weights[i], bounds))]
+            yield MultisetOfDiagrams(k, [pool[i] for i in chosen],
+                                     [keys[i] for i in chosen])
+        fits = [i for i in candidates if all(map(le, weights[i], headroom))]
         for n, i in enumerate(fits):
-            total = [u + w for u, w in zip(used, weights[i])]
-            yield from walk(fits[n:], total, chosen + [pool[i]],
-                            full or pool[i].k == k)
-    return walk(range(len(pool)), [0] * (k + 1), [], False)
+            yield from walk(fits[n:], tuple(map(sub, headroom, weights[i])),
+                            chosen + [i], full or pool[i].k == k)
+    return walk(range(len(pool)), tuple(bounds), [], False)
 
 
 def enumerate_diagrams(k: int, max_sizes) -> list:
@@ -174,13 +168,9 @@ def wreath_order(m: MultisetOfDiagrams, auts=None) -> int:
     for key, e in zip(m.class_keys, m.entries):
         counts[key] = counts.get(key, 0) + 1
         if key not in auts:
-            auts[key] = automorphism_group(e).order
-    total = 1
-    for key, mult in counts.items():
-        total *= auts[key] ** mult
-        for i in range(2, mult + 1):
-            total *= i
-    return total
+            auts[key] = automorphism_order(e)
+    return math.prod(auts[key] ** mult * math.factorial(mult)
+                     for key, mult in counts.items())
 
 
 @dataclass(frozen=True)
@@ -244,7 +234,7 @@ def verify_m_identity(k: int, bounds) -> MonadReport:
     entry_auts = {}
     for key in sorted(by_class):
         d, ms = by_class[key]
-        aut = automorphism_group(d).order
+        aut = automorphism_order(d)
         wreath = wreath_order(ms[0], entry_auts)
         aut_ok = aut_ok and aut == wreath
         orbit = Fraction(math.prod(map(math.factorial, d.sizes())), aut)

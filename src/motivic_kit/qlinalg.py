@@ -337,7 +337,11 @@ class ChainComplex(Value):
 
     @staticmethod
     def from_json(data) -> "ChainComplex":
-        return ChainComplex(*_READ_CHAIN_COMPLEX(data))
+        args = _READ_CHAIN_COMPLEX(data)
+        try:
+            return ChainComplex(*args)
+        except ValueError as exc:  # named with the path the readers add
+            raise InputError(f"is not a chain complex: {exc}") from None
 
 
 def single_degree_complex(dim: int, degree: int = 0) -> ChainComplex:

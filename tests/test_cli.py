@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import ambient_cube_payload
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import DATA as GOLDEN_DATA
-from motivic_kit import cli
+from motivic_kit import cli, finsets, monad
 from motivic_kit.finsets import FinDiagram, PermGroup
 from motivic_kit.hypercube import CubeDiagram
 from motivic_kit.qlinalg import QMatrix
@@ -122,6 +122,35 @@ class TestCommands:
         status, text = run_cli(["verify-mdffe", "--x", "2", "--y", "3"])
         assert status == 0
         assert text.endswith("PASS")
+
+
+class TestCensusBuildsNoGenerators:
+    """The census reads automorphism orders without building a generator,
+    and canonicalises each assembled multiset once, the entry pools'
+    included: pool entries are canonical already."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-monad", "--k", "2", "--bounds", "2,2,3"],
+        ["enumerate-diagrams", "--k", "3", "--bounds", "2,2,3"],
+    ])
+    def test_counts(self, monkeypatch, argv):
+        calls = {"iso": 0, "canonical": 0, "assemble": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(finsets.DiagramIso, "__init__",
+                            counting("iso", finsets.DiagramIso.__init__))
+        monkeypatch.setattr(finsets, "_canonical_with_perms", counting(
+            "canonical", finsets._canonical_with_perms))
+        monkeypatch.setattr(monad, "assemble",
+                            counting("assemble", monad.assemble))
+        assert run_cli(argv)[0] == 0
+        assert calls["assemble"] > 0
+        assert calls == {"iso": 0, "canonical": calls["assemble"],
+                         "assemble": calls["assemble"]}
 
 
 class TestDeterminism:
@@ -472,7 +501,8 @@ class TestErrors:
         payload["vertices"]["0"]["dims"]["1"] = 5
         path.write_text(json.dumps(payload))
         status, text = run_cli(["hocolim", "--diagram", str(path)])
-        assert (status, text) == (2, f"error: {path}: dimension in degree 1 "
+        assert (status, text) == (2, f'error: {path}: vertices["0"] is not a '
+                                  "chain complex: dimension in degree 1 "
                                   "outside degree range [0, 0]")
 
     @pytest.mark.parametrize("singleton, entries, message", [
@@ -530,6 +560,71 @@ class TestErrors:
              "edges": {"0,1->0": {}, "0,1->1": {}}}))
         status, text = run_cli(["hocolim", "--diagram", str(path)])
         assert (status, text) == (0, "H0=1 H1=2 H2=1 H3=0 H4=1")
+
+    @staticmethod
+    def cover_with(change):
+        """The two-patch fixture, with `change` applied to its payload."""
+        with open(data_path("cover_two_patches.json")) as fh:
+            payload = json.load(fh)
+        change(payload)
+        return payload
+
+    @pytest.mark.parametrize("change, message", [
+        # "1,0" names the subset {0, 1} again; once kept silently, the
+        # later vertex added a degree and printed H0=3 H1=0 H2=0
+        (lambda p: p["vertices"].update({"1,0": {
+            "lo": 0, "hi": 1, "dims": {"0": 1, "1": 0},
+            "differentials": {}}}),
+         'vertices["1,0"] names the same member as vertices["0,1"]'),
+        (lambda p: p["edges"].update({"1,0->0": p["edges"]["0,1->0"]}),
+         'edges["1,0->0"] names the same member as edges["0,1->0"]'),
+        # "00" is degree 0 again, once read as a block of the wrong shape
+        (lambda p: p["vertices"]["0"].update({"dims": {"0": 2, "00": 5}}),
+         'vertices["0"].dims["00"] names the same member as '
+         'vertices["0"].dims["0"]'),
+    ], ids=["vertex", "edge", "degree"])
+    def test_a_repeated_key_names_both_members(self, tmp_path, change,
+                                               message):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(self.cover_with(change)))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert (status, text) == (2, f"error: {path}: {message}")
+
+    def test_a_repeated_ambient_edge_key_names_both_members(self, tmp_path):
+        payload = ambient_cube_payload()
+        payload["ambient_edges"]["0,0"] = payload["ambient_edges"]["0"]
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert (status, text) == (2, f'error: {path}: ambient_edges["0,0"] '
+                                  'names the same member as '
+                                  'ambient_edges["0"]')
+
+    @pytest.mark.parametrize("field, member, fault", [
+        ("vertices", "0", "is not a chain complex: differential 1 has "
+                          "wrong shape"),
+        ("edges", "0,1->0", "is not a chain map: block 0 has wrong shape"),
+        ("ambient_edges", "0", "is not a chain map: block 0 has wrong shape"),
+        ("ambient", None, "is not a chain complex: differential 1 has "
+                          "wrong shape"),
+    ])
+    def test_a_constructor_fault_names_the_member(self, tmp_path, field,
+                                                  member, fault):
+        payload = ambient_cube_payload()
+        three_rows = {"rows": 3, "cols": 1, "entries": ["1", "0", "0"]}
+        complex_with_bad_d = {"lo": 0, "hi": 1, "dims": {"0": 2, "1": 1},
+                              "differentials": {"1": three_rows}}
+        if field == "vertices":
+            payload[field][member] = complex_with_bad_d
+        elif field == "ambient":
+            payload[field] = complex_with_bad_d
+        else:
+            payload[field][member]["0"] = three_rows
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        named = field if member is None else f"{field}[{json.dumps(member)}]"
+        assert (status, text) == (2, f"error: {path}: {named} {fault}")
 
     def test_main_returns_status(self, capsys):
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0

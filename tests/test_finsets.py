@@ -9,7 +9,8 @@ from helpers import (brute_automorphisms, brute_canonical_with_perms,
                      small_diagrams)
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
                                  SetMap, all_maps, are_isomorphic,
-                                 automorphism_group, canonical_form, compose)
+                                 automorphism_group, automorphism_order,
+                                 canonical_form, compose)
 from motivic_kit.monad import enumerate_diagrams
 
 
@@ -264,6 +265,24 @@ class TestAutomorphismGroupStructure:
         perms = [tuple(c.values for c in gen.components)
                  for gen in g.generators]
         assert g.order == closure_size(perms, d.sizes()) == 720
+
+
+class TestAutomorphismOrder:
+    """The order read from the forest's classes, without generators,
+    against the brute automorphism list."""
+
+    @pytest.mark.parametrize("bounds", [(4, 4), (3, 3, 3), (2, 2, 2, 2)])
+    def test_census(self, bounds):
+        for d in enumerate_diagrams(len(bounds), bounds):
+            assert automorphism_order(d) == len(brute_automorphisms(d)), d
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_diagrams())
+    def test_random_diagrams(self, d):
+        assert automorphism_order(d) == len(brute_automorphisms(d))
+
+    def test_empty_diagram(self):
+        assert automorphism_order(FinDiagram([], [])) == 1
 
 
 class TestEnumerateDiagrams:

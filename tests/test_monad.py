@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -6,9 +7,9 @@ from helpers import (brute_automorphisms, brute_census, identity_map,
                      iso_then, tuple_index_matrix)
 from motivic_kit import cli, monad
 from motivic_kit.artin import artin_comonoid, is_coalgebra_morphism
-from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
-                                 SetMap, are_isomorphic, automorphism_group,
-                                 canonical_form)
+from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
+                                 are_isomorphic, automorphism_group,
+                                 automorphism_order, canonical_form)
 from motivic_kit.monad import (MultisetOfDiagrams, assemble,
                                enumerate_diagrams, functoriality_on_iso,
                                omega_power, tensor_power_comonoid,
@@ -62,6 +63,16 @@ class TestAssemble:
         b = MultisetOfDiagrams(1, [bare_set(1), bare_set(2)])
         assert a == b
         assert assemble(a) == assemble(b)
+        # two labellings of one class, in either order
+        s2 = FinSet(2)
+        d1 = FinDiagram([s2, s2], [SetMap(s2, s2, [0, 0])])
+        d2 = FinDiagram([s2, s2], [SetMap(s2, s2, [1, 1])])
+        assert MultisetOfDiagrams(2, [d1, d2]) == MultisetOfDiagrams(2, [d2, d1])
+
+    def test_given_class_keys_are_one_per_entry(self):
+        with pytest.raises(ValueError):
+            MultisetOfDiagrams(1, [bare_set(1), bare_set(2)],
+                               [(1, bare_set(1).encoding())])
 
     def test_respects_isomorphism(self):
         d1 = FinDiagram([FinSet(2), FinSet(2)],
@@ -144,6 +155,49 @@ class TestGenerator:
         assert report.assembled_classes == count
 
 
+def independent_multisets(k: int, bounds) -> list:
+    """The bounded multisets of pool entries, by trying every multiset of
+    at most bounds[k] entries and keeping those within the level bounds
+    that have a full-length entry, each built the checking way."""
+    pool = [EMPTY] + [d for j in range(1, k + 1)
+                      for d in enumerate_diagrams(j, bounds[k - j:k])]
+    found = []
+    for n in range(1, bounds[k] + 1):
+        for entries in itertools.combinations_with_replacement(pool, n):
+            levels = [0] * k
+            for e in entries:
+                for i, size in enumerate(e.sizes()):
+                    levels[k - e.k + i] += size
+            if (all(t <= b for t, b in zip(levels, bounds))
+                    and any(e.k == k for e in entries)):
+                found.append(MultisetOfDiagrams(k, entries))
+    return found
+
+
+class TestWalk:
+    """The census walk against multisets built the checking way."""
+
+    @pytest.mark.parametrize("bounds", [(2, 2, 3), (3, 3, 3, 3)])
+    def test_yields_the_checked_multiset(self, bounds):
+        k = len(bounds) - 1
+        walked = list(monad._admissible_multisets(k, bounds))
+        assert walked
+        for m in walked:
+            assert all(canonical_form(e) == e for e in m.entries)
+            assert m == MultisetOfDiagrams(k, m.entries)
+
+    @pytest.mark.parametrize("bounds", [
+        (5,), (2, 2), (1, 8), (8, 1), (7, 1, 2), (2, 2, 3), (1, 3, 2),
+        (3, 3, 3), (4, 4, 2), (2, 1, 2, 2)])
+    def test_equals_independent_enumeration(self, bounds):
+        # called directly, the walk takes bounds above the CLI cap
+        k = len(bounds) - 1
+        walked = list(monad._admissible_multisets(k, bounds))
+        expected = independent_multisets(k, bounds)
+        assert len(set(walked)) == len(walked)
+        assert collections.Counter(walked) == collections.Counter(expected)
+
+
 K, BOUNDS = 2, (2, 2, 3)
 
 
@@ -195,13 +249,13 @@ class TestMassFormulaHasTeeth:
     def test_wrong_automorphism_order(self, monkeypatch, capsys):
         rows = verify_m_identity(K, BOUNDS).rows
         for row in rows:
-            def off_by_one(d, original=automorphism_group, key=row.encoding):
-                g = original(d)
+            def off_by_one(d, original=automorphism_order, key=row.encoding):
+                order = original(d)
                 if canonical_form(d).encoding() != key:
-                    return g
-                return PermGroup(g.degrees, g.generators, g.order + 1)
+                    return order
+                return order + 1
             with monkeypatch.context() as mp:
-                mp.setattr(monad, "automorphism_group", off_by_one)
+                mp.setattr(monad, "automorphism_order", off_by_one)
                 report = verify_m_identity(K, BOUNDS)
                 assert not report.aut_orders_match
                 assert not report.mass_formula_holds and not report.passed

@@ -160,6 +160,16 @@ def test_no_construction_skips_validation():
     assert sites == []
 
 
+def test_the_census_builds_no_automorphism_generators():
+    # the census reads orders only; generators are built where they are
+    # used: by `aut`, and for the chain automorphisms of the tower
+    callers = {(path.name, owner) for path in SOURCES
+               for owner, callee in calls_by_function(path)
+               if callee.split(".")[-1] == "automorphism_group"}
+    assert callers == {("cli.py", "_cmd_aut"),
+                       ("resolution.py", "_chain_aut_column_perms")}
+
+
 def test_no_zero_matrix_stands_for_an_absent_block():
     # an absent differential or chain-map block is zero: neither the cube
     # code nor a chain complex builds one on demand
