@@ -20,6 +20,7 @@ alone.  Duality transposes everything onto monoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from ._value import Value
 from .finsets import FinSet, SetMap, all_maps
@@ -41,18 +42,14 @@ def tensor_map_matrix(n: int, factors, t: int) -> QMatrix:
                                tensor_index_map(n, factors, t)))
 
 
-def swap_matrix(n: int) -> QMatrix:
-    """The permutation matrix exchanging the two tensor factors of size n."""
-    return tensor_map_matrix(n, (1, 0), 2)
-
-
 class ArtinComonoid(Value):
     """A finite set with a counit row and a comultiplication matrix.
 
-    Counitality, coassociativity and cocommutativity are enforced exactly
-    at construction; non-canonical structures satisfying them are allowed.
-    Whether the structure is the canonical one of the carrier is read from
-    the entries once, here, and selects the morphism checker.
+    Counitality, coassociativity and cocommutativity are checked exactly
+    at construction, on the nonzero terms of the comultiplication;
+    non-canonical structures satisfying them are allowed.  Whether the
+    structure is the canonical one of the carrier is read from the same
+    terms, and selects the morphism checker.
     """
 
     __slots__ = ("carrier", "counit", "comult", "_canonical")
@@ -63,19 +60,13 @@ class ArtinComonoid(Value):
             raise ValueError("counit must be 1 x |X|")
         if comult.rows != n * n or comult.cols != n:
             raise ValueError("comult must be |X|^2 x |X|")
-        ident = QMatrix.identity(n)
-        if matmul(kron(counit, ident), comult) != ident:
-            raise ValueError("counitality fails on the left")
-        if matmul(kron(ident, counit), comult) != ident:
-            raise ValueError("counitality fails on the right")
-        if matmul(kron(comult, ident), comult) != matmul(kron(ident, comult), comult):
-            raise ValueError("coassociativity fails")
-        if matmul(swap_matrix(n), comult) != comult:
-            raise ValueError("cocommutativity fails")
+        canonical = _check_axioms(counit, comult, n, (
+            "counitality fails on the left", "counitality fails on the right",
+            "coassociativity fails", "cocommutativity fails"))
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "counit", counit)
         object.__setattr__(self, "comult", comult)
-        object.__setattr__(self, "_canonical", _is_canonical(counit, comult, n))
+        object.__setattr__(self, "_canonical", canonical)
 
     @property
     def size(self) -> int:
@@ -86,7 +77,11 @@ class ArtinComonoid(Value):
 
 
 class ArtinMonoid(Value):
-    """The dual structure: a unit column and a multiplication matrix."""
+    """The dual structure: a unit column and a multiplication matrix.
+
+    Its axioms are the transposes of the comonoid ones, checked on the
+    transposed structure maps.
+    """
 
     __slots__ = ("carrier", "unit", "mult")
 
@@ -96,15 +91,9 @@ class ArtinMonoid(Value):
             raise ValueError("unit must be |X| x 1")
         if mult.rows != n or mult.cols != n * n:
             raise ValueError("mult must be |X| x |X|^2")
-        ident = QMatrix.identity(n)
-        if matmul(mult, kron(unit, ident)) != ident:
-            raise ValueError("unitality fails on the left")
-        if matmul(mult, kron(ident, unit)) != ident:
-            raise ValueError("unitality fails on the right")
-        if matmul(mult, kron(mult, ident)) != matmul(mult, kron(ident, mult)):
-            raise ValueError("associativity fails")
-        if matmul(mult, swap_matrix(n)) != mult:
-            raise ValueError("commutativity fails")
+        _check_axioms(unit.transpose(), mult.transpose(), n, (
+            "unitality fails on the left", "unitality fails on the right",
+            "associativity fails", "commutativity fails"))
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "mult", mult)
@@ -117,13 +106,48 @@ class ArtinMonoid(Value):
         return f"ArtinMonoid(|X|={self.size})"
 
 
-def _is_canonical(counit: QMatrix, comult: QMatrix, n: int) -> bool:
-    """Counit all ones, comultiplication the diagonal indicator."""
-    # comult entry ((x', x''), x) is the entry (x', x'', x) of the flat list
-    diagonal = set(tensor_index_map(n, (0, 0, 0), 1))
-    return (all(v == 1 for v in counit.entries)
-            and all(v == (1 if i in diagonal else 0)
-                    for i, v in enumerate(comult.entries)))
+def _check_axioms(counit: QMatrix, comult: QMatrix, n: int, messages) -> bool:
+    """Check a counit and comultiplication on a set of size n exactly, and
+    say whether they are the canonical ones.
+
+    The nonzero entries are read once as Delta(x) = sum v (a, b), and the
+    four axioms compared as sums over those terms, in order: (eps (x) 1)
+    Delta(x) = x, (1 (x) eps) Delta(x) = x, sum v Delta(a) (x) b = sum v
+    a (x) Delta(b), and the coefficient of (a, b) equals that of (b, a).
+    The first that fails raises ValueError with its entry of `messages`.
+    """
+    eps = counit.entries
+    first = tensor_index_map(n, (0,), 2)
+    second = tensor_index_map(n, (1,), 2)
+    delta = [{} for _ in range(n)]  # x -> {(a, b): v}, nonzero v only
+    entries = comult.entries
+    for k in compress(range(len(entries)), entries):
+        r, x = divmod(k, n)
+        delta[x][first[r], second[r]] = entries[k]
+    left, right = {}, {}
+    for x, terms in enumerate(delta):
+        for (a, b), v in terms.items():
+            left[b, x] = left.get((b, x), 0) + eps[a] * v
+            right[a, x] = right.get((a, x), 0) + eps[b] * v
+    identity = {(x, x): 1 for x in range(n)}
+    if {k: v for k, v in left.items() if v} != identity:
+        raise ValueError(messages[0])
+    if {k: v for k, v in right.items() if v} != identity:
+        raise ValueError(messages[1])
+    for terms in delta:
+        diff = {}
+        for (a, b), v in terms.items():
+            for (p, q), w in delta[a].items():
+                diff[p, q, b] = diff.get((p, q, b), 0) + v * w
+            for (p, q), w in delta[b].items():
+                diff[a, p, q] = diff.get((a, p, q), 0) - v * w
+        if any(diff.values()):
+            raise ValueError(messages[2])
+    if any(terms.get((b, a), 0) != v
+           for terms in delta for (a, b), v in terms.items()):
+        raise ValueError(messages[3])
+    return (all(v == 1 for v in eps)
+            and all(terms == {(x, x): 1} for x, terms in enumerate(delta)))
 
 
 def counit_matrix(n: int) -> QMatrix:

@@ -167,12 +167,11 @@ def equivariant_set_maps(x: GSet, y: GSet) -> list:
     """
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
-    out = []
-    for f in all_maps(x.carrier, y.carrier):
-        if all(compose(x.act(g), f).values == compose(f, y.act(g)).values
-               for g in x.group.elements()):
-            out.append(f)
-    return out
+    # f(g.a) and g.f(a) for every a, read off the value tuples
+    actions = [(x.act(g).values, y.act(g).values) for g in x.group.elements()]
+    return [f for f in all_maps(x.carrier, y.carrier)
+            if all([f.values[a] for a in gx] == [gy[b] for b in f.values]
+                   for gx, gy in actions)]
 
 
 def fixed_coalgebra_morphisms(x: GSet, y: GSet) -> list:

@@ -7,9 +7,12 @@ import random
 from fractions import Fraction
 from importlib import resources
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from motivic_kit.finsets import DiagramIso, FinDiagram, FinSet, SetMap, compose
+from motivic_kit.artin import tensor_map_matrix
+from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
+                                 all_maps, compose)
 from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import ChainMap, CubeDiagram, cover_cube_diagram
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, kron, matmul, nullity,
@@ -163,6 +166,106 @@ def dense_coalgebra_violations(c: QMatrix, x, y) -> list:
     if any(r // ny != r % ny for r in bad):
         violations.append("(delta2)")
     return violations
+
+
+def swap_matrix(n: int) -> QMatrix:
+    """The permutation matrix exchanging the two tensor factors of size n."""
+    return tensor_map_matrix(n, (1, 0), 2)
+
+
+def dense_comonoid_failures(counit: QMatrix, comult: QMatrix) -> list:
+    """The comonoid axioms through dense Kronecker products: the messages
+    of `ArtinComonoid` for every axiom that fails, in its order."""
+    n = counit.cols
+    failures = []
+    ident = QMatrix.identity(n)
+    if matmul(kron(counit, ident), comult) != ident:
+        failures.append("counitality fails on the left")
+    if matmul(kron(ident, counit), comult) != ident:
+        failures.append("counitality fails on the right")
+    if matmul(kron(comult, ident), comult) != matmul(kron(ident, comult), comult):
+        failures.append("coassociativity fails")
+    if matmul(swap_matrix(n), comult) != comult:
+        failures.append("cocommutativity fails")
+    return failures
+
+
+def dense_monoid_failures(unit: QMatrix, mult: QMatrix) -> list:
+    """The monoid axioms through dense Kronecker products: the messages of
+    `ArtinMonoid` for every axiom that fails, in its order."""
+    n = unit.rows
+    failures = []
+    ident = QMatrix.identity(n)
+    if matmul(mult, kron(unit, ident)) != ident:
+        failures.append("unitality fails on the left")
+    if matmul(mult, kron(ident, unit)) != ident:
+        failures.append("unitality fails on the right")
+    if matmul(mult, kron(mult, ident)) != matmul(mult, kron(ident, mult)):
+        failures.append("associativity fails")
+    if matmul(mult, swap_matrix(n)) != mult:
+        failures.append("commutativity fails")
+    return failures
+
+
+def dense_inverse(p: QMatrix):
+    """The exact inverse of a square matrix by Gauss-Jordan on [P | I], or
+    None when P is singular."""
+    n, ident = p.rows, QMatrix.identity(p.rows)
+    augmented = QMatrix(n, 2 * n, [x for i in range(n)
+                                   for x in p.row(i) + ident.row(i)])
+    m, pivots = dense_row_echelon(augmented)
+    if pivots[:n] != list(range(n)):
+        return None
+    return QMatrix(n, n, [x for row in m for x in row[n:]])
+
+
+@st.composite
+def comonoid_structures(draw):
+    """(n, counit, comult): the canonical structure on n <= 6 points, or
+    for n <= 3 its conjugate (P (x) P) Delta P^-1 with counit eps P^-1 by a
+    random invertible integer P.  Three times in four it is then perturbed:
+    one entry of the counit or of the comultiplication is replaced, or
+    t (a - a') (x) (b - b') is added to one Delta(x), which keeps the
+    counit laws of an all-ones counit."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        p = None
+    else:
+        n = draw(st.integers(1, 3))
+        p = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)
+                 .map(lambda e: QMatrix(n, n, e)))
+    counit = QMatrix(1, n, [1] * n)
+    comult = tuple_index_matrix(n, (0, 0), 1)
+    if p is not None:
+        p_inv = dense_inverse(p)
+        assume(p_inv is not None)
+        counit = matmul(counit, p_inv)
+        comult = matmul(matmul(kron(p, p), comult), p_inv)
+    which = draw(st.sampled_from(("none", "counit", "comult", "minor")))
+    if which == "minor":
+        x, a, a2, b, b2 = draw(st.lists(st.integers(0, n - 1), min_size=5,
+                                        max_size=5))
+        t = draw(st.sampled_from((-1, 1, 2)))
+        entries = list(comult.entries)
+        for i, j, sign in ((a, b, 1), (a, b2, -1), (a2, b, -1), (a2, b2, 1)):
+            entries[(i * n + j) * n + x] += sign * t
+        comult = QMatrix(n * n, n, entries)
+    elif which != "none":
+        m = counit if which == "counit" else comult
+        entries = list(m.entries)
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(
+            st.sampled_from((-1, 0, 1, 2, Fraction(1, 2))))
+        m = QMatrix(m.rows, m.cols, entries)
+        counit, comult = (m, comult) if which == "counit" else (counit, m)
+    return n, counit, comult
+
+
+def brute_equivariant_maps(x: GSet, y: GSet) -> list:
+    """The set maps f with f(g.a) = g.f(a) for every group element g, by
+    composing the validated maps."""
+    return [f for f in all_maps(x.carrier, y.carrier)
+            if all(compose(x.act(g), f).values == compose(f, y.act(g)).values
+                   for g in x.group.elements())]
 
 
 def _relabelings(sizes):

@@ -10,13 +10,12 @@ import time
 
 from helpers import (all_gset_actions, dense_at, inclusion_exclusion_euler,
                      load_group, nerve_oracle_homology, random_cover,
-                     union_find_components)
+                     swap_matrix, union_find_components)
 from motivic_kit.artin import (artin_comonoid, coalgebra_morphism_violations,
                                dual_monoid, graph_matrix,
                                monoid_morphism_violations,
                                morphism_from_setmap, setmap_from_morphism,
-                               solve_coalgebra_morphisms, swap_matrix,
-                               verify_mcffe)
+                               solve_coalgebra_morphisms, verify_mcffe)
 from motivic_kit.finsets import FinSet, all_maps, canonical_form
 from motivic_kit.galois import equivariant_set_maps, fixed_coalgebra_morphisms
 from motivic_kit.hypercube import cover_cube_diagram, punctured_cube_hocolim

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (dense_coalgebra_violations, qmatrices, random_qmatrix,
-                     tuple_index_matrix)
-from motivic_kit.artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
-                               artin_monoid, coalgebra_morphism_violations,
+from helpers import (comonoid_structures, dense_coalgebra_violations,
+                     dense_comonoid_failures, dense_monoid_failures, qmatrices,
+                     random_qmatrix, swap_matrix, tuple_index_matrix)
+from motivic_kit.artin import (ArtinComonoid, ArtinMonoid, CoalgMorphism,
+                               artin_comonoid, artin_monoid,
+                               coalgebra_morphism_violations,
                                comult_matrix, dual_monoid, dualize,
                                graph_matrix, is_coalgebra_morphism,
                                monoid_morphism_violations,
                                morphism_from_setmap, setmap_from_morphism,
-                               solve_coalgebra_morphisms, swap_matrix,
-                               tensor_map_matrix, verify_mcffe)
+                               solve_coalgebra_morphisms, tensor_map_matrix,
+                               verify_mcffe)
 from motivic_kit.finsets import FinSet, SetMap, all_maps, compose
 from motivic_kit.qlinalg import QMatrix, kron, matmul
 
@@ -108,6 +110,79 @@ class TestCanonicalStructures:
         m = QMatrix(2, 2, [1, 0, 0, 1])
         assert (coalgebra_morphism_violations(m, c, twisted)
                 == dense_coalgebra_violations(m, c, twisted) != [])
+
+
+def comult_from_terms(n: int, delta) -> QMatrix:
+    """The comultiplication with Delta(x) = sum of v (a, b) over the items
+    ((a, b), v) of delta[x]; row (a, b) is numbered a * n + b."""
+    entries = [0] * (n * n * n)
+    for x, terms in enumerate(delta):
+        for (a, b), v in terms.items():
+            entries[(a * n + b) * n + x] = v
+    return QMatrix(n * n, n, entries)
+
+
+def construction_failure(cls, *args):
+    """The message the constructor raises, or None when it accepts."""
+    try:
+        cls(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestAxiomChecker:
+    """The term-wise axiom check against the dense Kronecker products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(comonoid_structures())
+    def test_comonoid_matches_dense_oracle(self, case):
+        n, counit, comult = case
+        failures = dense_comonoid_failures(counit, comult)
+        assert construction_failure(ArtinComonoid, FinSet(n), counit,
+                                    comult) == (failures or [None])[0]
+        if not failures:
+            canonical = (counit == QMatrix(1, n, [1] * n)
+                         and comult == tuple_index_matrix(n, (0, 0), 1))
+            assert ArtinComonoid(FinSet(n), counit,
+                                 comult)._canonical == canonical
+
+    @settings(max_examples=150, deadline=None)
+    @given(comonoid_structures())
+    def test_monoid_matches_dense_oracle(self, case):
+        n, counit, comult = case
+        unit, mult = counit.transpose(), comult.transpose()
+        failures = dense_monoid_failures(unit, mult)
+        assert construction_failure(ArtinMonoid, FinSet(n), unit,
+                                    mult) == (failures or [None])[0]
+
+    @pytest.mark.parametrize("n,counit,delta,message", [
+        # every comultiplication entry -1
+        (2, (1, 0), [{(a, b): -1 for a in range(2) for b in range(2)}] * 2,
+         "counitality fails on the left"),
+        # entries (1, 0, 0, 1, -1, -1, -1, -1): the left law holds
+        (2, (1, 0), [{(0, 0): 1, (1, 0): -1, (1, 1): -1},
+                     {(0, 1): 1, (1, 0): -1, (1, 1): -1}],
+         "counitality fails on the right"),
+        (3, (1, 0, 0), [{(0, 0): 1}, {(0, 1): 1, (1, 0): 1},
+                        {(0, 2): 1, (2, 0): 1, (1, 2): 1, (2, 1): 1}],
+         "coassociativity fails"),
+        # the dual of the 2 x 2 matrix algebra, e_ij numbered 2i + j:
+        # Delta(e_ij) = sum_k e_ik (x) e_kj, eps(e_ij) = delta_ij
+        (4, (1, 0, 0, 1), [{(2 * i + k, 2 * k + j): 1 for k in range(2)}
+                           for i in range(2) for j in range(2)],
+         "cocommutativity fails"),
+    ], ids=["left-counit", "right-counit", "coassociativity",
+            "cocommutativity"])
+    def test_each_axiom_fails_first_by_hand(self, n, counit, delta, message):
+        counit = QMatrix(1, n, counit)
+        comult = comult_from_terms(n, delta)
+        failures = dense_comonoid_failures(counit, comult)
+        assert failures[0] == message
+        if message == "cocommutativity fails":
+            assert failures == [message]
+        assert construction_failure(ArtinComonoid, FinSet(n), counit,
+                                    comult) == message
 
 
 class TestMorphismChecking:

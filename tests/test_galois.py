@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (all_gset_actions, brute_is_associative,
-                     brute_is_homomorphism, cyclic_group,
+from helpers import (all_gset_actions, brute_equivariant_maps,
+                     brute_is_associative, brute_is_homomorphism, cyclic_group,
                      group_like_tables, gset_from_generator_images,
                      load_group, regular_gset, sub_gset, trivial_gset)
 
@@ -228,6 +228,24 @@ class TestEquivariantMaps:
         y = regular_gset(load_group("c3"))
         with pytest.raises(ValueError):
             equivariant_set_maps(x, y)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_small_pair_matches_composition(self, name):
+        # every pair of actions on carriers of size <= 3, against the maps
+        # found by composing validated set maps
+        group = load_group(name)
+        actions = [x for size in range(1, 4)
+                   for x in all_gset_actions(group, size)]
+        empty = 0
+        for x, y in itertools.product(actions, repeat=2):
+            maps = equivariant_set_maps(x, y)
+            assert maps == brute_equivariant_maps(x, y)
+            empty += not maps
+        # a nontrivial orbit on at most 3 points is an action of its own,
+        # without a fixed point, so it takes no map from a point
+        moves = any(m.values != tuple(range(m.dom.size))
+                    for x in actions for m in x.action)
+        assert (empty > 0) == moves
 
 
 class TestDescent:

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from helpers import (brute_automorphisms, brute_census, identity_map,
-                     iso_then, tuple_index_matrix)
+                     iso_then, swap_matrix, tuple_index_matrix)
 from motivic_kit import cli, monad
 from motivic_kit.artin import artin_comonoid, is_coalgebra_morphism
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
@@ -14,7 +14,6 @@ from motivic_kit.monad import (MultisetOfDiagrams, assemble,
                                enumerate_diagrams, functoriality_on_iso,
                                omega_power, tensor_power_comonoid,
                                verify_m_identity, wreath_order)
-from motivic_kit.artin import swap_matrix
 from motivic_kit.qlinalg import QMatrix, matmul
 
 

@@ -2,10 +2,10 @@
 base class for the immutable values, integers kept as integers, one
 reader for outside JSON compiled only at import, no relabeling search on
 the census path, no construction that skips validation, no zero matrix
-built for an absent block, a CLI parser built only at import, one
-builder for the cube's total complexes, squares composed only when a
-cube is built, and no definition in the library that only the tests
-reach."""
+built for an absent block, no dense product in the structure axioms, a
+CLI parser built only at import, one builder for the cube's total
+complexes, squares composed only when a cube is built, and no definition
+in the library that only the tests reach."""
 
 import ast
 import collections
@@ -180,6 +180,27 @@ def test_no_zero_matrix_stands_for_an_absent_block():
     assert [(name, owner) for name, owner in sites
             if name == "hypercube.py"
             or (owner or "").startswith("ChainComplex.")] == []
+
+
+def test_structure_axioms_are_checked_without_dense_products():
+    # the comonoid and monoid constructors check their axioms on the
+    # nonzero terms of the structure maps, through the helpers they call,
+    # with no Kronecker product and no dense matrix product
+    [artin] = [p for p in SOURCES if p.name == "artin.py"]
+    calls = collections.defaultdict(set)
+    for owner, callee in calls_by_function(artin):
+        calls[owner].add(callee)
+    assert {"kron", "matmul"} <= calls["_dense_failures"]  # the guard sees them
+    constructors = {"ArtinComonoid.__init__", "ArtinMonoid.__init__"}
+    reached, todo = set(), list(constructors)
+    while todo:
+        owner = todo.pop()
+        if owner not in reached:
+            reached.add(owner)
+            todo.extend(callee for callee in calls[owner] if callee in calls)
+    assert reached > constructors  # and the helpers they call
+    assert {callee for owner in reached
+            for callee in calls[owner]}.isdisjoint({"kron", "matmul"})
 
 
 def test_readers_are_compiled_only_at_import():
