@@ -1,5 +1,5 @@
-"""Comonoids and monoids on finite sets inside the exact matrix category,
-and the solver for structure-preserving morphisms.
+"""Comonoids on finite sets inside the exact matrix category, and the
+solver for their morphisms.
 
 A finite set X carries a canonical comonoid: the counit is the all-ones
 row (the class of X itself, pushed to the point) and the comultiplication
@@ -14,7 +14,7 @@ three equation families
 which together force C to be the graph of a set map.  The solver does not
 solve these equations: it enumerates the graphs of all set maps and checks
 each one, so that no other matrix is a morphism rests on this derivation
-alone.  Duality transposes everything onto monoids.
+alone.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ class ArtinComonoid(Value):
             raise ValueError("counit must be 1 x |X|")
         if comult.rows != n * n or comult.cols != n:
             raise ValueError("comult must be |X|^2 x |X|")
-        canonical = _check_axioms(counit, comult, n, (
-            "counitality fails on the left", "counitality fails on the right",
-            "coassociativity fails", "cocommutativity fails"))
+        canonical = _check_axioms(counit, comult, n)
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "counit", counit)
         object.__setattr__(self, "comult", comult)
@@ -76,37 +74,7 @@ class ArtinComonoid(Value):
         return f"ArtinComonoid(|X|={self.size})"
 
 
-class ArtinMonoid(Value):
-    """The dual structure: a unit column and a multiplication matrix.
-
-    Its axioms are the transposes of the comonoid ones, checked on the
-    transposed structure maps.
-    """
-
-    __slots__ = ("carrier", "unit", "mult")
-
-    def __init__(self, carrier: FinSet, unit: QMatrix, mult: QMatrix):
-        n = carrier.size
-        if unit.rows != n or unit.cols != 1:
-            raise ValueError("unit must be |X| x 1")
-        if mult.rows != n or mult.cols != n * n:
-            raise ValueError("mult must be |X| x |X|^2")
-        _check_axioms(unit.transpose(), mult.transpose(), n, (
-            "unitality fails on the left", "unitality fails on the right",
-            "associativity fails", "commutativity fails"))
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "mult", mult)
-
-    @property
-    def size(self) -> int:
-        return self.carrier.size
-
-    def __repr__(self):
-        return f"ArtinMonoid(|X|={self.size})"
-
-
-def _check_axioms(counit: QMatrix, comult: QMatrix, n: int, messages) -> bool:
+def _check_axioms(counit: QMatrix, comult: QMatrix, n: int) -> bool:
     """Check a counit and comultiplication on a set of size n exactly, and
     say whether they are the canonical ones.
 
@@ -114,7 +82,7 @@ def _check_axioms(counit: QMatrix, comult: QMatrix, n: int, messages) -> bool:
     four axioms compared as sums over those terms, in order: (eps (x) 1)
     Delta(x) = x, (1 (x) eps) Delta(x) = x, sum v Delta(a) (x) b = sum v
     a (x) Delta(b), and the coefficient of (a, b) equals that of (b, a).
-    The first that fails raises ValueError with its entry of `messages`.
+    The first that fails raises ValueError naming it.
     """
     eps = counit.entries
     first = tensor_index_map(n, (0,), 2)
@@ -131,9 +99,9 @@ def _check_axioms(counit: QMatrix, comult: QMatrix, n: int, messages) -> bool:
             right[a, x] = right.get((a, x), 0) + eps[b] * v
     identity = {(x, x): 1 for x in range(n)}
     if {k: v for k, v in left.items() if v} != identity:
-        raise ValueError(messages[0])
+        raise ValueError("counitality fails on the left")
     if {k: v for k, v in right.items() if v} != identity:
-        raise ValueError(messages[1])
+        raise ValueError("counitality fails on the right")
     for terms in delta:
         diff = {}
         for (a, b), v in terms.items():
@@ -142,10 +110,10 @@ def _check_axioms(counit: QMatrix, comult: QMatrix, n: int, messages) -> bool:
             for (p, q), w in delta[b].items():
                 diff[a, p, q] = diff.get((a, p, q), 0) - v * w
         if any(diff.values()):
-            raise ValueError(messages[2])
+            raise ValueError("coassociativity fails")
     if any(terms.get((b, a), 0) != v
            for terms in delta for (a, b), v in terms.items()):
-        raise ValueError(messages[3])
+        raise ValueError("cocommutativity fails")
     return (all(v == 1 for v in eps)
             and all(terms == {(x, x): 1} for x, terms in enumerate(delta)))
 
@@ -164,17 +132,6 @@ def artin_comonoid(x: FinSet) -> ArtinComonoid:
     """The canonical comonoid carried by a finite set."""
     n = x.size
     return ArtinComonoid(x, counit_matrix(n), comult_matrix(n))
-
-
-def artin_monoid(x: FinSet) -> ArtinMonoid:
-    """The canonical monoid: transpose of the canonical comonoid."""
-    n = x.size
-    return ArtinMonoid(x, counit_matrix(n).transpose(),
-                       comult_matrix(n).transpose())
-
-
-def dual_monoid(c: ArtinComonoid) -> ArtinMonoid:
-    return ArtinMonoid(c.carrier, c.counit.transpose(), c.comult.transpose())
 
 
 def coalgebra_morphism_violations(c: QMatrix, x: ArtinComonoid,
@@ -225,29 +182,6 @@ def _dense_failures(c: QMatrix, x: ArtinComonoid, y: ArtinComonoid) -> tuple:
             any(r not in diagonal for r in bad))
 
 
-def is_coalgebra_morphism(c: QMatrix, x: ArtinComonoid, y: ArtinComonoid) -> bool:
-    return not coalgebra_morphism_violations(c, x, y)
-
-
-def monoid_morphism_violations(m: QMatrix, x: ArtinMonoid,
-                               y: ArtinMonoid) -> list:
-    """The transposed check: M as a monoid morphism X -> Y."""
-    if m.rows != y.size or m.cols != x.size:
-        raise ValueError(f"morphism matrix must be {y.size} x {x.size}")
-    violations = []
-    if matmul(m, x.unit) != y.unit:
-        violations.append("(eta)")
-    lt = matmul(m, x.mult).transpose()
-    rt = matmul(y.mult, kron(m, m)).transpose()
-    diagonal = set(tensor_index_map(x.size, (0, 0), 1))
-    bad = [c for c in range(lt.rows) if lt.row(c) != rt.row(c)]
-    if any(c in diagonal for c in bad):
-        violations.append("(mu1)")
-    if any(c not in diagonal for c in bad):
-        violations.append("(mu2)")
-    return violations
-
-
 class CoalgMorphism(Value):
     """A matrix morphism of comonoids, validated at construction."""
 
@@ -267,12 +201,6 @@ class CoalgMorphism(Value):
 
     def __repr__(self):
         return f"CoalgMorphism({self.source.size}->{self.target.size})"
-
-
-def morphism_from_setmap(f: SetMap) -> CoalgMorphism:
-    """The comonoid morphism carried by the graph of a set map."""
-    return CoalgMorphism(graph_matrix(f), artin_comonoid(f.dom),
-                         artin_comonoid(f.cod))
 
 
 def setmap_from_morphism(c: CoalgMorphism) -> SetMap:
@@ -309,29 +237,6 @@ def solve_coalgebra_morphisms(x: FinSet, y: FinSet) -> list:
             raise AssertionError("graph candidate unexpectedly rejected")
         out.append(CoalgMorphism(m, cx, cy))
     return out
-
-
-@dataclass(frozen=True)
-class DualityCheck:
-    """Transpose of a comonoid morphism, checked against the dual monoids."""
-    matrix: QMatrix
-    source: ArtinMonoid
-    target: ArtinMonoid
-    violations: tuple
-
-
-def dualize(c: CoalgMorphism) -> DualityCheck:
-    """Check the transpose as a monoid morphism between the dual monoids.
-
-    A morphism C : C_*X -> C_*Y transposes to a map from the dual monoid
-    of Y to the dual monoid of X; the equations are the exact transposes
-    of the comonoid ones, so the check always passes for valid input.
-    """
-    my = dual_monoid(c.target)
-    mx = dual_monoid(c.source)
-    mt = c.matrix.transpose()
-    return DualityCheck(mt, my, mx,
-                        tuple(monoid_morphism_violations(mt, my, mx)))
 
 
 @dataclass(frozen=True)

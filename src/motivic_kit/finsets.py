@@ -83,23 +83,12 @@ class SetMap(Value):
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "values", values)
 
-    def __call__(self, i: int) -> int:
-        return self.values[i]
-
     def __repr__(self):
         return f"SetMap({self.dom.size}->{self.cod.size}, {list(self.values)})"
 
     def is_bijective(self) -> bool:
         return (self.dom.size == self.cod.size
                 and len(set(self.values)) == self.dom.size)
-
-    def inverse(self) -> "SetMap":
-        if not self.is_bijective():
-            raise ValueError("only bijective maps can be inverted")
-        inv = [0] * self.cod.size
-        for i, v in enumerate(self.values):
-            inv[v] = i
-        return SetMap(self.cod, self.dom, inv)
 
     def fiber_sizes(self) -> tuple:
         """Sizes of the preimages of 0..cod.size-1, in element order."""
@@ -241,10 +230,6 @@ class DiagramIso(Value):
     def __repr__(self):
         return f"DiagramIso({[list(c.values) for c in self.components]})"
 
-    def inverse(self) -> "DiagramIso":
-        return DiagramIso(self.target, self.source,
-                          tuple(c.inverse() for c in self.components))
-
     def to_json(self):
         return {"components": [c.to_json() for c in self.components]}
 
@@ -271,17 +256,19 @@ def _level_classes(d: FinDiagram) -> list:
     return classes
 
 
-def _canonical_with_perms(d: FinDiagram):
-    """Minimal-encoding representative plus the relabeling achieving it.
+def canonical_form(d: FinDiagram) -> FinDiagram:
+    """The canonical representative of the isomorphism class of d.
 
     The last level is numbered by class, then each level below it by
     (class, new label of its image).  Fibers come out sorted at every
     level, and each map's values are as small as the levels above allow,
     which is the lexicographic minimum of `FinDiagram.encoding` over all
-    relabelings.  Remaining ties are broken by old index.
+    relabelings.  Remaining ties are broken by old index.  So isomorphic
+    diagrams map to the identical representative, and the map is
+    idempotent.  Labels are discarded.
     """
     if d.k == 0:
-        return FinDiagram([], []), ()
+        return FinDiagram([], [])
     classes = _level_classes(d)
     perms = [None] * d.k
     image = [0] * d.sets[-1].size  # the roots hang from one virtual root
@@ -290,44 +277,10 @@ def _canonical_with_perms(d: FinDiagram):
         perm = [0] * len(keys)
         for label, (_, _, x) in enumerate(keys):
             perm[x] = label
-        perms[i] = tuple(perm)
+        perms[i] = perm
         if i > 0:
             image = [perm[y] for y in d.maps[i - 1].values]
-    perms = tuple(perms)
-    return d.relabel(perms), perms
-
-
-def canonical_form(d: FinDiagram) -> FinDiagram:
-    """The canonical representative of the isomorphism class of d.
-
-    Isomorphic diagrams map to the identical representative; the map is
-    idempotent.  Labels are discarded.
-    """
-    return _canonical_with_perms(d)[0]
-
-
-def are_isomorphic(d1: FinDiagram, d2: FinDiagram):
-    """A witness isomorphism d1 -> d2, or None.
-
-    A witness exists iff the canonical forms coincide, and every returned
-    witness satisfies the DiagramIso naturality invariants by construction.
-    """
-    if d1.k != d2.k:
-        raise ValueError("diagrams have different lengths")
-    c1, p1 = _canonical_with_perms(d1)
-    c2, p2 = _canonical_with_perms(d2)
-    if c1 != c2:
-        return None
-    if d1.k == 0:
-        return DiagramIso(d1, d2, ())
-    components = []
-    for i in range(d1.k):
-        q = [0] * len(p2[i])
-        for a, b in enumerate(p2[i]):
-            q[b] = a
-        values = tuple(q[p1[i][x]] for x in range(d1.sets[i].size))
-        components.append(SetMap(d1.sets[i], d2.sets[i], values))
-    return DiagramIso(d1, d2, components)
+    return d.relabel(perms)
 
 
 class PermGroup(Value):

@@ -283,44 +283,6 @@ def hocolim_from_json(data) -> ChainComplex:
     return punctured_cube_hocolim(cube)
 
 
-def cover_cube_diagram(components) -> tuple:
-    """The punctured cube of a cover of a finite point set by subsets.
-
-    Each component is an iterable of point labels; vertex S carries the
-    degree-0 complex on the intersection of the chosen components, and
-    edges are the inclusion indicator matrices.  Returns the diagram and
-    the sorted point list of the union.
-    """
-    components = [sorted(set(c)) for c in components]
-    n = len(components)
-    union = sorted(set().union(*components)) if components else []
-    inters = {}
-    for r in range(1, n + 1):
-        for combo in itertools.combinations(range(n), r):
-            s = frozenset(combo)
-            pts = set(components[combo[0]])
-            for i in combo[1:]:
-                pts &= set(components[i])
-            inters[s] = sorted(pts)
-    vertices = {s: single_degree_complex(len(pts))
-                for s, pts in inters.items()}
-    edges = {}
-    for big, big_pts in inters.items():
-        for el in big:
-            small = big - {el}
-            if not small:
-                continue
-            small_pts = inters[small]
-            index = {p: i for i, p in enumerate(small_pts)}
-            mat = QMatrix(len(small_pts), len(big_pts),
-                          [1 if index[p] == i else 0
-                           for i in range(len(small_pts))
-                           for p in big_pts])
-            edges[(big, small)] = ChainMap(vertices[big], vertices[small],
-                                           {0: mat})
-    return CubeDiagram(n, vertices, edges), union
-
-
 # --- compactification diagrams, as rendered rows -----------------------
 
 @dataclass(frozen=True)

@@ -14,9 +14,6 @@ certifies that census complete without enumerating a labelled chain: the
 orbit-counting mass formula sums prod |S_i|! / |Aut d| over the classes of
 each size tuple and compares it with the closed-form count of labelled
 chains.
-
-The same construction on coefficients sends a finite set S to the tensor
-power E^(x)S of a comonoid E, functorially in isomorphisms of S.
 """
 
 from __future__ import annotations
@@ -28,10 +25,8 @@ from fractions import Fraction
 from operator import itemgetter, le, sub
 
 from ._value import Value
-from .artin import ArtinComonoid, tensor_map_matrix
-from .finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
-                      automorphism_order, canonical_form)
-from .qlinalg import QMatrix, kron_power, matmul
+from .finsets import (FinDiagram, FinSet, SetMap, automorphism_order,
+                      canonical_form)
 
 
 class MultisetOfDiagrams(Value):
@@ -246,38 +241,3 @@ def verify_m_identity(k: int, bounds) -> MonadReport:
                                                  for b in bounds))}
     return MonadReport(k, bounds, len(by_class), enumerated, tuple(rows),
                        aut_ok, mass == labelled)
-
-
-def tensor_power_comonoid(e: ArtinComonoid, s: int) -> ArtinComonoid:
-    """The comonoid structure on the s-fold tensor power of a comonoid.
-
-    The counit is the Kronecker power of the counit; the comultiplication
-    is the Kronecker power of the comultiplication followed by the shuffle
-    taking (x1,x1',...,xs,xs') to ((x1..xs),(x1'..xs')).
-    """
-    n = e.size
-    counit = kron_power(e.counit, s)
-    separate = [*range(0, 2 * s, 2), *range(1, 2 * s, 2)]
-    comult = matmul(tensor_map_matrix(n, separate, 2 * s),
-                    kron_power(e.comult, s))
-    return ArtinComonoid(FinSet(n ** s), counit, comult)
-
-
-def omega_power(e: ArtinComonoid, d: FinDiagram) -> ArtinComonoid:
-    """The comonoid E^(x)S1 attached to a diagram S1 -> ... -> Sk, k >= 1."""
-    if d.k < 1:
-        raise ValueError("need a diagram of length at least 1")
-    return tensor_power_comonoid(e, d.sets[0].size)
-
-
-def functoriality_on_iso(iso: DiagramIso, e: ArtinComonoid) -> QMatrix:
-    """The permutation matrix on E^(x)S1 induced by the first component.
-
-    Sends the basis vector indexed by (x_i) to the one indexed by
-    (x'_j) with x'_{sigma(i)} = x_i; compatible with composition of
-    isomorphisms and a comonoid automorphism of the tensor power.
-    """
-    if iso.source.k < 1:
-        raise ValueError("need diagrams of length at least 1")
-    sigma = iso.components[0]
-    return tensor_map_matrix(e.size, sigma.inverse().values, sigma.dom.size)

@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: dense matrices, Kronecker products,
-kernels, and bounded chain complexes with their homology.
+"""Exact rational linear algebra: dense matrices, their products and
+ranks, and bounded chain complexes with their homology.
 
 Entries are exact rationals in one normal form: an `int` when integral, a
 fully reduced `fractions.Fraction` otherwise.  The two compare, hash and
@@ -54,15 +54,6 @@ class QMatrix(Value):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "QMatrix":
-        return QMatrix(rows, cols, [0] * (rows * cols))
-
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix(n, n, [1 if i == j else 0
-                              for i in range(n) for j in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -76,18 +67,6 @@ class QMatrix(Value):
         body = "; ".join(" ".join(str(x) for x in self.row(i))
                          for i in range(self.rows))
         return f"QMatrix({self.rows}x{self.cols}: {body})"
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in addition")
-        return QMatrix(self.rows, self.cols,
-                       (a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, (-a for a in self.entries))
 
     def transpose(self) -> "QMatrix":
         return QMatrix(self.cols, self.rows,
@@ -180,14 +159,6 @@ def kron(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(rows, cols, out)
 
 
-def kron_power(a: QMatrix, n: int) -> QMatrix:
-    """n-fold Kronecker power; the zeroth power is the 1x1 identity."""
-    result = QMatrix.identity(1)
-    for _ in range(n):
-        result = kron(result, a)
-    return result
-
-
 def tensor_index_map(n: int, factors, t: int) -> list:
     """Index map X^(x)t -> X^(x)s of a map of tensor factors, dim X = n.
 
@@ -243,33 +214,6 @@ def _row_echelon(a: QMatrix):
 
 def rank(a: QMatrix) -> int:
     return len(_row_echelon(a)[1])
-
-
-def kernel_basis(a: QMatrix) -> QMatrix:
-    """Columns form an exact basis of ker(a); rank + nullity = cols.
-
-    The basis is the standard one read off the reduced echelon form (one
-    column per free variable, with a 1 in the free position), so it is
-    deterministic.
-    """
-    m, pivots = _row_echelon(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
-    basis_cols = []
-    for f in free:
-        v = [0] * a.cols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -m[i][f]
-        basis_cols.append(v)
-    out = QMatrix(a.cols, len(free),
-                  (basis_cols[j][i] for i in range(a.cols)
-                   for j in range(len(free))))
-    return out
-
-
-def nullity(a: QMatrix) -> int:
-    return a.cols - rank(a)
 
 
 class ChainComplex(Value):
@@ -347,10 +291,6 @@ class ChainComplex(Value):
 def single_degree_complex(dim: int, degree: int = 0) -> ChainComplex:
     """The complex with one space in one degree and no differentials."""
     return ChainComplex(degree, degree, {degree: dim}, {})
-
-
-def homology_dims(c: ChainComplex) -> dict:
-    return c.homology_dims()
 
 
 # the readers of input files, compiled once

@@ -10,13 +10,22 @@ from importlib import resources
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from motivic_kit.artin import tensor_map_matrix
-from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
-                                 all_maps, compose)
+from motivic_kit.artin import (CoalgMorphism, artin_comonoid, graph_matrix,
+                               tensor_map_matrix)
+from motivic_kit.finsets import FinDiagram, FinSet, SetMap, all_maps, compose
 from motivic_kit.galois import FiniteGroup, GSet
-from motivic_kit.hypercube import ChainMap, CubeDiagram, cover_cube_diagram
-from motivic_kit.qlinalg import (ChainComplex, QMatrix, kron, matmul, nullity,
-                                 rank, single_degree_complex)
+from motivic_kit.hypercube import ChainMap, CubeDiagram
+from motivic_kit.qlinalg import (ChainComplex, QMatrix, kron, matmul, rank,
+                                 single_degree_complex)
+
+
+def zero_matrix(rows: int, cols: int) -> QMatrix:
+    return QMatrix(rows, cols, [0] * (rows * cols))
+
+
+def identity_matrix(n: int) -> QMatrix:
+    return QMatrix(n, n, [1 if i == j else 0
+                          for i in range(n) for j in range(n)])
 
 
 def schoolbook_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -40,15 +49,16 @@ def dense_at(value, n: int) -> QMatrix:
     else:
         stored = value.blocks
         rows, cols = value.target.dim(n), value.source.dim(n)
-    return stored[n] if n in stored else QMatrix.zeros(rows, cols)
+    return stored[n] if n in stored else zero_matrix(rows, cols)
 
 
 def dense_homology(c: ChainComplex) -> dict:
     """dim H_n = nullity(d_n) - rank(d_{n+1}), on the zero-filled
-    differentials: the oracle of `homology_dims`, which subtracts the
-    ranks of the stored differentials from the dimension instead."""
-    return {n: nullity(dense_at(c, n)) - rank(dense_at(c, n + 1))
-            for n in range(c.lo, c.hi + 1)}
+    differentials, with nullity = cols - rank: the oracle of
+    `homology_dims`, which subtracts the ranks of the stored differentials
+    from the dimension instead."""
+    return {n: dense_at(c, n).cols - rank(dense_at(c, n))
+            - rank(dense_at(c, n + 1)) for n in range(c.lo, c.hi + 1)}
 
 
 def schoolbook_composite(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -60,14 +70,6 @@ def schoolbook_composite(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap(f.source, g.target,
                     {q: schoolbook_matmul(dense_at(g, q), dense_at(f, q))
                      for q in range(lo, hi + 1)})
-
-
-def iso_then(first: DiagramIso, second: DiagramIso) -> DiagramIso:
-    """The isomorphism "first then second", checked square by square."""
-    assert first.target == second.source
-    return DiagramIso(first.source, second.target,
-                      [compose(a, b) for a, b in zip(first.components,
-                                                     second.components)])
 
 
 def schoolbook_kron(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -178,7 +180,7 @@ def dense_comonoid_failures(counit: QMatrix, comult: QMatrix) -> list:
     of `ArtinComonoid` for every axiom that fails, in its order."""
     n = counit.cols
     failures = []
-    ident = QMatrix.identity(n)
+    ident = identity_matrix(n)
     if matmul(kron(counit, ident), comult) != ident:
         failures.append("counitality fails on the left")
     if matmul(kron(ident, counit), comult) != ident:
@@ -190,27 +192,78 @@ def dense_comonoid_failures(counit: QMatrix, comult: QMatrix) -> list:
     return failures
 
 
-def dense_monoid_failures(unit: QMatrix, mult: QMatrix) -> list:
-    """The monoid axioms through dense Kronecker products: the messages of
-    `ArtinMonoid` for every axiom that fails, in its order."""
-    n = unit.rows
-    failures = []
-    ident = QMatrix.identity(n)
-    if matmul(mult, kron(unit, ident)) != ident:
-        failures.append("unitality fails on the left")
-    if matmul(mult, kron(ident, unit)) != ident:
-        failures.append("unitality fails on the right")
-    if matmul(mult, kron(mult, ident)) != matmul(mult, kron(ident, mult)):
-        failures.append("associativity fails")
-    if matmul(mult, swap_matrix(n)) != mult:
-        failures.append("commutativity fails")
-    return failures
+def monoid_morphism_violations(m: QMatrix, source, target) -> list:
+    """The monoid morphism check through the dense structure squares, for
+    M from the monoid `source` to `target`, each a (unit, multiplication)
+    pair: the transposes of a comonoid's counit and comultiplication.
+
+    M unit_X = unit_Y gives "(eta)"; M mult_X = mult_Y kron(M, M) gives
+    "(mu1)" on the diagonal columns (x, x) and "(mu2)" elsewhere.  These
+    are the transposes of the comonoid squares, so the transpose of C
+    passes exactly when C is a comonoid morphism.
+    """
+    (unit_x, mult_x), (unit_y, mult_y) = source, target
+    nx = unit_x.rows
+    assert (m.rows, m.cols) == (unit_y.rows, nx)
+    violations = []
+    if matmul(m, unit_x) != unit_y:
+        violations.append("(eta)")
+    lhs = matmul(m, mult_x).transpose()
+    rhs = matmul(mult_y, kron(m, m)).transpose()
+    bad = [c for c in range(nx * nx) if lhs.row(c) != rhs.row(c)]
+    if any(c // nx == c % nx for c in bad):
+        violations.append("(mu1)")
+    if any(c // nx != c % nx for c in bad):
+        violations.append("(mu2)")
+    return violations
+
+
+def dual_structure(c) -> tuple:
+    """The (unit, multiplication) of the monoid dual to the comonoid c."""
+    return c.counit.transpose(), c.comult.transpose()
+
+
+def morphism_from_setmap(f: SetMap) -> CoalgMorphism:
+    """The comonoid morphism carried by the graph of a set map."""
+    return CoalgMorphism(graph_matrix(f), artin_comonoid(f.dom),
+                         artin_comonoid(f.cod))
+
+
+def kron_power(a: QMatrix, n: int) -> QMatrix:
+    """n-fold Kronecker power; the zeroth power is the 1x1 identity."""
+    result = identity_matrix(1)
+    for _ in range(n):
+        result = kron(result, a)
+    return result
+
+
+def iterated_mult(n: int, s: int) -> QMatrix:
+    """The s-ary multiplication X^(x)s -> X; s = 0 gives the unit column.
+
+    It is the transposed graph of the diagonal X -> X^(x)s, |X| = n.  A
+    FinSet is never empty, so n = 0 is built apart: the 0 x 0^s matrix.
+    """
+    if n == 0:
+        return zero_matrix(0, 0 ** s)
+    return tensor_map_matrix(n, (0,) * s, 1).transpose()
+
+
+def coface_d0(f: QMatrix, s: int) -> QMatrix:
+    """Apply f on every tensor factor, then multiply in the target: one
+    side of `cofaces_agree`, as a dense matrix."""
+    return matmul(iterated_mult(f.rows, s), kron_power(f, s))
+
+
+def coface_d1(f: QMatrix, s: int) -> QMatrix:
+    """Multiply the tensor factors in the source, then apply f: the other
+    side of `cofaces_agree`, as a dense matrix."""
+    return matmul(f, iterated_mult(f.cols, s))
 
 
 def dense_inverse(p: QMatrix):
     """The exact inverse of a square matrix by Gauss-Jordan on [P | I], or
     None when P is singular."""
-    n, ident = p.rows, QMatrix.identity(p.rows)
+    n, ident = p.rows, identity_matrix(p.rows)
     augmented = QMatrix(n, 2 * n, [x for i in range(n)
                                    for x in p.row(i) + ident.row(i)])
     m, pivots = dense_row_echelon(augmented)
@@ -299,6 +352,19 @@ def brute_canonical_with_perms(d: FinDiagram):
         if best_key is None or key < best_key:
             best_key, best_perms = key, perms
     return d.relabel(best_perms), best_perms
+
+
+def fiber_chain(fibers) -> FinDiagram:
+    """The 2-chain S1 -> S2 whose fiber over element j has fibers[j] points."""
+    s1, s2 = FinSet(sum(fibers)), FinSet(len(fibers))
+    values = [j for j, size in enumerate(fibers) for _ in range(size)]
+    return FinDiagram([s1, s2], [SetMap(s1, s2, values)])
+
+
+def brute_isomorphic(d1: FinDiagram, d2: FinDiagram) -> bool:
+    """Whether some relabeling of d1 is d2, trying all prod |S_i|! of them."""
+    return d1.sizes() == d2.sizes() and any(
+        d1.relabel(perms) == d2 for perms in _relabelings(d1.sizes()))
 
 
 def labelled_diagrams(bounds):
@@ -535,6 +601,44 @@ def random_qmatrix(rng: random.Random, rows: int, cols: int,
     return QMatrix(rows, cols, entries)
 
 
+def cover_cube_diagram(components) -> tuple:
+    """The punctured cube of a cover of a finite point set by subsets.
+
+    Each component is an iterable of point labels; vertex S carries the
+    degree-0 complex on the intersection of the chosen components, and
+    edges are the inclusion indicator matrices.  Returns the diagram and
+    the sorted point list of the union.
+    """
+    components = [sorted(set(c)) for c in components]
+    n = len(components)
+    union = sorted(set().union(*components)) if components else []
+    inters = {}
+    for r in range(1, n + 1):
+        for combo in itertools.combinations(range(n), r):
+            s = frozenset(combo)
+            pts = set(components[combo[0]])
+            for i in combo[1:]:
+                pts &= set(components[i])
+            inters[s] = sorted(pts)
+    vertices = {s: single_degree_complex(len(pts))
+                for s, pts in inters.items()}
+    edges = {}
+    for big, big_pts in inters.items():
+        for el in big:
+            small = big - {el}
+            if not small:
+                continue
+            small_pts = inters[small]
+            index = {p: i for i, p in enumerate(small_pts)}
+            mat = QMatrix(len(small_pts), len(big_pts),
+                          [1 if index[p] == i else 0
+                           for i in range(len(small_pts))
+                           for p in big_pts])
+            edges[(big, small)] = ChainMap(vertices[big], vertices[small],
+                                           {0: mat})
+    return CubeDiagram(n, vertices, edges), union
+
+
 def ambient_cube_payload() -> dict:
     """`hocolim` input: the two-patch cover of {a, b, c} mapping into the
     four ambient points {a, b, c, d}."""
@@ -723,7 +827,7 @@ def simplex_complex_homology(vertex_count: int) -> dict:
                 entries[i * cols + j] = (-1) ** omit
         boundaries[p] = QMatrix(rows, cols, entries)
     for p in range(vertex_count):
-        null_p = (len(subsets[p]) if p == 0 else nullity(boundaries[p]))
+        null_p = len(subsets[p]) - (rank(boundaries[p]) if p else 0)
         rank_next = rank(boundaries[p + 1]) if p + 1 < vertex_count else 0
         homology[p] = null_p - rank_next
     return homology

@@ -8,19 +8,20 @@ import itertools
 import random
 import time
 
-from helpers import (all_gset_actions, dense_at, inclusion_exclusion_euler,
-                     load_group, nerve_oracle_homology, random_cover,
-                     swap_matrix, union_find_components)
+from helpers import (all_gset_actions, cover_cube_diagram, dense_at,
+                     dual_structure, identity_matrix,
+                     inclusion_exclusion_euler, load_group,
+                     monoid_morphism_violations, morphism_from_setmap,
+                     nerve_oracle_homology, random_cover, swap_matrix,
+                     union_find_components)
 from motivic_kit.artin import (artin_comonoid, coalgebra_morphism_violations,
-                               dual_monoid, graph_matrix,
-                               monoid_morphism_violations,
-                               morphism_from_setmap, setmap_from_morphism,
+                               graph_matrix, setmap_from_morphism,
                                solve_coalgebra_morphisms, verify_mcffe)
 from motivic_kit.finsets import FinSet, all_maps, canonical_form
 from motivic_kit.galois import equivariant_set_maps, fixed_coalgebra_morphisms
-from motivic_kit.hypercube import cover_cube_diagram, punctured_cube_hocolim
+from motivic_kit.hypercube import punctured_cube_hocolim
 from motivic_kit.monad import verify_m_identity
-from motivic_kit.qlinalg import QMatrix, kron, matmul
+from motivic_kit.qlinalg import kron, matmul
 from motivic_kit.resolution import verify_mdffe
 
 from helpers import random_qmatrix
@@ -125,7 +126,7 @@ def test_criterion_6_invariant_suites():
     # comonoid axioms for |X| <= 5
     for n in range(1, 6):
         c = artin_comonoid(FinSet(n))
-        ident = QMatrix.identity(n)
+        ident = identity_matrix(n)
         assert matmul(kron(c.counit, ident), c.comult) == ident
         assert matmul(kron(ident, c.counit), c.comult) == ident
         assert matmul(kron(c.comult, ident), c.comult) == \
@@ -145,7 +146,7 @@ def test_criterion_6_invariant_suites():
     # duality equivalence on all solver outputs and 100 random matrices
     x = artin_comonoid(FinSet(2))
     y = artin_comonoid(FinSet(3))
-    mx, my = dual_monoid(x), dual_monoid(y)
+    mx, my = dual_structure(x), dual_structure(y)
     for morphism in solve_coalgebra_morphisms(FinSet(2), FinSet(3)):
         assert not monoid_morphism_violations(morphism.matrix.transpose(),
                                               my, mx)

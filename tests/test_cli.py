@@ -143,8 +143,8 @@ class TestCensusBuildsNoGenerators:
             return wrapper
         monkeypatch.setattr(finsets.DiagramIso, "__init__",
                             counting("iso", finsets.DiagramIso.__init__))
-        monkeypatch.setattr(finsets, "_canonical_with_perms", counting(
-            "canonical", finsets._canonical_with_perms))
+        monkeypatch.setattr(monad, "canonical_form", counting(
+            "canonical", monad.canonical_form))
         monkeypatch.setattr(monad, "assemble",
                             counting("assemble", monad.assemble))
         assert run_cli(argv)[0] == 0

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (brute_automorphisms, brute_canonical_with_perms,
-                     brute_census, closure_size, identity_map, iso_then,
-                     small_diagrams)
+                     brute_census, brute_isomorphic, closure_size,
+                     fiber_chain, identity_map, small_diagrams)
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
-                                 SetMap, all_maps, are_isomorphic,
-                                 automorphism_group, automorphism_order,
-                                 canonical_form, compose)
+                                 SetMap, all_maps, automorphism_group,
+                                 automorphism_order, canonical_form, compose)
 from motivic_kit.monad import enumerate_diagrams
 
 
@@ -113,23 +112,34 @@ class TestCanonicalForm:
         assert d.k == 0
 
 
-class TestAreIsomorphic:
+class TestIsomorphismClasses:
+    """Two diagrams are isomorphic iff their representatives are equal; the
+    witnesses are components that DiagramIso checks square by square."""
+
     def test_self_iso(self):
         d = diagram((3, 2), [[0, 0, 1]])
-        iso = are_isomorphic(d, d)
-        assert iso is not None
+        iso = DiagramIso(d, d, [identity_map(s) for s in d.sets])
         assert iso.source == d and iso.target == d
+        for perms in itertools.product(itertools.permutations(range(3)),
+                                       itertools.permutations(range(2))):
+            assert canonical_form(d.relabel(perms)) == canonical_form(d)
 
     def test_constant_maps(self):
         c1 = diagram((2, 2), [[0, 0]])
         c2 = diagram((2, 2), [[1, 1]])
-        iso = are_isomorphic(c1, c2)
-        assert iso is not None  # DiagramIso validates naturality itself
+        swap = SetMap(FinSet(2), FinSet(2), [1, 0])
+        DiagramIso(c1, c2, [identity_map(FinSet(2)), swap])
+        assert canonical_form(c1) == canonical_form(c2)
 
     def test_constant_vs_bijection(self):
         c = diagram((2, 2), [[0, 0]])
         b = diagram((2, 2), [[0, 1]])
-        assert are_isomorphic(c, b) is None
+        assert canonical_form(c) != canonical_form(b)
+        for p, q in itertools.product(all_maps(FinSet(2), FinSet(2)),
+                                      repeat=2):
+            if p.is_bijective() and q.is_bijective():
+                with pytest.raises(ValueError, match="naturality"):
+                    DiagramIso(c, b, [p, q])
 
     def test_witness_agrees_with_canonical_forms(self):
         pool = enumerate_diagrams(2, (2, 3))
@@ -139,13 +149,14 @@ class TestAreIsomorphic:
             relabeled.append(d.relabel(perms))
         for d1 in pool:
             for d2 in relabeled:
-                iso = are_isomorphic(d1, d2)
                 same = canonical_form(d1) == canonical_form(d2)
-                assert (iso is not None) == same
+                assert brute_isomorphic(d1, d2) == same
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            are_isomorphic(diagram((2,), []), diagram((2, 2), [[0, 1]]))
+        d1, d2 = diagram((2,), []), diagram((2, 2), [[0, 1]])
+        assert canonical_form(d1) != canonical_form(d2)
+        with pytest.raises(ValueError, match="one component per set"):
+            DiagramIso(d1, d2, [identity_map(FinSet(2))])
 
 
 class TestAutomorphismGroup:
@@ -187,6 +198,14 @@ class TestAutomorphismGroup:
             [x.to_json() for x in g.generators]
 
 
+def brute_witness(d: FinDiagram) -> DiagramIso:
+    """The isomorphism from d to its representative that the brute search's
+    relabeling gives, validated square by square by DiagramIso."""
+    rep, perms = brute_canonical_with_perms(d)
+    return DiagramIso(d, rep, [SetMap(s, t, p)
+                               for s, t, p in zip(d.sets, rep.sets, perms)])
+
+
 class TestCanonicalFormOracle:
     """The structural labelling against the brute search over relabelings."""
 
@@ -195,32 +214,17 @@ class TestCanonicalFormOracle:
         reps = brute_census(bounds)
         for d, rep in reps.items():
             assert canonical_form(d) == rep
-            iso = are_isomorphic(d, rep)
-            assert iso is not None and iso.target == rep
-        # witnesses between two members of one class, and none across classes
-        by_class = {}
-        for d, rep in reps.items():
-            by_class.setdefault(rep, []).append(d)
-        members = [ds[-1] for ds in by_class.values()]
-        for ds in by_class.values():
-            iso = are_isomorphic(ds[0], ds[-1])
-            assert iso.source == ds[0] and iso.target == ds[-1]
-        for d1, d2 in zip(members, members[1:]):
-            assert are_isomorphic(d1, d2) is None
+        # the representative is isomorphic to its input: one member of each
+        # class, relabeled by the brute search, checked square by square
+        members = {rep: d for d, rep in reps.items()}
+        for rep, d in members.items():
+            assert brute_witness(d).target == canonical_form(d) == rep
 
     @settings(max_examples=60, deadline=None)
     @given(small_diagrams())
     def test_random_diagrams(self, d):
-        rep, perms = brute_canonical_with_perms(d)
-        assert canonical_form(d) == rep
-        iso = are_isomorphic(d, rep)
-        assert iso is not None and iso.target == rep
-        # the brute relabeling is a second witness; the two differ by an
-        # automorphism of d, which DiagramIso checks square by square
-        brute = DiagramIso(d, rep, [SetMap(s, t, p) for s, t, p
-                                    in zip(d.sets, rep.sets, perms)])
-        assert iso_then(brute, iso.inverse()).target == d
-        assert are_isomorphic(rep, d).target == d
+        # the brute representative, reached from d by a checked witness
+        assert canonical_form(d) == brute_witness(d).target
 
 
 class TestAutomorphismGroupStructure:
@@ -285,6 +289,26 @@ class TestAutomorphismOrder:
         assert automorphism_order(FinDiagram([], [])) == 1
 
 
+FIBERS = [fibers for t in (1, 2, 3)
+          for fibers in itertools.product(range(3), repeat=t)
+          if sum(fibers)]
+
+
+@pytest.mark.parametrize("fibers", FIBERS, ids=str)
+def test_fiber_chain_against_the_wreath_formula(fibers):
+    # an automorphism permutes the fibers of each size among themselves and
+    # then maps each fiber onto its image: prod m_k! * prod |fiber|!
+    d = fiber_chain(fibers)
+    sizes = [fibers.count(k) for k in set(fibers)]
+    order = math.prod(map(math.factorial, sizes + list(fibers)))
+    assert automorphism_order(d) == order == len(brute_automorphisms(d))
+    g = automorphism_group(d)
+    perms = [tuple(c.values for c in gen.components) for gen in g.generators]
+    assert g.order == closure_size(perms, d.sizes()) == order
+    # reordering the fibers relabels the target: the class does not move
+    assert canonical_form(d) == canonical_form(fiber_chain(sorted(fibers)))
+
+
 class TestEnumerateDiagrams:
     def test_k1_counts(self):
         assert len(enumerate_diagrams(1, (3,))) == 3
@@ -332,15 +356,6 @@ class TestDiagramIso:
         comp = [identity_map(FinSet(2)), identity_map(FinSet(2))]
         with pytest.raises(ValueError):
             DiagramIso(c, b, comp)
-
-    def test_compose_and_inverse(self):
-        d = diagram((2, 2), [[0, 0]])
-        e = diagram((2, 2), [[1, 1]])
-        iso = are_isomorphic(d, e)
-        back = iso.inverse()
-        round_trip = iso_then(iso, back)
-        for c, s in zip(round_trip.components, d.sets):
-            assert c.values == tuple(range(s.size))
 
     def test_json_round_trip(self):
         d = diagram((2, 1), [[0, 0]])

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from helpers import (all_gset_actions, brute_equivariant_maps,
                      brute_is_associative, brute_is_homomorphism, cyclic_group,
                      group_like_tables, gset_from_generator_images,
-                     load_group, regular_gset, sub_gset, trivial_gset)
+                     load_group, morphism_from_setmap, regular_gset, sub_gset,
+                     trivial_gset)
 
-from motivic_kit.artin import graph_matrix, morphism_from_setmap
+from motivic_kit.artin import graph_matrix
 from motivic_kit.finsets import FinSet, SetMap, compose
 from motivic_kit.galois import (FiniteGroup, GSet, equivariant_set_maps,
                                 fixed_coalgebra_morphisms)

@@ -12,6 +12,7 @@ and say why in CHANGES.md.
 import hashlib
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +117,22 @@ def test_stdout_matches_golden_digest(capsys, ambient_cube, argv, status,
     assert cli.main(argv) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example(capsys, monkeypatch, tmp_path, ambient_cube):
+    # the code block under "## Library example", run beside its ks.json;
+    # it imports only exported names, so this pins them too
+    section = README.read_text().split("## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    shown = [line[2:] for line in code.splitlines()
+             if line.startswith("# |X|=")]
+    assert shown == ["|X|=2 |Y|=3: equalizer 9 = recheck 9 = transposed "
+                     "comonoid 9 = set maps 9, PASS"]
+    assert ambient_cube == str(tmp_path / "ks.json")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, str(README), "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0] == shown[0]

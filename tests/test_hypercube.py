@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cone_basis_signs, dense_at, dense_cone, dense_homology,
-                     dense_punctured_total, full_cube,
-                     inclusion_exclusion_euler,
+from helpers import (cone_basis_signs, cover_cube_diagram, dense_at,
+                     dense_cone, dense_homology, dense_punctured_total,
+                     full_cube, identity_matrix, inclusion_exclusion_euler,
                      nerve_oracle_homology, random_cover,
-                     schoolbook_composite, union_find_components)
+                     schoolbook_composite, union_find_components, zero_matrix)
 from motivic_kit import hypercube
 from motivic_kit._value import InputError
 from motivic_kit.hypercube import (ChainMap, CubeDiagram, _composite_terms,
-                                   _subset, build_kappa, cover_cube_diagram,
-                                   hocolim_from_json, ks_hocolim,
+                                   _subset, build_kappa, hocolim_from_json,
+                                   ks_hocolim,
                                    punctured_cube_hocolim)
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex)
@@ -168,7 +168,7 @@ class TestPuncturedHocolim:
         two_term = ChainComplex(0, 1, {0: 1, 1: 1}, {1: QMatrix(1, 1, [1])})
         subsets = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
         vertices = {s: two_term for s in subsets}
-        ident = {0: QMatrix.identity(1), 1: QMatrix.identity(1)}
+        ident = {0: identity_matrix(1), 1: identity_matrix(1)}
         edges = {(frozenset({0, 1}), frozenset({0})):
                  ChainMap(two_term, two_term, ident),
                  (frozenset({0, 1}), frozenset({1})):
@@ -190,7 +190,7 @@ class TestPuncturedHocolim:
         # [0, 1] declares degree -1, which lands in degree 0 in column 1
         one = single_degree_complex(1)
         deep = ChainComplex(-1, 0, {-1: 0, 0: 1}, {})
-        ident = {0: QMatrix.identity(1)}
+        ident = {0: identity_matrix(1)}
         cube = CubeDiagram(2, {frozenset({0}): one, frozenset({1}): one,
                                frozenset({0, 1}): deep},
                            {(frozenset({0, 1}), frozenset({i})):
@@ -255,7 +255,7 @@ class TestKsHocolim:
         ambient = single_degree_complex(3)
         s0 = frozenset({0})
         singles = {s0: ChainMap(cube.vertices[s0], ambient,
-                                {0: QMatrix.identity(3)})}
+                                {0: identity_matrix(3)})}
         cone = ks_hocolim(full_cube(ambient, cube, singles))
         assert all(v == 0 for v in cone.homology_dims().values())
 
@@ -385,11 +385,12 @@ def chain_maps(draw, source: ChainComplex, target: ChainComplex):
         for q in range(-1, max(source.hi, target.hi) + 1)}
     blocks = {}
     for q in range(0, max(source.hi, target.hi) + 1):
-        block = (matmul(dense_at(target, q + 1), h[q])
-                 + matmul(h[q - 1], dense_at(source, q)))
+        terms = [matmul(dense_at(target, q + 1), h[q]),
+                 matmul(h[q - 1], dense_at(source, q))]
         if source == target:
-            block = block + QMatrix.identity(source.dim(q))
-        blocks[q] = block
+            terms.append(identity_matrix(source.dim(q)))
+        blocks[q] = QMatrix(target.dim(q), source.dim(q),
+                            map(sum, zip(*(t.entries for t in terms))))
     return ChainMap(source, target, blocks)
 
 
@@ -545,7 +546,7 @@ class TestOneTotalComplex:
 def with_zero_differentials(c: ChainComplex) -> ChainComplex:
     """`c`, given every absent differential as an explicit zero matrix."""
     return ChainComplex(c.lo, c.hi, c.dims, {
-        **{n: QMatrix.zeros(c.dim(n - 1), c.dim(n))
+        **{n: zero_matrix(c.dim(n - 1), c.dim(n))
            for n in range(c.lo + 1, c.hi + 1)},
         **c.differentials})
 
@@ -554,7 +555,7 @@ def with_zero_blocks(m: ChainMap, source, target) -> ChainMap:
     """`m` between `source` and `target`, given every absent block as an
     explicit zero matrix, 0 x 0 ones one degree past either end too."""
     return ChainMap(source, target, {
-        **{q: QMatrix.zeros(target.dim(q), source.dim(q))
+        **{q: zero_matrix(target.dim(q), source.dim(q))
            for q in range(min(source.lo, target.lo) - 1,
                           max(source.hi, target.hi) + 2)},
         **m.blocks})

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (dense_homology, dense_kernel_basis, dense_row_echelon,
-                     integer_entries, is_normal_form, mixed_rationals,
-                     qmatrices, random_qmatrix, schoolbook_kron,
-                     schoolbook_matmul, sparse_rationals, unit_entries)
+                     identity_matrix, integer_entries, is_normal_form,
+                     kron_power, mixed_rationals, qmatrices, random_qmatrix,
+                     schoolbook_kron, schoolbook_matmul, sparse_rationals,
+                     unit_entries, zero_matrix)
 from motivic_kit._value import InputError, show
 from motivic_kit.qlinalg import (_READ_ENTRIES, ChainComplex, QMatrix,
-                                 _entries, _row_echelon, kernel_basis, kron,
-                                 kron_power, matmul, nullity, product_terms,
-                                 rank, single_degree_complex)
+                                 _entries, _row_echelon, kron, matmul,
+                                 product_terms, rank, single_degree_complex)
 
 
 def matrices_of(entries, max_rows=5, max_cols=6):
@@ -65,8 +65,7 @@ class TestNormalForm:
     def test_results_in_normal_form(self, pair, c):
         a, b = pair
         for m in (a, b, matmul(a, b), kron(a, b), kron(b, a),
-                  kron(QMatrix(1, 1, [c]), a), a.transpose(), -a, a + a,
-                  a - a, kernel_basis(a), kernel_basis(b)):
+                  kron(QMatrix(1, 1, [c]), a), a.transpose()):
             assert is_normal_form(m)
 
 
@@ -74,8 +73,8 @@ class TestMatmul:
     def test_identity(self):
         rng = random.Random(1)
         a = random_qmatrix(rng, 3, 3)
-        assert matmul(QMatrix.identity(3), a) == a
-        assert matmul(a, QMatrix.identity(3)) == a
+        assert matmul(identity_matrix(3), a) == a
+        assert matmul(a, identity_matrix(3)) == a
 
     def test_scalar_case(self):
         half_of_two = matmul(QMatrix(1, 1, [Fraction(1, 2)]),
@@ -99,7 +98,7 @@ class TestMatmul:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            matmul(QMatrix.identity(2), QMatrix.identity(3))
+            matmul(identity_matrix(2), identity_matrix(3))
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(*[st.integers(0, 4)] * 3).flatmap(
@@ -144,7 +143,7 @@ class TestProductTerms:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            product_terms(QMatrix.zeros(2, 0), QMatrix.zeros(1, 2))
+            product_terms(zero_matrix(2, 0), zero_matrix(1, 2))
 
 
 @st.composite
@@ -220,8 +219,8 @@ class TestKron:
         assert kron(a, b) == schoolbook_kron(a, b)
 
     def test_identity_tensor(self):
-        assert kron(QMatrix.identity(2), QMatrix.identity(3)) == \
-            QMatrix.identity(6)
+        assert kron(identity_matrix(2), identity_matrix(3)) == \
+            identity_matrix(6)
 
     def test_row_of_ones(self):
         ones = QMatrix(1, 2, [1, 1])
@@ -253,7 +252,7 @@ class TestKron:
 
     def test_kron_power(self):
         a = QMatrix(1, 2, [1, 1])
-        assert kron_power(a, 0) == QMatrix.identity(1)
+        assert kron_power(a, 0) == identity_matrix(1)
         assert kron_power(a, 3) == QMatrix(1, 8, [1] * 8)
 
     def test_transpose_compatible(self):
@@ -265,36 +264,22 @@ class TestKron:
 
 class TestKernelRank:
     def test_zero_matrix(self):
-        z = QMatrix.zeros(3, 3)
-        assert rank(z) == 0
-        assert kernel_basis(z) == QMatrix.identity(3)
+        assert rank(zero_matrix(3, 3)) == 0
 
     def test_identity(self):
-        i = QMatrix.identity(4)
-        assert rank(i) == 4
-        assert kernel_basis(i).cols == 0
+        assert rank(identity_matrix(4)) == 4
 
     def test_rank_one_hand_example(self):
-        a = QMatrix(2, 2, [1, 1, 1, 1])
-        assert rank(a) == 1
-        k = kernel_basis(a)
-        assert k.cols == 1
-        # spanned by (1, -1): the computed column is (-1, 1)
-        assert k.entries in ((Fraction(-1), Fraction(1)),
-                             (Fraction(1), Fraction(-1)))
-        assert not any(matmul(a, k).entries)
+        assert rank(QMatrix(2, 2, [1, 1, 1, 1])) == 1
 
     def test_rank_nullity(self):
+        # against the kernel the dense oracle finds, checked to be one
         rng = random.Random(13)
         for _ in range(15):
             a = random_qmatrix(rng, 3, 4)
-            assert rank(a) + nullity(a) == 4
-            assert not any(matmul(a, kernel_basis(a)).entries)
-
-    def test_kernel_deterministic(self):
-        rng = random.Random(17)
-        a = random_qmatrix(rng, 3, 5)
-        assert kernel_basis(a) == kernel_basis(a)
+            k = dense_kernel_basis(a)
+            assert rank(a) + k.cols == 4
+            assert not any(matmul(a, k).entries)
 
     @pytest.mark.parametrize("entries", [mixed_rationals, unit_entries,
                                          integer_entries],
@@ -304,14 +289,11 @@ class TestKernelRank:
     def test_matches_dense_fraction_oracle(self, entries, data):
         a = data.draw(matrices_of(entries))
         assert rank(a) == len(dense_row_echelon(a)[1])
-        k = kernel_basis(a)
-        assert k == dense_kernel_basis(a)
-        assert is_normal_form(k)
 
     def test_non_unit_pivot_divides_exactly(self):
-        k = kernel_basis(QMatrix(1, 2, [2, 1]))
-        assert k.entries == (Fraction(-1, 2), 1)
-        assert [type(x) for x in k.entries] == [Fraction, int]
+        rows, pivots = _row_echelon(QMatrix(1, 2, [2, 1]))
+        assert pivots == [0] and rows == [[1, Fraction(1, 2)]]
+        assert not any(isinstance(x, float) for x in rows[0])
 
     def test_unit_pivots_stay_integers(self):
         # the incidence matrix of the complete directed graph on 5 vertices
@@ -324,18 +306,14 @@ class TestKernelRank:
         assert all(type(x) is int for row in rows for x in row)
 
     def test_empty_shapes(self):
-        a = QMatrix.zeros(0, 3)
-        assert rank(a) == 0
-        assert kernel_basis(a) == QMatrix.identity(3)
-        b = QMatrix.zeros(3, 0)
-        assert rank(b) == 0
-        assert kernel_basis(b).cols == 0
+        assert rank(zero_matrix(0, 3)) == 0
+        assert rank(zero_matrix(3, 0)) == 0
 
 
 def _random_complex(rng) -> ChainComplex:
     """A three-term complex with d1 arbitrary and d2 through its kernel."""
     d1 = random_qmatrix(rng, rng.randint(1, 3), rng.randint(1, 4))
-    k = kernel_basis(d1)
+    k = dense_kernel_basis(d1)
     mixer = random_qmatrix(rng, k.cols, rng.randint(1, 3), num_bound=2)
     d2 = matmul(k, mixer)
     dims = {0: d1.rows, 1: d1.cols, 2: d2.cols}
@@ -351,14 +329,14 @@ class TestChainComplex:
 
     def test_shapes_enforced(self):
         with pytest.raises(ValueError):
-            ChainComplex(0, 1, {0: 2, 1: 1}, {1: QMatrix.identity(1)})
+            ChainComplex(0, 1, {0: 2, 1: 1}, {1: identity_matrix(1)})
 
     def test_single_degree(self):
         c = single_degree_complex(1)
         assert c.homology_dims() == {0: 1}
 
     def test_acyclic_identity(self):
-        c = ChainComplex(0, 1, {0: 1, 1: 1}, {1: QMatrix.identity(1)})
+        c = ChainComplex(0, 1, {0: 1, 1: 1}, {1: identity_matrix(1)})
         assert c.homology_dims() == {0: 0, 1: 0}
 
     def test_cover_complex_by_hand(self):
@@ -384,9 +362,9 @@ class TestChainComplex:
     def test_zero_differentials_are_not_stored(self):
         # 0-row, 0-column and all-zero differentials alike
         dims = {0: 1, 1: 0, 2: 2, 3: 1}
-        c = ChainComplex(0, 3, dims, {1: QMatrix.zeros(1, 0),
-                                      2: QMatrix.zeros(0, 2),
-                                      3: QMatrix.zeros(2, 1)})
+        c = ChainComplex(0, 3, dims, {1: zero_matrix(1, 0),
+                                      2: zero_matrix(0, 2),
+                                      3: zero_matrix(2, 1)})
         assert c.differentials == {}
         assert c == ChainComplex(0, 3, dims, {})
         assert c.to_json()["differentials"] == {}

@@ -5,7 +5,7 @@ the census path, no construction that skips validation, no zero matrix
 built for an absent block, no dense product in the structure axioms, a
 CLI parser built only at import, one builder for the cube's total
 complexes, squares composed only when a cube is built, and no definition
-in the library that only the tests reach."""
+in the library that `cli.main` does not reach."""
 
 import ast
 import collections
@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import motivic_kit
+from motivic_kit.qlinalg import QMatrix
 
 SOURCES = sorted((Path(motivic_kit.__file__).parent).glob("*.py"))
 
@@ -162,36 +163,33 @@ def test_no_construction_skips_validation():
 
 def test_the_census_builds_no_automorphism_generators():
     # the census reads orders only; generators are built where they are
-    # used: by `aut`, and for the chain automorphisms of the tower
+    # printed, by `aut`
     callers = {(path.name, owner) for path in SOURCES
                for owner, callee in calls_by_function(path)
                if callee.split(".")[-1] == "automorphism_group"}
-    assert callers == {("cli.py", "_cmd_aut"),
-                       ("resolution.py", "_chain_aut_column_perms")}
+    assert callers == {("cli.py", "_cmd_aut")}
 
 
 def test_no_zero_matrix_stands_for_an_absent_block():
-    # an absent differential or chain-map block is zero: neither the cube
-    # code nor a chain complex builds one on demand
+    # an absent differential or chain-map block is zero: the library has
+    # no zero-matrix constructor and calls none
+    assert not hasattr(QMatrix, "zeros")
     sites = [(path.name, owner) for path in SOURCES
              for owner, callee in calls_by_function(path)
              if callee.split(".")[-1] == "zeros"]
-    assert ("resolution.py", "iterated_mult") in sites  # the guard sees calls
-    assert [(name, owner) for name, owner in sites
-            if name == "hypercube.py"
-            or (owner or "").startswith("ChainComplex.")] == []
+    assert sites == []
 
 
 def test_structure_axioms_are_checked_without_dense_products():
-    # the comonoid and monoid constructors check their axioms on the
-    # nonzero terms of the structure maps, through the helpers they call,
-    # with no Kronecker product and no dense matrix product
+    # the comonoid constructor checks its axioms on the nonzero terms of
+    # the structure maps, through the helpers it calls, with no Kronecker
+    # product and no dense matrix product
     [artin] = [p for p in SOURCES if p.name == "artin.py"]
     calls = collections.defaultdict(set)
     for owner, callee in calls_by_function(artin):
         calls[owner].add(callee)
     assert {"kron", "matmul"} <= calls["_dense_failures"]  # the guard sees them
-    constructors = {"ArtinComonoid.__init__", "ArtinMonoid.__init__"}
+    constructors = {"ArtinComonoid.__init__"}
     reached, todo = set(), list(constructors)
     while todo:
         owner = todo.pop()
@@ -261,64 +259,83 @@ def test_squares_are_composed_only_when_a_cube_is_built():
                 and ast.unparse(node.func).endswith(".dim")]
 
 
-def loaded_names(node, kinds=(ast.Name, ast.Attribute)) -> collections.Counter:
-    """How often each name is read under `node`, as a variable or as an
-    attribute, or only as one of the node `kinds` given."""
-    return collections.Counter(
-        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-        if isinstance(n, kinds) and isinstance(n.ctx, ast.Load))
-
-
 def source_trees() -> dict:
     return {path.name: ast.parse(path.read_text(), str(path))
             for path in SOURCES}
 
 
-def unreached(definitions, exported=(), trees=None) -> list:
-    """The (file, name) of each definition whose name is read nowhere in
-    the sources outside the definition itself, unless exported.  A
-    method is reached only by an attribute read, such as `g.mul`: a
-    local variable of the same name does not count."""
-    trees = trees or source_trees()
-    kinds = (ast.Attribute,) if definitions is methods else (ast.Name,
-                                                             ast.Attribute)
-    everywhere = sum((loaded_names(t, kinds) for t in trees.values()),
-                     collections.Counter())
-    return [(path_name, name)
-            for path_name, name, node in definitions(trees)
-            if name not in exported
-            and everywhere[name] == loaded_names(node, kinds)[name]]
+def reads(node) -> tuple:
+    """(names read as variables, names read as attributes) under `node`.
+    A variable the node binds itself, as a parameter or as the target of
+    an assignment, a loop or a comprehension, is local: reading it reads
+    no definition of the same name."""
+    nodes = list(ast.walk(node))
+    local = {n.arg for n in nodes if isinstance(n, ast.arg)}
+    local |= {n.id for n in nodes
+              if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+    return ({n.id for n in nodes if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load) and n.id not in local},
+            {n.attr for n in nodes if isinstance(n, ast.Attribute)
+             and isinstance(n.ctx, ast.Load)})
 
 
-def top_level(trees):
+def definitions(trees):
+    """(file, name, what it reads) for every top-level function, class
+    and assignment, and as (file, "Class.method", ...) for every method
+    not named like __init__.  A class reads what its bases, decorators,
+    class-level statements and __dunder__ methods read."""
     for path_name, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield path_name, node.name, node
+            if isinstance(node, ast.FunctionDef):
+                yield path_name, node.name, [node]
+            elif isinstance(node, ast.ClassDef):
+                named = [m for m in node.body if isinstance(m, ast.FunctionDef)
+                         and not m.name.startswith("__")]
+                yield path_name, node.name, [
+                    *node.bases, *node.keywords, *node.decorator_list,
+                    *(stmt for stmt in node.body if stmt not in named)]
+                for m in named:
+                    yield path_name, f"{node.name}.{m.name}", [m]
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if (isinstance(target, ast.Name)
                             and not target.id.startswith("__")):
-                        yield path_name, target.id, node
+                        yield path_name, target.id, [node.value]
 
 
-def methods(trees):
-    for path_name, tree in trees.items():
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef):
-                for node in cls.body:
-                    if (isinstance(node, ast.FunctionDef)
-                            and not node.name.startswith("__")):
-                        yield path_name, node.name, node
+def unreached(trees=None) -> list:
+    """The (file, name) of each definition that `cli.main` does not reach.
+
+    A top-level definition is reached when reached code reads its name as
+    a variable, and a method when its class is reached and reached code
+    reads its name as an attribute, such as `g.mul`.  Names are matched
+    across files, as `from .x import y` binds them."""
+    defs = list(definitions(trees or source_trees()))
+    reached, names, attrs = set(), set(), set()
+
+    def is_read(path_name, cls, dot, name):
+        if not dot:
+            return name in names
+        return (path_name, cls) in reached and name in attrs
+    new = {("cli.py", "main")}
+    while new:
+        reached |= new
+        for path_name, name, nodes in defs:
+            if (path_name, name) in new:
+                for node in nodes:
+                    variables, attributes = reads(node)
+                    names |= variables
+                    attrs |= attributes
+        new = {(path_name, name) for path_name, name, _ in defs
+               if (path_name, name) not in reached
+               and is_read(path_name, *name.rpartition("."))}
+    return [(path_name, name) for path_name, name, _ in defs
+            if (path_name, name) not in reached]
 
 
-def test_every_top_level_definition_is_reached_or_exported():
+def test_every_definition_is_reached_from_cli_main():
     # code that only the tests call belongs in tests/helpers
-    assert unreached(top_level, motivic_kit.__all__) == []
-
-
-def test_every_method_is_reached_from_the_library():
-    assert unreached(methods) == []
+    assert unreached() == []
 
 
 # definitions that only the tests reached, put back where they stood:
@@ -347,6 +364,30 @@ ONLY_TESTS_REACHED = [
     ("galois.py", "FiniteGroup", "inv",
      "def inv(self, g):\n"
      "    return self.table[g].index(self.identity)"),
+    ("qlinalg.py", None, "kernel_basis",
+     "def kernel_basis(a):\n"
+     "    m, pivots = _row_echelon(a)\n"
+     "    free = [c for c in range(a.cols) if c not in pivots]\n"
+     "    return QMatrix(a.cols, len(free), [\n"
+     "        (i == f) - (m[pivots.index(i)][f] if i in pivots else 0)\n"
+     "        for i in range(a.cols) for f in free])"),
+    # the loop variable `level` in finsets.automorphism_group is local
+    ("resolution.py", None, "level",
+     "def level(k, x, y, bound):\n"
+     "    return TowerLevel(k, x.size, y.size, bound, {})"),
+    # ChainComplex.homology_dims is read as an attribute, not as a name
+    ("qlinalg.py", None, "homology_dims",
+     "def homology_dims(c):\n"
+     "    return c.homology_dims()"),
+    ("qlinalg.py", "QMatrix", "zeros",
+     "@staticmethod\n"
+     "def zeros(rows, cols):\n"
+     "    return QMatrix(rows, cols, [0] * (rows * cols))"),
+    # its own read of `c.inverse` does not reach it
+    ("finsets.py", "DiagramIso", "inverse",
+     "def inverse(self):\n"
+     "    return DiagramIso(self.target, self.source,\n"
+     "                      tuple(c.inverse() for c in self.components))"),
 ]
 
 
@@ -360,6 +401,5 @@ def test_a_definition_only_the_tests_reach_is_caught(path_name, cls, name,
         body = next(node for node in body if isinstance(node, ast.ClassDef)
                     and node.name == cls).body
     body.extend(ast.parse(source).body)
-    caught = (unreached(top_level, motivic_kit.__all__, trees)
-              + unreached(methods, (), trees))
-    assert caught == [(path_name, name)]
+    assert unreached(trees) == [(path_name,
+                                 f"{cls}.{name}" if cls else name)]

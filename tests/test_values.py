@@ -1,24 +1,18 @@
-"""The immutable-value contract shared by every validated class, and an
-independent oracle for the fixed-subspace dimensions of the tower levels.
-"""
-
-import itertools
+"""The immutable-value contract shared by every validated class."""
 
 import pytest
 
-from helpers import (brute_automorphisms, identity_map, load_group,
+from helpers import (cover_cube_diagram, fiber_chain, identity_map,
+                     identity_matrix, load_group, morphism_from_setmap,
                      regular_gset)
 from motivic_kit._value import Value
-from motivic_kit.artin import (ArtinComonoid, ArtinMonoid, CoalgMorphism,
-                               artin_comonoid, artin_monoid,
-                               morphism_from_setmap)
+from motivic_kit.artin import ArtinComonoid, CoalgMorphism, artin_comonoid
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
                                  SetMap, automorphism_group)
 from motivic_kit.galois import FiniteGroup, GSet
-from motivic_kit.hypercube import ChainMap, CubeDiagram, cover_cube_diagram
+from motivic_kit.hypercube import ChainMap, CubeDiagram
 from motivic_kit.monad import MultisetOfDiagrams
 from motivic_kit.qlinalg import ChainComplex, QMatrix
-from motivic_kit.resolution import level
 
 
 def diagram():
@@ -42,14 +36,13 @@ BUILDERS = {
     QMatrix: lambda: QMatrix(2, 2, [1, "1/2", 0, -3]),
     ChainComplex: chain_complex,
     ArtinComonoid: lambda: artin_comonoid(FinSet(2)),
-    ArtinMonoid: lambda: artin_monoid(FinSet(2)),
     CoalgMorphism: lambda: morphism_from_setmap(
         SetMap(FinSet(2), FinSet(3), [2, 0])),
     FiniteGroup: lambda: load_group("c3"),
     GSet: lambda: regular_gset(load_group("c3")),
     ChainMap: lambda: ChainMap(chain_complex(), chain_complex(),
-                               {0: QMatrix.identity(2),
-                                1: QMatrix.identity(1)}),
+                               {0: identity_matrix(2),
+                                1: identity_matrix(1)}),
     CubeDiagram: lambda: cover_cube_diagram([{0, 1}, {1, 2}])[0],
     MultisetOfDiagrams: lambda: MultisetOfDiagrams(
         2, [diagram(), FinDiagram([FinSet(1)], [])]),
@@ -111,42 +104,3 @@ def test_perm_group_and_cube_compare_by_value():
     assert cube != cover_cube_diagram([{0, 1}, {1}])[0]
     with pytest.raises(TypeError):
         hash(cube)  # its vertices and edges are dicts
-
-
-def fiber_chain(fibers) -> FinDiagram:
-    """The 2-chain S1 -> S2 whose fiber over element j has fibers[j] points."""
-    s1, s2 = FinSet(sum(fibers)), FinSet(len(fibers))
-    values = [j for j, size in enumerate(fibers) for _ in range(size)]
-    return FinDiagram([s1, s2], [SetMap(s1, s2, values)])
-
-
-def orbit_count(nx: int, fibers) -> int:
-    """Orbits of X^S1 under the first components of every chain automorphism.
-
-    Brute force: the group is every relabeling of the fiber chain that
-    commutes with its map, and a tuple's orbit is its set of images.
-    """
-    s = sum(fibers)
-    if s == 0:
-        return 1
-    perms = [auto[0] for auto in brute_automorphisms(fiber_chain(fibers))]
-    orbits = set()
-    for xs in itertools.product(range(nx), repeat=s):
-        images = set()
-        for p in perms:
-            moved = [0] * s
-            for i, x in enumerate(xs):
-                moved[p[i]] = x
-            images.add(tuple(moved))
-        orbits.add(frozenset(images))
-    return len(orbits)
-
-
-@pytest.mark.parametrize("k, nx, ny, bound", [
-    (k, nx, ny, bound) for k in (1, 2) for nx in (1, 2, 3) for ny in (1, 2)
-    for bound in (2, 3)])
-def test_level_dimensions_against_orbit_oracle(k, nx, ny, bound):
-    t = level(k, FinSet(nx), FinSet(ny), bound)
-    for key in t.components:
-        fibers = (key,) if k == 1 else key
-        assert len(t.components[key]) == ny * orbit_count(nx, fibers), key
