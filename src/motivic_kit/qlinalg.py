@@ -44,7 +44,7 @@ class QMatrix(Value):
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(entries)
-        if not set(map(type, entries)) <= {int}:
+        if entries and not set(map(type, entries)) <= {int}:
             entries = tuple(map(_frac, entries))
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
@@ -80,7 +80,7 @@ class QMatrix(Value):
     @staticmethod
     def from_json(data) -> "QMatrix":
         rows, cols, entries = _READ_QMATRIX(data)
-        return QMatrix(rows, cols, _entries(entries, data))
+        return QMatrix(rows, cols, entries and _entries(entries, data))
 
 
 def _entry(x):

@@ -657,6 +657,15 @@ def ambient_cube_payload() -> dict:
     return payload
 
 
+def square_cube_payload() -> dict:
+    """`ambient_cube_payload` with b, the point of [0, 1], sent to d rather
+    than to b from [0]: the square at [0, 1] minus {0,1} does not commute."""
+    payload = ambient_cube_payload()
+    payload["ambient_edges"]["0"]["0"]["entries"] = [
+        "1", "0", "0", "0", "0", "0", "0", "1"]
+    return payload
+
+
 def full_cube(ambient: ChainComplex, cube, singles) -> CubeDiagram:
     """The punctured `cube` with `ambient` at its empty vertex and the maps
     `singles`, keyed by singleton, as the edges into it."""
@@ -664,6 +673,27 @@ def full_cube(ambient: ChainComplex, cube, singles) -> CubeDiagram:
     return CubeDiagram(cube.index_size, {**cube.vertices, empty: ambient},
                        {**cube.edges, **{(frozenset(s), empty): m
                                          for s, m in singles.items()}})
+
+
+def first_failing_square(vertices, edges):
+    """The fault `CubeDiagram` names for the first square whose two paths
+    differ, in the insertion order of `vertices` and then by the two
+    indices removed, or None if every square commutes.  Each path is
+    composed degree by degree with the dense `matmul`, on the zero-filled
+    blocks of the source vertex's degrees."""
+    for big in vertices:
+        for s, t in itertools.combinations(sorted(big), 2):
+            small = big - {s, t}
+            if small not in vertices:
+                continue
+            degrees = range(vertices[big].lo, vertices[big].hi + 1)
+            one, two = ([matmul(dense_at(edges[(big - {i}, small)], q),
+                                dense_at(edges[(big, big - {i})], q))
+                         for q in degrees] for i in (s, t))
+            if one != two:
+                return (f"square at {sorted(big)} minus {{{s},{t}}} "
+                        "does not commute")
+    return None
 
 
 def cube_subsets(d) -> list:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ambient_cube_payload
+from helpers import ambient_cube_payload, square_cube_payload
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import DATA as GOLDEN_DATA
 from motivic_kit import cli, finsets, monad
@@ -544,6 +544,27 @@ class TestErrors:
                                   f"{degree + 1} degrees, more than the 3 its "
                                   "vertices list together")
 
+    def test_the_span_is_refused_before_the_squares_are_checked(
+            self, tmp_path):
+        # the square at [0, 1] minus {0,1} does not commute: [0] sends the
+        # point of [0, 1] to the ambient point, [1] sends it nowhere; the
+        # cube builds its total complex to check the squares, so the span
+        # of that complex is refused first
+        def point(q):
+            return {"lo": q, "hi": q, "dims": {str(q): 1},
+                    "differentials": {}}
+        one = {"0": {"rows": 1, "cols": 1, "entries": ["1"]}}
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(
+            {"index_size": 2, "vertices": {"0": point(0), "1": point(10),
+                                           "0,1": point(0)},
+             "edges": {"0,1->0": one, "0,1->1": {}},
+             "ambient": point(0), "ambient_edges": {"0": one, "1": {}}}))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert (status, text) == (2, f"error: {path}: the total complex spans "
+                                  "12 degrees, more than the 4 its vertices "
+                                  "list together")
+
     def test_a_gap_within_the_listed_degrees_is_kept(self, tmp_path):
         # 5 listed (vertex, degree) pairs span the degrees 0..4, and
         # degree 3 is empty
@@ -636,12 +657,17 @@ class TestSharedParser:
     """`main` parses every command line with the one parser built at
     import; no call may leave state behind for the next."""
 
-    def test_golden_sequence_with_errors_between(self, capsys, tmp_path):
+    def test_golden_sequence_with_errors_between(self, capsys, tmp_path,
+                                                 monkeypatch):
         ambient = tmp_path / "ks.json"
         ambient.write_text(json.dumps(ambient_cube_payload(), sort_keys=True))
+        (tmp_path / "square.json").write_text(
+            json.dumps(square_cube_payload(), sort_keys=True))
+        monkeypatch.chdir(tmp_path)
         for argv, status, digest in GOLDEN_CASES:
             argv = [a.replace("{data}", GOLDEN_DATA)
-                    .replace("{ambient}", str(ambient)) for a in argv]
+                    .replace("{ambient}", str(ambient))
+                    .replace("{square}", "square.json") for a in argv]
             with pytest.raises(SystemExit) as exit_info:
                 cli.main(["verify-mcffe", "--x", "two", "--y", "2"])
             assert exit_info.value.code == 2

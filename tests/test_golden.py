@@ -16,14 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ambient_cube_payload
+from helpers import ambient_cube_payload, square_cube_payload
 from motivic_kit import cli
 
 
 DATA = str(resources.files("motivic_kit") / "data")
 
 # (argv, exit status, table digest, json digest); "{data}/" names a
-# packaged fixture and "{ambient}" the file `ambient_cube` writes.
+# packaged fixture, "{ambient}" the file `ambient_cube` writes and
+# "{square}" the file `square_cube` writes, named relative to the working
+# directory that fixture sets.
 GOLDEN = [
     (["enumerate-diagrams", "--k", "2", "--bounds", "4,4"], 0,
      "2cd9035d05c3dadf5ca2c6cf2d429b31a701ef3cfe5ba31b8c0fac899a9eb74a",
@@ -72,6 +74,9 @@ GOLDEN = [
     (["hocolim", "--diagram", "{ambient}"], 0,
      "6126ac2421d79855a17c5e6c90f4d11e4df2eb8aa3d70cce1917979fe5830d16",
      "77062830447c47df720c79331ae6b5d739085f2850ae540e5b85bf55cc5e1a60"),
+    (["hocolim", "--diagram", "{square}"], 2,
+     "a11048888c893394d6e3ecdeaa04a61f8b14f46a4feabb785ba25cd0856152d2",
+     "a11048888c893394d6e3ecdeaa04a61f8b14f46a4feabb785ba25cd0856152d2"),
     (["kappa", "--components", "A,B,C", "--ambient", "Xbar", "--dim", "2"], 0,
      "685e1f04ed5ac3748e5948d6cf1c0ca8651dfed2a15a30f4a521136cf33dca65",
      "2d9cd77b839cd791b41f8d425c61eeab2220529b3d8bd4b9bc296490f2532cd5"),
@@ -108,12 +113,22 @@ def ambient_cube(tmp_path) -> str:
     return str(path)
 
 
+@pytest.fixture
+def square_cube(tmp_path, monkeypatch) -> str:
+    """A cube with a square that does not commute, named relative to the
+    working directory so that the error text is the same in every run."""
+    (tmp_path / "square.json").write_text(
+        json.dumps(square_cube_payload(), sort_keys=True))
+    monkeypatch.chdir(tmp_path)
+    return "square.json"
+
+
 @pytest.mark.parametrize("argv, status, digest", CASES,
                          ids=[" ".join(a) for a, _, _ in CASES])
-def test_stdout_matches_golden_digest(capsys, ambient_cube, argv, status,
-                                      digest):
+def test_stdout_matches_golden_digest(capsys, ambient_cube, square_cube,
+                                      argv, status, digest):
     argv = [a.replace("{data}", DATA).replace("{ambient}", ambient_cube)
-            for a in argv]
+            .replace("{square}", square_cube) for a in argv]
     assert cli.main(argv) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

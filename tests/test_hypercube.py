@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +9,13 @@ from hypothesis import strategies as st
 
 from helpers import (cone_basis_signs, cover_cube_diagram, dense_at,
                      dense_cone, dense_homology, dense_punctured_total,
-                     full_cube, identity_matrix, inclusion_exclusion_euler,
-                     nerve_oracle_homology, random_cover,
-                     schoolbook_composite, union_find_components, zero_matrix)
+                     first_failing_square, full_cube, identity_matrix,
+                     inclusion_exclusion_euler, nerve_oracle_homology,
+                     random_cover, union_find_components, zero_matrix)
 from motivic_kit import hypercube
 from motivic_kit._value import InputError
-from motivic_kit.hypercube import (ChainMap, CubeDiagram, _composite_terms,
-                                   _subset, build_kappa, hocolim_from_json,
-                                   ks_hocolim,
+from motivic_kit.hypercube import (ChainMap, CubeDiagram, _subset,
+                                   build_kappa, hocolim_from_json, ks_hocolim,
                                    punctured_cube_hocolim)
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex)
@@ -312,20 +312,7 @@ class TestKappa:
         assert "(-3)" in d.annotation() and "[-6]" in d.annotation()
 
 
-# --- sparse composites against the schoolbook composite ----------------------
-
-def assert_composite_terms(f: ChainMap, g: ChainMap):
-    """The sparse terms the square checks compare are, degree by degree,
-    the nonzero entries of the schoolbook composite, a checked chain map."""
-    composite = schoolbook_composite(f, g)
-    expected = {}
-    for q in range(min(f.source.lo, g.target.lo),
-                   max(f.source.hi, g.target.hi) + 1):
-        terms = {k: v for k, v in enumerate(dense_at(composite, q).entries) if v}
-        if terms:
-            expected[q] = terms
-    assert _composite_terms(f, g) == expected
-
+# --- the squares a cube checks, against the composing oracle -------------
 
 def inclusion_map(source_pts, target_pts, source, target) -> ChainMap:
     index = {p: i for i, p in enumerate(target_pts)}
@@ -394,30 +381,102 @@ def chain_maps(draw, source: ChainComplex, target: ChainComplex):
     return ChainMap(source, target, blocks)
 
 
+def added(f: ChainMap, g: ChainMap) -> ChainMap:
+    """The chain map f + g, blockwise."""
+    return ChainMap(f.source, f.target, {
+        q: QMatrix(f.target.dim(q), f.source.dim(q),
+                   map(sum, zip(dense_at(f, q).entries,
+                                dense_at(g, q).entries)))
+        for q in f.blocks.keys() | g.blocks.keys()})
+
+
+def reordered(draw, vertices) -> dict:
+    """`vertices` in a drawn insertion order, the order a fault is named in."""
+    return {s: vertices[s] for s in draw(st.permutations(list(vertices)))}
+
+
 @st.composite
-def composable_pairs(draw):
-    a, b, c = (draw(small_complexes()) for _ in range(3))
+def changed_covers(draw):
+    """The cube of a cover by 3 or 4 parts, with or without the ambient on
+    the union, with 0, 1 or 2 edge entries raised by one: in degree 0
+    alone, every matrix of the right shape is a chain map."""
+    parts = st.lists(st.sampled_from("abcde"), min_size=1, max_size=4,
+                     unique=True)
+    comps = draw(st.lists(parts, min_size=3, max_size=4))
+    cube, ambient, singles = cover_into_union(comps)
+    vertices, edges = dict(cube.vertices), dict(cube.edges)
     if draw(st.booleans()):
-        b = a
-    return draw(chain_maps(a, b)), draw(chain_maps(b, c))
+        vertices[frozenset()] = ambient
+        edges.update({(s, frozenset()): m for s, m in singles.items()})
+    nonempty = [key for key, m in edges.items()
+                if m.source.dim(0) and m.target.dim(0)]
+    for _ in range(draw(st.integers(0, 2)) if nonempty else 0):
+        key = draw(st.sampled_from(nonempty))
+        m = edges[key]
+        row = draw(st.integers(0, m.target.dim(0) - 1))
+        edges[key] = changed_entry(m, row,
+                                   draw(st.integers(0, m.source.dim(0) - 1)))
+    return cube.index_size, reordered(draw, vertices), edges
+
+
+@st.composite
+def changed_graded_cubes(draw):
+    """A cube of `graded_cubes`, with or without its ambient, with a drawn
+    chain map added to 0, 1 or 2 of its edges."""
+    ambient, cube, singles = draw(graded_cubes())
+    vertices, edges = dict(cube.vertices), dict(cube.edges)
+    if draw(st.booleans()):
+        vertices[frozenset()] = ambient
+        edges.update({(s, frozenset()): m for s, m in singles.items()})
+    for _ in range(draw(st.integers(0, 2)) if edges else 0):
+        key = draw(st.sampled_from(list(edges)))
+        m = edges[key]
+        edges[key] = added(m, draw(chain_maps(m.source, m.target)))
+    return cube.index_size, reordered(draw, vertices), edges
+
+
+def assert_names_the_oracles_square(index_size, vertices, edges):
+    """The cube accepts exactly when every square commutes, and otherwise
+    names the oracle's first failing square."""
+    fault = first_failing_square(vertices, edges)
+    if fault is None:
+        CubeDiagram(index_size, vertices, edges)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            CubeDiagram(index_size, vertices, edges)
 
 
 class TestComposites:
-    @settings(max_examples=150, deadline=None)
-    @given(composable_pairs())
-    def test_small_complexes(self, pair):
-        assert_composite_terms(*pair)
+    @settings(max_examples=200, deadline=None)
+    @given(changed_covers())
+    def test_covers_with_changed_entries(self, cover):
+        assert_names_the_oracles_square(*cover)
 
-    def test_randomized_covers(self):
-        rng = random.Random(2026)
-        for trial in range(25):
-            cube, _, singles = cover_into_union(random_cover(rng))
-            for (big, small), f in cube.edges.items():
-                for (start, _), g in cube.edges.items():
-                    if start == small:
-                        assert_composite_terms(f, g)
-                if len(small) == 1:
-                    assert_composite_terms(f, singles[small])
+    @settings(max_examples=60, deadline=None)
+    @given(changed_graded_cubes())
+    def test_graded_cubes_with_added_chain_maps(self, cube):
+        assert_names_the_oracles_square(*cube)
+
+    def test_the_first_of_two_faults_in_vertex_order(self):
+        # one fault at [0, 1, 2], one at the ambient corner of [0, 1]: the
+        # cube names whichever vertex it was given first
+        comps = [["a", "shared"], ["b", "shared"], ["c", "shared"]]
+        cube, ambient, singles = cover_into_union(comps)
+        vertices = {**cube.vertices, frozenset(): ambient}
+        edges = {**cube.edges, **{(s, frozenset()): m
+                                  for s, m in singles.items()}}
+        top = (frozenset({0, 1, 2}), frozenset({0, 1}))
+        edges[top] = changed_entry(edges[top], 0, 0)
+        edges[(frozenset({0}), frozenset())] = changed_entry(
+            singles[frozenset({0})], 0, 1)
+        faults = ("square at [0, 1] minus {0,1} does not commute",
+                  "square at [0, 1, 2] minus {0,2} does not commute")
+        for order, fault in ((list(vertices), faults[0]),
+                             (list(vertices)[::-1], faults[1])):
+            given_order = {s: vertices[s] for s in order}
+            assert first_failing_square(given_order, edges) == fault
+            with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+                CubeDiagram(3, given_order, edges)
 
     def test_square_with_one_changed_entry_rejected(self):
         rng = random.Random(7)
@@ -502,28 +561,28 @@ class TestOneTotalComplex:
         assert_one_total_complex(*cube_with_ambient)
 
     def test_one_complex_and_only_the_corner_squares(self, monkeypatch):
+        # the cube builds one total complex, whose d o d = 0 check is the
+        # check of every square, the ones at the ambient corner too; a
+        # cube whose squares commute composes no two edges
         cube, ambient, singles = cover_into_union(
             [["a", "b"], ["b", "c"], ["b", "d"]])
-        built, composed = [], []
-        init, terms = ChainComplex.__init__, hypercube._composite_terms
+        built, products = [], []
+        init, terms = ChainComplex.__init__, hypercube.product_terms
 
         def counting_init(self, *args):
-            built.append(args)
+            built.append(self)
             init(self, *args)
 
-        def counting_terms(f, g):
-            composed.append((f, g))
-            return terms(f, g)
+        def counting_terms(a, b):
+            products.append((a, b))
+            return terms(a, b)
         monkeypatch.setattr(ChainComplex, "__init__", counting_init)
-        monkeypatch.setattr(hypercube, "_composite_terms", counting_terms)
+        monkeypatch.setattr(hypercube, "product_terms", counting_terms)
         full = full_cube(ambient, cube, singles)
-        # two paths for each square: the three at [0, 1, 2] and the three
-        # at the ambient corner, each composed once, by the cube
-        assert len(composed) == 12
-        assert sum(g.target == ambient for _, g in composed) == 6
-        ks_hocolim(full)
-        assert len(built) == 1
-        assert len(composed) == 12
+        assert len(built) == 1 and built[0] is full.total
+        assert products == []
+        assert ks_hocolim(full) is full.total
+        assert len(built) == 1 and products == []
 
     def test_missing_and_misplaced_singleton_maps(self):
         cube, ambient, singles = cover_into_union([["a", "b"], ["b", "c"]])

@@ -237,19 +237,31 @@ def test_one_builder_places_blocks_of_total_complexes():
 
 
 def test_squares_are_composed_only_when_a_cube_is_built():
-    # a cube checks its squares, those at the ambient corner too; the
-    # colimits only build its total complex, from the stored blocks
-    composers = {(path.name, owner) for path in SOURCES
-                 for owner, callee in calls_by_function(path)
-                 if callee == "_composite_terms"}
-    assert composers == {("hypercube.py", "CubeDiagram.__init__")}
+    # a cube checks its squares, those at the ambient corner too, as the
+    # d o d = 0 of the one total complex it builds; the colimits return it
+    builders = {(path.name, owner) for path in SOURCES
+                for owner, callee in calls_by_function(path)
+                if callee == "_total_complex"}
+    assert builders == {("hypercube.py", "CubeDiagram.__init__")}
+    # no function composes two edges: the products in hypercube.py are
+    # the chain-map check of one edge against a differential, and d o d
+    # of a total complex that failed its check, to name the square
+    [hypercube] = [p for p in SOURCES if p.name == "hypercube.py"]
+    calls = list(calls_by_function(hypercube))
+    products = {owner for owner, callee in calls
+                if callee in ("product_terms", "matmul", "kron")}
+    assert products == {"_terms", "_noncommuting_square"}
+    assert {owner for owner, callee in calls
+            if callee == "_terms"} == {"ChainMap.__init__"}
+    assert {owner for owner, callee in calls
+            if callee == "_noncommuting_square"} == {"_total_complex"}
     colimits = ("ks_hocolim", "punctured_cube_hocolim")
     for name in colimits:
         [(_, fn)] = function_definitions(name)
         callees = {ast.unparse(node.func) for node in ast.walk(fn)
                    if isinstance(node, ast.Call)}
-        assert "_total_complex" in callees
-        assert callees.isdisjoint({"_composite_terms", "_add_block",
+        assert callees.isdisjoint({"_total_complex", "_add_block",
+                                   "single_degree_complex", "ChainComplex",
                                    *colimits})
         # no loop: the cube's constructor checked every edge and square
         assert not [node for node in ast.walk(fn)
