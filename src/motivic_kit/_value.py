@@ -4,7 +4,9 @@ one reader of outside JSON that their `from_json` methods share.
 Each `from_json` reads its input through a reader that `compile_reader`
 builds once, at import, from a spec of the JSON shape it expects; the
 reader checks every JSON type and raises an `InputError` naming the
-field's path and the expected type.
+field's path and the expected type.  A JSON type inside a list, an
+object or a field is checked in line, by `type(v) is T`; its own reader
+runs only when that check fails, to raise the error.
 """
 
 import json
@@ -93,6 +95,8 @@ def compile_reader(spec):
     of an object, read in this order into a tuple (a name ending in "?"
     may be absent and reads as None), or a function such as `from_json`.
     An `InputError` leaving a nested read gets that step put in front.
+    A nested spec is checked in line, by `type(v) is spec`, true only for
+    a JSON type; where that fails, the spec's reader reads `v`.
     """
     if type(spec) is type:
         def read_type(value):
@@ -101,13 +105,14 @@ def compile_reader(spec):
             return value
         return read_type
     if type(spec) is list:
-        read_list, item = compile_reader(list), compile_reader(spec[0])
+        [kind] = spec
+        read_list, item = compile_reader(list), compile_reader(kind)
 
         def read_items(value):
             out = []
-            for v in read_list(value):
+            for v in value if type(value) is list else read_list(value):
                 try:
-                    out.append(item(v))
+                    out.append(v if type(v) is kind else item(v))
                 except InputError as exc:
                     raise exc.inside(f"[{len(out)}]")
             return out
@@ -116,33 +121,36 @@ def compile_reader(spec):
         return spec
     read_object = compile_reader(dict)
     if type(next(iter(spec))) is not str:
-        [(key, inner)] = spec.items()
-        key, inner = compile_reader(key), compile_reader(inner)
+        [(key_kind, kind)] = spec.items()
+        key, inner = compile_reader(key_kind), compile_reader(kind)
 
         def read_members(value):
             out = {}
-            for k, v in read_object(value).items():
-                try:
-                    k_read = key(k)  # the key first, as the file lists it
-                    out[k_read] = inner(v)
+            for k, v in (value if type(value) is dict
+                         else read_object(value)).items():
+                try:  # the key first, as the file lists it
+                    k_read = k if type(k) is key_kind else key(k)
+                    out[k_read] = v if type(v) is kind else inner(v)
                 except InputError as exc:
                     raise exc.inside(f"[{json.dumps(k)}]")
             if len(out) < len(value):
                 raise RepeatedKey(value, key)
             return out
         return read_members
-    fields = [(name.rstrip("?"), name.endswith("?"), compile_reader(inner),
-               "is missing, must be " + _KINDS.get(
+    fields = [(name.rstrip("?"), name.endswith("?"), inner,
+               compile_reader(inner), "is missing, must be " + _KINDS.get(
                    inner if type(inner) is type else type(inner), "an object"))
               for name, inner in spec.items()]
 
     def read_fields(value):
-        read_object(value)
+        if type(value) is not dict:
+            read_object(value)
         out = []
-        for name, optional, inner, missing in fields:
+        for name, optional, kind, inner, missing in fields:
             if name in value:
+                v = value[name]
                 try:
-                    out.append(inner(value[name]))
+                    out.append(v if type(v) is kind else inner(v))
                 except InputError as exc:
                     raise exc.inside(name)
             elif optional:

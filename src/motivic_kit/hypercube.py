@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, partial
 
 from ._value import (InputError, RepeatedKey, Value, compile_reader,
                      degree_key, show)
@@ -42,18 +43,19 @@ class ChainMap(Value):
     __slots__ = ("source", "target", "blocks")
 
     def __init__(self, source: ChainComplex, target: ChainComplex, blocks):
-        blocks = {int(q): m for q, m in blocks.items()}
-        for q, m in blocks.items():
+        kept = {}
+        for q, m in zip(map(int, blocks), blocks.values()):
             if m.rows != target.dim(q) or m.cols != source.dim(q):
                 raise ValueError(f"block {q} has wrong shape")
-        blocks = {q: m for q, m in blocks.items() if any(m.entries)}
+            if any(m.entries):
+                kept[q] = m
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", kept)
         # both sides vanish in a degree q with no block at q - 1 or q
-        for q in sorted({*blocks, *(q + 1 for q in blocks)}):
-            if (_terms(blocks.get(q - 1), source.differentials.get(q))
-                    != _terms(target.differentials.get(q), blocks.get(q))):
+        for q in sorted({*kept, *(q + 1 for q in kept)}) if kept else ():
+            if (_terms(kept.get(q - 1), source.differentials.get(q))
+                    != _terms(target.differentials.get(q), kept.get(q))):
                 raise ValueError(f"does not commute with d in degree {q}")
 
     def to_json(self):
@@ -135,17 +137,18 @@ class CubeDiagram(Value):
         """The cube of a `hocolim` input; an `ambient`, if present, is its
         empty vertex and `ambient_edges` the edges from the singletons."""
         vertices, edges, index_size, ambient = _READ_CUBE(data)
+        vertex = cache(partial(_subset, vertices=vertices))  # once per key
 
         def ends(name):
             """The vertices an edge key such as "0,1->0" joins."""
             big, arrow, small = name.partition("->")
             if not arrow:
                 raise InputError('is not keyed by two subsets joined by "->"')
-            return _subset(big, vertices), _subset(small, vertices)
+            return vertex(big), vertex(small)
         edges = _edges(edges, ends, "edges", vertices)
         if ambient is not None:
             def singleton(name):
-                s = _subset(name, vertices)
+                s = vertex(name)
                 if len(s) != 1:
                     raise InputError(f"names {sorted(s)}, which is not a singleton")
                 return s, frozenset()
@@ -186,11 +189,10 @@ def _edges(members: dict, ends, name: str, vertices) -> dict:
 def _add_block(entries: list, cols: int, block: QMatrix, r0: int, c0: int,
                sign: int):
     """Add sign * block into a row-major entry list at row r0, column c0."""
-    for i in range(block.rows):
-        base = (r0 + i) * cols + c0
-        for j, v in enumerate(block.row(i)):
-            if v:
-                entries[base + j] += v if sign == 1 else -v
+    for k in itertools.compress(range(len(block.entries)), block.entries):
+        i, j = divmod(k, block.cols)
+        v = block.entries[k]
+        entries[(r0 + i) * cols + c0 + j] += v if sign == 1 else -v
 
 
 def _total_complex(vertices, edges) -> ChainComplex:

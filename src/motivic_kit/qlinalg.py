@@ -80,7 +80,11 @@ class QMatrix(Value):
     @staticmethod
     def from_json(data) -> "QMatrix":
         rows, cols, entries = _READ_QMATRIX(data)
-        return QMatrix(rows, cols, entries and _entries(entries, data))
+        if entries:
+            return QMatrix(rows, cols, _entries(entries, data))
+        if (rows, cols) not in _EMPTY:  # values are immutable: share one
+            _EMPTY[rows, cols] = QMatrix(rows, cols, ())
+        return _EMPTY[rows, cols]
 
 
 def _entry(x):
@@ -235,25 +239,25 @@ class ChainComplex(Value):
         for n in range(lo, hi + 1):
             if n not in dims or dims[n] < 0:
                 raise ValueError(f"missing or negative dimension in degree {n}")
-        for n in sorted(dims):
+        for n in sorted(dims) if len(dims) > hi - lo + 1 else ():
             if not (lo <= n <= hi):
                 raise ValueError(f"dimension in degree {n} outside degree "
                                  f"range [{lo}, {hi}]")
-        differentials = dict(sorted(differentials.items()))
-        for n, d in differentials.items():
+        kept = {}
+        for n, d in sorted(differentials.items()):
             if not (lo < n <= hi):
                 raise ValueError(f"differential {n} outside degree range")
             if d.rows != dims[n - 1] or d.cols != dims[n]:
                 raise ValueError(f"differential {n} has wrong shape")
-        differentials = {n: d for n, d in differentials.items()
-                         if any(d.entries)}
-        for n, d in differentials.items():
-            if n - 1 in differentials and product_terms(differentials[n - 1], d):
+            if any(d.entries):
+                kept[n] = d
+        for n, d in kept.items():
+            if n - 1 in kept and product_terms(kept[n - 1], d):
                 raise ValueError(f"d_{n-1} o d_{n} != 0")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "differentials", differentials)
+        object.__setattr__(self, "differentials", kept)
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -294,6 +298,7 @@ def single_degree_complex(dim: int, degree: int = 0) -> ChainComplex:
 
 
 # the readers of input files, compiled once
+_EMPTY = {}  # (rows, cols) -> the one matrix read with no entries
 _READ_QMATRIX = compile_reader({"rows": int, "cols": int, "entries": list})
 _READ_ENTRIES = compile_reader({"entries": [_entry]})
 _READ_CHAIN_COMPLEX = compile_reader({

@@ -10,6 +10,7 @@ from importlib import resources
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from motivic_kit._value import InputError, RepeatedKey, _KINDS, show
 from motivic_kit.artin import (CoalgMorphism, artin_comonoid, graph_matrix,
                                tensor_map_matrix)
 from motivic_kit.finsets import FinDiagram, FinSet, SetMap, all_maps, compose
@@ -666,6 +667,40 @@ def square_cube_payload() -> dict:
     return payload
 
 
+def empty_block_cube_payload(ambient: bool) -> dict:
+    """`hocolim` input whose edges carry 0-row and 0-column blocks: [0] is
+    a segment, [1] a point and [0, 1] one class in degree 1, so the edge
+    [0, 1] -> [1] has a 1x0 block in degree 0 and a 0x1 block in degree 1.
+    With `ambient`, the segment is the ambient, [0] maps onto it and [1]
+    onto its first end."""
+    def matrix(rows, cols, *entries):
+        return {"rows": rows, "cols": cols, "entries": list(entries)}
+
+    def complex_(dims, differentials):
+        return {"lo": 0, "hi": 1, "dims": dict(zip("01", dims)),
+                "differentials": differentials}
+    segment = complex_((2, 1), {"1": matrix(2, 1, "-1", "1")})
+    payload = {"index_size": 2,
+               "vertices": {"0": segment, "1": complex_((1, 0), {}),
+                            "0,1": complex_((0, 1), {})},
+               "edges": {"0,1->0": {"0": matrix(2, 0), "1": matrix(1, 1, "0")},
+                         "0,1->1": {"0": matrix(1, 0), "1": matrix(0, 1)}}}
+    if ambient:
+        payload["ambient"] = segment
+        payload["ambient_edges"] = {
+            "0": {"0": matrix(2, 2, "1", "0", "0", "1"), "1": matrix(1, 1, "1")},
+            "1": {"0": matrix(2, 1, "1", "0"), "1": matrix(1, 0)}}
+    return payload
+
+
+def misshaped_empty_block_payload() -> dict:
+    """`empty_block_cube_payload` with an empty degree-1 block on the edge
+    [0, 1] -> [0], where the target has dimension 1 in degree 1."""
+    payload = empty_block_cube_payload(ambient=False)
+    payload["edges"]["0,1->0"]["1"] = {"rows": 0, "cols": 1, "entries": []}
+    return payload
+
+
 def full_cube(ambient: ChainComplex, cube, singles) -> CubeDiagram:
     """The punctured `cube` with `ambient` at its empty vertex and the maps
     `singles`, keyed by singleton, as the edges into it."""
@@ -902,3 +937,74 @@ def random_cover(rng: random.Random, max_components: int = 4,
         size = rng.randint(1, max_points)
         comps.append(sorted(rng.sample(labels, size)))
     return comps
+
+
+def reference_reader(spec):
+    """`_value.compile_reader` as it was before leaf types were checked
+    in line: every JSON type through its own reader.  The oracle of the
+    compiled readers' values and error texts.
+
+    A spec is a JSON type (exact: a boolean is no integer), `[spec]` for
+    a list, `{key: spec}` for an object whose member names the function
+    `key` parses to distinct keys, `{"name": spec, ...}` for the fields
+    of an object, read in this order into a tuple (a name ending in "?"
+    may be absent and reads as None), or a function such as `from_json`.
+    An `InputError` leaving a nested read gets that step put in front.
+    """
+    if type(spec) is type:
+        def read_type(value):
+            if type(value) is not spec:
+                raise InputError(f"must be {_KINDS[spec]}, got {show(value)}")
+            return value
+        return read_type
+    if type(spec) is list:
+        read_list, item = reference_reader(list), reference_reader(spec[0])
+
+        def read_items(value):
+            out = []
+            for v in read_list(value):
+                try:
+                    out.append(item(v))
+                except InputError as exc:
+                    raise exc.inside(f"[{len(out)}]")
+            return out
+        return read_items
+    if type(spec) is not dict:
+        return spec
+    read_object = reference_reader(dict)
+    if type(next(iter(spec))) is not str:
+        [(key, inner)] = spec.items()
+        key, inner = reference_reader(key), reference_reader(inner)
+
+        def read_members(value):
+            out = {}
+            for k, v in read_object(value).items():
+                try:
+                    k_read = key(k)  # the key first, as the file lists it
+                    out[k_read] = inner(v)
+                except InputError as exc:
+                    raise exc.inside(f"[{json.dumps(k)}]")
+            if len(out) < len(value):
+                raise RepeatedKey(value, key)
+            return out
+        return read_members
+    fields = [(name.rstrip("?"), name.endswith("?"), reference_reader(inner),
+               "is missing, must be " + _KINDS.get(
+                   inner if type(inner) is type else type(inner), "an object"))
+              for name, inner in spec.items()]
+
+    def read_fields(value):
+        read_object(value)
+        out = []
+        for name, optional, inner, missing in fields:
+            if name in value:
+                try:
+                    out.append(inner(value[name]))
+                except InputError as exc:
+                    raise exc.inside(name)
+            elif optional:
+                out.append(None)
+            else:
+                raise InputError(missing, name)
+        return tuple(out)
+    return read_fields

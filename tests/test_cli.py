@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ambient_cube_payload, square_cube_payload
+from helpers import ambient_cube_payload, misshaped_empty_block_payload
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import DATA as GOLDEN_DATA
+from test_golden import write_relative_files
 from motivic_kit import cli, finsets, monad
 from motivic_kit.finsets import FinDiagram, PermGroup
 from motivic_kit.hypercube import CubeDiagram
@@ -647,6 +648,13 @@ class TestErrors:
         named = field if member is None else f"{field}[{json.dumps(member)}]"
         assert (status, text) == (2, f"error: {path}: {named} {fault}")
 
+    def test_a_misshaped_empty_block_names_the_edge(self, tmp_path):
+        path = tmp_path / "misshaped.json"
+        path.write_text(json.dumps(misshaped_empty_block_payload()))
+        assert run_cli(["hocolim", "--diagram", str(path)]) == (
+            2, f'error: {path}: edges["0,1->0"] is not a chain map: block 1 '
+               'has wrong shape')
+
     def test_main_returns_status(self, capsys):
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0
         out = capsys.readouterr().out
@@ -661,8 +669,7 @@ class TestSharedParser:
                                                  monkeypatch):
         ambient = tmp_path / "ks.json"
         ambient.write_text(json.dumps(ambient_cube_payload(), sort_keys=True))
-        (tmp_path / "square.json").write_text(
-            json.dumps(square_cube_payload(), sort_keys=True))
+        write_relative_files(tmp_path)
         monkeypatch.chdir(tmp_path)
         for argv, status, digest in GOLDEN_CASES:
             argv = [a.replace("{data}", GOLDEN_DATA)

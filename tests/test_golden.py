@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ambient_cube_payload, square_cube_payload
+from helpers import (ambient_cube_payload, empty_block_cube_payload,
+                     misshaped_empty_block_payload, square_cube_payload)
 from motivic_kit import cli
 
 
@@ -25,7 +26,7 @@ DATA = str(resources.files("motivic_kit") / "data")
 # (argv, exit status, table digest, json digest); "{data}/" names a
 # packaged fixture, "{ambient}" the file `ambient_cube` writes and
 # "{square}" the file `square_cube` writes, named relative to the working
-# directory that fixture sets.
+# directory that fixture sets, like the other files it writes.
 GOLDEN = [
     (["enumerate-diagrams", "--k", "2", "--bounds", "4,4"], 0,
      "2cd9035d05c3dadf5ca2c6cf2d429b31a701ef3cfe5ba31b8c0fac899a9eb74a",
@@ -77,6 +78,15 @@ GOLDEN = [
     (["hocolim", "--diagram", "{square}"], 2,
      "a11048888c893394d6e3ecdeaa04a61f8b14f46a4feabb785ba25cd0856152d2",
      "a11048888c893394d6e3ecdeaa04a61f8b14f46a4feabb785ba25cd0856152d2"),
+    (["hocolim", "--diagram", "empty.json"], 0,
+     "fd9d3905b11b3c7e723a08e3c879f6d1d5f49d40e63a84f003265735f6fa929c",
+     "7441b3b6cfc8148c9b05eacb7902c129d3183f5bc5b3e11b3de948e8866116e1"),
+    (["hocolim", "--diagram", "empty_ambient.json"], 0,
+     "bcd3ee4eeba3ba0cc10f2dd90e91cc3c39d902e0de9daa82566e204cd59d6c5c",
+     "a1524b62dac72876ae6bc36c7cc1afda81bd0424e80ee683f028659788442c00"),
+    (["hocolim", "--diagram", "misshaped.json"], 2,
+     "3b063c31026cc2f69ed600751a09f646430346091ec1314c8c81c24268a4ce7f",
+     "3b063c31026cc2f69ed600751a09f646430346091ec1314c8c81c24268a4ce7f"),
     (["kappa", "--components", "A,B,C", "--ambient", "Xbar", "--dim", "2"], 0,
      "685e1f04ed5ac3748e5948d6cf1c0ca8651dfed2a15a30f4a521136cf33dca65",
      "2d9cd77b839cd791b41f8d425c61eeab2220529b3d8bd4b9bc296490f2532cd5"),
@@ -113,12 +123,24 @@ def ambient_cube(tmp_path) -> str:
     return str(path)
 
 
+def write_relative_files(directory: Path):
+    """The cube files the golden argvs name relative to the working
+    directory: a square that does not commute, cubes with 0-row and
+    0-column blocks without and with an ambient, and one with an empty
+    block of the wrong shape."""
+    for name, payload in (
+            ("square.json", square_cube_payload()),
+            ("empty.json", empty_block_cube_payload(ambient=False)),
+            ("empty_ambient.json", empty_block_cube_payload(ambient=True)),
+            ("misshaped.json", misshaped_empty_block_payload())):
+        (directory / name).write_text(json.dumps(payload, sort_keys=True))
+
+
 @pytest.fixture
 def square_cube(tmp_path, monkeypatch) -> str:
-    """A cube with a square that does not commute, named relative to the
-    working directory so that the error text is the same in every run."""
-    (tmp_path / "square.json").write_text(
-        json.dumps(square_cube_payload(), sort_keys=True))
+    """The files of `write_relative_files`, named relative to the working
+    directory so that the error texts are the same in every run."""
+    write_relative_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     return "square.json"
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -659,3 +660,39 @@ class TestAbsentIsZero:
         stored += [matrix for m in (*edges.values(), *zero_singles.values())
                    for matrix in m.blocks.values()]
         assert all(any(matrix.entries) for matrix in stored)
+
+
+class TestReadWork:
+    """A cube file costs its nonzero blocks: its empty blocks add at most
+    one matrix per shape, and each vertex key is parsed once as an edge
+    end."""
+
+    def test_empty_blocks_and_edge_ends_are_read_once(self, monkeypatch):
+        # the triple intersection and two of the pairs are empty
+        cube, _ = cover_cube_diagram([["a", "b"], ["c", "d"], ["b", "c"],
+                                      ["e"]])
+        payload = cube.to_json()
+        for (big, small), m in cube.edges.items():
+            key = "->".join(",".join(map(str, sorted(s))) for s in (big, small))
+            payload["edges"][key]["0"] = dense_at(m, 0).to_json()
+        empty = collections.Counter(
+            (b["0"]["rows"], b["0"]["cols"])
+            for b in payload["edges"].values() if not b["0"]["entries"])
+        assert sum(empty.values()) > len(empty) > 1  # empty shapes repeat
+        built, parsed = collections.Counter(), collections.Counter()
+        init, subset = QMatrix.__init__, hypercube._subset
+
+        def counted_init(self, rows, cols, entries):
+            entries = tuple(entries)
+            built[rows, cols] += not entries
+            init(self, rows, cols, entries)
+
+        def counted_subset(name, vertices=None):
+            parsed[name] += 1
+            return subset(name, vertices)
+        monkeypatch.setattr(QMatrix, "__init__", counted_init)
+        monkeypatch.setattr(hypercube, "_subset", counted_subset)
+        assert CubeDiagram.from_json(payload) == cube
+        assert {shape for shape, n in built.items() if n} <= set(empty)
+        assert max(built.values()) <= 1
+        assert parsed == dict.fromkeys(payload["vertices"], 1)

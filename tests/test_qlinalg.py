@@ -10,6 +10,7 @@ from helpers import (dense_homology, dense_kernel_basis, dense_row_echelon,
                      kron_power, mixed_rationals, qmatrices, random_qmatrix,
                      schoolbook_kron, schoolbook_matmul, sparse_rationals,
                      unit_entries, zero_matrix)
+from motivic_kit import qlinalg
 from motivic_kit._value import InputError, show
 from motivic_kit.qlinalg import (_READ_ENTRIES, ChainComplex, QMatrix,
                                  _entries, _row_echelon, kron, matmul,
@@ -39,6 +40,22 @@ class TestQMatrix:
         data = m.to_json()
         assert data["entries"] == ["1/2", "-3", "0", "7/5"]
         assert QMatrix.from_json(data) == m
+
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (3, 0), (0, 4)])
+    def test_equal_empty_records_read_to_equal_values(self, rows, cols):
+        a, b = ({"rows": rows, "cols": cols, "entries": []} for _ in "ab")
+        assert QMatrix.from_json(a) == QMatrix.from_json(b) == QMatrix(
+            rows, cols, [])
+
+    @pytest.mark.parametrize("rows, cols, message", [
+        (2, 2, "entry count does not match shape"),
+        (-1, 0, "negative matrix dimensions")])
+    def test_a_refused_empty_record_is_refused_every_time(self, rows, cols,
+                                                          message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                QMatrix.from_json({"rows": rows, "cols": cols, "entries": []})
+        assert (rows, cols) not in qlinalg._EMPTY
 
 
 class TestNormalForm:

@@ -1,16 +1,22 @@
-"""The immutable-value contract shared by every validated class."""
+"""The immutable-value contract shared by every validated class, and the
+compiled reader of outside JSON that their `from_json` methods share."""
+
+import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (cover_cube_diagram, fiber_chain, identity_map,
-                     identity_matrix, load_group, morphism_from_setmap,
-                     regular_gset)
-from motivic_kit._value import Value
+from helpers import (cover_cube_diagram, empty_block_cube_payload,
+                     fiber_chain, identity_map, identity_matrix, load_group,
+                     morphism_from_setmap, reference_reader, regular_gset)
+from motivic_kit import finsets, qlinalg
+from motivic_kit._value import Value, compile_reader, degree_key
 from motivic_kit.artin import ArtinComonoid, CoalgMorphism, artin_comonoid
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
                                  SetMap, automorphism_group)
 from motivic_kit.galois import FiniteGroup, GSet
-from motivic_kit.hypercube import ChainMap, CubeDiagram
+from motivic_kit.hypercube import ChainMap, CubeDiagram, _subset
 from motivic_kit.monad import MultisetOfDiagrams
 from motivic_kit.qlinalg import ChainComplex, QMatrix
 
@@ -104,3 +110,91 @@ def test_perm_group_and_cube_compare_by_value():
     assert cube != cover_cube_diagram([{0, 1}, {1}])[0]
     with pytest.raises(TypeError):
         hash(cube)  # its vertices and edges are dicts
+
+
+# The spec shapes the package compiles, each with a document it accepts:
+# fields, optional fields, members keyed by `degree_key`, `_subset` and
+# `str`, lists of types and of objects, and `from_json` leaves.
+_MATRIX = {"rows": int, "cols": int, "entries": [qlinalg._entry]}
+_BLOCKS = {degree_key: QMatrix.from_json}
+READER_CASES = {
+    "matrix": ({"rows": int, "cols": int, "entries": list},
+               QMatrix(2, 2, [1, "1/2", 0, -3]).to_json()),
+    "matrix entries": (_MATRIX, QMatrix(1, 2, ["2/3", 4]).to_json()),
+    "complex": ({"lo": int, "hi": int, "dims": {degree_key: int},
+                 "differentials": {degree_key: _MATRIX}},
+                chain_complex().to_json()),
+    "cube": ({"vertices": {_subset: ChainComplex.from_json},
+              "edges": {str: _BLOCKS}, "index_size": int,
+              "ambient?": ChainComplex.from_json,
+              "ambient_edges?": {str: _BLOCKS}},
+             empty_block_cube_payload(ambient=True)),
+    "finset": ({"size": int, "labels?": [finsets._label]},
+               {"size": 2, "labels": ["a", 7]}),
+    "diagram maps": ({"maps": [{"dom?": int, "cod?": int, "values": [int]}]},
+                     {"maps": [{"dom": 3, "values": [0, 1, 1]},
+                               {"cod": 1, "values": [0, 0]}]}),
+    "group": ({"order": int, "table": [[int]]},
+              {"order": 2, "table": [[0, 1], [1, 0]]}),
+    "gset": ({"group": FiniteGroup.from_json, "carrier": FinSet.from_json,
+              "action": [[int]]},
+             regular_gset(load_group("c3")).to_json()),
+}
+# a leaf swapped for another JSON value, a member deleted or renamed, an
+# object replaced by the list of its values
+MUTATIONS = ([("swap", x) for x in (True, None, 1.5, [], {})]
+             + [("rename", k) for k in ("x", "00", "0,0", "-1")]
+             + [("delete", None), ("listify", None)])
+
+
+def _places(doc, path=()):
+    """The path of every value in a JSON document, the root's first."""
+    yield path
+    if type(doc) in (dict, list):
+        steps = doc.items() if type(doc) is dict else enumerate(doc)
+        for step, inner in steps:
+            yield from _places(inner, path + (step,))
+
+
+def _mutated(doc, path, mutation):
+    top = {"doc": copy.deepcopy(doc)}
+    parent, step = top, "doc"
+    for s in path:
+        parent, step = parent[step], s
+    how, x = mutation
+    if how == "swap":
+        parent[step] = copy.deepcopy(x)
+    elif how in ("delete", "rename") and path and type(parent) is dict:
+        value = parent.pop(step)
+        if how == "rename":
+            parent[x] = value
+    elif how == "listify" and type(parent[step]) is dict:
+        parent[step] = list(parent[step].values())
+    return top["doc"]
+
+
+def _outcome(reader, doc):
+    try:
+        return reader(doc)
+    except Exception as exc:  # a fault is compared by its class and text
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(READER_CASES))
+def test_compiled_reader_reads_the_documents_as_before(name):
+    spec, doc = READER_CASES[name]
+    value = compile_reader(spec)(doc)
+    assert type(value) is tuple
+    assert value == reference_reader(spec)(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(READER_CASES)), st.data())
+def test_compiled_reader_agrees_with_the_reference_on_mutated_documents(
+        name, data):
+    spec, doc = READER_CASES[name]
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_places(doc))))
+        doc = _mutated(doc, path, data.draw(st.sampled_from(MUTATIONS)))
+    assert (_outcome(compile_reader(spec), doc)
+            == _outcome(reference_reader(spec), doc))
