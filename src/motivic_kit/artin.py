@@ -161,14 +161,19 @@ def coalgebra_morphism_violations(c: QMatrix, x: ArtinComonoid,
 
 
 def _entrywise_failures(c: QMatrix) -> tuple:
-    """(eps, delta1, delta2) failures between canonical comonoids."""
-    columns = [c.entries[x::c.cols] for x in range(c.cols)]
-    eps = any(sum(col) != 1 for col in columns)
-    delta1 = any(v * v != v for v in c.entries)
-    # a product of two nonzero rationals is nonzero, so (delta2) holds
-    # exactly when no column has two nonzero entries
-    delta2 = any(sum(1 for v in col if v) > 1 for col in columns)
-    return eps, delta1, delta2
+    """(eps, delta1, delta2) failures between canonical comonoids, read
+    off one pass over the nonzero entries: a column sum other than 1, an
+    entry v != 1 (v^2 = v only for v in {0, 1}), and a column with two
+    nonzero entries (their product is nonzero)."""
+    entries, n = c.entries, c.cols
+    sums, counts = [0] * n, [0] * n
+    delta1 = False
+    for k in compress(range(len(entries)), entries):
+        v, x = entries[k], k % n
+        sums[x] += v
+        counts[x] += 1
+        delta1 = delta1 or v != 1
+    return sums.count(1) != n, delta1, max(counts, default=0) > 1
 
 
 def _dense_failures(c: QMatrix, x: ArtinComonoid, y: ArtinComonoid) -> tuple:
@@ -211,11 +216,10 @@ def setmap_from_morphism(c: CoalgMorphism) -> SetMap:
     m = c.matrix
     values = []
     for x in range(m.cols):
-        col = [m[y, x] for y in range(m.rows)]
-        ones = [y for y, v in enumerate(col) if v == 1]
-        if len(ones) != 1 or any(v not in (0, 1) for v in col):
+        col = m.entries[x::m.cols]
+        if col.count(1) != 1 or col.count(0) != m.rows - 1:
             raise ValueError("matrix is not the graph of a set map")
-        values.append(ones[0])
+        values.append(col.index(1))
     return SetMap(c.source.carrier, c.target.carrier, values)
 
 

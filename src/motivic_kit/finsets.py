@@ -107,6 +107,14 @@ class SetMap(Value):
         return SetMap(FinSet(dom), FinSet(cod), values)
 
 
+def read_set_map(dom: FinSet, cod: FinSet, values, path: str) -> SetMap:
+    """SetMap(dom, cod, values) read from a file, a fault naming its member."""
+    try:
+        return SetMap(dom, cod, values)
+    except ValueError as exc:
+        raise InputError(f"is not a set map: {exc}", path) from None
+
+
 def compose(f: SetMap, g: SetMap) -> SetMap:
     """The composite "f then g", i.e. g o f; requires f.cod = g.dom."""
     if f.cod.size != g.dom.size:
@@ -199,7 +207,7 @@ class FinDiagram(Value):
                 if size not in (None, sets[j].size):
                     raise InputError(f"is {size}, but sets[{j}] has size "
                                      f"{sets[j].size}", f"maps[{i}].{name}")
-            chain.append(SetMap(sets[i], sets[i + 1], values))
+            chain.append(read_set_map(sets[i], sets[i + 1], values, f"maps[{i}]"))
         return FinDiagram(sets, chain)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._value import InputError, Value, compile_reader
 from .artin import graph_matrix, solve_coalgebra_morphisms
-from .finsets import FinSet, SetMap, all_maps, compose
+from .finsets import FinSet, SetMap, all_maps, read_set_map
 from .qlinalg import matmul
 
 
@@ -19,10 +19,10 @@ class FiniteGroup(Value):
     """A group given by its order x order multiplication table.
 
     table[g][h] is the product g*h.  Identity, inverses and associativity
-    are all checked at construction.
+    are checked, and a generating set is found greedily, at construction.
     """
 
-    __slots__ = ("order", "table", "identity")
+    __slots__ = ("order", "table", "identity", "generators")
 
     def __init__(self, table):
         table = tuple(tuple(row) for row in table)
@@ -45,9 +45,15 @@ class FiniteGroup(Value):
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "identity", identity)
+        gens, closed = [], {identity}
+        for g in range(n):
+            if g not in closed:
+                gens.append(g)
+                closed = self.closure(gens)
+        object.__setattr__(self, "generators", tuple(gens))
         # Light's test: the g with (a*b)*g = a*(b*g) for all a, b include
         # the identity and are closed under products, so generators suffice
-        for g in self.generating_set():
+        for g in gens:
             column = [row[g] for row in table]
             if any(column[ab] != row[column[b]]
                    for row in table for b, ab in enumerate(row)):
@@ -61,16 +67,6 @@ class FiniteGroup(Value):
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
-
-    def generating_set(self) -> list:
-        """A small generating set, found greedily by closure."""
-        gens = []
-        closed = {self.identity}
-        for g in self.elements():
-            if g not in closed:
-                gens.append(g)
-                closed = self.closure(gens)
-        return gens
 
     def cayley_edges(self, gens):
         """Breadth-first walk of the subgroup generated by gens.
@@ -132,10 +128,11 @@ class GSet(Value):
             raise ValueError("identity must act trivially")
         # left action: (g*s).x = g.(s.x) for the generators s gives every
         # product, by induction on the length of a word in them
-        for s in group.generating_set():
+        values = [m.values for m in action]
+        for s in group.generators:
             for g in group.elements():
-                gs = compose(action[s], action[g])
-                if gs.values != action[group.mul(g, s)].values:
+                if (tuple(map(values[g].__getitem__, values[s]))
+                        != values[group.mul(g, s)]):
                     raise ValueError("action is not a homomorphism")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "carrier", carrier)
@@ -155,8 +152,9 @@ class GSet(Value):
     @staticmethod
     def from_json(data) -> "GSet":
         group, carrier, action = _READ_GSET(data)
-        return GSet(group, carrier, [SetMap(carrier, carrier, values)
-                                     for values in action])
+        return GSet(group, carrier, [
+            read_set_map(carrier, carrier, values, f"action[{i}]")
+            for i, values in enumerate(action)])
 
 
 def equivariant_set_maps(x: GSet, y: GSet) -> list:
@@ -185,7 +183,7 @@ def fixed_coalgebra_morphisms(x: GSet, y: GSet) -> list:
         raise ValueError("G-sets over different groups")
     # a matrix fixed by the generators is fixed by every product of them
     actions = [(graph_matrix(y.act(g)), graph_matrix(x.act(g)).transpose())
-               for g in x.group.generating_set()]
+               for g in x.group.generators]
     return [c for c in solve_coalgebra_morphisms(x.carrier, y.carrier)
             if all(matmul(matmul(py, c.matrix), px_inv) == c.matrix
                    for py, px_inv in actions)]

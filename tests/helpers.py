@@ -474,7 +474,7 @@ def all_gset_actions(group: FiniteGroup, size: int) -> list:
     (size!)^(number of generators) candidate tuples.
     """
     carrier = FinSet(size)
-    gens = group.generating_set()
+    gens = group.generators
     if not gens:
         return [trivial_gset(group, carrier)]
     perms = [SetMap(carrier, carrier, p)
@@ -486,6 +486,15 @@ def all_gset_actions(group: FiniteGroup, size: int) -> list:
         except ValueError:
             continue
     return out
+
+
+def gset_payload(name: str, images) -> dict:
+    """The JSON of the packaged group `name` acting on {0, 1, 2}, with its
+    elements 1 and 2 acting by the permutations `images`."""
+    carrier = FinSet(3)
+    return gset_from_generator_images(
+        load_group(name), carrier, [1, 2],
+        [SetMap(carrier, carrier, p) for p in images]).to_json()
 
 
 def sub_gset(x: GSet, elements) -> GSet:

@@ -215,6 +215,34 @@ class TestAxiomChecker:
                                     comult) == message
 
 
+@st.composite
+def boundary_matrices(draw):
+    """(nx, ny, C): a graph whose columns are each kept or replaced by
+    one nonzero entry 2, -1 or 1/2, a zero column, or two nonzero
+    entries summing to 1, and then perhaps one entry changed."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = st.integers(0, ny - 1)
+    entries = [0] * (ny * nx)
+    for x in range(nx):
+        kind = draw(st.sampled_from(["graph", "single", "zero", "pair"]))
+        if kind == "pair" and ny > 1:
+            y1, y2 = draw(st.lists(rows, min_size=2, max_size=2,
+                                   unique=True))
+            v1, v2 = draw(st.sampled_from(
+                [(Fraction(1, 2), Fraction(1, 2)), (2, -1), (-1, 2)]))
+            entries[y1 * nx + x], entries[y2 * nx + x] = v1, v2
+        elif kind != "zero":
+            value = 1 if kind == "graph" else draw(
+                st.sampled_from([2, -1, Fraction(1, 2)]))
+            entries[draw(rows) * nx + x] = value
+    if draw(st.booleans()):
+        k = draw(st.integers(0, ny * nx - 1))
+        entries[k] = draw(st.sampled_from(
+            [0, 1, 2, -1, Fraction(1, 2)]).filter(
+                lambda v: v != entries[k]))
+    return nx, ny, QMatrix(ny, nx, entries)
+
+
 class TestMorphismChecking:
     def test_graph_passes(self):
         for f in all_maps(FinSet(3), FinSet(2)):
@@ -254,6 +282,15 @@ class TestMorphismChecking:
         x = artin_comonoid(FinSet(nx))
         y = artin_comonoid(FinSet(ny))
         assert x._canonical and y._canonical
+        assert (coalgebra_morphism_violations(c, x, y)
+                == dense_coalgebra_violations(c, x, y))
+
+    @settings(max_examples=600, deadline=None)
+    @given(boundary_matrices())
+    def test_entrywise_matches_dense_on_the_kernel_boundaries(self, case):
+        nx, ny, c = case
+        x = artin_comonoid(FinSet(nx))
+        y = artin_comonoid(FinSet(ny))
         assert (coalgebra_morphism_violations(c, x, y)
                 == dense_coalgebra_violations(c, x, y))
 

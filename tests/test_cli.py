@@ -481,6 +481,34 @@ class TestErrors:
             status, text = run_cli(["aut", "--diagram", str(path)])
             assert (status, text) == (2, f"error: {path}: {message}")
 
+    @pytest.mark.parametrize("values, fault", [
+        ([0, 1, 5], "value 5 out of range for cod of size 2"),
+        ([0, 1], "values length must equal dom.size"),
+    ])
+    def test_a_set_map_fault_names_the_map(self, tmp_path, values, fault):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"sets": [{"size": 3}, {"size": 2}],
+                                    "maps": [{"values": values}]}))
+        assert run_cli(["aut", "--diagram", str(path)]) == (
+            2, f"error: {path}: maps[0] is not a set map: {fault}")
+
+    @pytest.mark.parametrize("row, fault", [
+        ([0, 2], "value 2 out of range for cod of size 2"),
+        ([1], "values length must equal dom.size"),
+    ])
+    def test_a_set_map_fault_names_the_action_row(self, tmp_path, row,
+                                                  fault):
+        good = data_path("gset_c2_regular.json")
+        with open(good) as fh:
+            payload = json.load(fh)
+        payload["action"][1] = row
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(payload))
+        for argv in (["--x", str(path), "--y", good],
+                     ["--x", good, "--y", str(path)]):
+            assert run_cli(["galois-fixed", *argv]) == (
+                2, f"error: {path}: action[1] is not a set map: {fault}")
+
     @pytest.mark.parametrize("index_size", [40, 10 ** 9])
     def test_large_index_size_is_rejected_at_once(self, tmp_path,
                                                   index_size):

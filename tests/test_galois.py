@@ -91,11 +91,27 @@ class TestFiniteGroup:
         for a in g.elements():
             assert g.identity in g.table[a]
 
-    def test_generating_set(self):
-        g = load_group("c6")
-        gens = g.generating_set()
-        assert g.closure(gens) == set(range(6))
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_generating_set(self, name):
+        # the generators generate, and each is the first element outside
+        # the closure of those before it
+        g = load_group(name)
+        gens = g.generators
+        assert type(gens) is tuple
+        assert g.closure(gens) == set(g.elements())
+        for i, s in enumerate(gens):
+            closed = g.closure(gens[:i])
+            assert s == min(set(g.elements()) - closed)
         assert len(gens) <= 2
+
+    def test_generators_do_not_change_equality(self):
+        # the generators are read off the table, so equal tables give
+        # equal groups with equal hashes
+        a, b = load_group("s3"), FiniteGroup(load_group("s3").table)
+        assert a == b and hash(a) == hash(b) and a.generators == b.generators
+        assert load_group("c2").generators == (1,)
+        assert load_group("v4").generators == (1, 2)
+        assert FiniteGroup([[0]]).generators == ()
 
 
 SMALL_GROUPS = [cyclic_group(1)] + [load_group(n) for n in FIXTURE_NAMES]
@@ -129,8 +145,7 @@ def group_actions(draw, max_size: int = 4):
             values = draw(st.permutations(range(x.carrier.size)))
             action[g] = SetMap(x.carrier, x.carrier, values)
     elif others and kind == "coset":
-        cyclic = group.closure([draw(st.sampled_from(
-            group.generating_set()))])
+        cyclic = group.closure([draw(st.sampled_from(group.generators))])
         outside = [g for g in group.elements() if g not in cyclic]
         if outside:
             g = draw(st.sampled_from(outside))
@@ -159,6 +174,23 @@ class TestGSet:
         with pytest.raises(ValueError):
             GSet(c4, s, [ident, swap, swap, swap])
 
+    @pytest.mark.parametrize("values, message", [
+        # the one non-identity element folds two points, and its square
+        # is not the identity either
+        ([[0, 1], [0, 0]], "action maps must be bijective"),
+        # the identity swaps, and 1 * 1 = 0 acts as the swap, not as
+        # action[1] o action[1] = identity
+        ([[1, 0], [0, 1]], "identity must act trivially"),
+    ])
+    def test_the_first_failing_check_is_named(self, values, message):
+        c2 = load_group("c2")
+        s = FinSet(2)
+        action = [SetMap(s, s, v) for v in values]
+        assert not brute_is_homomorphism(c2, action)
+        with pytest.raises(ValueError) as info:
+            GSet(c2, s, action)
+        assert str(info.value) == message
+
     @settings(max_examples=400, deadline=None)
     @given(group_actions())
     def test_generator_check_agrees_with_every_pair(self, group_action):
@@ -171,6 +203,26 @@ class TestGSet:
         else:
             accepted = True
         assert accepted == brute_is_homomorphism(group, action)
+
+    def test_generators_are_not_found_again(self, monkeypatch):
+        # the group found them when it was built; G-sets over it and the
+        # fixedness check read them
+        group = load_group("s3")
+        calls = []
+        closure = FiniteGroup.closure
+
+        def counted(self, gens):
+            calls.append(gens)
+            return closure(self, gens)
+
+        monkeypatch.setattr(FiniteGroup, "closure", counted)
+        x = regular_gset(group)
+        two = FinSet(2)
+        # the sign: the transpositions 1, 2 and 5 swap the two points
+        y = GSet(group, two, [SetMap(two, two, [0, 1][::sign]) for sign in
+                              (1, -1, -1, 1, 1, -1)])
+        assert len(fixed_coalgebra_morphisms(x, y)) == 2
+        assert calls == []
 
     def test_large_cyclic_group_on_a_point_is_quick(self):
         group = cyclic_group(1000)

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from helpers import (ambient_cube_payload, empty_block_cube_payload,
-                     misshaped_empty_block_payload, square_cube_payload)
+                     gset_payload, misshaped_empty_block_payload,
+                     square_cube_payload)
 from motivic_kit import cli
 
 
@@ -69,6 +70,24 @@ GOLDEN = [
       "--y", "{data}/gset_c2_regular.json"], 0,
      "f470220575cab4f83af85898a5922a70c0301078df9fa9cfb183f92e6223d880",
      "04cc6b1ba24ee956d4f7fd8b210c6b6e2d3125130e25b22d1298ad832ce23c6f"),
+    (["galois-fixed", "--x", "v4_fixes_2.json", "--y", "v4_fixes_0.json"], 0,
+     "a89db39d2d3f2496adebffa74d5822211a518235a4afa73d75e1ea145e2d853d",
+     "d05bdcdd98b1aafdc332722fc9b099a00e268bec2ad92da763ae32eb0c7b3698"),
+    (["galois-fixed", "--x", "v4_fixes_2.json", "--y", "v4_fixes_2.json"], 0,
+     "fbf154a7eedf96f7c307f9cd4f151b3db113d6e194c40ed5f5c405fa8124af00",
+     "8196c63a533cc73552081455592fe2a2c769340e332a3f27857fdb156e742104"),
+    (["galois-fixed", "--x", "s3_transitive.json",
+      "--y", "s3_fixes_2.json"], 0,
+     "a89db39d2d3f2496adebffa74d5822211a518235a4afa73d75e1ea145e2d853d",
+     "d05bdcdd98b1aafdc332722fc9b099a00e268bec2ad92da763ae32eb0c7b3698"),
+    (["galois-fixed", "--x", "s3_fixes_2.json",
+      "--y", "s3_transitive.json"], 0,
+     "f470220575cab4f83af85898a5922a70c0301078df9fa9cfb183f92e6223d880",
+     "04cc6b1ba24ee956d4f7fd8b210c6b6e2d3125130e25b22d1298ad832ce23c6f"),
+    (["galois-fixed", "--x", "s3_transitive.json",
+      "--y", "s3_transitive.json"], 0,
+     "a89db39d2d3f2496adebffa74d5822211a518235a4afa73d75e1ea145e2d853d",
+     "d05bdcdd98b1aafdc332722fc9b099a00e268bec2ad92da763ae32eb0c7b3698"),
     (["hocolim", "--diagram", "{data}/cover_two_patches.json"], 0,
      "14480b4eaf79bac890df8c509ea079a67e3323778ef31cd9bd8212bf39e972b4",
      "9f42027923309d9b67d736c37f5a891865336cfc2085e772eeaf571c43356053"),
@@ -124,15 +143,22 @@ def ambient_cube(tmp_path) -> str:
 
 
 def write_relative_files(directory: Path):
-    """The cube files the golden argvs name relative to the working
-    directory: a square that does not commute, cubes with 0-row and
-    0-column blocks without and with an ambient, and one with an empty
-    block of the wrong shape."""
+    """The files the golden argvs name relative to the working directory:
+    a square that does not commute, cubes with 0-row and 0-column blocks
+    without and with an ambient, one with an empty block of the wrong
+    shape, and the two-generator groups V4 and S3 acting on 3 points.  V4
+    acts through a transposition, fixing 2 or fixing 0; S3 acts through
+    its sign, fixing 2, or transitively."""
     for name, payload in (
             ("square.json", square_cube_payload()),
             ("empty.json", empty_block_cube_payload(ambient=False)),
             ("empty_ambient.json", empty_block_cube_payload(ambient=True)),
-            ("misshaped.json", misshaped_empty_block_payload())):
+            ("misshaped.json", misshaped_empty_block_payload()),
+            ("v4_fixes_2.json", gset_payload("v4", [[1, 0, 2], [0, 1, 2]])),
+            ("v4_fixes_0.json", gset_payload("v4", [[0, 1, 2], [0, 2, 1]])),
+            ("s3_fixes_2.json", gset_payload("s3", [[1, 0, 2], [1, 0, 2]])),
+            ("s3_transitive.json",
+             gset_payload("s3", [[1, 0, 2], [0, 2, 1]]))):
         (directory / name).write_text(json.dumps(payload, sort_keys=True))
 
 

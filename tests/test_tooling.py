@@ -4,8 +4,9 @@ reader for outside JSON compiled only at import, no relabeling search on
 the census path, no construction that skips validation, no zero matrix
 built for an absent block, no dense product in the structure axioms, a
 CLI parser built only at import, one builder for the cube's total
-complexes, squares composed only when a cube is built, and no definition
-in the library that `cli.main` does not reach."""
+complexes, squares composed only when a cube is built, a group's
+generators found once, and no definition in the library that `cli.main`
+does not reach."""
 
 import ast
 import collections
@@ -199,6 +200,18 @@ def test_structure_axioms_are_checked_without_dense_products():
     assert reached > constructors  # and the helpers they call
     assert {callee for owner in reached
             for callee in calls[owner]}.isdisjoint({"kron", "matmul"})
+
+
+def test_a_groups_generators_are_found_once():
+    # a group finds its generating set by closure when it is built; a G-set
+    # checks its action law on value tuples, with no composite set map
+    closers = {(path.name, owner) for path in SOURCES
+               for owner, callee in calls_by_function(path)
+               if callee.split(".")[-1] == "closure"}
+    assert closers == {("galois.py", "FiniteGroup.__init__")}
+    [galois] = [p for p in SOURCES if p.name == "galois.py"]
+    assert {callee for owner, callee in calls_by_function(galois)
+            if owner == "GSet.__init__"}.isdisjoint({"compose", "SetMap"})
 
 
 def test_readers_are_compiled_only_at_import():
