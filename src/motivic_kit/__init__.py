@@ -13,7 +13,7 @@ checks.
 from .finsets import (FinSet, SetMap, FinDiagram, DiagramIso, PermGroup,
                       compose, canonical_form, automorphism_group,
                       automorphism_order)
-from .qlinalg import QMatrix, ChainComplex, matmul, kron, rank
+from .qlinalg import QMatrix, ChainComplex, matmul, rank
 from .artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
                     coalgebra_morphism_violations, solve_coalgebra_morphisms,
                     setmap_from_morphism, verify_mcffe)
@@ -31,7 +31,7 @@ __all__ = [
     "FinSet", "SetMap", "FinDiagram", "DiagramIso", "PermGroup",
     "compose", "canonical_form", "automorphism_group",
     "automorphism_order", "enumerate_diagrams",
-    "QMatrix", "ChainComplex", "matmul", "kron", "rank",
+    "QMatrix", "ChainComplex", "matmul", "rank",
     "ArtinComonoid", "CoalgMorphism", "artin_comonoid",
     "coalgebra_morphism_violations", "solve_coalgebra_morphisms",
     "setmap_from_morphism", "verify_mcffe",

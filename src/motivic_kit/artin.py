@@ -24,7 +24,7 @@ from itertools import compress
 
 from ._value import Value
 from .finsets import FinSet, SetMap, all_maps
-from .qlinalg import QMatrix, kron, matmul, tensor_index_map
+from .qlinalg import QMatrix, tensor_index_map
 
 
 def graph_matrix(f: SetMap) -> QMatrix:
@@ -43,16 +43,16 @@ def tensor_map_matrix(n: int, factors, t: int) -> QMatrix:
 
 
 class ArtinComonoid(Value):
-    """A finite set with a counit row and a comultiplication matrix.
+    """A finite set with its canonical counit row and comultiplication
+    matrix.
 
     Counitality, coassociativity and cocommutativity are checked exactly
-    at construction, on the nonzero terms of the comultiplication;
-    non-canonical structures satisfying them are allowed.  Whether the
-    structure is the canonical one of the carrier is read from the same
-    terms, and selects the morphism checker.
+    at construction, on the nonzero terms of the comultiplication, and
+    then that the structure is the canonical one of the carrier: no other
+    structure is accepted.
     """
 
-    __slots__ = ("carrier", "counit", "comult", "_canonical")
+    __slots__ = ("carrier", "counit", "comult")
 
     def __init__(self, carrier: FinSet, counit: QMatrix, comult: QMatrix):
         n = carrier.size
@@ -60,11 +60,10 @@ class ArtinComonoid(Value):
             raise ValueError("counit must be 1 x |X|")
         if comult.rows != n * n or comult.cols != n:
             raise ValueError("comult must be |X|^2 x |X|")
-        canonical = _check_axioms(counit, comult, n)
+        _check_axioms(counit, comult, n)
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "counit", counit)
         object.__setattr__(self, "comult", comult)
-        object.__setattr__(self, "_canonical", canonical)
 
     @property
     def size(self) -> int:
@@ -74,15 +73,16 @@ class ArtinComonoid(Value):
         return f"ArtinComonoid(|X|={self.size})"
 
 
-def _check_axioms(counit: QMatrix, comult: QMatrix, n: int) -> bool:
-    """Check a counit and comultiplication on a set of size n exactly, and
-    say whether they are the canonical ones.
+def _check_axioms(counit: QMatrix, comult: QMatrix, n: int) -> None:
+    """Check exactly that a counit and comultiplication on a set of size n
+    are the canonical ones.
 
     The nonzero entries are read once as Delta(x) = sum v (a, b), and the
     four axioms compared as sums over those terms, in order: (eps (x) 1)
     Delta(x) = x, (1 (x) eps) Delta(x) = x, sum v Delta(a) (x) b = sum v
-    a (x) Delta(b), and the coefficient of (a, b) equals that of (b, a).
-    The first that fails raises ValueError naming it.
+    a (x) Delta(b), and the coefficient of (a, b) equals that of (b, a);
+    then eps = (1, ..., 1) and Delta(x) = (x, x).  The first that fails
+    raises ValueError naming it.
     """
     eps = counit.entries
     first = tensor_index_map(n, (0,), 2)
@@ -114,8 +114,9 @@ def _check_axioms(counit: QMatrix, comult: QMatrix, n: int) -> bool:
     if any(terms.get((b, a), 0) != v
            for terms in delta for (a, b), v in terms.items()):
         raise ValueError("cocommutativity fails")
-    return (all(v == 1 for v in eps)
-            and all(terms == {(x, x): 1} for x, terms in enumerate(delta)))
+    if not (all(v == 1 for v in eps)
+            and all(terms == {(x, x): 1} for x, terms in enumerate(delta))):
+        raise ValueError("structure is not the canonical one of its carrier")
 
 
 def counit_matrix(n: int) -> QMatrix:
@@ -143,19 +144,14 @@ def coalgebra_morphism_violations(c: QMatrix, x: ArtinComonoid,
     classified by the row block, "(delta1)" on diagonal rows (y, y) and
     "(delta2)" off the diagonal.  The names come in that order.
 
-    When both structures are canonical the squares are checked through
+    Both structures are canonical, so the squares are checked through
     their entrywise form from the module docstring: every column of C sums
     to 1 (eps), C[y, x]^2 = C[y, x] (delta1), and C[y', x] C[y'', x] = 0
-    for y' != y'' (delta2).  Any other structure is checked through the
-    dense products kron(C, C) comult_X = comult_Y C and counit_Y C =
-    counit_X, since the entrywise form holds only for the canonical ones.
+    for y' != y'' (delta2).
     """
     if c.rows != y.size or c.cols != x.size:
         raise ValueError(f"morphism matrix must be {y.size} x {x.size}")
-    if x._canonical and y._canonical:
-        failed = _entrywise_failures(c)
-    else:
-        failed = _dense_failures(c, x, y)
+    failed = _entrywise_failures(c)
     return [name for name, bad in zip(("(eps)", "(delta1)", "(delta2)"), failed)
             if bad]
 
@@ -174,17 +170,6 @@ def _entrywise_failures(c: QMatrix) -> tuple:
         counts[x] += 1
         delta1 = delta1 or v != 1
     return sums.count(1) != n, delta1, max(counts, default=0) > 1
-
-
-def _dense_failures(c: QMatrix, x: ArtinComonoid, y: ArtinComonoid) -> tuple:
-    """(eps, delta1, delta2) failures, read off the dense products."""
-    eps = matmul(y.counit, c) != x.counit
-    lhs = matmul(kron(c, c), x.comult)
-    rhs = matmul(y.comult, c)
-    diagonal = set(tensor_index_map(y.size, (0, 0), 1))
-    bad = [r for r in range(lhs.rows) if lhs.row(r) != rhs.row(r)]
-    return (eps, any(r in diagonal for r in bad),
-            any(r not in diagonal for r in bad))
 
 
 class CoalgMorphism(Value):

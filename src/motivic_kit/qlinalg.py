@@ -9,10 +9,10 @@ plain integers.  There is no floating point anywhere: elimination divides
 only by a `Fraction`, and a pivot of +-1 needs no division.  Storage is
 dense row-major, elimination uses the first nonzero pivot, and all outputs
 are reproducible.
-The products (`product_terms`, `matmul` built on it, and `kron`) visit
-only the nonzero entries of their factors, since the structure matrices
-of finite sets are mostly zeros; `matmul` and `kron` store their results
-densely, zeros included.
+The products, `product_terms` and `matmul` built on it, visit only the
+nonzero entries of their factors, since the structure matrices of finite
+sets are mostly zeros; `matmul` stores its result densely, zeros
+included.
 """
 
 from __future__ import annotations
@@ -140,29 +140,6 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(a.rows, b.cols, out)
 
 
-def kron(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Kronecker (tensor) product of matrices.
-
-    Index convention: row (s', t') of the result is flattened as
-    s'*b.rows + t', and likewise for columns, so the left factor owns the
-    most significant digit.  Only products of two nonzero entries are
-    written; every other entry is zero.
-    """
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [0] * (rows * cols)
-    b_nonzero = [(p * cols + q, y) for p in range(b.rows) for q in range(b.cols)
-                 if (y := b.entries[p * b.cols + q])]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.entries[i * a.cols + j]
-            if x:
-                base = i * b.rows * cols + j * b.cols
-                for offset, y in b_nonzero:
-                    out[base + offset] = x * y
-    return QMatrix(rows, cols, out)
-
-
 def tensor_index_map(n: int, factors, t: int) -> list:
     """Index map X^(x)t -> X^(x)s of a map of tensor factors, dim X = n.
 
@@ -171,8 +148,8 @@ def tensor_index_map(n: int, factors, t: int) -> list:
     (x_0, ..., x_{t-1}) goes to the one indexed by (x_sigma(0), ...,
     x_sigma(s-1)).  A permutation reorders the factors (source factor
     sigma(j) lands in position j) and a constant map gives the diagonal.
-    Indices are flattened as in `kron`, the first factor the most
-    significant digit; no other function splits or joins tensor indices.
+    Indices are flattened with the first factor the most significant
+    digit; no other function splits or joins tensor indices.
     """
     weights = [n ** (t - 1 - j) for j in range(t)]
     out = []

