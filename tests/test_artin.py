@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (comonoid_structures, dense_coalgebra_violations,
-                     dense_comonoid_failures, dual_structure, identity_matrix,
+                     dense_comonoid_failures, dense_inverse, dual_structure,
+                     identity_matrix,
                      kron_power, monoid_morphism_violations,
                      morphism_from_setmap, qmatrices, random_qmatrix,
                      schoolbook_kron, swap_matrix, tuple_index_matrix,
@@ -46,6 +47,22 @@ class TestTensorIndexMap:
         for n in range(1, 4):
             assert swap_matrix(n) == tuple_index_matrix(n, (1, 0), 2)
             assert comult_matrix(n) == tuple_index_matrix(n, (0, 0), 1)
+
+    def test_kron_of_graphs_is_the_product_map(self):
+        # the dense oracles' Kronecker product flattens pairs as
+        # `tensor_index_map` does: graph(f) (x) graph(g) is a graph whose
+        # two factor projections are f and g
+        for n in range(1, 4):
+            x = FinSet(n)
+            square = artin_comonoid(FinSet(n * n))
+            first = tensor_map_matrix(n, (0,), 2)
+            second = tensor_map_matrix(n, (1,), 2)
+            graphs = [graph_matrix(f) for f in all_maps(x, x)]
+            for a, b in itertools.product(graphs, repeat=2):
+                k = schoolbook_kron(a, b)
+                assert coalgebra_morphism_violations(k, square, square) == []
+                assert matmul(first, k) == matmul(a, first)
+                assert matmul(second, k) == matmul(b, second)
 
 
 def factor_maps(t: int, s: int):
@@ -148,6 +165,30 @@ class TestCanonicalStructures:
         assert dense_comonoid_failures(counit, comult) == []
         assert construction_failure(ArtinComonoid, FinSet(2), counit,
                                     comult) == NOT_CANONICAL
+
+    @pytest.mark.parametrize("n, values", [(2, (-1, 0, 1, 2)), (3, (0, 1))])
+    def test_conjugates_accepted_exactly_by_permutations(self, n, values):
+        # every conjugate of the canonical structure by an invertible
+        # matrix passes the four axioms; it is the canonical structure
+        # again exactly when the matrix is a comonoid automorphism, that
+        # is, a permutation matrix, and otherwise the constructor names
+        # the canonicity fault
+        c = artin_comonoid(FinSet(n))
+        permutations = {graph_matrix(SetMap(FinSet(n), FinSet(n), p))
+                        for p in itertools.permutations(range(n))}
+        seen = 0
+        for entries in itertools.product(values, repeat=n * n):
+            a = QMatrix(n, n, list(entries))
+            a_inv = dense_inverse(a)
+            if a_inv is None:
+                continue
+            seen += 1
+            counit = matmul(c.counit, a_inv)
+            comult = matmul(matmul(schoolbook_kron(a, a), c.comult), a_inv)
+            expected = None if a in permutations else NOT_CANONICAL
+            assert construction_failure(ArtinComonoid, FinSet(n), counit,
+                                        comult) == expected, a
+        assert seen > len(permutations)
 
 
 def comult_from_terms(n: int, delta) -> QMatrix:
