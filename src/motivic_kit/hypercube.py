@@ -47,7 +47,7 @@ class ChainMap(Value):
         for q, m in zip(map(int, blocks), blocks.values()):
             if m.rows != target.dim(q) or m.cols != source.dim(q):
                 raise ValueError(f"block {q} has wrong shape")
-            if any(m.entries):
+            if m.terms:
                 kept[q] = m
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -75,17 +75,16 @@ class CubeDiagram(Value):
     """A cube diagram of chain complexes on an index set.
 
     One complex per nonempty subset of {0..index_size-1} and, if the cube
-    has an ambient, one at the empty subset; one chain map per one-step
-    inclusion between vertices, directed from the larger subset to the
-    smaller.  The cube builds its total complex, `total`, once, and that
+    has an ambient, one at the empty subset, keyed by frozenset; one chain
+    map per one-step inclusion between vertices, keyed (larger, smaller)
+    and directed that way.  The cube builds its total complex, `total`, once, and that
     complex's d o d = 0 check verifies every square exactly.
     """
 
     __slots__ = ("index_size", "vertices", "edges", "total")
 
     def __init__(self, index_size: int, vertices, edges):
-        vertices = {frozenset(s): c for s, c in vertices.items()}
-        edges = {(frozenset(b), frozenset(s)): m for (b, s), m in edges.items()}
+        vertices, edges = dict(vertices), dict(edges)
         # as many distinct subsets of the index range as there are nonempty
         # ones (or subsets, with the empty one): compare the counts first,
         # 2^index_size may be out of reach
@@ -100,7 +99,12 @@ class CubeDiagram(Value):
                     or m.target != vertices.get(small)):
                 raise ValueError(f"edge {sorted(big)}->{sorted(small)} has "
                                  "wrong endpoints")
-        for big in vertices:
+        # the given edges are distinct one-step inclusions between vertices;
+        # a full cube has one per element of a vertex, but none out of a
+        # singleton when there is no empty vertex: walk only on a shortfall
+        inclusions = sum(map(len, vertices)) - index_size * (
+            frozenset() not in vertices)
+        for big in vertices if len(edges) < inclusions else ():
             for s in big:
                 small = big - {s}
                 if small in vertices and (big, small) not in edges:
@@ -186,13 +190,13 @@ def _edges(members: dict, ends, name: str, vertices) -> dict:
     return out
 
 
-def _add_block(entries: list, cols: int, block: QMatrix, r0: int, c0: int,
+def _add_block(terms: dict, cols: int, block: QMatrix, r0: int, c0: int,
                sign: int):
-    """Add sign * block into a row-major entry list at row r0, column c0."""
-    for k in itertools.compress(range(len(block.entries)), block.entries):
+    """Add sign * block into a dict of row-major terms at row r0, column c0."""
+    for k, v in block.terms:
         i, j = divmod(k, block.cols)
-        v = block.entries[k]
-        entries[(r0 + i) * cols + c0 + j] += v if sign == 1 else -v
+        k = (r0 + i) * cols + c0 + j
+        terms[k] = terms.get(k, 0) + (v if sign == 1 else -v)
 
 
 def _total_complex(vertices, edges) -> ChainComplex:
@@ -228,11 +232,10 @@ def _total_complex(vertices, edges) -> ChainComplex:
                 (block, offsets[(small, q)], offsets[(big, q)], sign))
     diffs = {}
     for m, blocks in placed.items():
-        rows, cols = dims[m - 1], dims[m]
-        entries = [0] * (rows * cols)
+        terms = {}
         for block, r0, c0, sign in blocks:
-            _add_block(entries, cols, block, r0, c0, sign)
-        diffs[m] = QMatrix(rows, cols, entries)
+            _add_block(terms, dims[m], block, r0, c0, sign)
+        diffs[m] = QMatrix(dims[m - 1], dims[m], terms)
     try:
         return ChainComplex(lo, hi, dims, diffs)
     except ValueError:  # d o d != 0

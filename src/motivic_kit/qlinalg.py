@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: dense matrices, their products and
+"""Exact rational linear algebra: sparse matrices, their products and
 ranks, and bounded chain complexes with their homology.
 
 Entries are exact rationals in one normal form: an `int` when integral, a
@@ -6,19 +6,18 @@ fully reduced `fractions.Fraction` otherwise.  The two compare, hash and
 print alike, so the form does not show in equality or output, but the 0/1
 and 0/+-1 matrices of finite sets are multiplied, added and eliminated in
 plain integers.  There is no floating point anywhere: elimination divides
-only by a `Fraction`, and a pivot of +-1 needs no division.  Storage is
-dense row-major, elimination uses the first nonzero pivot, and all outputs
-are reproducible.
-The products, `product_terms` and `matmul` built on it, visit only the
-nonzero entries of their factors, since the structure matrices of finite
-sets are mostly zeros; `matmul` stores its result densely, zeros
-included.
+only by a `Fraction`, and a pivot of +-1 needs no division.
+A matrix stores only its nonzero entries, since the structure matrices
+of finite sets are mostly zeros: an absent entry is zero.  The products,
+`product_terms` and `matmul` built on it, and the elimination in `rank`
+visit only those entries; elimination uses the first nonzero pivot, and
+all outputs are reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from operator import itemgetter
 
 from ._value import InputError, Value, compile_reader, degree_key, show
 
@@ -38,40 +37,49 @@ def _frac(x):
 
 
 class QMatrix(Value):
-    """An exact rational matrix, stored row-major."""
+    """An exact rational matrix: its shape and its nonzero `terms`, the
+    (row-major index i * cols + j, value) pairs in index order.  It is
+    built from the dense row-major `entries` or from a dict of its terms
+    by index; both are checked alike, and their zeros dropped."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "terms")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if entries and not set(map(type, entries)) <= {int}:
-            entries = tuple(map(_frac, entries))
+        dense = type(entries) is not dict
+        values = tuple(entries) if dense else entries.values()
+        if values and not set(map(type, values)) <= {int}:
+            values = tuple(map(_frac, values))
+            if not dense:
+                entries = dict(zip(entries, values))
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(entries) != rows * cols:
+        if dense and len(values) != rows * cols:
             raise ValueError("entry count does not match shape")
+        terms = enumerate(values) if dense else sorted(entries.items())
+        if not dense and terms and not (
+                0 <= terms[0][0] <= terms[-1][0] < rows * cols):
+            raise ValueError("term index out of range")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "terms", tuple(filter(itemgetter(1), terms)))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(ij)
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+    @property
+    def entries(self) -> tuple:
+        """The dense row-major entries, zeros included."""
+        out = [0] * (self.rows * self.cols)
+        for k, v in self.terms:
+            out[k] = v
+        return tuple(out)
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in self.row(i))
+        e, n = self.entries, self.cols
+        body = "; ".join(" ".join(map(str, e[i * n:(i + 1) * n]))
                          for i in range(self.rows))
         return f"QMatrix({self.rows}x{self.cols}: {body})"
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       (self.entries[i * self.cols + j]
-                        for j in range(self.cols) for i in range(self.rows)))
+        r, c = self.rows, self.cols
+        return QMatrix(c, r, {k % c * r + k // c: v for k, v in self.terms})
 
     def to_json(self):
         return {"rows": self.rows, "cols": self.cols,
@@ -115,29 +123,26 @@ def product_terms(a: QMatrix, b: QMatrix) -> dict:
     entries of row t of b.  Products of one shape are equal iff these are."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    if not (a.entries and b.entries):
+    if not (a.terms and b.terms):
         return {}
     n, m = a.cols, b.cols
     b_rows = {}  # t -> the nonzero (j, b[t, j])
-    for k in compress(range(len(b.entries)), b.entries):
+    for k, y in b.terms:
         t, j = divmod(k, m)
-        b_rows.setdefault(t, []).append((j, b.entries[k]))
+        b_rows.setdefault(t, []).append((j, y))
     out = {}
-    for k in compress(range(len(a.entries)), a.entries):
+    for k, x in a.terms:
         i, t = divmod(k, n)
         if t in b_rows:
-            x, base = a.entries[k], i * m
+            base = i * m
             for j, y in b_rows[t]:
                 out[base + j] = out.get(base + j, 0) + x * y
     return {k: v for k, v in out.items() if v}
 
 
 def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Exact matrix product, stored densely; requires a.cols = b.rows."""
-    out = [0] * (a.rows * b.cols)
-    for k, v in product_terms(a, b).items():
-        out[k] = v
-    return QMatrix(a.rows, b.cols, out)
+    """Exact matrix product; requires a.cols = b.rows."""
+    return QMatrix(a.rows, b.cols, product_terms(a, b))
 
 
 def tensor_index_map(n: int, factors, t: int) -> list:
@@ -161,40 +166,39 @@ def tensor_index_map(n: int, factors, t: int) -> list:
     return out
 
 
-def _row_echelon(a: QMatrix):
-    """Row echelon form (first-nonzero pivoting); returns (rows, pivot columns)."""
-    m = [list(a.row(i)) for i in range(a.rows)]
-    pivots = []
-    r = 0
-    for c in range(a.cols):
-        pivot_row = None
-        for i in range(r, a.rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        if pv == -1:
-            m[r] = [-x for x in m[r]]
-        elif pv != 1:
-            # Fraction, not the pivot itself: int / int would be a float
-            pv = Fraction(pv)
-            m[r] = [x / pv for x in m[r]]
-        for i in range(a.rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == a.rows:
-            break
-    return m, pivots
+def _echelon_rows(a: QMatrix) -> dict:
+    """Gaussian elimination on the rows of a as dicts of their nonzero
+    entries: each row is reduced by the rows kept before it, and kept, as
+    {its first nonzero column: the row divided by that pivot}, if any entry
+    is left.  Only a pivot other than +-1 divides, by a `Fraction`."""
+    rows = {}
+    for k, v in a.terms:
+        i, j = divmod(k, a.cols)
+        rows.setdefault(i, {})[j] = v
+    kept = {}
+    for row in rows.values():
+        while row and (c := min(row)) in kept:
+            f = row[c]
+            for j, y in kept[c].items():
+                v = row.get(j, 0) - f * y
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        if row:
+            pv = row[c]
+            if pv == -1:
+                row = {j: -v for j, v in row.items()}
+            elif pv != 1:
+                # Fraction, not the pivot itself: int / int would be a float
+                pv = Fraction(pv)
+                row = {j: v / pv for j, v in row.items()}
+            kept[c] = row
+    return kept
 
 
 def rank(a: QMatrix) -> int:
-    return len(_row_echelon(a)[1])
+    return len(_echelon_rows(a))
 
 
 class ChainComplex(Value):
@@ -226,7 +230,7 @@ class ChainComplex(Value):
                 raise ValueError(f"differential {n} outside degree range")
             if d.rows != dims[n - 1] or d.cols != dims[n]:
                 raise ValueError(f"differential {n} has wrong shape")
-            if any(d.entries):
+            if d.terms:
                 kept[n] = d
         for n, d in kept.items():
             if n - 1 in kept and product_terms(kept[n - 1], d):

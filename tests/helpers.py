@@ -16,7 +16,7 @@ from motivic_kit.artin import (CoalgMorphism, artin_comonoid, graph_matrix,
 from motivic_kit.finsets import FinDiagram, FinSet, SetMap, all_maps, compose
 from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import ChainMap, CubeDiagram
-from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul, rank,
+from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex)
 
 
@@ -29,15 +29,22 @@ def identity_matrix(n: int) -> QMatrix:
                           for i in range(n) for j in range(n)])
 
 
+def dense_rows(m: QMatrix) -> list:
+    """The rows of m with their zeros, cut from the dense `entries`."""
+    e = m.entries
+    return [e[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+
+
 def schoolbook_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     """Triple-loop product, independent of the library routine."""
     assert a.cols == b.rows
+    ra, rb = dense_rows(a), dense_rows(b)
     out = []
     for i in range(a.rows):
         for j in range(b.cols):
             acc = Fraction(0)
             for t in range(a.cols):
-                acc += a[i, t] * b[t, j]
+                acc += ra[i][t] * rb[t][j]
             out.append(acc)
     return QMatrix(a.rows, b.cols, out)
 
@@ -55,11 +62,11 @@ def dense_at(value, n: int) -> QMatrix:
 
 def dense_homology(c: ChainComplex) -> dict:
     """dim H_n = nullity(d_n) - rank(d_{n+1}), on the zero-filled
-    differentials, with nullity = cols - rank: the oracle of
-    `homology_dims`, which subtracts the ranks of the stored differentials
-    from the dimension instead."""
-    return {n: dense_at(c, n).cols - rank(dense_at(c, n))
-            - rank(dense_at(c, n + 1)) for n in range(c.lo, c.hi + 1)}
+    differentials, with nullity = cols - rank and each rank counted by
+    `dense_rank`: the oracle of `homology_dims`, which subtracts the ranks
+    of the stored differentials from the dimension instead."""
+    return {n: dense_at(c, n).cols - dense_rank(dense_at(c, n))
+            - dense_rank(dense_at(c, n + 1)) for n in range(c.lo, c.hi + 1)}
 
 
 def schoolbook_composite(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -79,7 +86,8 @@ def schoolbook_kron(a: QMatrix, b: QMatrix) -> QMatrix:
     Entry ((i, p), (j, q)) is a[i, j] * b[p, q], with the left factor's
     index as the more significant digit.
     """
-    entries = [a[i, j] * b[p, q]
+    ra, rb = dense_rows(a), dense_rows(b)
+    entries = [ra[i][j] * rb[p][q]
                for i in range(a.rows) for p in range(b.rows)
                for j in range(a.cols) for q in range(b.cols)]
     return QMatrix(a.rows * b.rows, a.cols * b.cols, entries)
@@ -92,7 +100,7 @@ def dense_row_echelon(a: QMatrix):
     by its pivot, with no integer or unit-pivot shortcut; returns (rows,
     pivot columns) as the library's elimination does.
     """
-    m = [[Fraction(x) for x in a.row(i)] for i in range(a.rows)]
+    m = [[Fraction(x) for x in row] for row in dense_rows(a)]
     pivots = []
     r = 0
     for c in range(a.cols):
@@ -111,6 +119,11 @@ def dense_row_echelon(a: QMatrix):
         if r == a.rows:
             break
     return m, pivots
+
+
+def dense_rank(a: QMatrix) -> int:
+    """The number of pivots `dense_row_echelon` finds."""
+    return len(dense_row_echelon(a)[1])
 
 
 def dense_kernel_basis(a: QMatrix) -> QMatrix:
@@ -163,7 +176,8 @@ def dense_coalgebra_violations(c: QMatrix, x, y) -> list:
     lhs = matmul(schoolbook_kron(c, c), x.comult)
     rhs = matmul(y.comult, c)
     ny = y.size
-    bad = [r for r in range(ny * ny) if lhs.row(r) != rhs.row(r)]
+    bad = [r for r, (u, v) in enumerate(zip(dense_rows(lhs), dense_rows(rhs)))
+           if u != v]
     if any(r // ny == r % ny for r in bad):
         violations.append("(delta1)")
     if any(r // ny != r % ny for r in bad):
@@ -212,7 +226,8 @@ def monoid_morphism_violations(m: QMatrix, source, target) -> list:
         violations.append("(eta)")
     lhs = matmul(m, mult_x).transpose()
     rhs = matmul(mult_y, schoolbook_kron(m, m)).transpose()
-    bad = [c for c in range(nx * nx) if lhs.row(c) != rhs.row(c)]
+    bad = [c for c, (u, v) in enumerate(zip(dense_rows(lhs), dense_rows(rhs)))
+           if u != v]
     if any(c // nx == c % nx for c in bad):
         violations.append("(mu1)")
     if any(c // nx != c % nx for c in bad):
@@ -266,8 +281,9 @@ def dense_inverse(p: QMatrix):
     """The exact inverse of a square matrix by Gauss-Jordan on [P | I], or
     None when P is singular."""
     n, ident = p.rows, identity_matrix(p.rows)
-    augmented = QMatrix(n, 2 * n, [x for i in range(n)
-                                   for x in p.row(i) + ident.row(i)])
+    augmented = QMatrix(n, 2 * n, [x for u, v in zip(dense_rows(p),
+                                                     dense_rows(ident))
+                                   for x in u + v])
     m, pivots = dense_row_echelon(augmented)
     if pivots[:n] != list(range(n)):
         return None
@@ -748,8 +764,8 @@ def cube_subsets(d) -> list:
 
 def _place(entries: list, cols: int, block: QMatrix, r0: int, c0: int,
            sign: int = 1):
-    for i in range(block.rows):
-        for j, v in enumerate(block.row(i)):
+    for i, row in enumerate(dense_rows(block)):
+        for j, v in enumerate(row):
             entries[(r0 + i) * cols + c0 + j] += sign * v
 
 
@@ -902,8 +918,9 @@ def simplex_complex_homology(vertex_count: int) -> dict:
                 entries[i * cols + j] = (-1) ** omit
         boundaries[p] = QMatrix(rows, cols, entries)
     for p in range(vertex_count):
-        null_p = len(subsets[p]) - (rank(boundaries[p]) if p else 0)
-        rank_next = rank(boundaries[p + 1]) if p + 1 < vertex_count else 0
+        null_p = len(subsets[p]) - (dense_rank(boundaries[p]) if p else 0)
+        rank_next = (dense_rank(boundaries[p + 1]) if p + 1 < vertex_count
+                     else 0)
         homology[p] = null_p - rank_next
     return homology
 

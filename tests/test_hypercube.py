@@ -683,7 +683,7 @@ class TestReadWork:
         init, subset = QMatrix.__init__, hypercube._subset
 
         def counted_init(self, rows, cols, entries):
-            entries = tuple(entries)
+            # a dense list, or a dict of terms for a built total complex
             built[rows, cols] += not entries
             init(self, rows, cols, entries)
 

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (dense_homology, dense_kernel_basis, dense_row_echelon,
+from helpers import (dense_homology, dense_kernel_basis, dense_rank,
+                     dense_row_echelon, dense_rows,
                      identity_matrix, integer_entries, is_normal_form,
                      kron_power, mixed_rationals, qmatrices, random_qmatrix,
                      schoolbook_kron, schoolbook_matmul, sparse_rationals,
@@ -13,7 +14,7 @@ from helpers import (dense_homology, dense_kernel_basis, dense_row_echelon,
 from motivic_kit import qlinalg
 from motivic_kit._value import InputError, show
 from motivic_kit.qlinalg import (_READ_ENTRIES, ChainComplex, QMatrix,
-                                 _entries, _row_echelon, matmul,
+                                 _echelon_rows, _entries, matmul,
                                  product_terms, rank, single_degree_complex)
 
 
@@ -56,6 +57,70 @@ class TestQMatrix:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 QMatrix.from_json({"rows": rows, "cols": cols, "entries": []})
         assert (rows, cols) not in qlinalg._EMPTY
+
+
+exact_values = st.one_of(sparse_rationals, mixed_rationals)
+dense_records = st.tuples(st.integers(0, 5), st.integers(0, 6)).flatmap(
+    lambda s: st.tuples(st.just(s[0]), st.just(s[1]), st.lists(
+        exact_values, min_size=s[0] * s[1], max_size=s[0] * s[1])))
+
+
+class TestTerms:
+    """A matrix is its nonzero terms, built alike from a dense list or a
+    dict of terms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_records)
+    @example((0, 4, []))
+    @example((3, 0, []))
+    def test_dense_and_terms_forms_are_one_value(self, record):
+        rows, cols, dense = record
+        nonzero = {k: v for k, v in enumerate(dense) if v}
+        every = dict(reversed(list(enumerate(dense))))  # zeros, unsorted
+        a = QMatrix(rows, cols, dense)
+        for b in (QMatrix(rows, cols, nonzero), QMatrix(rows, cols, every)):
+            assert a == b and hash(a) == hash(b)
+            assert a.entries == b.entries == tuple(map(Fraction, dense))
+            assert a.to_json() == b.to_json()
+        assert [k for k, _ in a.terms] == sorted(nonzero)
+        assert all(v for _, v in a.terms) and is_normal_form(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_records)
+    @example((0, 4, []))
+    @example((3, 0, []))
+    def test_transpose_and_rank_match_the_dense_oracles(self, record):
+        a = QMatrix(*record)
+        rows = dense_rows(a)
+        assert a.transpose() == QMatrix(a.cols, a.rows, [
+            rows[i][j] for j in range(a.cols) for i in range(a.rows)])
+        assert a.transpose().transpose() == a
+        assert rank(a) == dense_rank(a) == rank(a.transpose())
+
+    @pytest.mark.parametrize("terms", [{4: 1}, {-1: 2}, {0: 1, 9: "1/2"}])
+    def test_a_term_index_out_of_range_is_refused(self, terms):
+        with pytest.raises(ValueError, match="^term index out of range$"):
+            QMatrix(2, 2, terms)
+
+    @pytest.mark.parametrize("entries", [[0.0, 1], [1, 0.5], {0: 0.0},
+                                         {1: 2.5}])
+    def test_a_float_is_refused_in_either_form(self, entries):
+        # a float zero too, although it would be dropped
+        with pytest.raises(TypeError, match="^not an exact rational: "):
+            QMatrix(1, 2, entries)
+
+    @pytest.mark.parametrize("rows, cols, entries, error, message", [
+        (2, 2, [1, 2, 3], ValueError, "entry count does not match shape"),
+        (1, 2, [], ValueError, "entry count does not match shape"),
+        (-1, 2, [], ValueError, "negative matrix dimensions"),
+        (2, -1, {}, ValueError, "negative matrix dimensions"),
+        (-1, 2, [0.0], TypeError, r"not an exact rational: 0\.0"),
+        (2, 2, [1, "1/0"], ZeroDivisionError, None)])
+    def test_the_first_fault_is_named_as_before(self, rows, cols, entries,
+                                                error, message):
+        # normal form first, then the sign of the shape, then its size
+        with pytest.raises(error, match=message and f"^{message}$"):
+            QMatrix(rows, cols, entries)
 
 
 class TestNormalForm:
@@ -296,9 +361,9 @@ class TestKernelRank:
         assert rank(a) == len(dense_row_echelon(a)[1])
 
     def test_non_unit_pivot_divides_exactly(self):
-        rows, pivots = _row_echelon(QMatrix(1, 2, [2, 1]))
-        assert pivots == [0] and rows == [[1, Fraction(1, 2)]]
-        assert not any(isinstance(x, float) for x in rows[0])
+        rows = _echelon_rows(QMatrix(1, 2, [2, 1]))
+        assert rows == {0: {0: 1, 1: Fraction(1, 2)}}
+        assert not any(isinstance(x, float) for x in rows[0].values())
 
     def test_unit_pivots_stay_integers(self):
         # the incidence matrix of the complete directed graph on 5 vertices
@@ -306,9 +371,10 @@ class TestKernelRank:
         edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
         d = QMatrix(5, len(edges), [(v == j) - (v == i) for v in range(5)
                                     for i, j in edges])
-        rows, pivots = _row_echelon(d)
-        assert len(pivots) == 4
-        assert all(type(x) is int for row in rows for x in row)
+        rows = _echelon_rows(d)
+        assert len(rows) == 4
+        assert all(type(x) is int for row in rows.values()
+                   for x in row.values())
 
     def test_empty_shapes(self):
         assert rank(zero_matrix(0, 3)) == 0

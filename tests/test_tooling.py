@@ -5,8 +5,9 @@ the census path, no construction that skips validation, no zero matrix
 built for an absent block, no dense product in the comonoid layer, a
 CLI parser built only at import, one builder for the cube's total
 complexes, squares composed only when a cube is built, a group's
-generators found once, and no definition in the library that `cli.main`
-does not reach."""
+generators found once, no list of zeros sized by two dimensions outside
+the dense view of a matrix, and no definition in the library that
+`cli.main` does not reach."""
 
 import ast
 import collections
@@ -138,9 +139,9 @@ def test_census_path_has_no_permutation_search():
     assert calls == set()
 
 
-def calls_by_function(path: Path):
-    """(enclosing 'Class.function' or 'function' or None, unparsed callee)
-    for every call in a source file."""
+def nodes_by_function(path: Path):
+    """(enclosing 'Class.function' or 'function' or None, node) for every
+    node of a source file."""
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             inner = owner
@@ -148,10 +149,17 @@ def calls_by_function(path: Path):
                 inner = child.name
             elif isinstance(child, ast.FunctionDef):
                 inner = f"{owner}.{child.name}" if owner else child.name
-            if isinstance(child, ast.Call):
-                yield inner, ast.unparse(child.func)
+            yield inner, child
             yield from visit(child, inner)
     yield from visit(ast.parse(path.read_text(), str(path)), None)
+
+
+def calls_by_function(path: Path):
+    """(enclosing 'Class.function' or 'function' or None, unparsed callee)
+    for every call in a source file."""
+    for owner, node in nodes_by_function(path):
+        if isinstance(node, ast.Call):
+            yield owner, ast.unparse(node.func)
 
 
 def test_no_construction_skips_validation():
@@ -179,6 +187,23 @@ def test_no_zero_matrix_stands_for_an_absent_block():
              for owner, callee in calls_by_function(path)
              if callee.split(".")[-1] == "zeros"]
     assert sites == []
+
+
+def factors(node) -> list:
+    """The factors of a product, parenthesised ones flattened."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return factors(node.left) + factors(node.right)
+    return [node]
+
+
+def test_no_list_of_zeros_is_sized_by_two_dimensions():
+    # a matrix is its nonzero terms: `[0] * (rows * cols)` is built only by
+    # the dense view of QMatrix, which the tests and the JSON output read
+    sites = {(path.name, owner) for path in SOURCES
+             for owner, node in nodes_by_function(path)
+             if isinstance(node, ast.BinOp) and len(factors(node)) > 2
+             and "[0]" in map(ast.unparse, factors(node))}
+    assert sites == {("qlinalg.py", "QMatrix.entries")}
 
 
 def test_structure_axioms_are_checked_without_dense_products():
