@@ -125,10 +125,21 @@ def comult_matrix(n: int) -> QMatrix:
     return tensor_map_matrix(n, (0, 0), 1)
 
 
+_CANONICAL = {}  # carrier -> its canonical comonoid, checked once
+
+
 def artin_comonoid(x: FinSet) -> ArtinComonoid:
-    """The canonical comonoid carried by a finite set."""
-    n = x.size
-    return ArtinComonoid(x, counit_matrix(n), comult_matrix(n))
+    """The canonical comonoid carried by a finite set.
+
+    The structure depends on the carrier alone, so it is built and checked
+    once per carrier and then shared (values are immutable).
+    """
+    c = _CANONICAL.get(x)
+    if c is None:
+        n = x.size
+        c = _CANONICAL[x] = ArtinComonoid(x, counit_matrix(n),
+                                          comult_matrix(n))
+    return c
 
 
 def coalgebra_morphism_violations(c: QMatrix, x: ArtinComonoid,

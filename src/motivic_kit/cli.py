@@ -13,7 +13,8 @@ import json
 import os
 import sys
 
-from .artin import graph_matrix, solve_coalgebra_morphisms, verify_mcffe
+from .artin import (setmap_from_morphism, solve_coalgebra_morphisms,
+                    verify_mcffe)
 from .finsets import FinDiagram, FinSet, automorphism_group, automorphism_order
 from .galois import GSet, equivariant_set_maps, fixed_coalgebra_morphisms
 from .hypercube import build_kappa, hocolim_from_json
@@ -130,8 +131,8 @@ def _cmd_galois_fixed(args):
                  _max_size_from_env())
     maps = equivariant_set_maps(x, y)
     fixed = fixed_coalgebra_morphisms(x, y)
-    graphs = {graph_matrix(f) for f in maps}
-    ok = {c.matrix for c in fixed} == graphs
+    ok = ({setmap_from_morphism(c).values for c in fixed}
+          == {f.values for f in maps})
     lines = [f"equivariant maps: {len(maps)}",
              f"fixed comonoid morphisms: {len(fixed)}",
              "PASS" if ok else "FAIL"]

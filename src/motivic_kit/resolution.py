@@ -12,7 +12,8 @@ equalizes them exactly when its entries are idempotent (size-2 class,
 diagonal), orthogonal within each row (size-2 class, off-diagonal), and
 its rows sum to one (size-0 class) -- that is, exactly when it is the
 transposed graph of a set map in the opposite direction.  The two
-cofaces are compared entry by entry, and neither is built as a matrix.
+cofaces are compared entry by entry, and neither is built as a matrix;
+both act on one row of f at a time, so the equalizer is solved by rows.
 """
 
 from __future__ import annotations
@@ -56,25 +57,28 @@ def cofaces_agree(f: QMatrix, s: int) -> bool:
 
 
 def equalizer(x: FinSet, y: FinSet, bound: int = 2) -> list:
-    """All f in Hom(X, Y) with equal cofaces at every bounded class.
+    """All f in Hom(X, Y) with equal cofaces at every bounded class, in
+    the order of their terms.
 
-    The size-2 class forces idempotent entries and row orthogonality, the
-    size-0 class forces unit row sums, so the candidates are the matrices
-    with exactly one 1 in each row; every candidate is then verified
-    against the coface equations at all classes up to the bound, compared
-    entry by entry (`cofaces_agree`) rather than through the dense coface
-    matrices.
+    Both cofaces act on f row by row (`cofaces_agree` compares tuples
+    drawn from one row at a time), so f equalizes exactly when each of
+    its rows does.  Each row in {0, 1}^|X| (entries are idempotent) is
+    checked as a 1 x |X| matrix at every class up to the bound, and the
+    equalizer is the product of the rows that pass: that they are the
+    rows with exactly one 1 is what the check decides.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
     nx, ny = x.size, y.size
-    out = []
-    for choice in itertools.product(range(nx), repeat=ny):
-        f = QMatrix(ny, nx, {row * nx + col: 1
-                             for row, col in enumerate(choice)})
-        if all(cofaces_agree(f, s) for s in level1_classes(bound)):
-            out.append(f)
-    return out
+    candidates = (QMatrix(1, nx, bits)
+                  for bits in itertools.product((0, 1), repeat=nx))
+    rows = [row.terms for row in candidates
+            if all(cofaces_agree(row, s) for s in level1_classes(bound))]
+    return sorted((QMatrix(ny, nx, {i * nx + j: v
+                                    for i, row in enumerate(choice)
+                                    for j, v in row})
+                   for choice in itertools.product(rows, repeat=ny)),
+                  key=lambda m: m.terms)
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,7 @@ def verify_mdffe(x: FinSet, y: FinSet, bound: int = 2) -> MdffeReport:
     `bound` and one more, so it is the equalizer at `bound` filtered by
     the coface equations of class bound + 1.
     """
-    eq = sorted(equalizer(y, x, bound), key=lambda m: m.terms)
+    eq = equalizer(y, x, bound)
     eq_re = [f for f in eq if cofaces_agree(f, bound + 1)]
     transposed = sorted((c.matrix.transpose()
                          for c in solve_coalgebra_morphisms(x, y)),

@@ -18,6 +18,7 @@ from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import ChainMap, CubeDiagram
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex)
+from motivic_kit.resolution import cofaces_agree, level1_classes
 
 
 def zero_matrix(rows: int, cols: int) -> QMatrix:
@@ -275,6 +276,21 @@ def coface_d1(f: QMatrix, s: int) -> QMatrix:
     """Multiply the tensor factors in the source, then apply f: the other
     side of `cofaces_agree`, as a dense matrix."""
     return matmul(f, iterated_mult(f.cols, s))
+
+
+def whole_matrix_equalizer(x: FinSet, y: FinSet, bound: int = 2) -> list:
+    """The equalizer over whole matrices: every |Y| x |X| matrix with
+    exactly one 1 in each row, kept when `cofaces_agree` holds on it at
+    every class up to the bound.  Candidates in the order of the rows'
+    choices, not sorted."""
+    nx, ny = x.size, y.size
+    out = []
+    for choice in itertools.product(range(nx), repeat=ny):
+        f = QMatrix(ny, nx, {row * nx + col: 1
+                             for row, col in enumerate(choice)})
+        if all(cofaces_agree(f, s) for s in level1_classes(bound)):
+            out.append(f)
+    return out
 
 
 def dense_inverse(p: QMatrix):

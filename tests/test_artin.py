@@ -13,6 +13,7 @@ from helpers import (comonoid_structures, dense_coalgebra_violations,
                      morphism_from_setmap, qmatrices, random_qmatrix,
                      schoolbook_kron, swap_matrix, tuple_index_matrix,
                      zero_matrix)
+from motivic_kit import artin
 from motivic_kit.artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
                                coalgebra_morphism_violations,
                                comult_matrix, counit_matrix, graph_matrix,
@@ -189,6 +190,42 @@ class TestCanonicalStructures:
             assert construction_failure(ArtinComonoid, FinSet(n), counit,
                                         comult) == expected, a
         assert seen > len(permutations)
+
+
+class TestSharedCanonical:
+    """`artin_comonoid` builds and checks the structure of a carrier once
+    per process; later calls share that value."""
+
+    def test_repeated_calls_share_one_value(self):
+        for n in range(1, 5):
+            assert artin_comonoid(FinSet(n)) is artin_comonoid(FinSet(n))
+
+    def test_axioms_checked_once_per_new_carrier(self, monkeypatch):
+        checked, check = [], artin._check_axioms
+
+        def counting(counit, comult, n):
+            checked.append(n)
+            check(counit, comult, n)
+        monkeypatch.setattr(artin, "_CANONICAL", {})
+        monkeypatch.setattr(artin, "_check_axioms", counting)
+        for n in (2, 3, 2, 3, 1):
+            artin_comonoid(FinSet(n))
+        solve_coalgebra_morphisms(FinSet(3), FinSet(2))
+        verify_mcffe(FinSet(1), FinSet(4))
+        assert checked == [2, 3, 1, 4]
+
+    def test_a_labelled_carrier_has_its_own_entry(self, monkeypatch):
+        monkeypatch.setattr(artin, "_CANONICAL", {})
+        plain = artin_comonoid(FinSet(2))
+        labelled = artin_comonoid(FinSet(2, labels=["a", "b"]))
+        assert labelled != plain
+        assert labelled.carrier.labels == ("a", "b")
+        assert plain.carrier.labels is None
+        assert (labelled.counit, labelled.comult) == (plain.counit,
+                                                      plain.comult)
+        assert artin_comonoid(FinSet(2, labels=["a", "b"])) is labelled
+        assert artin_comonoid(FinSet(2)) is plain
+        assert len(artin._CANONICAL) == 2
 
 
 def comult_from_terms(n: int, delta) -> QMatrix:

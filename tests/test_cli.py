@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ambient_cube_payload, misshaped_empty_block_payload
+from helpers import (ambient_cube_payload, misshaped_empty_block_payload,
+                     morphism_from_setmap)
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import DATA as GOLDEN_DATA
 from test_golden import write_relative_files
 from motivic_kit import cli, finsets, monad
-from motivic_kit.finsets import FinDiagram, PermGroup
+from motivic_kit.finsets import FinDiagram, FinSet, PermGroup, SetMap
 from motivic_kit.hypercube import CubeDiagram
 from motivic_kit.qlinalg import QMatrix
 
@@ -158,6 +159,37 @@ class TestCommands:
         status, text = run_cli(["verify-mdffe", "--x", "2", "--y", "3"])
         assert status == 0
         assert text.endswith("PASS")
+
+
+class TestGaloisFixedCheck:
+    """`galois-fixed` compares the set maps read back from the fixed
+    morphisms with the equivariant maps, so a fault on either side fails
+    the command."""
+
+    ARGV = ["galois-fixed", "--x", data_path("gset_c2_regular.json"),
+            "--y", data_path("gset_c2_trivial2.json")]
+
+    def test_a_dropped_equivariant_map_fails(self, monkeypatch):
+        maps = cli.equivariant_set_maps
+        monkeypatch.setattr(cli, "equivariant_set_maps",
+                            lambda x, y: maps(x, y)[:-1])
+        status, text = run_cli(self.ARGV)
+        assert status == 1
+        assert text.splitlines() == ["equivariant maps: 1",
+                                     "fixed comonoid morphisms: 2", "FAIL"]
+
+    def test_a_morphism_of_a_non_equivariant_map_fails(self, monkeypatch):
+        # the identity of two points does not commute with the swap on
+        # one side and the trivial action on the other; it replaces one
+        # fixed morphism, so the counts still agree
+        fixed = cli.fixed_coalgebra_morphisms
+        identity = morphism_from_setmap(SetMap(FinSet(2), FinSet(2), [0, 1]))
+        monkeypatch.setattr(cli, "fixed_coalgebra_morphisms",
+                            lambda x, y: fixed(x, y)[:-1] + [identity])
+        status, text = run_cli(self.ARGV)
+        assert status == 1
+        assert text.splitlines() == ["equivariant maps: 2",
+                                     "fixed comonoid morphisms: 2", "FAIL"]
 
 
 class TestCensusBuildsNoGenerators:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (coface_d0, coface_d1, dense_rows, identity_matrix,
-                     iterated_mult, qmatrices, random_qmatrix, zero_matrix)
+                     iterated_mult, qmatrices, random_qmatrix,
+                     whole_matrix_equalizer, zero_matrix)
 from motivic_kit.artin import (graph_matrix, solve_coalgebra_morphisms,
                                tensor_map_matrix)
 from motivic_kit import resolution
@@ -117,6 +118,37 @@ class TestEqualizer:
                         brute.append(m)
                 assert sorted(brute, key=lambda m: m.entries) == \
                     sorted(equalizer(x, y), key=lambda m: m.entries)
+
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_rows_match_whole_matrices(self, bound):
+        # the product of the row solutions is the whole-matrix equalizer,
+        # sorted by terms
+        for nx in range(1, 5):
+            for ny in range(1, 5):
+                x, y = FinSet(nx), FinSet(ny)
+                assert equalizer(x, y, bound) == sorted(
+                    whole_matrix_equalizer(x, y, bound),
+                    key=lambda m: m.terms), (nx, ny)
+
+    def test_the_row_check_rejects_rows(self, monkeypatch):
+        # the candidates are all of {0, 1}^|X|: the check, not the search,
+        # keeps the one-hot rows and refuses the zero row and a row with
+        # two 1s
+        agree, verdicts = resolution.cofaces_agree, {}
+
+        def recording(f, s):
+            ok = agree(f, s)
+            row = f.entries
+            verdicts[row] = verdicts.get(row, True) and ok
+            return ok
+        monkeypatch.setattr(resolution, "cofaces_agree", recording)
+        out = equalizer(FinSet(3), FinSet(2))
+        assert len(out) == 3 ** 2
+        assert set(verdicts) == set(itertools.product((0, 1), repeat=3))
+        assert {row for row, ok in verdicts.items() if ok} == {
+            (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+        assert verdicts[0, 0, 0] is False
+        assert verdicts[1, 1, 0] is False
 
     def test_bound_three_stable(self):
         for nx in range(1, 4):

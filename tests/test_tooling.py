@@ -6,8 +6,10 @@ built for an absent block, no dense product in the comonoid layer, a
 CLI parser built only at import, one builder for the cube's total
 complexes, squares composed only when a cube is built, a group's
 generators found once, no list of zeros sized by two dimensions outside
-the dense view of a matrix, and no definition in the library that
-`cli.main` does not reach."""
+the dense view of a matrix, canonical comonoids built only by the one
+factory that shares them, `galois-fixed` checked on set maps rather than
+on graphs built again, and no definition in the library that `cli.main`
+does not reach."""
 
 import ast
 import collections
@@ -220,6 +222,25 @@ def test_structure_axioms_are_checked_without_dense_products():
     [artin] = [p for p in SOURCES if p.name == "artin.py"]
     assert {callee.split(".")[-1] for owner, callee in calls_by_function(artin)
             if owner is not None}.isdisjoint({"kron", "matmul"})
+
+
+def test_canonical_comonoids_are_built_only_by_the_factory():
+    # every canonical structure in the library is the one checked build
+    # of its carrier that `artin_comonoid` shares
+    sites = {(path.name, owner) for path in SOURCES
+             for owner, callee in calls_by_function(path)
+             if callee.split(".")[-1] == "ArtinComonoid"}
+    assert sites == {("artin.py", "artin_comonoid")}
+
+
+def test_galois_fixed_compares_set_maps_not_graphs():
+    # the fixed morphisms are read back as set maps; graphs built again
+    # from the equivariant maps would compare `graph_matrix` with itself
+    [cli] = [p for p in SOURCES if p.name == "cli.py"]
+    called = {callee.split(".")[-1] for owner, callee in calls_by_function(cli)
+              if owner == "_cmd_galois_fixed"}
+    assert "setmap_from_morphism" in called
+    assert "graph_matrix" not in called
 
 
 def test_a_groups_generators_are_found_once():

@@ -12,7 +12,8 @@ from helpers import (cover_cube_diagram, empty_block_cube_payload,
                      morphism_from_setmap, reference_reader, regular_gset)
 from motivic_kit import finsets, qlinalg
 from motivic_kit._value import Value, compile_reader, degree_key
-from motivic_kit.artin import ArtinComonoid, CoalgMorphism, artin_comonoid
+from motivic_kit.artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
+                               comult_matrix, counit_matrix)
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
                                  SetMap, automorphism_group)
 from motivic_kit.galois import FiniteGroup, GSet
@@ -41,7 +42,9 @@ BUILDERS = {
     PermGroup: lambda: automorphism_group(diagram()),
     QMatrix: lambda: QMatrix(2, 2, [1, "1/2", 0, -3]),
     ChainComplex: chain_complex,
-    ArtinComonoid: lambda: artin_comonoid(FinSet(2)),
+    # the class itself: `artin_comonoid` shares one value per carrier
+    ArtinComonoid: lambda: ArtinComonoid(FinSet(2), counit_matrix(2),
+                                         comult_matrix(2)),
     CoalgMorphism: lambda: morphism_from_setmap(
         SetMap(FinSet(2), FinSet(3), [2, 0])),
     FiniteGroup: lambda: load_group("c3"),
