@@ -11,8 +11,7 @@ checks.
 """
 
 from .finsets import (FinSet, SetMap, FinDiagram, DiagramIso, PermGroup,
-                      compose, canonical_form, automorphism_group,
-                      automorphism_order)
+                      canonical_form, automorphism_group, automorphism_order)
 from .qlinalg import QMatrix, ChainComplex, matmul, rank
 from .artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
                     coalgebra_morphism_violations, solve_coalgebra_morphisms,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FinSet", "SetMap", "FinDiagram", "DiagramIso", "PermGroup",
-    "compose", "canonical_form", "automorphism_group",
+    "canonical_form", "automorphism_group",
     "automorphism_order", "enumerate_diagrams",
     "QMatrix", "ChainComplex", "matmul", "rank",
     "ArtinComonoid", "CoalgMorphism", "artin_comonoid",

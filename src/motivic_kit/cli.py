@@ -12,10 +12,11 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .artin import (setmap_from_morphism, solve_coalgebra_morphisms,
                     verify_mcffe)
-from .finsets import FinDiagram, FinSet, automorphism_group, automorphism_order
+from .finsets import FinDiagram, FinSet, automorphism_group
 from .galois import GSet, equivariant_set_maps, fixed_coalgebra_morphisms
 from .hypercube import build_kappa, hocolim_from_json
 from .monad import enumerate_diagrams, verify_m_identity
@@ -64,9 +65,60 @@ def _check_limits(args, limit: int):
         _check_sizes("number of components", [len(args.components)], limit)
 
 
+def _dumps(value, indent="\n") -> str:
+    """The text of `json.dumps(value, sort_keys=True, indent=2)`.
+
+    Given an indent, `json.dumps` runs its pure-Python encoder; this one
+    joins the parts of each container with `str.join`.  `indent` is the
+    newline and the spaces that start a line at the value's depth.  Lists,
+    tuples and dicts recurse, and str, int, bool and None are written as
+    `json` writes them.  Any other value (a float, a subclass of str or
+    int, a type `json` refuses) goes to `json.dumps` itself, which needs
+    no indent for a scalar and raises what the indenting call raises.
+    """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return ("[" + inner + ("," + inner).join(
+            [_dumps(v, inner) for v in value]) + indent + "]")
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_dumps_key(key) + ": " + _dumps(v, inner)
+             for key, v in sorted(value.items())]) + indent + "}")
+    if value is None or value is True or value is False:
+        return _LITERALS[value]
+    if isinstance(value, (list, tuple)):
+        return _dumps(list(value), indent)
+    if isinstance(value, dict):
+        return _dumps(dict(value.items()), indent)
+    return json.dumps(value)
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _dumps_key(key) -> str:
+    """A dict key as `json` writes it: a string, or a scalar's text quoted."""
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
+
+
 def _emit(args, table_lines, data) -> str:
     if args.format == "json":
-        return json.dumps(data, sort_keys=True, indent=2)
+        return _dumps(data)
     return "\n".join(table_lines)
 
 
@@ -81,12 +133,12 @@ def _read(path: str, reader):
 
 
 def _cmd_enumerate_diagrams(args):
-    classes = enumerate_diagrams(args.k, args.bounds)
+    orders = []
+    classes = enumerate_diagrams(args.k, args.bounds, orders)
     lines = []
-    for i, d in enumerate(classes):
+    for i, (d, aut) in enumerate(zip(classes, orders)):
         sizes = ",".join(str(s) for s in d.sizes())
         maps = " ".join(str(list(m.values)) for m in d.maps)
-        aut = automorphism_order(d)
         lines.append(f"{i}: sizes={sizes} maps={maps or '-'} |Aut|={aut}")
     lines.append(f"classes: {len(classes)}")
     data = {"k": args.k, "bounds": list(args.bounds),

@@ -115,13 +115,6 @@ def read_set_map(dom: FinSet, cod: FinSet, values, path: str) -> SetMap:
         raise InputError(f"is not a set map: {exc}", path) from None
 
 
-def compose(f: SetMap, g: SetMap) -> SetMap:
-    """The composite "f then g", i.e. g o f; requires f.cod = g.dom."""
-    if f.cod.size != g.dom.size:
-        raise ValueError("dimension mismatch: f.cod != g.dom")
-    return SetMap(f.dom, g.cod, (g.values[v] for v in f.values))
-
-
 def all_maps(dom: FinSet, cod: FinSet):
     """All set maps dom -> cod, in lexicographic order of value lists."""
     for values in itertools.product(range(cod.size), repeat=dom.size):
@@ -182,12 +175,13 @@ class FinDiagram(Value):
             for i, v in enumerate(p):
                 q[v] = i
             inv.append(q)
-        new_sets = tuple(FinSet(s.size) for s in self.sets)
+        new_sets = tuple(s if s.labels is None else FinSet(s.size)
+                         for s in self.sets)
         new_maps = []
         for i, m in enumerate(self.maps):
-            values = tuple(perms[i + 1][m.values[inv[i][x]]]
-                           for x in range(m.dom.size))
-            new_maps.append(SetMap(new_sets[i], new_sets[i + 1], values))
+            after, values = perms[i + 1], m.values
+            new_maps.append(SetMap(new_sets[i], new_sets[i + 1],
+                                   [after[values[x]] for x in inv[i]]))
         return FinDiagram(new_sets, new_maps)
 
     def to_json(self):
@@ -225,11 +219,12 @@ class DiagramIso(Value):
                 raise ValueError(f"component {i} has wrong boundary")
             if not c.is_bijective():
                 raise ValueError(f"component {i} is not bijective")
-        # naturality: sigma_{i+1} o f_i = f'_i o sigma_i
+        # naturality: sigma_{i+1} o f_i = f'_i o sigma_i, on the value lists
         for i in range(source.k - 1):
-            left = compose(source.maps[i], components[i + 1])
-            right = compose(components[i], target.maps[i])
-            if left.values != right.values:
+            after = components[i + 1].values
+            image = target.maps[i].values
+            if ([after[y] for y in source.maps[i].values]
+                    != [image[y] for y in components[i].values]):
                 raise ValueError(f"naturality square {i} does not commute")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -275,20 +270,30 @@ def canonical_form(d: FinDiagram) -> FinDiagram:
     diagrams map to the identical representative, and the map is
     idempotent.  Labels are discarded.
     """
+    return _canonical_form(d)[0]
+
+
+def _canonical_form(d: FinDiagram) -> tuple:
+    """(`canonical_form(d)`, the `_level_classes` of it), from one pass.
+
+    A class index does not change under relabeling, and the form numbers
+    each level in class order, so its classes are the sorted originals.
+    """
     if d.k == 0:
-        return FinDiagram([], [])
+        return FinDiagram([], []), []
     classes = _level_classes(d)
     perms = [None] * d.k
     image = [0] * d.sets[-1].size  # the roots hang from one virtual root
     for i in range(d.k - 1, -1, -1):
-        keys = sorted((c, image[x], x) for x, c in enumerate(classes[i]))
+        keys = sorted(zip(classes[i], image, range(len(image))))
         perm = [0] * len(keys)
         for label, (_, _, x) in enumerate(keys):
             perm[x] = label
         perms[i] = perm
+        classes[i] = [c for c, _, _ in keys]
         if i > 0:
             image = [perm[y] for y in d.maps[i - 1].values]
-    return d.relabel(perms)
+    return d.relabel(perms), classes
 
 
 class PermGroup(Value):

@@ -25,8 +25,8 @@ from fractions import Fraction
 from operator import itemgetter, le, sub
 
 from ._value import Value
-from .finsets import (FinDiagram, FinSet, SetMap, automorphism_order,
-                      canonical_form)
+from .finsets import (FinDiagram, FinSet, SetMap, _canonical_form,
+                      _forest_order, automorphism_order, canonical_form)
 
 
 class MultisetOfDiagrams(Value):
@@ -76,72 +76,74 @@ def assemble(m: MultisetOfDiagrams) -> FinDiagram:
     if k == 0:
         # a multiset of points assembles to the bare indexing set
         return FinDiagram([FinSet(n)], [])
-    pads = [k - e.k for e in m.entries]
-    if min(pads) > 0:
+    if all(e.k < k for e in m.entries):
         raise ValueError("no full-length entry: leading level would be empty")
-    # block offsets per level
+    # values[i] is the map out of level i; blocks are laid out in entry
+    # order, so a block's offset is the size of its level so far
     level_sizes = [0] * k
-    offsets = []
-    for e, p in zip(m.entries, pads):
-        offs = [None] * k
-        for i in range(p, k):
-            offs[i] = level_sizes[i]
-            level_sizes[i] += e.sets[i - p].size
-        offsets.append(offs)
+    values = [[] for _ in range(k)]
+    for j, e in enumerate(m.entries):
+        pad = k - e.k
+        for i in range(pad, k):
+            size = e.sets[i - pad].size
+            if i < k - 1:
+                shift = level_sizes[i + 1]
+                values[i].extend([shift + v for v in e.maps[i - pad].values])
+            else:  # the final map sends block j to element j
+                values[i].extend([j] * size)
+            level_sizes[i] += size
     sets = [FinSet(s) for s in level_sizes] + [FinSet(n)]
-    maps = []
-    for i in range(k - 1):
-        values = [0] * level_sizes[i]
-        for e, p, offs in zip(m.entries, pads, offsets):
-            if i < p:
-                continue
-            em = e.maps[i - p]
-            for x in range(em.dom.size):
-                values[offs[i] + x] = offs[i + 1] + em.values[x]
-        maps.append(SetMap(sets[i], sets[i + 1], values))
-    last = [0] * level_sizes[k - 1]
-    for j, (e, p, offs) in enumerate(zip(m.entries, pads, offsets)):
-        if k - 1 < p:
-            continue
-        for x in range(e.sets[k - 1 - p].size):
-            last[offs[k - 1] + x] = j
-    maps.append(SetMap(sets[k - 1], sets[k], last))
-    return FinDiagram(sets, maps)
+    return FinDiagram(sets, [SetMap(sets[i], sets[i + 1], values[i])
+                             for i in range(k)])
 
 
 def _admissible_multisets(k: int, bounds):
     """Every multiset of pool entries within the level bounds, once each.
 
     bounds has length k+1: the last entry bounds the multiset size, the
-    rest the levelwise total sizes.  Pool indices are chosen nondecreasing,
-    and each step keeps the candidates whose weight (padded entry sizes,
-    plus 1 for the multiset size) fits in the headroom the bounds leave.
-    Pool entries are canonical, so their class keys are their encodings.
-    Multisets without a full-length entry are not yielded.
+    rest the levelwise total sizes.  Pool indices are chosen nondecreasing.
+    An entry's weight is its padded sizes, plus 1 for the multiset size;
+    the pool is cut into runs of consecutive entries of one weight (a
+    length's classes come sorted by sizes, so a weight is one run), and
+    each step keeps the runs whose weight fits in the headroom the bounds
+    leave, testing each weight once.  Pool entries are canonical, so
+    their class keys are their encodings.  Multisets without a
+    full-length entry are not yielded.
     """
     pool = [FinDiagram([], [])]  # the empty fiber, then padded classes
     for j in range(1, k + 1):
         pool.extend(enumerate_diagrams(j, bounds[k - j:k]))
     keys = [(e.k, e.encoding()) for e in pool]
-    weights = [(0,) * (k - e.k) + e.sizes() + (1,) for e in pool]
+    runs = []  # (weight, first index, end index, full length), in order
+    for i, e in enumerate(pool):
+        weight = (0,) * (k - e.k) + e.sizes() + (1,)
+        if runs and runs[-1][0] == weight:
+            runs[-1][2] = i + 1
+        else:
+            runs.append([weight, i, i + 1, e.k == k])
 
-    def walk(candidates, headroom, chosen, full):
+    def walk(candidates, first, headroom, chosen, full):
+        # the candidates are the entries of these runs from index `first` on
         if full:
             yield MultisetOfDiagrams(k, [pool[i] for i in chosen],
                                      [keys[i] for i in chosen])
-        fits = [i for i in candidates if all(map(le, weights[i], headroom))]
-        for n, i in enumerate(fits):
-            yield from walk(fits[n:], tuple(map(sub, headroom, weights[i])),
-                            chosen + [i], full or pool[i].k == k)
-    return walk(range(len(pool)), tuple(bounds), [], False)
+        fits = [run for run in candidates if all(map(le, run[0], headroom))]
+        for n, (weight, start, end, length_k) in enumerate(fits):
+            rest = tuple(map(sub, headroom, weight))
+            for i in range(max(start, first), end):
+                yield from walk(fits[n:], i, rest, chosen + [i],
+                                full or length_k)
+    return walk(runs, 0, tuple(bounds), [], False)
 
 
-def enumerate_diagrams(k: int, max_sizes) -> list:
+def enumerate_diagrams(k: int, max_sizes, orders=None) -> list:
     """One canonical representative per iso class with |S_i| <= max_sizes[i].
 
     Each class is assembled from its multiset of fibers over S_k, so k = 1
     gives the bare sets and longer chains recurse on shorter ones.
-    Deterministic output order (sorted by the canonical encoding).
+    Deterministic output order (sorted by the canonical encoding).  A list
+    `orders` passed in is extended by the classes' automorphism orders, in
+    the same order, read off the pass that canonicalised each class.
     """
     max_sizes = tuple(max_sizes)
     if k < 1:
@@ -150,9 +152,13 @@ def enumerate_diagrams(k: int, max_sizes) -> list:
         raise ValueError("need one bound per set")
     found = {}
     for m in _admissible_multisets(k - 1, max_sizes):
-        c = canonical_form(assemble(m))
-        found[c.encoding()] = c
-    return [found[key] for key in sorted(found)]
+        c, classes = _canonical_form(assemble(m))
+        found[c.encoding()] = (
+            c, None if orders is None else _forest_order(c, classes))
+    keys = sorted(found)
+    if orders is not None:
+        orders.extend(found[key][1] for key in keys)
+    return [found[key][0] for key in keys]
 
 
 def wreath_order(m: MultisetOfDiagrams, auts=None) -> int:
@@ -221,19 +227,23 @@ def verify_m_identity(k: int, bounds) -> MonadReport:
     enumerated = 0
     for m in _admissible_multisets(k, bounds):
         enumerated += 1
-        d = canonical_form(assemble(m))
-        by_class.setdefault(d.encoding(), (d, []))[1].append(m)
+        d, classes = _canonical_form(assemble(m))
+        key = d.encoding()
+        if key in by_class:
+            by_class[key][1].append(m)
+        else:  # the class's order, from the pass that canonicalised it
+            by_class[key] = (_forest_order(d, classes), [m])
     rows = []
     aut_ok = True
     mass = {}
     entry_auts = {}
     for key in sorted(by_class):
-        d, ms = by_class[key]
-        aut = automorphism_order(d)
+        aut, ms = by_class[key]
+        sizes = key[0]
         wreath = wreath_order(ms[0], entry_auts)
         aut_ok = aut_ok and aut == wreath
-        orbit = Fraction(math.prod(map(math.factorial, d.sizes())), aut)
-        mass[d.sizes()] = mass.get(d.sizes(), 0) + len(ms) * orbit
+        orbit = Fraction(math.prod(map(math.factorial, sizes)), aut)
+        mass[sizes] = mass.get(sizes, 0) + len(ms) * orbit
         rows.append(MonadClassRow(key, aut, wreath,
                                   tuple(e.sizes() for e in ms[0].entries)))
     labelled = {sizes: math.prod(t ** s for s, t in zip(sizes, sizes[1:]))

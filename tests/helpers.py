@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from motivic_kit._value import InputError, RepeatedKey, _KINDS, show
 from motivic_kit.artin import (CoalgMorphism, artin_comonoid, graph_matrix,
                                tensor_map_matrix)
-from motivic_kit.finsets import FinDiagram, FinSet, SetMap, all_maps, compose
+from motivic_kit.finsets import FinDiagram, FinSet, SetMap, all_maps
 from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import ChainMap, CubeDiagram
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
@@ -459,6 +459,13 @@ def brute_is_homomorphism(group, action) -> bool:
 
 def identity_map(s: FinSet) -> SetMap:
     return SetMap(s, s, range(s.size))
+
+
+def compose(f: SetMap, g: SetMap) -> SetMap:
+    """The composite "f then g", i.e. g o f; requires f.cod = g.dom."""
+    if f.cod.size != g.dom.size:
+        raise ValueError("dimension mismatch: f.cod != g.dom")
+    return SetMap(f.dom, g.cod, (g.values[v] for v in f.values))
 
 
 def load_group(name: str) -> FiniteGroup:

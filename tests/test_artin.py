@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (comonoid_structures, dense_coalgebra_violations,
+from helpers import (comonoid_structures, compose, dense_coalgebra_violations,
                      dense_comonoid_failures, dense_inverse, dual_structure,
                      identity_matrix,
                      kron_power, monoid_morphism_violations,
@@ -20,7 +20,7 @@ from motivic_kit.artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
                                setmap_from_morphism,
                                solve_coalgebra_morphisms, tensor_map_matrix,
                                verify_mcffe)
-from motivic_kit.finsets import FinSet, SetMap, all_maps, compose
+from motivic_kit.finsets import FinSet, SetMap, all_maps
 from motivic_kit.qlinalg import QMatrix, matmul
 
 NOT_CANONICAL = "structure is not the canonical one of its carrier"

@@ -195,30 +195,46 @@ class TestGaloisFixedCheck:
 class TestCensusBuildsNoGenerators:
     """The census reads automorphism orders without building a generator,
     and canonicalises each assembled multiset once, the entry pools'
-    included: pool entries are canonical already."""
+    included: pool entries are canonical already.  The pass that
+    canonicalises a class also gives its order, so `_level_classes` runs
+    once per assembled multiset, and `verify-monad` runs it once more per
+    distinct entry class that `wreath_order` reads."""
 
-    @pytest.mark.parametrize("argv", [
-        ["verify-monad", "--k", "2", "--bounds", "2,2,3"],
-        ["enumerate-diagrams", "--k", "3", "--bounds", "2,2,3"],
+    @pytest.mark.parametrize("argv,passes", [
+        (["verify-monad", "--k", "2", "--bounds", "2,2,3"], 36),
+        (["enumerate-diagrams", "--k", "3", "--bounds", "2,2,3"], 30),
     ])
-    def test_counts(self, monkeypatch, argv):
-        calls = {"iso": 0, "canonical": 0, "assemble": 0}
+    def test_counts(self, monkeypatch, argv, passes):
+        calls = {"iso": 0, "canonical": 0, "assemble": 0, "classes": 0,
+                 "entry classes": 0}
 
         def counting(name, fn):
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
             return wrapper
+
+        def entry_order(d, original=monad.automorphism_order):
+            calls["entry classes"] += d.k > 0  # the empty fiber has none
+            return original(d)
         monkeypatch.setattr(finsets.DiagramIso, "__init__",
                             counting("iso", finsets.DiagramIso.__init__))
-        monkeypatch.setattr(monad, "canonical_form", counting(
-            "canonical", monad.canonical_form))
+        monkeypatch.setattr(monad, "_canonical_form", counting(
+            "canonical", monad._canonical_form))
         monkeypatch.setattr(monad, "assemble",
                             counting("assemble", monad.assemble))
+        monkeypatch.setattr(finsets, "_level_classes", counting(
+            "classes", finsets._level_classes))
+        monkeypatch.setattr(monad, "automorphism_order", entry_order)
         assert run_cli(argv)[0] == 0
-        assert calls["assemble"] > 0
-        assert calls == {"iso": 0, "canonical": calls["assemble"],
-                         "assemble": calls["assemble"]}
+        assembled, entries = calls["assemble"], calls["entry classes"]
+        assert assembled > 0
+        assert (entries > 0) == (argv[0] == "verify-monad")
+        assert calls == {"iso": 0, "canonical": assembled,
+                         "assemble": assembled,
+                         "classes": assembled + entries,
+                         "entry classes": entries}
+        assert calls["classes"] == passes
 
 
 class TestDeterminism:
@@ -291,6 +307,79 @@ class TestJsonReparses:
         status, text = run_cli(["hocolim", "--diagram", str(path)])
         assert status == 0
         assert text == "H0=1 H1=0 H2=0"
+
+
+def same_key_dicts(children):
+    """Dicts whose keys are all of one kind, as `sort_keys` can sort them."""
+    keys = (st.text(), st.integers(), st.floats(allow_nan=False),
+            st.booleans(), st.none())
+    return st.one_of(*(st.dictionaries(k, children, max_size=4)
+                       for k in keys))
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-2 ** 200, max_value=2 ** 200), st.floats(),
+    st.text(), st.text(st.characters(max_codepoint=0x9f)),
+    st.sampled_from(["", "\x00\x1f\x7f", "é∑😀", '"\\/', "\u2028"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.lists(st.integers() | st.booleans())
+                      | same_key_dicts(children)),
+    max_leaves=24)
+
+
+class TestDumps:
+    """`cli._dumps` writes the text of `json.dumps(v, sort_keys=True,
+    indent=2)`, and raises where `json.dumps` raises."""
+
+    @staticmethod
+    def reference(value):
+        return json.dumps(value, sort_keys=True, indent=2)
+
+    @given(JSON_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert cli._dumps(value) == self.reference(value)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": [[], {}]}, [True, 1, False, 0],
+        {"x": None}, -1, 10 ** 40, -(10 ** 40), 1.5, float("nan"),
+        float("-inf"), {1: "a", 2: "b"}, {1.5: 0, -2.0: 1},
+        {True: 0, False: 1}, {None: [None]}, "é\u0001\n\t\"",
+    ])
+    def test_examples(self, value):
+        assert cli._dumps(value) == self.reference(value)
+
+    def test_subclasses(self):
+        import collections
+        import enum
+
+        class Size(enum.IntEnum):
+            TWO = 2
+
+        class Text(str):
+            pass
+
+        class Items(list):
+            pass
+        value = collections.OrderedDict(
+            b=Items([Size.TWO, Text("t")]),
+            a=collections.defaultdict(int, {Text("k"): (1, Items())}))
+        assert cli._dumps(value) == self.reference(value)
+        assert cli._dumps({Size.TWO: 1}) == self.reference({Size.TWO: 1})
+
+    @pytest.mark.parametrize("value", [
+        {1: 0, "a": 1}, {(1, 2): 0}, [object()], {"a": {1j}},
+    ])
+    def test_raises_where_json_dumps_raises(self, value):
+        with pytest.raises(TypeError) as expected:
+            self.reference(value)
+        with pytest.raises(TypeError) as raised:
+            cli._dumps(value)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestAutAtTheCap:

@@ -3,13 +3,14 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (brute_automorphisms, brute_canonical_with_perms,
-                     brute_census, brute_isomorphic, closure_size,
+                     brute_census, brute_isomorphic, closure_size, compose,
                      fiber_chain, identity_map, small_diagrams)
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
                                  SetMap, all_maps, automorphism_group,
-                                 automorphism_order, canonical_form, compose)
+                                 automorphism_order, canonical_form)
 from motivic_kit.monad import enumerate_diagrams
 
 
@@ -356,6 +357,42 @@ class TestDiagramIso:
         comp = [identity_map(FinSet(2)), identity_map(FinSet(2))]
         with pytest.raises(ValueError):
             DiagramIso(c, b, comp)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_squares_compose_commutes(self, data):
+        # the target is the source carried along the components, the same
+        # with one value changed, or a random chain on the same sets
+        source = data.draw(small_diagrams())
+        sets = source.sets
+        components = [SetMap(s, s, data.draw(st.permutations(range(s.size))))
+                      for s in sets]
+        target = source.relabel([c.values for c in components])
+        kind = data.draw(st.sampled_from(["carried", "one value", "random"]))
+        maps = [list(m.values) for m in target.maps]
+        if kind == "one value" and maps:
+            i = data.draw(st.integers(0, len(maps) - 1))
+            x = data.draw(st.integers(0, len(maps[i]) - 1))
+            maps[i][x] = data.draw(st.integers(0, sets[i + 1].size - 1))
+        elif kind == "random":
+            maps = [data.draw(st.lists(st.integers(0, sets[i + 1].size - 1),
+                                       min_size=s.size, max_size=s.size))
+                    for i, s in enumerate(sets[:-1])]
+        target = FinDiagram(sets, [SetMap(sets[i], sets[i + 1], values)
+                                   for i, values in enumerate(maps)])
+        failing = [i for i in range(source.k - 1)
+                   if compose(source.maps[i], components[i + 1]).values
+                   != compose(components[i], target.maps[i]).values]
+        if failing:
+            with pytest.raises(ValueError) as raised:
+                DiagramIso(source, target, components)
+            assert str(raised.value) == \
+                f"naturality square {failing[0]} does not commute"
+        else:
+            iso = DiagramIso(source, target, components)
+            assert iso.components == tuple(components)
+        if kind == "carried":
+            assert failing == []
 
     def test_json_round_trip(self):
         d = diagram((2, 1), [[0, 0]])

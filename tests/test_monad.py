@@ -6,8 +6,7 @@ import pytest
 from helpers import brute_automorphisms, brute_census
 from motivic_kit import cli, monad
 from motivic_kit.finsets import (FinDiagram, FinSet, SetMap,
-                                 automorphism_group, automorphism_order,
-                                 canonical_form)
+                                 automorphism_group, canonical_form)
 from motivic_kit.monad import (MultisetOfDiagrams, assemble,
                                enumerate_diagrams, verify_m_identity,
                                wreath_order)
@@ -242,15 +241,18 @@ class TestMassFormulaHasTeeth:
                     assert self.cli_status(capsys) == 1
 
     def test_wrong_automorphism_order(self, monkeypatch, capsys):
+        # a class's order is computed from the canonicalising pass's level
+        # classes, on the canonical form, when the class is first assembled
         rows = verify_m_identity(K, BOUNDS).rows
         for row in rows:
-            def off_by_one(d, original=automorphism_order, key=row.encoding):
-                order = original(d)
-                if canonical_form(d).encoding() != key:
+            def off_by_one(d, classes, original=monad._forest_order,
+                           key=row.encoding):
+                order = original(d, classes)
+                if d.encoding() != key:
                     return order
                 return order + 1
             with monkeypatch.context() as mp:
-                mp.setattr(monad, "automorphism_order", off_by_one)
+                mp.setattr(monad, "_forest_order", off_by_one)
                 report = verify_m_identity(K, BOUNDS)
                 assert not report.aut_orders_match
                 assert not report.mass_formula_holds and not report.passed

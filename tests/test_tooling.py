@@ -8,8 +8,8 @@ complexes, squares composed only when a cube is built, a group's
 generators found once, no list of zeros sized by two dimensions outside
 the dense view of a matrix, canonical comonoids built only by the one
 factory that shares them, `galois-fixed` checked on set maps rather than
-on graphs built again, and no definition in the library that `cli.main`
-does not reach."""
+on graphs built again, no JSON indented by the pure-Python encoder, and
+no definition in the library that `cli.main` does not reach."""
 
 import ast
 import collections
@@ -144,6 +144,11 @@ def test_census_path_has_no_permutation_search():
 def nodes_by_function(path: Path):
     """(enclosing 'Class.function' or 'function' or None, node) for every
     node of a source file."""
+    return nodes_in(ast.parse(path.read_text(), str(path)))
+
+
+def nodes_in(tree):
+    """`nodes_by_function` of a parsed module."""
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             inner = owner
@@ -153,7 +158,7 @@ def nodes_by_function(path: Path):
                 inner = f"{owner}.{child.name}" if owner else child.name
             yield inner, child
             yield from visit(child, inner)
-    yield from visit(ast.parse(path.read_text(), str(path)), None)
+    yield from visit(tree, None)
 
 
 def calls_by_function(path: Path):
@@ -253,6 +258,28 @@ def test_a_groups_generators_are_found_once():
     [galois] = [p for p in SOURCES if p.name == "galois.py"]
     assert {callee for owner, callee in calls_by_function(galois)
             if owner == "GSet.__init__"}.isdisjoint({"compose", "SetMap"})
+
+
+def indenting_json_calls(path_name: str, tree) -> set:
+    """(file, enclosing function) of each `json` call given an indent."""
+    return {(path_name, owner) for owner, node in nodes_in(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] in (
+                "dumps", "dump", "JSONEncoder")
+            and any(kw.arg == "indent" for kw in node.keywords)}
+
+
+def test_no_json_is_indented_by_the_pure_python_encoder():
+    # any indent makes `json` encode in Python; `cli._dumps` writes the
+    # same text with str.join
+    trees = source_trees()
+    assert set().union(*(indenting_json_calls(name, tree)
+                         for name, tree in trees.items())) == set()
+    # the guard sees the call the CLI used to make
+    planted = ast.parse("def _emit(data):\n"
+                        "    return json.dumps(data, sort_keys=True, "
+                        "indent=2)")
+    assert indenting_json_calls("cli.py", planted) == {("cli.py", "_emit")}
 
 
 def test_readers_are_compiled_only_at_import():
@@ -449,6 +476,10 @@ ONLY_TESTS_REACHED = [
      "@staticmethod\n"
      "def zeros(rows, cols):\n"
      "    return QMatrix(rows, cols, [0] * (rows * cols))"),
+    # the oracle of the naturality check, kept in tests/helpers
+    ("finsets.py", None, "compose",
+     "def compose(f, g):\n"
+     "    return SetMap(f.dom, g.cod, (g.values[v] for v in f.values))"),
     # its own read of `c.inverse` does not reach it
     ("finsets.py", "DiagramIso", "inverse",
      "def inverse(self):\n"
