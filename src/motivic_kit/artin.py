@@ -12,9 +12,9 @@ three equation families
     (delta2)  distinct entries in one column multiply to 0,
 
 which together force C to be the graph of a set map.  The solver does not
-solve these equations: it enumerates the graphs of all set maps and checks
-each one, so that no other matrix is a morphism rests on this derivation
-alone.
+solve these equations: its candidates are the value tuples of all set maps,
+and it checks the graph of each one, so that no other matrix is a morphism
+rests on this derivation alone.
 """
 
 from __future__ import annotations
@@ -22,21 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._value import Value
-from .finsets import FinSet, SetMap, all_maps
+from .finsets import FinSet, SetMap, map_values
 from .qlinalg import QMatrix, tensor_index_map
 
 
-def graph_matrix(f: SetMap) -> QMatrix:
-    """The |cod| x |dom| indicator of the graph of f."""
-    nx = f.dom.size
-    return QMatrix(f.cod.size, nx,
-                   {y * nx + x: 1 for x, y in enumerate(f.values)})
-
-
-def tensor_map_matrix(n: int, factors, t: int) -> QMatrix:
-    """Graph of `tensor_index_map`: X^(x)t -> X^(x)len(factors), |X| = n."""
-    return graph_matrix(SetMap(FinSet(n ** t), FinSet(n ** len(factors)),
-                               tensor_index_map(n, factors, t)))
+def graph_matrix(values, cod_size: int) -> QMatrix:
+    """The cod_size x len(values) indicator of the graph of a set map."""
+    nx = len(values)
+    return QMatrix(cod_size, nx, {y * nx + x: 1 for x, y in enumerate(values)})
 
 
 class ArtinComonoid(Value):
@@ -122,7 +115,7 @@ def counit_matrix(n: int) -> QMatrix:
 
 def comult_matrix(n: int) -> QMatrix:
     """The diagonal indicator: entry ((x', x''), x) is 1 iff x'' = x' = x."""
-    return tensor_map_matrix(n, (0, 0), 1)
+    return graph_matrix(tensor_index_map(n, (0, 0), 1), n * n)
 
 
 _CANONICAL = {}  # carrier -> its canonical comonoid, checked once
@@ -216,17 +209,17 @@ def setmap_from_morphism(c: CoalgMorphism) -> SetMap:
 def solve_coalgebra_morphisms(x: FinSet, y: FinSet) -> list:
     """The comonoid morphisms C_*X -> C_*Y, one per set map X -> Y.
 
-    The candidates are the graphs of the maps from `all_maps`, and no other
-    matrix is tried; each graph is checked against both diagrams, and one
-    that fails raises AssertionError.  That the list is complete is the
-    derivation in the module docstring, not a search.  Deterministic order
-    (lexicographic in the map).
+    The candidates are the value tuples of the set maps, from `map_values`,
+    and no other matrix is tried; the graph of each is checked against both
+    diagrams, and one that fails raises AssertionError.  That the list is
+    complete is the derivation in the module docstring, not a search.
+    Deterministic order (lexicographic in the map).
     """
     cx = artin_comonoid(x)
     cy = artin_comonoid(y)
     out = []
-    for f in all_maps(x, y):
-        m = graph_matrix(f)
+    for values in map_values(x, y):
+        m = graph_matrix(values, y.size)
         if coalgebra_morphism_violations(m, cx, cy):
             raise AssertionError("graph candidate unexpectedly rejected")
         out.append(CoalgMorphism(m, cx, cy))
@@ -258,10 +251,10 @@ def verify_mcffe(x: FinSet, y: FinSet) -> McffeReport:
     Asserts the count |Y|^|X| and that the graph correspondence is a
     bijection: every morphism matrix is read back as the graph of a map
     (`setmap_from_morphism` raises on any other matrix), and the maps
-    read back are all the maps X -> Y.
+    read back are all the maps X -> Y, compared as value tuples.
     """
     morphisms = solve_coalgebra_morphisms(x, y)
     recovered = {setmap_from_morphism(c).values for c in morphisms}
-    round_trip = recovered == {f.values for f in all_maps(x, y)}
+    round_trip = recovered == set(map_values(x, y))
     return McffeReport(x.size, y.size, len(morphisms), y.size ** x.size,
                        round_trip)

@@ -115,10 +115,9 @@ def read_set_map(dom: FinSet, cod: FinSet, values, path: str) -> SetMap:
         raise InputError(f"is not a set map: {exc}", path) from None
 
 
-def all_maps(dom: FinSet, cod: FinSet):
-    """All set maps dom -> cod, in lexicographic order of value lists."""
-    for values in itertools.product(range(cod.size), repeat=dom.size):
-        yield SetMap(dom, cod, values)
+def map_values(dom: FinSet, cod: FinSet):
+    """The value tuples of all set maps dom -> cod, in lexicographic order."""
+    return itertools.product(range(cod.size), repeat=dom.size)
 
 
 class FinDiagram(Value):

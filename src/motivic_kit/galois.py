@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._value import InputError, Value, compile_reader
 from .artin import graph_matrix, solve_coalgebra_morphisms
-from .finsets import FinSet, SetMap, all_maps, read_set_map
+from .finsets import FinSet, SetMap, map_values, read_set_map
 from .qlinalg import matmul
 
 
@@ -98,7 +98,14 @@ class FiniteGroup(Value):
     @staticmethod
     def from_json(data) -> "FiniteGroup":
         order, table = _READ_GROUP(data)
-        g = FiniteGroup(table)
+        table = tuple(map(tuple, table))
+        if table not in _GROUPS:  # checked once, then shared (immutable)
+            try:
+                _GROUPS[table] = FiniteGroup(table)
+            except ValueError as exc:
+                raise InputError(f"is not a group table: {exc}",
+                                 "table") from None
+        g = _GROUPS[table]
         if g.order != order:
             raise InputError(f"is {order}, but the table has order {g.order}",
                              "order")
@@ -138,9 +145,6 @@ class GSet(Value):
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "action", action)
 
-    def act(self, g: int) -> SetMap:
-        return self.action[g]
-
     def __repr__(self):
         return f"GSet(|G|={self.group.order}, |X|={self.carrier.size})"
 
@@ -162,13 +166,15 @@ def equivariant_set_maps(x: GSet, y: GSet) -> list:
 
     Checked on every element, not on a generating set, so that the two
     sides of the descent comparison do not rest on the same generators.
+    The value tuples are filtered, and only the answers become `SetMap`s.
     """
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
     # f(g.a) and g.f(a) for every a, read off the value tuples
-    actions = [(x.act(g).values, y.act(g).values) for g in x.group.elements()]
-    return [f for f in all_maps(x.carrier, y.carrier)
-            if all([f.values[a] for a in gx] == [gy[b] for b in f.values]
+    actions = [(gx.values, gy.values) for gx, gy in zip(x.action, y.action)]
+    return [SetMap(x.carrier, y.carrier, f)
+            for f in map_values(x.carrier, y.carrier)
+            if all([f[a] for a in gx] == [gy[b] for b in f]
                    for gx, gy in actions)]
 
 
@@ -182,14 +188,16 @@ def fixed_coalgebra_morphisms(x: GSet, y: GSet) -> list:
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
     # a matrix fixed by the generators is fixed by every product of them
-    actions = [(graph_matrix(y.act(g)), graph_matrix(x.act(g)).transpose())
+    actions = [(graph_matrix(y.action[g].values, y.carrier.size),
+                graph_matrix(x.action[g].values, x.carrier.size).transpose())
                for g in x.group.generators]
     return [c for c in solve_coalgebra_morphisms(x.carrier, y.carrier)
             if all(matmul(matmul(py, c.matrix), px_inv) == c.matrix
                    for py, px_inv in actions)]
 
 
-# the readers of input files, compiled once
+# the readers of input files, compiled once, and the group of each table read
+_GROUPS = {}
 _READ_GROUP = compile_reader({"order": int, "table": [[int]]})
 _READ_GSET = compile_reader({"group": FiniteGroup.from_json,
                              "carrier": FinSet.from_json, "action": [[int]]})

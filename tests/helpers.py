@@ -11,13 +11,12 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from motivic_kit._value import InputError, RepeatedKey, _KINDS, show
-from motivic_kit.artin import (CoalgMorphism, artin_comonoid, graph_matrix,
-                               tensor_map_matrix)
-from motivic_kit.finsets import FinDiagram, FinSet, SetMap, all_maps
+from motivic_kit.artin import CoalgMorphism, artin_comonoid, graph_matrix
+from motivic_kit.finsets import FinDiagram, FinSet, SetMap
 from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import ChainMap, CubeDiagram
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
-                                 single_degree_complex)
+                                 single_degree_complex, tensor_index_map)
 from motivic_kit.resolution import cofaces_agree, level1_classes
 
 
@@ -241,9 +240,19 @@ def dual_structure(c) -> tuple:
     return c.counit.transpose(), c.comult.transpose()
 
 
+def tensor_map_matrix(n: int, factors, t: int) -> QMatrix:
+    """Graph of `tensor_index_map`: X^(x)t -> X^(x)len(factors), |X| = n."""
+    return graph_matrix(tensor_index_map(n, factors, t), n ** len(factors))
+
+
+def graph(f: SetMap) -> QMatrix:
+    """The graph matrix of a validated set map."""
+    return graph_matrix(f.values, f.cod.size)
+
+
 def morphism_from_setmap(f: SetMap) -> CoalgMorphism:
     """The comonoid morphism carried by the graph of a set map."""
-    return CoalgMorphism(graph_matrix(f), artin_comonoid(f.dom),
+    return CoalgMorphism(graph(f), artin_comonoid(f.dom),
                          artin_comonoid(f.cod))
 
 
@@ -351,7 +360,8 @@ def brute_equivariant_maps(x: GSet, y: GSet) -> list:
     """The set maps f with f(g.a) = g.f(a) for every group element g, by
     composing the validated maps."""
     return [f for f in all_maps(x.carrier, y.carrier)
-            if all(compose(x.act(g), f).values == compose(f, y.act(g)).values
+            if all(compose(x.action[g], f).values
+                   == compose(f, y.action[g]).values
                    for g in x.group.elements())]
 
 
@@ -459,6 +469,20 @@ def brute_is_homomorphism(group, action) -> bool:
 
 def identity_map(s: FinSet) -> SetMap:
     return SetMap(s, s, range(s.size))
+
+
+# (|X|, |Y|) up to the default size cap with at most 729 set maps X -> Y
+MAP_SPACES = [(nx, ny) for nx in range(1, 7) for ny in range(1, 7)
+              if ny ** nx <= 729]
+
+
+def all_maps(dom: FinSet, cod: FinSet):
+    """All set maps dom -> cod, in lexicographic order of value lists: the
+    i-th has the base-|cod| digits of i as its values, the first digit the
+    most significant (no `itertools.product`, unlike the library)."""
+    n, m = dom.size, cod.size
+    for i in range(m ** n):
+        yield SetMap(dom, cod, [i // m ** (n - 1 - a) % m for a in range(n)])
 
 
 def compose(f: SetMap, g: SetMap) -> SetMap:

@@ -8,16 +8,16 @@ import itertools
 import random
 import time
 
-from helpers import (all_gset_actions, cover_cube_diagram, dense_at,
-                     dual_structure, identity_matrix,
+from helpers import (all_gset_actions, all_maps, cover_cube_diagram, dense_at,
+                     dual_structure, graph, identity_matrix,
                      inclusion_exclusion_euler, load_group,
                      monoid_morphism_violations, morphism_from_setmap,
                      nerve_oracle_homology, random_cover, schoolbook_kron,
                      swap_matrix, union_find_components)
 from motivic_kit.artin import (artin_comonoid, coalgebra_morphism_violations,
-                               graph_matrix, setmap_from_morphism,
+                               setmap_from_morphism,
                                solve_coalgebra_morphisms, verify_mcffe)
-from motivic_kit.finsets import FinSet, all_maps, canonical_form
+from motivic_kit.finsets import FinSet, canonical_form
 from motivic_kit.galois import equivariant_set_maps, fixed_coalgebra_morphisms
 from motivic_kit.hypercube import punctured_cube_hocolim
 from motivic_kit.monad import verify_m_identity
@@ -74,7 +74,7 @@ def test_criterion_3_galois_descent():
         for x in actions:
             for y in actions:
                 fixed = {c.matrix for c in fixed_coalgebra_morphisms(x, y)}
-                graphs = {graph_matrix(f)
+                graphs = {graph(f)
                           for f in equivariant_set_maps(x, y)}
                 assert fixed == graphs
     _report("3 (Galois descent, 7 groups, G-sets of size <= 3)",

@@ -6,21 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (comonoid_structures, compose, dense_coalgebra_violations,
-                     dense_comonoid_failures, dense_inverse, dual_structure,
-                     identity_matrix,
+from helpers import (MAP_SPACES, all_maps, comonoid_structures, compose,
+                     dense_coalgebra_violations, dense_comonoid_failures,
+                     dense_inverse, dual_structure, graph, identity_matrix,
                      kron_power, monoid_morphism_violations,
                      morphism_from_setmap, qmatrices, random_qmatrix,
-                     schoolbook_kron, swap_matrix, tuple_index_matrix,
+                     schoolbook_kron, swap_matrix, tensor_map_matrix,
+                     tuple_index_matrix,
                      zero_matrix)
 from motivic_kit import artin
 from motivic_kit.artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
                                coalgebra_morphism_violations,
                                comult_matrix, counit_matrix, graph_matrix,
                                setmap_from_morphism,
-                               solve_coalgebra_morphisms, tensor_map_matrix,
-                               verify_mcffe)
-from motivic_kit.finsets import FinSet, SetMap, all_maps
+                               solve_coalgebra_morphisms, verify_mcffe)
+from motivic_kit.finsets import FinSet, SetMap
 from motivic_kit.qlinalg import QMatrix, matmul
 
 NOT_CANONICAL = "structure is not the canonical one of its carrier"
@@ -58,7 +58,7 @@ class TestTensorIndexMap:
             square = artin_comonoid(FinSet(n * n))
             first = tensor_map_matrix(n, (0,), 2)
             second = tensor_map_matrix(n, (1,), 2)
-            graphs = [graph_matrix(f) for f in all_maps(x, x)]
+            graphs = [graph(f) for f in all_maps(x, x)]
             for a, b in itertools.product(graphs, repeat=2):
                 k = schoolbook_kron(a, b)
                 assert coalgebra_morphism_violations(k, square, square) == []
@@ -175,7 +175,7 @@ class TestCanonicalStructures:
         # is, a permutation matrix, and otherwise the constructor names
         # the canonicity fault
         c = artin_comonoid(FinSet(n))
-        permutations = {graph_matrix(SetMap(FinSet(n), FinSet(n), p))
+        permutations = {graph_matrix(p, n)
                         for p in itertools.permutations(range(n))}
         seen = 0
         for entries in itertools.product(values, repeat=n * n):
@@ -326,7 +326,7 @@ class TestMorphismChecking:
         for f in all_maps(FinSet(3), FinSet(2)):
             x = artin_comonoid(f.dom)
             y = artin_comonoid(f.cod)
-            assert not coalgebra_morphism_violations(graph_matrix(f), x, y)
+            assert not coalgebra_morphism_violations(graph(f), x, y)
 
     def test_uniform_half_matrix_fails_delta1(self):
         x = artin_comonoid(FinSet(2))
@@ -353,7 +353,7 @@ class TestMorphismChecking:
         lambda s: st.tuples(st.just(s), st.one_of(
             qmatrices(s[1], s[0]),
             qmatrices(s[1], s[0], st.sampled_from([Fraction(0), Fraction(1)])),
-            st.sampled_from([graph_matrix(f) for f in
+            st.sampled_from([graph(f) for f in
                              all_maps(FinSet(s[0]), FinSet(s[1]))])))))
     def test_entrywise_matches_dense_on_canonical(self, case):
         (nx, ny), c = case
@@ -399,6 +399,14 @@ class TestSolver:
         for c in solve_coalgebra_morphisms(FinSet(2), FinSet(3)):
             assert not coalgebra_morphism_violations(c.matrix, c.source,
                                                      c.target)
+
+    @pytest.mark.parametrize("nx, ny", MAP_SPACES)
+    def test_outputs_are_the_graphs_of_all_maps_in_order(self, nx, ny):
+        # the solver's candidates are value tuples; the oracle builds a
+        # validated SetMap per map and takes its graph
+        x, y = FinSet(nx), FinSet(ny)
+        assert [c.matrix for c in solve_coalgebra_morphisms(x, y)] == [
+            graph(f) for f in all_maps(x, y)]
 
 
 class TestGraphBijection:
@@ -459,7 +467,7 @@ class TestDuality:
         x = artin_comonoid(FinSet(2))
         y = artin_comonoid(FinSet(3))
         mx, my = dual_structure(x), dual_structure(y)
-        graphs = [graph_matrix(f) for f in all_maps(FinSet(2), FinSet(3))]
+        graphs = [graph(f) for f in all_maps(FinSet(2), FinSet(3))]
         for i in range(100):
             if i % 10 == 0:
                 m = graphs[(i // 10) % len(graphs)]

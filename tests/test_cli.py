@@ -945,6 +945,10 @@ SINGLE_FIELD_MUTATIONS = [
      "group.order must be an integer, got true"),
     (GALOIS, ("group", "order"), ("set", 3),
      "group.order is 3, but the table has order 2"),
+    (GALOIS, ("group", "table", 1, 1), ("set", 1),
+     "group.table is not a group table: element 1 has no inverse"),
+    (GALOIS, ("group", "table"), ("set", [[0, 1, 2], [1, 0, 0], [2, 0, 0]]),
+     "group.table is not a group table: multiplication is not associative"),
     (GALOIS, ("carrier", "size"), ("set", "2"),
      'carrier.size must be an integer, got "2"'),
     (GALOIS, ("action",), ("set", 5), "action must be a list, got 5"),
@@ -1012,6 +1016,45 @@ def test_single_field_mutation_names_file_and_field(tmp_path, command, keys,
     path.write_text(json.dumps(mutated(fixture(name), keys, op)))
     status, text = run_cli([a.replace("{file}", str(path)) for a in argv])
     assert (status, text) == (2, f"error: {path}: {message}")
+
+
+class TestGroupTablesCheckedOnce:
+    """A G-set file's group table is checked once per process and then
+    shared: a bad table is never stored, and a shared one still meets its
+    file's `order` field and the other file's group."""
+
+    GOOD = data_path("gset_c2_trivial2.json")
+
+    def write(self, tmp_path, *changes):
+        """gset_c2_regular.json with each (keys, value) change made."""
+        payload = fixture("gset_c2_regular.json")
+        for keys, value in changes:
+            payload = mutated(payload, keys, ("set", value))
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_a_bad_table_fails_on_every_read(self, tmp_path):
+        path = self.write(tmp_path, (("group", "table", 1, 1), 1))
+        for argv in (["--x", path, "--y", self.GOOD],
+                     ["--x", self.GOOD, "--y", path],
+                     ["--x", path, "--y", self.GOOD]):
+            assert run_cli(["galois-fixed", *argv]) == (
+                2, f"error: {path}: group.table is not a group table: "
+                "element 1 has no inverse")
+
+    def test_a_shared_table_still_checks_the_order(self, tmp_path):
+        assert run_cli(TestGaloisFixedCheck.ARGV)[0] == 0
+        path = self.write(tmp_path, (("group", "order"), 3))
+        assert run_cli(["galois-fixed", "--x", path, "--y", self.GOOD]) == (
+            2, f"error: {path}: group.order is 3, but the table has order 2")
+
+    def test_gsets_over_different_tables_still_differ(self, tmp_path):
+        # Z/2 with identity 1, acting trivially, against Z/2 with identity 0
+        path = self.write(tmp_path, (("group", "table"), [[1, 0], [0, 1]]),
+                          (("action",), [[0, 1], [0, 1]]))
+        assert run_cli(["galois-fixed", "--x", self.GOOD, "--y", path]) == (
+            2, "error: G-sets over different groups")
 
 
 def nodes(value, keys=()):

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from helpers import (brute_automorphisms, brute_canonical_with_perms,
                      brute_census, brute_isomorphic, closure_size, compose,
-                     fiber_chain, identity_map, small_diagrams)
+                     fiber_chain, identity_map, all_maps, MAP_SPACES,
+                     small_diagrams)
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
-                                 SetMap, all_maps, automorphism_group,
-                                 automorphism_order, canonical_form)
+                                 SetMap, automorphism_group,
+                                 automorphism_order, canonical_form,
+                                 map_values)
 from motivic_kit.monad import enumerate_diagrams
 
 
@@ -78,6 +80,13 @@ class TestSetMap:
     def test_json_round_trip(self):
         f = SetMap(FinSet(3), FinSet(2), [0, 1, 0])
         assert SetMap.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize("nx, ny", MAP_SPACES)
+    def test_map_values_are_the_values_of_all_maps_in_order(self, nx, ny):
+        # the library's one enumerator against the base-|Y| count
+        dom, cod = FinSet(nx), FinSet(ny)
+        assert list(map_values(dom, cod)) == [f.values
+                                              for f in all_maps(dom, cod)]
 
 
 class TestCanonicalForm:

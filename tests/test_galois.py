@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import time
 
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 
 from helpers import (all_gset_actions, brute_equivariant_maps,
                      brute_is_associative, brute_is_homomorphism, compose,
-                     cyclic_group, group_like_tables,
+                     cyclic_group, graph, group_like_tables,
                      gset_from_generator_images, load_group,
                      morphism_from_setmap, regular_gset, sub_gset,
                      trivial_gset)
 
-from motivic_kit.artin import graph_matrix
+from motivic_kit import galois
+from motivic_kit._value import InputError
 from motivic_kit.finsets import FinSet, SetMap
 from motivic_kit.galois import (FiniteGroup, GSet, equivariant_set_maps,
                                 fixed_coalgebra_morphisms)
@@ -113,6 +115,55 @@ class TestFiniteGroup:
         assert load_group("c2").generators == (1,)
         assert load_group("v4").generators == (1, 2)
         assert FiniteGroup([[0]]).generators == ()
+
+
+class TestGroupTablesAreShared:
+    """`FiniteGroup.from_json` checks a table once per process and shares
+    the group with every later read of the same table."""
+
+    C3 = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+
+    def test_reads_of_one_table_share_one_group(self):
+        first = FiniteGroup.from_json(self.C3)
+        again = FiniteGroup.from_json(json.loads(json.dumps(self.C3)))
+        assert again is first
+        assert load_group("c3") is first
+        # the constructor itself still builds a new value
+        built = FiniteGroup(self.C3["table"])
+        assert built == first and built is not first
+
+    def test_a_shared_table_still_checks_the_order(self):
+        FiniteGroup.from_json({"order": 2, "table": [[0, 1], [1, 0]]})
+        with pytest.raises(InputError) as exc:
+            FiniteGroup.from_json({"order": 3, "table": [[0, 1], [1, 0]]})
+        assert str(exc.value) == "order is 3, but the table has order 2"
+
+    @pytest.mark.parametrize("table, fault", [
+        ([[0, 1], [1, 1]], "element 1 has no inverse"),
+        ([[0, 1, 2], [1, 0, 0], [2, 0, 0]],
+         "multiplication is not associative"),
+        ([], "empty group table"),
+    ])
+    def test_a_bad_table_fails_on_every_read(self, table, fault):
+        data = {"order": len(table), "table": table}
+        for _ in range(2):
+            with pytest.raises(InputError) as exc:
+                FiniteGroup.from_json(data)
+            assert str(exc.value) == f"table is not a group table: {fault}"
+        assert tuple(map(tuple, table)) not in galois._GROUPS
+
+    def test_gsets_over_different_tables_are_refused(self):
+        # Z/2 with identity 0, and with identity 1: equal orders, two groups
+        tables = ([[0, 1], [1, 0]], [[1, 0], [0, 1]])
+        x, y = (GSet.from_json({"group": {"order": 2, "table": t},
+                                "carrier": {"size": 2},
+                                "action": [[0, 1], [0, 1]]})
+                for t in tables)
+        assert x.group is not y.group
+        for side in (equivariant_set_maps, fixed_coalgebra_morphisms):
+            with pytest.raises(ValueError,
+                               match="^G-sets over different groups$"):
+                side(x, y)
 
 
 SMALL_GROUPS = [cyclic_group(1)] + [load_group(n) for n in FIXTURE_NAMES]
@@ -257,6 +308,21 @@ class TestGSet:
                                        [SetMap(s, s, [1, 2, 0])])
 
 
+def renamed(values, p, q) -> tuple:
+    """The values of a map a -> b once a is renamed p[a] and b q[b]."""
+    out = [None] * len(values)
+    for a, b in enumerate(values):
+        out[p[a]] = q[b]
+    return tuple(out)
+
+
+def relabelled(x: GSet, p) -> GSet:
+    """The G-set x with its point a renamed p[a]."""
+    return GSet(x.group, x.carrier, [SetMap(x.carrier, x.carrier,
+                                            renamed(m.values, p, p))
+                                     for m in x.action])
+
+
 class TestEquivariantMaps:
     def test_trivial_group_gives_all_maps(self):
         e = FiniteGroup([[0]])
@@ -301,6 +367,23 @@ class TestEquivariantMaps:
                     for x in actions for m in x.action)
         assert (empty > 0) == moves
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_relabelled_actions_match_composition(self, data):
+        # renaming the points of X by p and of Y by q takes the equivariant
+        # maps f to q o f o p^-1, in the order of their new value tuples
+        index = data.draw(st.integers(0, len(SMALL_GROUPS) - 1))
+        x, y = (data.draw(st.sampled_from(
+            actions_of(index, data.draw(st.integers(1, 3)))))
+            for _ in range(2))
+        p, q = (data.draw(st.permutations(range(s.carrier.size)))
+                for s in (x, y))
+        xp, yq = relabelled(x, p), relabelled(y, q)
+        maps = equivariant_set_maps(xp, yq)
+        assert maps == brute_equivariant_maps(xp, yq)
+        assert [f.values for f in maps] == sorted(
+            renamed(f.values, p, q) for f in equivariant_set_maps(x, y))
+
 
 class TestDescent:
     def test_trivial_group_gives_all_graphs(self):
@@ -315,7 +398,7 @@ class TestDescent:
         y = trivial_gset(c2, FinSet(2))
         fixed = fixed_coalgebra_morphisms(x, y)
         assert len(fixed) == 2
-        graphs = {graph_matrix(f) for f in equivariant_set_maps(x, y)}
+        graphs = {graph(f) for f in equivariant_set_maps(x, y)}
         assert {c.matrix for c in fixed} == graphs
 
     def test_descent_bijection_sample(self):
@@ -327,7 +410,7 @@ class TestDescent:
             for x in actions[:4]:
                 for y in actions[:4]:
                     fixed = {c.matrix for c in fixed_coalgebra_morphisms(x, y)}
-                    graphs = {graph_matrix(f)
+                    graphs = {graph(f)
                               for f in equivariant_set_maps(x, y)}
                     assert fixed == graphs
 
@@ -339,7 +422,7 @@ class TestDescent:
         x = GSet(c2, s4, [SetMap(s4, s4, range(4)), act])
         y = regular_gset(c2)
         fixed = {c.matrix for c in fixed_coalgebra_morphisms(x, y)}
-        graphs = {graph_matrix(f) for f in equivariant_set_maps(x, y)}
+        graphs = {graph(f) for f in equivariant_set_maps(x, y)}
         assert fixed == graphs
 
     def test_descent_size_four_regular_actions(self):
@@ -348,7 +431,7 @@ class TestDescent:
             x = regular_gset(g)
             for y in (trivial_gset(g, FinSet(2)), x):
                 fixed = {c.matrix for c in fixed_coalgebra_morphisms(x, y)}
-                graphs = {graph_matrix(f)
+                graphs = {graph(f)
                           for f in equivariant_set_maps(x, y)}
                 assert fixed == graphs
 
@@ -361,7 +444,7 @@ class TestDescent:
             actions_of(index, data.draw(st.integers(1, 3)))))
             for _ in range(2))
         fixed = {c.matrix for c in fixed_coalgebra_morphisms(x, y)}
-        assert fixed == {graph_matrix(f) for f in equivariant_set_maps(x, y)}
+        assert fixed == {graph(f) for f in equivariant_set_maps(x, y)}
 
     def test_subgroup_restriction_enlarges(self):
         s3 = load_group("s3")
@@ -379,7 +462,7 @@ class TestDescent:
             assert {c.matrix for c in full_fixed} <= \
                 {c.matrix for c in sub_fixed}
             assert {c.matrix for c in sub_fixed} == \
-                {graph_matrix(f) for f in sub_maps}
+                {graph(f) for f in sub_maps}
 
     def test_fixed_morphisms_are_valid_morphisms(self):
         c3 = load_group("c3")

@@ -6,20 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (coface_d0, coface_d1, dense_rows, identity_matrix,
-                     iterated_mult, qmatrices, random_qmatrix,
-                     whole_matrix_equalizer, zero_matrix)
-from motivic_kit.artin import (graph_matrix, solve_coalgebra_morphisms,
-                               tensor_map_matrix)
+from helpers import (all_maps, coface_d0, coface_d1, dense_rows, graph,
+                     identity_matrix, iterated_mult, qmatrices, random_qmatrix,
+                     tensor_map_matrix, whole_matrix_equalizer, zero_matrix)
+from motivic_kit.artin import solve_coalgebra_morphisms
 from motivic_kit import resolution
-from motivic_kit.finsets import FinSet, all_maps
+from motivic_kit.finsets import FinSet
 from motivic_kit.qlinalg import QMatrix, matmul
 from motivic_kit.resolution import cofaces_agree, equalizer, verify_mdffe
 
 
 def transposed_graph(f) -> QMatrix:
     """One-1-per-row matrix of a map, the shape the tower equalizes."""
-    return graph_matrix(f).transpose()
+    return graph(f).transpose()
 
 
 class TestIteratedMult:

@@ -8,8 +8,9 @@ complexes, squares composed only when a cube is built, a group's
 generators found once, no list of zeros sized by two dimensions outside
 the dense view of a matrix, canonical comonoids built only by the one
 factory that shares them, `galois-fixed` checked on set maps rather than
-on graphs built again, no JSON indented by the pure-Python encoder, and
-no definition in the library that `cli.main` does not reach."""
+on graphs built again, no JSON indented by the pure-Python encoder, one
+builder of a graph's terms and one enumerator of set-map value tuples,
+and no definition in the library that `cli.main` does not reach."""
 
 import ast
 import collections
@@ -260,6 +261,55 @@ def test_a_groups_generators_are_found_once():
             if owner == "GSet.__init__"}.isdisjoint({"compose", "SetMap"})
 
 
+def graph_term_builders(path_name: str, tree) -> set:
+    """(file, enclosing function) of each dict comprehension that maps a
+    computed matrix index to 1: the terms of the graph of a map."""
+    return {(path_name, owner) for owner, node in nodes_in(tree)
+            if isinstance(node, ast.DictComp)
+            and isinstance(node.key, ast.BinOp)
+            and isinstance(node.value, ast.Constant) and node.value.value == 1}
+
+
+def value_tuple_enumerators(path_name: str, tree) -> set:
+    """(file, enclosing function) of each `product(range(n), repeat=m)`:
+    the value tuples of all maps from an m-set to an n-set."""
+    return {(path_name, owner) for owner, node in nodes_in(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "product"
+            and node.args and isinstance(node.args[0], ast.Call)
+            and ast.unparse(node.args[0].func) == "range"
+            and any(kw.arg == "repeat" for kw in node.keywords)}
+
+
+def test_one_graph_builder_and_one_set_map_enumerator():
+    # the solver, the group actions and the structure maps take their
+    # graphs from `graph_matrix`, and the solver, `verify_mcffe` and the
+    # equivariant filter their candidates from `map_values`; the SetMap
+    # enumerator `all_maps` is a test oracle
+    trees = source_trees()
+    assert set().union(*(graph_term_builders(name, tree)
+                         for name, tree in trees.items())) == {
+        ("artin.py", "graph_matrix")}
+    assert set().union(*(value_tuple_enumerators(name, tree)
+                         for name, tree in trees.items())) == {
+        ("finsets.py", "map_values")}
+    assert list(function_definitions("all_maps")) == []
+    # the guards see a second builder and the enumerator that left src/
+    planted = ast.parse(
+        "def solve(x, y):\n"
+        "    for f in all_maps(x, y):\n"
+        "        yield QMatrix(y.size, x.size,\n"
+        "                      {b * x.size + a: 1\n"
+        "                       for a, b in enumerate(f.values)})\n"
+        "def all_maps(dom, cod):\n"
+        "    for values in itertools.product(range(cod.size),\n"
+        "                                    repeat=dom.size):\n"
+        "        yield SetMap(dom, cod, values)")
+    assert graph_term_builders("artin.py", planted) == {("artin.py", "solve")}
+    assert value_tuple_enumerators("finsets.py", planted) == {
+        ("finsets.py", "all_maps")}
+
+
 def indenting_json_calls(path_name: str, tree) -> set:
     """(file, enclosing function) of each `json` call given an indent."""
     return {(path_name, owner) for owner, node in nodes_in(tree)
@@ -480,6 +530,11 @@ ONLY_TESTS_REACHED = [
     ("finsets.py", None, "compose",
      "def compose(f, g):\n"
      "    return SetMap(f.dom, g.cod, (g.values[v] for v in f.values))"),
+    # the SetMap enumerator, kept in tests/helpers as an oracle
+    ("finsets.py", None, "all_maps",
+     "def all_maps(dom, cod):\n"
+     "    for values in map_values(dom, cod):\n"
+     "        yield SetMap(dom, cod, values)"),
     # its own read of `c.inverse` does not reach it
     ("finsets.py", "DiagramIso", "inverse",
      "def inverse(self):\n"
