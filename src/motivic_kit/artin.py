@@ -186,9 +186,6 @@ class CoalgMorphism(Value):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
 
-    def __hash__(self):
-        return hash((self.matrix, self.source.carrier, self.target.carrier))
-
     def __repr__(self):
         return f"CoalgMorphism({self.source.size}->{self.target.size})"
 
@@ -238,11 +235,6 @@ class McffeReport:
     @property
     def passed(self) -> bool:
         return self.morphism_count == self.setmap_count and self.round_trip
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return (f"|X|={self.x_size} |Y|={self.y_size}: "
-                f"{self.morphism_count} = {self.setmap_count}, {verdict}")
 
 
 def verify_mcffe(x: FinSet, y: FinSet) -> McffeReport:

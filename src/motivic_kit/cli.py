@@ -116,10 +116,12 @@ def _dumps_key(key) -> str:
     return encode_basestring_ascii(key)
 
 
-def _emit(args, table_lines, data) -> str:
+def _emit(args, table, data) -> str:
+    """The report in the format asked for: `table` returns its lines and
+    `data` its JSON value, and only the one asked for is called."""
     if args.format == "json":
-        return _dumps(data)
-    return "\n".join(table_lines)
+        return _dumps(data())
+    return "\n".join(table())
 
 
 def _read(path: str, reader):
@@ -135,28 +137,30 @@ def _read(path: str, reader):
 def _cmd_enumerate_diagrams(args):
     orders = []
     classes = enumerate_diagrams(args.k, args.bounds, orders)
-    lines = []
-    for i, (d, aut) in enumerate(zip(classes, orders)):
-        sizes = ",".join(str(s) for s in d.sizes())
-        maps = " ".join(str(list(m.values)) for m in d.maps)
-        lines.append(f"{i}: sizes={sizes} maps={maps or '-'} |Aut|={aut}")
-    lines.append(f"classes: {len(classes)}")
-    data = {"k": args.k, "bounds": list(args.bounds),
-            "count": len(classes),
-            "classes": [d.to_json() for d in classes]}
-    return 0, _emit(args, lines, data)
+
+    def table():
+        for i, (d, aut) in enumerate(zip(classes, orders)):
+            sizes = ",".join(str(s) for s in d.sizes())
+            maps = " ".join(str(list(m.values)) for m in d.maps)
+            yield f"{i}: sizes={sizes} maps={maps or '-'} |Aut|={aut}"
+        yield f"classes: {len(classes)}"
+    return 0, _emit(args, table, lambda: {
+        "k": args.k, "bounds": list(args.bounds), "count": len(classes),
+        "classes": [d.to_json() for d in classes]})
 
 
 def _cmd_aut(args):
     d = _read(args.diagram_path, FinDiagram.from_json)
     _check_sizes("input set of size", d.sizes(), _max_size_from_env())
     group = automorphism_group(d)
-    lines = [f"degrees: {','.join(str(n) for n in group.degrees)}",
-             f"order: {group.order}",
-             f"generators: {len(group.generators)}"]
-    for g in group.generators:
-        lines.append("  " + " ".join(str(list(c.values)) for c in g.components))
-    return 0, _emit(args, lines, group.to_json())
+
+    def table():
+        yield f"degrees: {','.join(str(n) for n in group.degrees)}"
+        yield f"order: {group.order}"
+        yield f"generators: {len(group.generators)}"
+        for g in group.generators:
+            yield "  " + " ".join(str(list(c.values)) for c in g.components)
+    return 0, _emit(args, table, group.to_json)
 
 
 def _cmd_solve_comonoid(args):
@@ -164,16 +168,17 @@ def _cmd_solve_comonoid(args):
     morphisms = solve_coalgebra_morphisms(x, y)
     expected = y.size ** x.size
     ok = len(morphisms) == expected
-    lines = [f"morphisms: {len(morphisms)} (expected {expected})"]
-    if args.show_matrices:
-        for c in morphisms:
-            lines.append("  " + json.dumps(c.matrix.to_json()["entries"]))
-    lines.append("PASS" if ok else "FAIL")
-    data = {"x": args.x, "y": args.y, "count": len(morphisms),
-            "expected": expected, "passed": ok}
-    if args.show_matrices:
-        data["matrices"] = [c.matrix.to_json() for c in morphisms]
-    return (0 if ok else 1), _emit(args, lines, data)
+
+    def table():
+        yield f"morphisms: {len(morphisms)} (expected {expected})"
+        for c in morphisms if args.show_matrices else ():
+            yield "  " + json.dumps(c.matrix.to_json()["entries"])
+        yield "PASS" if ok else "FAIL"
+    return (0 if ok else 1), _emit(args, table, lambda: {
+        "x": args.x, "y": args.y, "count": len(morphisms),
+        "expected": expected, "passed": ok,
+        **({"matrices": [c.matrix.to_json() for c in morphisms]}
+           if args.show_matrices else {})})
 
 
 def _cmd_galois_fixed(args):
@@ -185,78 +190,77 @@ def _cmd_galois_fixed(args):
     fixed = fixed_coalgebra_morphisms(x, y)
     ok = ({setmap_from_morphism(c).values for c in fixed}
           == {f.values for f in maps})
-    lines = [f"equivariant maps: {len(maps)}",
-             f"fixed comonoid morphisms: {len(fixed)}",
-             "PASS" if ok else "FAIL"]
-    data = {"equivariant_maps": len(maps), "fixed_morphisms": len(fixed),
-            "passed": ok}
-    return (0 if ok else 1), _emit(args, lines, data)
+    return (0 if ok else 1), _emit(args, lambda: [
+        f"equivariant maps: {len(maps)}",
+        f"fixed comonoid morphisms: {len(fixed)}", "PASS" if ok else "FAIL"],
+        lambda: {"equivariant_maps": len(maps),
+                 "fixed_morphisms": len(fixed), "passed": ok})
 
 
 def _cmd_verify_monad(args):
     report = verify_m_identity(args.k, args.bounds)
-    lines = []
-    for row in report.rows:
-        sizes, fibers, values = row.encoding
-        lines.append(f"sizes={','.join(str(s) for s in sizes)} "
-                     f"maps={list(values)} |Aut|={row.aut_order} "
-                     f"wreath={row.wreath_count} "
-                     f"preimage={[list(s) for s in row.preimage_sizes]}")
-    lines.append(report.summary())
-    data = {"k": report.k, "bounds": list(report.bounds),
-            "assembled_classes": report.assembled_classes,
-            "enumerated_classes": report.enumerated_classes,
-            "passed": report.passed,
-            "rows": [{"sizes": list(r.encoding[0]),
-                      "aut_order": r.aut_order,
-                      "wreath": r.wreath_count,
-                      "preimage_sizes": [list(s) for s in r.preimage_sizes]}
-                     for r in report.rows]}
-    return (0 if report.passed else 1), _emit(args, lines, data)
+
+    def table():
+        for row in report.rows:
+            sizes, fibers, values = row.encoding
+            yield (f"sizes={','.join(str(s) for s in sizes)} "
+                   f"maps={list(values)} |Aut|={row.aut_order} "
+                   f"wreath={row.wreath_count} "
+                   f"preimage={[list(s) for s in row.preimage_sizes]}")
+        yield report.summary()
+    return (0 if report.passed else 1), _emit(args, table, lambda: {
+        "k": report.k, "bounds": list(report.bounds),
+        "assembled_classes": report.assembled_classes,
+        "enumerated_classes": report.enumerated_classes,
+        "passed": report.passed,
+        "rows": [{"sizes": list(r.encoding[0]),
+                  "aut_order": r.aut_order,
+                  "wreath": r.wreath_count,
+                  "preimage_sizes": [list(s) for s in r.preimage_sizes]}
+                 for r in report.rows]})
 
 
 def _cmd_hocolim(args):
     total = _read(args.diagram_path, hocolim_from_json)
     hom = total.homology_dims()
-    lines = [" ".join(f"H{n}={hom[n]}" for n in sorted(hom))]
-    data = {"homology": {str(n): hom[n] for n in sorted(hom)},
-            "euler_characteristic": total.euler_characteristic()}
-    return 0, _emit(args, lines, data)
+    return 0, _emit(
+        args, lambda: [" ".join(f"H{n}={hom[n]}" for n in sorted(hom))],
+        lambda: {"homology": {str(n): hom[n] for n in sorted(hom)},
+                 "euler_characteristic": total.euler_characteristic()})
 
 
 def _cmd_kappa(args):
     diagram = build_kappa(args.components, args.ambient, args.dim)
     if args.cross:
         diagram = diagram.cross_with(args.cross)
-    lines = [f"{name}: {expr}" for name, expr in diagram.rows]
-    lines.append(diagram.annotation())
-    return 0, _emit(args, lines, diagram.to_json())
+    return 0, _emit(args, lambda: [
+        *(f"{name}: {expr}" for name, expr in diagram.rows),
+        diagram.annotation()], diagram.to_json)
 
 
 def _cmd_verify_mcffe(args):
     report = verify_mcffe(FinSet(args.x), FinSet(args.y))
-    line = (f"{report.morphism_count} = {report.setmap_count}, "
-            + ("PASS" if report.passed else "FAIL"))
-    data = {"x": report.x_size, "y": report.y_size,
-            "morphisms": report.morphism_count,
-            "set_maps": report.setmap_count, "passed": report.passed}
-    return (0 if report.passed else 1), _emit(args, [line], data)
+    return (0 if report.passed else 1), _emit(args, lambda: [
+        f"{report.morphism_count} = {report.setmap_count}, "
+        + ("PASS" if report.passed else "FAIL")], lambda: {
+        "x": report.x_size, "y": report.y_size,
+        "morphisms": report.morphism_count,
+        "set_maps": report.setmap_count, "passed": report.passed})
 
 
 def _cmd_verify_mdffe(args):
     report = verify_mdffe(FinSet(args.x), FinSet(args.y), bound=args.bound)
-    lines = [f"equalizer (bound {args.bound}): {report.equalizer_count}",
-             f"equalizer (bound {args.bound + 1}): {report.recheck_count}",
-             f"transposed comonoid morphisms: {report.transposed_morphism_count}",
-             f"set maps: {report.setmap_count}",
-             "PASS" if report.passed else "FAIL"]
-    data = {"x": report.x_size, "y": report.y_size,
-            "equalizer": report.equalizer_count,
-            "equalizer_recheck": report.recheck_count,
-            "transposed_morphisms": report.transposed_morphism_count,
-            "set_maps": report.setmap_count,
-            "passed": report.passed}
-    return (0 if report.passed else 1), _emit(args, lines, data)
+    return (0 if report.passed else 1), _emit(args, lambda: [
+        f"equalizer (bound {args.bound}): {report.equalizer_count}",
+        f"equalizer (bound {args.bound + 1}): {report.recheck_count}",
+        f"transposed comonoid morphisms: {report.transposed_morphism_count}",
+        f"set maps: {report.setmap_count}",
+        "PASS" if report.passed else "FAIL"], lambda: {
+        "x": report.x_size, "y": report.y_size,
+        "equalizer": report.equalizer_count,
+        "equalizer_recheck": report.recheck_count,
+        "transposed_morphisms": report.transposed_morphism_count,
+        "set_maps": report.setmap_count, "passed": report.passed})
 
 
 _COMMANDS = {

@@ -9,14 +9,17 @@ with alternating signs, one column per subset size.  The
 compactly-supported model puts an ambient complex at the empty vertex,
 with one chain map into it from each singleton; the total complex of
 that full cube is the mapping cone of the punctured colimit into the
-ambient.  One value, `CubeDiagram`, holds either cube, checks every edge
-of it and builds its total complex once, which both colimits return:
-column p holds the subsets of size p + (smallest size), the internal
-differential of column p carries the sign (-1)^p, and the edge
-s -> s - {i} the sign (-1)^(position of i in sorted(s)).  So the two
-paths of a square enter D o D with opposite signs, and D o D = 0 exactly
-when every square commutes (Weibel, 1.2): the complex's own check is the
-cube's square check.
+ambient.  One value, `CubeDiagram`, holds either cube and builds its
+total complex once, which both colimits return: column p holds the
+subsets of size p + (smallest size), the internal differential of
+column p carries the sign (-1)^p, and the edge s -> s - {i} the sign
+(-1)^(position of i in sorted(s)).  A chain map checks only its block
+shapes.  The block s -> s of D o D is the vertex's own d o d, s -> s - {i}
+is +-(d f - f d) for the edge f, and s -> s - {i, j} is the square, its
+two paths with opposite signs; so D o D = 0 exactly when every edge
+commutes with d and every square commutes (Weibel, 1.2).  The complex's
+own check is the cube's one commutation check, and only when it fails
+is the first failing edge or square looked for, to name it.
 
 The compactification diagrams of `kappa` are only rendered: each vertex
 is a row of its name and a symbolic expression such as "C_*(A&B)" that
@@ -37,8 +40,10 @@ from .qlinalg import (ChainComplex, QMatrix, product_terms,
 
 
 class ChainMap(Value):
-    """A degreewise matrix map of chain complexes, commuting with d.  Only
-    blocks with a nonzero entry are stored: an absent one is zero."""
+    """A degreewise matrix map of chain complexes, of checked block shapes:
+    its cube checks that it commutes with d, through the d o d of the
+    total complex.  Only blocks with a nonzero entry are stored: an absent
+    one is zero."""
 
     __slots__ = ("source", "target", "blocks")
 
@@ -52,23 +57,18 @@ class ChainMap(Value):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "blocks", kept)
-        # both sides vanish in a degree q with no block at q - 1 or q
-        for q in sorted({*kept, *(q + 1 for q in kept)}) if kept else ():
-            if (_terms(kept.get(q - 1), source.differentials.get(q))
-                    != _terms(target.differentials.get(q), kept.get(q))):
-                raise ValueError(f"does not commute with d in degree {q}")
 
     def to_json(self):
         return {str(q): m.to_json() for q, m in sorted(self.blocks.items())}
 
 
-def _terms(a, b) -> dict:
-    """The nonzero entries of a b, none if a factor is absent (zero)."""
-    return {} if a is None or b is None else product_terms(a, b)
-
-
 def _subset_key(s) -> tuple:
     return (len(s), tuple(sorted(s)))
+
+
+def _name(s) -> str:
+    """The key of subset s in a `hocolim` file, such as "0,2"."""
+    return ",".join(str(i) for i in sorted(s))
 
 
 class CubeDiagram(Value):
@@ -77,8 +77,8 @@ class CubeDiagram(Value):
     One complex per nonempty subset of {0..index_size-1} and, if the cube
     has an ambient, one at the empty subset, keyed by frozenset; one chain
     map per one-step inclusion between vertices, keyed (larger, smaller)
-    and directed that way.  The cube builds its total complex, `total`, once, and that
-    complex's d o d = 0 check verifies every square exactly.
+    and directed that way.  The cube builds its total complex, `total`,
+    once; its d o d = 0 check verifies every edge and square exactly.
     """
 
     __slots__ = ("index_size", "vertices", "edges", "total")
@@ -119,20 +119,18 @@ class CubeDiagram(Value):
     def to_json(self):
         """The cube as a `hocolim` input: the empty vertex, if any, is the
         `ambient`, and the edges into it are the `ambient_edges`."""
-        def key(s):
-            return ",".join(str(i) for i in sorted(s))
         vertices = sorted(self.vertices.items(),
                           key=lambda kv: _subset_key(kv[0]))
         edges = sorted(self.edges.items(),
                        key=lambda kv: (_subset_key(kv[0][0]),
                                        _subset_key(kv[0][1])))
         out = {"index_size": self.index_size,
-               "vertices": {key(s): c.to_json() for s, c in vertices if s},
-               "edges": {f"{key(b)}->{key(s)}": m.to_json()
+               "vertices": {_name(s): c.to_json() for s, c in vertices if s},
+               "edges": {f"{_name(b)}->{_name(s)}": m.to_json()
                          for (b, s), m in edges if s}}
         if frozenset() in self.vertices:
             out["ambient"] = self.vertices[frozenset()].to_json()
-            out["ambient_edges"] = {key(b): m.to_json()
+            out["ambient_edges"] = {_name(b): m.to_json()
                                     for (b, s), m in edges if not s}
         return out
 
@@ -204,7 +202,7 @@ def _total_complex(vertices, edges) -> ChainComplex:
     with the columns and signs above, over the degree range of the shifted
     vertices.  It may span no more degrees than the vertices list together,
     so that the output stays within the size of the input; if its d o d
-    is not zero, the first square that does not commute is named."""
+    is not zero, the first edge or square that does not commute is named."""
     summands = sorted(vertices, key=_subset_key)
     column = {s: len(s) - len(summands[0]) for s in summands}
     lo = min(column[s] + vertices[s].lo for s in summands)
@@ -239,19 +237,30 @@ def _total_complex(vertices, edges) -> ChainComplex:
     try:
         return ChainComplex(lo, hi, dims, diffs)
     except ValueError:  # d o d != 0
-        raise ValueError(_noncommuting_square(vertices, column, offsets,
-                                              diffs)) from None
+        raise ValueError(_failing_member(vertices, edges, column, offsets,
+                                         diffs)) from None
 
 
-def _noncommuting_square(vertices, column, offsets, diffs) -> str:
-    """The first square, in vertex order and then by the two indices
-    removed, whose block s -> s - {i, j} of d o d != 0 is nonzero."""
+def _failing_member(vertices, edges, column, offsets, diffs) -> str:
+    """The first edge s -> s - {i}, in the order of `edges`, whose block
+    of d o d != 0 is nonzero, named by its file key and the lowest source
+    degree it fails in, m - column[s] for total degree m; else the first
+    square, in vertex order and then by the two indices removed, whose
+    block s -> s - {i, j} is nonzero."""
     def owner(m, k):  # the subset whose summand holds index k of degree m
         return next(s for (s, q), first in offsets.items() if q + column[s]
                     == m and first <= k < first + vertices[s].dims[q])
-    faults = {(owner(m, k % d.cols), owner(m - 2, k // d.cols))
-              for m, d in diffs.items() if m - 1 in diffs
-              for k in product_terms(diffs[m - 1], d)}
+    faults = {}  # (source subset, target subset) -> the lowest degree m
+    for m, d in sorted(diffs.items()):
+        for k in product_terms(diffs[m - 1], d) if m - 1 in diffs else ():
+            faults.setdefault((owner(m, k % d.cols),
+                               owner(m - 2, k // d.cols)), m)
+    for big, small in edges:
+        if (big, small) in faults:
+            name = (f"edges[{show(f'{_name(big)}->{_name(small)}')}]"
+                    if small else f"ambient_edges[{show(_name(big))}]")
+            return (f"{name} is not a chain map: does not commute with d in "
+                    f"degree {faults[big, small] - column[big]}")
     for big in vertices:
         for s, t in itertools.combinations(sorted(big), 2):
             if (big, big - {s, t}) in faults:

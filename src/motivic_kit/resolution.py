@@ -99,13 +99,6 @@ class MdffeReport:
                 == self.transposed_morphism_count == self.setmap_count
                 and self.sets_equal)
 
-    def summary(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return (f"|X|={self.x_size} |Y|={self.y_size}: equalizer "
-                f"{self.equalizer_count} = recheck {self.recheck_count} = "
-                f"transposed comonoid {self.transposed_morphism_count} = "
-                f"set maps {self.setmap_count}, {verdict}")
-
 
 def verify_mdffe(x: FinSet, y: FinSet, bound: int = 2) -> MdffeReport:
     """Morphisms of the towers agree with set maps X -> Y.

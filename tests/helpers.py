@@ -71,7 +71,7 @@ def dense_homology(c: ChainComplex) -> dict:
 
 def schoolbook_composite(f: ChainMap, g: ChainMap) -> ChainMap:
     """The chain map "f then g", blockwise by `schoolbook_matmul`, through
-    the checked constructor."""
+    the constructor, which checks the block shapes."""
     assert f.target == g.source
     lo = min(f.source.lo, g.target.lo)
     hi = max(f.source.hi, g.target.hi)
@@ -802,6 +802,34 @@ def first_failing_square(vertices, edges):
                 return (f"square at {sorted(big)} minus {{{s},{t}}} "
                         "does not commute")
     return None
+
+
+def chain_map_fault(f: ChainMap):
+    """The fault of `f` that the per-edge check named: the lowest source
+    degree q with d f_q != f_(q-1) d, each side composed by
+    `schoolbook_matmul` on the zero-filled blocks, or None if f commutes
+    with d."""
+    for q in range(f.source.lo, f.source.hi + 1):
+        if (schoolbook_matmul(dense_at(f.target, q), dense_at(f, q))
+                != schoolbook_matmul(dense_at(f, q - 1),
+                                     dense_at(f.source, q))):
+            return f"does not commute with d in degree {q}"
+    return None
+
+
+def first_cube_fault(vertices, edges):
+    """The fault `CubeDiagram` names: the first edge, in the order of
+    `edges`, that `chain_map_fault` rejects, keyed as a `hocolim` file
+    keys it; else `first_failing_square`."""
+    for (big, small), f in edges.items():
+        fault = chain_map_fault(f)
+        if fault is not None:
+            def key(s):
+                return ",".join(map(str, sorted(s)))
+            name = (f"edges[{json.dumps(key(big) + '->' + key(small))}]"
+                    if small else f"ambient_edges[{json.dumps(key(big))}]")
+            return f"{name} is not a chain map: {fault}"
+    return first_failing_square(vertices, edges)
 
 
 def cube_subsets(d) -> list:

@@ -55,7 +55,7 @@ def test_criterion_2_mdffe_reproduction():
     for nx in range(1, 4):
         for ny in range(1, 4):
             report = verify_mdffe(FinSet(nx), FinSet(ny), bound=2)
-            assert report.passed, report.summary()
+            assert report.passed, report
             assert report.equalizer_count == ny ** nx
             assert report.recheck_count == report.equalizer_count
     _report("2 (equalizer four-way equality, sizes 1..3)",

@@ -14,14 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ambient_cube_payload, misshaped_empty_block_payload,
-                     morphism_from_setmap)
+from helpers import (ambient_cube_payload, empty_block_cube_payload,
+                     misshaped_empty_block_payload, morphism_from_setmap)
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import DATA as GOLDEN_DATA
 from test_golden import write_relative_files
 from motivic_kit import cli, finsets, monad
 from motivic_kit.finsets import FinDiagram, FinSet, PermGroup, SetMap
 from motivic_kit.hypercube import CubeDiagram
+from motivic_kit.monad import MonadReport
 from motivic_kit.qlinalg import QMatrix
 
 
@@ -235,6 +236,35 @@ class TestCensusBuildsNoGenerators:
                          "classes": assembled + entries,
                          "entry classes": entries}
         assert calls["classes"] == passes
+
+
+class TestOnlyTheFormatAskedForIsBuilt:
+    """A command builds the payload of its `--format` alone: table output
+    writes no JSON value, and JSON output no table line."""
+
+    @pytest.mark.parametrize("argv, owner, name, table, data", [
+        # one JSON value per class, for JSON output only
+        (["enumerate-diagrams", "--k", "2", "--bounds", "2,2"],
+         FinDiagram, "to_json", 0, 5),
+        # the summary is the last table line
+        (["verify-monad", "--k", "1", "--bounds", "2,2"],
+         MonadReport, "summary", 1, 0),
+        # each of the 4 matrices once, as its table line or its JSON value
+        (["solve-comonoid", "--x", "2", "--y", "2", "--show-matrices"],
+         QMatrix, "to_json", 4, 4),
+    ])
+    def test_calls(self, monkeypatch, argv, owner, name, table, data):
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+        monkeypatch.setattr(owner, name, counting)
+        for fmt, expected in (("table", table), ("json", data)):
+            calls.clear()
+            assert run_cli([*argv, "--format", fmt])[0] == 0
+            assert len(calls) == expected
 
 
 class TestDeterminism:
@@ -838,6 +868,71 @@ class TestErrors:
         assert run_cli(["hocolim", "--diagram", str(path)]) == (
             2, f'error: {path}: edges["0,1->0"] is not a chain map: block 1 '
                'has wrong shape')
+
+    @pytest.mark.parametrize("field, member, entries", [
+        # [0, 1] sends its class in degree 1 onto the segment's edge, whose
+        # boundary nothing in degree 0 matches
+        ("edges", "0,1->0", ["1"]),
+        # [0] goes onto the ambient segment in degree 0, but not in degree 1
+        ("ambient_edges", "0", ["0"]),
+    ])
+    def test_an_edge_that_does_not_commute_with_d_is_named(
+            self, tmp_path, field, member, entries):
+        payload = empty_block_cube_payload(ambient=True)
+        payload[field][member]["1"]["entries"] = entries
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert (status, text) == (
+            2, f"error: {path}: {field}[{json.dumps(member)}] is not a chain "
+               "map: does not commute with d in degree 1")
+
+    @staticmethod
+    def failing_edge(payload):
+        """The cube of `empty_block_cube_payload` whose edge [0, 1] -> [0]
+        sends the class of [0, 1] onto the segment's edge: not a chain map."""
+        payload["edges"]["0,1->0"]["1"]["entries"] = ["1"]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: p["edges"].pop("0,1->1"), "missing edge [0, 1]->[1]"),
+        (lambda p: p["edges"]["0,1->1"].update(
+            {"0": {"rows": 2, "cols": 0, "entries": []}}),
+         'edges["0,1->1"] is not a chain map: block 0 has wrong shape'),
+        (lambda p: p.update({"index_size": 3}),
+         "need exactly the nonempty subsets as vertices"),
+        # [1] moved to degree 10, with its edge the zero map
+        (lambda p: p.update(
+            vertices={**p["vertices"], "1": {"lo": 10, "hi": 10,
+                                             "dims": {"10": 1},
+                                             "differentials": {}}},
+            edges={**p["edges"], "0,1->1": {}}),
+         "the total complex spans 11 degrees, more than the 5 its vertices "
+         "list together"),
+    ], ids=["missing-edge", "later-shape", "vertex-set", "span"])
+    def test_an_edge_fault_is_named_after_the_whole_file_is_read(
+            self, tmp_path, change, message):
+        # the cube's d o d finds the edge, after every other check
+        payload = empty_block_cube_payload(ambient=False)
+        self.failing_edge(payload)
+        change(payload)
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert (status, text) == (2, f"error: {path}: {message}")
+
+    def test_an_edge_is_named_by_its_canonical_key(self, tmp_path):
+        # "1,0->0" names the edge [0, 1] -> [0], which the file writer keys
+        # "0,1->0"
+        payload = empty_block_cube_payload(ambient=False)
+        self.failing_edge(payload)
+        payload["edges"] = {k.replace("0,1", "1,0"): v
+                            for k, v in payload["edges"].items()}
+        path = tmp_path / "spelt.json"
+        path.write_text(json.dumps(payload))
+        status, text = run_cli(["hocolim", "--diagram", str(path)])
+        assert (status, text) == (
+            2, f'error: {path}: edges["0,1->0"] is not a chain map: does not '
+               "commute with d in degree 1")
 
     def test_main_returns_status(self, capsys):
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0

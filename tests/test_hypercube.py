@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from helpers import (cone_basis_signs, cover_cube_diagram, dense_at,
                      dense_cone, dense_homology, dense_punctured_total,
-                     first_failing_square, full_cube, identity_matrix,
-                     inclusion_exclusion_euler, nerve_oracle_homology,
-                     random_cover, union_find_components, zero_matrix)
+                     first_cube_fault, first_failing_square, full_cube,
+                     identity_matrix, inclusion_exclusion_euler,
+                     nerve_oracle_homology, random_cover,
+                     union_find_components, zero_matrix)
 from motivic_kit import hypercube
 from motivic_kit._value import InputError
 from motivic_kit.hypercube import (ChainMap, CubeDiagram, _subset,
@@ -75,20 +76,43 @@ class TestCubeDiagram:
         with pytest.raises(ValueError):
             CubeDiagram(3, vertices, edges)
 
-    def test_chain_map_must_commute(self):
+    @staticmethod
+    def noncommuting_cube():
+        """The vertices and edges of a cube whose edge [0, 1] -> [0] is the
+        identity between complexes with the differentials 1 and 2; [1] and
+        its zero edge add nothing."""
         src = ChainComplex(0, 1, {0: 1, 1: 1}, {1: QMatrix(1, 1, [1])})
         tgt = ChainComplex(0, 1, {0: 1, 1: 1}, {1: QMatrix(1, 1, [2])})
-        with pytest.raises(ValueError):
-            ChainMap(src, tgt, {0: QMatrix(1, 1, [1]),
-                                1: QMatrix(1, 1, [1])})
+        point = single_degree_complex(1)
+        big, zero, one = frozenset({0, 1}), frozenset({0}), frozenset({1})
+        f = ChainMap(src, tgt, {0: QMatrix(1, 1, [1]), 1: QMatrix(1, 1, [1])})
+        return ({big: src, zero: tgt, one: point},
+                {(big, zero): f, (big, one): ChainMap(src, point, {})})
+
+    def test_chain_map_must_commute(self):
+        # the cube's d o d names the edge
+        with pytest.raises(ValueError, match=r'^edges\["0,1->0"\] is not a '
+                           "chain map: does not commute with d in degree 1$"):
+            CubeDiagram(2, *self.noncommuting_cube())
+
+    def test_an_edge_fault_is_named_after_the_endpoint_check(self):
+        vertices, edges = self.noncommuting_cube()
+        vertices[frozenset({1})] = single_degree_complex(2)
+        with pytest.raises(ValueError, match=r"^edge \[0, 1\]->\[1\] has "
+                           "wrong endpoints$"):
+            CubeDiagram(2, vertices, edges)
 
     def test_chain_map_with_an_absent_factor_must_commute(self):
-        # f_0 d_1 is 1, while d_1 f_1 is zero: the target has no d_1
+        # f_0 d_1 is 1, while d_1 f_1 is zero: the target has no d_1; the
+        # one edge of the cube goes into its ambient
         src = ChainComplex(0, 1, {0: 1, 1: 1}, {1: QMatrix(1, 1, [1])})
         tgt = ChainComplex(0, 1, {0: 1, 1: 1}, {})
-        with pytest.raises(ValueError,
-                           match=r"^does not commute with d in degree 1$"):
-            ChainMap(src, tgt, {0: QMatrix(1, 1, [1])})
+        zero, empty = frozenset({0}), frozenset()
+        with pytest.raises(ValueError, match=r'^ambient_edges\["0"\] is not '
+                           "a chain map: does not commute with d in degree 1$"):
+            CubeDiagram(1, {zero: src, empty: tgt},
+                        {(zero, empty): ChainMap(src, tgt,
+                                                 {0: QMatrix(1, 1, [1])})})
         assert ChainMap(src, tgt, {0: QMatrix(1, 1, [0])}).blocks == {}
 
     def test_vertices_are_the_nonempty_subsets_and_maybe_the_empty_one(self):
@@ -335,12 +359,16 @@ def cover_into_union(comps):
     return cube, ambient, singles
 
 
-def changed_entry(m: ChainMap, row: int, col: int) -> ChainMap:
-    block = dense_at(m, 0)
-    entries = list(block.entries)
-    entries[row * block.cols + col] += 1
-    return ChainMap(m.source, m.target,
-                    {0: QMatrix(block.rows, block.cols, entries)})
+def changed_entry(m: ChainMap, row: int, col: int,
+                  degrees=(0,)) -> ChainMap:
+    """m with entry (row, col) raised by one in its blocks of `degrees`."""
+    blocks = dict(m.blocks)
+    for q in degrees:
+        block = dense_at(m, q)
+        entries = list(block.entries)
+        entries[row * block.cols + col] += 1
+        blocks[q] = QMatrix(block.rows, block.cols, entries)
+    return ChainMap(m.source, m.target, blocks)
 
 
 @st.composite
@@ -436,10 +464,75 @@ def changed_graded_cubes(draw):
     return cube.index_size, reordered(draw, vertices), edges
 
 
-def assert_names_the_oracles_square(index_size, vertices, edges):
-    """The cube accepts exactly when every square commutes, and otherwise
-    names the oracle's first failing square."""
-    fault = first_failing_square(vertices, edges)
+def cone_cube(vertices, edges, lo: int):
+    """A cube of degree-0 complexes with each vertex made the cone of its
+    identity, its space in degrees lo and lo + 1 with d = 1, and each edge
+    its block in both degrees: again a cube of chain maps."""
+    cones = {s: ChainComplex(lo, lo + 1, {lo: c.dim(0), lo + 1: c.dim(0)},
+                             {lo + 1: identity_matrix(c.dim(0))})
+             for s, c in vertices.items()}
+    return cones, {(big, small): ChainMap(cones[big], cones[small],
+                                          dict.fromkeys((lo, lo + 1),
+                                                        dense_at(m, 0)))
+                   for (big, small), m in edges.items()}
+
+
+@st.composite
+def planted_covers(draw):
+    """The `cone_cube` of a cover by 2 to 4 parts, with or without the
+    ambient on the union; then one entry of one edge raised by one in one of the two
+    degrees, which leaves no chain map, or in both, a chain map that may
+    break a square."""
+    parts = st.lists(st.sampled_from("abcde"), min_size=1, max_size=4,
+                     unique=True)
+    cube, ambient, singles = cover_into_union(
+        draw(st.lists(parts, min_size=2, max_size=4)))
+    vertices, edges = dict(cube.vertices), dict(cube.edges)
+    if draw(st.booleans()):
+        vertices[frozenset()] = ambient
+        edges.update({(s, frozenset()): m for s, m in singles.items()})
+    lo = draw(st.sampled_from([-1, 0, 2]))
+    cones, edges = cone_cube(vertices, edges, lo)
+    nonempty = [key for key, m in edges.items()
+                if m.source.dim(lo) and m.target.dim(lo)]
+    if nonempty:
+        key = draw(st.sampled_from(nonempty))
+        m = edges[key]
+        edges[key] = changed_entry(
+            m, draw(st.integers(0, m.target.dim(lo) - 1)),
+            draw(st.integers(0, m.source.dim(lo) - 1)),
+            draw(st.sampled_from([(lo,), (lo + 1,), (lo, lo + 1)])))
+    return (cube.index_size, reordered(draw, cones),
+            reordered(draw, edges))
+
+
+@st.composite
+def planted_graded_cubes(draw):
+    """A cube of `graded_cubes`, with or without its ambient, with one
+    entry of one block of one edge raised by one: that edge may fail to
+    commute with d in that degree, the next one, both or neither."""
+    ambient, cube, singles = draw(graded_cubes())
+    vertices, edges = dict(cube.vertices), dict(cube.edges)
+    if draw(st.booleans()):
+        vertices[frozenset()] = ambient
+        edges.update({(s, frozenset()): m for s, m in singles.items()})
+    blocks = [(key, q) for key, m in edges.items()
+              for q in range(m.source.lo, m.source.hi + 1)
+              if m.source.dim(q) and m.target.dim(q)]
+    if blocks:
+        (key, q) = draw(st.sampled_from(blocks))
+        m = edges[key]
+        edges[key] = changed_entry(
+            m, draw(st.integers(0, m.target.dim(q) - 1)),
+            draw(st.integers(0, m.source.dim(q) - 1)), (q,))
+    return cube.index_size, reordered(draw, vertices), reordered(draw, edges)
+
+
+def assert_names_the_oracles_fault(index_size, vertices, edges):
+    """The cube accepts exactly when every edge commutes with d and every
+    square commutes, and otherwise names the oracles' first fault: an
+    edge's, in edge order, else a square's."""
+    fault = first_cube_fault(vertices, edges)
     if fault is None:
         CubeDiagram(index_size, vertices, edges)
     else:
@@ -451,12 +544,22 @@ class TestComposites:
     @settings(max_examples=200, deadline=None)
     @given(changed_covers())
     def test_covers_with_changed_entries(self, cover):
-        assert_names_the_oracles_square(*cover)
+        assert_names_the_oracles_fault(*cover)
 
     @settings(max_examples=60, deadline=None)
     @given(changed_graded_cubes())
     def test_graded_cubes_with_added_chain_maps(self, cube):
-        assert_names_the_oracles_square(*cube)
+        assert_names_the_oracles_fault(*cube)
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted_covers())
+    def test_covers_with_one_planted_fault(self, cover):
+        assert_names_the_oracles_fault(*cover)
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_graded_cubes())
+    def test_graded_cubes_with_one_planted_fault(self, cube):
+        assert_names_the_oracles_fault(*cube)
 
     def test_the_first_of_two_faults_in_vertex_order(self):
         # one fault at [0, 1, 2], one at the ambient corner of [0, 1]: the
@@ -478,6 +581,39 @@ class TestComposites:
             assert first_failing_square(given_order, edges) == fault
             with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
                 CubeDiagram(3, given_order, edges)
+
+    def test_the_first_failing_edge_in_edge_order_before_any_square(self):
+        # [0, 1] -> [0] and [0] -> [] fail to commute with d, and the square
+        # at [0, 1, 2] minus {0,2} fails: the cube names whichever edge it
+        # was given first
+        comps = [["a", "shared"], ["b", "shared"], ["c", "shared"]]
+        cube, ambient, singles = cover_into_union(comps)
+        vertices, edges = cone_cube(
+            {**cube.vertices, frozenset(): ambient},
+            {**cube.edges, **{(s, frozenset()): m
+                              for s, m in singles.items()}}, 0)
+        top = (frozenset({0, 1, 2}), frozenset({0, 1}))
+        edges[top] = changed_entry(edges[top], 0, 0, (0, 1))
+        first, last = (frozenset({0, 1}), frozenset({0})), (frozenset({0}),
+                                                            frozenset())
+        chain_maps = dict(edges)
+        for key in (first, last):
+            edges[key] = changed_entry(edges[key], 0, 0, (1,))
+        faults = ('edges["0,1->0"] is not a chain map: does not commute '
+                  "with d in degree 1",
+                  'ambient_edges["0"] is not a chain map: does not commute '
+                  "with d in degree 1")
+        for order, fault in ((list(edges), faults[0]),
+                             (list(edges)[::-1], faults[1])):
+            given_order = {key: edges[key] for key in order}
+            assert first_cube_fault(vertices, given_order) == fault
+            with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+                CubeDiagram(3, vertices, given_order)
+        edges.update({key: chain_maps[key] for key in (first, last)})
+        square = "square at [0, 1, 2] minus {0,2} does not commute"
+        assert first_cube_fault(vertices, edges) == square
+        with pytest.raises(ValueError, match=f"^{re.escape(square)}$"):
+            CubeDiagram(3, vertices, edges)
 
     def test_square_with_one_changed_entry_rejected(self):
         rng = random.Random(7)

@@ -374,18 +374,24 @@ def test_squares_are_composed_only_when_a_cube_is_built():
                 for owner, callee in calls_by_function(path)
                 if callee == "_total_complex"}
     assert builders == {("hypercube.py", "CubeDiagram.__init__")}
-    # no function composes two edges: the products in hypercube.py are
-    # the chain-map check of one edge against a differential, and d o d
-    # of a total complex that failed its check, to name the square
+    # no function composes two edges, and no chain map is checked on its
+    # own: the one product in hypercube.py is d o d of a total complex
+    # that failed its check, to name the failing edge or square
     [hypercube] = [p for p in SOURCES if p.name == "hypercube.py"]
     calls = list(calls_by_function(hypercube))
     products = {owner for owner, callee in calls
                 if callee in ("product_terms", "matmul")}
-    assert products == {"_terms", "_noncommuting_square"}
+    assert products == {"_failing_member"}
     assert {owner for owner, callee in calls
-            if callee == "_terms"} == {"ChainMap.__init__"}
-    assert {owner for owner, callee in calls
-            if callee == "_noncommuting_square"} == {"_total_complex"}
+            if callee == "_failing_member"} == {"_total_complex"}
+    # ... called only in the handler of the failed check
+    [(_, total)] = function_definitions("_total_complex")
+    handled = {id(node) for handler in ast.walk(total)
+               if isinstance(handler, ast.ExceptHandler)
+               for node in ast.walk(handler)}
+    assert all(id(node) in handled for node in ast.walk(total)
+               if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "_failing_member")
     colimits = ("ks_hocolim", "punctured_cube_hocolim")
     for name in colimits:
         [(_, fn)] = function_definitions(name)
@@ -397,7 +403,6 @@ def test_squares_are_composed_only_when_a_cube_is_built():
         # no loop: the cube's constructor checked every edge and square
         assert not [node for node in ast.walk(fn)
                     if isinstance(node, (ast.For, ast.comprehension))]
-    [(_, total)] = function_definitions("_total_complex")
     assert not [node for node in ast.walk(total) if isinstance(node, ast.Call)
                 and ast.unparse(node.func).endswith(".dim")]
 

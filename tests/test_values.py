@@ -88,6 +88,13 @@ def test_equal_inputs_give_equal_values(cls):
     assert hash(a) == hash(b)
 
 
+def test_a_comonoid_morphism_hashes_by_value():
+    # it has no hash of its own: the value hash agrees with equality
+    a, b = BUILDERS[CoalgMorphism](), BUILDERS[CoalgMorphism]()
+    assert "__hash__" not in vars(CoalgMorphism)
+    assert hash(a) == hash(b) and len({a, b}) == 1
+
+
 def test_unequal_inputs_give_unequal_values():
     assert FinSet(3) != FinSet(3, labels=[2, 1, 0])
     assert QMatrix(1, 2, [1, 0]) != QMatrix(2, 1, [1, 0])
