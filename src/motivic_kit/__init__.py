@@ -5,13 +5,16 @@ solver, Galois descent for finite group actions, multiset assembly for
 the free commutative monoid construction, hypercube homotopy colimits of
 chain complexes, and the cosimplicial equalizer -- all over exact
 rationals.  The library is what the batch verification CLI
-(`motivic_kit.cli`) checks: every definition is reached from one of its
+(`motivic_kit.cli`) checks: every function in it runs under one of its
 commands, and the names below are those a caller needs to run the same
-checks.
+checks.  The compactification diagrams of `kappa` are rendered rows: every
+label in them, of a component, of the ambient or of a `--cross` factor,
+must be nonempty and contain none of "&", "(" and ")", which would render
+like an intersection or a product.
 """
 
 from .finsets import (FinSet, SetMap, FinDiagram, DiagramIso, PermGroup,
-                      canonical_form, automorphism_group, automorphism_order)
+                      automorphism_group, automorphism_order)
 from .qlinalg import QMatrix, ChainComplex, matmul, rank
 from .artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
                     coalgebra_morphism_violations, solve_coalgebra_morphisms,
@@ -28,8 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FinSet", "SetMap", "FinDiagram", "DiagramIso", "PermGroup",
-    "canonical_form", "automorphism_group",
-    "automorphism_order", "enumerate_diagrams",
+    "automorphism_group", "automorphism_order", "enumerate_diagrams",
     "QMatrix", "ChainComplex", "matmul", "rank",
     "ArtinComonoid", "CoalgMorphism", "artin_comonoid",
     "coalgebra_morphism_violations", "solve_coalgebra_morphisms",

@@ -57,7 +57,11 @@ class FinSet(Value):
 
     @staticmethod
     def from_json(data) -> "FinSet":
-        return FinSet(*_READ_FINSET(data))
+        args = _READ_FINSET(data)
+        try:
+            return FinSet(*args)
+        except ValueError as exc:  # named with the path the readers add
+            raise InputError(f"is not a finite set: {exc}") from None
 
 
 def _label(x):
@@ -100,11 +104,6 @@ class SetMap(Value):
     def to_json(self):
         return {"dom": self.dom.size, "cod": self.cod.size,
                 "values": list(self.values)}
-
-    @staticmethod
-    def from_json(data) -> "SetMap":
-        dom, cod, values = _READ_SET_MAP(data)
-        return SetMap(FinSet(dom), FinSet(cod), values)
 
 
 def read_set_map(dom: FinSet, cod: FinSet, values, path: str) -> SetMap:
@@ -258,8 +257,9 @@ def _level_classes(d: FinDiagram) -> list:
     return classes
 
 
-def canonical_form(d: FinDiagram) -> FinDiagram:
-    """The canonical representative of the isomorphism class of d.
+def _canonical_form(d: FinDiagram) -> tuple:
+    """(the canonical representative of the isomorphism class of d, the
+    `_level_classes` of it), from one pass.
 
     The last level is numbered by class, then each level below it by
     (class, new label of its image).  Fibers come out sorted at every
@@ -267,16 +267,9 @@ def canonical_form(d: FinDiagram) -> FinDiagram:
     which is the lexicographic minimum of `FinDiagram.encoding` over all
     relabelings.  Remaining ties are broken by old index.  So isomorphic
     diagrams map to the identical representative, and the map is
-    idempotent.  Labels are discarded.
-    """
-    return _canonical_form(d)[0]
-
-
-def _canonical_form(d: FinDiagram) -> tuple:
-    """(`canonical_form(d)`, the `_level_classes` of it), from one pass.
-
-    A class index does not change under relabeling, and the form numbers
-    each level in class order, so its classes are the sorted originals.
+    idempotent.  Labels are discarded.  A class index does not change
+    under relabeling, and the form numbers each level in class order, so
+    its classes are the sorted originals.
     """
     if d.k == 0:
         return FinDiagram([], []), []
@@ -312,12 +305,6 @@ class PermGroup(Value):
         return {"order": self.order,
                 "degrees": list(self.degrees),
                 "generators": [g.to_json() for g in self.generators]}
-
-    @staticmethod
-    def from_json(data, diagram: FinDiagram) -> "PermGroup":
-        degrees, generators, order = _READ_PERM_GROUP(data)
-        return PermGroup(degrees, [DiagramIso(diagram, diagram, components)
-                                   for (components,) in generators], order)
 
 
 def automorphism_order(d: FinDiagram) -> int:
@@ -385,10 +372,6 @@ def automorphism_group(d: FinDiagram) -> PermGroup:
 
 # the readers of input files, compiled once
 _READ_FINSET = compile_reader({"size": int, "labels?": [_label]})
-_READ_SET_MAP = compile_reader({"dom": int, "cod": int, "values": [int]})
 _READ_DIAGRAM = compile_reader({"sets": [FinSet.from_json], "maps": list})
 _READ_DIAGRAM_MAPS = compile_reader(
     {"maps": [{"dom?": int, "cod?": int, "values": [int]}]})
-_READ_PERM_GROUP = compile_reader({
-    "degrees": [int], "generators": [{"components": [SetMap.from_json]}],
-    "order": int})

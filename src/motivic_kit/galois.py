@@ -92,9 +92,6 @@ class FiniteGroup(Value):
         """The elements of the subgroup generated by gens."""
         return {self.identity} | {b for _, _, b in self.cayley_edges(gens)}
 
-    def to_json(self):
-        return {"order": self.order, "table": [list(r) for r in self.table]}
-
     @staticmethod
     def from_json(data) -> "FiniteGroup":
         order, table = _READ_GROUP(data)
@@ -147,11 +144,6 @@ class GSet(Value):
 
     def __repr__(self):
         return f"GSet(|G|={self.group.order}, |X|={self.carrier.size})"
-
-    def to_json(self):
-        return {"group": self.group.to_json(),
-                "carrier": self.carrier.to_json(),
-                "action": [list(m.values) for m in self.action]}
 
     @staticmethod
     def from_json(data) -> "GSet":

@@ -58,9 +58,6 @@ class ChainMap(Value):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "blocks", kept)
 
-    def to_json(self):
-        return {str(q): m.to_json() for q, m in sorted(self.blocks.items())}
-
 
 def _subset_key(s) -> tuple:
     return (len(s), tuple(sorted(s)))
@@ -115,24 +112,6 @@ class CubeDiagram(Value):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "total", total)
-
-    def to_json(self):
-        """The cube as a `hocolim` input: the empty vertex, if any, is the
-        `ambient`, and the edges into it are the `ambient_edges`."""
-        vertices = sorted(self.vertices.items(),
-                          key=lambda kv: _subset_key(kv[0]))
-        edges = sorted(self.edges.items(),
-                       key=lambda kv: (_subset_key(kv[0][0]),
-                                       _subset_key(kv[0][1])))
-        out = {"index_size": self.index_size,
-               "vertices": {_name(s): c.to_json() for s, c in vertices if s},
-               "edges": {f"{_name(b)}->{_name(s)}": m.to_json()
-                         for (b, s), m in edges if s}}
-        if frozenset() in self.vertices:
-            out["ambient"] = self.vertices[frozenset()].to_json()
-            out["ambient_edges"] = {_name(b): m.to_json()
-                                    for (b, s), m in edges if not s}
-        return out
 
     @staticmethod
     def from_json(data) -> "CubeDiagram":
@@ -318,7 +297,9 @@ class KappaDiagram:
 
     def cross_with(self, label: str) -> "KappaDiagram":
         """Multiply every vertex by another factor, as in the product
-        diagram; the zero vertex absorbs it."""
+        diagram; the zero vertex absorbs it.  The factor's label obeys the
+        rule of `build_kappa`'s labels."""
+        _check_label(label)
         rows = tuple((name, expr if expr == "0" else f"{expr}xC_*({label})")
                      for name, expr in self.rows)
         return KappaDiagram(self.components, self.ambient, self.dim,
@@ -341,14 +322,11 @@ def build_kappa(components, ambient: str, dim: int) -> KappaDiagram:
 
     One inner vertex per nonempty subset of the components, carrying the
     intersection; the lower vertex carries the ambient, the upper vertex
-    zero.  The global twist is -dim and the global shift -2*dim.  A label
-    with "&", "(" or ")" would render like an intersection or a product.
+    zero.  The global twist is -dim and the global shift -2*dim.
     """
     components = tuple(components)
     for label in (*components, ambient):
-        if not str(label) or set(str(label)) & set("&()"):
-            raise ValueError(f"label {show(str(label))} must be nonempty "
-                             'and contain none of "&", "(" and ")"')
+        _check_label(label)
     if len(set(components)) != len(components):
         raise ValueError("component labels must be distinct")
     rows = [("l", f"C_*({ambient})")]
@@ -359,6 +337,14 @@ def build_kappa(components, ambient: str, dim: int) -> KappaDiagram:
             rows.append((name, f"C_*({labels})"))
     rows.append(("u", "0"))
     return KappaDiagram(components, ambient, dim, tuple(rows), -dim, -2 * dim)
+
+
+def _check_label(label):
+    """Refuse a label that is empty or has "&", "(" or ")": it would render
+    like an intersection or a product."""
+    if not str(label) or set(str(label)) & set("&()"):
+        raise ValueError(f"label {show(str(label))} must be nonempty "
+                         'and contain none of "&", "(" and ")"')
 
 
 # the readers of input files, compiled once

@@ -26,37 +26,31 @@ from operator import itemgetter, le, sub
 
 from ._value import Value
 from .finsets import (FinDiagram, FinSet, SetMap, _canonical_form,
-                      _forest_order, automorphism_order, canonical_form)
+                      _forest_order, automorphism_order)
 
 
 class MultisetOfDiagrams(Value):
     """An unordered collection of fiber diagrams for one ambient length k.
 
     Entries are diagrams of length at most k; an entry of length j < k is
-    read as a chain whose first k-j sets are empty.  Each entry's class
-    key (length, canonical encoding) is computed once, or passed in
-    `class_keys`: `class_keys` is their sorted tuple, and entries are
-    stored in the same order, so equal multisets compare equal.
+    read as a chain whose first k-j sets are empty.  `class_keys` gives
+    each entry's class key (length, canonical encoding), one per entry;
+    the keys are stored sorted and the entries in the same order, so
+    equal multisets of canonical entries compare equal.
     """
 
     __slots__ = ("k", "entries", "class_keys")
 
-    def __init__(self, k: int, entries, class_keys=None):
+    def __init__(self, k: int, entries, class_keys):
         entries = list(entries)
         if len(entries) == 0:
             raise ValueError("empty multiset rejected (sets must be nonempty)")
         if any(e.k > k for e in entries):
             raise ValueError("entry longer than the ambient length")
-        if class_keys is None:  # one class's entries by their encoding
-            entries.sort(key=FinDiagram.encoding)
-            class_keys = [(e.k, canonical_form(e).encoding()) for e in entries]
         keyed = sorted(zip(class_keys, entries, strict=True), key=itemgetter(0))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "entries", tuple(e for _, e in keyed))
         object.__setattr__(self, "class_keys", tuple(c for c, _ in keyed))
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __repr__(self):
         return f"MultisetOfDiagrams(k={self.k}, n={len(self.entries)})"

@@ -257,13 +257,6 @@ class ChainComplex(Value):
         return {n: self.dims[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
                 for n in range(self.lo, self.hi + 1)}
 
-    def to_json(self):
-        return {"lo": self.lo, "hi": self.hi,
-                "dims": {str(n): self.dims[n]
-                         for n in range(self.lo, self.hi + 1)},
-                "differentials": {str(n): d.to_json()
-                                  for n, d in self.differentials.items()}}
-
     @staticmethod
     def from_json(data) -> "ChainComplex":
         args = _READ_CHAIN_COMPLEX(data)

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from motivic_kit._value import InputError, RepeatedKey, _KINDS, show
 from motivic_kit.artin import CoalgMorphism, artin_comonoid, graph_matrix
-from motivic_kit.finsets import FinDiagram, FinSet, SetMap
+from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
+                                 _canonical_form)
 from motivic_kit.galois import FiniteGroup, GSet
-from motivic_kit.hypercube import ChainMap, CubeDiagram
+from motivic_kit.hypercube import ChainMap, CubeDiagram, _name, _subset_key
+from motivic_kit.monad import MultisetOfDiagrams
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex, tensor_index_map)
 from motivic_kit.resolution import cofaces_agree, level1_classes
@@ -471,6 +473,30 @@ def identity_map(s: FinSet) -> SetMap:
     return SetMap(s, s, range(s.size))
 
 
+def canonical_form(d: FinDiagram) -> FinDiagram:
+    """The canonical representative of the class of d, from the library's
+    one pass (without the level classes that pass also returns)."""
+    return _canonical_form(d)[0]
+
+
+def multiset(k: int, entries) -> MultisetOfDiagrams:
+    """The multiset of `entries`, sorted by encoding and each keyed by its
+    length and the encoding of its canonical form, as the census walk keys
+    its canonical pool entries."""
+    entries = sorted(entries, key=FinDiagram.encoding)
+    return MultisetOfDiagrams(k, entries, [(e.k, canonical_form(e).encoding())
+                                           for e in entries])
+
+
+def aut_generators(data: dict, d: FinDiagram) -> list:
+    """The generators of an `aut --format json` report on d, rebuilt
+    through the validating `SetMap` and `DiagramIso` constructors."""
+    return [DiagramIso(d, d, [SetMap(FinSet(c["dom"]), FinSet(c["cod"]),
+                                     c["values"])
+                              for c in g["components"]])
+            for g in data["generators"]]
+
+
 # (|X|, |Y|) up to the default size cap with at most 729 set maps X -> Y
 MAP_SPACES = [(nx, ny) for nx in range(1, 7) for ny in range(1, 7)
               if ny ** nx <= 729]
@@ -552,13 +578,24 @@ def all_gset_actions(group: FiniteGroup, size: int) -> list:
     return out
 
 
+def group_json(g: FiniteGroup) -> dict:
+    """A group as the `group` member of a `galois-fixed` input file."""
+    return {"order": g.order, "table": [list(r) for r in g.table]}
+
+
+def gset_json(x: GSet) -> dict:
+    """A G-set as a `galois-fixed` input file."""
+    return {"group": group_json(x.group), "carrier": x.carrier.to_json(),
+            "action": [list(m.values) for m in x.action]}
+
+
 def gset_payload(name: str, images) -> dict:
     """The JSON of the packaged group `name` acting on {0, 1, 2}, with its
     elements 1 and 2 acting by the permutations `images`."""
     carrier = FinSet(3)
-    return gset_from_generator_images(
+    return gset_json(gset_from_generator_images(
         load_group(name), carrier, [1, 2],
-        [SetMap(carrier, carrier, p) for p in images]).to_json()
+        [SetMap(carrier, carrier, p) for p in images]))
 
 
 def sub_gset(x: GSet, elements) -> GSet:
@@ -675,6 +712,38 @@ def random_qmatrix(rng: random.Random, rows: int, cols: int,
     return QMatrix(rows, cols, entries)
 
 
+def complex_json(c: ChainComplex) -> dict:
+    """A chain complex as a cube vertex or ambient in a `hocolim` input;
+    only its stored (nonzero) differentials are written."""
+    return {"lo": c.lo, "hi": c.hi,
+            "dims": {str(n): c.dims[n] for n in range(c.lo, c.hi + 1)},
+            "differentials": {str(n): d.to_json()
+                              for n, d in c.differentials.items()}}
+
+
+def chain_map_json(m: ChainMap) -> dict:
+    """A chain map as a cube edge in a `hocolim` input, by degree; only its
+    stored (nonzero) blocks are written."""
+    return {str(q): b.to_json() for q, b in sorted(m.blocks.items())}
+
+
+def cube_json(d: CubeDiagram) -> dict:
+    """The cube as a `hocolim` input: the empty vertex, if any, is the
+    `ambient`, and the edges into it are the `ambient_edges`."""
+    vertices = sorted(d.vertices.items(), key=lambda kv: _subset_key(kv[0]))
+    edges = sorted(d.edges.items(), key=lambda kv: (_subset_key(kv[0][0]),
+                                                     _subset_key(kv[0][1])))
+    out = {"index_size": d.index_size,
+           "vertices": {_name(s): complex_json(c) for s, c in vertices if s},
+           "edges": {f"{_name(b)}->{_name(s)}": chain_map_json(m)
+                     for (b, s), m in edges if s}}
+    if frozenset() in d.vertices:
+        out["ambient"] = complex_json(d.vertices[frozenset()])
+        out["ambient_edges"] = {_name(b): chain_map_json(m)
+                                for (b, s), m in edges if not s}
+    return out
+
+
 def cover_cube_diagram(components) -> tuple:
     """The punctured cube of a cover of a finite point set by subsets.
 
@@ -720,14 +789,14 @@ def ambient_cube_payload() -> dict:
     cube, _ = cover_cube_diagram(comps)
     ambient = single_degree_complex(4)
     pts = ["a", "b", "c", "d"]
-    payload = cube.to_json()
-    payload["ambient"] = ambient.to_json()
+    payload = cube_json(cube)
+    payload["ambient"] = complex_json(ambient)
     payload["ambient_edges"] = {}
     for i, comp in enumerate(comps):
         m = QMatrix(4, len(comp), [1 if pts[r] == p else 0
                                    for r in range(4) for p in comp])
         chain = ChainMap(cube.vertices[frozenset({i})], ambient, {0: m})
-        payload["ambient_edges"][str(i)] = chain.to_json()
+        payload["ambient_edges"][str(i)] = chain_map_json(chain)
     return payload
 
 
@@ -764,6 +833,22 @@ def empty_block_cube_payload(ambient: bool) -> dict:
             "0": {"0": matrix(2, 2, "1", "0", "0", "1"), "1": matrix(1, 1, "1")},
             "1": {"0": matrix(2, 1, "1", "0"), "1": matrix(1, 0)}}
     return payload
+
+
+def rational_cube_payload() -> dict:
+    """`hocolim` input with rational entries: points [0] of dimension 2,
+    [1] of dimension 1 and [0, 1] of dimension 2, whose two edges are
+    multiples of one row, so the total differential has rank 1 and its
+    elimination divides by the pivot -1/2."""
+    def matrix(rows, cols, *entries):
+        return {"rows": rows, "cols": cols, "entries": list(entries)}
+
+    def point(dim):
+        return {"lo": 0, "hi": 0, "dims": {"0": dim}, "differentials": {}}
+    return {"index_size": 2,
+            "vertices": {"0": point(2), "1": point(1), "0,1": point(2)},
+            "edges": {"0,1->0": {"0": matrix(2, 2, "1/2", "-2/3", 1, "-4/3")},
+                      "0,1->1": {"0": matrix(1, 2, "3", -4)}}}
 
 
 def misshaped_empty_block_payload() -> dict:

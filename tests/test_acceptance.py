@@ -8,8 +8,8 @@ import itertools
 import random
 import time
 
-from helpers import (all_gset_actions, all_maps, cover_cube_diagram, dense_at,
-                     dual_structure, graph, identity_matrix,
+from helpers import (all_gset_actions, all_maps, canonical_form,
+                     cover_cube_diagram, dense_at, dual_structure, graph, identity_matrix,
                      inclusion_exclusion_euler, load_group,
                      monoid_morphism_violations, morphism_from_setmap,
                      nerve_oracle_homology, random_cover, schoolbook_kron,
@@ -17,7 +17,7 @@ from helpers import (all_gset_actions, all_maps, cover_cube_diagram, dense_at,
 from motivic_kit.artin import (artin_comonoid, coalgebra_morphism_violations,
                                setmap_from_morphism,
                                solve_coalgebra_morphisms, verify_mcffe)
-from motivic_kit.finsets import FinSet, canonical_form
+from motivic_kit.finsets import FinSet
 from motivic_kit.galois import equivariant_set_maps, fixed_coalgebra_morphisms
 from motivic_kit.hypercube import punctured_cube_hocolim
 from motivic_kit.monad import verify_m_identity

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ambient_cube_payload, empty_block_cube_payload,
-                     misshaped_empty_block_payload, morphism_from_setmap)
+from helpers import (ambient_cube_payload, aut_generators, dense_homology,
+                     empty_block_cube_payload, misshaped_empty_block_payload,
+                     morphism_from_setmap, rational_cube_payload)
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import DATA as GOLDEN_DATA
 from test_golden import write_relative_files
 from motivic_kit import cli, finsets, monad
-from motivic_kit.finsets import FinDiagram, FinSet, PermGroup, SetMap
+from motivic_kit.finsets import FinDiagram, FinSet, SetMap
 from motivic_kit.hypercube import CubeDiagram
 from motivic_kit.monad import MonadReport
 from motivic_kit.qlinalg import QMatrix
@@ -31,7 +34,12 @@ def data_path(name: str) -> str:
 
 
 def run_cli(argv):
-    return cli.run(cli.PARSER.parse_args(argv))
+    """(exit status, report) of `cli.main` on argv: the report is what it
+    prints, without the newline `print` adds."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv)
+    return status, out.getvalue()[:-1]
 
 
 class TestCommands:
@@ -77,6 +85,16 @@ class TestCommands:
                                 data_path("cover_two_patches.json")])
         assert status == 0
         assert text == "H0=3 H1=0"
+
+    def test_hocolim_of_a_rational_cube_matches_the_dense_oracle(
+            self, tmp_path):
+        payload = rational_cube_payload()
+        path = tmp_path / "rational.json"
+        path.write_text(json.dumps(payload))
+        hom = dense_homology(CubeDiagram.from_json(payload).total)
+        assert hom == {0: 2, 1: 1}
+        assert run_cli(["hocolim", "--diagram", str(path)]) == (
+            0, " ".join(f"H{n}={hom[n]}" for n in sorted(hom)))
 
     def test_hocolim_builds_no_matrix_for_absent_differentials(
             self, tmp_path, monkeypatch):
@@ -155,6 +173,10 @@ class TestCommands:
                                 "--cross", "Y"])
         assert status == 0
         assert "C_*(X)xC_*(Y)" in text
+        # an empty --cross, the default, crosses with nothing
+        assert run_cli(["kappa", "--components", "A", "--ambient", "X",
+                        "--dim", "1", "--cross", ""]) == run_cli(
+            ["kappa", "--components", "A", "--ambient", "X", "--dim", "1"])
 
     def test_verify_mdffe(self):
         status, text = run_cli(["verify-mdffe", "--x", "2", "--y", "3"])
@@ -307,8 +329,9 @@ class TestJsonReparses:
         _, text = run_cli(["aut", "--diagram", path, "--format", "json"])
         with open(path) as fh:
             diagram = FinDiagram.from_json(json.load(fh))
-        group = PermGroup.from_json(json.loads(text), diagram)
-        assert group.order == 2
+        data = json.loads(text)
+        assert data["order"] == 2
+        assert len(aut_generators(data, diagram)) == 1
 
     def test_cover_fixture_reparses(self):
         with open(data_path("cover_two_patches.json")) as fh:
@@ -444,9 +467,9 @@ class TestErrors:
     def test_invalid_diagram_names_invariant(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"sets": [{"size": 0}], "maps": []}))
-        status, text = run_cli(["aut", "--diagram", str(bad)])
-        assert status == 2
-        assert "nonempty" in text
+        assert run_cli(["aut", "--diagram", str(bad)]) == (
+            2, f"error: {bad}: sets[0] is not a finite set: FinSet must be "
+               "nonempty (size >= 1)")
 
     def test_safety_limit(self):
         status, text = run_cli(["verify-mcffe", "--x", "9", "--y", "2"])
@@ -934,6 +957,15 @@ class TestErrors:
             2, f'error: {path}: edges["0,1->0"] is not a chain map: does not '
                "commute with d in degree 1")
 
+    @pytest.mark.parametrize("label", ["B&C", "x)", "(y", "C_*(Y)"])
+    def test_kappa_cross_obeys_the_label_rule(self, label):
+        # once printed as C_*(A)xC_*(B&C), like an intersection, or with
+        # unbalanced parentheses
+        assert run_cli(["kappa", "--components", "A,B", "--ambient", "X",
+                        "--dim", "1", "--cross", label]) == (
+            2, f"error: label {json.dumps(label)} must be nonempty and "
+               'contain none of "&", "(" and ")"')
+
     def test_main_returns_status(self, capsys):
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0
         out = capsys.readouterr().out
@@ -1020,6 +1052,12 @@ SINGLE_FIELD_MUTATIONS = [
      "sets[0].labels must be a list, got 5"),
     (AUT, ("sets", 0, "labels"), ("set", [[0], [1], [2]]),
      "sets[0].labels[0] must be a string or a number, got a list"),
+    (AUT, ("sets", 1, "size"), ("set", 0),
+     "sets[1] is not a finite set: FinSet must be nonempty (size >= 1)"),
+    (AUT, ("sets", 1, "labels"), ("set", ["a"]),
+     "sets[1] is not a finite set: labels length must equal size"),
+    (AUT, ("sets", 1, "labels"), ("set", ["a", "a"]),
+     "sets[1] is not a finite set: labels must be distinct"),
     (AUT, ("maps", 0), ("set", 5), "maps[0] must be an object, got 5"),
     (AUT, ("maps", 0, "values"), ("set", 5),
      "maps[0].values must be a list, got 5"),
@@ -1046,6 +1084,12 @@ SINGLE_FIELD_MUTATIONS = [
      "group.table is not a group table: multiplication is not associative"),
     (GALOIS, ("carrier", "size"), ("set", "2"),
      'carrier.size must be an integer, got "2"'),
+    (GALOIS, ("carrier", "size"), ("set", 0),
+     "carrier is not a finite set: FinSet must be nonempty (size >= 1)"),
+    (GALOIS, ("carrier", "labels"), ("set", [0, 1, 2]),
+     "carrier is not a finite set: labels length must equal size"),
+    (GALOIS, ("carrier", "labels"), ("set", [1, 1]),
+     "carrier is not a finite set: labels must be distinct"),
     (GALOIS, ("action",), ("set", 5), "action must be a list, got 5"),
     (GALOIS, ("action", 1), ("set", {}),
      "action[1] must be a list, got an object"),

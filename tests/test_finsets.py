@@ -1,17 +1,18 @@
 import itertools
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_automorphisms, brute_canonical_with_perms,
-                     brute_census, brute_isomorphic, closure_size, compose,
+from helpers import (aut_generators, brute_automorphisms,
+                     brute_canonical_with_perms, brute_census,
+                     brute_isomorphic, canonical_form, closure_size, compose,
                      fiber_chain, identity_map, all_maps, MAP_SPACES,
                      small_diagrams)
-from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
-                                 SetMap, automorphism_group,
-                                 automorphism_order, canonical_form,
+from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
+                                 automorphism_group, automorphism_order,
                                  map_values)
 from motivic_kit.monad import enumerate_diagrams
 
@@ -78,8 +79,10 @@ class TestSetMap:
                         assert compose(fg, h) == compose(f, compose(g, h))
 
     def test_json_round_trip(self):
+        # a set map is read back as a map of a diagram file
         f = SetMap(FinSet(3), FinSet(2), [0, 1, 0])
-        assert SetMap.from_json(f.to_json()) == f
+        d = FinDiagram([f.dom, f.cod], [f])
+        assert FinDiagram.from_json(d.to_json()).maps == (f,)
 
     @pytest.mark.parametrize("nx, ny", MAP_SPACES)
     def test_map_values_are_the_values_of_all_maps_in_order(self, nx, ny):
@@ -201,11 +204,9 @@ class TestAutomorphismGroup:
     def test_permgroup_json_round_trip(self):
         d = diagram((3, 2), [[0, 0, 1]])
         g = automorphism_group(d)
-        data = g.to_json()
-        back = PermGroup.from_json(data, d)
-        assert back.order == g.order
-        assert [x.to_json() for x in back.generators] == \
-            [x.to_json() for x in g.generators]
+        data = json.loads(json.dumps(g.to_json()))
+        assert (data["order"], data["degrees"]) == (g.order, [3, 2])
+        assert aut_generators(data, d) == list(g.generators)
 
 
 def brute_witness(d: FinDiagram) -> DiagramIso:

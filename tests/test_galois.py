@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import (all_gset_actions, brute_equivariant_maps,
                      brute_is_associative, brute_is_homomorphism, compose,
                      cyclic_group, graph, group_like_tables,
-                     gset_from_generator_images, load_group,
+                     gset_from_generator_images, gset_json, load_group,
                      morphism_from_setmap, regular_gset, sub_gset,
                      trivial_gset)
 
@@ -291,7 +291,7 @@ class TestGSet:
 
     def test_json_round_trip(self):
         x = regular_gset(load_group("c3"))
-        assert GSet.from_json(x.to_json()) == x
+        assert GSet.from_json(gset_json(x)) == x
 
     def test_all_actions_counts(self):
         # homomorphisms C2 -> Sym(3): identity plus the three transpositions

@@ -18,7 +18,7 @@ import pytest
 
 from helpers import (ambient_cube_payload, empty_block_cube_payload,
                      gset_payload, misshaped_empty_block_payload,
-                     square_cube_payload)
+                     rational_cube_payload, square_cube_payload)
 from motivic_kit import cli
 
 
@@ -106,6 +106,12 @@ GOLDEN = [
     (["hocolim", "--diagram", "misshaped.json"], 2,
      "3b063c31026cc2f69ed600751a09f646430346091ec1314c8c81c24268a4ce7f",
      "3b063c31026cc2f69ed600751a09f646430346091ec1314c8c81c24268a4ce7f"),
+    (["hocolim", "--diagram", "rational.json"], 0,
+     "74fc0695a873b6cb2a92da0907fb147fd630e87ec498519b63eff8804f2ee8b5",
+     "2157aefbf92cd22e2aa20604a474b95c58e0c54720ca241b172ce2459221e004"),
+    (["hocolim", "--diagram", "no_vertices.json"], 0,
+     "8305d24b5b9e1ebc8759a5c98be086ecfa07cde695a4f08f81baac0c3c6f53cf",
+     "47d249dfbe0e4f5a22267c728208b0c871fe6d805a9a080257ba35bc07fb2ffe"),
     (["kappa", "--components", "A,B,C", "--ambient", "Xbar", "--dim", "2"], 0,
      "685e1f04ed5ac3748e5948d6cf1c0ca8651dfed2a15a30f4a521136cf33dca65",
      "2d9cd77b839cd791b41f8d425c61eeab2220529b3d8bd4b9bc296490f2532cd5"),
@@ -146,7 +152,8 @@ def write_relative_files(directory: Path):
     """The files the golden argvs name relative to the working directory:
     a square that does not commute, cubes with 0-row and 0-column blocks
     without and with an ambient, one with an empty block of the wrong
-    shape, and the two-generator groups V4 and S3 acting on 3 points.  V4
+    shape, one with rational entries, the cube on no index, and the
+    two-generator groups V4 and S3 acting on 3 points.  V4
     acts through a transposition, fixing 2 or fixing 0; S3 acts through
     its sign, fixing 2, or transitively."""
     for name, payload in (
@@ -154,6 +161,9 @@ def write_relative_files(directory: Path):
             ("empty.json", empty_block_cube_payload(ambient=False)),
             ("empty_ambient.json", empty_block_cube_payload(ambient=True)),
             ("misshaped.json", misshaped_empty_block_payload()),
+            ("rational.json", rational_cube_payload()),
+            ("no_vertices.json",
+             {"index_size": 0, "vertices": {}, "edges": {}}),
             ("v4_fixes_2.json", gset_payload("v4", [[1, 0, 2], [0, 1, 2]])),
             ("v4_fixes_0.json", gset_payload("v4", [[0, 1, 2], [0, 2, 1]])),
             ("s3_fixes_2.json", gset_payload("s3", [[1, 0, 2], [1, 0, 2]])),

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cone_basis_signs, cover_cube_diagram, dense_at,
-                     dense_cone, dense_homology, dense_punctured_total,
+from helpers import (chain_map_json, complex_json, cone_basis_signs,
+                     cover_cube_diagram, cube_json, dense_at, dense_cone, dense_homology, dense_punctured_total,
                      first_cube_fault, first_failing_square, full_cube,
                      identity_matrix, inclusion_exclusion_euler,
                      nerve_oracle_homology, random_cover,
@@ -35,7 +35,7 @@ class TestCubeKeys:
 
     def test_keys_round_trip(self):
         cube, _ = cover_cube_diagram([["a", "b"], ["b", "c"], ["a", "c"]])
-        keys = cube.to_json()["vertices"]
+        keys = cube_json(cube)["vertices"]
         assert len(keys) == 2 ** 3 - 1
         assert {_subset(k, cube.vertices) for k in keys} == set(cube.vertices)
 
@@ -146,7 +146,7 @@ class TestCubeDiagram:
 
     def test_json_round_trip(self):
         cube, _ = two_patch_cover()
-        data = json.loads(json.dumps(cube.to_json(), sort_keys=True))
+        data = json.loads(json.dumps(cube_json(cube), sort_keys=True))
         back = CubeDiagram.from_json(data)
         assert back.vertices == cube.vertices
         for key in cube.edges:
@@ -326,6 +326,11 @@ class TestKappa:
         assert d.rows == (("l", "C_*(Xbar)xC_*(Y)xC_*(Z)"),
                           ("{0}", "C_*(A)xC_*(Y)xC_*(Z)"),
                           ("u", "0"))  # zero absorbs the factors
+
+    @pytest.mark.parametrize("label", ["", "B&C", "x)"])
+    def test_a_factor_obeys_the_label_rule(self, label):
+        with pytest.raises(ValueError, match="must be nonempty"):
+            build_kappa(["A"], "X", 1).cross_with(label)
 
     def test_zero_absorbs(self):
         d = build_kappa([], "Xbar", 1).cross_with("Y")
@@ -780,16 +785,16 @@ class TestAbsentIsZero:
                           ks_hocolim(full_cube(ambient, cube, singles)))
         for t in totals:
             assert t.homology_dims() == dense_homology(t)
-        payload = zero_cube.to_json()
-        payload["ambient"] = zero_ambient.to_json()
-        payload["ambient_edges"] = {",".join(map(str, s)): m.to_json()
+        payload = cube_json(zero_cube)
+        payload["ambient"] = complex_json(zero_ambient)
+        payload["ambient_edges"] = {",".join(map(str, s)): chain_map_json(m)
                                     for s, m in zero_singles.items()}
         payload = json.loads(json.dumps(payload))
-        assert CubeDiagram.from_json(zero_cube.to_json()) == cube
+        assert CubeDiagram.from_json(cube_json(zero_cube)) == cube
         assert CubeDiagram.from_json(payload) == full_cube(ambient, cube,
                                                            singles)
-        assert full_cube(zero_ambient, zero_cube,
-                         zero_singles).to_json() == payload
+        assert cube_json(full_cube(zero_ambient, zero_cube,
+                                   zero_singles)) == payload
         assert hocolim_from_json(payload) == totals[1]
         stored = [matrix for c in (zero_ambient, *vertices.values(), *totals)
                   for matrix in c.differentials.values()]
@@ -807,7 +812,7 @@ class TestReadWork:
         # the triple intersection and two of the pairs are empty
         cube, _ = cover_cube_diagram([["a", "b"], ["c", "d"], ["b", "c"],
                                       ["e"]])
-        payload = cube.to_json()
+        payload = cube_json(cube)
         for (big, small), m in cube.edges.items():
             key = "->".join(",".join(map(str, sorted(s))) for s in (big, small))
             payload["edges"][key]["0"] = dense_at(m, 0).to_json()

@@ -3,10 +3,10 @@ import itertools
 
 import pytest
 
-from helpers import brute_automorphisms, brute_census
+from helpers import (brute_automorphisms, brute_census, canonical_form,
+                     multiset)
 from motivic_kit import cli, monad
-from motivic_kit.finsets import (FinDiagram, FinSet, SetMap,
-                                 automorphism_group, canonical_form)
+from motivic_kit.finsets import FinDiagram, FinSet, SetMap, automorphism_group
 from motivic_kit.monad import (MultisetOfDiagrams, assemble,
                                enumerate_diagrams, verify_m_identity,
                                wreath_order)
@@ -21,47 +21,47 @@ EMPTY = FinDiagram([], [])
 
 class TestAssemble:
     def test_single_entry(self):
-        m = MultisetOfDiagrams(1, [bare_set(3)])
+        m = multiset(1, [bare_set(3)])
         d = assemble(m)
         assert d.sizes() == (3, 1)
         assert d.maps[0].values == (0, 0, 0)
 
     def test_two_singletons_give_identity(self):
-        m = MultisetOfDiagrams(1, [bare_set(1), bare_set(1)])
+        m = multiset(1, [bare_set(1), bare_set(1)])
         d = assemble(m)
         assert d.sizes() == (2, 2)
         assert d.maps[0].is_bijective()
 
     def test_two_and_one(self):
-        m = MultisetOfDiagrams(1, [bare_set(2), bare_set(1)])
+        m = multiset(1, [bare_set(2), bare_set(1)])
         d = assemble(m)
         assert d.sizes() == (3, 2)
         assert sorted(d.maps[0].fiber_sizes()) == [1, 2]
 
     def test_empty_multiset_rejected(self):
         with pytest.raises(ValueError):
-            MultisetOfDiagrams(1, [])
+            MultisetOfDiagrams(1, [], [])
 
     def test_all_padded_rejected(self):
         with pytest.raises(ValueError):
-            assemble(MultisetOfDiagrams(1, [EMPTY, EMPTY]))
+            assemble(multiset(1, [EMPTY, EMPTY]))
 
     def test_padded_entry_gives_missed_element(self):
-        m = MultisetOfDiagrams(1, [bare_set(1), EMPTY])
+        m = multiset(1, [bare_set(1), EMPTY])
         d = assemble(m)
         assert d.sizes() == (1, 2)
         assert set(d.maps[0].values) != {0, 1}  # not surjective
 
     def test_order_insensitive(self):
-        a = MultisetOfDiagrams(1, [bare_set(2), bare_set(1)])
-        b = MultisetOfDiagrams(1, [bare_set(1), bare_set(2)])
+        a = multiset(1, [bare_set(2), bare_set(1)])
+        b = multiset(1, [bare_set(1), bare_set(2)])
         assert a == b
         assert assemble(a) == assemble(b)
         # two labellings of one class, in either order
         s2 = FinSet(2)
         d1 = FinDiagram([s2, s2], [SetMap(s2, s2, [0, 0])])
         d2 = FinDiagram([s2, s2], [SetMap(s2, s2, [1, 1])])
-        assert MultisetOfDiagrams(2, [d1, d2]) == MultisetOfDiagrams(2, [d2, d1])
+        assert multiset(2, [d1, d2]) == multiset(2, [d2, d1])
 
     def test_given_class_keys_are_one_per_entry(self):
         with pytest.raises(ValueError):
@@ -73,14 +73,14 @@ class TestAssemble:
                         [SetMap(FinSet(2), FinSet(2), [0, 0])])
         d2 = FinDiagram([FinSet(2), FinSet(2)],
                         [SetMap(FinSet(2), FinSet(2), [1, 1])])
-        m1 = MultisetOfDiagrams(2, [d1, bare_set(1)])
-        m2 = MultisetOfDiagrams(2, [d2, bare_set(1)])
+        m1 = multiset(2, [d1, bare_set(1)])
+        m2 = multiset(2, [d2, bare_set(1)])
         assert canonical_form(assemble(m1)) == canonical_form(assemble(m2))
 
     def test_k2_assembly_shapes(self):
         chain = FinDiagram([FinSet(2), FinSet(1)],
                            [SetMap(FinSet(2), FinSet(1), [0, 0])])
-        m = MultisetOfDiagrams(2, [chain, bare_set(1)])
+        m = multiset(2, [chain, bare_set(1)])
         d = assemble(m)
         # the padded 1-set entry sits only at the middle level
         assert d.sizes() == (2, 2, 2)
@@ -90,7 +90,7 @@ class TestAssemble:
 class TestCensusIdentity:
     def test_base_case_multisets_of_points(self):
         # multisets of empty diagrams assemble to bare sets
-        m = MultisetOfDiagrams(0, [EMPTY, EMPTY, EMPTY])
+        m = multiset(0, [EMPTY, EMPTY, EMPTY])
         assert assemble(m) == FinDiagram([FinSet(3)], [])
         report = verify_m_identity(0, (3,))
         assert report.passed
@@ -113,7 +113,7 @@ class TestCensusIdentity:
 
     def test_specific_preimage(self):
         # the class 3 -> 2 with fibers (2, 1) comes from {2-set, 1-set}
-        m = MultisetOfDiagrams(1, [bare_set(2), bare_set(1)])
+        m = multiset(1, [bare_set(2), bare_set(1)])
         d = assemble(m)
         target = FinDiagram([FinSet(3), FinSet(2)],
                             [SetMap(FinSet(3), FinSet(2), [0, 0, 1])])
@@ -122,7 +122,7 @@ class TestCensusIdentity:
         assert wreath_order(m) == 2
 
     def test_wreath_count_repeated_entries(self):
-        m = MultisetOfDiagrams(1, [bare_set(2), bare_set(2)])
+        m = multiset(1, [bare_set(2), bare_set(2)])
         # each 2-set has Aut order 2, and the two equal entries swap
         assert wreath_order(m) == 2 * 2 * 2
         assert automorphism_group(assemble(m)).order == 8
@@ -164,7 +164,7 @@ def independent_multisets(k: int, bounds) -> list:
                     levels[k - e.k + i] += size
             if (all(t <= b for t, b in zip(levels, bounds))
                     and any(e.k == k for e in entries)):
-                found.append(MultisetOfDiagrams(k, entries))
+                found.append(multiset(k, entries))
     return found
 
 
@@ -178,7 +178,8 @@ class TestWalk:
         assert walked
         for m in walked:
             assert all(canonical_form(e) == e for e in m.entries)
-            assert m == MultisetOfDiagrams(k, m.entries)
+            keys = [(e.k, canonical_form(e).encoding()) for e in m.entries]
+            assert list(m.class_keys) == keys == sorted(keys)
 
     @pytest.mark.parametrize("bounds", [
         (5,), (2, 2), (1, 8), (8, 1), (7, 1, 2), (2, 2, 3), (1, 3, 2),

@@ -10,10 +10,16 @@ the dense view of a matrix, canonical comonoids built only by the one
 factory that shares them, `galois-fixed` checked on set maps rather than
 on graphs built again, no JSON indented by the pure-Python encoder, one
 builder of a graph's terms and one enumerator of set-map value tuples,
-and no definition in the library that `cli.main` does not reach."""
+no definition in the library that `cli.main` does not reach, and no
+function in it that the suite's command lines do not run."""
 
 import ast
 import collections
+import inspect
+import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +29,7 @@ import motivic_kit
 from motivic_kit.qlinalg import QMatrix
 
 SOURCES = sorted((Path(motivic_kit.__file__).parent).glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def absolute_imports(path: Path):
@@ -45,10 +52,63 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == set()
 
 
-def test_every_exported_name_resolves():
+def run_command_trace(root: Path, out: Path, *node_ids) -> dict:
+    """The output of tests/command_trace.py run on the checkout at `root`,
+    with any further tests named; every test it runs must pass."""
+    done = subprocess.run(
+        [sys.executable, str(root / "tests" / "command_trace.py"), str(out),
+         *node_ids],
+        cwd=root, capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    return json.loads(out.read_text())
+
+
+@pytest.fixture(scope="module")
+def command_trace(tmp_path_factory) -> dict:
+    return run_command_trace(ROOT, tmp_path_factory.mktemp("trace") / "out.json")
+
+
+def never_run(trace: dict) -> list:
+    """The "file:qualname" of each function defined in the library that
+    no command ran.  `__repr__` shows a value in a debugger or in a failed
+    assertion, and no command prints one; `Value.__setattr__` and
+    `__delattr__` refuse an assignment, which no command attempts (the
+    value contract in test_values checks that they refuse)."""
+    ran = set(map(tuple, trace["ran"]))
+    return [f"{file}:{name}" for file, name, line in trace["defined"]
+            if (file, name, line) not in ran
+            and not name.endswith(".__repr__")
+            and name not in ("Value.__setattr__", "Value.__delattr__")]
+
+
+def readme_example_imports() -> set:
+    """The names the README library example imports from the package."""
+    section = (ROOT / "README.md").read_text().split("## Library example\n")[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return {alias.name for node in ast.walk(ast.parse(code))
+            if isinstance(node, ast.ImportFrom) and node.module == "motivic_kit"
+            for alias in node.names}
+
+
+def defined_at(obj) -> tuple:
+    """(file name, qualified name) of a function, or of a class's
+    constructor, as tests/command_trace.py names them."""
+    qualname = obj.__qualname__ + ".__init__" * isinstance(obj, type)
+    return Path(inspect.getfile(obj)).name, qualname
+
+
+def test_every_exported_name_resolves(command_trace):
     missing = [name for name in motivic_kit.__all__
                if not hasattr(motivic_kit, name)]
     assert missing == []
+    # ... and is run by a command (a class by its constructor), or is
+    # used by the README library example: no name is exported for tests
+    ran = {(file, name) for file, name, _ in command_trace["ran"]}
+    shown = readme_example_imports()
+    assert shown and shown <= set(motivic_kit.__all__)
+    assert [name for name in motivic_kit.__all__ if name not in shown
+            and defined_at(getattr(motivic_kit, name)) not in ran] == []
 
 
 def class_definitions():
@@ -110,7 +170,7 @@ def function_definitions(name: str):
 def test_from_json_reads_its_argument_only_through_the_reader():
     # a subscript or method call on the JSON argument skips the type check
     readers = list(function_definitions("from_json"))
-    assert len(readers) >= 9
+    assert len(readers) >= 7
     direct = {(path_name, node.lineno) for path_name, fn in readers
               for node in ast.walk(fn)
               if isinstance(node, (ast.Subscript, ast.Attribute))
@@ -479,6 +539,43 @@ def unreached(trees=None) -> list:
                and is_read(path_name, *name.rpartition("."))}
     return [(path_name, name) for path_name, name, _ in defs
             if (path_name, name) not in reached]
+
+
+def test_every_function_runs_under_a_command(command_trace):
+    # the golden argvs, the CLI error rows and the single-field mutations,
+    # each run through `cli.main` with the caches cleared, run every
+    # function, method and lambda of the library (tests/command_trace.py)
+    assert len(command_trace["defined"]) > 100
+    assert never_run(command_trace) == []
+
+
+def test_a_function_no_command_runs_is_caught(tmp_path):
+    # planted in a copy of the checkout: a function nothing calls, and a
+    # writer that only a test calls, outside `cli.main`; the static guard
+    # sees only the function, since reached code reads `to_json`
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
+    package = tmp_path / "src" / "motivic_kit"
+    with open(package / "hypercube.py", "a") as fh:
+        fh.write("\n\ndef planted_function(n):\n    return n\n")
+    qlinalg = package / "qlinalg.py"
+    text = qlinalg.read_text()
+    anchor = '    __slots__ = ("lo", "hi", "dims", "differentials")\n'
+    assert text.count(anchor) == 1
+    qlinalg.write_text(text.replace(anchor, anchor + (
+        "\n    def to_json(self):\n        return {\"lo\": self.lo}\n")))
+    (tmp_path / "tests" / "test_planted.py").write_text(
+        "from motivic_kit.qlinalg import single_degree_complex\n\n\n"
+        "def test_calls_the_writer():\n"
+        "    assert single_degree_complex(2).to_json() == {\"lo\": 0}\n")
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in package.glob("*.py")}
+    assert unreached(trees) == [("hypercube.py", "planted_function")]
+    trace = run_command_trace(tmp_path, tmp_path / "out.json",
+                              "tests/test_planted.py")
+    assert never_run(trace) == ["hypercube.py:planted_function",
+                                "qlinalg.py:ChainComplex.to_json"]
 
 
 def test_every_definition_is_reached_from_cli_main():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cover_cube_diagram, empty_block_cube_payload,
-                     fiber_chain, identity_map, identity_matrix, load_group,
-                     morphism_from_setmap, reference_reader, regular_gset)
+from helpers import (complex_json, cover_cube_diagram,
+                     empty_block_cube_payload, fiber_chain, gset_json,
+                     identity_map, identity_matrix, load_group,
+                     morphism_from_setmap, multiset, reference_reader,
+                     regular_gset)
 from motivic_kit import finsets, qlinalg
 from motivic_kit._value import Value, compile_reader, degree_key
 from motivic_kit.artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
@@ -54,7 +56,7 @@ BUILDERS = {
                                {0: identity_matrix(2),
                                 1: identity_matrix(1)}),
     CubeDiagram: lambda: cover_cube_diagram([{0, 1}, {1, 2}])[0],
-    MultisetOfDiagrams: lambda: MultisetOfDiagrams(
+    MultisetOfDiagrams: lambda: multiset(
         2, [diagram(), FinDiagram([FinSet(1)], [])]),
 }
 CLASSES = sorted(BUILDERS, key=lambda cls: cls.__name__)
@@ -134,7 +136,7 @@ READER_CASES = {
     "matrix entries": (_MATRIX, QMatrix(1, 2, ["2/3", 4]).to_json()),
     "complex": ({"lo": int, "hi": int, "dims": {degree_key: int},
                  "differentials": {degree_key: _MATRIX}},
-                chain_complex().to_json()),
+                complex_json(chain_complex())),
     "cube": ({"vertices": {_subset: ChainComplex.from_json},
               "edges": {str: _BLOCKS}, "index_size": int,
               "ambient?": ChainComplex.from_json,
@@ -149,7 +151,7 @@ READER_CASES = {
               {"order": 2, "table": [[0, 1], [1, 0]]}),
     "gset": ({"group": FiniteGroup.from_json, "carrier": FinSet.from_json,
               "action": [[int]]},
-             regular_gset(load_group("c3")).to_json()),
+             gset_json(regular_gset(load_group("c3")))),
 }
 # a leaf swapped for another JSON value, a member deleted or renamed, an
 # object replaced by the list of its values
