@@ -23,8 +23,8 @@ from .galois import (FiniteGroup, GSet, equivariant_set_maps,
                      fixed_coalgebra_morphisms)
 from .monad import (MultisetOfDiagrams, assemble, enumerate_diagrams,
                     verify_m_identity)
-from .hypercube import (CubeDiagram, ChainMap, punctured_cube_hocolim,
-                        ks_hocolim, build_kappa)
+from .hypercube import (CubeDiagram, punctured_cube_hocolim, ks_hocolim,
+                        build_kappa)
 from .resolution import equalizer, verify_mdffe
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "FiniteGroup", "GSet", "equivariant_set_maps",
     "fixed_coalgebra_morphisms",
     "MultisetOfDiagrams", "assemble", "verify_m_identity",
-    "CubeDiagram", "ChainMap", "punctured_cube_hocolim", "ks_hocolim",
-    "build_kappa",
+    "CubeDiagram", "punctured_cube_hocolim", "ks_hocolim", "build_kappa",
     "equalizer", "verify_mdffe",
 ]

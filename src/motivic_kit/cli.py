@@ -66,20 +66,18 @@ def _check_limits(args, limit: int):
 
 
 def _dumps(value, indent="\n") -> str:
-    """The text of `json.dumps(value, sort_keys=True, indent=2)`.
+    """The text of `json.dumps(value, sort_keys=True, indent=2)` for the
+    values commands emit: nonempty dicts with str keys, lists, str, int,
+    bool and None.
 
     Given an indent, `json.dumps` runs its pure-Python encoder; this one
     joins the parts of each container with `str.join`.  `indent` is the
-    newline and the spaces that start a line at the value's depth.  Lists,
-    tuples and dicts recurse, and str, int, bool and None are written as
-    `json` writes them.  Any other value (a float, a subclass of str or
-    int, a type `json` refuses) goes to `json.dumps` itself, which needs
-    no indent for a scalar and raises what the indenting call raises.
+    newline and the spaces that start a line at the value's depth.
     """
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is list or kind is tuple:
+    if kind is list:
         if not value:
             return "[]"
         inner = indent + "  "
@@ -88,32 +86,14 @@ def _dumps(value, indent="\n") -> str:
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is dict:
-        if not value:
-            return "{}"
         inner = indent + "  "
         return ("{" + inner + ("," + inner).join(
-            [_dumps_key(key) + ": " + _dumps(v, inner)
+            [encode_basestring_ascii(key) + ": " + _dumps(v, inner)
              for key, v in sorted(value.items())]) + indent + "}")
-    if value is None or value is True or value is False:
-        return _LITERALS[value]
-    if isinstance(value, (list, tuple)):
-        return _dumps(list(value), indent)
-    if isinstance(value, dict):
-        return _dumps(dict(value.items()), indent)
-    return json.dumps(value)
+    return _LITERALS[value]
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def _dumps_key(key) -> str:
-    """A dict key as `json` writes it: a string, or a scalar's text quoted."""
-    if not isinstance(key, str):
-        if not isinstance(key, (int, float)) and key is not None:
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-        key = json.dumps(key)
-    return encode_basestring_ascii(key)
 
 
 def _emit(args, table, data) -> str:

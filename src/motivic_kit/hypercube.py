@@ -13,8 +13,10 @@ ambient.  One value, `CubeDiagram`, holds either cube and builds its
 total complex once, which both colimits return: column p holds the
 subsets of size p + (smallest size), the internal differential of
 column p carries the sign (-1)^p, and the edge s -> s - {i} the sign
-(-1)^(position of i in sorted(s)).  A chain map checks only its block
-shapes.  The block s -> s of D o D is the vertex's own d o d, s -> s - {i}
+(-1)^(position of i in sorted(s)).  An edge is no value of its own: it
+is the dict of its nonzero blocks by degree, and the cube checks only
+their shapes, against the dimensions of the two vertices its key names.
+The block s -> s of D o D is the vertex's own d o d, s -> s - {i}
 is +-(d f - f d) for the edge f, and s -> s - {i, j} is the square, its
 two paths with opposite signs; so D o D = 0 exactly when every edge
 commutes with d and every square commutes (Weibel, 1.2).  The complex's
@@ -39,26 +41,6 @@ from .qlinalg import (ChainComplex, QMatrix, product_terms,
                       single_degree_complex)
 
 
-class ChainMap(Value):
-    """A degreewise matrix map of chain complexes, of checked block shapes:
-    its cube checks that it commutes with d, through the d o d of the
-    total complex.  Only blocks with a nonzero entry are stored: an absent
-    one is zero."""
-
-    __slots__ = ("source", "target", "blocks")
-
-    def __init__(self, source: ChainComplex, target: ChainComplex, blocks):
-        kept = {}
-        for q, m in zip(map(int, blocks), blocks.values()):
-            if m.rows != target.dim(q) or m.cols != source.dim(q):
-                raise ValueError(f"block {q} has wrong shape")
-            if m.terms:
-                kept[q] = m
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "blocks", kept)
-
-
 def _subset_key(s) -> tuple:
     return (len(s), tuple(sorted(s)))
 
@@ -68,14 +50,24 @@ def _name(s) -> str:
     return ",".join(str(i) for i in sorted(s))
 
 
+def _edge_name(big, small) -> str:
+    """The member of a `hocolim` file that holds the edge big -> small."""
+    return (f"edges[{show(f'{_name(big)}->{_name(small)}')}]" if small
+            else f"ambient_edges[{show(_name(big))}]")
+
+
 class CubeDiagram(Value):
     """A cube diagram of chain complexes on an index set.
 
     One complex per nonempty subset of {0..index_size-1} and, if the cube
     has an ambient, one at the empty subset, keyed by frozenset; one chain
     map per one-step inclusion between vertices, keyed (larger, smaller)
-    and directed that way.  The cube builds its total complex, `total`,
-    once; its d o d = 0 check verifies every edge and square exactly.
+    and directed that way, given as the dict {degree q: its block from
+    vertex larger to vertex smaller}.  Each block's shape is checked
+    against the two vertices, and an edge keeps only its blocks with a
+    nonzero entry: an absent one is zero.  The cube builds its total
+    complex, `total`, once; its d o d = 0 check verifies every edge and
+    square exactly.
     """
 
     __slots__ = ("index_size", "vertices", "edges", "total")
@@ -89,13 +81,19 @@ class CubeDiagram(Value):
                 or len(vertices) != 2 ** index_size - (frozenset() not in vertices)
                 or not frozenset().union(*vertices) <= set(range(index_size))):
             raise ValueError("need exactly the nonempty subsets as vertices")
-        for (big, small), m in edges.items():
-            if not (small < big and len(big) == len(small) + 1):
-                raise ValueError("edges must be one-step inclusions")
-            if (m.source != vertices.get(big)
-                    or m.target != vertices.get(small)):
-                raise ValueError(f"edge {sorted(big)}->{sorted(small)} has "
-                                 "wrong endpoints")
+        for (big, small), blocks in edges.items():
+            if not (small < big and len(big) == len(small) + 1
+                    and big in vertices and small in vertices):
+                raise ValueError("edges must be one-step inclusions between "
+                                 "vertices")
+            rows, cols, kept = vertices[small].dims, vertices[big].dims, {}
+            for q, m in blocks.items():
+                if m.rows != rows.get(q, 0) or m.cols != cols.get(q, 0):
+                    raise ValueError(f"{_edge_name(big, small)} is not a "
+                                     f"chain map: block {q} has wrong shape")
+                if m.terms:
+                    kept[q] = m
+            edges[big, small] = kept
         # the given edges are distinct one-step inclusions between vertices;
         # a full cube has one per element of a vertex, but none out of a
         # singleton when there is no empty vertex: walk only on a shortfall
@@ -126,7 +124,7 @@ class CubeDiagram(Value):
             if not arrow:
                 raise InputError('is not keyed by two subsets joined by "->"')
             return vertex(big), vertex(small)
-        edges = _edges(edges, ends, "edges", vertices)
+        edges = _edges(edges, ends, "edges")
         if ambient is not None:
             def singleton(name):
                 s = vertex(name)
@@ -135,7 +133,7 @@ class CubeDiagram(Value):
                 return s, frozenset()
             (singles,) = _READ_AMBIENT_EDGES(data)
             vertices[frozenset()] = ambient
-            edges.update(_edges(singles, singleton, "ambient_edges", vertices))
+            edges.update(_edges(singles, singleton, "ambient_edges"))
         return CubeDiagram(index_size, vertices, edges)
 
 
@@ -150,18 +148,15 @@ def _subset(name: str, vertices=None) -> frozenset:
     return s
 
 
-def _edges(members: dict, ends, name: str, vertices) -> dict:
-    """Field `name`'s chain maps, keyed by `ends`; a fault names the member."""
+def _edges(members: dict, ends, name: str) -> dict:
+    """Field `name`'s blocks by edge, keyed by `ends`; a fault in a key
+    names the member."""
     out = {}
     for k, blocks in members.items():
         try:
-            big, small = parsed = ends(k)
-            out[parsed] = ChainMap(vertices[big], vertices[small], blocks)
+            out[ends(k)] = blocks
         except InputError as exc:
             raise exc.inside(f"{name}[{show(k)}]")
-        except ValueError as exc:
-            raise InputError(f"is not a chain map: {exc}").inside(
-                f"{name}[{show(k)}]") from None
     if len(out) < len(members):
         raise RepeatedKey(members, ends).inside(name)
     return out
@@ -170,10 +165,12 @@ def _edges(members: dict, ends, name: str, vertices) -> dict:
 def _add_block(terms: dict, cols: int, block: QMatrix, r0: int, c0: int,
                sign: int):
     """Add sign * block into a dict of row-major terms at row r0, column c0."""
-    for k, v in block.terms:
-        i, j = divmod(k, block.cols)
+    n = block.cols
+    for k, v in (block.terms if sign == 1
+                 else [(k, -v) for k, v in block.terms]):
+        i, j = divmod(k, n)
         k = (r0 + i) * cols + c0 + j
-        terms[k] = terms.get(k, 0) + (v if sign == 1 else -v)
+        terms[k] = terms.get(k, 0) + v
 
 
 def _total_complex(vertices, edges) -> ChainComplex:
@@ -191,22 +188,27 @@ def _total_complex(vertices, edges) -> ChainComplex:
         raise ValueError(f"the total complex spans {hi - lo + 1} degrees, "
                          f"more than the {listed} its vertices list together")
     dims = dict.fromkeys(range(lo, hi + 1), 0)
-    offsets = {}  # (subset, its degree q) -> first index in degree q + p
+    # (subset, its degree q) -> first index in degree q + p, for q of
+    # nonzero dimension: a stored matrix has a nonzero entry, so no
+    # differential or block meets a zero space
+    offsets = {}
     placed = {}  # degree -> [(block, first row, first column, sign)]
     for s in summands:
         p = column[s]
         for q, n in vertices[s].dims.items():
-            offsets[(s, q)] = dims[q + p]
-            dims[q + p] += n
+            if n:
+                offsets[(s, q)] = dims[q + p]
+                dims[q + p] += n
         for q, d in vertices[s].differentials.items():
             placed.setdefault(q + p, []).append(
                 (d, offsets[(s, q - 1)], offsets[(s, q)], (-1) ** p))
-    for (big, small), m in edges.items():
-        (i,) = big - small
-        sign = (-1) ** sorted(big).index(i)
-        for q, block in m.blocks.items():
-            placed.setdefault(q + column[big], []).append(
-                (block, offsets[(small, q)], offsets[(big, q)], sign))
+    for (big, small), blocks in edges.items():
+        if blocks:
+            (i,) = big - small
+            sign, p = (-1) ** sorted(big).index(i), column[big]
+            for q, block in blocks.items():
+                placed.setdefault(q + p, []).append(
+                    (block, offsets[(small, q)], offsets[(big, q)], sign))
     diffs = {}
     for m, blocks in placed.items():
         terms = {}
@@ -236,10 +238,9 @@ def _failing_member(vertices, edges, column, offsets, diffs) -> str:
                                owner(m - 2, k // d.cols)), m)
     for big, small in edges:
         if (big, small) in faults:
-            name = (f"edges[{show(f'{_name(big)}->{_name(small)}')}]"
-                    if small else f"ambient_edges[{show(_name(big))}]")
-            return (f"{name} is not a chain map: does not commute with d in "
-                    f"degree {faults[big, small] - column[big]}")
+            return (f"{_edge_name(big, small)} is not a chain map: does not "
+                    f"commute with d in degree "
+                    f"{faults[big, small] - column[big]}")
     for big in vertices:
         for s, t in itertools.combinations(sorted(big), 2):
             if (big, big - {s, t}) in faults:

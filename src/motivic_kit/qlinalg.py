@@ -21,6 +21,8 @@ from operator import itemgetter
 
 from ._value import InputError, Value, compile_reader, degree_key, show
 
+_VALUE = itemgetter(1)  # a term's value: the zero filter keeps the nonzero
+
 
 def _frac(x):
     """The normal form of an exact rational: `int` if integral, else `Fraction`."""
@@ -61,7 +63,7 @@ class QMatrix(Value):
             raise ValueError("term index out of range")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "terms", tuple(filter(itemgetter(1), terms)))
+        object.__setattr__(self, "terms", tuple(filter(_VALUE, terms)))
 
     @property
     def entries(self) -> tuple:
@@ -90,9 +92,10 @@ class QMatrix(Value):
         rows, cols, entries = _READ_QMATRIX(data)
         if entries:
             return QMatrix(rows, cols, _entries(entries, data))
-        if (rows, cols) not in _EMPTY:  # values are immutable: share one
-            _EMPTY[rows, cols] = QMatrix(rows, cols, ())
-        return _EMPTY[rows, cols]
+        empty = _EMPTY.get((rows, cols))  # values are immutable: share one
+        if empty is None:
+            empty = _EMPTY[rows, cols] = QMatrix(rows, cols, ())
+        return empty
 
 
 def _entry(x):
@@ -239,9 +242,6 @@ class ChainComplex(Value):
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "differentials", kept)
-
-    def dim(self, n: int) -> int:
-        return self.dims.get(n, 0)
 
     def __repr__(self):
         dims = " ".join(f"{n}:{self.dims[n]}" for n in range(self.lo, self.hi + 1))

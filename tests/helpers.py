@@ -10,16 +10,55 @@ from importlib import resources
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from motivic_kit._value import InputError, RepeatedKey, _KINDS, show
+from motivic_kit._value import InputError, RepeatedKey, Value, _KINDS, show
 from motivic_kit.artin import CoalgMorphism, artin_comonoid, graph_matrix
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
                                  _canonical_form)
 from motivic_kit.galois import FiniteGroup, GSet
-from motivic_kit.hypercube import ChainMap, CubeDiagram, _name, _subset_key
+from motivic_kit.hypercube import CubeDiagram, _name, _subset_key
 from motivic_kit.monad import MultisetOfDiagrams
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex, tensor_index_map)
 from motivic_kit.resolution import cofaces_agree, level1_classes
+
+
+def dim(c: ChainComplex, n: int) -> int:
+    """The dimension of a complex in degree n, 0 outside its range."""
+    return c.dims.get(n, 0)
+
+
+class ChainMap(Value):
+    """A degreewise matrix map of chain complexes, the record the oracles
+    compose: its source, its target and its blocks by degree, block q of
+    shape dim(target, q) x dim(source, q), and only those with a nonzero
+    entry kept.  A cube takes an edge as its `blocks` alone
+    (`edge_blocks`)."""
+
+    __slots__ = ("source", "target", "blocks")
+
+    def __init__(self, source: ChainComplex, target: ChainComplex, blocks):
+        kept = {}
+        for q, m in zip(map(int, blocks), blocks.values()):
+            if m.rows != dim(target, q) or m.cols != dim(source, q):
+                raise ValueError(f"block {q} has wrong shape")
+            if m.terms:
+                kept[q] = m
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "blocks", kept)
+
+
+def edge_blocks(maps: dict) -> dict:
+    """The edges of a cube, given as chain maps, as `CubeDiagram` takes
+    them: the blocks of each."""
+    return {key: m.blocks for key, m in maps.items()}
+
+
+def edge_maps(cube: CubeDiagram) -> dict:
+    """The edges of `cube` as chain maps between its vertices."""
+    return {(big, small): ChainMap(cube.vertices[big], cube.vertices[small],
+                                   blocks)
+            for (big, small), blocks in cube.edges.items()}
 
 
 def zero_matrix(rows: int, cols: int) -> QMatrix:
@@ -55,10 +94,10 @@ def dense_at(value, n: int) -> QMatrix:
     """The differential d_n of a complex, or block n of a chain map, as a
     matrix with its zeros: a matrix that is not stored is zero."""
     if isinstance(value, ChainComplex):
-        stored, rows, cols = value.differentials, value.dim(n - 1), value.dim(n)
+        stored, rows, cols = value.differentials, dim(value, n - 1), dim(value, n)
     else:
         stored = value.blocks
-        rows, cols = value.target.dim(n), value.source.dim(n)
+        rows, cols = dim(value.target, n), dim(value.source, n)
     return stored[n] if n in stored else zero_matrix(rows, cols)
 
 
@@ -721,10 +760,10 @@ def complex_json(c: ChainComplex) -> dict:
                               for n, d in c.differentials.items()}}
 
 
-def chain_map_json(m: ChainMap) -> dict:
-    """A chain map as a cube edge in a `hocolim` input, by degree; only its
-    stored (nonzero) blocks are written."""
-    return {str(q): b.to_json() for q, b in sorted(m.blocks.items())}
+def edge_json(blocks: dict) -> dict:
+    """A cube edge, given by its blocks, in a `hocolim` input, by degree;
+    a cube's edges hold only their nonzero blocks."""
+    return {str(q): b.to_json() for q, b in sorted(blocks.items())}
 
 
 def cube_json(d: CubeDiagram) -> dict:
@@ -735,11 +774,11 @@ def cube_json(d: CubeDiagram) -> dict:
                                                      _subset_key(kv[0][1])))
     out = {"index_size": d.index_size,
            "vertices": {_name(s): complex_json(c) for s, c in vertices if s},
-           "edges": {f"{_name(b)}->{_name(s)}": chain_map_json(m)
+           "edges": {f"{_name(b)}->{_name(s)}": edge_json(m)
                      for (b, s), m in edges if s}}
     if frozenset() in d.vertices:
         out["ambient"] = complex_json(d.vertices[frozenset()])
-        out["ambient_edges"] = {_name(b): chain_map_json(m)
+        out["ambient_edges"] = {_name(b): edge_json(m)
                                 for (b, s), m in edges if not s}
     return out
 
@@ -779,7 +818,7 @@ def cover_cube_diagram(components) -> tuple:
                            for p in big_pts])
             edges[(big, small)] = ChainMap(vertices[big], vertices[small],
                                            {0: mat})
-    return CubeDiagram(n, vertices, edges), union
+    return CubeDiagram(n, vertices, edge_blocks(edges)), union
 
 
 def ambient_cube_payload() -> dict:
@@ -796,7 +835,7 @@ def ambient_cube_payload() -> dict:
         m = QMatrix(4, len(comp), [1 if pts[r] == p else 0
                                    for r in range(4) for p in comp])
         chain = ChainMap(cube.vertices[frozenset({i})], ambient, {0: m})
-        payload["ambient_edges"][str(i)] = chain_map_json(chain)
+        payload["ambient_edges"][str(i)] = edge_json(chain.blocks)
     return payload
 
 
@@ -864,7 +903,7 @@ def full_cube(ambient: ChainComplex, cube, singles) -> CubeDiagram:
     `singles`, keyed by singleton, as the edges into it."""
     empty = frozenset()
     return CubeDiagram(cube.index_size, {**cube.vertices, empty: ambient},
-                       {**cube.edges, **{(frozenset(s), empty): m
+                       {**cube.edges, **{(frozenset(s), empty): m.blocks
                                          for s, m in singles.items()}})
 
 
@@ -903,18 +942,27 @@ def chain_map_fault(f: ChainMap):
 
 
 def first_cube_fault(vertices, edges):
-    """The fault `CubeDiagram` names: the first edge, in the order of
-    `edges`, that `chain_map_fault` rejects, keyed as a `hocolim` file
-    keys it; else `first_failing_square`."""
-    for (big, small), f in edges.items():
+    """The fault `CubeDiagram` names for `edges`, given by their blocks:
+    the first edge, in the order of `edges`, whose blocks make no
+    `ChainMap` between its vertices; else the first that `chain_map_fault`
+    rejects; each keyed as a `hocolim` file keys it; else
+    `first_failing_square`."""
+    def name(big, small):
+        def key(s):
+            return ",".join(map(str, sorted(s)))
+        return (f"edges[{json.dumps(key(big) + '->' + key(small))}]"
+                if small else f"ambient_edges[{json.dumps(key(big))}]")
+    maps = {}
+    for (big, small), blocks in edges.items():
+        try:
+            maps[big, small] = ChainMap(vertices[big], vertices[small], blocks)
+        except ValueError as exc:
+            return f"{name(big, small)} is not a chain map: {exc}"
+    for (big, small), f in maps.items():
         fault = chain_map_fault(f)
         if fault is not None:
-            def key(s):
-                return ",".join(map(str, sorted(s)))
-            name = (f"edges[{json.dumps(key(big) + '->' + key(small))}]"
-                    if small else f"ambient_edges[{json.dumps(key(big))}]")
-            return f"{name} is not a chain map: {fault}"
-    return first_failing_square(vertices, edges)
+            return f"{name(big, small)} is not a chain map: {fault}"
+    return first_failing_square(vertices, maps)
 
 
 def cube_subsets(d) -> list:
@@ -942,7 +990,7 @@ def _dense_layout(d):
         total = 0
         for p, s in summands:
             off[s] = total
-            total += d.vertices[s].dim(m - p)
+            total += dim(d.vertices[s], m - p)
         dims[m] = total
         offsets[m] = off
     return lo, hi, dims, offsets, summands
@@ -954,6 +1002,7 @@ def dense_punctured_total(d) -> ChainComplex:
     if not d.vertices:
         return single_degree_complex(0)
     lo, hi, dims, offsets, summands = _dense_layout(d)
+    maps = edge_maps(d)
     diffs = {}
     for m in range(lo + 1, hi + 1):
         rows, cols = dims[m - 1], dims[m]
@@ -966,7 +1015,7 @@ def dense_punctured_total(d) -> ChainComplex:
             for idx, el in enumerate(sorted(s)):
                 small = s - {el}
                 if small:
-                    _place(entries, cols, dense_at(d.edges[(s, small)], q),
+                    _place(entries, cols, dense_at(maps[(s, small)], q),
                            offsets[m - 1][small], c0, (-1) ** idx)
         diffs[m] = QMatrix(rows, cols, entries)
     return ChainComplex(lo, hi, dims, diffs)
@@ -979,7 +1028,7 @@ def dense_cone(ambient: ChainComplex, d, singleton_maps) -> ChainComplex:
     subset into the ambient is composed and compared."""
     if not d.vertices:
         return ambient
-    into_ambient = {}
+    into_ambient, maps = {}, edge_maps(d)
     for s in cube_subsets(d):
         if len(s) == 1:
             if s not in singleton_maps:
@@ -989,7 +1038,7 @@ def dense_cone(ambient: ChainComplex, d, singleton_maps) -> ChainComplex:
                 raise ValueError("singleton map has wrong endpoints")
             into_ambient[s] = m
         else:
-            candidates = [schoolbook_composite(d.edges[(s, s - {el})],
+            candidates = [schoolbook_composite(maps[(s, s - {el})],
                                                into_ambient[s - {el}])
                           for el in sorted(s)]
             if any(other != candidates[0] for other in candidates[1:]):
@@ -1000,20 +1049,20 @@ def dense_cone(ambient: ChainComplex, d, singleton_maps) -> ChainComplex:
     _, _, _, toffsets, summands = _dense_layout(d)
     lo = min(ambient.lo, tot.lo + 1)
     hi = max(ambient.hi, tot.hi + 1)
-    dims = {m: ambient.dim(m) + tot.dim(m - 1) for m in range(lo, hi + 1)}
+    dims = {m: dim(ambient, m) + dim(tot, m - 1) for m in range(lo, hi + 1)}
     diffs = {}
     for m in range(lo + 1, hi + 1):
         rows, cols = dims[m - 1], dims[m]
         entries = [0] * (rows * cols)
         _place(entries, cols, dense_at(ambient, m), 0, 0)
         _place(entries, cols, dense_at(tot, m - 1),
-               ambient.dim(m - 1), ambient.dim(m), -1)
+               dim(ambient, m - 1), dim(ambient, m), -1)
         # the induced map Tot -> ambient lives on the p = 0 column
-        if tot.dim(m - 1):
+        if dim(tot, m - 1):
             for p, s in summands:
                 if p == 0:
                     _place(entries, cols, dense_at(into_ambient[s], m - 1),
-                           0, ambient.dim(m) + toffsets[m - 1][s])
+                           0, dim(ambient, m) + toffsets[m - 1][s])
         diffs[m] = QMatrix(rows, cols, entries)
     return ChainComplex(lo, hi, dims, diffs)
 
@@ -1021,9 +1070,9 @@ def dense_cone(ambient: ChainComplex, d, singleton_maps) -> ChainComplex:
 def cone_basis_signs(ambient: ChainComplex, d, m: int) -> QMatrix:
     """The diagonal basis change E in degree m of the cone: +1 on the
     ambient and (-1)^(|s|-1) on the summand of each nonempty s."""
-    signs = [1] * ambient.dim(m)
+    signs = [1] * dim(ambient, m)
     for s in cube_subsets(d):
-        signs += [(-1) ** (len(s) - 1)] * d.vertices[s].dim(m - len(s))
+        signs += [(-1) ** (len(s) - 1)] * dim(d.vertices[s], m - len(s))
     n = len(signs)
     return QMatrix(n, n, [signs[i] if i == j else 0
                           for i in range(n) for j in range(n)])

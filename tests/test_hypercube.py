@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (chain_map_json, complex_json, cone_basis_signs,
-                     cover_cube_diagram, cube_json, dense_at, dense_cone, dense_homology, dense_punctured_total,
-                     first_cube_fault, first_failing_square, full_cube,
-                     identity_matrix, inclusion_exclusion_euler,
+from helpers import (ChainMap, cone_basis_signs, cover_cube_diagram,
+                     cube_json, dense_at, dense_cone, dense_homology,
+                     dense_punctured_total, dim, edge_blocks, edge_json,
+                     edge_maps, first_cube_fault, first_failing_square,
+                     full_cube, identity_matrix, inclusion_exclusion_euler,
                      nerve_oracle_homology, random_cover,
                      union_find_components, zero_matrix)
 from motivic_kit import hypercube
 from motivic_kit._value import InputError
-from motivic_kit.hypercube import (ChainMap, CubeDiagram, _subset,
-                                   build_kappa, hocolim_from_json, ks_hocolim,
+from motivic_kit.hypercube import (CubeDiagram, _name, _subset, build_kappa,
+                                   hocolim_from_json, ks_hocolim,
                                    punctured_cube_hocolim)
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex)
@@ -71,8 +72,7 @@ class TestCubeDiagram:
                 if not small:
                     continue
                 scale = 2 if (big == frozenset({0, 1, 2}) and el == 2) else 1
-                edges[(big, small)] = ChainMap(one, one,
-                                               {0: QMatrix(1, 1, [scale])})
+                edges[(big, small)] = {0: QMatrix(1, 1, [scale])}
         with pytest.raises(ValueError):
             CubeDiagram(3, vertices, edges)
 
@@ -85,9 +85,9 @@ class TestCubeDiagram:
         tgt = ChainComplex(0, 1, {0: 1, 1: 1}, {1: QMatrix(1, 1, [2])})
         point = single_degree_complex(1)
         big, zero, one = frozenset({0, 1}), frozenset({0}), frozenset({1})
-        f = ChainMap(src, tgt, {0: QMatrix(1, 1, [1]), 1: QMatrix(1, 1, [1])})
         return ({big: src, zero: tgt, one: point},
-                {(big, zero): f, (big, one): ChainMap(src, point, {})})
+                {(big, zero): {0: QMatrix(1, 1, [1]), 1: QMatrix(1, 1, [1])},
+                 (big, one): {}})
 
     def test_chain_map_must_commute(self):
         # the cube's d o d names the edge
@@ -95,11 +95,34 @@ class TestCubeDiagram:
                            "chain map: does not commute with d in degree 1$"):
             CubeDiagram(2, *self.noncommuting_cube())
 
-    def test_an_edge_fault_is_named_after_the_endpoint_check(self):
+    def test_a_block_shape_fault_is_named_before_a_commutation_fault(self):
+        # [0, 1] -> [1], given after the edge that does not commute, sends
+        # degree 0 into two rows, where [1] has one
         vertices, edges = self.noncommuting_cube()
-        vertices[frozenset({1})] = single_degree_complex(2)
-        with pytest.raises(ValueError, match=r"^edge \[0, 1\]->\[1\] has "
-                           "wrong endpoints$"):
+        edges[frozenset({0, 1}), frozenset({1})] = {0: QMatrix(2, 1, [1, 0])}
+        with pytest.raises(ValueError, match=r'^edges\["0,1->1"\] is not a '
+                           "chain map: block 0 has wrong shape$"):
+            CubeDiagram(2, vertices, edges)
+
+    def test_block_shapes_are_those_of_the_vertices_the_key_names(self):
+        # an edge is no more than its blocks: with none, it is the zero
+        # map between any two vertices; a block outside a vertex's degree
+        # range has a 0 there, and an empty block of the wrong shape fails
+        vertices, edges = self.noncommuting_cube()
+        big, zero, one = frozenset({0, 1}), frozenset({0}), frozenset({1})
+        vertices[one] = single_degree_complex(2)
+        edges[big, one] = {5: QMatrix(0, 0, [])}
+        with pytest.raises(ValueError, match="does not commute"):
+            CubeDiagram(2, vertices, edges)
+        vertices[zero] = ChainComplex(0, 1, {0: 2, 1: 1},
+                                      {1: QMatrix(2, 1, [2, 0])})
+        with pytest.raises(ValueError, match=r'^edges\["0,1->0"\] is not a '
+                           "chain map: block 0 has wrong shape$"):
+            CubeDiagram(2, vertices, edges)
+        vertices, edges = self.noncommuting_cube()
+        edges[big, one] = {1: QMatrix(1, 0, [])}
+        with pytest.raises(ValueError, match=r'^edges\["0,1->1"\] is not a '
+                           "chain map: block 1 has wrong shape$"):
             CubeDiagram(2, vertices, edges)
 
     def test_chain_map_with_an_absent_factor_must_commute(self):
@@ -111,9 +134,11 @@ class TestCubeDiagram:
         with pytest.raises(ValueError, match=r'^ambient_edges\["0"\] is not '
                            "a chain map: does not commute with d in degree 1$"):
             CubeDiagram(1, {zero: src, empty: tgt},
-                        {(zero, empty): ChainMap(src, tgt,
-                                                 {0: QMatrix(1, 1, [1])})})
-        assert ChainMap(src, tgt, {0: QMatrix(1, 1, [0])}).blocks == {}
+                        {(zero, empty): {0: QMatrix(1, 1, [1])}})
+        # a zero block is not kept
+        assert CubeDiagram(1, {zero: src, empty: tgt},
+                           {(zero, empty): {0: QMatrix(1, 1, [0])}}).edges == {
+            (zero, empty): {}}
 
     def test_vertices_are_the_nonempty_subsets_and_maybe_the_empty_one(self):
         cube, ambient, singles = cover_into_union([["a", "b"], ["b", "c"]])
@@ -129,12 +154,19 @@ class TestCubeDiagram:
                                "nonempty subsets as vertices$"):
                 CubeDiagram(index_size, vertices, {})
 
-    def test_an_edge_into_a_missing_empty_vertex_rejected(self):
+    @pytest.mark.parametrize("big, small", [
+        # into the empty vertex of a cube with no ambient
+        ({0}, set()),
+        # out of a subset that is no vertex
+        ({0, 2}, {0}),
+        # not one step, or not an inclusion
+        ({0, 1}, set()), ({0}, {0}), ({0}, {0, 1}),
+    ])
+    def test_an_edge_must_join_two_vertices_one_step_apart(self, big, small):
         cube, ambient, singles = cover_into_union([["a", "b"], ["b", "c"]])
-        edges = {**cube.edges, (frozenset({0}), frozenset()):
-                 singles[frozenset({0})]}
-        with pytest.raises(ValueError, match=r"^edge \[0\]->\[\] has "
-                           "wrong endpoints$"):
+        edges = {**cube.edges, (frozenset(big), frozenset(small)): {}}
+        with pytest.raises(ValueError, match="^edges must be one-step "
+                           "inclusions between vertices$"):
             CubeDiagram(2, cube.vertices, edges)
 
     def test_each_colimit_rejects_the_other_shape(self):
@@ -175,7 +207,7 @@ class TestPuncturedHocolim:
         cone = ChainComplex(0, 1, {0: 4, 1: 1},
                             {1: QMatrix(4, 1, [0, -1, 1, 0])})
         for n in (0, 1):
-            assert tot.dim(n) == cone.dim(n)
+            assert dim(tot, n) == dim(cone, n)
         assert tot.homology_dims() == cone.homology_dims()
 
     def test_euler_additivity(self):
@@ -194,10 +226,8 @@ class TestPuncturedHocolim:
         subsets = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
         vertices = {s: two_term for s in subsets}
         ident = {0: identity_matrix(1), 1: identity_matrix(1)}
-        edges = {(frozenset({0, 1}), frozenset({0})):
-                 ChainMap(two_term, two_term, ident),
-                 (frozenset({0, 1}), frozenset({1})):
-                 ChainMap(two_term, two_term, ident)}
+        edges = {(frozenset({0, 1}), frozenset({0})): ident,
+                 (frozenset({0, 1}), frozenset({1})): ident}
         cube = CubeDiagram(2, vertices, edges)
         tot = punctured_cube_hocolim(cube)
         assert tot.dims == {0: 2, 1: 3, 2: 1}
@@ -218,8 +248,8 @@ class TestPuncturedHocolim:
         ident = {0: identity_matrix(1)}
         cube = CubeDiagram(2, {frozenset({0}): one, frozenset({1}): one,
                                frozenset({0, 1}): deep},
-                           {(frozenset({0, 1}), frozenset({i})):
-                            ChainMap(deep, one, ident) for i in (0, 1)})
+                           {(frozenset({0, 1}), frozenset({i})): ident
+                            for i in (0, 1)})
         tot = punctured_cube_hocolim(cube)
         assert (tot.lo, tot.hi, tot.dims) == (0, 1, {0: 2, 1: 1})
         ambient = single_degree_complex(2, degree=1)
@@ -400,17 +430,17 @@ def small_complexes(draw):
 def chain_maps(draw, source: ChainComplex, target: ChainComplex):
     """d h + h d for a random h of degree +1, plus the identity when the
     ends agree: a chain map by construction."""
-    h = {q: QMatrix(target.dim(q + 1), source.dim(q), [
+    h = {q: QMatrix(dim(target, q + 1), dim(source, q), [
         draw(st.integers(-2, 2))
-        for _ in range(target.dim(q + 1) * source.dim(q))])
+        for _ in range(dim(target, q + 1) * dim(source, q))])
         for q in range(-1, max(source.hi, target.hi) + 1)}
     blocks = {}
     for q in range(0, max(source.hi, target.hi) + 1):
         terms = [matmul(dense_at(target, q + 1), h[q]),
                  matmul(h[q - 1], dense_at(source, q))]
         if source == target:
-            terms.append(identity_matrix(source.dim(q)))
-        blocks[q] = QMatrix(target.dim(q), source.dim(q),
+            terms.append(identity_matrix(dim(source, q)))
+        blocks[q] = QMatrix(dim(target, q), dim(source, q),
                             map(sum, zip(*(t.entries for t in terms))))
     return ChainMap(source, target, blocks)
 
@@ -418,7 +448,7 @@ def chain_maps(draw, source: ChainComplex, target: ChainComplex):
 def added(f: ChainMap, g: ChainMap) -> ChainMap:
     """The chain map f + g, blockwise."""
     return ChainMap(f.source, f.target, {
-        q: QMatrix(f.target.dim(q), f.source.dim(q),
+        q: QMatrix(dim(f.target, q), dim(f.source, q),
                    map(sum, zip(dense_at(f, q).entries,
                                 dense_at(g, q).entries)))
         for q in f.blocks.keys() | g.blocks.keys()})
@@ -438,19 +468,19 @@ def changed_covers(draw):
                      unique=True)
     comps = draw(st.lists(parts, min_size=3, max_size=4))
     cube, ambient, singles = cover_into_union(comps)
-    vertices, edges = dict(cube.vertices), dict(cube.edges)
+    vertices, edges = dict(cube.vertices), edge_maps(cube)
     if draw(st.booleans()):
         vertices[frozenset()] = ambient
         edges.update({(s, frozenset()): m for s, m in singles.items()})
     nonempty = [key for key, m in edges.items()
-                if m.source.dim(0) and m.target.dim(0)]
+                if dim(m.source, 0) and dim(m.target, 0)]
     for _ in range(draw(st.integers(0, 2)) if nonempty else 0):
         key = draw(st.sampled_from(nonempty))
         m = edges[key]
-        row = draw(st.integers(0, m.target.dim(0) - 1))
+        row = draw(st.integers(0, dim(m.target, 0) - 1))
         edges[key] = changed_entry(m, row,
-                                   draw(st.integers(0, m.source.dim(0) - 1)))
-    return cube.index_size, reordered(draw, vertices), edges
+                                   draw(st.integers(0, dim(m.source, 0) - 1)))
+    return cube.index_size, reordered(draw, vertices), edge_blocks(edges)
 
 
 @st.composite
@@ -458,7 +488,7 @@ def changed_graded_cubes(draw):
     """A cube of `graded_cubes`, with or without its ambient, with a drawn
     chain map added to 0, 1 or 2 of its edges."""
     ambient, cube, singles = draw(graded_cubes())
-    vertices, edges = dict(cube.vertices), dict(cube.edges)
+    vertices, edges = dict(cube.vertices), edge_maps(cube)
     if draw(st.booleans()):
         vertices[frozenset()] = ambient
         edges.update({(s, frozenset()): m for s, m in singles.items()})
@@ -466,15 +496,15 @@ def changed_graded_cubes(draw):
         key = draw(st.sampled_from(list(edges)))
         m = edges[key]
         edges[key] = added(m, draw(chain_maps(m.source, m.target)))
-    return cube.index_size, reordered(draw, vertices), edges
+    return cube.index_size, reordered(draw, vertices), edge_blocks(edges)
 
 
 def cone_cube(vertices, edges, lo: int):
     """A cube of degree-0 complexes with each vertex made the cone of its
     identity, its space in degrees lo and lo + 1 with d = 1, and each edge
     its block in both degrees: again a cube of chain maps."""
-    cones = {s: ChainComplex(lo, lo + 1, {lo: c.dim(0), lo + 1: c.dim(0)},
-                             {lo + 1: identity_matrix(c.dim(0))})
+    cones = {s: ChainComplex(lo, lo + 1, {lo: dim(c, 0), lo + 1: dim(c, 0)},
+                             {lo + 1: identity_matrix(dim(c, 0))})
              for s, c in vertices.items()}
     return cones, {(big, small): ChainMap(cones[big], cones[small],
                                           dict.fromkeys((lo, lo + 1),
@@ -492,23 +522,45 @@ def planted_covers(draw):
                      unique=True)
     cube, ambient, singles = cover_into_union(
         draw(st.lists(parts, min_size=2, max_size=4)))
-    vertices, edges = dict(cube.vertices), dict(cube.edges)
+    vertices, edges = dict(cube.vertices), edge_maps(cube)
     if draw(st.booleans()):
         vertices[frozenset()] = ambient
         edges.update({(s, frozenset()): m for s, m in singles.items()})
     lo = draw(st.sampled_from([-1, 0, 2]))
     cones, edges = cone_cube(vertices, edges, lo)
     nonempty = [key for key, m in edges.items()
-                if m.source.dim(lo) and m.target.dim(lo)]
+                if dim(m.source, lo) and dim(m.target, lo)]
     if nonempty:
         key = draw(st.sampled_from(nonempty))
         m = edges[key]
         edges[key] = changed_entry(
-            m, draw(st.integers(0, m.target.dim(lo) - 1)),
-            draw(st.integers(0, m.source.dim(lo) - 1)),
+            m, draw(st.integers(0, dim(m.target, lo) - 1)),
+            draw(st.integers(0, dim(m.source, lo) - 1)),
             draw(st.sampled_from([(lo,), (lo + 1,), (lo, lo + 1)])))
     return (cube.index_size, reordered(draw, cones),
-            reordered(draw, edges))
+            reordered(draw, edge_blocks(edges)))
+
+
+@st.composite
+def misshapen_covers(draw):
+    """A cube of `planted_covers` with the blocks of one or two of its
+    edges, the edges into the ambient among them, replaced in one degree,
+    from one below the vertices' range to one above it, by a 0/1 matrix
+    with one row or column more or less than the two vertices give."""
+    index_size, vertices, edges = draw(planted_covers())
+    edges = dict(edges)
+    lo = min(c.lo for c in vertices.values())
+    for big, small in draw(st.lists(st.sampled_from(list(edges)),
+                                    min_size=1, max_size=2, unique=True)):
+        q = draw(st.integers(lo - 1, lo + 2))
+        rows, cols = dim(vertices[small], q), dim(vertices[big], q)
+        r, c = draw(st.sampled_from([
+            (rows + dr, cols + dc)
+            for dr, dc in ((1, 0), (0, 1), (-1, 0), (0, -1))
+            if rows + dr >= 0 and cols + dc >= 0]))
+        edges[big, small] = {**edges[big, small], q: QMatrix(r, c, draw(
+            st.lists(st.integers(0, 1), min_size=r * c, max_size=r * c)))}
+    return index_size, vertices, edges
 
 
 @st.composite
@@ -517,26 +569,28 @@ def planted_graded_cubes(draw):
     entry of one block of one edge raised by one: that edge may fail to
     commute with d in that degree, the next one, both or neither."""
     ambient, cube, singles = draw(graded_cubes())
-    vertices, edges = dict(cube.vertices), dict(cube.edges)
+    vertices, edges = dict(cube.vertices), edge_maps(cube)
     if draw(st.booleans()):
         vertices[frozenset()] = ambient
         edges.update({(s, frozenset()): m for s, m in singles.items()})
     blocks = [(key, q) for key, m in edges.items()
               for q in range(m.source.lo, m.source.hi + 1)
-              if m.source.dim(q) and m.target.dim(q)]
+              if dim(m.source, q) and dim(m.target, q)]
     if blocks:
         (key, q) = draw(st.sampled_from(blocks))
         m = edges[key]
         edges[key] = changed_entry(
-            m, draw(st.integers(0, m.target.dim(q) - 1)),
-            draw(st.integers(0, m.source.dim(q) - 1)), (q,))
-    return cube.index_size, reordered(draw, vertices), reordered(draw, edges)
+            m, draw(st.integers(0, dim(m.target, q) - 1)),
+            draw(st.integers(0, dim(m.source, q) - 1)), (q,))
+    return (cube.index_size, reordered(draw, vertices),
+            reordered(draw, edge_blocks(edges)))
 
 
 def assert_names_the_oracles_fault(index_size, vertices, edges):
-    """The cube accepts exactly when every edge commutes with d and every
-    square commutes, and otherwise names the oracles' first fault: an
-    edge's, in edge order, else a square's."""
+    """The cube accepts exactly when every block has its shape, every edge
+    commutes with d and every square commutes, and otherwise names the
+    oracles' first fault: a misshapen edge's, in edge order, else a
+    noncommuting edge's, else a square's."""
     fault = first_cube_fault(vertices, edges)
     if fault is None:
         CubeDiagram(index_size, vertices, edges)
@@ -561,6 +615,14 @@ class TestComposites:
     def test_covers_with_one_planted_fault(self, cover):
         assert_names_the_oracles_fault(*cover)
 
+    @settings(max_examples=200, deadline=None)
+    @given(misshapen_covers())
+    def test_covers_with_misshapen_blocks(self, cover):
+        # a block of the wrong shape is named before any other fault of
+        # the edges or squares, in edge order
+        assert "has wrong shape" in first_cube_fault(*cover[1:])
+        assert_names_the_oracles_fault(*cover)
+
     @settings(max_examples=100, deadline=None)
     @given(planted_graded_cubes())
     def test_graded_cubes_with_one_planted_fault(self, cube):
@@ -572,8 +634,8 @@ class TestComposites:
         comps = [["a", "shared"], ["b", "shared"], ["c", "shared"]]
         cube, ambient, singles = cover_into_union(comps)
         vertices = {**cube.vertices, frozenset(): ambient}
-        edges = {**cube.edges, **{(s, frozenset()): m
-                                  for s, m in singles.items()}}
+        edges = {**edge_maps(cube), **{(s, frozenset()): m
+                                       for s, m in singles.items()}}
         top = (frozenset({0, 1, 2}), frozenset({0, 1}))
         edges[top] = changed_entry(edges[top], 0, 0)
         edges[(frozenset({0}), frozenset())] = changed_entry(
@@ -585,7 +647,7 @@ class TestComposites:
             given_order = {s: vertices[s] for s in order}
             assert first_failing_square(given_order, edges) == fault
             with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
-                CubeDiagram(3, given_order, edges)
+                CubeDiagram(3, given_order, edge_blocks(edges))
 
     def test_the_first_failing_edge_in_edge_order_before_any_square(self):
         # [0, 1] -> [0] and [0] -> [] fail to commute with d, and the square
@@ -595,8 +657,8 @@ class TestComposites:
         cube, ambient, singles = cover_into_union(comps)
         vertices, edges = cone_cube(
             {**cube.vertices, frozenset(): ambient},
-            {**cube.edges, **{(s, frozenset()): m
-                              for s, m in singles.items()}}, 0)
+            {**edge_maps(cube), **{(s, frozenset()): m
+                                   for s, m in singles.items()}}, 0)
         top = (frozenset({0, 1, 2}), frozenset({0, 1}))
         edges[top] = changed_entry(edges[top], 0, 0, (0, 1))
         first, last = (frozenset({0, 1}), frozenset({0})), (frozenset({0}),
@@ -610,15 +672,15 @@ class TestComposites:
                   "with d in degree 1")
         for order, fault in ((list(edges), faults[0]),
                              (list(edges)[::-1], faults[1])):
-            given_order = {key: edges[key] for key in order}
+            given_order = edge_blocks({key: edges[key] for key in order})
             assert first_cube_fault(vertices, given_order) == fault
             with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
                 CubeDiagram(3, vertices, given_order)
         edges.update({key: chain_maps[key] for key in (first, last)})
         square = "square at [0, 1, 2] minus {0,2} does not commute"
-        assert first_cube_fault(vertices, edges) == square
+        assert first_cube_fault(vertices, edge_blocks(edges)) == square
         with pytest.raises(ValueError, match=f"^{re.escape(square)}$"):
-            CubeDiagram(3, vertices, edges)
+            CubeDiagram(3, vertices, edge_blocks(edges))
 
     def test_square_with_one_changed_entry_rejected(self):
         rng = random.Random(7)
@@ -629,12 +691,12 @@ class TestComposites:
                 comps.append(["shared"])
             cube, ambient, singles = cover_into_union(comps)
             CubeDiagram(3, cube.vertices, cube.edges)
-            edges = dict(cube.edges)
+            edges = edge_maps(cube)
             key = (frozenset({0, 1, 2}), frozenset({0, 1}))
             edges[key] = changed_entry(edges[key], 0, 0)
             with pytest.raises(ValueError, match=r"^square at \[0, 1, 2\] "
                                r"minus \{0,2\} does not commute$"):
-                CubeDiagram(3, cube.vertices, edges)
+                CubeDiagram(3, cube.vertices, edge_blocks(edges))
             ks_hocolim(full_cube(ambient, cube, singles))
             zero = frozenset({0})
             shared = sorted(set(comps[0])).index("shared")
@@ -671,7 +733,7 @@ def graded_cubes(draw):
     edges = {(big, big - {k}): scaled(maps[len(big) - 1], scales[k])
              for big in vertices for k in big if len(big) > 1}
     singles = {frozenset({i}): scaled(maps[0], scales[i]) for i in range(n)}
-    return complexes[0], CubeDiagram(n, vertices, edges), singles
+    return complexes[0], CubeDiagram(n, vertices, edge_blocks(edges)), singles
 
 
 def assert_one_total_complex(ambient, cube, singles):
@@ -726,19 +788,23 @@ class TestOneTotalComplex:
         assert ks_hocolim(full) is full.total
         assert len(built) == 1 and products == []
 
-    def test_missing_and_misplaced_singleton_maps(self):
+    def test_missing_and_misshapen_singleton_maps(self):
         cube, ambient, singles = cover_into_union([["a", "b"], ["b", "c"]])
         with pytest.raises(ValueError, match=r"^missing edge \[1\]->\[\]$"):
             ks_hocolim(full_cube(ambient, cube,
                                  {frozenset({0}): singles[frozenset({0})]}))
+        # a map of the ambient to itself, or of [0] to a larger ambient,
+        # put where [0] maps into the ambient: its block has the wrong shape
         zero = frozenset({0})
-        elsewhere = single_degree_complex(ambient.dim(0) + 1)
+        elsewhere = single_degree_complex(dim(ambient, 0) + 1)
         for source, target in ((ambient, ambient),
                                (cube.vertices[zero], elsewhere)):
+            rows, cols = dim(target, 0), dim(source, 0)
             misplaced = dict(singles)
-            misplaced[zero] = ChainMap(source, target, {})
-            with pytest.raises(ValueError,
-                               match=r"^edge \[0\]->\[\] has wrong endpoints$"):
+            misplaced[zero] = ChainMap(source, target, {
+                0: QMatrix(rows, cols, [1] * (rows * cols))})
+            with pytest.raises(ValueError, match=r'^ambient_edges\["0"\] is '
+                               "not a chain map: block 0 has wrong shape$"):
                 ks_hocolim(full_cube(ambient, cube, misplaced))
 
 
@@ -747,19 +813,19 @@ class TestOneTotalComplex:
 def with_zero_differentials(c: ChainComplex) -> ChainComplex:
     """`c`, given every absent differential as an explicit zero matrix."""
     return ChainComplex(c.lo, c.hi, c.dims, {
-        **{n: zero_matrix(c.dim(n - 1), c.dim(n))
+        **{n: zero_matrix(dim(c, n - 1), dim(c, n))
            for n in range(c.lo + 1, c.hi + 1)},
         **c.differentials})
 
 
-def with_zero_blocks(m: ChainMap, source, target) -> ChainMap:
-    """`m` between `source` and `target`, given every absent block as an
-    explicit zero matrix, 0 x 0 ones one degree past either end too."""
-    return ChainMap(source, target, {
-        **{q: zero_matrix(target.dim(q), source.dim(q))
-           for q in range(min(source.lo, target.lo) - 1,
-                          max(source.hi, target.hi) + 2)},
-        **m.blocks})
+def with_zero_blocks(m: ChainMap) -> dict:
+    """The blocks of `m`, with every absent one given as an explicit zero
+    matrix, 0 x 0 ones one degree past either end too."""
+    source, target = m.source, m.target
+    return {**{q: zero_matrix(dim(target, q), dim(source, q))
+               for q in range(min(source.lo, target.lo) - 1,
+                              max(source.hi, target.hi) + 2)},
+            **m.blocks}
 
 
 class TestAbsentIsZero:
@@ -767,39 +833,35 @@ class TestAbsentIsZero:
     @given(graded_cubes())
     def test_explicit_zeros_change_nothing(self, cube_with_ambient):
         ambient, cube, singles = cube_with_ambient
+        full = full_cube(ambient, cube, singles)
         vertices = {s: with_zero_differentials(c)
-                    for s, c in cube.vertices.items()}
-        edges = {(big, small): with_zero_blocks(m, vertices[big],
-                                                vertices[small])
-                 for (big, small), m in cube.edges.items()}
-        zero_ambient = with_zero_differentials(ambient)
-        zero_singles = {s: with_zero_blocks(m, vertices[s], zero_ambient)
-                        for s, m in singles.items()}
-        zero_cube = CubeDiagram(cube.index_size, vertices, edges)
-        assert zero_ambient == ambient and vertices == cube.vertices
-        assert zero_singles == singles and edges == cube.edges
-        assert zero_cube == cube
-        totals = (punctured_cube_hocolim(zero_cube),
-                  ks_hocolim(full_cube(zero_ambient, zero_cube, zero_singles)))
-        assert totals == (punctured_cube_hocolim(cube),
-                          ks_hocolim(full_cube(ambient, cube, singles)))
+                    for s, c in full.vertices.items()}
+        edges = {key: with_zero_blocks(m)
+                 for key, m in edge_maps(full).items()}
+        punctured = {key: blocks for key, blocks in edges.items() if key[1]}
+        zero_cube = CubeDiagram(cube.index_size, {
+            s: c for s, c in vertices.items() if s}, punctured)
+        zero_full = CubeDiagram(cube.index_size, vertices, edges)
+        assert vertices == full.vertices
+        assert (zero_cube, zero_full) == (cube, full)
+        totals = (punctured_cube_hocolim(zero_cube), ks_hocolim(zero_full))
+        assert totals == (punctured_cube_hocolim(cube), ks_hocolim(full))
         for t in totals:
             assert t.homology_dims() == dense_homology(t)
-        payload = cube_json(zero_cube)
-        payload["ambient"] = complex_json(zero_ambient)
-        payload["ambient_edges"] = {",".join(map(str, s)): chain_map_json(m)
-                                    for s, m in zero_singles.items()}
+        # a file that lists the zero blocks reads as the cube without them
+        payload = cube_json(full)
+        for (big, small), blocks in edges.items():
+            field, key = (("edges", f"{_name(big)}->{_name(small)}") if small
+                          else ("ambient_edges", _name(big)))
+            payload[field][key] = edge_json(blocks)
         payload = json.loads(json.dumps(payload))
-        assert CubeDiagram.from_json(cube_json(zero_cube)) == cube
-        assert CubeDiagram.from_json(payload) == full_cube(ambient, cube,
-                                                           singles)
-        assert cube_json(full_cube(zero_ambient, zero_cube,
-                                   zero_singles)) == payload
+        assert CubeDiagram.from_json(payload) == full
         assert hocolim_from_json(payload) == totals[1]
-        stored = [matrix for c in (zero_ambient, *vertices.values(), *totals)
+        stored = [matrix for c in (*vertices.values(), *totals)
                   for matrix in c.differentials.values()]
-        stored += [matrix for m in (*edges.values(), *zero_singles.values())
-                   for matrix in m.blocks.values()]
+        stored += [matrix for c in (zero_cube, zero_full)
+                   for blocks in c.edges.values()
+                   for matrix in blocks.values()]
         assert all(any(matrix.entries) for matrix in stored)
 
 
@@ -813,7 +875,7 @@ class TestReadWork:
         cube, _ = cover_cube_diagram([["a", "b"], ["c", "d"], ["b", "c"],
                                       ["e"]])
         payload = cube_json(cube)
-        for (big, small), m in cube.edges.items():
+        for (big, small), m in edge_maps(cube).items():
             key = "->".join(",".join(map(str, sorted(s))) for s in (big, small))
             payload["edges"][key]["0"] = dense_at(m, 0).to_json()
         empty = collections.Counter(

@@ -4,9 +4,10 @@ reader for outside JSON compiled only at import, no relabeling search on
 the census path, no construction that skips validation, no zero matrix
 built for an absent block, no dense product in the comonoid layer, a
 CLI parser built only at import, one builder for the cube's total
-complexes, squares composed only when a cube is built, a group's
-generators found once, no list of zeros sized by two dimensions outside
-the dense view of a matrix, canonical comonoids built only by the one
+complexes, no value of its own for a cube's edge, squares composed only
+when a cube is built, a group's generators found once, no list of zeros
+sized by two dimensions outside the dense view of a matrix, canonical
+comonoids built only by the one
 factory that shares them, `galois-fixed` checked on set maps rather than
 on graphs built again, no JSON indented by the pure-Python encoder, one
 builder of a graph's terms and one enumerator of set-map value tuples,
@@ -425,6 +426,29 @@ def test_one_builder_places_blocks_of_total_complexes():
                for owner, callee in calls_by_function(path)
                if callee == "_add_block"}
     assert placers == {("hypercube.py", "_total_complex")}
+
+
+def test_a_cube_edge_is_no_value_of_its_own():
+    # an edge is the dict of its nonzero blocks, whose shapes the cube
+    # checks: the one value class of hypercube.py is the cube, and reading
+    # a cube file builds no value per edge, only the cube, once
+    values = {node.name for _, node in class_definitions()
+              if any(ast.unparse(base) == "Value" for base in node.bases)}
+    assert {"CubeDiagram", "ChainComplex", "QMatrix"} <= values
+    assert [node.name for path_name, node in class_definitions()
+            if path_name == "hypercube.py" and node.name in values] == [
+        "CubeDiagram"]
+    [hypercube] = [p for p in SOURCES if p.name == "hypercube.py"]
+    built = [(owner, callee) for owner, callee in calls_by_function(hypercube)
+             if owner is not None
+             and (owner == "_edges" or owner.startswith("CubeDiagram.from_json"))
+             and callee.split(".")[-1] in values]
+    assert built == [("CubeDiagram.from_json", "CubeDiagram")]
+    # ... and no loop in the reader runs that one call twice
+    [reader] = [fn for p, fn in function_definitions("from_json")
+                if p == "hypercube.py"]
+    assert not [node for node in ast.walk(reader)
+                if isinstance(node, (ast.For, ast.comprehension))]
 
 
 def test_squares_are_composed_only_when_a_cube_is_built():

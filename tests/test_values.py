@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (complex_json, cover_cube_diagram,
+from helpers import (ChainMap, complex_json, cover_cube_diagram,
                      empty_block_cube_payload, fiber_chain, gset_json,
                      identity_map, identity_matrix, load_group,
                      morphism_from_setmap, multiset, reference_reader,
@@ -19,7 +19,7 @@ from motivic_kit.artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
                                  SetMap, automorphism_group)
 from motivic_kit.galois import FiniteGroup, GSet
-from motivic_kit.hypercube import ChainMap, CubeDiagram, _subset
+from motivic_kit.hypercube import CubeDiagram, _subset
 from motivic_kit.monad import MultisetOfDiagrams
 from motivic_kit.qlinalg import ChainComplex, QMatrix
 
