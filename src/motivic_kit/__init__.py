@@ -14,15 +14,14 @@ like an intersection or a product.
 """
 
 from .finsets import (FinSet, SetMap, FinDiagram, DiagramIso, PermGroup,
-                      automorphism_group, automorphism_order)
+                      automorphism_group)
 from .qlinalg import QMatrix, ChainComplex, matmul, rank
 from .artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
                     coalgebra_morphism_violations, solve_coalgebra_morphisms,
                     setmap_from_morphism, verify_mcffe)
 from .galois import (FiniteGroup, GSet, equivariant_set_maps,
                      fixed_coalgebra_morphisms)
-from .monad import (MultisetOfDiagrams, assemble, enumerate_diagrams,
-                    verify_m_identity)
+from .monad import assemble, enumerate_diagrams, verify_m_identity
 from .hypercube import (CubeDiagram, punctured_cube_hocolim, ks_hocolim,
                         build_kappa)
 from .resolution import equalizer, verify_mdffe
@@ -31,14 +30,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FinSet", "SetMap", "FinDiagram", "DiagramIso", "PermGroup",
-    "automorphism_group", "automorphism_order", "enumerate_diagrams",
+    "automorphism_group", "enumerate_diagrams",
     "QMatrix", "ChainComplex", "matmul", "rank",
     "ArtinComonoid", "CoalgMorphism", "artin_comonoid",
     "coalgebra_morphism_violations", "solve_coalgebra_morphisms",
     "setmap_from_morphism", "verify_mcffe",
     "FiniteGroup", "GSet", "equivariant_set_maps",
     "fixed_coalgebra_morphisms",
-    "MultisetOfDiagrams", "assemble", "verify_m_identity",
+    "assemble", "verify_m_identity",
     "CubeDiagram", "punctured_cube_hocolim", "ks_hocolim", "build_kappa",
     "equalizer", "verify_mdffe",
 ]

@@ -115,8 +115,7 @@ def _read(path: str, reader):
 
 
 def _cmd_enumerate_diagrams(args):
-    orders = []
-    classes = enumerate_diagrams(args.k, args.bounds, orders)
+    classes, orders = enumerate_diagrams(args.k, args.bounds)
 
     def table():
         for i, (d, aut) in enumerate(zip(classes, orders)):
@@ -187,7 +186,10 @@ def _cmd_verify_monad(args):
                    f"maps={list(values)} |Aut|={row.aut_order} "
                    f"wreath={row.wreath_count} "
                    f"preimage={[list(s) for s in row.preimage_sizes]}")
-        yield report.summary()
+        yield (f"k={report.k} bounds={list(report.bounds)}: "
+               f"{report.assembled_classes} assembled classes = "
+               f"{report.enumerated_classes} enumerated, "
+               f"{'PASS' if report.passed else 'FAIL'}")
     return (0 if report.passed else 1), _emit(args, table, lambda: {
         "k": report.k, "bounds": list(report.bounds),
         "assembled_classes": report.assembled_classes,

@@ -307,19 +307,15 @@ class PermGroup(Value):
                 "generators": [g.to_json() for g in self.generators]}
 
 
-def automorphism_order(d: FinDiagram) -> int:
-    """The order of the self-isomorphism group of d, without generators.
+def _forest_order(d: FinDiagram, classes) -> int:
+    """The order of the self-isomorphism group of d, from its level classes
+    and without generators.
 
     The chain is a forest: the roots are the elements of the last set, and
     an element's children are its preimages, all hung from a virtual root.
     The group is the iterated wreath product over it, so its order is the
     product over every node of mult! for each class of isomorphic children.
     """
-    return _forest_order(d, _level_classes(d)) if d.k else 1
-
-
-def _forest_order(d: FinDiagram, classes) -> int:
-    """The product of mult! over (node, class of its children) pairs."""
     parents = [*(m.values for m in d.maps), [0] * d.sets[-1].size]
     order = 1
     for up, level in zip(parents, classes):
@@ -331,7 +327,7 @@ def _forest_order(d: FinDiagram, classes) -> int:
 
 
 def automorphism_group(d: FinDiagram) -> PermGroup:
-    """Generators and order (as `automorphism_order`'s) of the
+    """Generators and order (as `_forest_order`'s) of the
     self-isomorphism group of d.  Each generator swaps two adjacent
     isomorphic siblings (children sorted by (class, index)) and carries
     one subtree onto the other, pairing their children in the same order.

@@ -27,11 +27,6 @@ from .finsets import FinSet
 from .qlinalg import QMatrix
 
 
-def level1_classes(bound: int) -> list:
-    """Sizes of the level-1 index classes, the empty power included."""
-    return list(range(0, bound + 1))
-
-
 def cofaces_agree(f: QMatrix, s: int) -> bool:
     """Whether the two cofaces of f agree at the size-s class, decided
     entry by entry.
@@ -73,7 +68,7 @@ def equalizer(x: FinSet, y: FinSet, bound: int = 2) -> list:
     candidates = (QMatrix(1, nx, bits)
                   for bits in itertools.product((0, 1), repeat=nx))
     rows = [row.terms for row in candidates
-            if all(cofaces_agree(row, s) for s in level1_classes(bound))]
+            if all(cofaces_agree(row, s) for s in range(bound + 1))]
     return sorted((QMatrix(ny, nx, {i * nx + j: v
                                     for i, row in enumerate(choice)
                                     for j, v in row})

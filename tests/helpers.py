@@ -16,10 +16,9 @@ from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
                                  _canonical_form)
 from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import CubeDiagram, _name, _subset_key
-from motivic_kit.monad import MultisetOfDiagrams
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex, tensor_index_map)
-from motivic_kit.resolution import cofaces_agree, level1_classes
+from motivic_kit.resolution import cofaces_agree
 
 
 def dim(c: ChainComplex, n: int) -> int:
@@ -338,7 +337,7 @@ def whole_matrix_equalizer(x: FinSet, y: FinSet, bound: int = 2) -> list:
     for choice in itertools.product(range(nx), repeat=ny):
         f = QMatrix(ny, nx, {row * nx + col: 1
                              for row, col in enumerate(choice)})
-        if all(cofaces_agree(f, s) for s in level1_classes(bound)):
+        if all(cofaces_agree(f, s) for s in range(bound + 1)):
             out.append(f)
     return out
 
@@ -516,15 +515,6 @@ def canonical_form(d: FinDiagram) -> FinDiagram:
     """The canonical representative of the class of d, from the library's
     one pass (without the level classes that pass also returns)."""
     return _canonical_form(d)[0]
-
-
-def multiset(k: int, entries) -> MultisetOfDiagrams:
-    """The multiset of `entries`, sorted by encoding and each keyed by its
-    length and the encoding of its canonical form, as the census walk keys
-    its canonical pool entries."""
-    entries = sorted(entries, key=FinDiagram.encoding)
-    return MultisetOfDiagrams(k, entries, [(e.k, canonical_form(e).encoding())
-                                           for e in entries])
 
 
 def aut_generators(data: dict, d: FinDiagram) -> list:

@@ -88,7 +88,7 @@ def test_criterion_4_monad_identity():
     assert small.passed and small.assembled_classes == 5
     for k, bounds in [(1, (3, 3)), (2, (2, 2, 2))]:
         report = verify_m_identity(k, bounds)
-        assert report.passed, report.summary()
+        assert report.passed, report
         for row in report.rows:
             assert row.aut_order == row.wreath_count
     _report("4 (monad census, k=1 (3,3) and k=2 (2,2,2))",

@@ -24,8 +24,7 @@ from test_golden import DATA as GOLDEN_DATA
 from test_golden import write_relative_files
 from motivic_kit import cli, finsets, monad
 from motivic_kit.finsets import FinDiagram, FinSet, SetMap
-from motivic_kit.hypercube import CubeDiagram
-from motivic_kit.monad import MonadReport
+from motivic_kit.hypercube import CubeDiagram, KappaDiagram
 from motivic_kit.qlinalg import QMatrix
 
 
@@ -219,17 +218,16 @@ class TestCensusBuildsNoGenerators:
     """The census reads automorphism orders without building a generator,
     and canonicalises each assembled multiset once, the entry pools'
     included: pool entries are canonical already.  The pass that
-    canonicalises a class also gives its order, so `_level_classes` runs
-    once per assembled multiset, and `verify-monad` runs it once more per
-    distinct entry class that `wreath_order` reads."""
+    canonicalises a class also gives its order, and the wreath counts read
+    the entries' orders from the census that built the pool, so
+    `_level_classes` runs exactly once per assembled multiset."""
 
     @pytest.mark.parametrize("argv,passes", [
-        (["verify-monad", "--k", "2", "--bounds", "2,2,3"], 36),
+        (["verify-monad", "--k", "2", "--bounds", "2,2,3"], 30),
         (["enumerate-diagrams", "--k", "3", "--bounds", "2,2,3"], 30),
     ])
     def test_counts(self, monkeypatch, argv, passes):
-        calls = {"iso": 0, "canonical": 0, "assemble": 0, "classes": 0,
-                 "entry classes": 0}
+        calls = {"iso": 0, "canonical": 0, "assemble": 0, "classes": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -237,9 +235,6 @@ class TestCensusBuildsNoGenerators:
                 return fn(*args)
             return wrapper
 
-        def entry_order(d, original=monad.automorphism_order):
-            calls["entry classes"] += d.k > 0  # the empty fiber has none
-            return original(d)
         monkeypatch.setattr(finsets.DiagramIso, "__init__",
                             counting("iso", finsets.DiagramIso.__init__))
         monkeypatch.setattr(monad, "_canonical_form", counting(
@@ -248,15 +243,10 @@ class TestCensusBuildsNoGenerators:
                             counting("assemble", monad.assemble))
         monkeypatch.setattr(finsets, "_level_classes", counting(
             "classes", finsets._level_classes))
-        monkeypatch.setattr(monad, "automorphism_order", entry_order)
         assert run_cli(argv)[0] == 0
-        assembled, entries = calls["assemble"], calls["entry classes"]
-        assert assembled > 0
-        assert (entries > 0) == (argv[0] == "verify-monad")
+        assembled = calls["assemble"]
         assert calls == {"iso": 0, "canonical": assembled,
-                         "assemble": assembled,
-                         "classes": assembled + entries,
-                         "entry classes": entries}
+                         "assemble": assembled, "classes": assembled}
         assert calls["classes"] == passes
 
 
@@ -268,9 +258,9 @@ class TestOnlyTheFormatAskedForIsBuilt:
         # one JSON value per class, for JSON output only
         (["enumerate-diagrams", "--k", "2", "--bounds", "2,2"],
          FinDiagram, "to_json", 0, 5),
-        # the summary is the last table line
-        (["verify-monad", "--k", "1", "--bounds", "2,2"],
-         MonadReport, "summary", 1, 0),
+        # the annotation is the last table line
+        (["kappa", "--components", "A,B", "--ambient", "X", "--dim", "1"],
+         KappaDiagram, "annotation", 1, 0),
         # each of the 4 matrices once, as its table line or its JSON value
         (["solve-comonoid", "--x", "2", "--y", "2", "--show-matrices"],
          QMatrix, "to_json", 4, 4),

@@ -3,13 +3,10 @@ import itertools
 
 import pytest
 
-from helpers import (brute_automorphisms, brute_census, canonical_form,
-                     multiset)
+from helpers import brute_automorphisms, brute_census, canonical_form
 from motivic_kit import cli, monad
 from motivic_kit.finsets import FinDiagram, FinSet, SetMap, automorphism_group
-from motivic_kit.monad import (MultisetOfDiagrams, assemble,
-                               enumerate_diagrams, verify_m_identity,
-                               wreath_order)
+from motivic_kit.monad import assemble, enumerate_diagrams, verify_m_identity
 
 
 def bare_set(n: int) -> FinDiagram:
@@ -21,67 +18,59 @@ EMPTY = FinDiagram([], [])
 
 class TestAssemble:
     def test_single_entry(self):
-        m = multiset(1, [bare_set(3)])
-        d = assemble(m)
+        d = assemble(1, [bare_set(3)])
         assert d.sizes() == (3, 1)
         assert d.maps[0].values == (0, 0, 0)
 
     def test_two_singletons_give_identity(self):
-        m = multiset(1, [bare_set(1), bare_set(1)])
-        d = assemble(m)
+        d = assemble(1, [bare_set(1), bare_set(1)])
         assert d.sizes() == (2, 2)
         assert d.maps[0].is_bijective()
 
     def test_two_and_one(self):
-        m = multiset(1, [bare_set(2), bare_set(1)])
-        d = assemble(m)
+        d = assemble(1, [bare_set(2), bare_set(1)])
         assert d.sizes() == (3, 2)
         assert sorted(d.maps[0].fiber_sizes()) == [1, 2]
 
     def test_empty_multiset_rejected(self):
-        with pytest.raises(ValueError):
-            MultisetOfDiagrams(1, [], [])
+        for k in (0, 1):
+            with pytest.raises(ValueError):
+                assemble(k, [])
 
     def test_all_padded_rejected(self):
         with pytest.raises(ValueError):
-            assemble(multiset(1, [EMPTY, EMPTY]))
+            assemble(1, [EMPTY, EMPTY])
 
     def test_padded_entry_gives_missed_element(self):
-        m = multiset(1, [bare_set(1), EMPTY])
-        d = assemble(m)
+        d = assemble(1, [bare_set(1), EMPTY])
         assert d.sizes() == (1, 2)
         assert set(d.maps[0].values) != {0, 1}  # not surjective
 
     def test_order_insensitive(self):
-        a = multiset(1, [bare_set(2), bare_set(1)])
-        b = multiset(1, [bare_set(1), bare_set(2)])
-        assert a == b
-        assert assemble(a) == assemble(b)
+        # the entry order labels the blocks; the class does not move
+        a = assemble(1, [bare_set(2), bare_set(1)])
+        b = assemble(1, [bare_set(1), bare_set(2)])
+        assert a != b
+        assert canonical_form(a) == canonical_form(b)
         # two labellings of one class, in either order
         s2 = FinSet(2)
         d1 = FinDiagram([s2, s2], [SetMap(s2, s2, [0, 0])])
         d2 = FinDiagram([s2, s2], [SetMap(s2, s2, [1, 1])])
-        assert multiset(2, [d1, d2]) == multiset(2, [d2, d1])
-
-    def test_given_class_keys_are_one_per_entry(self):
-        with pytest.raises(ValueError):
-            MultisetOfDiagrams(1, [bare_set(1), bare_set(2)],
-                               [(1, bare_set(1).encoding())])
+        assert (canonical_form(assemble(2, [d1, d2]))
+                == canonical_form(assemble(2, [d2, d1])))
 
     def test_respects_isomorphism(self):
         d1 = FinDiagram([FinSet(2), FinSet(2)],
                         [SetMap(FinSet(2), FinSet(2), [0, 0])])
         d2 = FinDiagram([FinSet(2), FinSet(2)],
                         [SetMap(FinSet(2), FinSet(2), [1, 1])])
-        m1 = multiset(2, [d1, bare_set(1)])
-        m2 = multiset(2, [d2, bare_set(1)])
-        assert canonical_form(assemble(m1)) == canonical_form(assemble(m2))
+        assert (canonical_form(assemble(2, [d1, bare_set(1)]))
+                == canonical_form(assemble(2, [d2, bare_set(1)])))
 
     def test_k2_assembly_shapes(self):
         chain = FinDiagram([FinSet(2), FinSet(1)],
                            [SetMap(FinSet(2), FinSet(1), [0, 0])])
-        m = multiset(2, [chain, bare_set(1)])
-        d = assemble(m)
+        d = assemble(2, [chain, bare_set(1)])
         # the padded 1-set entry sits only at the middle level
         assert d.sizes() == (2, 2, 2)
         assert d.k == 3
@@ -90,8 +79,7 @@ class TestAssemble:
 class TestCensusIdentity:
     def test_base_case_multisets_of_points(self):
         # multisets of empty diagrams assemble to bare sets
-        m = multiset(0, [EMPTY, EMPTY, EMPTY])
-        assert assemble(m) == FinDiagram([FinSet(3)], [])
+        assert assemble(0, [EMPTY] * 3) == FinDiagram([FinSet(3)], [])
         report = verify_m_identity(0, (3,))
         assert report.passed
         assert report.assembled_classes == 3
@@ -104,29 +92,41 @@ class TestCensusIdentity:
     def test_bounds_three_three(self):
         report = verify_m_identity(1, (3, 3))
         assert report.passed
-        assert report.assembled_classes == len(enumerate_diagrams(2, (3, 3)))
+        assert report.assembled_classes == len(
+            enumerate_diagrams(2, (3, 3))[0])
 
     def test_k2(self):
         report = verify_m_identity(2, (2, 2, 2))
         assert report.passed
-        assert report.assembled_classes == len(enumerate_diagrams(3, (2, 2, 2)))
+        assert report.assembled_classes == len(
+            enumerate_diagrams(3, (2, 2, 2))[0])
+
+    @staticmethod
+    def row(k, bounds, d):
+        """The census row of the class of d."""
+        [row] = [r for r in verify_m_identity(k, bounds).rows
+                 if r.encoding == canonical_form(d).encoding()]
+        return row
 
     def test_specific_preimage(self):
-        # the class 3 -> 2 with fibers (2, 1) comes from {2-set, 1-set}
-        m = multiset(1, [bare_set(2), bare_set(1)])
-        d = assemble(m)
+        # the class 3 -> 2 with fibers (2, 1) comes from {1-set, 2-set}
+        d = assemble(1, [bare_set(2), bare_set(1)])
         target = FinDiagram([FinSet(3), FinSet(2)],
                             [SetMap(FinSet(3), FinSet(2), [0, 0, 1])])
         assert canonical_form(d) == canonical_form(target)
         assert automorphism_group(d).order == 2
-        assert wreath_order(m) == 2
+        row = self.row(1, (3, 2), d)
+        assert row.preimage_sizes == ((1,), (2,))
+        assert row.aut_order == row.wreath_count == 2
 
     def test_wreath_count_repeated_entries(self):
-        m = multiset(1, [bare_set(2), bare_set(2)])
+        d = assemble(1, [bare_set(2), bare_set(2)])
         # each 2-set has Aut order 2, and the two equal entries swap
-        assert wreath_order(m) == 2 * 2 * 2
-        assert automorphism_group(assemble(m)).order == 8
-        assert len(brute_automorphisms(assemble(m))) == 8
+        row = self.row(1, (4, 2), d)
+        assert row.preimage_sizes == ((2,), (2,))
+        assert row.aut_order == row.wreath_count == 2 * 2 * 2
+        assert automorphism_group(d).order == 8
+        assert len(brute_automorphisms(d)) == 8
 
 
 class TestGenerator:
@@ -137,24 +137,26 @@ class TestGenerator:
     def test_equals_brute_census(self, bounds):
         reps = sorted(set(brute_census(bounds).values()),
                       key=FinDiagram.encoding)
-        assert enumerate_diagrams(len(bounds), bounds) == reps
+        classes, orders = enumerate_diagrams(len(bounds), bounds)
+        assert classes == reps
+        assert orders == [len(brute_automorphisms(d)) for d in reps]
 
     @pytest.mark.parametrize("bounds, count", [
         ((6, 6), 126), ((3, 3, 3), 82), ((4, 4, 4), 428),
         ((3, 3, 3, 3), 525), ((5, 5, 5), 1879)])
     def test_count_ladder(self, bounds, count):
-        assert len(enumerate_diagrams(len(bounds), bounds)) == count
+        assert len(enumerate_diagrams(len(bounds), bounds)[0]) == count
         report = verify_m_identity(len(bounds) - 1, bounds)
-        assert report.passed, report.summary()
+        assert report.passed, report
         assert report.assembled_classes == count
 
 
 def independent_multisets(k: int, bounds) -> list:
     """The bounded multisets of pool entries, by trying every multiset of
     at most bounds[k] entries and keeping those within the level bounds
-    that have a full-length entry, each built the checking way."""
+    that have a full-length entry, each a tuple of entries in pool order."""
     pool = [EMPTY] + [d for j in range(1, k + 1)
-                      for d in enumerate_diagrams(j, bounds[k - j:k])]
+                      for d in enumerate_diagrams(j, bounds[k - j:k])[0]]
     found = []
     for n in range(1, bounds[k] + 1):
         for entries in itertools.combinations_with_replacement(pool, n):
@@ -164,8 +166,15 @@ def independent_multisets(k: int, bounds) -> list:
                     levels[k - e.k + i] += size
             if (all(t <= b for t, b in zip(levels, bounds))
                     and any(e.k == k for e in entries)):
-                found.append(multiset(k, entries))
+                found.append(entries)
     return found
+
+
+def walked_multisets(k: int, bounds) -> list:
+    """The census walk's index tuples, mapped to the pool's entries."""
+    pool, _ = monad._pool(k, bounds)
+    return [tuple(pool[i] for i in indices)
+            for indices in monad._admissible_multisets(k, bounds, pool)]
 
 
 class TestWalk:
@@ -173,13 +182,17 @@ class TestWalk:
 
     @pytest.mark.parametrize("bounds", [(2, 2, 3), (3, 3, 3, 3)])
     def test_yields_the_checked_multiset(self, bounds):
+        # the pool is canonical, in (length, encoding) order, each entry
+        # with its brute automorphism count; the walk's indices never fall
         k = len(bounds) - 1
-        walked = list(monad._admissible_multisets(k, bounds))
+        pool, orders = monad._pool(k, bounds)
+        assert all(canonical_form(e) == e for e in pool)
+        keys = [(e.k, e.encoding()) for e in pool]
+        assert keys == sorted(set(keys))
+        assert orders == [len(brute_automorphisms(e)) for e in pool]
+        walked = list(monad._admissible_multisets(k, bounds, pool))
         assert walked
-        for m in walked:
-            assert all(canonical_form(e) == e for e in m.entries)
-            keys = [(e.k, canonical_form(e).encoding()) for e in m.entries]
-            assert list(m.class_keys) == keys == sorted(keys)
+        assert all(list(indices) == sorted(indices) for indices in walked)
 
     @pytest.mark.parametrize("bounds", [
         (5,), (2, 2), (1, 8), (8, 1), (7, 1, 2), (2, 2, 3), (1, 3, 2),
@@ -187,7 +200,7 @@ class TestWalk:
     def test_equals_independent_enumeration(self, bounds):
         # called directly, the walk takes bounds above the CLI cap
         k = len(bounds) - 1
-        walked = list(monad._admissible_multisets(k, bounds))
+        walked = walked_multisets(k, bounds)
         expected = independent_multisets(k, bounds)
         assert len(set(walked)) == len(walked)
         assert collections.Counter(walked) == collections.Counter(expected)
@@ -197,17 +210,17 @@ K, BOUNDS = 2, (2, 2, 3)
 
 
 class TestMassFormulaHasTeeth:
-    """Every single-class fault of the census fails `verify_m_identity`, and
-    `verify-monad` exits 1 on it; a dropped multiset is seen by the mass
-    formula alone."""
+    """Every single-class fault of the census, and a wrong order of one
+    pool entry, fails `verify_m_identity`, and `verify-monad` exits 1 on
+    it; a dropped multiset is seen by the mass formula alone."""
 
     @staticmethod
     def patch_walk(monkeypatch, change):
         """Apply `change` to the top-level walk, not to the entry pools."""
         original = monad._admissible_multisets
 
-        def walk(k, bounds):
-            found = list(original(k, bounds))
+        def walk(k, bounds, pool):
+            found = list(original(k, bounds, pool))
             return change(found) if k == K else found
         monkeypatch.setattr(monad, "_admissible_multisets", walk)
 
@@ -258,4 +271,28 @@ class TestMassFormulaHasTeeth:
                 assert not report.aut_orders_match
                 assert not report.mass_formula_holds and not report.passed
                 if row is rows[0]:
+                    assert self.cli_status(capsys) == 1
+
+    def test_wrong_entry_order(self, monkeypatch, capsys):
+        # a wreath count reads each entry's order from the pool, which the
+        # census of the entries gave; one entry off by one fails every
+        # class assembled from it, and no class's own order
+        auts = [row.aut_order for row in verify_m_identity(K, BOUNDS).rows]
+        pool, _ = monad._pool(K, BOUNDS)
+        walked = list(monad._admissible_multisets(K, BOUNDS, pool))
+        used = sorted({i for indices in walked for i in indices})
+        assert used
+        for i in used:
+            def off_by_one(k, bounds, original=monad._pool, i=i):
+                pool, orders = original(k, bounds)
+                if k == K:
+                    orders = orders[:i] + [orders[i] + 1] + orders[i + 1:]
+                return pool, orders
+            with monkeypatch.context() as mp:
+                mp.setattr(monad, "_pool", off_by_one)
+                report = verify_m_identity(K, BOUNDS)
+                assert not report.aut_orders_match and not report.passed
+                assert report.mass_formula_holds
+                assert [row.aut_order for row in report.rows] == auts
+                if i == used[0]:
                     assert self.cli_status(capsys) == 1

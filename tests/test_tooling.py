@@ -1,7 +1,8 @@
 """Repository-wide checks: a stdlib-only runtime, a resolvable API, one
 base class for the immutable values, integers kept as integers, one
 reader for outside JSON compiled only at import, no relabeling search on
-the census path, no construction that skips validation, no zero matrix
+the census path, no value of the census's own and no order it computes
+twice, no construction that skips validation, no zero matrix
 built for an absent block, no dense product in the comonoid layer, a
 CLI parser built only at import, one builder for the cube's total
 complexes, no value of its own for a cube's edge, squares composed only
@@ -246,6 +247,20 @@ def test_the_census_builds_no_automorphism_generators():
                for owner, callee in calls_by_function(path)
                if callee.split(".")[-1] == "automorphism_group"}
     assert callers == {("cli.py", "_cmd_aut")}
+
+
+def test_the_census_reads_each_order_off_its_canonicalising_pass():
+    # a multiset is a tuple of pool indices, not a value of the census's
+    # own, and an order comes from the level classes that canonicalised
+    # its class: only the canonical form and `aut`'s group compute them
+    assert [node.name for path_name, node in class_definitions()
+            if path_name == "monad.py"
+            and "Value" in map(ast.unparse, node.bases)] == []
+    callers = {(path.name, owner) for path in SOURCES
+               for owner, callee in calls_by_function(path)
+               if callee.split(".")[-1] == "_level_classes"}
+    assert callers == {("finsets.py", "_canonical_form"),
+                       ("finsets.py", "automorphism_group")}
 
 
 def test_no_zero_matrix_stands_for_an_absent_block():

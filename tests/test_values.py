@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from helpers import (ChainMap, complex_json, cover_cube_diagram,
                      empty_block_cube_payload, fiber_chain, gset_json,
                      identity_map, identity_matrix, load_group,
-                     morphism_from_setmap, multiset, reference_reader,
-                     regular_gset)
+                     morphism_from_setmap, reference_reader, regular_gset)
 from motivic_kit import finsets, qlinalg
 from motivic_kit._value import Value, compile_reader, degree_key
 from motivic_kit.artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
@@ -20,7 +19,6 @@ from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
                                  SetMap, automorphism_group)
 from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import CubeDiagram, _subset
-from motivic_kit.monad import MultisetOfDiagrams
 from motivic_kit.qlinalg import ChainComplex, QMatrix
 
 
@@ -56,8 +54,6 @@ BUILDERS = {
                                {0: identity_matrix(2),
                                 1: identity_matrix(1)}),
     CubeDiagram: lambda: cover_cube_diagram([{0, 1}, {1, 2}])[0],
-    MultisetOfDiagrams: lambda: multiset(
-        2, [diagram(), FinDiagram([FinSet(1)], [])]),
 }
 CLASSES = sorted(BUILDERS, key=lambda cls: cls.__name__)
 
