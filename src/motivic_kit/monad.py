@@ -41,6 +41,8 @@ def assemble(k: int, entries) -> FinDiagram:
     first level would be empty.
     """
     n = len(entries)
+    if any(e.k > k for e in entries):
+        raise ValueError("entry longer than the ambient length")
     if k == 0:
         # a multiset of points assembles to the bare indexing set
         return FinDiagram([FinSet(n)], [])

@@ -37,6 +37,13 @@ class TestAssemble:
             with pytest.raises(ValueError):
                 assemble(k, [])
 
+    def test_entry_longer_than_k_rejected(self):
+        chain = FinDiagram([FinSet(2), FinSet(1)],
+                           [SetMap(FinSet(2), FinSet(1), [0, 0])])
+        for k, entries in ((1, [chain, bare_set(1)]), (0, [bare_set(1)])):
+            with pytest.raises(ValueError):
+                assemble(k, entries)
+
     def test_all_padded_rejected(self):
         with pytest.raises(ValueError):
             assemble(1, [EMPTY, EMPTY])
