@@ -7,8 +7,8 @@ chain complexes, and the cosimplicial equalizer -- all over exact
 rationals.  The library is what the batch verification CLI
 (`motivic_kit.cli`) checks: every function in it runs under one of its
 commands, and the names below are those a caller needs to run the same
-checks.  The compactification diagrams of `kappa` are rendered rows: every
-label in them, of a component, of the ambient or of a `--cross` factor,
+checks.  `build_kappa` returns the one mapping `kappa` prints: every
+label in it, of a component, of the ambient or of the `cross` factor,
 must be nonempty and contain none of "&", "(" and ")", which would render
 like an intersection or a product.
 """

@@ -212,12 +212,11 @@ def _cmd_hocolim(args):
 
 
 def _cmd_kappa(args):
-    diagram = build_kappa(args.components, args.ambient, args.dim)
-    if args.cross:
-        diagram = diagram.cross_with(args.cross)
+    diagram = build_kappa(args.components, args.ambient, args.dim, args.cross)
     return 0, _emit(args, lambda: [
-        *(f"{name}: {expr}" for name, expr in diagram.rows),
-        diagram.annotation()], diagram.to_json)
+        *(f"{name}: {expr}" for name, expr in diagram["vertices"].items()),
+        f"colimit twisted by ({diagram['twist']}) and shifted by "
+        f"[{diagram['shift']}]"], lambda: diagram)
 
 
 def _cmd_verify_mcffe(args):

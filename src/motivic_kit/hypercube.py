@@ -23,16 +23,16 @@ commutes with d and every square commutes (Weibel, 1.2).  The complex's
 own check is the cube's one commutation check, and only when it fails
 is the first failing edge or square looked for, to name it.
 
-The compactification diagrams of `kappa` are only rendered: each vertex
-is a row of its name and a symbolic expression such as "C_*(A&B)" that
-nothing evaluates, and the twist and shift of the colimit are integers
-on the diagram.
+The compactification diagram of `kappa` is only rendered: `build_kappa`
+returns the mapping the command prints, one row per vertex of its name
+and a symbolic expression such as "C_*(A&B)" that nothing evaluates, and
+the twist and shift of the colimit, integers computed from the
+dimension.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, partial
 
 from ._value import (InputError, RepeatedKey, Value, compile_reader,
@@ -279,65 +279,34 @@ def hocolim_from_json(data) -> ChainComplex:
 
 # --- compactification diagrams, as rendered rows -----------------------
 
-@dataclass(frozen=True)
-class KappaDiagram:
-    """The labeled compactification diagram of an open piece.
+def build_kappa(components, ambient: str, dim: int, cross: str = "") -> dict:
+    """The compactification diagram of an open piece, as the mapping
+    `kappa --format json` prints.
 
-    `rows` holds one (vertex, expression) pair per vertex, in order: the
-    lower vertex "l" carries the ambient motive, the inner vertex "{0,2}"
-    the intersection of boundary components 0 and 2, and the upper
-    vertex "u" zero.  The colimit is to be twisted by (-dim) and shifted
-    by [-2 dim], recorded as a global annotation.
-    """
-    components: tuple
-    ambient: str
-    dim: int
-    rows: tuple  # (vertex name, expression) pairs
-    twist: int
-    shift: int
-
-    def cross_with(self, label: str) -> "KappaDiagram":
-        """Multiply every vertex by another factor, as in the product
-        diagram; the zero vertex absorbs it.  The factor's label obeys the
-        rule of `build_kappa`'s labels."""
-        _check_label(label)
-        rows = tuple((name, expr if expr == "0" else f"{expr}xC_*({label})")
-                     for name, expr in self.rows)
-        return KappaDiagram(self.components, self.ambient, self.dim,
-                            rows, self.twist, self.shift)
-
-    def annotation(self) -> str:
-        return f"colimit twisted by ({self.twist}) and shifted by [{self.shift}]"
-
-    def to_json(self):
-        return {"components": list(self.components),
-                "ambient": self.ambient,
-                "dim": self.dim,
-                "twist": self.twist,
-                "shift": self.shift,
-                "vertices": dict(self.rows)}
-
-
-def build_kappa(components, ambient: str, dim: int) -> KappaDiagram:
-    """The compactification diagram for boundary components inside an ambient.
-
-    One inner vertex per nonempty subset of the components, carrying the
-    intersection; the lower vertex carries the ambient, the upper vertex
-    zero.  The global twist is -dim and the global shift -2*dim.
+    `vertices` maps each vertex to its expression, in row order: the lower
+    vertex "l" carries the ambient motive, one inner vertex per nonempty
+    subset of the components, such as "{0,2}", their intersection, and
+    the upper vertex "u" zero.  A nonempty `cross` multiplies every vertex
+    by another factor, as in the product diagram; the zero vertex absorbs
+    it.  The colimit is twisted by (-dim) and shifted by [-2 dim].
     """
     components = tuple(components)
     for label in (*components, ambient):
         _check_label(label)
     if len(set(components)) != len(components):
         raise ValueError("component labels must be distinct")
-    rows = [("l", f"C_*({ambient})")]
+    if cross:
+        _check_label(cross)
+    factor = f"xC_*({cross})" if cross else ""
+    vertices = {"l": f"C_*({ambient}){factor}"}
     for r in range(1, len(components) + 1):
         for combo in itertools.combinations(range(len(components)), r):
             name = "{" + ",".join(str(i) for i in combo) + "}"
             labels = "&".join(str(components[i]) for i in combo)
-            rows.append((name, f"C_*({labels})"))
-    rows.append(("u", "0"))
-    return KappaDiagram(components, ambient, dim, tuple(rows), -dim, -2 * dim)
+            vertices[name] = f"C_*({labels}){factor}"
+    vertices["u"] = "0"
+    return {"components": list(components), "ambient": ambient, "dim": dim,
+            "twist": -dim, "shift": -2 * dim, "vertices": vertices}
 
 
 def _check_label(label):

@@ -23,8 +23,8 @@ from test_golden import CASES as GOLDEN_CASES
 from test_golden import DATA as GOLDEN_DATA
 from test_golden import write_relative_files
 from motivic_kit import cli, finsets, monad
-from motivic_kit.finsets import FinDiagram, FinSet, SetMap
-from motivic_kit.hypercube import CubeDiagram, KappaDiagram
+from motivic_kit.finsets import FinDiagram, FinSet, PermGroup, SetMap
+from motivic_kit.hypercube import CubeDiagram
 from motivic_kit.qlinalg import QMatrix
 
 
@@ -258,9 +258,9 @@ class TestOnlyTheFormatAskedForIsBuilt:
         # one JSON value per class, for JSON output only
         (["enumerate-diagrams", "--k", "2", "--bounds", "2,2"],
          FinDiagram, "to_json", 0, 5),
-        # the annotation is the last table line
-        (["kappa", "--components", "A,B", "--ambient", "X", "--dim", "1"],
-         KappaDiagram, "annotation", 1, 0),
+        # the group's JSON value, for JSON output only
+        (["aut", "--diagram", data_path("diagram_3to2.json")],
+         PermGroup, "to_json", 0, 1),
         # each of the 4 matrices once, as its table line or its JSON value
         (["solve-comonoid", "--x", "2", "--y", "2", "--show-matrices"],
          QMatrix, "to_json", 4, 4),

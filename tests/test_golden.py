@@ -59,6 +59,9 @@ GOLDEN = [
     (["aut", "--diagram", "{data}/diagram_3to2.json"], 0,
      "ccdd869e7985ec1045d22ce82f1b4004c1ee436655a26f6490e0aec311423748",
      "52d413f024b914e71ffbcb0029852702d3b1e9afc58fdef9f1c06abd250cbe6d"),
+    (["aut", "--diagram", "diagram_4to2to1.json"], 0,
+     "774bb74bb7373be4f2d72a8ed66e032c14b56183863d4cebce93ae909e9fa323",
+     "866ea874ecfc83d268d817f00fbf66f2af32c9c1f72dde6009dae04bd377f78f"),
     (["solve-comonoid", "--x", "3", "--y", "2", "--show-matrices"], 0,
      "7367c3ac0d3aef5675180aa61345bf4fa770fa51a27005d4b8743e3a2f4a1902",
      "cf4a71a7e3e7f56f07de8c4bf109e6ce664ca422f3ef6869c5794a0e6f19a290"),
@@ -152,8 +155,9 @@ def write_relative_files(directory: Path):
     """The files the golden argvs name relative to the working directory:
     a square that does not commute, cubes with 0-row and 0-column blocks
     without and with an ambient, one with an empty block of the wrong
-    shape, one with rational entries, the cube on no index, and the
-    two-generator groups V4 and S3 acting on 3 points.  V4
+    shape, one with rational entries, the cube on no index, the
+    two-generator groups V4 and S3 acting on 3 points, and the sets
+    4 -> 2 -> 1, whose automorphisms swap two subtrees.  V4
     acts through a transposition, fixing 2 or fixing 0; S3 acts through
     its sign, fixing 2, or transitively."""
     for name, payload in (
@@ -168,7 +172,10 @@ def write_relative_files(directory: Path):
             ("v4_fixes_0.json", gset_payload("v4", [[0, 1, 2], [0, 2, 1]])),
             ("s3_fixes_2.json", gset_payload("s3", [[1, 0, 2], [1, 0, 2]])),
             ("s3_transitive.json",
-             gset_payload("s3", [[1, 0, 2], [0, 2, 1]]))):
+             gset_payload("s3", [[1, 0, 2], [0, 2, 1]])),
+            ("diagram_4to2to1.json",
+             {"sets": [{"size": 4}, {"size": 2}, {"size": 1}],
+              "maps": [{"values": [0, 0, 1, 1]}, {"values": [0, 0]}]})):
         (directory / name).write_text(json.dumps(payload, sort_keys=True))
 
 

@@ -337,39 +337,45 @@ class TestKsHocolim:
 class TestKappa:
     def test_no_components(self):
         d = build_kappa([], "Xbar", 2)
-        names = [name for name, _ in d.rows]
-        assert names == ["l", "u"]
-        assert d.twist == -2 and d.shift == -4
+        assert list(d["vertices"]) == ["l", "u"]
+        assert (d["twist"], d["shift"]) == (-2, -4)
 
     def test_two_components(self):
+        # the mapping `kappa --format json` prints, its vertices in row order
         d = build_kappa(["A", "B"], "Xbar", 1)
-        assert d.rows == (("l", "C_*(Xbar)"), ("{0}", "C_*(A)"),
-                          ("{1}", "C_*(B)"), ("{0,1}", "C_*(A&B)"),
-                          ("u", "0"))
+        assert d == {"components": ["A", "B"], "ambient": "Xbar", "dim": 1,
+                     "twist": -1, "shift": -2,
+                     "vertices": {"l": "C_*(Xbar)", "{0}": "C_*(A)",
+                                  "{1}": "C_*(B)", "{0,1}": "C_*(A&B)",
+                                  "u": "0"}}
+        assert list(d["vertices"]) == ["l", "{0}", "{1}", "{0,1}", "u"]
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be distinct"):
             build_kappa(["A", "A"], "X", 1)
 
-    def test_cross_with(self):
-        d = build_kappa(["A"], "Xbar", 1).cross_with("Y").cross_with("Z")
-        assert d.rows == (("l", "C_*(Xbar)xC_*(Y)xC_*(Z)"),
-                          ("{0}", "C_*(A)xC_*(Y)xC_*(Z)"),
-                          ("u", "0"))  # zero absorbs the factors
+    def test_cross(self):
+        d = build_kappa(["A"], "Xbar", 1, cross="Y")
+        assert d["vertices"] == {"l": "C_*(Xbar)xC_*(Y)",
+                                 "{0}": "C_*(A)xC_*(Y)",
+                                 "u": "0"}  # zero absorbs the factor
 
-    @pytest.mark.parametrize("label", ["", "B&C", "x)"])
+    def test_an_empty_cross_is_no_factor(self):
+        assert build_kappa(["A"], "X", 1, cross="") == build_kappa(
+            ["A"], "X", 1)
+
+    @pytest.mark.parametrize("label", ["B&C", "x)", "(y", "C_*(Y)"])
     def test_a_factor_obeys_the_label_rule(self, label):
         with pytest.raises(ValueError, match="must be nonempty"):
-            build_kappa(["A"], "X", 1).cross_with(label)
+            build_kappa(["A"], "X", 1, cross=label)
 
-    def test_zero_absorbs(self):
-        d = build_kappa([], "Xbar", 1).cross_with("Y")
-        assert d.rows == (("l", "C_*(Xbar)xC_*(Y)"), ("u", "0"))
-        assert d.to_json()["vertices"]["u"] == "0"
-
-    def test_annotation(self):
-        d = build_kappa(["A"], "X", 3)
-        assert "(-3)" in d.annotation() and "[-6]" in d.annotation()
+    def test_labels_are_checked_before_the_factor(self):
+        # components, then ambient, then distinctness, then the factor
+        for args, fault in (((["A&B"], "X(", 1, "Y)"), '"A&B"'),
+                            ((["A", "A"], "X(", 1, "Y)"), '"X("'),
+                            ((["A", "A"], "X", 1, "Y)"), "distinct")):
+            with pytest.raises(ValueError, match=re.escape(fault)):
+                build_kappa(*args)
 
 
 # --- the squares a cube checks, against the composing oracle -------------

@@ -445,15 +445,16 @@ def test_one_builder_places_blocks_of_total_complexes():
 
 def test_a_cube_edge_is_no_value_of_its_own():
     # an edge is the dict of its nonzero blocks, whose shapes the cube
-    # checks: the one value class of hypercube.py is the cube, and reading
-    # a cube file builds no value per edge, only the cube, once
+    # checks, and a compactification diagram is the mapping `kappa`
+    # prints: the one class of hypercube.py is the cube, no dataclass, and
+    # reading a cube file builds no value per edge, only the cube, once
     values = {node.name for _, node in class_definitions()
               if any(ast.unparse(base) == "Value" for base in node.bases)}
     assert {"CubeDiagram", "ChainComplex", "QMatrix"} <= values
     assert [node.name for path_name, node in class_definitions()
-            if path_name == "hypercube.py" and node.name in values] == [
-        "CubeDiagram"]
+            if path_name == "hypercube.py"] == ["CubeDiagram"]
     [hypercube] = [p for p in SOURCES if p.name == "hypercube.py"]
+    assert "dataclass" not in hypercube.read_text()
     built = [(owner, callee) for owner, callee in calls_by_function(hypercube)
              if owner is not None
              and (owner == "_edges" or owner.startswith("CubeDiagram.from_json"))
@@ -641,9 +642,9 @@ ONLY_TESTS_REACHED = [
      "def scale(self, c):\n"
      "    return QMatrix(self.rows, self.cols,\n"
      "                   (c * a for a in self.entries))"),
-    ("hypercube.py", "KappaDiagram", "vertex_map",
+    ("hypercube.py", "CubeDiagram", "vertex_map",
      "def vertex_map(self):\n"
-     "    return dict(self.rows)"),
+     "    return dict(self.vertices)"),
     # a local `inv` in finsets.py is no read of the method
     ("galois.py", "FiniteGroup", "inv",
      "def inv(self, g):\n"
