@@ -270,11 +270,13 @@ def run(args):
         return 2, f"error: {exc}"
 
 
-def _bounds(text: str) -> tuple:
+def bounds(text: str) -> tuple:
+    """--bounds "2,3" as (2, 3); argparse's error texts name it."""
     return tuple(int(v) for v in text.split(","))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The command-line parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="motivic-kit",
         description="Exact verifications for the matrix calculus on finite sets.")
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate-diagrams",
                        help="census of diagram classes within bounds")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bounds", type=_bounds, required=True)
+    p.add_argument("--bounds", type=bounds, required=True)
     add_format(p)
 
     p = sub.add_parser("aut", help="automorphism group of a diagram file")
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-monad",
                        help="multiset assembly census against enumeration")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bounds", type=_bounds, required=True)
+    p.add_argument("--bounds", type=bounds, required=True)
     add_format(p)
 
     p = sub.add_parser("hocolim",
@@ -341,15 +343,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=2)
     add_format(p)
 
-    return parser
+    return parser, sub.choices
 
 
 # built once, at import: a process calling main many times parses only
-PARSER = build_parser()
+PARSER, SUBPARSERS = build_parser()
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    """Run argv (default `sys.argv[1:]`), print its report, return its
+    status.  The subcommand's own parser parses it; the full parser runs
+    only to report a missing subcommand or an unknown argument."""
+    argv = sys.argv[1:] if argv is None else argv
+    sub = SUBPARSERS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if sub is None or rest:
+        args = PARSER.parse_args(argv)
     status, text = run(args)
     print(text)
     return status

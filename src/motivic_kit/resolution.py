@@ -102,9 +102,10 @@ def verify_mdffe(x: FinSet, y: FinSet, bound: int = 2) -> MdffeReport:
     the statement), so the equalizer is computed on (Y, X); its solutions
     are exactly the transposes of the comonoid morphisms C_*X -> C_*Y,
     the graphs of the |Y|^|X| set maps X -> Y.  The equalizer is rechecked
-    at truncation bound + 1 and must not change: its classes are those of
-    `bound` and one more, so it is the equalizer at `bound` filtered by
-    the coface equations of class bound + 1.
+    at truncation bound + 1, but cannot reject: of the 0/1 candidate rows,
+    class 0 alone keeps exactly the one-hot rows, which pass every class.
+    So `recheck_count` always equals `equalizer_count`; it is no
+    independent check.
     """
     eq = equalizer(y, x, bound)
     eq_re = [f for f in eq if cofaces_agree(f, bound + 1)]

@@ -41,6 +41,30 @@ def run_cli(argv):
     return status, out.getvalue()[:-1]
 
 
+def full_parser_main(argv):
+    """`cli.main` without its dispatch: the full parser parses every
+    command line.  The oracle that the dispatch must match."""
+    status, text = cli.run(cli.PARSER.parse_args(argv))
+    print(text)
+    return status
+
+
+def outcome(main, argv) -> tuple:
+    """All that `main(argv)` shows and hands on: its stdout, its stderr,
+    how it ends (("return", status) or ("exit", the SystemExit code)) and
+    the Namespaces `cli.run` is given."""
+    ran, run = [], cli.run
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run", lambda args: ran.append(args) or run(args))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                end = ("return", main(argv))
+            except SystemExit as exc:
+                end = ("exit", exc.code)
+    return out.getvalue(), err.getvalue(), end, ran
+
+
 class TestCommands:
     def test_verify_mcffe(self):
         status, text = run_cli(["verify-mcffe", "--x", "2", "--y", "3"])
@@ -415,6 +439,33 @@ class TestAutAtTheCap:
 
 
 class TestErrors:
+    @pytest.fixture(autouse=True)
+    def main_matches_the_full_parser(self, monkeypatch):
+        """Every command line here runs through the dispatching `main` and
+        through the full parser, which must print, end and parse alike;
+        the test then sees what `main` did."""
+        main = cli.main
+
+        def checked(argv):
+            out, err, (how, status), ran = outcome(main, argv)
+            assert (out, err, (how, status), ran) == outcome(
+                full_parser_main, argv)
+            sys.stdout.write(out)
+            sys.stderr.write(err)
+            if how == "exit":
+                raise SystemExit(status)
+            return status
+        monkeypatch.setattr(cli, "main", checked)
+
+    def test_bad_bounds_entry_names_the_option_not_the_converter(
+            self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["enumerate-diagrams", "--k", "2", "--bounds", "2,x"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "motivic-kit enumerate-diagrams: error: argument --bounds: "
+            "invalid bounds value: '2,x'")
+
     def test_missing_file(self):
         status, text = run_cli(["aut", "--diagram", "/nonexistent.json"])
         assert status == 2
@@ -989,20 +1040,26 @@ class TestErrors:
         assert "PASS" in out
 
 
+def golden_cases(tmp_path, monkeypatch) -> list:
+    """The golden (argv, status, digest) rows, with the files they name
+    written to `tmp_path`, which becomes the working directory."""
+    ambient = tmp_path / "ks.json"
+    ambient.write_text(json.dumps(ambient_cube_payload(), sort_keys=True))
+    write_relative_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    return [([a.replace("{data}", GOLDEN_DATA)
+              .replace("{ambient}", str(ambient))
+              .replace("{square}", "square.json") for a in argv],
+             status, digest) for argv, status, digest in GOLDEN_CASES]
+
+
 class TestSharedParser:
     """`main` parses every command line with the one parser built at
     import; no call may leave state behind for the next."""
 
     def test_golden_sequence_with_errors_between(self, capsys, tmp_path,
                                                  monkeypatch):
-        ambient = tmp_path / "ks.json"
-        ambient.write_text(json.dumps(ambient_cube_payload(), sort_keys=True))
-        write_relative_files(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        for argv, status, digest in GOLDEN_CASES:
-            argv = [a.replace("{data}", GOLDEN_DATA)
-                    .replace("{ambient}", str(ambient))
-                    .replace("{square}", "square.json") for a in argv]
+        for argv, status, digest in golden_cases(tmp_path, monkeypatch):
             with pytest.raises(SystemExit) as exit_info:
                 cli.main(["verify-mcffe", "--x", "two", "--y", "2"])
             assert exit_info.value.code == 2
@@ -1041,6 +1098,76 @@ class TestSharedParser:
         with pytest.raises(SystemExit):
             cli.main(["no-such-command"])
         assert built == []
+
+
+# command lines that argparse itself rejects or answers, with the exit
+# status it ends them with
+ARGPARSE_LEVEL = [
+    ([], 2),
+    (["no-such-command"], 2),
+    (["verify"], 2),
+    (["-h"], 0),
+    (["--format", "json"], 2),
+    (["verify-mcffe", "-h"], 0),
+    (["kappa", "--help"], 0),
+    (["verify-mcffe", "--x", "1"], 2),
+    (["verify-mcffe", "--x", "two", "--y", "2"], 2),
+    (["verify-mcffe", "--x", "1", "--y", "1", "--format", "yaml"], 2),
+    (["verify-mcffe", "--x", "1", "--y", "1", "extra"], 2),
+    (["verify-mcffe", "--x", "1", "--y", "1", "--bound", "3"], 2),
+    (["verify-mcffe", "--x", "1", "--y", "1", "--", "extra"], 2),
+    (["verify-mcffe", "extra", "--x", "1", "--y", "1"], 2),
+    (["enumerate-diagrams", "--k", "2", "--bounds", "2,x"], 2),
+]
+
+
+class TestDispatch:
+    """`main` hands a command line that names a subcommand to that
+    subcommand's parser alone; on every command line it prints, ends and
+    parses exactly as the full parser does."""
+
+    @pytest.fixture
+    def full_parses(self, monkeypatch) -> list:
+        """The argvs the full parser parses from now on."""
+        calls, parse = [], cli.PARSER.parse_args
+        monkeypatch.setattr(cli.PARSER, "parse_args",
+                            lambda argv: calls.append(argv) or parse(argv))
+        return calls
+
+    def test_golden_argvs(self, tmp_path, monkeypatch, full_parses):
+        for argv, status, _ in golden_cases(tmp_path, monkeypatch):
+            got = outcome(cli.main, argv)
+            # each is parsed by its subcommand's parser alone
+            assert full_parses == []
+            assert got == outcome(full_parser_main, argv)
+            full_parses.clear()
+            assert got[2] == ("return", status)
+            assert [args.command for args in got[3]] == [argv[0]]
+
+    @pytest.mark.parametrize(
+        "argv, code", ARGPARSE_LEVEL,
+        ids=[" ".join(argv) or "-" for argv, _ in ARGPARSE_LEVEL])
+    def test_argparse_level_command_lines(self, argv, code, full_parses):
+        got = outcome(cli.main, argv)
+        # the full parser runs exactly when its own usage, not a
+        # subcommand's, is printed
+        assert full_parses == ([argv] if (got[0] + got[1]).startswith(
+            "usage: motivic-kit [-h]") else [])
+        assert got == outcome(full_parser_main, argv)
+        assert got[2] == ("exit", code)
+        assert got[0 if code == 0 else 1] != ""
+
+    def test_an_abbreviated_option_is_the_subcommand_parsers_to_expand(self):
+        argv = ["verify-mcffe", "--x", "1", "--y", "1", "--form", "json"]
+        got = outcome(cli.main, argv)
+        assert got == outcome(full_parser_main, argv)
+        assert got[3][0].format == "json"
+
+    def test_argv_defaults_to_the_process_arguments(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["motivic-kit", "verify-mcffe",
+                                          "--x", "2", "--y", "2"])
+        assert outcome(cli.main, None)[:3] == ("4 = 4, PASS\n", "",
+                                               ("return", 0))
 
 
 # --- malformed input files ---------------------------------------------------

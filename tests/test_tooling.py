@@ -4,7 +4,8 @@ reader for outside JSON compiled only at import, no relabeling search on
 the census path, no value of the census's own and no order it computes
 twice, no construction that skips validation, no zero matrix
 built for an absent block, no dense product in the comonoid layer, a
-CLI parser built only at import, one builder for the cube's total
+CLI parser and its subcommand table built only at import, read through
+no private attribute of argparse, one builder for the cube's total
 complexes, no value of its own for a cube's edge, squares composed only
 when a cube is built, a group's generators found once, no list of zeros
 sized by two dimensions outside the dense view of a matrix, canonical
@@ -423,16 +424,38 @@ def test_readers_are_compiled_only_at_import():
 def test_cli_builds_its_parser_only_at_import():
     [cli] = [p for p in SOURCES if p.name == "cli.py"]
     calls = list(calls_by_function(cli))
+    constructors = {"ArgumentParser", "add_subparsers", "add_parser"}
     builders = {owner for owner, callee in calls
-                if callee.split(".")[-1] == "ArgumentParser"}
+                if callee.split(".")[-1] in constructors}
     at_import = {callee for owner, callee in calls if owner is None}
     assert builders and None not in builders
     # each function that constructs a parser runs at import ...
     assert builders <= at_import
     # ... and neither main nor run constructs one or calls a builder
     for entry in ("main", "run"):
-        called = {callee for owner, callee in calls if owner == entry}
-        assert called.isdisjoint(builders | {"argparse.ArgumentParser"})
+        called = {callee.split(".")[-1] for owner, callee in calls
+                  if owner == entry}
+        assert called.isdisjoint(builders | constructors)
+    # the import binds the parser and its subcommand table, by name, to
+    # what a builder returns, and main reads both
+    bound = {name.id for node in ast.parse(cli.read_text()).body
+             if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Call)
+             and ast.unparse(node.value.func) in builders
+             for target in node.targets for name in ast.walk(target)
+             if isinstance(name, ast.Name)}
+    assert bound == {"PARSER", "SUBPARSERS"}
+    read = {node.id for owner, node in nodes_by_function(cli)
+            if owner == "main" and isinstance(node, ast.Name)}
+    assert bound <= read
+    # the table comes from the public `choices` of the subparsers
+    # action, not from argparse's private attributes (`_subparsers`,
+    # `_group_actions`, `_name_parser_map`, ...)
+    private = {node.attr for _, node in nodes_by_function(cli)
+               if isinstance(node, ast.Attribute)
+               and node.attr.startswith("_")
+               and not node.attr.startswith("__")}
+    assert private == set()
 
 
 def test_one_builder_places_blocks_of_total_complexes():
@@ -529,9 +552,9 @@ def reads(node) -> tuple:
 
 def definitions(trees):
     """(file, name, what it reads) for every top-level function, class
-    and assignment, and as (file, "Class.method", ...) for every method
-    not named like __init__.  A class reads what its bases, decorators,
-    class-level statements and __dunder__ methods read."""
+    and name an assignment binds, and as (file, "Class.method", ...) for
+    every method not named like __init__.  A class reads what its bases,
+    decorators, class-level statements and __dunder__ methods read."""
     for path_name, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
@@ -545,10 +568,13 @@ def definitions(trees):
                 for m in named:
                     yield path_name, f"{node.name}.{m.name}", [m]
             elif isinstance(node, ast.Assign):
+                # `a, b = f()` defines both names, each reading f()
                 for target in node.targets:
-                    if (isinstance(target, ast.Name)
-                            and not target.id.startswith("__")):
-                        yield path_name, target.id, [node.value]
+                    for name in ast.walk(target):
+                        if (isinstance(name, ast.Name)
+                                and isinstance(name.ctx, ast.Store)
+                                and not name.id.startswith("__")):
+                            yield path_name, name.id, [node.value]
 
 
 def unreached(trees=None) -> list:
