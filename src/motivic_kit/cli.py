@@ -261,13 +261,15 @@ def run(args):
     """Execute one parsed command line; returns (exit status, report text).
 
     The safety limit is read from MOTIVIC_KIT_MAX_SIZE here, so a bad value
-    is reported like any other configuration error.
+    is reported like any other configuration error: as `error: <text>`,
+    or as the object {"error": <text>} under `--format json`.
     """
     try:
         _check_limits(args, _max_size_from_env())
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
-        return 2, f"error: {exc}"
+        return 2, _emit(args, lambda: [f"error: {exc}"],
+                        lambda: {"error": str(exc)})
 
 
 def bounds(text: str) -> tuple:

@@ -235,16 +235,21 @@ class DiagramIso(Value):
         return {"components": [c.to_json() for c in self.components]}
 
 
-def _level_classes(d: FinDiagram) -> list:
-    """Isomorphism-class index of the subtree below each element, per level.
+def _level_classes(d: FinDiagram) -> tuple:
+    """(the isomorphism-class index of the subtree below each element, per
+    level; the order of the self-isomorphism group of d), in one pass.
 
     Level 1 is one class.  An element of level j+1 has the key (number of
     preimages, -(preimages in each class of level j, in class order)); the
     classes of level j+1 are the distinct keys in sorted order.  Two
     elements of a level share a class iff their preimage trees are
     isomorphic, since a tree is the multiset of its children's classes.
+    The group is the iterated wreath product over the forest, the roots
+    hung from a virtual root, so its order is the product of m! over the
+    counts -m the keys hold and over the class multiplicities of the roots.
     """
     classes = [[0] * d.sets[0].size]
+    order = 1
     for m in d.maps:
         prev = classes[-1]
         width = max(prev) + 1
@@ -254,12 +259,14 @@ def _level_classes(d: FinDiagram) -> list:
         keys = [(-sum(row), tuple(row)) for row in counts]
         index = {key: c for c, key in enumerate(sorted(set(keys)))}
         classes.append([index[key] for key in keys])
-    return classes
+        order *= prod(factorial(-n) for row in counts for n in row if n < -1)
+    roots = classes[-1]
+    return classes, order * prod(map(factorial, map(roots.count, set(roots))))
 
 
 def _canonical_form(d: FinDiagram) -> tuple:
     """(the canonical representative of the isomorphism class of d, the
-    `_level_classes` of it), from one pass.
+    order of its self-isomorphism group), from one `_level_classes` pass.
 
     The last level is numbered by class, then each level below it by
     (class, new label of its image).  Fibers come out sorted at every
@@ -267,13 +274,12 @@ def _canonical_form(d: FinDiagram) -> tuple:
     which is the lexicographic minimum of `FinDiagram.encoding` over all
     relabelings.  Remaining ties are broken by old index.  So isomorphic
     diagrams map to the identical representative, and the map is
-    idempotent.  Labels are discarded.  A class index does not change
-    under relabeling, and the form numbers each level in class order, so
-    its classes are the sorted originals.
+    idempotent.  Labels are discarded.  The order is the representative's
+    too, since relabeling does not change it.
     """
     if d.k == 0:
-        return FinDiagram([], []), []
-    classes = _level_classes(d)
+        return FinDiagram([], []), 1
+    classes, order = _level_classes(d)
     perms = [None] * d.k
     image = [0] * d.sets[-1].size  # the roots hang from one virtual root
     for i in range(d.k - 1, -1, -1):
@@ -282,10 +288,9 @@ def _canonical_form(d: FinDiagram) -> tuple:
         for label, (_, _, x) in enumerate(keys):
             perm[x] = label
         perms[i] = perm
-        classes[i] = [c for c, _, _ in keys]
         if i > 0:
             image = [perm[y] for y in d.maps[i - 1].values]
-    return d.relabel(perms), classes
+    return d.relabel(perms), order
 
 
 class PermGroup(Value):
@@ -307,34 +312,15 @@ class PermGroup(Value):
                 "generators": [g.to_json() for g in self.generators]}
 
 
-def _forest_order(d: FinDiagram, classes) -> int:
-    """The order of the self-isomorphism group of d, from its level classes
-    and without generators.
-
-    The chain is a forest: the roots are the elements of the last set, and
-    an element's children are its preimages, all hung from a virtual root.
-    The group is the iterated wreath product over it, so its order is the
-    product over every node of mult! for each class of isomorphic children.
-    """
-    parents = [*(m.values for m in d.maps), [0] * d.sets[-1].size]
-    order = 1
-    for up, level in zip(parents, classes):
-        mults = {}
-        for pair in zip(up, level):
-            mults[pair] = mults.get(pair, 0) + 1
-        order *= prod(map(factorial, mults.values()))
-    return order
-
-
 def automorphism_group(d: FinDiagram) -> PermGroup:
-    """Generators and order (as `_forest_order`'s) of the
-    self-isomorphism group of d.  Each generator swaps two adjacent
+    """Generators and order of the self-isomorphism group of d, both from
+    one `_level_classes` pass.  Each generator swaps two adjacent
     isomorphic siblings (children sorted by (class, index)) and carries
     one subtree onto the other, pairing their children in the same order.
     """
     if d.k == 0:
         return PermGroup((), (), 1)
-    classes = _level_classes(d)
+    classes, order = _level_classes(d)
     children = [None]
     for i, m in enumerate(d.maps):
         kids = [[] for _ in range(m.cod.size)]
@@ -363,7 +349,7 @@ def automorphism_group(d: FinDiagram) -> PermGroup:
                                  zip(children[lv][u], children[lv][v]))
             gens.append(DiagramIso(d, d, tuple(
                 SetMap(s, s, p) for s, p in zip(d.sets, perms))))
-    return PermGroup(d.sizes(), gens, _forest_order(d, classes))
+    return PermGroup(d.sizes(), gens, order)
 
 
 # the readers of input files, compiled once

@@ -15,8 +15,8 @@ pass over each assembled class's level classes gives both its canonical
 form and its automorphism order; the pool's orders come from the census
 that built it.  `verify_m_identity` certifies that census complete
 without enumerating a labelled chain: the orbit-counting mass formula
-sums prod |S_i|! / |Aut d| over the classes of each size tuple and
-compares it with the closed-form count of labelled chains.
+sums the integers prod |S_i|! / |Aut d| over the classes of each size
+tuple and compares the sum with the closed-form count of labelled chains.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import le, sub
 
-from .finsets import FinDiagram, FinSet, SetMap, _canonical_form, _forest_order
+from .finsets import FinDiagram, FinSet, SetMap, _canonical_form
 
 
 def assemble(k: int, entries) -> FinDiagram:
@@ -116,10 +115,10 @@ def _admissible_multisets(k: int, bounds, pool):
 def _assembled(k: int, bounds, pool):
     """(encoding, canonical form, automorphism order, pool indices) of the
     (k+1)-class each bounded multiset assembles to, in walk order; one
-    pass over the class's level classes gives both its form and order."""
+    `_canonical_form` call gives both the class's form and its order."""
     for indices in _admissible_multisets(k, bounds, pool):
-        d, classes = _canonical_form(assemble(k, [pool[i] for i in indices]))
-        yield d.encoding(), d, _forest_order(d, classes), indices
+        d, order = _canonical_form(assemble(k, [pool[i] for i in indices]))
+        yield d.encoding(), d, order, indices
 
 
 def enumerate_diagrams(k: int, max_sizes) -> tuple:
@@ -179,8 +178,10 @@ def verify_m_identity(k: int, bounds) -> MonadReport:
     Completeness is checked against a closed form, by the orbit-counting
     mass formula: for every size tuple within bounds, the sum over
     assembled multisets of prod |S_i|! / |Aut d| must equal the number of
-    labelled chains, prod |S_{i+1}|^|S_i|.  A missing or repeated class,
-    or a wrong automorphism order, breaks the sum.
+    labelled chains, prod |S_{i+1}|^|S_i|.  Aut d is a subgroup of
+    prod Sym(S_i), so by Lagrange each orbit size is an integer, and an
+    order that does not divide prod |S_i|! fails the formula.  A missing
+    or repeated class, or a wrong automorphism order, breaks the sum.
     """
     bounds = tuple(bounds)
     if len(bounds) != k + 1:
@@ -190,7 +191,7 @@ def verify_m_identity(k: int, bounds) -> MonadReport:
     for key, _, order, indices in _assembled(k, bounds, pool):
         by_class.setdefault(key, [order, indices, 0])[2] += 1
     rows = []
-    aut_ok = True
+    aut_ok = divides = True
     mass = {}
     for key in sorted(by_class):
         aut, indices, count = by_class[key]
@@ -198,7 +199,8 @@ def verify_m_identity(k: int, bounds) -> MonadReport:
         wreath = math.prod(orders[i] ** mult * math.factorial(mult)
                            for i, mult in Counter(indices).items())
         aut_ok = aut_ok and aut == wreath
-        orbit = Fraction(math.prod(map(math.factorial, sizes)), aut)
+        orbit, rest = divmod(math.prod(map(math.factorial, sizes)), aut)
+        divides = divides and not rest
         mass[sizes] = mass.get(sizes, 0) + count * orbit
         rows.append(MonadClassRow(key, aut, wreath,
                                   tuple(pool[i].sizes() for i in indices)))
@@ -207,4 +209,4 @@ def verify_m_identity(k: int, bounds) -> MonadReport:
                                                  for b in bounds))}
     enumerated = sum(count for _, _, count in by_class.values())
     return MonadReport(k, bounds, len(by_class), enumerated, tuple(rows),
-                       aut_ok, mass == labelled)
+                       aut_ok, divides and mass == labelled)

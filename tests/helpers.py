@@ -1,5 +1,6 @@
 """Shared independent oracles and small generators for the test suite."""
 
+import collections
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from motivic_kit._value import InputError, RepeatedKey, Value, _KINDS, show
 from motivic_kit.artin import CoalgMorphism, artin_comonoid, graph_matrix
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
-                                 _canonical_form)
+                                 _canonical_form, _level_classes)
 from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import CubeDiagram, _name, _subset_key
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
@@ -513,8 +514,25 @@ def identity_map(s: FinSet) -> SetMap:
 
 def canonical_form(d: FinDiagram) -> FinDiagram:
     """The canonical representative of the class of d, from the library's
-    one pass (without the level classes that pass also returns)."""
+    one pass (without the automorphism order that pass also returns)."""
     return _canonical_form(d)[0]
+
+
+def forest_order(d: FinDiagram) -> int:
+    """The order of the self-isomorphism group of d, recounted from the
+    library's level classes: the product over every node of the forest of
+    mult! for each class of isomorphic children, the roots (the elements
+    of the last set) hung from one virtual root.  Counts the (parent,
+    class) pairs of every element afresh, not the pass's own counts."""
+    if d.k == 0:
+        return 1
+    classes, _ = _level_classes(d)
+    parents = [*(m.values for m in d.maps), [0] * d.sets[-1].size]
+    order = 1
+    for up, level in zip(parents, classes):
+        mults = collections.Counter(zip(up, level))
+        order *= math.prod(map(math.factorial, mults.values()))
+    return order
 
 
 def aut_generators(data: dict, d: FinDiagram) -> list:
@@ -706,6 +724,67 @@ def small_diagrams(draw, max_relabelings=20_000):
         maps.append(SetMap(sets[i], sets[i + 1], values))
     perms = [draw(st.permutations(range(n))) for n in sizes]
     return FinDiagram(sets, maps).relabel(perms)
+
+
+@st.composite
+def twinned_chains(draw, max_size=4, max_relabelings=20_000):
+    """Random chains of length 0 to 4, with at most `max_size` elements
+    per set and prod |S_i|! <= max_relabelings, whose forests repeat
+    isomorphic subtrees.
+
+    The forest is drawn top-down, a tree as the tuple of its children:
+    each drawn subtree is followed by copies of itself, as many as the
+    room left on its levels allows.  The first tree drawn under each
+    parent on the way down reaches the first set, so no set is empty, and
+    a random relabeling then scatters the labels.
+    """
+    k = draw(st.integers(0, 4))
+    room, total = [], 1  # room[i]: the elements level i may still take
+    for _ in range(k):
+        cap = max(n for n in range(1, max_size + 1)
+                  if total * math.factorial(n) <= max_relabelings)
+        room.append(draw(st.integers(1, cap)))
+        total *= math.factorial(room[-1])
+
+    def sizes(tree, level, acc):
+        acc[level] = acc.get(level, 0) + 1
+        for child in tree:
+            sizes(child, level - 1, acc)
+        return acc
+
+    def siblings(level, spine):
+        trees = []
+        for n in range(draw(st.integers(int(spine), 2))):
+            if room[level] == 0:
+                break
+            room[level] -= 1
+            tree = tuple(siblings(level - 1, spine and n == 0)
+                         if level else ())
+            counts = sizes(tree, level, {})
+            copies = draw(st.integers(0, min(room[j] // c
+                                             for j, c in counts.items())))
+            for j, c in counts.items():
+                room[j] -= c * copies
+            trees += [tree] * (1 + copies)
+        return trees
+
+    levels = [0] * k
+    values = [[] for _ in range(k - 1)]  # values[i]: the map out of level i
+
+    def place(tree, level, parent):
+        me = levels[level]
+        levels[level] += 1
+        if parent is not None:
+            values[level].append(parent)
+        for child in tree:
+            place(child, level - 1, me)
+
+    for tree in siblings(k - 1, True) if k else ():
+        place(tree, k - 1, None)
+    sets = [FinSet(n) for n in levels]
+    d = FinDiagram(sets, [SetMap(sets[i], sets[i + 1], v)
+                          for i, v in enumerate(values)])
+    return d.relabel([draw(st.permutations(range(n))) for n in levels])
 
 
 # Mostly zeros, as in the structure matrices, plus ones, negatives and

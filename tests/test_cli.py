@@ -41,6 +41,15 @@ def run_cli(argv):
     return status, out.getvalue()[:-1]
 
 
+def in_format(fmt: str, error: str) -> str:
+    """An exit-2 report in format `fmt`: the `error: <text>` line itself,
+    or the JSON object {"error": <text>}."""
+    if fmt == "table":
+        return error
+    return json.dumps({"error": error.removeprefix("error: ")},
+                      sort_keys=True, indent=2)
+
+
 def full_parser_main(argv):
     """`cli.main` without its dispatch: the full parser parses every
     command line.  The oracle that the dispatch must match."""
@@ -604,8 +613,25 @@ class TestErrors:
         status, text = run_cli(["aut", "--diagram", str(bad),
                                 "--format", fmt])
         assert status == 2
-        assert text == (f"error: {bad}: sets[0].size is missing, "
-                        "must be an integer")
+        assert text == in_format(fmt, f"error: {bad}: sets[0].size is "
+                                 "missing, must be an integer")
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["aut", "--diagram", "/nonexistent.json"], "6",
+         "[Errno 2] No such file or directory: '/nonexistent.json'"),
+        (["verify-mcffe", "--x", "2", "--y", "2"], "abc",
+         "MOTIVIC_KIT_MAX_SIZE must be a positive integer, got 'abc'"),
+        (["kappa", "--components", "A&B,C", "--ambient", "X", "--dim", "1"],
+         "6", 'label "A&B" must be nonempty and contain none of "&", "(" '
+         'and ")"'),
+    ])
+    def test_error_in_each_format(self, monkeypatch, argv, env, message):
+        # exit 2 under --format json is one object holding the text that
+        # follows "error: " in a table
+        monkeypatch.setenv("MOTIVIC_KIT_MAX_SIZE", env)
+        assert run_cli(argv) == (2, f"error: {message}")
+        status, text = run_cli(argv + ["--format", "json"])
+        assert (status, text) == (2, in_format("json", f"error: {message}"))
 
     def test_float_entries_are_named(self, tmp_path):
         with open(data_path("cover_two_patches.json")) as fh:

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from helpers import (aut_generators, brute_automorphisms,
                      brute_canonical_with_perms, brute_census,
                      brute_isomorphic, canonical_form, closure_size, compose,
-                     fiber_chain, identity_map, all_maps, MAP_SPACES,
-                     small_diagrams)
+                     fiber_chain, forest_order, identity_map, all_maps,
+                     MAP_SPACES, small_diagrams, twinned_chains)
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
-                                 automorphism_group, map_values)
+                                 _canonical_form, automorphism_group,
+                                 map_values)
 from motivic_kit.monad import enumerate_diagrams
 
 
@@ -297,8 +298,20 @@ class TestAutomorphismOrder:
     def test_random_diagrams(self, d):
         assert automorphism_group(d).order == len(brute_automorphisms(d))
 
+    @settings(max_examples=80, deadline=None)
+    @given(twinned_chains())
+    def test_folded_order_on_repeated_subtrees(self, d):
+        # the order the canonicalising pass reads off its own counts, on
+        # d and on its form, against the recount of the forest's
+        # multiplicities and the brute list
+        form, order = _canonical_form(d)
+        assert (order == _canonical_form(form)[1]
+                == automorphism_group(d).order == forest_order(d)
+                == len(brute_automorphisms(d))), d
+
     def test_empty_diagram(self):
         assert automorphism_group(FinDiagram([], [])).order == 1
+        assert _canonical_form(FinDiagram([], [])) == (FinDiagram([], []), 1)
 
 
 FIBERS = [fibers for t in (1, 2, 3)

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 
 import pytest
 
@@ -261,24 +262,52 @@ class TestMassFormulaHasTeeth:
                 if i == 0:
                     assert self.cli_status(capsys) == 1
 
+    @staticmethod
+    def patch_order(monkeypatch, key, change):
+        """Apply `change` to the order the canonicalising pass gives the
+        class whose canonical encoding is `key`."""
+        original = monad._canonical_form
+
+        def canonical(d):
+            form, order = original(d)
+            return form, (change(order) if form.encoding() == key else order)
+        monkeypatch.setattr(monad, "_canonical_form", canonical)
+
     def test_wrong_automorphism_order(self, monkeypatch, capsys):
-        # a class's order is computed from the canonicalising pass's level
-        # classes, on the canonical form, when the class is first assembled
+        # a class's order comes from the pass that canonicalises it, when
+        # the class is first assembled
         rows = verify_m_identity(K, BOUNDS).rows
         for row in rows:
-            def off_by_one(d, classes, original=monad._forest_order,
-                           key=row.encoding):
-                order = original(d, classes)
-                if d.encoding() != key:
-                    return order
-                return order + 1
             with monkeypatch.context() as mp:
-                mp.setattr(monad, "_forest_order", off_by_one)
+                self.patch_order(mp, row.encoding, lambda order: order + 1)
                 report = verify_m_identity(K, BOUNDS)
                 assert not report.aut_orders_match
                 assert not report.mass_formula_holds and not report.passed
                 if row is rows[0]:
                     assert self.cli_status(capsys) == 1
+
+    def test_order_not_dividing_the_relabelings(self, monkeypatch, capsys):
+        # an order a that does not divide P = prod |S_i|! but leaves P // a
+        # as it was: only the remainder, by Lagrange zero for a true
+        # order, shows it to the mass formula
+        k, bounds = 1, (3, 2)
+        argv = ["verify-monad", "--k", str(k),
+                "--bounds", ",".join(map(str, bounds))]
+        faults = []
+        for row in verify_m_identity(k, bounds).rows:
+            relabelings = math.prod(map(math.factorial, row.encoding[0]))
+            orbit = relabelings // row.aut_order
+            faults += [(row.encoding, a) for a in range(
+                relabelings // (orbit + 1) + 1, row.aut_order)
+                if relabelings % a]
+        assert faults
+        for key, wrong in faults:
+            with monkeypatch.context() as mp:
+                self.patch_order(mp, key, lambda order: wrong)
+                report = verify_m_identity(k, bounds)
+                assert not report.mass_formula_holds and not report.passed
+                assert cli.main(argv) == 1
+                capsys.readouterr()
 
     def test_wrong_entry_order(self, monkeypatch, capsys):
         # a wreath count reads each entry's order from the pool, which the

@@ -2,7 +2,8 @@
 base class for the immutable values, integers kept as integers, one
 reader for outside JSON compiled only at import, no relabeling search on
 the census path, no value of the census's own and no order it computes
-twice, no construction that skips validation, no zero matrix
+twice, nor by a second walk over its classes, no fraction in the census
+mass formula, no construction that skips validation, no zero matrix
 built for an absent block, no dense product in the comonoid layer, a
 CLI parser and its subcommand table built only at import, read through
 no private attribute of argparse, one builder for the cube's total
@@ -262,6 +263,18 @@ def test_the_census_reads_each_order_off_its_canonicalising_pass():
                if callee.split(".")[-1] == "_level_classes"}
     assert callers == {("finsets.py", "_canonical_form"),
                        ("finsets.py", "automorphism_group")}
+    # the order is read off the multiplicities that pass counts, not
+    # recounted by a second walk over the classes, and the mass formula
+    # sums integers
+    [finsets] = [path for path in SOURCES if path.name == "finsets.py"]
+    [monad] = [path for path in SOURCES if path.name == "monad.py"]
+    assert [name for name, _ in function_definitions("_forest_order")] == []
+    factorials = {owner for owner, node in nodes_by_function(finsets)
+                  if isinstance(node, (ast.Name, ast.Attribute))
+                  and owner is not None
+                  and ast.unparse(node).split(".")[-1] == "factorial"}
+    assert factorials == {"_level_classes"}
+    assert "fractions" not in set(absolute_imports(monad))
 
 
 def test_no_zero_matrix_stands_for_an_absent_block():
