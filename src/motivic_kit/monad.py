@@ -184,6 +184,8 @@ def verify_m_identity(k: int, bounds) -> MonadReport:
     or repeated class, or a wrong automorphism order, breaks the sum.
     """
     bounds = tuple(bounds)
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if len(bounds) != k + 1:
         raise ValueError("need k+1 bounds")
     pool, orders = _pool(k, bounds)

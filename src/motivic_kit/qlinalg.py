@@ -17,11 +17,14 @@ all outputs are reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 from ._value import InputError, Value, compile_reader, degree_key, show
 
 _VALUE = itemgetter(1)  # a term's value: the zero filter keeps the nonzero
+_SHARED = 4096  # the distinct matrix and complex records a process keeps
+_SCALARS = frozenset({int, str})  # the JSON types of a shared matrix's entries
 
 
 def _frac(x):
@@ -90,12 +93,9 @@ class QMatrix(Value):
     @staticmethod
     def from_json(data) -> "QMatrix":
         rows, cols, entries = _READ_QMATRIX(data)
-        if entries:
-            return QMatrix(rows, cols, _entries(entries, data))
-        empty = _EMPTY.get((rows, cols))  # values are immutable: share one
-        if empty is None:
-            empty = _EMPTY[rows, cols] = QMatrix(rows, cols, ())
-        return empty
+        if not entries or _SCALARS.issuperset(map(type, entries)):
+            return _shared_matrix(rows, cols, *entries)
+        return QMatrix(rows, cols, _READ_ENTRIES(data)[0])  # names the misfit
 
 
 def _entry(x):
@@ -108,16 +108,17 @@ def _entry(x):
     raise InputError(f"must be an integer or a rational string, got {show(x)}")
 
 
-def _entries(entries: list, data) -> list:
-    """The `entries` of the matrix object `data`: one `int()` pass if all
-    are ints or strs, as `_frac` reads them, else `_entry` on each in turn,
-    so that every value and every error is the per-entry reader's."""
-    if set(map(type, entries)) <= {int, str}:
-        try:
-            return list(map(int, entries))
-        except ValueError:
-            pass
-    return _READ_ENTRIES(data)[0]
+@lru_cache(maxsize=_SHARED, typed=True)
+def _shared_matrix(rows, cols, *entries) -> QMatrix:
+    """The one matrix a process reads from equal records of int and str
+    entries (values are immutable): one `int()` pass, as `_frac` reads them,
+    else `_entry` on each, so that every value and error is that reader's.
+    A refusal raises anew each time: only returned values are kept."""
+    try:
+        values = list(map(int, entries))
+    except ValueError:
+        values = _READ_ENTRIES({"entries": list(entries)})[0]
+    return QMatrix(rows, cols, values)
 
 
 def product_terms(a: QMatrix, b: QMatrix) -> dict:
@@ -259,11 +260,18 @@ class ChainComplex(Value):
 
     @staticmethod
     def from_json(data) -> "ChainComplex":
-        args = _READ_CHAIN_COMPLEX(data)
+        lo, hi, dims, differentials = _READ_CHAIN_COMPLEX(data)
         try:
-            return ChainComplex(*args)
+            return _shared_complex(lo, hi, tuple(dims.items()),
+                                   tuple(differentials.items()))
         except ValueError as exc:  # named with the path the readers add
             raise InputError(f"is not a chain complex: {exc}") from None
+
+
+@lru_cache(maxsize=_SHARED)
+def _shared_complex(lo, hi, dims, differentials) -> ChainComplex:
+    """The one complex a process reads from equal records."""
+    return ChainComplex(lo, hi, dict(dims), dict(differentials))
 
 
 def single_degree_complex(dim: int, degree: int = 0) -> ChainComplex:
@@ -272,7 +280,6 @@ def single_degree_complex(dim: int, degree: int = 0) -> ChainComplex:
 
 
 # the readers of input files, compiled once
-_EMPTY = {}  # (rows, cols) -> the one matrix read with no entries
 _READ_QMATRIX = compile_reader({"rows": int, "cols": int, "entries": list})
 _READ_ENTRIES = compile_reader({"entries": [_entry]})
 _READ_CHAIN_COMPLEX = compile_reader({

@@ -79,7 +79,8 @@ def main(out_path, *node_ids):
     def main_with_caches_cleared(argv=None):
         artin._CANONICAL.clear()
         galois._GROUPS.clear()
-        qlinalg._EMPTY.clear()
+        qlinalg._shared_matrix.cache_clear()
+        qlinalg._shared_complex.cache_clear()
         return command(argv)
     cli.main = main_with_caches_cleared
     status = pytest.main(["-q", "-p", "no:cacheprovider", *ROWS, *node_ids])

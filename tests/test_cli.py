@@ -624,6 +624,9 @@ class TestErrors:
         (["kappa", "--components", "A&B,C", "--ambient", "X", "--dim", "1"],
          "6", 'label "A&B" must be nonempty and contain none of "&", "(" '
          'and ")"'),
+        # a --bounds list is never empty, so k + 1 bounds needs k >= 0
+        (["verify-monad", "--k", "-1", "--bounds", "2"], "6",
+         "k must be >= 0"),
     ])
     def test_error_in_each_format(self, monkeypatch, argv, env, message):
         # exit 2 under --format json is one object holding the text that

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -12,10 +15,10 @@ from helpers import (complex_json, dense_homology, dense_kernel_basis,
                      kron_power, mixed_rationals, qmatrices, random_qmatrix,
                      schoolbook_kron, schoolbook_matmul, sparse_rationals,
                      unit_entries, zero_matrix)
-from motivic_kit import qlinalg
+from motivic_kit import cli, qlinalg
 from motivic_kit._value import InputError, show
 from motivic_kit.qlinalg import (_READ_ENTRIES, ChainComplex, QMatrix,
-                                 _echelon_rows, _entries, matmul,
+                                 _echelon_rows, matmul,
                                  product_terms, rank, single_degree_complex)
 
 
@@ -49,15 +52,21 @@ class TestQMatrix:
         assert QMatrix.from_json(a) == QMatrix.from_json(b) == QMatrix(
             rows, cols, [])
 
-    @pytest.mark.parametrize("rows, cols, message", [
-        (2, 2, "entry count does not match shape"),
-        (-1, 0, "negative matrix dimensions")])
-    def test_a_refused_empty_record_is_refused_every_time(self, rows, cols,
-                                                          message):
+    @pytest.mark.parametrize("rows, cols, entries, message", [
+        (2, 2, [], "entry count does not match shape"),
+        (-1, 0, [], "negative matrix dimensions"),
+        (1, 2, ["1", "1/0"], r'entries\[1\] must be an integer or a '
+         r'rational string, got "1/0"'),
+        (2, 2, [1, "2", 3], "entry count does not match shape"),
+        (-1, -2, ["1", 2], "negative matrix dimensions")])
+    def test_a_refused_record_is_refused_every_time(self, rows, cols, entries,
+                                                    message):
+        qlinalg._shared_matrix.cache_clear()
         for _ in range(2):
             with pytest.raises(ValueError, match=f"^{message}$"):
-                QMatrix.from_json({"rows": rows, "cols": cols, "entries": []})
-        assert (rows, cols) not in qlinalg._EMPTY
+                QMatrix.from_json({"rows": rows, "cols": cols,
+                                   "entries": entries})
+        assert qlinalg._shared_matrix.cache_info().currsize == 0
 
 
 exact_values = st.one_of(sparse_rationals, mixed_rationals)
@@ -245,13 +254,15 @@ rejected_entries = st.sampled_from([True, 2.5, None, "1/0", [1], "x"])
 
 
 def read_by_both(entries):
-    """What the one-pass reader and the per-entry reader make of a list:
-    the values and their types, or the error's path and message."""
+    """What `QMatrix.from_json`, through its shared one-pass reader, and
+    the per-entry reader make of a list: the values and their types, or
+    the error's path and message."""
     outcomes = []
-    for reader in (lambda data: _entries(data["entries"], data),
+    record = {"rows": 1, "cols": len(entries), "entries": list(entries)}
+    for reader in (lambda data: list(QMatrix.from_json(data).entries),
                    lambda data: _READ_ENTRIES(data)[0]):
         try:
-            values = reader({"entries": list(entries)})
+            values = reader(record)
         except InputError as exc:
             outcomes.append((exc.path, str(exc)))
         else:
@@ -451,3 +462,78 @@ class TestChainComplex:
         rng = random.Random(29)
         c = _random_complex(rng)
         assert ChainComplex.from_json(complex_json(c)) == c
+
+
+def cube_with_entry(value) -> dict:
+    """`hocolim` input: two points covering one, the edges' 1x1 blocks
+    holding `value` and 1."""
+    point = {"lo": 0, "hi": 0, "dims": {"0": 1}, "differentials": {}}
+    return {"index_size": 2, "vertices": {"0": point, "1": point,
+                                         "0,1": point},
+            "edges": {"0,1->0": {"0": {"rows": 1, "cols": 1,
+                                       "entries": [value]}},
+                      "0,1->1": {"0": {"rows": 1, "cols": 1,
+                                       "entries": [1]}}}}
+
+
+class TestSharedRecords:
+    """Equal int/str matrix records, and equal vertex complexes, read to
+    one value per process; what is refused is refused every time."""
+
+    @pytest.mark.parametrize("bad", [True, 1.0, None, [1]],
+                             ids=["true", "float", "null", "list"])
+    def test_a_cached_record_keeps_json_types_apart(self, bad, tmp_path):
+        for one in ("1", 1):  # an untyped key would admit True and 1.0
+            QMatrix.from_json({"rows": 1, "cols": 1, "entries": [one]})
+        message = ("entries[0] must be an integer or a rational string, "
+                   f"got {show(bad)}")
+        for _ in range(2):
+            with pytest.raises(InputError) as exc_info:
+                QMatrix.from_json({"rows": 1, "cols": 1, "entries": [bad]})
+            assert (exc_info.value.path, str(exc_info.value)) == (
+                "entries[0]", message)
+        for entry, status, text in (("1", 0, None), (bad, 2, (
+                'error: {}: edges["0,1->0"]["0"].' + message))):
+            path = tmp_path / "cube.json"
+            path.write_text(json.dumps(cube_with_entry(entry)))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["hocolim", "--diagram", str(path)]) == status
+            if text:
+                assert out.getvalue() == text.format(path) + "\n"
+
+    @pytest.mark.parametrize("entry", [1, "01", " 1", "2/2"])
+    def test_equal_entries_of_other_forms_read_to_equal_values(self, entry):
+        one = QMatrix.from_json({"rows": 1, "cols": 1, "entries": ["1"]})
+        other = QMatrix.from_json({"rows": 1, "cols": 1, "entries": [entry]})
+        assert other == one == QMatrix(1, 1, [1])
+        assert type(other.entries[0]) is int
+
+    def test_equal_records_read_to_one_value(self):
+        record = {"rows": 2, "cols": 1, "entries": ["1", "-1/2"]}
+        a = QMatrix.from_json(record)
+        assert QMatrix.from_json(json.loads(json.dumps(record))) is a
+        vertex = {"lo": 0, "hi": 1, "dims": {"0": 2, "1": 1},
+                  "differentials": {"1": record}}
+        c = ChainComplex.from_json(vertex)
+        assert ChainComplex.from_json(json.loads(json.dumps(vertex))) is c
+        assert c.differentials == {1: a} and c.differentials[1] is a
+
+    def test_a_complex_refused_for_dd_is_refused_every_time(self):
+        one = {"rows": 1, "cols": 1, "entries": [1]}
+        vertex = {"lo": 0, "hi": 2, "dims": {"0": 1, "1": 1, "2": 1},
+                  "differentials": {"1": one, "2": one}}
+        for _ in range(2):
+            with pytest.raises(InputError, match=r"^top-level value is not a "
+                               r"chain complex: d_1 o d_2 != 0$"):
+                ChainComplex.from_json(vertex)
+
+    def test_the_caches_are_bounded(self):
+        bound = qlinalg._SHARED
+        for n in range(bound + 10):
+            QMatrix.from_json({"rows": 1, "cols": 1, "entries": [n + 2]})
+            ChainComplex.from_json({"lo": 0, "hi": 0, "dims": {"0": n},
+                                    "differentials": {}})
+        for cache in (qlinalg._shared_matrix, qlinalg._shared_complex):
+            assert cache.cache_info().maxsize == bound
+            assert cache.cache_info().currsize == bound
