@@ -12,7 +12,8 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from motivic_kit._value import InputError, RepeatedKey, Value, _KINDS, show
-from motivic_kit.artin import CoalgMorphism, artin_comonoid, graph_matrix
+from motivic_kit.artin import (CoalgMorphism, artin_comonoid, graph_matrix,
+                               solve_coalgebra_morphisms)
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
                                  _canonical_form, _level_classes)
 from motivic_kit.galois import FiniteGroup, GSet
@@ -404,6 +405,19 @@ def brute_equivariant_maps(x: GSet, y: GSet) -> list:
             if all(compose(x.action[g], f).values
                    == compose(f, y.action[g]).values
                    for g in x.group.elements())]
+
+
+def conjugation_fixed(x: GSet, y: GSet) -> list:
+    """The solver's morphisms C with P_Y(g) C P_X(g)^(-1) = C for every
+    generator g, each conjugated by two products of its own (P_X(g) is a
+    permutation, so its inverse is its transpose): the per-candidate
+    oracle of `fixed_coalgebra_morphisms`, in the solver's order."""
+    actions = [(graph_matrix(y.action[g].values, y.carrier.size),
+                graph_matrix(x.action[g].values, x.carrier.size).transpose())
+               for g in x.group.generators]
+    return [c for c in solve_coalgebra_morphisms(x.carrier, y.carrier)
+            if all(matmul(matmul(py, c.matrix), px_inv) == c.matrix
+                   for py, px_inv in actions)]
 
 
 def _relabelings(sizes):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import (all_gset_actions, brute_equivariant_maps,
                      brute_is_associative, brute_is_homomorphism, compose,
-                     cyclic_group, graph, group_like_tables,
+                     conjugation_fixed, cyclic_group, graph,
+                     group_like_tables,
                      gset_from_generator_images, gset_json, load_group,
                      morphism_from_setmap, regular_gset, sub_gset,
                      trivial_gset)
@@ -381,6 +383,7 @@ class TestEquivariantMaps:
         xp, yq = relabelled(x, p), relabelled(y, q)
         maps = equivariant_set_maps(xp, yq)
         assert maps == brute_equivariant_maps(xp, yq)
+        assert fixed_coalgebra_morphisms(xp, yq) == conjugation_fixed(xp, yq)
         assert [f.values for f in maps] == sorted(
             renamed(f.values, p, q) for f in equivariant_set_maps(x, y))
 
@@ -471,3 +474,67 @@ class TestDescent:
         for c in fixed_coalgebra_morphisms(x, y):
             f = equivariant_set_maps(x, y)
             assert c.matrix in {morphism_from_setmap(m).matrix for m in f}
+
+
+class TestFixedByProducts:
+    """`fixed_coalgebra_morphisms` moves a batch of the solver's candidates
+    with one product per generator; `conjugation_fixed` conjugates each
+    candidate by two products of its own."""
+
+    @pytest.mark.parametrize("batch", [None, 1, 2, 7])
+    @pytest.mark.parametrize("name", ["c2", "c3", "c4", "v4", "s3"])
+    def test_every_small_pair_matches_the_conjugation_oracle(
+            self, name, batch, monkeypatch):
+        # batches of 1, 2 and 7 end inside the 3^3 = 27 candidates
+        if batch is not None:
+            monkeypatch.setattr(galois, "_BATCH", batch)
+        group = load_group(name)
+        actions = [x for size in range(1, 4)
+                   for x in all_gset_actions(group, size)]
+        kept = 0
+        for x, y in itertools.product(actions, repeat=2):
+            fixed = fixed_coalgebra_morphisms(x, y)
+            assert fixed == conjugation_fixed(x, y)
+            kept += len(fixed)
+        assert kept > 0
+
+    @staticmethod
+    def products(monkeypatch, x: GSet, y: GSet) -> int:
+        """The `matmul` calls one fixed-side run makes, checked against
+        (number of generators) x (number of batches); together they move
+        each candidate once per generator."""
+        calls = []
+        matmul = galois.matmul
+
+        def counted(a, b):
+            calls.append(a.rows)
+            return matmul(a, b)
+
+        monkeypatch.setattr(galois, "matmul", counted)
+        fixed = fixed_coalgebra_morphisms(x, y)
+        monkeypatch.setattr(galois, "matmul", matmul)
+        assert fixed == conjugation_fixed(x, y)
+        candidates, gens = y.carrier.size ** x.carrier.size, x.group.generators
+        assert len(calls) == len(gens) * math.ceil(candidates / galois._BATCH)
+        assert sum(calls) == len(gens) * candidates
+        return len(calls)
+
+    def test_one_product_per_generator_and_batch(self, monkeypatch):
+        v4 = load_group("v4")
+        x, y = regular_gset(v4), trivial_gset(v4, FinSet(2))
+        assert self.products(monkeypatch, x, y) == 2
+        monkeypatch.setattr(galois, "_BATCH", 5)
+        assert self.products(monkeypatch, x, y) == 8  # 2 x ceil(16 / 5)
+
+    def test_the_trivial_group_makes_no_product(self, monkeypatch):
+        e = FiniteGroup([[0]])
+        x, y = trivial_gset(e, FinSet(2)), trivial_gset(e, FinSet(3))
+        assert self.products(monkeypatch, x, y) == 0
+        assert len(fixed_coalgebra_morphisms(x, y)) == 9
+
+    def test_the_benchmarks_cheap_task_makes_a_product(self, monkeypatch):
+        # C2 on one point into C2 on two: no fixed morphism, one product
+        c2 = load_group("c2")
+        x, y = trivial_gset(c2, FinSet(1)), regular_gset(c2)
+        assert self.products(monkeypatch, x, y) == 1
+        assert fixed_coalgebra_morphisms(x, y) == []

@@ -4,7 +4,8 @@ reader for outside JSON compiled only at import, no relabeling search on
 the census path, no value of the census's own and no order it computes
 twice, nor by a second walk over its classes, no fraction in the census
 mass formula, no construction that skips validation, no zero matrix
-built for an absent block, no dense product in the comonoid layer, a
+built for an absent block, no dense product in the comonoid layer, no
+product per candidate on the fixed side of the descent comparison, a
 CLI parser and its subcommand table built only at import, read through
 no private attribute of argparse, one builder for the cube's total
 complexes, no value of its own for a cube's edge, squares composed only
@@ -318,6 +319,67 @@ def test_structure_axioms_are_checked_without_dense_products():
     [artin] = [p for p in SOURCES if p.name == "artin.py"]
     assert {callee.split(".")[-1] for owner, callee in calls_by_function(artin)
             if owner is not None}.isdisjoint({"kron", "matmul"})
+
+
+def per_candidate_products(tree) -> list:
+    """The lines of the `matmul` calls in `fixed_coalgebra_morphisms` that
+    sit in a loop or comprehension over the solver's candidates: one whose
+    iterable, out of an `enumerate`, is the solver's call, a name bound
+    to it, or a slice of such a name."""
+    [fn] = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "fixed_coalgebra_morphisms"]
+    names = set()
+
+    def over_candidates(node) -> bool:
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == \
+                "enumerate":
+            node = node.args[0]
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        return ((isinstance(node, ast.Name) and node.id in names)
+                or (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1]
+                    == "solve_coalgebra_morphisms"))
+
+    for node in sorted((n for n in ast.walk(fn) if isinstance(n, ast.Assign)),
+                       key=lambda n: n.lineno):
+        if over_candidates(node.value):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            loops = ([child.iter] if isinstance(child, ast.For) else
+                     [g.iter for g in getattr(child, "generators", ())])
+            within = inside or any(map(over_candidates, loops))
+            if (within and isinstance(child, ast.Call)
+                    and ast.unparse(child.func).split(".")[-1] == "matmul"):
+                yield child.lineno
+            yield from visit(child, within)
+    return list(visit(fn, False))
+
+
+def test_the_fixed_side_makes_no_product_per_candidate():
+    # each generator moves a whole batch of candidates with one product
+    [galois] = [p for p in SOURCES if p.name == "galois.py"]
+    assert per_candidate_products(ast.parse(galois.read_text())) == []
+    # the guard sees the per-candidate conjugation, in a comprehension and
+    # in a loop over a batch
+    planted = ast.parse(
+        "def fixed_coalgebra_morphisms(x, y):\n"
+        "    return [c for c in solve_coalgebra_morphisms(x.carrier,\n"
+        "                                                 y.carrier)\n"
+        "            if all(matmul(matmul(py, c.matrix), px_inv) == c.matrix\n"
+        "                   for py, px_inv in actions)]\n")
+    assert per_candidate_products(planted) == [4, 4]
+    planted = ast.parse(
+        "def fixed_coalgebra_morphisms(x, y):\n"
+        "    candidates = solve_coalgebra_morphisms(x.carrier, y.carrier)\n"
+        "    batch = candidates[:_BATCH]\n"
+        "    for j, c in enumerate(batch):\n"
+        "        moved = matmul(c.matrix, perm)\n")
+    assert per_candidate_products(planted) == [5]
 
 
 def test_canonical_comonoids_are_built_only_by_the_factory():
