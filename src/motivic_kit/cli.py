@@ -105,12 +105,12 @@ def _emit(args, table, data) -> str:
 
 
 def _read(path: str, reader):
-    """`reader` applied to the JSON object in file `path`; any error in
-    the file's content is reported with the path in front."""
+    """`reader` applied to the JSON object in file `path`; an error in the
+    file's content, or nesting too deep to read, has the path in front."""
     with open(path) as fh:
         try:
             return reader(json.load(fh))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
@@ -244,16 +244,45 @@ def _cmd_verify_mdffe(args):
         "set_maps": report.setmap_count, "passed": report.passed})
 
 
-_COMMANDS = {
-    "enumerate-diagrams": _cmd_enumerate_diagrams,
-    "aut": _cmd_aut,
-    "solve-comonoid": _cmd_solve_comonoid,
-    "galois-fixed": _cmd_galois_fixed,
-    "verify-monad": _cmd_verify_monad,
-    "hocolim": _cmd_hocolim,
-    "kappa": _cmd_kappa,
-    "verify-mcffe": _cmd_verify_mcffe,
-    "verify-mdffe": _cmd_verify_mdffe,
+def bounds(text: str) -> tuple:
+    """--bounds "2,3" as (2, 3); argparse's error texts name it."""
+    return tuple(int(v) for v in text.split(","))
+
+
+# options that subcommands share, as `add_argument` keywords
+_XY = {"--x": dict(type=int, required=True),
+       "--y": dict(type=int, required=True)}
+_CENSUS = {"--k": dict(type=int, required=True),
+           "--bounds": dict(type=bounds, required=True)}
+_DIAGRAM = {"--diagram": dict(dest="diagram_path", required=True)}
+_GSET = dict(required=True, help="G-set JSON file")
+
+# each subcommand: its runner, its help and its options in usage order;
+# every subcommand also takes --format, added last
+_SUBCOMMANDS = {
+    "enumerate-diagrams": (_cmd_enumerate_diagrams,
+                           "census of diagram classes within bounds", _CENSUS),
+    "aut": (_cmd_aut, "automorphism group of a diagram file", _DIAGRAM),
+    "solve-comonoid": (_cmd_solve_comonoid,
+                       "all comonoid morphisms between two sets",
+                       {**_XY, "--show-matrices": dict(action="store_true")}),
+    "galois-fixed": (_cmd_galois_fixed,
+                     "equivariant maps vs group-fixed morphisms",
+                     {"--x": dict(_GSET, dest="x_path"),
+                      "--y": dict(_GSET, dest="y_path")}),
+    "verify-monad": (_cmd_verify_monad,
+                     "multiset assembly census against enumeration", _CENSUS),
+    "hocolim": (_cmd_hocolim,
+                "homology of the total complex of a cube file", _DIAGRAM),
+    "kappa": (_cmd_kappa, "labeled compactification diagram", {
+        "--components": dict(type=lambda s: tuple(s.split(",")),
+                             required=True),
+        "--ambient": dict(required=True),
+        "--dim": dict(type=int, required=True),
+        "--cross": dict(default="")}),
+    "verify-mcffe": (_cmd_verify_mcffe, "comonoid morphisms = set maps", _XY),
+    "verify-mdffe": (_cmd_verify_mdffe, "cosimplicial equalizer = set maps",
+                     {**_XY, "--bound": dict(type=int, default=2)}),
 }
 
 
@@ -266,85 +295,25 @@ def run(args):
     """
     try:
         _check_limits(args, _max_size_from_env())
-        return _COMMANDS[args.command](args)
+        return args.runner(args)
     except (ValueError, OSError) as exc:
         return 2, _emit(args, lambda: [f"error: {exc}"],
                         lambda: {"error": str(exc)})
 
 
-def bounds(text: str) -> tuple:
-    """--bounds "2,3" as (2, 3); argparse's error texts name it."""
-    return tuple(int(v) for v in text.split(","))
-
-
 def build_parser() -> tuple:
-    """The command-line parser and its subcommand parsers by name."""
+    """The command-line parser and its subcommand parsers by name; each
+    subcommand parser binds its runner as `runner`."""
     parser = argparse.ArgumentParser(
         prog="motivic-kit",
         description="Exact verifications for the matrix calculus on finite sets.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
+    for name, (runner, help_text, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=["table", "json"], default="table")
-
-    p = sub.add_parser("enumerate-diagrams",
-                       help="census of diagram classes within bounds")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bounds", type=bounds, required=True)
-    add_format(p)
-
-    p = sub.add_parser("aut", help="automorphism group of a diagram file")
-    p.add_argument("--diagram", dest="diagram_path", required=True)
-    add_format(p)
-
-    p = sub.add_parser("solve-comonoid",
-                       help="all comonoid morphisms between two sets")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--show-matrices", action="store_true")
-    add_format(p)
-
-    p = sub.add_parser("galois-fixed",
-                       help="equivariant maps vs group-fixed morphisms")
-    p.add_argument("--x", dest="x_path", required=True,
-                   help="G-set JSON file")
-    p.add_argument("--y", dest="y_path", required=True,
-                   help="G-set JSON file")
-    add_format(p)
-
-    p = sub.add_parser("verify-monad",
-                       help="multiset assembly census against enumeration")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bounds", type=bounds, required=True)
-    add_format(p)
-
-    p = sub.add_parser("hocolim",
-                       help="homology of the total complex of a cube file")
-    p.add_argument("--diagram", dest="diagram_path", required=True)
-    add_format(p)
-
-    p = sub.add_parser("kappa",
-                       help="labeled compactification diagram")
-    p.add_argument("--components", type=lambda s: tuple(s.split(",")),
-                   required=True)
-    p.add_argument("--ambient", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--cross", default="")
-    add_format(p)
-
-    p = sub.add_parser("verify-mcffe",
-                       help="comonoid morphisms = set maps")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    add_format(p)
-
-    p = sub.add_parser("verify-mdffe",
-                       help="cosimplicial equalizer = set maps")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--bound", type=int, default=2)
-    add_format(p)
-
+        p.set_defaults(runner=runner)
     return parser, sub.choices
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
+from sys import get_int_max_str_digits
 
 from ._value import InputError, Value, compile_reader, degree_key, show
 
@@ -28,11 +29,18 @@ _SCALARS = frozenset({int, str})  # the JSON types of a shared matrix's entries
 
 
 def _frac(x):
-    """The normal form of an exact rational: `int` if integral, else `Fraction`."""
+    """The normal form of an exact rational: `int` if integral, else `Fraction`.
+
+    A string's exponent is bounded like the digits `int()` reads, so that
+    no entry such as "1e999999999" builds a power of ten without end."""
     if isinstance(x, str):
         try:
             return int(x)
         except ValueError:
+            _, e, exp = x.lower().rpartition("e")
+            limit = get_int_max_str_digits()
+            if e and 0 < limit < abs(int(exp)):
+                raise ValueError(f"exponent beyond {limit}") from None
             x = Fraction(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
@@ -108,7 +116,7 @@ def _entry(x):
     raise InputError(f"must be an integer or a rational string, got {show(x)}")
 
 
-@lru_cache(maxsize=_SHARED, typed=True)
+@lru_cache(maxsize=_SHARED)
 def _shared_matrix(rows, cols, *entries) -> QMatrix:
     """The one matrix a process reads from equal records of int and str
     entries (values are immutable): one `int()` pass, as `_frac` reads them,

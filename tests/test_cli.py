@@ -447,6 +447,15 @@ class TestAutAtTheCap:
         assert data["degrees"] == list(sizes)
 
 
+# a command line of each command that reads files, "{bad}" naming the file
+FILE_ARGVS = [
+    ["aut", "--diagram", "{bad}"],
+    ["galois-fixed", "--x", "{bad}",
+     "--y", data_path("gset_c2_trivial2.json")],
+    ["hocolim", "--diagram", "{bad}"],
+]
+
+
 class TestErrors:
     @pytest.fixture(autouse=True)
     def main_matches_the_full_parser(self, monkeypatch):
@@ -538,12 +547,7 @@ class TestErrors:
         assert text.startswith("error:")
         assert "MOTIVIC_KIT_MAX_SIZE" in text
 
-    @pytest.mark.parametrize("argv", [
-        ["aut", "--diagram", "{bad}"],
-        ["galois-fixed", "--x", "{bad}",
-         "--y", data_path("gset_c2_trivial2.json")],
-        ["hocolim", "--diagram", "{bad}"],
-    ])
+    @pytest.mark.parametrize("argv", FILE_ARGVS)
     def test_top_level_json_must_be_object(self, tmp_path, argv):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2]")
@@ -552,6 +556,35 @@ class TestErrors:
         assert status == 2
         assert text.startswith("error:")
         assert str(bad) in text
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("argv", FILE_ARGVS)
+    def test_nesting_too_deep_to_read_is_an_input_error(self, tmp_path,
+                                                        argv, fmt):
+        # 200 KB of [[[...]]]: json's decoder gives up with a
+        # RecursionError, which exits 2 like any unreadable file
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [a.replace("{bad}", str(bad)) for a in argv]
+        assert run_cli(argv + ["--format", fmt]) == (2, in_format(
+            fmt, f"error: {bad}: maximum recursion depth exceeded while "
+            "decoding a JSON array from a unicode string"))
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_an_exponent_beyond_the_digit_limit_is_refused_at_once(
+            self, tmp_path, fmt):
+        # Fraction("1e999999999") would build 10 ** 999999999
+        with open(data_path("cover_two_patches.json")) as fh:
+            payload = json.load(fh)
+        payload["edges"]["0,1->0"]["0"]["entries"] = ["0", "1e999999999"]
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        result = run_cli(["hocolim", "--diagram", str(path), "--format", fmt])
+        assert time.perf_counter() - start < 1.0
+        assert result == (2, in_format(
+            fmt, f'error: {path}: edges["0,1->0"]["0"].entries[1] must be '
+            'an integer or a rational string, got "1e999999999"'))
 
     @pytest.mark.parametrize("argv, field", [
         (["kappa", "--components", "A", "--ambient", "X", "--dim", "-3"],

@@ -8,6 +8,8 @@ here.  The other digests pin the rest of the CLI contract, error texts
 included: an exit-2 report is its `error:` line in a table and the object
 {"error": <the text after "error: ">} in JSON.  If a change to the output
 is deliberate, record the new digests and say why in CHANGES.md.
+The `-h` output of every parser is pinned the same way, so that a change
+to how the parsers are built cannot change a help or usage text unseen.
 """
 
 import hashlib
@@ -140,6 +142,31 @@ GOLDEN = [
      "af0045b04ff65d380ce2720a643752524fa130b230a2a53db13a5f90d971307f"),
 ]
 
+# the sha256 of the `-h` output, 80 columns wide, of the top parser (None)
+# and of each subcommand's parser
+HELP = {
+    None:
+        "8cc1a9e20e4ef461c01055f9b1a8f061c7cfee6cc212add1cbbcd84b6ff0c646",
+    "enumerate-diagrams":
+        "4b9a5df6bbe1f5e16d8dc7431703bce7303232e02a407040335309ecf58d9ba0",
+    "aut":
+        "3d1e85de44952c58d9b9cd5f648616627d3132a6f5f6fcb3027aeb4a2063c0d0",
+    "solve-comonoid":
+        "370c5d7afcdf2ab88ebb03c44d064685c00d89b443a2b970805afde61d1c207f",
+    "galois-fixed":
+        "6c559012b21f51f800d2c299767d1f76605c2a02a24d04036e2260893108dee2",
+    "verify-monad":
+        "fca674ee82759a537903451a6c4391f3849988eaa70ce0e11643cd7d3cc3f4ab",
+    "hocolim":
+        "c7ec7bd6bd18e81d73877e7370b2f9b6d84837a755bb0ede4e38bb75c5f6606a",
+    "kappa":
+        "8456ee2381fecd72865840cf0984054548707ef7164301b974b3e7cd511de261",
+    "verify-mcffe":
+        "9dc47f8791296e0f3f46f85fb6b071a7180d1a03d8cc6da565ab4167161b928d",
+    "verify-mdffe":
+        "d19fb832ebe4031c0025ae8f1b1086fce1c04b4c5138a29236c5ba33ae53ac5e",
+}
+
 CASES = [(argv + ["--format", fmt], status, digest)
          for argv, status, table, json_ in GOLDEN
          for fmt, digest in (("table", table), ("json", json_))]
@@ -196,6 +223,21 @@ def test_stdout_matches_golden_digest(capsys, ambient_cube, square_cube,
     argv = [a.replace("{data}", DATA).replace("{ambient}", ambient_cube)
             .replace("{square}", square_cube) for a in argv]
     assert cli.main(argv) == status
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_subcommand_has_a_help_digest():
+    assert list(HELP) == [None, *cli.SUBPARSERS]
+
+
+@pytest.mark.parametrize("command, digest", HELP.items(),
+                         ids=[str(c) for c in HELP])
+def test_help_matches_golden_digest(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "-h"] if command else ["-h"])
+    assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -250,7 +250,8 @@ def decimal_strings(draw):
 accepted_entries = st.one_of(
     st.integers(-10 ** 6, 10 ** 6), decimal_strings(),
     st.sampled_from(["1/2", "2/2", "1e3", "-3/6"]))
-rejected_entries = st.sampled_from([True, 2.5, None, "1/0", [1], "x"])
+rejected_entries = st.sampled_from([True, 2.5, None, "1/0", [1], "x",
+                                    "1e999999999"])
 
 
 def read_by_both(entries):

@@ -7,7 +7,7 @@ mass formula, no construction that skips validation, no zero matrix
 built for an absent block, no dense product in the comonoid layer, no
 product per candidate on the fixed side of the descent comparison, a
 CLI parser and its subcommand table built only at import, read through
-no private attribute of argparse, one builder for the cube's total
+no private attribute of argparse, each subcommand declared once, one builder for the cube's total
 complexes, no value of its own for a cube's edge, squares composed only
 when a cube is built, a group's generators found once, no list of zeros
 sized by two dimensions outside the dense view of a matrix, canonical
@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import motivic_kit
+from motivic_kit.cli import SUBPARSERS
 from motivic_kit.qlinalg import QMatrix
 
 SOURCES = sorted((Path(motivic_kit.__file__).parent).glob("*.py"))
@@ -531,6 +532,27 @@ def test_cli_builds_its_parser_only_at_import():
                and node.attr.startswith("_")
                and not node.attr.startswith("__")}
     assert private == set()
+
+
+def test_cli_declares_each_subcommand_once():
+    # one table declares the subcommands: each name is one string literal,
+    # one call adds every subcommand parser and one every --format, and
+    # no second table maps the names to their runners
+    [cli] = [p for p in SOURCES if p.name == "cli.py"]
+    tree = ast.parse(cli.read_text())
+    literals = collections.Counter(
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    assert {name: literals[name] for name in SUBPARSERS} == dict.fromkeys(
+        SUBPARSERS, 1)
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)]
+    assert [c.func.attr for c in calls].count("add_parser") == 1
+    assert len([c for c in calls if c.func.attr == "add_argument"
+                and isinstance(c.args[0], ast.Constant)
+                and c.args[0].value == "--format"]) == 1
+    assert "_COMMANDS" not in {node.id for node in ast.walk(tree)
+                               if isinstance(node, ast.Name)}
 
 
 def test_one_builder_places_blocks_of_total_complexes():
