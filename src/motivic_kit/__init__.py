@@ -1,7 +1,8 @@
 """Exact-arithmetic calculus of rational matrices on finite sets.
 
-Finite-set diagram groupoids, canonical comonoids and their morphism
-solver, Galois descent for finite group actions, multiset assembly for
+Finite-set diagram groupoids, the comonoid morphisms between finite sets
+(each carrying its canonical comonoid, which the set alone fixes) and
+their solver, Galois descent for finite group actions, multiset assembly for
 the free commutative monoid construction, hypercube homotopy colimits of
 chain complexes, and the cosimplicial equalizer -- all over exact
 rationals.  The library is what the batch verification CLI
@@ -16,9 +17,9 @@ like an intersection or a product.
 from .finsets import (FinSet, SetMap, FinDiagram, DiagramIso, PermGroup,
                       automorphism_group)
 from .qlinalg import QMatrix, ChainComplex, matmul, rank
-from .artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
-                    coalgebra_morphism_violations, solve_coalgebra_morphisms,
-                    setmap_from_morphism, verify_mcffe)
+from .artin import (CoalgMorphism, coalgebra_morphism_violations,
+                    solve_coalgebra_morphisms, setmap_from_morphism,
+                    verify_mcffe)
 from .galois import (FiniteGroup, GSet, equivariant_set_maps,
                      fixed_coalgebra_morphisms)
 from .monad import assemble, enumerate_diagrams, verify_m_identity
@@ -32,9 +33,8 @@ __all__ = [
     "FinSet", "SetMap", "FinDiagram", "DiagramIso", "PermGroup",
     "automorphism_group", "enumerate_diagrams",
     "QMatrix", "ChainComplex", "matmul", "rank",
-    "ArtinComonoid", "CoalgMorphism", "artin_comonoid",
-    "coalgebra_morphism_violations", "solve_coalgebra_morphisms",
-    "setmap_from_morphism", "verify_mcffe",
+    "CoalgMorphism", "coalgebra_morphism_violations",
+    "solve_coalgebra_morphisms", "setmap_from_morphism", "verify_mcffe",
     "FiniteGroup", "GSet", "equivariant_set_maps",
     "fixed_coalgebra_morphisms",
     "assemble", "verify_m_identity",

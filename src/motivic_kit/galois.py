@@ -150,9 +150,13 @@ class GSet(Value):
     @staticmethod
     def from_json(data) -> "GSet":
         group, carrier, action = _READ_GSET(data)
-        return GSet(group, carrier, [
-            read_set_map(carrier, carrier, values, f"action[{i}]")
-            for i, values in enumerate(action)])
+        maps = [read_set_map(carrier, carrier, values, f"action[{i}]")
+                for i, values in enumerate(action)]
+        try:
+            return GSet(group, carrier, maps)
+        except ValueError as exc:  # named with the path the readers add
+            raise InputError(f"is not a group action: {exc}",
+                             "action") from None
 
 
 def equivariant_set_maps(x: GSet, y: GSet) -> list:

@@ -157,27 +157,6 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(a.rows, b.cols, product_terms(a, b))
 
 
-def tensor_index_map(n: int, factors, t: int) -> list:
-    """Index map X^(x)t -> X^(x)s of a map of tensor factors, dim X = n.
-
-    `factors` lists sigma(0), ..., sigma(s-1) for a map sigma from the s
-    target positions to the t source factors: the basis vector indexed by
-    (x_0, ..., x_{t-1}) goes to the one indexed by (x_sigma(0), ...,
-    x_sigma(s-1)).  A permutation reorders the factors (source factor
-    sigma(j) lands in position j) and a constant map gives the diagonal.
-    Indices are flattened with the first factor the most significant
-    digit; no other function splits or joins tensor indices.
-    """
-    weights = [n ** (t - 1 - j) for j in range(t)]
-    out = []
-    for index in range(n ** t):
-        target = 0
-        for f in factors:
-            target = target * n + index // weights[f] % n
-        out.append(target)
-    return out
-
-
 def _echelon_rows(a: QMatrix) -> dict:
     """Gaussian elimination on the rows of a as dicts of their nonzero
     entries: each row is reduced by the rows kept before it, and kept, as

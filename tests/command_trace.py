@@ -72,12 +72,11 @@ def functions(code):
 def main(out_path, *node_ids):
     sys.setprofile(profile)
     import pytest
-    from motivic_kit import artin, cli, galois, qlinalg
+    from motivic_kit import cli, galois, qlinalg
 
     command = cli.main
 
     def main_with_caches_cleared(argv=None):
-        artin._CANONICAL.clear()
         galois._GROUPS.clear()
         qlinalg._shared_matrix.cache_clear()
         qlinalg._shared_complex.cache_clear()

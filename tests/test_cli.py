@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (ambient_cube_payload, aut_generators, dense_homology,
-                     empty_block_cube_payload, misshaped_empty_block_payload,
-                     morphism_from_setmap, rational_cube_payload)
+                     empty_block_cube_payload, gset_json, load_group,
+                     misshaped_empty_block_payload, morphism_from_setmap,
+                     rational_cube_payload, regular_gset)
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import DATA as GOLDEN_DATA
 from test_golden import write_relative_files
@@ -668,6 +669,34 @@ class TestErrors:
         assert run_cli(argv) == (2, f"error: {message}")
         status, text = run_cli(argv + ["--format", "json"])
         assert (status, text) == (2, in_format("json", f"error: {message}"))
+
+    def test_a_bound_below_two_is_refused(self):
+        assert run_cli(["verify-mdffe", "--x", "2", "--y", "2",
+                        "--bound", "1"]) == (2, "error: bound must be >= 2")
+
+    def test_gsets_over_different_groups_are_refused(self, tmp_path):
+        c3 = tmp_path / "c3.json"
+        c3.write_text(json.dumps(gset_json(regular_gset(load_group("c3")))))
+        assert run_cli(["galois-fixed", "--x",
+                        data_path("gset_c2_regular.json"), "--y", str(c3)]) \
+            == (2, "error: G-sets over different groups")
+
+    @pytest.mark.parametrize("size, action, fault", [
+        (2, [[0, 1], [0, 0]], "action maps must be bijective"),
+        (2, [[1, 0], [0, 1]], "identity must act trivially"),
+        (2, [[0, 1]], "need one bijection per group element"),
+        # the element of order 2 acting by a 3-cycle
+        (3, [[0, 1, 2], [1, 2, 0]], "action is not a homomorphism"),
+    ], ids=["bijective", "identity", "one-per-element", "homomorphism"])
+    def test_a_bad_action_names_the_member(self, tmp_path, size, action,
+                                           fault):
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(dict(fixture("gset_c2_regular.json"),
+                                        carrier={"size": size},
+                                        action=action)))
+        assert run_cli(["galois-fixed", "--x", str(path),
+                        "--y", data_path("gset_c2_trivial2.json")]) == (
+            2, f"error: {path}: action is not a group action: {fault}")
 
     def test_float_entries_are_named(self, tmp_path):
         with open(data_path("cover_two_patches.json")) as fh:

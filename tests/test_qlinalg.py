@@ -297,7 +297,7 @@ class TestEntryReaders:
 
 class TestKron:
     """The flattening convention of the Kronecker product the dense
-    oracles use, which `tensor_index_map` shares."""
+    oracles use, the one `tuple_index_matrix` numbers tuples by."""
 
     def test_identity_tensor(self):
         assert schoolbook_kron(identity_matrix(2), identity_matrix(3)) == \

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (all_maps, coface_d0, coface_d1, dense_rows, graph,
                      identity_matrix, iterated_mult, qmatrices, random_qmatrix,
-                     tensor_map_matrix, whole_matrix_equalizer, zero_matrix)
+                     tuple_index_matrix, whole_matrix_equalizer, zero_matrix)
 from motivic_kit.artin import solve_coalgebra_morphisms
 from motivic_kit import resolution
 from motivic_kit.finsets import FinSet
@@ -87,7 +87,7 @@ class TestCofaces:
         f = random_qmatrix(rng, 2, 3)
         for s in (2, 3):
             for perm in itertools.permutations(range(s)):
-                p = tensor_map_matrix(3, perm, s)
+                p = tuple_index_matrix(3, perm, s)
                 assert matmul(coface_d0(f, s), p) == coface_d0(f, s)
                 assert matmul(coface_d1(f, s), p) == coface_d1(f, s)
 

@@ -10,9 +10,9 @@ CLI parser and its subcommand table built only at import, read through
 no private attribute of argparse, each subcommand declared once, one builder for the cube's total
 complexes, no value of its own for a cube's edge, squares composed only
 when a cube is built, a group's generators found once, no list of zeros
-sized by two dimensions outside the dense view of a matrix, canonical
-comonoids built only by the one
-factory that shares them, `galois-fixed` checked on set maps rather than
+sized by two dimensions outside the dense view of a matrix, no
+process-wide cache that the command trace does not clear before each
+command, `galois-fixed` checked on set maps rather than
 on graphs built again, no JSON indented by the pure-Python encoder, one
 builder of a graph's terms and one enumerator of set-map value tuples,
 no definition in the library that `cli.main` does not reach, and no
@@ -307,10 +307,9 @@ def test_no_list_of_zeros_is_sized_by_two_dimensions():
 
 
 def test_structure_axioms_are_checked_without_dense_products():
-    # a comonoid is checked to be the canonical one of its carrier on the
-    # nonzero terms of its structure maps, and a morphism entry by entry:
-    # no module defines a Kronecker product, and no function in artin.py
-    # calls one or a dense product
+    # a comonoid morphism is checked entry by entry: no module defines a
+    # Kronecker product, and no function in artin.py calls one or a dense
+    # product
     assert list(function_definitions("kron")) == []
     assert "kron" not in motivic_kit.__all__
     # the guard sees a dense product where there is one
@@ -383,13 +382,62 @@ def test_the_fixed_side_makes_no_product_per_candidate():
     assert per_candidate_products(planted) == [5]
 
 
-def test_canonical_comonoids_are_built_only_by_the_factory():
-    # every canonical structure in the library is the one checked build
-    # of its carrier that `artin_comonoid` shares
-    sites = {(path.name, owner) for path in SOURCES
-             for owner, callee in calls_by_function(path)
-             if callee.split(".")[-1] == "ArtinComonoid"}
-    assert sites == {("artin.py", "artin_comonoid")}
+def module_caches(trees) -> set:
+    """(file, name) of each process-wide cache in the parsed modules: an
+    empty `{}` bound at module level, or a module-level function decorated
+    with `lru_cache` or `cache`."""
+    caches = set()
+    for path_name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Dict)
+                    and not node.value.keys):
+                caches.update((path_name, t.id) for t in node.targets
+                              if isinstance(t, ast.Name))
+            elif isinstance(node, ast.FunctionDef) and any(
+                    ast.unparse(getattr(d, "func", d)).split(".")[-1]
+                    in ("lru_cache", "cache") for d in node.decorator_list):
+                caches.add((path_name, node.name))
+    return caches
+
+
+def traced_clears() -> set:
+    """(file, name) of each cache that tests/command_trace.py clears before
+    each `cli.main` call: `module.name.clear()` or `.cache_clear()`."""
+    tree = ast.parse((ROOT / "tests" / "command_trace.py").read_text())
+    [fn] = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "main_with_caches_cleared"]
+    return {(f"{call.func.value.value.id}.py", call.func.value.attr)
+            for call in ast.walk(fn) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("clear", "cache_clear")}
+
+
+def test_the_command_trace_clears_every_process_wide_cache():
+    # a value a cache keeps from one command would let the next command
+    # skip building it, so the function-level guard would not see whether
+    # a command builds it
+    assert module_caches(source_trees()) == traced_clears() == {
+        ("galois.py", "_GROUPS"), ("qlinalg.py", "_shared_matrix"),
+        ("qlinalg.py", "_shared_complex")}
+
+
+@pytest.mark.parametrize("path_name, source", [
+    ("artin.py", "_CANONICAL = {}  # carrier -> its comonoid"),
+    ("finsets.py", "@lru_cache(maxsize=None)\n"
+                   "def _shared_set(size):\n"
+                   "    return FinSet(size)"),
+    ("galois.py", "@functools.cache\n"
+                  "def _shared_group(table):\n"
+                  "    return FiniteGroup(table)"),
+], ids=["dict", "lru_cache", "cache"])
+def test_a_cache_the_command_trace_misses_is_caught(path_name, source):
+    trees = source_trees()
+    planted = ast.parse(source).body
+    trees[path_name].body.extend(planted)
+    name = getattr(planted[0], "name", None) or planted[0].targets[0].id
+    assert module_caches(trees) - traced_clears() == {(path_name, name)}
 
 
 def test_galois_fixed_compares_set_maps_not_graphs():
@@ -757,10 +805,9 @@ ONLY_TESTS_REACHED = [
      "class CofaceMap:\n"
      "    def __init__(self, level, index):\n"
      "        self.level, self.index = level, index"),
-    ("artin.py", None, "dual_comonoid",
-     "def dual_comonoid(m):\n"
-     "    return ArtinComonoid(m.carrier, m.unit.transpose(),\n"
-     "                         m.mult.transpose())"),
+    ("artin.py", None, "counit_matrix",
+     "def counit_matrix(n):\n"
+     "    return QMatrix(1, n, [1] * n)"),
     ("qlinalg.py", "QMatrix", "scale",
      "def scale(self, c):\n"
      "    return QMatrix(self.rows, self.cols,\n"

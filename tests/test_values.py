@@ -13,8 +13,7 @@ from helpers import (ChainMap, complex_json, cover_cube_diagram,
                      morphism_from_setmap, reference_reader, regular_gset)
 from motivic_kit import finsets, qlinalg
 from motivic_kit._value import Value, compile_reader, degree_key
-from motivic_kit.artin import (ArtinComonoid, CoalgMorphism, artin_comonoid,
-                               comult_matrix, counit_matrix)
+from motivic_kit.artin import CoalgMorphism
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
                                  SetMap, automorphism_group)
 from motivic_kit.galois import FiniteGroup, GSet
@@ -42,9 +41,6 @@ BUILDERS = {
     PermGroup: lambda: automorphism_group(diagram()),
     QMatrix: lambda: QMatrix(2, 2, [1, "1/2", 0, -3]),
     ChainComplex: chain_complex,
-    # the class itself: `artin_comonoid` shares one value per carrier
-    ArtinComonoid: lambda: ArtinComonoid(FinSet(2), counit_matrix(2),
-                                         comult_matrix(2)),
     CoalgMorphism: lambda: morphism_from_setmap(
         SetMap(FinSet(2), FinSet(3), [2, 0])),
     # the class itself: `FiniteGroup.from_json` shares one value per table
@@ -97,7 +93,10 @@ def test_unequal_inputs_give_unequal_values():
     assert FinSet(3) != FinSet(3, labels=[2, 1, 0])
     assert QMatrix(1, 2, [1, 0]) != QMatrix(2, 1, [1, 0])
     assert QMatrix(1, 1, [1]) != FinSet(1)
-    assert artin_comonoid(FinSet(2)) != artin_comonoid(FinSet(3))
+    # a morphism's carriers belong to it, labels and all
+    one, two = identity_matrix(2), FinSet(2)
+    assert (CoalgMorphism(one, two, two)
+            != CoalgMorphism(one, FinSet(2, labels=["a", "b"]), two))
 
 
 def test_values_of_different_classes_differ():
