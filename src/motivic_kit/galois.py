@@ -4,17 +4,19 @@ A finite group is a full multiplication table; a G-set is a set with a
 homomorphic family of bijections.  These model the Galois-theoretic data
 of the zero-dimensional situation: equivariant set maps on one side,
 group-fixed comonoid morphisms on the other, with the graph construction
-matching them up.  The fixed side moves the solver's candidates in
-batches, stacked as the rows of one matrix: one exact product per
-generator and batch tests them all.
+matching them up.  Neither side walks all |Y|^|X| set maps: they are
+built from the orbits and stabilisers of X on one side, and from the
+orbitals of Y x X on the other.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from ._value import InputError, Value, compile_reader
-from .artin import graph_matrix, solve_coalgebra_morphisms
-from .finsets import FinSet, SetMap, map_values, read_set_map
-from .qlinalg import QMatrix, matmul
+from .artin import CoalgMorphism, graph_matrix
+from .finsets import FinSet, SetMap, read_set_map
+from .qlinalg import matmul
 
 
 class FiniteGroup(Value):
@@ -162,61 +164,84 @@ class GSet(Value):
 def equivariant_set_maps(x: GSet, y: GSet) -> list:
     """All set maps f with f(g.a) = g.f(a) for every group element g.
 
-    Checked on every element, not on a generating set, so that the two
-    sides of the descent comparison do not rest on the same generators.
-    The value tuples are filtered, and only the answers become `SetMap`s.
+    On the orbit of a, f is fixed by b = f(a) through f(g.a) = g.b, which
+    is well defined exactly when the stabiliser of a fixes b: Hom_G(X, Y)
+    is the product over the orbits of Y^Stab(a).  Both are read off every
+    group element, not a generating set, so that the two sides of the
+    descent comparison do not rest on the same generators.  Lexicographic.
     """
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
-    # f(g.a) and g.f(a) for every a, read off the value tuples
+    # g.a and g.b for every a and b, read off the value tuples
     actions = [(gx.values, gy.values) for gx, gy in zip(x.action, y.action)]
-    return [SetMap(x.carrier, y.carrier, f)
-            for f in map_values(x.carrier, y.carrier)
-            if all([f[a] for a in gx] == [gy[b] for b in f]
-                   for gx, gy in actions)]
+    choices = []  # per orbit of X, each map on it as its pairs (g.a, g.b)
+    for a in range(x.carrier.size):
+        if min(gx[a] for gx, _ in actions) == a:  # the least of its orbit
+            stab = [gy for gx, gy in actions if gx[a] == a]
+            choices.append([{gx[a]: gy[b] for gx, gy in actions}.items()
+                            for b in range(y.carrier.size)
+                            if all(gy[b] == b for gy in stab)])
+    return [SetMap(x.carrier, y.carrier, f) for f in _glued(choices)]
 
 
 def fixed_coalgebra_morphisms(x: GSet, y: GSet) -> list:
     """Comonoid morphisms whose matrices are fixed by the group action.
 
-    The group acts on a matrix C by P_Y(g) C P_X(g)^(-1), matching the
-    diagonal action on the product of the carriers; the fixed morphisms
-    are exactly the graphs of the equivariant maps.  Since
-    vec(P_Y C P_X^(-1)) = (P_Y (x) P_X) vec(C), the solver's candidates
-    are stacked as the rows of one matrix, a batch at a time, and each
-    generator moves all of them with one product by the permutation
-    (b, a) -> (g.b, g.a) of the entries; the rows it leaves unchanged are
-    kept, in the solver's order.
+    The group acts on a matrix C by P_Y(g) C P_X(g)^(-1), moving entry
+    (b, a) to (g.b, g.a), so a fixed C is constant on the orbitals, the
+    orbits of G on Y x X: the generators' moves join them by union-find.
+    They are the rows of one matrix that each generator moves with one
+    exact product, and those left unchanged are kept.  A comonoid
+    morphism is a graph, one entry per column, so over each orbit of X a
+    fixed one is a kept orbital with one entry per point; each choice is
+    checked as a comonoid morphism.  Lexicographic in the set map.
     """
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
     nx, n = x.carrier.size, x.carrier.size * y.carrier.size
-    # a matrix fixed by the generators is fixed by every product of them;
-    # entry k = b * nx + a of a candidate moves to (g.b) * nx + g.a
-    perms = [graph_matrix([gy[k // nx] * nx + gx[k % nx] for k in range(n)],
-                          n).transpose()
+    # entry k = b * nx + a of a matrix moves to (g.b) * nx + g.a
+    moves = [[gy[k // nx] * nx + gx[k % nx] for k in range(n)]
              for gx, gy in ((x.action[g].values, y.action[g].values)
                             for g in x.group.generators)]
-    candidates = solve_coalgebra_morphisms(x.carrier, y.carrier)
-    out = []
-    for start in range(0, len(candidates), _BATCH):
-        batch = candidates[start:start + _BATCH]
-        stacked = QMatrix(len(batch), n, {j * n + k: v
-                                          for j, c in enumerate(batch)
-                                          for k, v in c.matrix.terms})
-        # a permutation keeps each row's term count, so a row it changes
-        # has a term that the product lacks
-        moved = {k // n for p in perms
-                 for k, _ in set(stacked.terms).difference(
-                     matmul(stacked, p).terms)}
-        out.extend(c for j, c in enumerate(batch) if j not in moved)
-    return out
+    label = _orbit_labels(moves, n)
+    basis = graph_matrix(label, max(label) + 1)
+    # row O times the graph of a move is the indicator of move^-1(O), with
+    # as many terms as O: a row that changes has a term the product lacks
+    moved = {k // n for move in moves
+             for k, _ in set(basis.terms).difference(
+                 matmul(basis, graph_matrix(move, n)).terms)}
+    choices = {}  # orbit of X -> the kept orbitals over it that are graphs
+    for o, row in itertools.groupby(basis.terms, lambda t: t[0] // n):
+        entries = [k % n for k, _ in row]
+        part = {k % nx: k // nx for k in entries}
+        graphs = choices.setdefault(frozenset(part), [])
+        if o not in moved and len(part) == len(entries):
+            graphs.append(part.items())
+    return [CoalgMorphism(graph_matrix(f, y.carrier.size), x.carrier,
+                          y.carrier) for f in _glued(choices.values())]
 
 
-# the candidates stacked into one product: stacking all |Y|^|X| of them
-# at the size cap took about three times the peak memory of the command,
-# and batches of 256 add under 1% to it at about the same speed
-_BATCH = 256
+def _orbit_labels(moves, n: int) -> list:
+    """The orbit of each point of range(n) under the permutations `moves`,
+    by union-find, numbered in the order of their least points."""
+    root = list(range(n))
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+    for move in moves:
+        for k, j in enumerate(move):
+            root[find(k)] = find(j)
+    first = {}
+    return [first.setdefault(find(k), len(first)) for k in range(n)]
+
+
+def _glued(choices) -> list:
+    """The sorted value tuples of the maps glued from one part of each
+    choice, a part being the pairs (a, f(a)) over one orbit of X."""
+    return sorted(tuple(b for _, b in sorted(itertools.chain(*parts)))
+                  for parts in itertools.product(*choices))
+
 
 # the readers of input files, compiled once, and the group of each table read
 _GROUPS = {}

@@ -356,6 +356,30 @@ def brute_equivariant_maps(x: GSet, y: GSet) -> list:
                    for g in x.group.elements())]
 
 
+def stabiliser_count(x: GSet, y: GSet) -> int:
+    """|Hom_G(X, Y)| in closed form: the product over the orbits G.a of X
+    of the number of points of Y that the stabiliser of a fixes, with
+    orbits and stabilisers found by applying every group element."""
+    count, seen = 1, set()
+    for a in range(x.carrier.size):
+        if a not in seen:
+            seen |= {m.values[a] for m in x.action}
+            stab = [g for g in x.group.elements()
+                    if x.action[g].values[a] == a]
+            count *= sum(all(y.action[g].values[b] == b for g in stab)
+                         for b in range(y.carrier.size))
+    return count
+
+
+def orbital_count(x: GSet, y: GSet) -> int:
+    """The number of orbits of the group on Y x X, each found as the set of
+    its images under every group element."""
+    return len({frozenset((gy.values[b], gx.values[a])
+                          for gx, gy in zip(x.action, y.action))
+                for b in range(y.carrier.size)
+                for a in range(x.carrier.size)})
+
+
 def conjugation_fixed(x: GSet, y: GSet) -> list:
     """The solver's morphisms C with P_Y(g) C P_X(g)^(-1) = C for every
     generator g, each conjugated by two products of its own (P_X(g) is a
@@ -526,6 +550,11 @@ def compose(f: SetMap, g: SetMap) -> SetMap:
     if f.cod.size != g.dom.size:
         raise ValueError("dimension mismatch: f.cod != g.dom")
     return SetMap(f.dom, g.cod, (g.values[v] for v in f.values))
+
+
+def data_path(name: str) -> str:
+    """The path of a packaged fixture, data/<name>."""
+    return str(resources.files("motivic_kit").joinpath(f"data/{name}"))
 
 
 def load_group(name: str) -> FiniteGroup:

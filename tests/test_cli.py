@@ -10,16 +10,16 @@ import subprocess
 import sys
 import tempfile
 import time
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ambient_cube_payload, aut_generators, dense_homology,
-                     empty_block_cube_payload, gset_json, load_group,
-                     misshaped_empty_block_payload, morphism_from_setmap,
-                     rational_cube_payload, regular_gset)
+from helpers import (ambient_cube_payload, aut_generators, data_path,
+                     dense_homology, empty_block_cube_payload, gset_json,
+                     load_group, misshaped_empty_block_payload,
+                     morphism_from_setmap, rational_cube_payload,
+                     regular_gset)
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import DATA as GOLDEN_DATA
 from test_golden import write_relative_files
@@ -27,10 +27,6 @@ from motivic_kit import cli, finsets, monad
 from motivic_kit.finsets import FinDiagram, FinSet, PermGroup, SetMap
 from motivic_kit.hypercube import CubeDiagram
 from motivic_kit.qlinalg import QMatrix
-
-
-def data_path(name: str) -> str:
-    return str(resources.files("motivic_kit").joinpath(f"data/{name}"))
 
 
 def run_cli(argv):
@@ -1317,6 +1313,13 @@ SINGLE_FIELD_MUTATIONS = [
      "group.table is not a group table: element 1 has no inverse"),
     (GALOIS, ("group", "table"), ("set", [[0, 1, 2], [1, 0, 0], [2, 0, 0]]),
      "group.table is not a group table: multiplication is not associative"),
+    (GALOIS, ("group", "table"), ("set", []),
+     "group.table is not a group table: empty group table"),
+    (GALOIS, ("group", "table"), ("set", [[0, 0], [0, 0]]),
+     "group.table is not a group table: no identity element"),
+    (GALOIS, ("group", "table", 1, 1), ("set", 5),
+     "group.table is not a group table: "
+     "table is not order x order over 0..order-1"),
     (GALOIS, ("carrier", "size"), ("set", "2"),
      'carrier.size must be an integer, got "2"'),
     (GALOIS, ("carrier", "size"), ("set", 0),

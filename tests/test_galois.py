@@ -1,22 +1,21 @@
 import functools
 import itertools
 import json
-import math
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (all_gset_actions, brute_equivariant_maps,
+from helpers import (all_gset_actions, all_maps, brute_equivariant_maps,
                      brute_is_associative, brute_is_homomorphism, compose,
-                     conjugation_fixed, cyclic_group, graph,
+                     conjugation_fixed, cyclic_group, data_path, graph,
                      group_like_tables,
                      gset_from_generator_images, gset_json, load_group,
-                     morphism_from_setmap, regular_gset, sub_gset,
-                     trivial_gset)
+                     morphism_from_setmap, orbital_count, regular_gset,
+                     stabiliser_count, sub_gset, trivial_gset)
 
-from motivic_kit import galois
+from motivic_kit import cli, galois
 from motivic_kit._value import InputError
 from motivic_kit.finsets import FinSet, SetMap
 from motivic_kit.galois import (FiniteGroup, GSet, equivariant_set_maps,
@@ -244,6 +243,18 @@ class TestGSet:
         with pytest.raises(ValueError) as info:
             GSet(c2, s, action)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("dom, cod", [(2, 3), (3, 2), (3, 3)])
+    def test_an_action_map_off_the_carrier_is_refused(self, dom, cod):
+        """A check for library callers: `GSet.from_json` reads each action
+        row as a map from the carrier to itself, so no file reaches it."""
+        c2 = load_group("c2")
+        s = FinSet(2)
+        stray = SetMap(FinSet(dom), FinSet(cod),
+                       [a % cod for a in range(dom)])
+        with pytest.raises(ValueError) as info:
+            GSet(c2, s, [SetMap(s, s, [0, 1]), stray])
+        assert str(info.value) == "action maps must be endomaps of the carrier"
 
     @settings(max_examples=400, deadline=None)
     @given(group_actions())
@@ -477,17 +488,13 @@ class TestDescent:
 
 
 class TestFixedByProducts:
-    """`fixed_coalgebra_morphisms` moves a batch of the solver's candidates
-    with one product per generator; `conjugation_fixed` conjugates each
-    candidate by two products of its own."""
+    """`fixed_coalgebra_morphisms` moves the indicators of the orbitals of
+    Y x X with one product per generator and picks graphs among those
+    left unchanged; `conjugation_fixed` conjugates each of the solver's
+    candidates by two products of its own."""
 
-    @pytest.mark.parametrize("batch", [None, 1, 2, 7])
     @pytest.mark.parametrize("name", ["c2", "c3", "c4", "v4", "s3"])
-    def test_every_small_pair_matches_the_conjugation_oracle(
-            self, name, batch, monkeypatch):
-        # batches of 1, 2 and 7 end inside the 3^3 = 27 candidates
-        if batch is not None:
-            monkeypatch.setattr(galois, "_BATCH", batch)
+    def test_every_small_pair_matches_the_conjugation_oracle(self, name):
         group = load_group(name)
         actions = [x for size in range(1, 4)
                    for x in all_gset_actions(group, size)]
@@ -498,11 +505,25 @@ class TestFixedByProducts:
             kept += len(fixed)
         assert kept > 0
 
+    @pytest.mark.parametrize("index", range(len(SMALL_GROUPS)),
+                             ids=["c1"] + FIXTURE_NAMES)
+    def test_both_sides_have_the_stabiliser_count(self, index):
+        # |Hom_G(X, Y)| is the product over the orbits G.a of X of the
+        # points of Y fixed by Stab(a), on every pair of actions on 1-3
+        # points
+        actions = [x for size in range(1, 4) for x in actions_of(index, size)]
+        counts = set()
+        for x, y in itertools.product(actions, repeat=2):
+            count = stabiliser_count(x, y)
+            assert len(equivariant_set_maps(x, y)) == count
+            assert len(fixed_coalgebra_morphisms(x, y)) == count
+            counts.add(count)
+        assert len(counts) > 1
+
     @staticmethod
     def products(monkeypatch, x: GSet, y: GSet) -> int:
-        """The `matmul` calls one fixed-side run makes, checked against
-        (number of generators) x (number of batches); together they move
-        each candidate once per generator."""
+        """The `matmul` calls one fixed-side run makes, checked to be one
+        per generator, each moving one row per orbital of Y x X."""
         calls = []
         matmul = galois.matmul
 
@@ -514,17 +535,13 @@ class TestFixedByProducts:
         fixed = fixed_coalgebra_morphisms(x, y)
         monkeypatch.setattr(galois, "matmul", matmul)
         assert fixed == conjugation_fixed(x, y)
-        candidates, gens = y.carrier.size ** x.carrier.size, x.group.generators
-        assert len(calls) == len(gens) * math.ceil(candidates / galois._BATCH)
-        assert sum(calls) == len(gens) * candidates
+        assert calls == [orbital_count(x, y)] * len(x.group.generators)
         return len(calls)
 
-    def test_one_product_per_generator_and_batch(self, monkeypatch):
+    def test_one_product_per_generator(self, monkeypatch):
         v4 = load_group("v4")
         x, y = regular_gset(v4), trivial_gset(v4, FinSet(2))
         assert self.products(monkeypatch, x, y) == 2
-        monkeypatch.setattr(galois, "_BATCH", 5)
-        assert self.products(monkeypatch, x, y) == 8  # 2 x ceil(16 / 5)
 
     def test_the_trivial_group_makes_no_product(self, monkeypatch):
         e = FiniteGroup([[0]])
@@ -538,3 +555,36 @@ class TestFixedByProducts:
         x, y = trivial_gset(c2, FinSet(1)), regular_gset(c2)
         assert self.products(monkeypatch, x, y) == 1
         assert fixed_coalgebra_morphisms(x, y) == []
+
+    @pytest.mark.parametrize("name", ["c2", "v4", "s3"])
+    def test_the_products_decide_which_orbitals_are_kept(
+            self, name, monkeypatch, capsys):
+        # a fault test: the union-find cut down to one orbital per entry.
+        # The products must drop every entry (b, a) that a generator moves
+        # and keep the others, so the graphs left are exactly those whose
+        # every entry is fixed, where without the products every graph
+        # would be left
+        monkeypatch.setattr(galois, "_orbit_labels",
+                            lambda moves, n: list(range(n)))
+        group = load_group(name)
+        actions = [x for size in range(1, 4)
+                   for x in all_gset_actions(group, size)]
+        dropped = 0
+        for x, y in itertools.product(actions, repeat=2):
+            moves = [(x.action[g].values, y.action[g].values)
+                     for g in group.generators]
+            kept = [morphism_from_setmap(f)
+                    for f in all_maps(x.carrier, y.carrier)
+                    if all(gx[a] == a and gy[b] == b for gx, gy in moves
+                           for a, b in enumerate(f.values))]
+            assert fixed_coalgebra_morphisms(x, y) == kept
+            dropped += y.carrier.size ** x.carrier.size - len(kept)
+        assert dropped > 0
+        # and the descent comparison then fails: both maps from the
+        # regular C2 to two fixed points are equivariant, but every entry
+        # of their graphs is moved
+        assert cli.main(["galois-fixed",
+                         "--x", data_path("gset_c2_regular.json"),
+                         "--y", data_path("gset_c2_trivial2.json")]) == 1
+        assert capsys.readouterr().out == (
+            "equivariant maps: 2\nfixed comonoid morphisms: 0\nFAIL\n")

@@ -5,7 +5,8 @@ the census path, no value of the census's own and no order it computes
 twice, nor by a second walk over its classes, no fraction in the census
 mass formula, no construction that skips validation, no zero matrix
 built for an absent block, no dense product in the comonoid layer, no
-product per candidate on the fixed side of the descent comparison, a
+product per candidate on the fixed side of the descent comparison and
+no walk over all set maps on either side, a
 CLI parser and its subcommand table built only at import, read through
 no private attribute of argparse, each subcommand declared once, one builder for the cube's total
 complexes, no value of its own for a cube's edge, squares composed only
@@ -361,7 +362,7 @@ def per_candidate_products(tree) -> list:
 
 
 def test_the_fixed_side_makes_no_product_per_candidate():
-    # each generator moves a whole batch of candidates with one product
+    # each generator moves all the orbitals of Y x X with one product
     [galois] = [p for p in SOURCES if p.name == "galois.py"]
     assert per_candidate_products(ast.parse(galois.read_text())) == []
     # the guard sees the per-candidate conjugation, in a comprehension and
@@ -380,6 +381,36 @@ def test_the_fixed_side_makes_no_product_per_candidate():
         "    for j, c in enumerate(batch):\n"
         "        moved = matmul(c.matrix, perm)\n")
     assert per_candidate_products(planted) == [5]
+
+
+def set_map_walkers(tree) -> list:
+    """The lines at which a module imports or reads `map_values` or
+    `solve_coalgebra_morphisms`, each of which walks all |Y|^|X| set
+    maps."""
+    walkers = {"map_values", "solve_coalgebra_morphisms"}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id in walkers)
+                  or (isinstance(node, ast.Attribute)
+                      and node.attr in walkers)
+                  or (isinstance(node, ast.ImportFrom)
+                      and walkers.intersection(a.name for a in node.names)))
+
+
+def test_the_descent_comparison_walks_no_set_maps():
+    # both sides of `galois-fixed` are built from the group action, from
+    # orbits and stabilisers and from the orbitals of Y x X, so their cost
+    # follows the answer, not |Y|^|X|
+    [galois] = [p for p in SOURCES if p.name == "galois.py"]
+    assert set_map_walkers(ast.parse(galois.read_text())) == []
+    # the guard sees both sides of the enumeration the module left
+    planted = ast.parse(
+        "from .artin import graph_matrix, solve_coalgebra_morphisms\n"
+        "from . import finsets\n"
+        "def equivariant_set_maps(x, y):\n"
+        "    return [f for f in finsets.map_values(x.carrier, y.carrier)]\n"
+        "def fixed_coalgebra_morphisms(x, y):\n"
+        "    return solve_coalgebra_morphisms(x.carrier, y.carrier)\n")
+    assert set_map_walkers(planted) == [1, 4, 6]
 
 
 def module_caches(trees) -> set:
@@ -483,10 +514,10 @@ def value_tuple_enumerators(path_name: str, tree) -> set:
 
 
 def test_one_graph_builder_and_one_set_map_enumerator():
-    # the solver, the group actions and the structure maps take their
-    # graphs from `graph_matrix`, and the solver, `verify_mcffe` and the
-    # equivariant filter their candidates from `map_values`; the SetMap
-    # enumerator `all_maps` is a test oracle
+    # the solver and the fixed side of the descent comparison take their
+    # graphs from `graph_matrix`, and the solver and `verify_mcffe` their
+    # candidates from `map_values`; the SetMap enumerator `all_maps` is a
+    # test oracle
     trees = source_trees()
     assert set().union(*(graph_term_builders(name, tree)
                          for name, tree in trees.items())) == {
