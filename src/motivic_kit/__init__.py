@@ -8,10 +8,7 @@ chain complexes, and the cosimplicial equalizer -- all over exact
 rationals.  The library is what the batch verification CLI
 (`motivic_kit.cli`) checks: every function in it runs under one of its
 commands, and the names below are those a caller needs to run the same
-checks.  `build_kappa` returns the one mapping `kappa` prints: every
-label in it, of a component, of the ambient or of the `cross` factor,
-must be nonempty and contain none of "&", "(" and ")", which would render
-like an intersection or a product.
+checks.
 """
 
 from .finsets import (FinSet, SetMap, FinDiagram, DiagramIso, PermGroup,
@@ -23,8 +20,7 @@ from .artin import (CoalgMorphism, coalgebra_morphism_violations,
 from .galois import (FiniteGroup, GSet, equivariant_set_maps,
                      fixed_coalgebra_morphisms)
 from .monad import assemble, enumerate_diagrams, verify_m_identity
-from .hypercube import (CubeDiagram, punctured_cube_hocolim, ks_hocolim,
-                        build_kappa)
+from .hypercube import CubeDiagram, punctured_cube_hocolim, ks_hocolim
 from .resolution import equalizer, verify_mdffe
 
 __version__ = "0.1.0"
@@ -38,6 +34,6 @@ __all__ = [
     "FiniteGroup", "GSet", "equivariant_set_maps",
     "fixed_coalgebra_morphisms",
     "assemble", "verify_m_identity",
-    "CubeDiagram", "punctured_cube_hocolim", "ks_hocolim", "build_kappa",
+    "CubeDiagram", "punctured_cube_hocolim", "ks_hocolim",
     "equalizer", "verify_mdffe",
 ]

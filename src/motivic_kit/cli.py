@@ -18,7 +18,7 @@ from .artin import (setmap_from_morphism, solve_coalgebra_morphisms,
                     verify_mcffe)
 from .finsets import FinDiagram, FinSet, automorphism_group
 from .galois import GSet, equivariant_set_maps, fixed_coalgebra_morphisms
-from .hypercube import build_kappa, hocolim_from_json
+from .hypercube import hocolim_from_json
 from .monad import enumerate_diagrams, verify_m_identity
 from .resolution import verify_mdffe
 
@@ -49,20 +49,15 @@ def _check_limits(args, limit: int):
     """Bound the numeric arguments of any subcommand from both sides.
 
     Only the arguments the subcommand has are checked; --bound counts with
-    its default 2 where it exists, and --components by its length, since
-    kappa prints one row per subset of the components.
+    its default 2 where it exists.
     """
     bounds = getattr(args, "bounds", ())
-    if getattr(args, "dim", 0) < 0:
-        raise ValueError(f"--dim must be >= 0, got {args.dim}")
     if any(b < 1 for b in bounds):
         raise ValueError(f"--bounds entries must be >= 1 (sets are "
                          f"nonempty), got {','.join(map(str, bounds))}")
     sizes = [getattr(args, name) for name in ("x", "y", "k", "bound")
              if hasattr(args, name)]
     _check_sizes("size bound", [*sizes, *bounds], limit)
-    if hasattr(args, "components"):
-        _check_sizes("number of components", [len(args.components)], limit)
 
 
 def _dumps(value, indent="\n") -> str:
@@ -211,14 +206,6 @@ def _cmd_hocolim(args):
                  "euler_characteristic": total.euler_characteristic()})
 
 
-def _cmd_kappa(args):
-    diagram = build_kappa(args.components, args.ambient, args.dim, args.cross)
-    return 0, _emit(args, lambda: [
-        *(f"{name}: {expr}" for name, expr in diagram["vertices"].items()),
-        f"colimit twisted by ({diagram['twist']}) and shifted by "
-        f"[{diagram['shift']}]"], lambda: diagram)
-
-
 def _cmd_verify_mcffe(args):
     report = verify_mcffe(FinSet(args.x), FinSet(args.y))
     return (0 if report.passed else 1), _emit(args, lambda: [
@@ -274,12 +261,6 @@ _SUBCOMMANDS = {
                      "multiset assembly census against enumeration", _CENSUS),
     "hocolim": (_cmd_hocolim,
                 "homology of the total complex of a cube file", _DIAGRAM),
-    "kappa": (_cmd_kappa, "labeled compactification diagram", {
-        "--components": dict(type=lambda s: tuple(s.split(",")),
-                             required=True),
-        "--ambient": dict(required=True),
-        "--dim": dict(type=int, required=True),
-        "--cross": dict(default="")}),
     "verify-mcffe": (_cmd_verify_mcffe, "comonoid morphisms = set maps", _XY),
     "verify-mdffe": (_cmd_verify_mdffe, "cosimplicial equalizer = set maps",
                      {**_XY, "--bound": dict(type=int, default=2)}),

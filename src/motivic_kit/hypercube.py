@@ -22,12 +22,6 @@ two paths with opposite signs; so D o D = 0 exactly when every edge
 commutes with d and every square commutes (Weibel, 1.2).  The complex's
 own check is the cube's one commutation check, and only when it fails
 is the first failing edge or square looked for, to name it.
-
-The compactification diagram of `kappa` is only rendered: `build_kappa`
-returns the mapping the command prints, one row per vertex of its name
-and a symbolic expression such as "C_*(A&B)" that nothing evaluates, and
-the twist and shift of the colimit, integers computed from the
-dimension.
 """
 
 from __future__ import annotations
@@ -275,46 +269,6 @@ def hocolim_from_json(data) -> ChainComplex:
     if frozenset() in cube.vertices:
         return ks_hocolim(cube)
     return punctured_cube_hocolim(cube)
-
-
-# --- compactification diagrams, as rendered rows -----------------------
-
-def build_kappa(components, ambient: str, dim: int, cross: str = "") -> dict:
-    """The compactification diagram of an open piece, as the mapping
-    `kappa --format json` prints.
-
-    `vertices` maps each vertex to its expression, in row order: the lower
-    vertex "l" carries the ambient motive, one inner vertex per nonempty
-    subset of the components, such as "{0,2}", their intersection, and
-    the upper vertex "u" zero.  A nonempty `cross` multiplies every vertex
-    by another factor, as in the product diagram; the zero vertex absorbs
-    it.  The colimit is twisted by (-dim) and shifted by [-2 dim].
-    """
-    components = tuple(components)
-    for label in (*components, ambient):
-        _check_label(label)
-    if len(set(components)) != len(components):
-        raise ValueError("component labels must be distinct")
-    if cross:
-        _check_label(cross)
-    factor = f"xC_*({cross})" if cross else ""
-    vertices = {"l": f"C_*({ambient}){factor}"}
-    for r in range(1, len(components) + 1):
-        for combo in itertools.combinations(range(len(components)), r):
-            name = "{" + ",".join(str(i) for i in combo) + "}"
-            labels = "&".join(str(components[i]) for i in combo)
-            vertices[name] = f"C_*({labels}){factor}"
-    vertices["u"] = "0"
-    return {"components": list(components), "ambient": ambient, "dim": dim,
-            "twist": -dim, "shift": -2 * dim, "vertices": vertices}
-
-
-def _check_label(label):
-    """Refuse a label that is empty or has "&", "(" or ")": it would render
-    like an intersection or a product."""
-    if not str(label) or set(str(label)) & set("&()"):
-        raise ValueError(f"label {show(str(label))} must be nonempty "
-                         'and contain none of "&", "(" and ")"')
 
 
 # the readers of input files, compiled once

@@ -101,9 +101,15 @@ class QMatrix(Value):
     @staticmethod
     def from_json(data) -> "QMatrix":
         rows, cols, entries = _READ_QMATRIX(data)
-        if not entries or _SCALARS.issuperset(map(type, entries)):
-            return _shared_matrix(rows, cols, *entries)
-        return QMatrix(rows, cols, _READ_ENTRIES(data)[0])  # names the misfit
+        try:
+            if not entries or _SCALARS.issuperset(map(type, entries)):
+                return _shared_matrix(rows, cols, *entries)
+            # the entry reader names a misfit entry
+            return QMatrix(rows, cols, _READ_ENTRIES(data)[0])
+        except InputError:
+            raise
+        except ValueError as exc:  # named with the path the readers add
+            raise InputError(f"is not a matrix: {exc}") from None
 
 
 def _entry(x):

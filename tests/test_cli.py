@@ -177,36 +177,6 @@ class TestCommands:
         assert done.returncode == 0
         assert done.stdout == "H0=30000 H1=30000\n"
 
-    def test_kappa(self):
-        status, text = run_cli(["kappa", "--components", "A,B",
-                                "--ambient", "Xbar", "--dim", "2"])
-        assert status == 0
-        assert "l: C_*(Xbar)" in text
-        assert "{0,1}: C_*(A&B)" in text
-        assert "u: 0" in text
-        assert "(-2)" in text and "[-4]" in text
-
-    @pytest.mark.parametrize("components, ambient, label", [
-        ("A,,B", "X", '""'), ("A,B", "", '""'), ("A&B,C", "X", '"A&B"'),
-        ("A,B(1)", "X", '"B(1)"')])
-    def test_kappa_rejects_labels_that_render_ambiguously(
-            self, components, ambient, label):
-        status, text = run_cli(["kappa", "--components", components,
-                                "--ambient", ambient, "--dim", "1"])
-        assert (status, text) == (2, f"error: label {label} must be nonempty "
-                                  'and contain none of "&", "(" and ")"')
-
-    def test_kappa_cross(self):
-        status, text = run_cli(["kappa", "--components", "A",
-                                "--ambient", "X", "--dim", "1",
-                                "--cross", "Y"])
-        assert status == 0
-        assert "C_*(X)xC_*(Y)" in text
-        # an empty --cross, the default, crosses with nothing
-        assert run_cli(["kappa", "--components", "A", "--ambient", "X",
-                        "--dim", "1", "--cross", ""]) == run_cli(
-            ["kappa", "--components", "A", "--ambient", "X", "--dim", "1"])
-
     def test_verify_mdffe(self):
         status, text = run_cli(["verify-mdffe", "--x", "2", "--y", "3"])
         assert status == 0
@@ -316,8 +286,6 @@ class TestDeterminism:
          "--format", "json"],
         ["verify-monad", "--k", "1", "--bounds", "2,2", "--format", "json"],
         ["solve-comonoid", "--x", "2", "--y", "2", "--show-matrices"],
-        ["kappa", "--components", "A,B", "--ambient", "X", "--dim", "1",
-         "--format", "json"],
         ["verify-mcffe", "--x", "2", "--y", "2", "--format", "json"],
         ["verify-mdffe", "--x", "2", "--y", "2", "--format", "json"],
     ])
@@ -523,19 +491,6 @@ class TestErrors:
         assert text.startswith("error: size bound 2 exceeds the safety "
                                "limit 1")
 
-    def test_kappa_components_count_against_the_limit(self, monkeypatch):
-        # the output has 2^components + 1 rows, so the count is a size
-        argv = ["kappa", "--components", "A,B,C,D,E,F,G", "--ambient", "X",
-                "--dim", "1"]
-        monkeypatch.delenv("MOTIVIC_KIT_MAX_SIZE", raising=False)
-        assert run_cli(argv) == (
-            2, "error: number of components 7 exceeds the safety limit 6 "
-            "(override with MOTIVIC_KIT_MAX_SIZE)")
-        monkeypatch.setenv("MOTIVIC_KIT_MAX_SIZE", "7")
-        status, text = run_cli(argv)
-        assert status == 0
-        assert len(text.splitlines()) == 2 ** 7 + 2
-
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
     def test_env_override_must_be_positive_integer(self, monkeypatch, value):
         monkeypatch.setenv("MOTIVIC_KIT_MAX_SIZE", value)
@@ -584,8 +539,6 @@ class TestErrors:
             'an integer or a rational string, got "1e999999999"'))
 
     @pytest.mark.parametrize("argv, field", [
-        (["kappa", "--components", "A", "--ambient", "X", "--dim", "-3"],
-         "--dim"),
         (["enumerate-diagrams", "--k", "2", "--bounds", "0,2"], "--bounds"),
         (["verify-monad", "--k", "1", "--bounds", "2,-1"], "--bounds"),
     ])
@@ -651,9 +604,12 @@ class TestErrors:
          "[Errno 2] No such file or directory: '/nonexistent.json'"),
         (["verify-mcffe", "--x", "2", "--y", "2"], "abc",
          "MOTIVIC_KIT_MAX_SIZE must be a positive integer, got 'abc'"),
-        (["kappa", "--components", "A&B,C", "--ambient", "X", "--dim", "1"],
-         "6", 'label "A&B" must be nonempty and contain none of "&", "(" '
-         'and ")"'),
+        (["enumerate-diagrams", "--k", "0", "--bounds", "2"], "6",
+         "k must be >= 1"),
+        (["enumerate-diagrams", "--k", "2", "--bounds", "2"], "6",
+         "need one bound per set"),
+        (["verify-monad", "--k", "2", "--bounds", "2,2"], "6",
+         "need k+1 bounds"),
         # a --bounds list is never empty, so k + 1 bounds needs k >= 0
         (["verify-monad", "--k", "-1", "--bounds", "2"], "6",
          "k must be >= 0"),
@@ -669,6 +625,21 @@ class TestErrors:
     def test_a_bound_below_two_is_refused(self):
         assert run_cli(["verify-mdffe", "--x", "2", "--y", "2",
                         "--bound", "1"]) == (2, "error: bound must be >= 2")
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_an_unknown_option_is_reported_by_the_full_parser(self, capsys,
+                                                              fmt):
+        # the subcommand's parser leaves --bogus over, so the full parser
+        # parses the line again and reports it, before any format is known
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify-mcffe", "--x", "2", "--y", "2", "--bogus",
+                      "--format", fmt])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: motivic-kit [-h]")
+        assert err.endswith("motivic-kit: error: unrecognized arguments: "
+                            "--bogus\n")
 
     def test_gsets_over_different_groups_are_refused(self, tmp_path):
         c3 = tmp_path / "c3.json"
@@ -1112,15 +1083,6 @@ class TestErrors:
             2, f"error: {path}: {named} is not a chain map: block 0 has "
                "wrong shape")
 
-    @pytest.mark.parametrize("label", ["B&C", "x)", "(y", "C_*(Y)"])
-    def test_kappa_cross_obeys_the_label_rule(self, label):
-        # once printed as C_*(A)xC_*(B&C), like an intersection, or with
-        # unbalanced parentheses
-        assert run_cli(["kappa", "--components", "A,B", "--ambient", "X",
-                        "--dim", "1", "--cross", label]) == (
-            2, f"error: label {json.dumps(label)} must be nonempty and "
-               'contain none of "&", "(" and ")"')
-
     def test_main_returns_status(self, capsys):
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0
         out = capsys.readouterr().out
@@ -1180,8 +1142,7 @@ class TestSharedParser:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                             counting_init)
         assert cli.main(["verify-mcffe", "--x", "1", "--y", "1"]) == 0
-        assert cli.main(["kappa", "--components", "A", "--ambient", "X",
-                         "--dim", "1"]) == 0
+        assert cli.main(["verify-monad", "--k", "1", "--bounds", "2,2"]) == 0
         with pytest.raises(SystemExit):
             cli.main(["no-such-command"])
         assert built == []
@@ -1196,7 +1157,7 @@ ARGPARSE_LEVEL = [
     (["-h"], 0),
     (["--format", "json"], 2),
     (["verify-mcffe", "-h"], 0),
-    (["kappa", "--help"], 0),
+    (["hocolim", "--help"], 0),
     (["verify-mcffe", "--x", "1"], 2),
     (["verify-mcffe", "--x", "two", "--y", "2"], 2),
     (["verify-mcffe", "--x", "1", "--y", "1", "--format", "yaml"], 2),
@@ -1263,12 +1224,14 @@ AUT = (["aut", "--diagram", "{file}"], "diagram_3to2.json")
 GALOIS = (["galois-fixed", "--x", "{file}",
            "--y", data_path("gset_c2_trivial2.json")], "gset_c2_regular.json")
 HOCOLIM = (["hocolim", "--diagram", "{file}"], "cover_two_patches.json")
+AMBIENT = (HOCOLIM[0], ambient_cube_payload())
 EDGE = ("edges", "0,1->0")
 BLOCK = (*EDGE, "0")
 
 # (command, keys of the changed node, operation, message after the file
-# name); an operation is ("set", value) or ("key", new key), the latter
-# renaming the member of a keyed object.
+# name); a command is its argv and the fixture it changes, by file name or
+# as a payload, and an operation is ("set", value) or ("key", new key),
+# the latter renaming the member of a keyed object.
 SINGLE_FIELD_MUTATIONS = [
     (AUT, ("sets",), ("set", 5), "sets must be a list, got 5"),
     (AUT, ("maps",), ("set", 5), "maps must be a list, got 5"),
@@ -1359,6 +1322,27 @@ SINGLE_FIELD_MUTATIONS = [
      'edges["0,1->0"]["q"] is not keyed by an integer'),
     (HOCOLIM, (*BLOCK, "rows"), ("set", "2"),
      'edges["0,1->0"]["0"].rows must be an integer, got "2"'),
+    (HOCOLIM, (*BLOCK, "entries"), ("set", ["1"]),
+     'edges["0,1->0"]["0"] is not a matrix: entry count does not match '
+     'shape'),
+    (HOCOLIM, (*BLOCK, "rows"), ("set", -1),
+     'edges["0,1->0"]["0"] is not a matrix: negative matrix dimensions'),
+    (HOCOLIM, ("vertices", "0", "differentials", "1"),
+     ("set", {"rows": 2, "cols": 1, "entries": ["1"]}),
+     'vertices["0"].differentials["1"] is not a matrix: entry count does '
+     'not match shape'),
+    (AMBIENT, ("ambient_edges", "0", "0", "entries"), ("set", ["1"]),
+     'ambient_edges["0"]["0"] is not a matrix: entry count does not match '
+     'shape'),
+    (HOCOLIM, ("vertices", "0", "lo"), ("set", 1),
+     'vertices["0"] is not a chain complex: empty degree range'),
+    (HOCOLIM, ("vertices", "0", "hi"), ("set", 1),
+     'vertices["0"] is not a chain complex: missing or negative dimension '
+     'in degree 1'),
+    (HOCOLIM, ("vertices", "0", "differentials", "0"),
+     ("set", {"rows": 1, "cols": 2, "entries": ["0", "0"]}),
+     'vertices["0"] is not a chain complex: differential 0 outside degree '
+     'range'),
 ]
 
 
@@ -1388,11 +1372,15 @@ def mutated(payload, keys, op):
                          SINGLE_FIELD_MUTATIONS)
 def test_single_field_mutation_names_file_and_field(tmp_path, command, keys,
                                                     op, message):
-    argv, name = command
+    argv, payload = command
+    if isinstance(payload, str):
+        payload = fixture(payload)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(mutated(fixture(name), keys, op)))
-    status, text = run_cli([a.replace("{file}", str(path)) for a in argv])
-    assert (status, text) == (2, f"error: {path}: {message}")
+    path.write_text(json.dumps(mutated(payload, keys, op)))
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    for fmt in ("table", "json"):
+        assert run_cli(argv + ["--format", fmt]) == (
+            2, in_format(fmt, f"error: {path}: {message}"))
 
 
 class TestGroupTablesCheckedOnce:

@@ -14,6 +14,7 @@ to how the parsers are built cannot change a help or usage text unseen.
 
 import hashlib
 import json
+import shlex
 from importlib import resources
 from pathlib import Path
 
@@ -65,6 +66,9 @@ GOLDEN = [
     (["aut", "--diagram", "diagram_4to2to1.json"], 0,
      "774bb74bb7373be4f2d72a8ed66e032c14b56183863d4cebce93ae909e9fa323",
      "866ea874ecfc83d268d817f00fbf66f2af32c9c1f72dde6009dae04bd377f78f"),
+    (["aut", "--diagram", "no_sets.json"], 0,
+     "501336356c4b78f95d5576132f4813e1634014823da963bacd81e59f3ad05820",
+     "b5b3ec9e3b79410e6cb668efec3da112c4c077557967985cabc911f1c68ce48f"),
     (["solve-comonoid", "--x", "3", "--y", "2", "--show-matrices"], 0,
      "7367c3ac0d3aef5675180aa61345bf4fa770fa51a27005d4b8743e3a2f4a1902",
      "cf4a71a7e3e7f56f07de8c4bf109e6ce664ca422f3ef6869c5794a0e6f19a290"),
@@ -118,13 +122,6 @@ GOLDEN = [
     (["hocolim", "--diagram", "no_vertices.json"], 0,
      "8305d24b5b9e1ebc8759a5c98be086ecfa07cde695a4f08f81baac0c3c6f53cf",
      "47d249dfbe0e4f5a22267c728208b0c871fe6d805a9a080257ba35bc07fb2ffe"),
-    (["kappa", "--components", "A,B,C", "--ambient", "Xbar", "--dim", "2"], 0,
-     "685e1f04ed5ac3748e5948d6cf1c0ca8651dfed2a15a30f4a521136cf33dca65",
-     "2d9cd77b839cd791b41f8d425c61eeab2220529b3d8bd4b9bc296490f2532cd5"),
-    (["kappa", "--components", "A,B", "--ambient", "X", "--dim", "1",
-      "--cross", "Y"], 0,
-     "fc9bcb5612fdf1b2171456c3ec36f9a40f946689254bc88a517eec73d3013e91",
-     "7a769e82c6c5bed6fce7eb33a7fb041c421e6e474f7e7d79c3257679ddefc75d"),
     (["verify-mcffe", "--x", "3", "--y", "2"], 0,
      "3779445b391e8965f4bece4116e1858bdb22e38d36ad98958b334d6a17ada333",
      "8daca0efa2075932c91d48f99b4ab53745573fe24e34ef21c35d2ea83c625e3d"),
@@ -146,7 +143,7 @@ GOLDEN = [
 # and of each subcommand's parser
 HELP = {
     None:
-        "8cc1a9e20e4ef461c01055f9b1a8f061c7cfee6cc212add1cbbcd84b6ff0c646",
+        "dad72dca9287eaa18bc316b284b1f348788db6ec459b60a0364c46e0d4732140",
     "enumerate-diagrams":
         "4b9a5df6bbe1f5e16d8dc7431703bce7303232e02a407040335309ecf58d9ba0",
     "aut":
@@ -159,8 +156,6 @@ HELP = {
         "fca674ee82759a537903451a6c4391f3849988eaa70ce0e11643cd7d3cc3f4ab",
     "hocolim":
         "c7ec7bd6bd18e81d73877e7370b2f9b6d84837a755bb0ede4e38bb75c5f6606a",
-    "kappa":
-        "8456ee2381fecd72865840cf0984054548707ef7164301b974b3e7cd511de261",
     "verify-mcffe":
         "9dc47f8791296e0f3f46f85fb6b071a7180d1a03d8cc6da565ab4167161b928d",
     "verify-mdffe":
@@ -184,8 +179,9 @@ def write_relative_files(directory: Path):
     a square that does not commute, cubes with 0-row and 0-column blocks
     without and with an ambient, one with an empty block of the wrong
     shape, one with rational entries, the cube on no index, the
-    two-generator groups V4 and S3 acting on 3 points, and the sets
-    4 -> 2 -> 1, whose automorphisms swap two subtrees.  V4
+    two-generator groups V4 and S3 acting on 3 points, the sets
+    4 -> 2 -> 1, whose automorphisms swap two subtrees, and the diagram
+    of no sets, whose one automorphism is the identity.  V4
     acts through a transposition, fixing 2 or fixing 0; S3 acts through
     its sign, fixing 2, or transitively."""
     for name, payload in (
@@ -203,7 +199,8 @@ def write_relative_files(directory: Path):
              gset_payload("s3", [[1, 0, 2], [0, 2, 1]])),
             ("diagram_4to2to1.json",
              {"sets": [{"size": 4}, {"size": 2}, {"size": 1}],
-              "maps": [{"values": [0, 0, 1, 1]}, {"values": [0, 0]}]})):
+              "maps": [{"values": [0, 0, 1, 1]}, {"values": [0, 0]}]}),
+            ("no_sets.json", {"sets": [], "maps": []})):
         (directory / name).write_text(json.dumps(payload, sort_keys=True))
 
 
@@ -258,3 +255,24 @@ def test_readme_library_example(capsys, monkeypatch, tmp_path, ambient_cube):
     exec(compile(code, str(README), "exec"), {})
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2 and out[0] == shown[0]
+
+
+def readme_command_lines() -> list:
+    """The argvs of the `sh` block under README's "## Command line", one
+    per line, with continuation lines joined and comments dropped."""
+    section = README.read_text().split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_command_lines_run_every_subcommand(capsys, monkeypatch):
+    # one line per subcommand, each exiting 0 from the repository root
+    argvs = readme_command_lines()
+    assert [argv[0] for argv in argvs] == ["motivic-kit"] * len(argvs)
+    assert sorted(argv[1] for argv in argvs) == sorted(cli._SUBCOMMANDS)
+    monkeypatch.delenv("MOTIVIC_KIT_MAX_SIZE", raising=False)
+    monkeypatch.chdir(README.parent)
+    for argv in argvs:
+        assert cli.main(argv[1:]) == 0, argv
+    capsys.readouterr()

@@ -17,7 +17,7 @@ from helpers import (ChainMap, cone_basis_signs, cover_cube_diagram,
                      union_find_components, zero_matrix)
 from motivic_kit import hypercube
 from motivic_kit._value import InputError
-from motivic_kit.hypercube import (CubeDiagram, _name, _subset, build_kappa,
+from motivic_kit.hypercube import (CubeDiagram, _name, _subset,
                                    hocolim_from_json, ks_hocolim,
                                    punctured_cube_hocolim)
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
@@ -332,50 +332,6 @@ class TestKsHocolim:
         for n in range(cone.lo + 2, cone.hi + 1):
             assert not any(matmul(cone.differentials[n - 1],
                                   cone.differentials[n]).entries)
-
-
-class TestKappa:
-    def test_no_components(self):
-        d = build_kappa([], "Xbar", 2)
-        assert list(d["vertices"]) == ["l", "u"]
-        assert (d["twist"], d["shift"]) == (-2, -4)
-
-    def test_two_components(self):
-        # the mapping `kappa --format json` prints, its vertices in row order
-        d = build_kappa(["A", "B"], "Xbar", 1)
-        assert d == {"components": ["A", "B"], "ambient": "Xbar", "dim": 1,
-                     "twist": -1, "shift": -2,
-                     "vertices": {"l": "C_*(Xbar)", "{0}": "C_*(A)",
-                                  "{1}": "C_*(B)", "{0,1}": "C_*(A&B)",
-                                  "u": "0"}}
-        assert list(d["vertices"]) == ["l", "{0}", "{1}", "{0,1}", "u"]
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError, match="must be distinct"):
-            build_kappa(["A", "A"], "X", 1)
-
-    def test_cross(self):
-        d = build_kappa(["A"], "Xbar", 1, cross="Y")
-        assert d["vertices"] == {"l": "C_*(Xbar)xC_*(Y)",
-                                 "{0}": "C_*(A)xC_*(Y)",
-                                 "u": "0"}  # zero absorbs the factor
-
-    def test_an_empty_cross_is_no_factor(self):
-        assert build_kappa(["A"], "X", 1, cross="") == build_kappa(
-            ["A"], "X", 1)
-
-    @pytest.mark.parametrize("label", ["B&C", "x)", "(y", "C_*(Y)"])
-    def test_a_factor_obeys_the_label_rule(self, label):
-        with pytest.raises(ValueError, match="must be nonempty"):
-            build_kappa(["A"], "X", 1, cross=label)
-
-    def test_labels_are_checked_before_the_factor(self):
-        # components, then ambient, then distinctness, then the factor
-        for args, fault in (((["A&B"], "X(", 1, "Y)"), '"A&B"'),
-                            ((["A", "A"], "X(", 1, "Y)"), '"X("'),
-                            ((["A", "A"], "X", 1, "Y)"), "distinct")):
-            with pytest.raises(ValueError, match=re.escape(fault)):
-                build_kappa(*args)
 
 
 # --- the squares a cube checks, against the composing oracle -------------

@@ -53,17 +53,23 @@ class TestQMatrix:
             rows, cols, [])
 
     @pytest.mark.parametrize("rows, cols, entries, message", [
-        (2, 2, [], "entry count does not match shape"),
-        (-1, 0, [], "negative matrix dimensions"),
+        (2, 2, [], "top-level value is not a matrix: entry count does not "
+         "match shape"),
+        (-1, 0, [], "top-level value is not a matrix: negative matrix "
+         "dimensions"),
         (1, 2, ["1", "1/0"], r'entries\[1\] must be an integer or a '
          r'rational string, got "1/0"'),
-        (2, 2, [1, "2", 3], "entry count does not match shape"),
-        (-1, -2, ["1", 2], "negative matrix dimensions")])
+        (2, 2, [1, "2", 3], "top-level value is not a matrix: entry count "
+         "does not match shape"),
+        (-1, -2, ["1", 2], "top-level value is not a matrix: negative "
+         "matrix dimensions")])
     def test_a_refused_record_is_refused_every_time(self, rows, cols, entries,
                                                     message):
+        # as an input error, which each reader it leaves puts its step in
+        # front of
         qlinalg._shared_matrix.cache_clear()
         for _ in range(2):
-            with pytest.raises(ValueError, match=f"^{message}$"):
+            with pytest.raises(InputError, match=f"^{message}$"):
                 QMatrix.from_json({"rows": rows, "cols": cols,
                                    "entries": entries})
         assert qlinalg._shared_matrix.cache_info().currsize == 0

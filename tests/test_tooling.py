@@ -644,8 +644,7 @@ def test_one_builder_places_blocks_of_total_complexes():
 
 def test_a_cube_edge_is_no_value_of_its_own():
     # an edge is the dict of its nonzero blocks, whose shapes the cube
-    # checks, and a compactification diagram is the mapping `kappa`
-    # prints: the one class of hypercube.py is the cube, no dataclass, and
+    # checks: the one class of hypercube.py is the cube, no dataclass, and
     # reading a cube file builds no value per edge, only the cube, once
     values = {node.name for _, node in class_definitions()
               if any(ast.unparse(base) == "Value" for base in node.bases)}
