@@ -1436,7 +1436,7 @@ def fuzz_inputs():
     inputs = [(argv, fixture(name)) for argv, name in (AUT, GALOIS, HOCOLIM)]
     inputs.append((["galois-fixed", "--x", data_path("gset_c2_regular.json"),
                     "--y", "{file}"], fixture("gset_c2_trivial2.json")))
-    inputs.append((HOCOLIM[0], ambient_cube_payload()))
+    inputs.append(AMBIENT)
     return [(argv, payload, keys) for argv, payload in inputs
             for keys in nodes(payload)]
 

@@ -65,8 +65,7 @@ class TestQMatrix:
          "matrix dimensions")])
     def test_a_refused_record_is_refused_every_time(self, rows, cols, entries,
                                                     message):
-        # as an input error, which each reader it leaves puts its step in
-        # front of
+        # an InputError, so that the readers around it put the path in front
         qlinalg._shared_matrix.cache_clear()
         for _ in range(2):
             with pytest.raises(InputError, match=f"^{message}$"):
