@@ -202,6 +202,21 @@ class TestMorphismChecking:
         with pytest.raises(ValueError):
             coalgebra_morphism_violations(zero_matrix(2, 3), x, y)
 
+    @pytest.mark.parametrize("rows, cols, entries, failed", [
+        (2, 2, [0] * 4, "['(eps)']"),
+        (2, 2, [Fraction(1, 2)] * 4, "['(delta1)', '(delta2)']"),
+        (2, 1, [1, 1], "['(eps)', '(delta2)']"),
+        (1, 1, [2], "['(eps)', '(delta1)']")])
+    def test_a_failing_matrix_is_no_morphism(self, rows, cols, entries,
+                                             failed):
+        # the constructor refuses what the checker finds, naming it
+        m = QMatrix(rows, cols, entries)
+        x, y = FinSet(cols), FinSet(rows)
+        assert str(coalgebra_morphism_violations(m, x, y)) == failed
+        with pytest.raises(ValueError) as raised:
+            CoalgMorphism(m, x, y)
+        assert str(raised.value) == f"not a comonoid morphism: fails {failed}"
+
     @settings(max_examples=400, deadline=None)
     @given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
         lambda s: st.tuples(st.just(s), st.one_of(

@@ -641,6 +641,17 @@ class TestErrors:
         assert err.endswith("motivic-kit: error: unrecognized arguments: "
                             "--bogus\n")
 
+    def test_the_deleted_kappa_is_an_invalid_choice(self, capsys):
+        # no alias is left: the full parser refuses the name itself
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["kappa", "--components", "A", "--ambient", "X",
+                      "--dim", "1"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "motivic-kit: error: argument command: invalid choice: " \
+               "'kappa' (choose from " in err
+
     def test_gsets_over_different_groups_are_refused(self, tmp_path):
         c3 = tmp_path / "c3.json"
         c3.write_text(json.dumps(gset_json(regular_gset(load_group("c3")))))
@@ -1158,6 +1169,8 @@ ARGPARSE_LEVEL = [
     (["--format", "json"], 2),
     (["verify-mcffe", "-h"], 0),
     (["hocolim", "--help"], 0),
+    (["kappa", "--components", "A", "--ambient", "X", "--dim", "1"], 2),
+    (["kappa", "--help"], 2),
     (["verify-mcffe", "--x", "1"], 2),
     (["verify-mcffe", "--x", "two", "--y", "2"], 2),
     (["verify-mcffe", "--x", "1", "--y", "1", "--format", "yaml"], 2),

@@ -374,7 +374,46 @@ class TestEnumerateDiagrams:
                 assert total == b ** a
 
 
+class TestFinDiagram:
+    @pytest.mark.parametrize("sizes, maps, message", [
+        ((), [(2, 2)], "empty diagram has no maps"),
+        ((2, 2), [], "need exactly k-1 maps for k sets"),
+        ((2,), [(2, 2)], "need exactly k-1 maps for k sets"),
+        ((2, 3), [(2, 2)], "map 0 does not chain sets 0 -> 1"),
+        ((2, 2, 1), [(2, 2), (3, 1)], "map 1 does not chain sets 1 -> 2")])
+    def test_a_broken_chain_is_refused(self, sizes, maps, message):
+        # each map is given by its (dom, cod) sizes and sends all to 0
+        sets = [FinSet(n) for n in sizes]
+        maps = [SetMap(FinSet(d), FinSet(c), [0] * d) for d, c in maps]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FinDiagram(sets, maps)
+
+    def test_relabel_needs_one_permutation_per_set(self):
+        d = diagram((2, 1), [[0, 0]])
+        with pytest.raises(ValueError,
+                           match="^need one permutation per set$"):
+            d.relabel([[1, 0]])
+
+
 class TestDiagramIso:
+    @pytest.mark.parametrize("dom, cod", [(3, 2), (2, 3)])
+    def test_a_component_off_the_sets_is_refused(self, dom, cod):
+        d = diagram((2,), [])
+        component = SetMap(FinSet(dom), FinSet(cod), [0] * dom)
+        with pytest.raises(ValueError,
+                           match="^component 0 has wrong boundary$"):
+            DiagramIso(d, d, [component])
+
+    def test_a_component_that_is_no_bijection_is_refused(self):
+        d = diagram((2, 1), [[0, 0]])
+        components = [identity_map(FinSet(2)), SetMap(FinSet(1), FinSet(1),
+                                                      [0])]
+        assert DiagramIso(d, d, components).components == tuple(components)
+        components[0] = SetMap(FinSet(2), FinSet(2), [0, 0])
+        with pytest.raises(ValueError,
+                           match="^component 0 is not bijective$"):
+            DiagramIso(d, d, components)
+
     def test_naturality_enforced(self):
         c = diagram((2, 2), [[0, 0]])
         b = diagram((2, 2), [[0, 1]])
