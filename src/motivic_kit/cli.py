@@ -109,18 +109,26 @@ def _read(path: str, reader):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def _class_json(encoding) -> dict:
+    """A class as the diagram file `aut` reads: its sets and maps."""
+    sizes, _, values = encoding
+    return {"sets": [{"size": n} for n in sizes],
+            "maps": [{"dom": dom, "cod": cod, "values": list(v)}
+                     for dom, cod, v in zip(sizes, sizes[1:], values)]}
+
+
 def _cmd_enumerate_diagrams(args):
-    classes, orders = enumerate_diagrams(args.k, args.bounds)
+    encodings, orders = enumerate_diagrams(args.k, args.bounds)
 
     def table():
-        for i, (d, aut) in enumerate(zip(classes, orders)):
-            sizes = ",".join(str(s) for s in d.sizes())
-            maps = " ".join(str(list(m.values)) for m in d.maps)
-            yield f"{i}: sizes={sizes} maps={maps or '-'} |Aut|={aut}"
-        yield f"classes: {len(classes)}"
+        for i, ((sizes, _, values), aut) in enumerate(zip(encodings, orders)):
+            maps = " ".join(str(list(v)) for v in values)
+            yield (f"{i}: sizes={','.join(map(str, sizes))} "
+                   f"maps={maps or '-'} |Aut|={aut}")
+        yield f"classes: {len(encodings)}"
     return 0, _emit(args, table, lambda: {
-        "k": args.k, "bounds": list(args.bounds), "count": len(classes),
-        "classes": [d.to_json() for d in classes]})
+        "k": args.k, "bounds": list(args.bounds), "count": len(encodings),
+        "classes": [_class_json(e) for e in encodings]})
 
 
 def _cmd_aut(args):

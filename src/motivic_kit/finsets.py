@@ -13,7 +13,7 @@ lexicographic minimum of a fixed encoding over all relabelings, so
 isomorphism testing compares representatives.  The automorphism group is
 the iterated wreath product over the forest, generated by swaps of
 isomorphic siblings.  No function here tries every relabeling, and
-bounded classes are generated in `monad`, by multiset assembly.
+bounded classes are generated in `monad`, from subtree shapes.
 
 Everything here is immutable after construction and all functions are
 pure.
@@ -48,12 +48,6 @@ class FinSet(Value):
         if self.labels is None:
             return f"FinSet({self.size})"
         return f"FinSet({self.size}, labels={list(self.labels)})"
-
-    def to_json(self):
-        data = {"size": self.size}
-        if self.labels is not None:
-            data["labels"] = list(self.labels)
-        return data
 
     @staticmethod
     def from_json(data) -> "FinSet":
@@ -182,10 +176,6 @@ class FinDiagram(Value):
                                    [after[values[x]] for x in inv[i]]))
         return FinDiagram(new_sets, new_maps)
 
-    def to_json(self):
-        return {"sets": [s.to_json() for s in self.sets],
-                "maps": [m.to_json() for m in self.maps]}
-
     @staticmethod
     def from_json(data) -> "FinDiagram":
         sets, maps = _READ_DIAGRAM(data)
@@ -265,8 +255,9 @@ def _level_classes(d: FinDiagram) -> tuple:
 
 
 def _canonical_form(d: FinDiagram) -> tuple:
-    """(the canonical representative of the isomorphism class of d, the
-    order of its self-isomorphism group), from one `_level_classes` pass.
+    """(the canonical representative of the isomorphism class of d, a
+    diagram of at least one set, and the order of its self-isomorphism
+    group), from one `_level_classes` pass.
 
     The last level is numbered by class, then each level below it by
     (class, new label of its image).  Fibers come out sorted at every
@@ -277,8 +268,6 @@ def _canonical_form(d: FinDiagram) -> tuple:
     idempotent.  Labels are discarded.  The order is the representative's
     too, since relabeling does not change it.
     """
-    if d.k == 0:
-        return FinDiagram([], []), 1
     classes, order = _level_classes(d)
     perms = [None] * d.k
     image = [0] * d.sets[-1].size  # the roots hang from one virtual root

@@ -1,6 +1,7 @@
 """Shared independent oracles and small generators for the test suite."""
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -17,6 +18,8 @@ from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
                                  _canonical_form, _level_classes)
 from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import CubeDiagram, _name, _subset_key
+from motivic_kit.monad import (_admissible_multisets, assemble,
+                               enumerate_diagrams)
 from motivic_kit.qlinalg import (ChainComplex, QMatrix, matmul,
                                  single_degree_complex)
 from motivic_kit.resolution import cofaces_agree
@@ -505,6 +508,56 @@ def canonical_form(d: FinDiagram) -> FinDiagram:
     return _canonical_form(d)[0]
 
 
+def finset_json(s: FinSet) -> dict:
+    """A set as a diagram file spells it: its size, and its labels if any."""
+    data = {"size": s.size}
+    if s.labels is not None:
+        data["labels"] = list(s.labels)
+    return data
+
+
+def diagram_json(d: FinDiagram) -> dict:
+    """A diagram as `aut --diagram` reads it: its sets and maps."""
+    return {"sets": [finset_json(s) for s in d.sets],
+            "maps": [m.to_json() for m in d.maps]}
+
+
+def encoded_diagram(encoding) -> FinDiagram:
+    """The diagram with the sizes and map values of an encoding."""
+    sizes, _, values = encoding
+    sets = [FinSet(n) for n in sizes]
+    return FinDiagram(sets, [SetMap(sets[i], sets[i + 1], v)
+                             for i, v in enumerate(values)])
+
+
+def census_diagrams(k: int, bounds) -> list:
+    """The census's classes as diagrams, in its order."""
+    return [encoded_diagram(e) for e in enumerate_diagrams(k, bounds)[0]]
+
+
+@functools.lru_cache(maxsize=None)
+def assembled_census(k: int, bounds: tuple) -> tuple:
+    """(encodings, automorphism orders) of the classes of k-diagrams within
+    bounds, sorted by encoding, by assembly: every bounded multiset the
+    census walk yields is assembled into a labelled diagram and
+    canonicalised by the library's level-class pass, over a pool that is
+    this function's own census of the shorter classes.  The oracle of the
+    shape census: it runs none of its code.  A class with two preimage
+    multisets is refused."""
+    pool = [FinDiagram([], [])]
+    for j in range(1, k):
+        window = bounds[k - 1 - j:k - 1]
+        pool += map(encoded_diagram, assembled_census(j, window)[0])
+    found = {}
+    for indices in _admissible_multisets(k - 1, bounds,
+                                         [d.sizes() for d in pool]):
+        d, order = _canonical_form(assemble(k - 1, [pool[i] for i in indices]))
+        assert d.encoding() not in found, indices
+        found[d.encoding()] = order
+    keys = sorted(found)
+    return tuple(keys), tuple(found[key] for key in keys)
+
+
 def forest_order(d: FinDiagram) -> int:
     """The order of the self-isomorphism group of d, recounted from the
     library's level classes: the product over every node of the forest of
@@ -624,7 +677,7 @@ def group_json(g: FiniteGroup) -> dict:
 
 def gset_json(x: GSet) -> dict:
     """A G-set as a `galois-fixed` input file."""
-    return {"group": group_json(x.group), "carrier": x.carrier.to_json(),
+    return {"group": group_json(x.group), "carrier": finset_json(x.carrier),
             "action": [list(m.values) for m in x.action]}
 
 

@@ -215,19 +215,23 @@ class TestGaloisFixedCheck:
 
 
 class TestCensusBuildsNoGenerators:
-    """The census reads automorphism orders without building a generator,
-    and canonicalises each assembled multiset once, the entry pools'
-    included: pool entries are canonical already.  The pass that
-    canonicalises a class also gives its order, and the wreath counts read
-    the entries' orders from the census that built the pool, so
-    `_level_classes` runs exactly once per assembled multiset."""
+    """The census reads automorphism orders without building a generator.
+    `enumerate-diagrams` reads each class off the shapes of its subtrees:
+    it assembles no multiset, canonicalises no diagram and builds none.
+    `verify-monad` canonicalises each multiset it assembles once, and its
+    pool comes from that census, so `_level_classes` runs exactly once per
+    assembled multiset: the pass that canonicalises a class also gives
+    its order, and the wreath counts read the entries' orders from the
+    census that built the pool."""
 
     @pytest.mark.parametrize("argv,passes", [
-        (["verify-monad", "--k", "2", "--bounds", "2,2,3"], 30),
-        (["enumerate-diagrams", "--k", "3", "--bounds", "2,2,3"], 30),
+        # one pass per class of the 21; the pool's are read off shapes
+        (["verify-monad", "--k", "2", "--bounds", "2,2,3"], 21),
+        (["enumerate-diagrams", "--k", "3", "--bounds", "2,2,3"], 0),
     ])
     def test_counts(self, monkeypatch, argv, passes):
-        calls = {"iso": 0, "canonical": 0, "assemble": 0, "classes": 0}
+        calls = {"iso": 0, "canonical": 0, "assemble": 0, "classes": 0,
+                 "diagram": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -237,6 +241,8 @@ class TestCensusBuildsNoGenerators:
 
         monkeypatch.setattr(finsets.DiagramIso, "__init__",
                             counting("iso", finsets.DiagramIso.__init__))
+        monkeypatch.setattr(finsets.FinDiagram, "__init__",
+                            counting("diagram", finsets.FinDiagram.__init__))
         monkeypatch.setattr(monad, "_canonical_form", counting(
             "canonical", monad._canonical_form))
         monkeypatch.setattr(monad, "assemble",
@@ -244,10 +250,12 @@ class TestCensusBuildsNoGenerators:
         monkeypatch.setattr(finsets, "_level_classes", counting(
             "classes", finsets._level_classes))
         assert run_cli(argv)[0] == 0
-        assembled = calls["assemble"]
-        assert calls == {"iso": 0, "canonical": assembled,
-                         "assemble": assembled, "classes": assembled}
-        assert calls["classes"] == passes
+        assert calls["iso"] == 0
+        assert (calls["canonical"] == calls["assemble"] == calls["classes"]
+                == passes)
+        # the census builds no diagram; the check builds the ones it
+        # assembles and their canonical forms, and its pool's entries
+        assert (calls["diagram"] == 0) == (passes == 0)
 
 
 class TestOnlyTheFormatAskedForIsBuilt:
@@ -257,7 +265,7 @@ class TestOnlyTheFormatAskedForIsBuilt:
     @pytest.mark.parametrize("argv, owner, name, table, data", [
         # one JSON value per class, for JSON output only
         (["enumerate-diagrams", "--k", "2", "--bounds", "2,2"],
-         FinDiagram, "to_json", 0, 5),
+         cli, "_class_json", 0, 5),
         # the group's JSON value, for JSON output only
         (["aut", "--diagram", data_path("diagram_3to2.json")],
          PermGroup, "to_json", 0, 1),

@@ -1,10 +1,15 @@
 import collections
 import itertools
 import math
+import operator
 
 import pytest
 
-from helpers import brute_automorphisms, brute_census, canonical_form
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (assembled_census, brute_automorphisms, brute_census,
+                     canonical_form, census_diagrams)
 from motivic_kit import cli, monad
 from motivic_kit.finsets import FinDiagram, FinSet, SetMap, automorphism_group
 from motivic_kit.monad import assemble, enumerate_diagrams, verify_m_identity
@@ -145,8 +150,8 @@ class TestGenerator:
     def test_equals_brute_census(self, bounds):
         reps = sorted(set(brute_census(bounds).values()),
                       key=FinDiagram.encoding)
-        classes, orders = enumerate_diagrams(len(bounds), bounds)
-        assert classes == reps
+        encodings, orders = enumerate_diagrams(len(bounds), bounds)
+        assert encodings == [d.encoding() for d in reps]
         assert orders == [len(brute_automorphisms(d)) for d in reps]
 
     @pytest.mark.parametrize("bounds, count", [
@@ -164,7 +169,7 @@ def independent_multisets(k: int, bounds) -> list:
     at most bounds[k] entries and keeping those within the level bounds
     that have a full-length entry, each a tuple of entries in pool order."""
     pool = [EMPTY] + [d for j in range(1, k + 1)
-                      for d in enumerate_diagrams(j, bounds[k - j:k])[0]]
+                      for d in census_diagrams(j, bounds[k - j:k])]
     found = []
     for n in range(1, bounds[k] + 1):
         for entries in itertools.combinations_with_replacement(pool, n):
@@ -181,8 +186,9 @@ def independent_multisets(k: int, bounds) -> list:
 def walked_multisets(k: int, bounds) -> list:
     """The census walk's index tuples, mapped to the pool's entries."""
     pool, _ = monad._pool(k, bounds)
+    sizes = [e.sizes() for e in pool]
     return [tuple(pool[i] for i in indices)
-            for indices in monad._admissible_multisets(k, bounds, pool)]
+            for indices in monad._admissible_multisets(k, bounds, sizes)]
 
 
 class TestWalk:
@@ -190,15 +196,18 @@ class TestWalk:
 
     @pytest.mark.parametrize("bounds", [(2, 2, 3), (3, 3, 3, 3)])
     def test_yields_the_checked_multiset(self, bounds):
-        # the pool is canonical, in (length, encoding) order, each entry
-        # with its brute automorphism count; the walk's indices never fall
+        # the pool is the empty fiber, then canonical entries in
+        # (length, encoding) order, each with its brute automorphism count;
+        # the walk's indices never fall
         k = len(bounds) - 1
         pool, orders = monad._pool(k, bounds)
-        assert all(canonical_form(e) == e for e in pool)
+        assert pool[0] == EMPTY
+        assert all(canonical_form(e) == e for e in pool[1:])
         keys = [(e.k, e.encoding()) for e in pool]
         assert keys == sorted(set(keys))
         assert orders == [len(brute_automorphisms(e)) for e in pool]
-        walked = list(monad._admissible_multisets(k, bounds, pool))
+        walked = list(monad._admissible_multisets(
+            k, bounds, [e.sizes() for e in pool]))
         assert walked
         assert all(list(indices) == sorted(indices) for indices in walked)
 
@@ -215,6 +224,14 @@ class TestWalk:
 
 
 K, BOUNDS = 2, (2, 2, 3)
+
+
+def used_pool_entries() -> list:
+    """The pool indices that some multiset of the census at BOUNDS uses."""
+    pool, _ = monad._pool(K, BOUNDS)
+    walked = monad._admissible_multisets(K, BOUNDS,
+                                         [e.sizes() for e in pool])
+    return sorted({i for indices in walked for i in indices})
 
 
 class TestMassFormulaHasTeeth:
@@ -314,9 +331,7 @@ class TestMassFormulaHasTeeth:
         # census of the entries gave; one entry off by one fails every
         # class assembled from it, and no class's own order
         auts = [row.aut_order for row in verify_m_identity(K, BOUNDS).rows]
-        pool, _ = monad._pool(K, BOUNDS)
-        walked = list(monad._admissible_multisets(K, BOUNDS, pool))
-        used = sorted({i for indices in walked for i in indices})
+        used = used_pool_entries()
         assert used
         for i in used:
             def off_by_one(k, bounds, original=monad._pool, i=i):
@@ -332,3 +347,98 @@ class TestMassFormulaHasTeeth:
                 assert [row.aut_order for row in report.rows] == auts
                 if i == used[0]:
                     assert self.cli_status(capsys) == 1
+
+
+class TestVerifyMonadCertifiesItsPool:
+    """`verify-monad` draws its pool from `enumerate_diagrams`, and a fault
+    in that census fails it: a pool class dropped, which loses the
+    classes assembled from it, or a pool order off by one, which breaks
+    their wreath counts.  A pool class that no bounded multiset uses
+    changes nothing, so each fault is tried on every used one."""
+
+    @staticmethod
+    def faulty_census(monkeypatch, entry, fault):
+        """Apply `fault` to (encodings, orders) and the position of pool
+        entry `entry` in the census that gives it."""
+        pool, _ = monad._pool(K, BOUNDS)
+        length = pool[entry].k
+        first = min(i for i, e in enumerate(pool) if e.k == length)
+        original = monad.enumerate_diagrams
+
+        def census(k, bounds):
+            encodings, orders = original(k, bounds)
+            if k != length:
+                return encodings, orders
+            return fault(list(encodings), list(orders), entry - first)
+        monkeypatch.setattr(monad, "enumerate_diagrams", census)
+
+    @staticmethod
+    def drop(encodings, orders, i):
+        return encodings[:i] + encodings[i + 1:], orders[:i] + orders[i + 1:]
+
+    @staticmethod
+    def off_by_one(encodings, orders, i):
+        return encodings, orders[:i] + [orders[i] + 1] + orders[i + 1:]
+
+    @pytest.mark.parametrize("fault", ["drop", "off_by_one"])
+    def test_a_faulty_census_fails(self, monkeypatch, capsys, fault):
+        argv = ["verify-monad", "--k", str(K),
+                "--bounds", ",".join(map(str, BOUNDS))]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        # the empty fiber, entry 0, is no class of a census
+        used = [entry for entry in used_pool_entries() if entry]
+        assert used
+        for entry in used:
+            with monkeypatch.context() as mp:
+                self.faulty_census(mp, entry, getattr(self, fault))
+                assert cli.main(argv) == 1
+                assert capsys.readouterr().out.rstrip().endswith(", FAIL")
+
+
+# every bound tuple up to (4,) * k, for k = 1..4, the census ladders of
+# the benchmark among them
+TUPLES_UP_TO_4 = [bounds for k in range(1, 5)
+                  for bounds in itertools.product(range(1, 5), repeat=k)]
+
+
+class TestShapeCensus:
+    """The census read off subtree shapes against `assembled_census`,
+    which assembles every walked multiset and canonicalises it by the
+    level-class pass, and against the brute census: class by class, in
+    order, with the same automorphism orders."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_bound_tuple_up_to_four(self, k):
+        # the classes within a bound tuple are those of the census at
+        # (4,) * k whose sizes it bounds, in the same order
+        encodings, orders = assembled_census(k, (4,) * k)
+        for bounds in itertools.product(range(1, 5), repeat=k):
+            kept = [(e, o) for e, o in zip(encodings, orders)
+                    if all(map(operator.le, e[0], bounds))]
+            found = enumerate_diagrams(k, bounds)
+            assert list(zip(*found)) == kept, bounds
+
+    @pytest.mark.parametrize("bounds", [
+        (4, 4), (2, 2, 3), (3, 3, 3), (4, 3, 4), (2, 4, 3, 4), (3, 3, 3, 3),
+        (2, 4, 4, 4), (4, 4, 4, 4)])
+    def test_equals_the_assembled_census(self, bounds):
+        encodings, orders = enumerate_diagrams(len(bounds), bounds)
+        assert (tuple(encodings), tuple(orders)) == assembled_census(
+            len(bounds), bounds)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    def test_random_bounds(self, bounds):
+        bounds = tuple(bounds)
+        encodings, orders = enumerate_diagrams(len(bounds), bounds)
+        assert (tuple(encodings), tuple(orders)) == assembled_census(
+            len(bounds), bounds)
+
+    def test_the_oracle_runs_no_shape_code(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the shape census ran")
+        for name in ("_census", "enumerate_diagrams", "_pool"):
+            monkeypatch.setattr(monad, name, refused)
+        assembled_census.cache_clear()
+        assert len(assembled_census(3, (2, 2, 3))[0]) == 21

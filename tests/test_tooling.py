@@ -2,7 +2,8 @@
 base class for the immutable values, integers kept as integers, one
 reader for outside JSON compiled only at import, no relabeling search on
 the census path, no value of the census's own and no order it computes
-twice, nor by a second walk over its classes, no fraction in the census
+twice, nor by a second walk over its classes, no assembly or canonical
+form outside the census check, no fraction in the census
 mass formula, no construction that skips validation, no zero matrix
 built for an absent block, no dense product in the comonoid layer, no
 product per candidate on the fixed side of the descent comparison and
@@ -278,6 +279,19 @@ def test_the_census_reads_each_order_off_its_canonicalising_pass():
                   and ast.unparse(node).split(".")[-1] == "factorial"}
     assert factorials == {"_level_classes"}
     assert "fractions" not in set(absolute_imports(monad))
+
+
+def test_only_the_census_check_assembles_and_canonicalises():
+    # `enumerate-diagrams` reads its classes off subtree shapes; only
+    # `verify_m_identity` assembles diagrams and canonicalises them, and
+    # only the canonical form relabels one
+    def callers(name):
+        return {(path.name, owner) for path in SOURCES
+                for owner, callee in calls_by_function(path)
+                if callee.split(".")[-1] == name}
+    assert callers("assemble") == callers("_canonical_form") == {
+        ("monad.py", "verify_m_identity")}
+    assert callers("relabel") == {("finsets.py", "_canonical_form")}
 
 
 def test_no_zero_matrix_stands_for_an_absent_block():
