@@ -218,11 +218,11 @@ class TestCensusBuildsNoGenerators:
     """The census reads automorphism orders without building a generator.
     `enumerate-diagrams` reads each class off the shapes of its subtrees:
     it assembles no multiset, canonicalises no diagram and builds none.
-    `verify-monad` canonicalises each multiset it assembles once, and its
-    pool comes from that census, so `_level_classes` runs exactly once per
+    `verify-monad` canonicalises each multiset of that census once, over
+    the census's own pool, so `_level_classes` runs exactly once per
     assembled multiset: the pass that canonicalises a class also gives
-    its order, and the wreath counts read the entries' orders from the
-    census that built the pool."""
+    its order, and the wreath count it is compared with is the census's
+    order of the class."""
 
     @pytest.mark.parametrize("argv,passes", [
         # one pass per class of the 21; the pool's are read off shapes

@@ -39,6 +39,9 @@ GOLDEN = [
     (["enumerate-diagrams", "--k", "3", "--bounds", "3,3,3"], 0,
      "eca2d7b64c6e0f3d85d5147194f6cdf90a055e1a6fd8749139389db51566e921",
      "578846f316e64ac0441d854650ec0a73ab39b6a825113d1fdbb02f0f84ef8213"),
+    (["verify-monad", "--k", "0", "--bounds", "3"], 0,
+     "5f17cc20ad223baccd220192c4a041decd12a1f379d26c302bf1e47742e137f1",
+     "39a90bb28fed3ae0eb417f93b3a15bb443f9efd19fdd680b8e909c04e6bd9ec6"),
     (["verify-monad", "--k", "1", "--bounds", "4,4"], 0,
      "6dac6674a40798d30562bc68bdf08d53e4b098dc7fd281d2a1e8dac083f228f1",
      "121f84ba87e42eade2fabc0176a49853843eaf61f7901f183bed21dff0d909fc"),

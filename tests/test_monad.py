@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (assembled_census, brute_automorphisms, brute_census,
-                     canonical_form, census_diagrams)
+                     canonical_form, census_diagrams, encoded_diagram)
 from motivic_kit import cli, monad
 from motivic_kit.finsets import FinDiagram, FinSet, SetMap, automorphism_group
 from motivic_kit.monad import assemble, enumerate_diagrams, verify_m_identity
@@ -183,12 +183,18 @@ def independent_multisets(k: int, bounds) -> list:
     return found
 
 
+def census_pool(k: int, bounds) -> tuple:
+    """(the census of (k+1)-diagrams within bounds, its pool as diagrams,
+    the pool's orders): the one walk `verify_m_identity` checks."""
+    found, entries = monad._census(k + 1, tuple(bounds))
+    return (found, [encoded_diagram(e) for _, e, _ in entries],
+            [order for _, _, order in entries])
+
+
 def walked_multisets(k: int, bounds) -> list:
     """The census walk's index tuples, mapped to the pool's entries."""
-    pool, _ = monad._pool(k, bounds)
-    sizes = [e.sizes() for e in pool]
-    return [tuple(pool[i] for i in indices)
-            for indices in monad._admissible_multisets(k, bounds, sizes)]
+    found, pool, _ = census_pool(k, bounds)
+    return [tuple(pool[i] for i in indices) for _, _, indices in found]
 
 
 class TestWalk:
@@ -200,16 +206,15 @@ class TestWalk:
         # (length, encoding) order, each with its brute automorphism count;
         # the walk's indices never fall
         k = len(bounds) - 1
-        pool, orders = monad._pool(k, bounds)
+        found, pool, orders = census_pool(k, bounds)
         assert pool[0] == EMPTY
         assert all(canonical_form(e) == e for e in pool[1:])
         keys = [(e.k, e.encoding()) for e in pool]
         assert keys == sorted(set(keys))
         assert orders == [len(brute_automorphisms(e)) for e in pool]
-        walked = list(monad._admissible_multisets(
-            k, bounds, [e.sizes() for e in pool]))
-        assert walked
-        assert all(list(indices) == sorted(indices) for indices in walked)
+        assert found
+        assert all(list(indices) == sorted(indices)
+                   for _, _, indices in found)
 
     @pytest.mark.parametrize("bounds", [
         (5,), (2, 2), (1, 8), (8, 1), (7, 1, 2), (2, 2, 3), (1, 3, 2),
@@ -224,14 +229,52 @@ class TestWalk:
 
 
 K, BOUNDS = 2, (2, 2, 3)
+ARGV = ["verify-monad", "--k", str(K), "--bounds", ",".join(map(str, BOUNDS))]
+
+
+def cli_fails(capsys) -> bool:
+    """Whether `verify-monad` at K, BOUNDS exits 1 with a FAIL line."""
+    status = cli.main(ARGV)
+    return status == 1 and capsys.readouterr().out.rstrip().endswith(", FAIL")
 
 
 def used_pool_entries() -> list:
     """The pool indices that some multiset of the census at BOUNDS uses."""
-    pool, _ = monad._pool(K, BOUNDS)
-    walked = monad._admissible_multisets(K, BOUNDS,
-                                         [e.sizes() for e in pool])
-    return sorted({i for indices in walked for i in indices})
+    found, _, _ = census_pool(K, BOUNDS)
+    return sorted({i for _, _, indices in found for i in indices})
+
+
+def patch_census(monkeypatch, k, bounds, fault):
+    """Apply `fault` to the classes of the census of k-diagrams within
+    bounds, wherever the walk of one `verify_m_identity` call meets it:
+    the census it checks, k = K + 1, or one its pool is drawn from."""
+    original = monad._census
+
+    def census(length, window, *walked):
+        found, pool = original(length, window, *walked)
+        if (length, window) == (k, bounds):
+            found = fault(list(found))
+        return found, pool
+    monkeypatch.setattr(monad, "_census", census)
+
+
+def patch_pool_entry(monkeypatch, entry, fault):
+    """Apply `fault` to pool entry `entry` of the census at BOUNDS, in the
+    census of its length that gives it: fault(classes, position)."""
+    _, pool, _ = census_pool(K, BOUNDS)
+    length = pool[entry].k
+    first = min(i for i, e in enumerate(pool) if e.k == length)
+    patch_census(monkeypatch, length, BOUNDS[K - length:K],
+                 lambda found: fault(found, entry - first))
+
+
+def drop(found, i):
+    return found[:i] + found[i + 1:]
+
+
+def order_off_by_one(found, i):
+    encoding, order, indices = found[i]
+    return found[:i] + [(encoding, order + 1, indices)] + found[i + 1:]
 
 
 class TestMassFormulaHasTeeth:
@@ -249,13 +292,6 @@ class TestMassFormulaHasTeeth:
             return change(found) if k == K else found
         monkeypatch.setattr(monad, "_admissible_multisets", walk)
 
-    @staticmethod
-    def cli_status(capsys):
-        status = cli.main(["verify-monad", "--k", str(K), "--bounds",
-                           ",".join(map(str, BOUNDS))])
-        capsys.readouterr()
-        return status
-
     def test_dropped_multiset(self, monkeypatch, capsys):
         count = verify_m_identity(K, BOUNDS).assembled_classes
         for i in range(count):
@@ -263,10 +299,10 @@ class TestMassFormulaHasTeeth:
                 self.patch_walk(mp, lambda ms: ms[:i] + ms[i + 1:])
                 report = verify_m_identity(K, BOUNDS)
                 assert report.assembled_classes == report.enumerated_classes
-                assert report.aut_orders_match
+                assert report.encodings_match and report.aut_orders_match
                 assert not report.mass_formula_holds and not report.passed
                 if i == count - 1:
-                    assert self.cli_status(capsys) == 1
+                    assert cli_fails(capsys)
 
     def test_repeated_multiset(self, monkeypatch, capsys):
         count = verify_m_identity(K, BOUNDS).assembled_classes
@@ -275,9 +311,10 @@ class TestMassFormulaHasTeeth:
                 self.patch_walk(mp, lambda ms: ms + [ms[i]])
                 report = verify_m_identity(K, BOUNDS)
                 assert report.enumerated_classes == count + 1
+                assert report.assembled_classes == count
                 assert not report.mass_formula_holds and not report.passed
                 if i == 0:
-                    assert self.cli_status(capsys) == 1
+                    assert cli_fails(capsys)
 
     @staticmethod
     def patch_order(monkeypatch, key, change):
@@ -301,7 +338,7 @@ class TestMassFormulaHasTeeth:
                 assert not report.aut_orders_match
                 assert not report.mass_formula_holds and not report.passed
                 if row is rows[0]:
-                    assert self.cli_status(capsys) == 1
+                    assert cli_fails(capsys)
 
     def test_order_not_dividing_the_relabelings(self, monkeypatch, capsys):
         # an order a that does not divide P = prod |S_i|! but leaves P // a
@@ -327,73 +364,96 @@ class TestMassFormulaHasTeeth:
                 capsys.readouterr()
 
     def test_wrong_entry_order(self, monkeypatch, capsys):
-        # a wreath count reads each entry's order from the pool, which the
-        # census of the entries gave; one entry off by one fails every
-        # class assembled from it, and no class's own order
+        # a wreath count is the census's order of a class, the product of
+        # its entries' orders, which the censuses of the entries gave; one
+        # entry off by one fails every class assembled from it, and no
+        # class's own order
         auts = [row.aut_order for row in verify_m_identity(K, BOUNDS).rows]
-        used = used_pool_entries()
+        used = [entry for entry in used_pool_entries() if entry]
         assert used
-        for i in used:
-            def off_by_one(k, bounds, original=monad._pool, i=i):
-                pool, orders = original(k, bounds)
-                if k == K:
-                    orders = orders[:i] + [orders[i] + 1] + orders[i + 1:]
-                return pool, orders
+        for entry in used:
             with monkeypatch.context() as mp:
-                mp.setattr(monad, "_pool", off_by_one)
+                patch_pool_entry(mp, entry, order_off_by_one)
                 report = verify_m_identity(K, BOUNDS)
                 assert not report.aut_orders_match and not report.passed
-                assert report.mass_formula_holds
+                assert report.encodings_match and report.mass_formula_holds
                 assert [row.aut_order for row in report.rows] == auts
-                if i == used[0]:
-                    assert self.cli_status(capsys) == 1
+                if entry == used[0]:
+                    assert cli_fails(capsys)
 
 
 class TestVerifyMonadCertifiesItsPool:
-    """`verify-monad` draws its pool from `enumerate_diagrams`, and a fault
-    in that census fails it: a pool class dropped, which loses the
-    classes assembled from it, or a pool order off by one, which breaks
-    their wreath counts.  A pool class that no bounded multiset uses
-    changes nothing, so each fault is tried on every used one."""
+    """`verify-monad` draws its pool from the census it checks, and a fault
+    in the census of one pool entry's length fails it: a pool class
+    dropped, which loses the classes assembled from it, or a pool order
+    off by one, which breaks their wreath counts.  A pool class that no
+    bounded multiset uses changes nothing, so each fault is tried on
+    every used one."""
 
-    @staticmethod
-    def faulty_census(monkeypatch, entry, fault):
-        """Apply `fault` to (encodings, orders) and the position of pool
-        entry `entry` in the census that gives it."""
-        pool, _ = monad._pool(K, BOUNDS)
-        length = pool[entry].k
-        first = min(i for i, e in enumerate(pool) if e.k == length)
-        original = monad.enumerate_diagrams
-
-        def census(k, bounds):
-            encodings, orders = original(k, bounds)
-            if k != length:
-                return encodings, orders
-            return fault(list(encodings), list(orders), entry - first)
-        monkeypatch.setattr(monad, "enumerate_diagrams", census)
-
-    @staticmethod
-    def drop(encodings, orders, i):
-        return encodings[:i] + encodings[i + 1:], orders[:i] + orders[i + 1:]
-
-    @staticmethod
-    def off_by_one(encodings, orders, i):
-        return encodings, orders[:i] + [orders[i] + 1] + orders[i + 1:]
-
-    @pytest.mark.parametrize("fault", ["drop", "off_by_one"])
+    @pytest.mark.parametrize("fault", [drop, order_off_by_one],
+                             ids=["drop", "off_by_one"])
     def test_a_faulty_census_fails(self, monkeypatch, capsys, fault):
-        argv = ["verify-monad", "--k", str(K),
-                "--bounds", ",".join(map(str, BOUNDS))]
-        assert cli.main(argv) == 0
+        assert cli.main(ARGV) == 0
         capsys.readouterr()
         # the empty fiber, entry 0, is no class of a census
         used = [entry for entry in used_pool_entries() if entry]
         assert used
         for entry in used:
             with monkeypatch.context() as mp:
-                self.faulty_census(mp, entry, getattr(self, fault))
-                assert cli.main(argv) == 1
-                assert capsys.readouterr().out.rstrip().endswith(", FAIL")
+                patch_pool_entry(mp, entry, fault)
+                assert not verify_m_identity(K, BOUNDS).passed
+                assert cli_fails(capsys)
+
+
+def relabelled(encoding):
+    """Another labelling of the class of a canonical encoding, by brute
+    force over the relabelings, or None if the class has one labelling."""
+    d = encoded_diagram(encoding)
+    for perms in itertools.product(*(itertools.permutations(range(n))
+                                     for n in encoding[0])):
+        other = d.relabel(perms).encoding()
+        if other != encoding:
+            return other
+    return None
+
+
+class TestVerifyMonadChecksEachCensusClass:
+    """`verify_m_identity` compares each class of the census it walks with
+    the class its multiset assembles to: a census class under another
+    labelling, or with its order off by one, fails the check and makes
+    `verify-monad` exit 1."""
+
+    def test_another_labelling_of_a_class(self, monkeypatch, capsys):
+        found, _, _ = census_pool(K, BOUNDS)
+        faulted = 0
+        for i, (encoding, order, indices) in enumerate(found):
+            other = relabelled(encoding)
+            # a class has prod |S_i|! / |Aut| labellings
+            assert (other is None) == (
+                order == math.prod(map(math.factorial, encoding[0])))
+            if other is None:
+                continue
+            faulted += 1
+            with monkeypatch.context() as mp:
+                patch_census(mp, K + 1, BOUNDS, lambda found, i=i, other=other:
+                             found[:i] + [(other, found[i][1], found[i][2])]
+                             + found[i + 1:])
+                report = verify_m_identity(K, BOUNDS)
+                assert not report.encodings_match and not report.passed
+                assert report.aut_orders_match and report.mass_formula_holds
+                assert cli_fails(capsys)
+        assert faulted > len(found) // 2
+
+    def test_a_class_order_off_by_one(self, monkeypatch, capsys):
+        found, _, _ = census_pool(K, BOUNDS)
+        for i in range(len(found)):
+            with monkeypatch.context() as mp:
+                patch_census(mp, K + 1, BOUNDS,
+                             lambda found, i=i: order_off_by_one(found, i))
+                report = verify_m_identity(K, BOUNDS)
+                assert not report.aut_orders_match and not report.passed
+                assert report.encodings_match and report.mass_formula_holds
+                assert cli_fails(capsys)
 
 
 # every bound tuple up to (4,) * k, for k = 1..4, the census ladders of
@@ -438,7 +498,7 @@ class TestShapeCensus:
     def test_the_oracle_runs_no_shape_code(self, monkeypatch):
         def refused(*args):
             raise AssertionError("the shape census ran")
-        for name in ("_census", "enumerate_diagrams", "_pool"):
+        for name in ("_census", "enumerate_diagrams"):
             monkeypatch.setattr(monad, name, refused)
         assembled_census.cache_clear()
         assert len(assembled_census(3, (2, 2, 3))[0]) == 21

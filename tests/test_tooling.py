@@ -294,6 +294,19 @@ def test_only_the_census_check_assembles_and_canonicalises():
     assert callers("relabel") == {("finsets.py", "_canonical_form")}
 
 
+def test_the_census_walks_its_multisets_once():
+    # `enumerate-diagrams` and `verify-monad` run the one census walk, and
+    # `verify_m_identity` checks the classes that walk lists
+    def callers(name):
+        return {(path.name, owner) for path in SOURCES
+                for owner, callee in calls_by_function(path)
+                if callee.split(".")[-1] == name}
+    assert callers("_admissible_multisets") == {("monad.py", "_census")}
+    assert callers("_census") == {("monad.py", "_census"),
+                                  ("monad.py", "enumerate_diagrams"),
+                                  ("monad.py", "verify_m_identity")}
+
+
 def test_no_zero_matrix_stands_for_an_absent_block():
     # an absent differential or chain-map block is zero: the library has
     # no zero-matrix constructor and calls none
