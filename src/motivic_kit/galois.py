@@ -4,9 +4,9 @@ A finite group is a full multiplication table; a G-set is a set with a
 homomorphic family of bijections.  These model the Galois-theoretic data
 of the zero-dimensional situation: equivariant set maps on one side,
 group-fixed comonoid morphisms on the other, with the graph construction
-matching them up.  Neither side walks all |Y|^|X| set maps: they are
-built from the orbits and stabilisers of X on one side, and from the
-orbitals of Y x X on the other.
+matching them up.  Each side is a product over the orbits of X and is
+returned as its factors, never glued: one from the orbits and
+stabilisers of X, the other from the orbitals of Y x X.
 """
 
 from __future__ import annotations
@@ -161,40 +161,39 @@ class GSet(Value):
                              "action") from None
 
 
-def equivariant_set_maps(x: GSet, y: GSet) -> list:
-    """All set maps f with f(g.a) = g.f(a) for every group element g.
-
-    On the orbit of a, f is fixed by b = f(a) through f(g.a) = g.b, which
-    is well defined exactly when the stabiliser of a fixes b: Hom_G(X, Y)
-    is the product over the orbits of Y^Stab(a).  Both are read off every
-    group element, not a generating set, so that the two sides of the
-    descent comparison do not rest on the same generators.  Lexicographic.
+def equivariant_set_maps(x: GSet, y: GSet) -> dict:
+    """The set maps f with f(g.a) = g.f(a) for every group element g, as
+    factors: each orbit of X, the tuple of its points, maps to the maps
+    from it (its i-th point is i) in lexicographic order.  On the orbit of
+    a, f is fixed by b = f(a) through f(g.a) = g.b, well defined iff
+    Stab(a) fixes b: Hom_G(X, Y) is the product over the orbits of
+    Y^Stab(a), read off every group element, not only the generators.
     """
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
-    # g.a and g.b for every a and b, read off the value tuples
     actions = [(gx.values, gy.values) for gx, gy in zip(x.action, y.action)]
-    choices = []  # per orbit of X, each map on it as its pairs (g.a, g.b)
+    factors = {}
     for a in range(x.carrier.size):
         if min(gx[a] for gx, _ in actions) == a:  # the least of its orbit
             stab = [gy for gx, gy in actions if gx[a] == a]
-            choices.append([{gx[a]: gy[b] for gx, gy in actions}.items()
-                            for b in range(y.carrier.size)
-                            if all(gy[b] == b for gy in stab)])
-    return [SetMap(x.carrier, y.carrier, f) for f in _glued(choices)]
+            # the orbit's points g.a, each with g's value tuple on Y
+            reach = dict(sorted({gx[a]: gy for gx, gy in actions}.items()))
+            factors[tuple(reach)] = [SetMap(FinSet(len(reach)), y.carrier,
+                                            [gy[b] for gy in reach.values()])
+                                     for b in range(y.carrier.size)
+                                     if all(gy[b] == b for gy in stab)]
+    return factors
 
 
-def fixed_coalgebra_morphisms(x: GSet, y: GSet) -> list:
-    """Comonoid morphisms whose matrices are fixed by the group action.
-
-    The group acts on a matrix C by P_Y(g) C P_X(g)^(-1), moving entry
-    (b, a) to (g.b, g.a), so a fixed C is constant on the orbitals, the
-    orbits of G on Y x X: the generators' moves join them by union-find.
-    They are the rows of one matrix that each generator moves with one
-    exact product, and those left unchanged are kept.  A comonoid
-    morphism is a graph, one entry per column, so over each orbit of X a
-    fixed one is a kept orbital with one entry per point; each choice is
-    checked as a comonoid morphism.  Lexicographic in the set map.
+def fixed_coalgebra_morphisms(x: GSet, y: GSet) -> dict:
+    """Comonoid morphisms whose matrices are fixed by the group action, as
+    factors keyed and ordered as those of `equivariant_set_maps`.  g moves
+    entry (b, a) to (g.b, g.a), so a fixed matrix is constant on the
+    orbitals, the orbits of G on Y x X, joined by union-find over the
+    generators; one exact product per generator moves their indicators,
+    the rows of one matrix, and the unmoved ones are kept.  Over an orbit
+    of X a fixed graph is a kept orbital with one entry per point, checked
+    as a morphism from the orbit: a glued matrix passes iff its parts do.
     """
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
@@ -210,15 +209,18 @@ def fixed_coalgebra_morphisms(x: GSet, y: GSet) -> list:
     moved = {k // n for move in moves
              for k, _ in set(basis.terms).difference(
                  matmul(basis, graph_matrix(move, n)).terms)}
-    choices = {}  # orbit of X -> the kept orbitals over it that are graphs
+    factors = {}  # X-orbit -> its kept graphs; met by least point, in order
     for o, row in itertools.groupby(basis.terms, lambda t: t[0] // n):
         entries = [k % n for k, _ in row]
         part = {k % nx: k // nx for k in entries}
-        graphs = choices.setdefault(frozenset(part), [])
+        orbit = tuple(sorted(part))
+        graphs = factors.setdefault(orbit, [])
         if o not in moved and len(part) == len(entries):
-            graphs.append(part.items())
-    return [CoalgMorphism(graph_matrix(f, y.carrier.size), x.carrier,
-                          y.carrier) for f in _glued(choices.values())]
+            graphs.append([part[a] for a in orbit])
+    return {orbit: [CoalgMorphism(graph_matrix(values, y.carrier.size),
+                                  FinSet(len(orbit)), y.carrier)
+                    for values in sorted(graphs)]
+            for orbit, graphs in factors.items()}
 
 
 def _orbit_labels(moves, n: int) -> list:
@@ -234,13 +236,6 @@ def _orbit_labels(moves, n: int) -> list:
             root[find(k)] = find(j)
     first = {}
     return [first.setdefault(find(k), len(first)) for k in range(n)]
-
-
-def _glued(choices) -> list:
-    """The sorted value tuples of the maps glued from one part of each
-    choice, a part being the pairs (a, f(a)) over one orbit of X."""
-    return sorted(tuple(b for _, b in sorted(itertools.chain(*parts)))
-                  for parts in itertools.product(*choices))
 
 
 # the readers of input files, compiled once, and the group of each table read

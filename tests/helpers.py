@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from motivic_kit._value import InputError, RepeatedKey, Value, _KINDS, show
 from motivic_kit.artin import (CoalgMorphism, graph_matrix,
+                               setmap_from_morphism,
                                solve_coalgebra_morphisms)
 from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
                                  _canonical_form, _level_classes)
-from motivic_kit.galois import FiniteGroup, GSet
+from motivic_kit.galois import (FiniteGroup, GSet, equivariant_set_maps,
+                                fixed_coalgebra_morphisms)
 from motivic_kit.hypercube import CubeDiagram, _name, _subset_key
 from motivic_kit.monad import (_admissible_multisets, assemble,
                                enumerate_diagrams)
@@ -394,6 +396,50 @@ def conjugation_fixed(x: GSet, y: GSet) -> list:
     return [c for c in solve_coalgebra_morphisms(x.carrier, y.carrier)
             if all(matmul(matmul(py, c.matrix), px_inv) == c.matrix
                    for py, px_inv in actions)]
+
+
+def glued(factors) -> list:
+    """The sorted value tuples of the maps glued from one choice of each
+    factor: `factors` maps each orbit of X, the tuple of its points, to
+    the value tuples of its choices, the i-th value at the i-th point."""
+    points = [a for orbit in factors for a in orbit]
+    return sorted(tuple(b for _, b in sorted(zip(points,
+                                                 itertools.chain(*parts))))
+                  for parts in itertools.product(*factors.values()))
+
+
+def factor_values(factors) -> dict:
+    """The factors of either side of `galois-fixed` as value tuples: a
+    set map's own, a comonoid morphism's read back as a set map."""
+    return {orbit: [(setmap_from_morphism(c) if isinstance(c, CoalgMorphism)
+                     else c).values for c in part]
+            for orbit, part in factors.items()}
+
+
+def glued_equivariant_maps(x: GSet, y: GSet) -> list:
+    """The equivariant set maps X -> Y whole, in lexicographic order: the
+    product of the factors of `equivariant_set_maps`."""
+    return [SetMap(x.carrier, y.carrier, v)
+            for v in glued(factor_values(equivariant_set_maps(x, y)))]
+
+
+def glued_fixed_morphisms(x: GSet, y: GSet) -> list:
+    """The group-fixed comonoid morphisms X -> Y whole, in lexicographic
+    order of their set maps: the product of the factors of
+    `fixed_coalgebra_morphisms`, each glued matrix checked again."""
+    return [CoalgMorphism(graph_matrix(v, y.carrier.size), x.carrier,
+                          y.carrier)
+            for v in glued(factor_values(fixed_coalgebra_morphisms(x, y)))]
+
+
+def glued_verdict(maps: dict, fixed: dict) -> tuple:
+    """(equivariant count, fixed count, passed) of `galois-fixed` as the
+    whole sets give them: both sides' factors glued into the products,
+    and the fixed maps compared with the equivariant ones as sets."""
+    whole_maps = glued(factor_values(maps))
+    whole_fixed = glued(factor_values(fixed))
+    return (len(whole_maps), len(whole_fixed),
+            set(whole_maps) == set(whole_fixed))
 
 
 def _relabelings(sizes):

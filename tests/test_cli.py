@@ -1,7 +1,11 @@
 import argparse
+import bisect
+import collections
 import contextlib
+import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -15,16 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ambient_cube_payload, aut_generators, data_path,
-                     dense_homology, empty_block_cube_payload, gset_json,
+from helpers import (all_gset_actions, ambient_cube_payload,
+                     aut_generators, data_path, dense_homology,
+                     empty_block_cube_payload, factor_values,
+                     glued_verdict, gset_json,
                      load_group, misshaped_empty_block_payload,
                      morphism_from_setmap, rational_cube_payload,
-                     regular_gset)
+                     regular_gset, trivial_gset)
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import DATA as GOLDEN_DATA
 from test_golden import write_relative_files
-from motivic_kit import cli, finsets, monad
+from motivic_kit import artin, cli, finsets, galois, monad, resolution
 from motivic_kit.finsets import FinDiagram, FinSet, PermGroup, SetMap
+from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import CubeDiagram
 from motivic_kit.qlinalg import QMatrix
 
@@ -184,34 +191,317 @@ class TestCommands:
 
 
 class TestGaloisFixedCheck:
-    """`galois-fixed` compares the set maps read back from the fixed
-    morphisms with the equivariant maps, so a fault on either side fails
-    the command."""
+    """`galois-fixed` compares the two sides factor by factor: over each
+    orbit of X, the set maps read back from the fixed morphisms with the
+    equivariant maps.  A fault on either side fails the command, and the
+    verdict and counts are those of the whole sets."""
 
     ARGV = ["galois-fixed", "--x", data_path("gset_c2_regular.json"),
             "--y", data_path("gset_c2_trivial2.json")]
+    SIDES = ["equivariant_set_maps", "fixed_coalgebra_morphisms"]
+
+    @staticmethod
+    def patch(monkeypatch, name, fault):
+        """Side `name` of the command, its factors passed through
+        `fault`."""
+        side = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda x, y: fault(side(x, y)))
+
+    @staticmethod
+    def argv(tmp_path, x, y) -> list:
+        paths = []
+        for name, gset in (("x", x), ("y", y)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(gset_json(gset)))
+        return ["galois-fixed", "--x", str(paths[0]), "--y", str(paths[1])]
+
+    @staticmethod
+    def part(name, values, target):
+        """A choice on an orbit of len(values) points, as side `name`
+        gives it."""
+        f = SetMap(FinSet(len(values)), target, values)
+        return f if name == "equivariant_set_maps" else \
+            morphism_from_setmap(f)
 
     def test_a_dropped_equivariant_map_fails(self, monkeypatch):
-        maps = cli.equivariant_set_maps
-        monkeypatch.setattr(cli, "equivariant_set_maps",
-                            lambda x, y: maps(x, y)[:-1])
-        status, text = run_cli(self.ARGV)
-        assert status == 1
-        assert text.splitlines() == ["equivariant maps: 1",
-                                     "fixed comonoid morphisms: 2", "FAIL"]
+        self.patch(monkeypatch, "equivariant_set_maps",
+                   lambda f: {o: part[:-1] for o, part in f.items()})
+        assert run_cli(self.ARGV) == (1, "equivariant maps: 1\n"
+                                         "fixed comonoid morphisms: 2\nFAIL")
 
-    def test_a_morphism_of_a_non_equivariant_map_fails(self, monkeypatch):
+    def test_a_dropped_fixed_morphism_fails(self, monkeypatch):
+        self.patch(monkeypatch, "fixed_coalgebra_morphisms",
+                   lambda f: {o: part[:-1] for o, part in f.items()})
+        assert run_cli(self.ARGV) == (1, "equivariant maps: 2\n"
+                                         "fixed comonoid morphisms: 1\nFAIL")
+
+    def non_equivariant_part_fails(self, monkeypatch, name):
         # the identity of two points does not commute with the swap on
         # one side and the trivial action on the other; it replaces one
-        # fixed morphism, so the counts still agree
-        fixed = cli.fixed_coalgebra_morphisms
-        identity = morphism_from_setmap(SetMap(FinSet(2), FinSet(2), [0, 1]))
+        # choice on the one orbit, so the counts still agree
+        identity = self.part(name, [0, 1], FinSet(2))
+        self.patch(monkeypatch, name,
+                   lambda f: {(0, 1): f[(0, 1)][:-1] + [identity]})
+        assert run_cli(self.ARGV) == (1, "equivariant maps: 2\n"
+                                         "fixed comonoid morphisms: 2\nFAIL")
+
+    def test_a_morphism_of_a_non_equivariant_map_fails(self, monkeypatch):
+        self.non_equivariant_part_fails(monkeypatch,
+                                        "fixed_coalgebra_morphisms")
+
+    def test_a_non_equivariant_set_map_fails(self, monkeypatch):
+        self.non_equivariant_part_fails(monkeypatch, "equivariant_set_maps")
+
+    @pytest.mark.parametrize("name", SIDES)
+    def test_a_choice_dropped_on_one_of_two_orbits_fails(
+            self, tmp_path, monkeypatch, name):
+        c2 = load_group("c2")
+        argv = self.argv(tmp_path, trivial_gset(c2, FinSet(2)),
+                         trivial_gset(c2, FinSet(2)))
+        assert run_cli(argv) == (0, "equivariant maps: 4\n"
+                                    "fixed comonoid morphisms: 4\nPASS")
+        self.patch(monkeypatch, name, lambda f: {**f, (1,): f[(1,)][:-1]})
+        counts = (2, 4) if name == "equivariant_set_maps" else (4, 2)
+        assert run_cli(argv) == (1, (
+            f"equivariant maps: {counts[0]}\n"
+            f"fixed comonoid morphisms: {counts[1]}\nFAIL"))
+
+    @pytest.mark.parametrize("name", SIDES)
+    def test_a_non_equivariant_part_fails_with_equal_counts(
+            self, tmp_path, monkeypatch, name):
+        # C2 swaps 0 and 1 and fixes 2; into two fixed points, a map is
+        # constant on the orbit (0, 1), and the identity there is not
+        # equivariant.  It replaces one choice of that orbit, so the
+        # counts still agree
+        c2, three, two = load_group("c2"), FinSet(3), FinSet(2)
+        x = GSet(c2, three, [SetMap(three, three, v)
+                             for v in ([0, 1, 2], [1, 0, 2])])
+        argv = self.argv(tmp_path, x, trivial_gset(c2, two))
+        assert run_cli(argv) == (0, "equivariant maps: 4\n"
+                                    "fixed comonoid morphisms: 4\nPASS")
+        foreign = self.part(name, [0, 1], two)
+        self.patch(monkeypatch, name,
+                   lambda f: {**f, (0, 1): f[(0, 1)][:-1] + [foreign]})
+        assert run_cli(argv) == (1, "equivariant maps: 4\n"
+                                    "fixed comonoid morphisms: 4\nFAIL")
+
+    def test_empty_factors_at_different_orbits_pass(self, tmp_path,
+                                                    monkeypatch):
+        # both products are empty, so they are equal, as the whole sets
+        # say, though no factor is empty on both sides
+        c2 = load_group("c2")
+        argv = self.argv(tmp_path, trivial_gset(c2, FinSet(2)),
+                         trivial_gset(c2, FinSet(2)))
+        seen = {}
+        for name, orbit in zip(self.SIDES, [(0,), (1,)]):
+            def fault(f, name=name, orbit=orbit):
+                seen[name] = {**f, orbit: []}
+                return seen[name]
+            self.patch(monkeypatch, name, fault)
+        assert run_cli(argv) == (0, "equivariant maps: 0\n"
+                                    "fixed comonoid morphisms: 0\nPASS")
+        assert glued_verdict(*(seen[name] for name in self.SIDES)) == (
+            0, 0, True)
+        # an empty factor on one side only fails
         monkeypatch.setattr(cli, "fixed_coalgebra_morphisms",
-                            lambda x, y: fixed(x, y)[:-1] + [identity])
-        status, text = run_cli(self.ARGV)
-        assert status == 1
-        assert text.splitlines() == ["equivariant maps: 2",
-                                     "fixed comonoid morphisms: 2", "FAIL"]
+                            galois.fixed_coalgebra_morphisms)
+        assert run_cli(argv) == (1, "equivariant maps: 0\n"
+                                    "fixed comonoid morphisms: 4\nFAIL")
+
+    @classmethod
+    def planted(cls, name, fault, factors, target) -> dict:
+        """Side `name`'s factors with one fault planted: "drop" takes the
+        last choice of the first nonempty factor away, "add" puts the
+        first map missing from the first factor that lacks one in its
+        place in order."""
+        values = factor_values(factors)
+        for orbit, part in factors.items():
+            if fault == "drop" and part:
+                return {**factors, orbit: part[:-1]}
+            missing = [v for v in itertools.product(range(target.size),
+                                                    repeat=len(orbit))
+                       if fault == "add" and v not in values[orbit]]
+            if missing:
+                at = bisect.bisect(values[orbit], missing[0])
+                return {**factors, orbit: part[:at] + [
+                    cls.part(name, missing[0], target)] + part[at:]}
+        return factors
+
+    @pytest.mark.parametrize("group", ["c1", "c2", "c3", "c4", "v4", "c5",
+                                       "c6", "s3"])
+    def test_factors_agree_with_the_whole_sets(self, tmp_path,
+                                               monkeypatch, group):
+        # every pair of the helpers' actions on at most 4 points, clean
+        # and with one choice dropped or added (in turn, pair by pair) on
+        # either side: the command prints the whole sets' counts and
+        # verdict.  Each file is read, and each side built, once
+        group = FiniteGroup([[0]]) if group == "c1" else load_group(group)
+        actions = [x for size in range(1, 5)
+                   for x in all_gset_actions(group, size)]
+        paths = []
+        for i, x in enumerate(actions):
+            paths.append(str(tmp_path / f"{i}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump(gset_json(x), fh)
+        monkeypatch.setattr(cli, "_read", functools.cache(cli._read))
+        built, seen, planted = {}, {}, [None, None]
+        for side in self.SIDES:
+            def spy(x, y, side=side, build=getattr(galois, side)):
+                key = side, id(x), id(y)  # each file is read once
+                if key not in built:
+                    built[key] = build(x, y)
+                factors = built[key]
+                if side == planted[0]:
+                    factors = self.planted(side, planted[1], factors,
+                                           y.carrier)
+                seen[side] = factors
+                return factors
+            monkeypatch.setattr(cli, side, spy)
+        verdicts = collections.Counter()
+        for planted[0] in [None, *self.SIDES]:
+            for i, (px, py) in enumerate(itertools.product(paths, repeat=2)):
+                planted[1] = ("drop", "add")[i % 2]
+                status, text = run_cli(["galois-fixed", "--x", px,
+                                        "--y", py])
+                maps, fixed, ok = glued_verdict(
+                    *(seen[side] for side in self.SIDES))
+                assert (status, text) == (int(not ok), (
+                    f"equivariant maps: {maps}\n"
+                    f"fixed comonoid morphisms: {fixed}\n"
+                    f"{'PASS' if ok else 'FAIL'}")), (planted, px, py)
+                verdicts[planted[0] and planted[1], ok] += 1
+        assert verdicts[None, False] == 0
+        assert verdicts["drop", False] > 0
+        # an action with a moved point leaves some factor a map short
+        moves = any(m.values != tuple(range(m.dom.size))
+                    for x in actions for m in x.action)
+        assert (verdicts["add", False] > 0) == moves
+
+    def test_the_cap_builds_one_morphism_per_choice(self, tmp_path,
+                                                    monkeypatch):
+        # trivial C6 on 6 points, both sides: six orbits of one point with
+        # six choices each, so 36 morphisms and 36 set maps are built for
+        # 6^6 = 46,656 maps, each checked once
+        c6 = trivial_gset(load_group("c6"), FinSet(6))
+        argv = self.argv(tmp_path, c6, c6)
+        factors = galois.fixed_coalgebra_morphisms(c6, c6)
+        bound = sum(map(len, factors.values()))
+        assert bound == 36
+        built = collections.Counter()
+        for owner, name in ((artin.CoalgMorphism, "morphisms"),
+                            (SetMap, "maps")):
+            def counting(self, *args, init=owner.__init__, name=name):
+                built[name] += 1
+                return init(self, *args)
+            monkeypatch.setattr(owner, "__init__", counting)
+        checks = artin.coalgebra_morphism_violations
+        monkeypatch.setattr(artin, "coalgebra_morphism_violations",
+                            lambda *args: built.update(["checks"])
+                            or checks(*args))
+        assert run_cli(argv) == (0, "equivariant maps: 46656\n"
+                                    "fixed comonoid morphisms: 46656\nPASS")
+        # the equivariant parts, the fixed parts read back, and the 12
+        # action maps the two files are read with
+        assert built == {"morphisms": bound, "checks": bound,
+                         "maps": 2 * bound + 12}
+
+
+def row_changed(m: QMatrix, change) -> QMatrix:
+    """m with the terms of its last row, as (column, value) pairs, passed
+    through `change`."""
+    last = (m.rows - 1) * m.cols
+    row = [(k - last, v) for k, v in m.terms if k >= last]
+    return QMatrix(m.rows, m.cols, {**{k: v for k, v in m.terms if k < last},
+                                    **{last + j: v for j, v in change(row)}})
+
+
+class TestDescentFaultsFail:
+    """A fault planted in the library makes the descent commands exit 1
+    with a FAIL line: a solver that loses, repeats or duplicates a
+    morphism, and an equalizer that loses a solution or changes a row of
+    one.  The solver is patched at every module that binds it."""
+
+    ARGS = ["--x", "2", "--y", "2"]
+    # the solver's list changed: one morphism dropped, the last replaced
+    # by the first (the counts agree, the maps read back miss one), and
+    # the first repeated (every map is read back, one count too many)
+    SOLVER = {"dropped": lambda ms: ms[:-1],
+              "duplicate": lambda ms: ms[:-1] + ms[:1],
+              "repeated": lambda ms: ms + ms[:1]}
+
+    @staticmethod
+    def patch(monkeypatch, module, name, change):
+        original = getattr(module, name)
+        faulty = lambda *args: change(original(*args))
+        for owner in (artin, cli, resolution):
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, faulty)
+
+    @pytest.mark.parametrize("fault, count", [("dropped", 3),
+                                              ("repeated", 5)])
+    def test_solve_comonoid_fails(self, monkeypatch, fault, count):
+        self.patch(monkeypatch, artin, "solve_coalgebra_morphisms",
+                   self.SOLVER[fault])
+        assert run_cli(["solve-comonoid", *self.ARGS]) == (
+            1, f"morphisms: {count} (expected 4)\nFAIL")
+
+    @pytest.mark.parametrize("fault, count", [("dropped", 3),
+                                              ("duplicate", 4),
+                                              ("repeated", 5)])
+    def test_verify_mcffe_fails(self, monkeypatch, fault, count):
+        self.patch(monkeypatch, artin, "solve_coalgebra_morphisms",
+                   self.SOLVER[fault])
+        assert run_cli(["verify-mcffe", *self.ARGS]) == (
+            1, f"{count} = 4, FAIL")
+
+    @staticmethod
+    def mdffe_report(equalizer=4, transposed=4) -> tuple:
+        return 1, (f"equalizer (bound 2): {equalizer}\n"
+                   f"equalizer (bound 3): {equalizer}\n"
+                   f"transposed comonoid morphisms: {transposed}\n"
+                   "set maps: 4\nFAIL")
+
+    @pytest.mark.parametrize("fault, count", [("dropped", 3),
+                                              ("duplicate", 4),
+                                              ("repeated", 5)])
+    def test_verify_mdffe_fails_on_a_solver_fault(self, monkeypatch, fault,
+                                                  count):
+        self.patch(monkeypatch, artin, "solve_coalgebra_morphisms",
+                   self.SOLVER[fault])
+        assert run_cli(["verify-mdffe", *self.ARGS]) == \
+            self.mdffe_report(transposed=count)
+
+    @pytest.mark.parametrize("fault, count", [
+        # one solution dropped
+        ("dropped", 3),
+        # the last solution's last row emptied, or its one 1 moved to the
+        # next column, which is another solution: the counts agree
+        ("row dropped", 4), ("row permuted", 4)])
+    def test_verify_mdffe_fails_on_an_equalizer_fault(self, monkeypatch,
+                                                      fault, count):
+        change = {
+            "dropped": lambda eq: eq[:-1],
+            "row dropped": lambda eq: eq[:-1] + [
+                row_changed(eq[-1], lambda row: [])],
+            "row permuted": lambda eq: eq[:-1] + [row_changed(
+                eq[-1], lambda row: [((j + 1) % eq[-1].cols, v)
+                                     for j, v in row])],
+        }[fault]
+        self.patch(monkeypatch, resolution, "equalizer", change)
+        assert run_cli(["verify-mdffe", *self.ARGS]) == \
+            self.mdffe_report(equalizer=count)
+
+    def test_the_solver_refuses_a_rejected_graph(self, monkeypatch):
+        # a library fault: the check rejects the last graph, and the
+        # solver names it rather than building a morphism of it
+        check = artin.coalgebra_morphism_violations
+        last = artin.graph_matrix([1, 1], 2)
+        monkeypatch.setattr(artin, "coalgebra_morphism_violations",
+                            lambda c, x, y: ["(eps)"] if c == last
+                            else check(c, x, y))
+        with pytest.raises(AssertionError,
+                           match="^graph candidate unexpectedly rejected$"):
+            artin.solve_coalgebra_morphisms(FinSet(2), FinSet(2))
 
 
 class TestCensusBuildsNoGenerators:

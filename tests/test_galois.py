@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (all_gset_actions, all_maps, brute_equivariant_maps,
                      brute_is_associative, brute_is_homomorphism, compose,
                      conjugation_fixed, cyclic_group, data_path, graph,
+                     glued_equivariant_maps, glued_fixed_morphisms,
                      group_like_tables,
                      gset_from_generator_images, gset_json, load_group,
                      morphism_from_setmap, orbital_count, regular_gset,
@@ -17,6 +19,7 @@ from helpers import (all_gset_actions, all_maps, brute_equivariant_maps,
 
 from motivic_kit import cli, galois
 from motivic_kit._value import InputError
+from motivic_kit.artin import setmap_from_morphism
 from motivic_kit.finsets import FinSet, SetMap
 from motivic_kit.galois import (FiniteGroup, GSet, equivariant_set_maps,
                                 fixed_coalgebra_morphisms)
@@ -286,15 +289,15 @@ class TestGSet:
         # the sign: the transpositions 1, 2 and 5 swap the two points
         y = GSet(group, two, [SetMap(two, two, [0, 1][::sign]) for sign in
                               (1, -1, -1, 1, 1, -1)])
-        assert len(fixed_coalgebra_morphisms(x, y)) == 2
+        assert len(glued_fixed_morphisms(x, y)) == 2
         assert calls == []
 
     def test_large_cyclic_group_on_a_point_is_quick(self):
         group = cyclic_group(1000)
         start = time.perf_counter()
         x = trivial_gset(group, FinSet(1))
-        assert len(fixed_coalgebra_morphisms(x, x)) == 1
-        assert len(equivariant_set_maps(x, x)) == 1
+        assert len(glued_fixed_morphisms(x, x)) == 1
+        assert len(glued_equivariant_maps(x, x)) == 1
         assert time.perf_counter() - start < 1.0
 
     def test_regular_action(self):
@@ -341,20 +344,20 @@ class TestEquivariantMaps:
         e = FiniteGroup([[0]])
         x = trivial_gset(e, FinSet(2))
         y = trivial_gset(e, FinSet(3))
-        assert len(equivariant_set_maps(x, y)) == 9
+        assert len(glued_equivariant_maps(x, y)) == 9
 
     def test_regular_to_trivial(self):
         c2 = load_group("c2")
         x = regular_gset(c2)
         y = trivial_gset(c2, FinSet(2))
-        maps = equivariant_set_maps(x, y)
+        maps = glued_equivariant_maps(x, y)
         assert len(maps) == 2
         assert all(len(set(f.values)) == 1 for f in maps)  # constants
 
     def test_regular_to_regular(self):
         c2 = load_group("c2")
         x = regular_gset(c2)
-        assert len(equivariant_set_maps(x, x)) == 2
+        assert len(glued_equivariant_maps(x, x)) == 2
 
     def test_group_mismatch(self):
         x = regular_gset(load_group("c2"))
@@ -371,7 +374,7 @@ class TestEquivariantMaps:
                    for x in all_gset_actions(group, size)]
         empty = 0
         for x, y in itertools.product(actions, repeat=2):
-            maps = equivariant_set_maps(x, y)
+            maps = glued_equivariant_maps(x, y)
             assert maps == brute_equivariant_maps(x, y)
             empty += not maps
         # a nontrivial orbit on at most 3 points is an action of its own,
@@ -392,11 +395,11 @@ class TestEquivariantMaps:
         p, q = (data.draw(st.permutations(range(s.carrier.size)))
                 for s in (x, y))
         xp, yq = relabelled(x, p), relabelled(y, q)
-        maps = equivariant_set_maps(xp, yq)
+        maps = glued_equivariant_maps(xp, yq)
         assert maps == brute_equivariant_maps(xp, yq)
-        assert fixed_coalgebra_morphisms(xp, yq) == conjugation_fixed(xp, yq)
+        assert glued_fixed_morphisms(xp, yq) == conjugation_fixed(xp, yq)
         assert [f.values for f in maps] == sorted(
-            renamed(f.values, p, q) for f in equivariant_set_maps(x, y))
+            renamed(f.values, p, q) for f in glued_equivariant_maps(x, y))
 
 
 class TestDescent:
@@ -404,15 +407,15 @@ class TestDescent:
         e = FiniteGroup([[0]])
         x = trivial_gset(e, FinSet(2))
         y = trivial_gset(e, FinSet(2))
-        assert len(fixed_coalgebra_morphisms(x, y)) == 4
+        assert len(glued_fixed_morphisms(x, y)) == 4
 
     def test_c2_regular_to_trivial(self):
         c2 = load_group("c2")
         x = regular_gset(c2)
         y = trivial_gset(c2, FinSet(2))
-        fixed = fixed_coalgebra_morphisms(x, y)
+        fixed = glued_fixed_morphisms(x, y)
         assert len(fixed) == 2
-        graphs = {graph(f) for f in equivariant_set_maps(x, y)}
+        graphs = {graph(f) for f in glued_equivariant_maps(x, y)}
         assert {c.matrix for c in fixed} == graphs
 
     def test_descent_bijection_sample(self):
@@ -423,9 +426,9 @@ class TestDescent:
                        + all_gset_actions(g, 3))
             for x in actions[:4]:
                 for y in actions[:4]:
-                    fixed = {c.matrix for c in fixed_coalgebra_morphisms(x, y)}
+                    fixed = {c.matrix for c in glued_fixed_morphisms(x, y)}
                     graphs = {graph(f)
-                              for f in equivariant_set_maps(x, y)}
+                              for f in glued_equivariant_maps(x, y)}
                     assert fixed == graphs
 
     def test_descent_size_four_carrier(self):
@@ -435,8 +438,8 @@ class TestDescent:
         act = SetMap(s4, s4, [1, 0, 3, 2])
         x = GSet(c2, s4, [SetMap(s4, s4, range(4)), act])
         y = regular_gset(c2)
-        fixed = {c.matrix for c in fixed_coalgebra_morphisms(x, y)}
-        graphs = {graph(f) for f in equivariant_set_maps(x, y)}
+        fixed = {c.matrix for c in glued_fixed_morphisms(x, y)}
+        graphs = {graph(f) for f in glued_equivariant_maps(x, y)}
         assert fixed == graphs
 
     def test_descent_size_four_regular_actions(self):
@@ -444,9 +447,9 @@ class TestDescent:
         for g in (load_group("c4"), load_group("v4")):
             x = regular_gset(g)
             for y in (trivial_gset(g, FinSet(2)), x):
-                fixed = {c.matrix for c in fixed_coalgebra_morphisms(x, y)}
+                fixed = {c.matrix for c in glued_fixed_morphisms(x, y)}
                 graphs = {graph(f)
-                          for f in equivariant_set_maps(x, y)}
+                          for f in glued_equivariant_maps(x, y)}
                 assert fixed == graphs
 
     @settings(max_examples=100, deadline=None)
@@ -457,21 +460,21 @@ class TestDescent:
         x, y = (data.draw(st.sampled_from(
             actions_of(index, data.draw(st.integers(1, 3)))))
             for _ in range(2))
-        fixed = {c.matrix for c in fixed_coalgebra_morphisms(x, y)}
-        assert fixed == {graph(f) for f in equivariant_set_maps(x, y)}
+        fixed = {c.matrix for c in glued_fixed_morphisms(x, y)}
+        assert fixed == {graph(f) for f in glued_equivariant_maps(x, y)}
 
     def test_subgroup_restriction_enlarges(self):
         s3 = load_group("s3")
         x = regular_gset(s3)
         y = trivial_gset(s3, FinSet(2))
-        full_maps = equivariant_set_maps(x, y)
-        full_fixed = fixed_coalgebra_morphisms(x, y)
+        full_maps = glued_equivariant_maps(x, y)
+        full_fixed = glued_fixed_morphisms(x, y)
         # restrict to the cyclic subgroup generated by any non-identity element
         for g in range(1, 6):
             xs = sub_gset(x, [g])
             ys = sub_gset(y, [g])
-            sub_maps = equivariant_set_maps(xs, ys)
-            sub_fixed = fixed_coalgebra_morphisms(xs, ys)
+            sub_maps = glued_equivariant_maps(xs, ys)
+            sub_fixed = glued_fixed_morphisms(xs, ys)
             assert {f.values for f in full_maps} <= {f.values for f in sub_maps}
             assert {c.matrix for c in full_fixed} <= \
                 {c.matrix for c in sub_fixed}
@@ -482,9 +485,85 @@ class TestDescent:
         c3 = load_group("c3")
         x = regular_gset(c3)
         y = trivial_gset(c3, FinSet(2))
-        for c in fixed_coalgebra_morphisms(x, y):
-            f = equivariant_set_maps(x, y)
+        for c in glued_fixed_morphisms(x, y):
+            f = glued_equivariant_maps(x, y)
             assert c.matrix in {morphism_from_setmap(m).matrix for m in f}
+
+
+def orbits_of(x: GSet) -> list:
+    """The orbits of X in the order of their least points, each the sorted
+    tuple of one point's images under every group element."""
+    return sorted({tuple(sorted({m.values[a] for m in x.action}))
+                   for a in range(x.carrier.size)})
+
+
+def brute_orbit_maps(x: GSet, y: GSet, orbit) -> list:
+    """The value tuples of the equivariant maps from one orbit of X, its
+    i-th point being i: every map from the orbit, tried against every
+    group element."""
+    at = {a: i for i, a in enumerate(orbit)}
+    return [v for v in itertools.product(range(y.carrier.size),
+                                         repeat=len(orbit))
+            if all(v[at[gx.values[a]]] == gy.values[v[at[a]]]
+                   for gx, gy in zip(x.action, y.action) for a in orbit)]
+
+
+class TestFactorsByOrbit:
+    """Both sides return their factors over the orbits of X, keyed by the
+    tuple of the orbit's points: the choices on it, as set maps and as
+    comonoid morphisms from a set of that many points, in lexicographic
+    order.  Hom_G(X, Y) is their product, which only the tests glue."""
+
+    @pytest.mark.parametrize("index", range(len(SMALL_GROUPS)),
+                             ids=["c1"] + FIXTURE_NAMES)
+    def test_each_factor_is_the_orbits_equivariant_maps(self, index):
+        actions = [x for size in range(1, 4) for x in actions_of(index, size)]
+        empty = 0
+        for x, y in itertools.product(actions, repeat=2):
+            maps = equivariant_set_maps(x, y)
+            fixed = fixed_coalgebra_morphisms(x, y)
+            assert list(maps) == list(fixed) == orbits_of(x)
+            for orbit, part in maps.items():
+                source = FinSet(len(orbit))
+                assert ([f.values for f in part]
+                        == brute_orbit_maps(x, y, orbit))
+                assert all(f.dom == source and f.cod == y.carrier
+                           for f in part)
+                assert all(c.source == source and c.target == y.carrier
+                           for c in fixed[orbit])
+                assert ([c.matrix for c in fixed[orbit]]
+                        == [graph(f) for f in part])
+                empty += not part
+            assert math.prod(map(len, maps.values())) == \
+                stabiliser_count(x, y)
+        # a moved point has no image from a fixed point (see
+        # TestEquivariantMaps), so some factor is empty
+        moves = any(m.values != tuple(range(m.dom.size))
+                    for x in actions for m in x.action)
+        assert (empty > 0) == moves
+
+    def test_the_fixed_side_orders_its_choices_by_map(self):
+        # C2 on itself into C2 swapping 0, 3 and 1, 2: the orbitals over X
+        # come in the order of their least entries, the maps with values
+        # (0, 3), (3, 0), (1, 2) and (2, 1), and are listed by their maps
+        c2, four = load_group("c2"), FinSet(4)
+        y = GSet(c2, four, [SetMap(four, four, v)
+                            for v in ([0, 1, 2, 3], [3, 2, 1, 0])])
+        x = regular_gset(c2)
+        order = [(0, 3), (1, 2), (2, 1), (3, 0)]
+        assert [setmap_from_morphism(c).values
+                for c in fixed_coalgebra_morphisms(x, y)[(0, 1)]] == order
+        assert [f.values for f in equivariant_set_maps(x, y)[(0, 1)]] == \
+            order
+
+    def test_the_cap_costs_its_factors(self):
+        # C6 acting trivially on 6 points, both sides: six factors of six
+        # choices stand for 6^6 = 46,656 maps
+        x = trivial_gset(load_group("c6"), FinSet(6))
+        for side in (equivariant_set_maps, fixed_coalgebra_morphisms):
+            factors = side(x, x)
+            assert list(factors) == [(a,) for a in range(6)]
+            assert [len(part) for part in factors.values()] == [6] * 6
 
 
 class TestFixedByProducts:
@@ -500,7 +579,7 @@ class TestFixedByProducts:
                    for x in all_gset_actions(group, size)]
         kept = 0
         for x, y in itertools.product(actions, repeat=2):
-            fixed = fixed_coalgebra_morphisms(x, y)
+            fixed = glued_fixed_morphisms(x, y)
             assert fixed == conjugation_fixed(x, y)
             kept += len(fixed)
         assert kept > 0
@@ -515,8 +594,8 @@ class TestFixedByProducts:
         counts = set()
         for x, y in itertools.product(actions, repeat=2):
             count = stabiliser_count(x, y)
-            assert len(equivariant_set_maps(x, y)) == count
-            assert len(fixed_coalgebra_morphisms(x, y)) == count
+            assert len(glued_equivariant_maps(x, y)) == count
+            assert len(glued_fixed_morphisms(x, y)) == count
             counts.add(count)
         assert len(counts) > 1
 
@@ -532,7 +611,7 @@ class TestFixedByProducts:
             return matmul(a, b)
 
         monkeypatch.setattr(galois, "matmul", counted)
-        fixed = fixed_coalgebra_morphisms(x, y)
+        fixed = glued_fixed_morphisms(x, y)
         monkeypatch.setattr(galois, "matmul", matmul)
         assert fixed == conjugation_fixed(x, y)
         assert calls == [orbital_count(x, y)] * len(x.group.generators)
@@ -547,14 +626,14 @@ class TestFixedByProducts:
         e = FiniteGroup([[0]])
         x, y = trivial_gset(e, FinSet(2)), trivial_gset(e, FinSet(3))
         assert self.products(monkeypatch, x, y) == 0
-        assert len(fixed_coalgebra_morphisms(x, y)) == 9
+        assert len(glued_fixed_morphisms(x, y)) == 9
 
     def test_the_benchmarks_cheap_task_makes_a_product(self, monkeypatch):
         # C2 on one point into C2 on two: no fixed morphism, one product
         c2 = load_group("c2")
         x, y = trivial_gset(c2, FinSet(1)), regular_gset(c2)
         assert self.products(monkeypatch, x, y) == 1
-        assert fixed_coalgebra_morphisms(x, y) == []
+        assert glued_fixed_morphisms(x, y) == []
 
     @pytest.mark.parametrize("name", ["c2", "v4", "s3"])
     def test_the_products_decide_which_orbitals_are_kept(
@@ -577,7 +656,7 @@ class TestFixedByProducts:
                     for f in all_maps(x.carrier, y.carrier)
                     if all(gx[a] == a and gy[b] == b for gx, gy in moves
                            for a, b in enumerate(f.values))]
-            assert fixed_coalgebra_morphisms(x, y) == kept
+            assert glued_fixed_morphisms(x, y) == kept
             dropped += y.carrier.size ** x.carrier.size - len(kept)
         assert dropped > 0
         # and the descent comparison then fails: both maps from the

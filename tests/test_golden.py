@@ -21,9 +21,11 @@ from pathlib import Path
 import pytest
 
 from helpers import (ambient_cube_payload, empty_block_cube_payload,
-                     gset_payload, misshaped_empty_block_payload,
-                     rational_cube_payload, square_cube_payload)
+                     gset_json, gset_payload, load_group,
+                     misshaped_empty_block_payload, rational_cube_payload,
+                     square_cube_payload, trivial_gset)
 from motivic_kit import cli
+from motivic_kit.finsets import FinSet
 
 
 DATA = str(resources.files("motivic_kit") / "data")
@@ -101,6 +103,11 @@ GOLDEN = [
       "--y", "s3_transitive.json"], 0,
      "a89db39d2d3f2496adebffa74d5822211a518235a4afa73d75e1ea145e2d853d",
      "d05bdcdd98b1aafdc332722fc9b099a00e268bec2ad92da763ae32eb0c7b3698"),
+    # C6 acting trivially on 6 points, both sides: 6^6 maps, at the cap
+    (["galois-fixed", "--x", "c6_trivial6.json",
+      "--y", "c6_trivial6.json"], 0,
+     "82ab6075e6058deeeaabf43816b07cc21672c997681a823a86b183d1445475dc",
+     "b05eadc8c826ad7de764699e6cc9389ff3da189dd207eaf32925a8a75af19b8e"),
     (["hocolim", "--diagram", "{data}/cover_two_patches.json"], 0,
      "14480b4eaf79bac890df8c509ea079a67e3323778ef31cd9bd8212bf39e972b4",
      "9f42027923309d9b67d736c37f5a891865336cfc2085e772eeaf571c43356053"),
@@ -182,7 +189,8 @@ def write_relative_files(directory: Path):
     a square that does not commute, cubes with 0-row and 0-column blocks
     without and with an ambient, one with an empty block of the wrong
     shape, one with rational entries, the cube on no index, the
-    two-generator groups V4 and S3 acting on 3 points, the sets
+    two-generator groups V4 and S3 acting on 3 points, C6 acting
+    trivially on 6, the sets
     4 -> 2 -> 1, whose automorphisms swap two subtrees, and the diagram
     of no sets, whose one automorphism is the identity.  V4
     acts through a transposition, fixing 2 or fixing 0; S3 acts through
@@ -200,6 +208,8 @@ def write_relative_files(directory: Path):
             ("s3_fixes_2.json", gset_payload("s3", [[1, 0, 2], [1, 0, 2]])),
             ("s3_transitive.json",
              gset_payload("s3", [[1, 0, 2], [0, 2, 1]])),
+            ("c6_trivial6.json",
+             gset_json(trivial_gset(load_group("c6"), FinSet(6)))),
             ("diagram_4to2to1.json",
              {"sets": [{"size": 4}, {"size": 2}, {"size": 1}],
               "maps": [{"values": [0, 0, 1, 1]}, {"values": [0, 0]}]}),

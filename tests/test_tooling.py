@@ -440,6 +440,35 @@ def test_the_descent_comparison_walks_no_set_maps():
     assert set_map_walkers(planted) == [1, 4, 6]
 
 
+def orbit_products(tree) -> list:
+    """The lines at which a module calls `product`, bare or as
+    `itertools.product`: the Cartesian product that glues one choice per
+    orbit of X into whole maps, |Y|^|X| of them for a trivial action."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).split(".")[-1] == "product")
+
+
+def test_the_descent_sides_form_no_product_over_orbits():
+    # both sides of `galois-fixed` return their factors over the orbits of
+    # X and the command compares them factor by factor, multiplying only
+    # their lengths; the glued whole sets are the tests' oracle
+    [galois] = [p for p in SOURCES if p.name == "galois.py"]
+    assert orbit_products(ast.parse(galois.read_text())) == []
+    [cli] = [p for p in SOURCES if p.name == "cli.py"]
+    assert {callee for owner, callee in calls_by_function(cli)
+            if owner == "_cmd_galois_fixed"
+            and "prod" in callee} == {"math.prod"}
+    # the guard sees the gluing the module did, however `product` is bound
+    planted = ast.parse(
+        "def _glued(choices):\n"
+        "    return sorted(tuple(b for _, b in sorted(itertools.chain(*p)))\n"
+        "                  for p in itertools.product(*choices))\n"
+        "def glued(choices):\n"
+        "    return [f for f in product(*choices)]\n")
+    assert orbit_products(planted) == [3, 5]
+
+
 def module_caches(trees) -> set:
     """(file, name) of each process-wide cache in the parsed modules: an
     empty `{}` bound at module level, or a module-level function decorated
