@@ -96,14 +96,13 @@ def compile_reader(spec):
     may be absent and reads as None), or a function such as `from_json`.
     An `InputError` leaving a nested read gets that step put in front.
     A nested spec is checked in line, by `type(v) is spec`, true only for
-    a JSON type; where that fails, the spec's reader reads `v`.
+    a JSON type; where that fails, the spec's reader reads `v`.  So the
+    reader of a JSON type only refuses: it runs once that check failed.
     """
     if type(spec) is type:
-        def read_type(value):
-            if type(value) is not spec:
-                raise InputError(f"must be {_KINDS[spec]}, got {show(value)}")
-            return value
-        return read_type
+        def refuse_type(value):  # runs only once `type(value) is spec` failed
+            raise InputError(f"must be {_KINDS[spec]}, got {show(value)}")
+        return refuse_type
     if type(spec) is list:
         [kind] = spec
         read_list, item = compile_reader(list), compile_reader(kind)

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 from .artin import (setmap_from_morphism, solve_coalgebra_morphisms,
                     verify_mcffe)
-from .finsets import FinDiagram, FinSet, automorphism_group
+from .finsets import FinDiagram, FinSet, automorphism_group, set_map_json
 from .galois import GSet, equivariant_set_maps, fixed_coalgebra_morphisms
 from .hypercube import hocolim_from_json
 from .monad import enumerate_diagrams, verify_m_identity
@@ -114,7 +114,7 @@ def _class_json(encoding) -> dict:
     """A class as the diagram file `aut` reads: its sets and maps."""
     sizes, _, values = encoding
     return {"sets": [{"size": n} for n in sizes],
-            "maps": [{"dom": dom, "cod": cod, "values": list(v)}
+            "maps": [set_map_json(dom, cod, v)
                      for dom, cod, v in zip(sizes, sizes[1:], values)]}
 
 
@@ -142,7 +142,7 @@ def _cmd_aut(args):
         yield f"order: {group.order}"
         yield f"generators: {len(group.generators)}"
         for g in group.generators:
-            yield "  " + " ".join(str(list(c.values)) for c in g.components)
+            yield "  " + " ".join(str(list(p)) for p in g)
     return 0, _emit(args, table, group.to_json)
 
 

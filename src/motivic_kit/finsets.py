@@ -95,9 +95,10 @@ class SetMap(Value):
             sizes[v] += 1
         return tuple(sizes)
 
-    def to_json(self):
-        return {"dom": self.dom.size, "cod": self.cod.size,
-                "values": list(self.values)}
+
+def set_map_json(dom: int, cod: int, values) -> dict:
+    """The JSON record of the set map dom -> cod with these values."""
+    return {"dom": dom, "cod": cod, "values": list(values)}
 
 
 def read_set_map(dom: FinSet, cod: FinSet, values, path: str) -> SetMap:
@@ -193,38 +194,6 @@ class FinDiagram(Value):
         return FinDiagram(sets, chain)
 
 
-class DiagramIso(Value):
-    """An isomorphism of k-diagrams: bijections sigma_i with commuting squares."""
-
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source: FinDiagram, target: FinDiagram, components):
-        components = tuple(components)
-        if source.k != target.k or len(components) != source.k:
-            raise ValueError("need one component per set")
-        for i, c in enumerate(components):
-            if c.dom.size != source.sets[i].size or c.cod.size != target.sets[i].size:
-                raise ValueError(f"component {i} has wrong boundary")
-            if not c.is_bijective():
-                raise ValueError(f"component {i} is not bijective")
-        # naturality: sigma_{i+1} o f_i = f'_i o sigma_i, on the value lists
-        for i in range(source.k - 1):
-            after = components[i + 1].values
-            image = target.maps[i].values
-            if ([after[y] for y in source.maps[i].values]
-                    != [image[y] for y in components[i].values]):
-                raise ValueError(f"naturality square {i} does not commute")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", components)
-
-    def __repr__(self):
-        return f"DiagramIso({[list(c.values) for c in self.components]})"
-
-    def to_json(self):
-        return {"components": [c.to_json() for c in self.components]}
-
-
 def _level_classes(d: FinDiagram) -> tuple:
     """(the isomorphism-class index of the subtree below each element, per
     level; the order of the self-isomorphism group of d), in one pass.
@@ -283,7 +252,8 @@ def _canonical_form(d: FinDiagram) -> tuple:
 
 
 class PermGroup(Value):
-    """Automorphism group of a diagram: generators plus the group order."""
+    """Automorphism group of a diagram: its degrees, its generators, each a
+    tuple of one permutation tuple per set, and its order."""
 
     __slots__ = ("degrees", "generators", "order")
 
@@ -298,14 +268,19 @@ class PermGroup(Value):
     def to_json(self):
         return {"order": self.order,
                 "degrees": list(self.degrees),
-                "generators": [g.to_json() for g in self.generators]}
+                "generators": [
+                    {"components": [set_map_json(n, n, p)
+                                    for n, p in zip(self.degrees, g)]}
+                    for g in self.generators]}
 
 
 def automorphism_group(d: FinDiagram) -> PermGroup:
     """Generators and order of the self-isomorphism group of d, both from
-    one `_level_classes` pass.  Each generator swaps two adjacent
-    isomorphic siblings (children sorted by (class, index)) and carries
-    one subtree onto the other, pairing their children in the same order.
+    one `_level_classes` pass.  Each generator, one permutation tuple per
+    set, swaps two adjacent isomorphic siblings (children sorted by
+    (class, index)) and carries one subtree onto the other, pairing their
+    children in the same order: an automorphism by construction, which
+    is not checked again here (tests/helpers closes the generators).
     """
     if d.k == 0:
         return PermGroup((), (), 1)
@@ -336,8 +311,7 @@ def automorphism_group(d: FinDiagram) -> PermGroup:
                 if lv > 0:
                     pairs.extend((lv - 1, p, q) for p, q in
                                  zip(children[lv][u], children[lv][v]))
-            gens.append(DiagramIso(d, d, tuple(
-                SetMap(s, s, p) for s, p in zip(d.sets, perms))))
+            gens.append(tuple(map(tuple, perms)))
     return PermGroup(d.sizes(), gens, order)
 
 

@@ -161,6 +161,12 @@ class GSet(Value):
                              "action") from None
 
 
+def _check_same_group(x: GSet, y: GSet):
+    """Refuse two G-sets over different groups, for either side."""
+    if x.group != y.group:
+        raise ValueError("G-sets over different groups")
+
+
 def equivariant_set_maps(x: GSet, y: GSet) -> dict:
     """The set maps f with f(g.a) = g.f(a) for every group element g, as
     factors: each orbit of X, the tuple of its points, maps to the maps
@@ -169,8 +175,7 @@ def equivariant_set_maps(x: GSet, y: GSet) -> dict:
     Stab(a) fixes b: Hom_G(X, Y) is the product over the orbits of
     Y^Stab(a), read off every group element, not only the generators.
     """
-    if x.group != y.group:
-        raise ValueError("G-sets over different groups")
+    _check_same_group(x, y)
     actions = [(gx.values, gy.values) for gx, gy in zip(x.action, y.action)]
     factors = {}
     for a in range(x.carrier.size):
@@ -195,8 +200,7 @@ def fixed_coalgebra_morphisms(x: GSet, y: GSet) -> dict:
     of X a fixed graph is a kept orbital with one entry per point, checked
     as a morphism from the orbit: a glued matrix passes iff its parts do.
     """
-    if x.group != y.group:
-        raise ValueError("G-sets over different groups")
+    _check_same_group(x, y)
     nx, n = x.carrier.size, x.carrier.size * y.carrier.size
     # entry k = b * nx + a of a matrix moves to (g.b) * nx + g.a
     moves = [[gy[k // nx] * nx + gx[k % nx] for k in range(n)]

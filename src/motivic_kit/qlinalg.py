@@ -141,8 +141,6 @@ def product_terms(a: QMatrix, b: QMatrix) -> dict:
     entries of row t of b.  Products of one shape are equal iff these are."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    if not (a.terms and b.terms):
-        return {}
     n, m = a.cols, b.cols
     b_rows = {}  # t -> the nonzero (j, b[t, j])
     for k, y in b.terms:

@@ -15,8 +15,8 @@ from motivic_kit._value import InputError, RepeatedKey, Value, _KINDS, show
 from motivic_kit.artin import (CoalgMorphism, graph_matrix,
                                setmap_from_morphism,
                                solve_coalgebra_morphisms)
-from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
-                                 _canonical_form, _level_classes)
+from motivic_kit.finsets import (FinDiagram, FinSet, SetMap, _canonical_form,
+                                 _level_classes)
 from motivic_kit.galois import (FiniteGroup, GSet, equivariant_set_maps,
                                 fixed_coalgebra_morphisms)
 from motivic_kit.hypercube import CubeDiagram, _name, _subset_key
@@ -514,8 +514,9 @@ def brute_census(bounds) -> dict:
     return reps
 
 
-def closure_size(generators, sizes) -> int:
-    """Order of the group the permutation tuples generate, by BFS."""
+def closure(generators, sizes) -> set:
+    """The group the permutation tuples generate, by BFS from the identity:
+    every element as a tuple of one permutation tuple per set."""
     identity = tuple(tuple(range(n)) for n in sizes)
     seen, frontier = {identity}, [identity]
     while frontier:
@@ -527,7 +528,7 @@ def closure_size(generators, sizes) -> int:
                     seen.add(c)
                     nxt.append(c)
         frontier = nxt
-    return len(seen)
+    return seen
 
 
 def brute_is_associative(table) -> bool:
@@ -562,10 +563,15 @@ def finset_json(s: FinSet) -> dict:
     return data
 
 
+def setmap_json(f: SetMap) -> dict:
+    """A set map as a diagram file spells it: its sizes and values."""
+    return {"dom": f.dom.size, "cod": f.cod.size, "values": list(f.values)}
+
+
 def diagram_json(d: FinDiagram) -> dict:
     """A diagram as `aut --diagram` reads it: its sets and maps."""
     return {"sets": [finset_json(s) for s in d.sets],
-            "maps": [m.to_json() for m in d.maps]}
+            "maps": [setmap_json(m) for m in d.maps]}
 
 
 def encoded_diagram(encoding) -> FinDiagram:
@@ -621,6 +627,39 @@ def forest_order(d: FinDiagram) -> int:
     return order
 
 
+class DiagramIso(Value):
+    """An isomorphism of k-diagrams: bijections sigma_i with commuting
+    squares.  The oracle of `automorphism_group`'s generators, which the
+    library builds as swaps and does not check again."""
+
+    __slots__ = ("source", "target", "components")
+
+    def __init__(self, source: FinDiagram, target: FinDiagram, components):
+        components = tuple(components)
+        if source.k != target.k or len(components) != source.k:
+            raise ValueError("need one component per set")
+        for i, c in enumerate(components):
+            if c.dom.size != source.sets[i].size or c.cod.size != target.sets[i].size:
+                raise ValueError(f"component {i} has wrong boundary")
+            if not c.is_bijective():
+                raise ValueError(f"component {i} is not bijective")
+        # naturality: sigma_{i+1} o f_i = f'_i o sigma_i, on the value lists
+        for i in range(source.k - 1):
+            after = components[i + 1].values
+            image = target.maps[i].values
+            if ([after[y] for y in source.maps[i].values]
+                    != [image[y] for y in components[i].values]):
+                raise ValueError(f"naturality square {i} does not commute")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "components", components)
+
+    def perms(self) -> tuple:
+        """The components as `automorphism_group` gives a generator: one
+        permutation tuple per set."""
+        return tuple(c.values for c in self.components)
+
+
 def aut_generators(data: dict, d: FinDiagram) -> list:
     """The generators of an `aut --format json` report on d, rebuilt
     through the validating `SetMap` and `DiagramIso` constructors."""
@@ -628,6 +667,15 @@ def aut_generators(data: dict, d: FinDiagram) -> list:
                                      c["values"])
                               for c in g["components"]])
             for g in data["generators"]]
+
+
+def checked_group(d: FinDiagram, generators) -> set:
+    """The group that `generators` (permutation tuples) close to, each
+    first checked as an automorphism of d, set by set and square by
+    square."""
+    for perms in generators:
+        DiagramIso(d, d, [SetMap(s, s, p) for s, p in zip(d.sets, perms)])
+    return closure(generators, d.sizes())
 
 
 # (|X|, |Y|) up to the default size cap with at most 729 set maps X -> Y

@@ -520,7 +520,7 @@ class TestCensusBuildsNoGenerators:
         (["enumerate-diagrams", "--k", "3", "--bounds", "2,2,3"], 0),
     ])
     def test_counts(self, monkeypatch, argv, passes):
-        calls = {"iso": 0, "canonical": 0, "assemble": 0, "classes": 0,
+        calls = {"group": 0, "canonical": 0, "assemble": 0, "classes": 0,
                  "diagram": 0}
 
         def counting(name, fn):
@@ -529,8 +529,9 @@ class TestCensusBuildsNoGenerators:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(finsets.DiagramIso, "__init__",
-                            counting("iso", finsets.DiagramIso.__init__))
+        for module in (cli, finsets):
+            monkeypatch.setattr(module, "automorphism_group", counting(
+                "group", module.automorphism_group))
         monkeypatch.setattr(finsets.FinDiagram, "__init__",
                             counting("diagram", finsets.FinDiagram.__init__))
         monkeypatch.setattr(monad, "_canonical_form", counting(
@@ -540,12 +541,16 @@ class TestCensusBuildsNoGenerators:
         monkeypatch.setattr(finsets, "_level_classes", counting(
             "classes", finsets._level_classes))
         assert run_cli(argv)[0] == 0
-        assert calls["iso"] == 0
+        assert calls["group"] == 0
         assert (calls["canonical"] == calls["assemble"] == calls["classes"]
                 == passes)
         # the census builds no diagram; the check builds the ones it
         # assembles and their canonical forms, and its pool's entries
         assert (calls["diagram"] == 0) == (passes == 0)
+        # the count sees the one command that builds a group's generators
+        assert run_cli(["aut", "--diagram",
+                        data_path("diagram_3to2.json")])[0] == 0
+        assert calls["group"] == 1
 
 
 class TestOnlyTheFormatAskedForIsBuilt:

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (aut_generators, brute_automorphisms,
+from helpers import (DiagramIso, aut_generators, brute_automorphisms,
                      brute_canonical_with_perms, brute_census,
                      brute_isomorphic, canonical_form, census_diagrams,
-                     closure_size, compose, diagram_json, fiber_chain,
-                     finset_json, forest_order, identity_map, all_maps,
-                     MAP_SPACES, small_diagrams, twinned_chains)
-from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, SetMap,
-                                 _canonical_form, automorphism_group,
-                                 map_values)
+                     checked_group, compose, diagram_json,
+                     fiber_chain, finset_json, forest_order, identity_map,
+                     all_maps, MAP_SPACES, small_diagrams, twinned_chains)
+from motivic_kit.finsets import (FinDiagram, FinSet, SetMap, _canonical_form,
+                                 automorphism_group, map_values)
 from motivic_kit.monad import enumerate_diagrams
 
 
@@ -185,11 +184,13 @@ class TestAutomorphismGroup:
         assert len(brute_automorphisms(d)) == 2
 
     def test_generators_regenerate_order(self):
-        for d in census_diagrams(2, (3, 3)):
+        # every generator is an automorphism, checked set by set and square
+        # by square, and together they close to exactly the brute list
+        for d in [*census_diagrams(2, (3, 3)), *census_diagrams(3, (2, 2, 3))]:
             g = automorphism_group(d)
-            assert g.order == len(brute_automorphisms(d))
-            for gen in g.generators:
-                assert gen.source == d and gen.target == d
+            group = checked_group(d, g.generators)
+            assert group == set(brute_automorphisms(d)), d
+            assert len(group) == g.order, d
 
     def test_order_divides_product_of_factorials(self):
         for d in census_diagrams(2, (3, 3)):
@@ -202,7 +203,8 @@ class TestAutomorphismGroup:
         g = automorphism_group(d)
         data = json.loads(json.dumps(g.to_json()))
         assert (data["order"], data["degrees"]) == (g.order, [3, 2])
-        assert aut_generators(data, d) == list(g.generators)
+        assert [iso.perms() for iso in aut_generators(data, d)] == \
+            list(g.generators) == [((1, 0, 2), (0, 1))]
 
 
 def brute_witness(d: FinDiagram) -> DiagramIso:
@@ -239,15 +241,11 @@ class TestAutomorphismGroupStructure:
 
     @staticmethod
     def check(d):
+        # each generator checked by DiagramIso, bijectivity and every
+        # naturality square, then closed to the brute list
         g = automorphism_group(d)
+        assert checked_group(d, g.generators) == set(brute_automorphisms(d))
         assert g.order == len(brute_automorphisms(d))
-        for gen in g.generators:
-            # DiagramIso checks bijectivity and every naturality square
-            assert isinstance(gen, DiagramIso)
-            assert gen.source == d and gen.target == d
-        perms = [tuple(c.values for c in gen.components)
-                 for gen in g.generators]
-        assert closure_size(perms, d.sizes()) == g.order
 
     def test_census_333(self):
         for d in census_diagrams(3, (3, 3, 3)):
@@ -273,9 +271,7 @@ class TestAutomorphismGroupStructure:
         # the brute count would try 720^4 relabelings; the closure is cheap
         d = diagram((6, 6, 6, 6), [list(range(6))] * 3)
         g = automorphism_group(d)
-        perms = [tuple(c.values for c in gen.components)
-                 for gen in g.generators]
-        assert g.order == closure_size(perms, d.sizes()) == 720
+        assert g.order == len(checked_group(d, g.generators)) == 720
 
 
 class TestAutomorphismOrder:
@@ -326,8 +322,7 @@ def test_fiber_chain_against_the_wreath_formula(fibers):
     order = math.prod(map(math.factorial, sizes + list(fibers)))
     g = automorphism_group(d)
     assert g.order == order == len(brute_automorphisms(d))
-    perms = [tuple(c.values for c in gen.components) for gen in g.generators]
-    assert g.order == closure_size(perms, d.sizes()) == order
+    assert g.order == len(checked_group(d, g.generators)) == order
     # reordering the fibers relabels the target: the class does not move
     assert canonical_form(d) == canonical_form(fiber_chain(sorted(fibers)))
 

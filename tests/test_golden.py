@@ -20,12 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (ambient_cube_payload, empty_block_cube_payload,
+from helpers import (ambient_cube_payload, aut_generators,
+                     brute_automorphisms, closure, empty_block_cube_payload,
                      gset_json, gset_payload, load_group,
                      misshaped_empty_block_payload, rational_cube_payload,
                      square_cube_payload, trivial_gset)
 from motivic_kit import cli
-from motivic_kit.finsets import FinSet
+from motivic_kit.finsets import FinDiagram, FinSet
 
 
 DATA = str(resources.files("motivic_kit") / "data")
@@ -235,6 +236,26 @@ def test_stdout_matches_golden_digest(capsys, ambient_cube, square_cube,
     assert cli.main(argv) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+AUT_ROWS = [argv for argv, status, _, _ in GOLDEN
+            if argv[0] == "aut" and status == 0]
+
+
+@pytest.mark.parametrize("argv", AUT_ROWS, ids=[a[2] for a in AUT_ROWS])
+def test_golden_aut_generators_close_to_the_automorphisms(capsys, square_cube,
+                                                          argv):
+    # each generator the JSON report prints is checked as an automorphism
+    # of the file's diagram, and together they close to the brute list
+    path = argv[2].replace("{data}", DATA)
+    assert cli.main([*argv[:2], path, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    with open(path) as fh:
+        d = FinDiagram.from_json(json.load(fh))
+    group = closure([iso.perms() for iso in aut_generators(data, d)],
+                    d.sizes())
+    assert group == set(brute_automorphisms(d))
+    assert len(group) == data["order"]
 
 
 def test_every_subcommand_has_a_help_digest():

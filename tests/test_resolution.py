@@ -77,6 +77,14 @@ class TestCofaces:
     def test_entrywise_agreement_on_random_matrices(self, f, s):
         assert cofaces_agree(f, s) is (coface_d0(f, s) == coface_d1(f, s))
 
+    def test_a_row_summing_to_one_can_fail_a_higher_class(self):
+        # the refusal at s >= 1, which no command reaches: class 0 keeps
+        # only the one-hot rows of the equalizer, and those pass every class
+        f = QMatrix(1, 2, ["1/2", "1/2"])
+        assert cofaces_agree(f, 0) and cofaces_agree(f, 1)
+        assert not cofaces_agree(f, 2)
+        assert coface_d0(f, 2) != coface_d1(f, 2)
+
     def test_scaled_graph_fails_binary(self):
         f = next(iter(all_maps(FinSet(2), FinSet(2))))
         m = matmul(transposed_graph(f), QMatrix(2, 2, [2, 0, 0, 2]))

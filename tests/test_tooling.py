@@ -17,8 +17,10 @@ process-wide cache that the command trace does not clear before each
 command, `galois-fixed` checked on set maps rather than
 on graphs built again, no JSON indented by the pure-Python encoder, one
 builder of a graph's terms and one enumerator of set-map value tuples,
-no definition in the library that `cli.main` does not reach, and no
-function in it that the suite's command lines do not run."""
+no definition in the library that `cli.main` does not reach, no
+function in it that the suite's command lines do not run, and no
+statement they do not run but the registered library guards, each of
+which a named test makes run."""
 
 import ast
 import collections
@@ -74,7 +76,9 @@ def run_command_trace(root: Path, out: Path, *node_ids) -> dict:
 
 @pytest.fixture(scope="module")
 def command_trace(tmp_path_factory) -> dict:
-    return run_command_trace(ROOT, tmp_path_factory.mktemp("trace") / "out.json")
+    # the rows, and then the test each registered guard names
+    return run_command_trace(ROOT, tmp_path_factory.mktemp("trace") / "out.json",
+                             *sorted({test for *_, test in LIBRARY_GUARDS}))
 
 
 def never_run(trace: dict) -> list:
@@ -846,10 +850,164 @@ def test_every_function_runs_under_a_command(command_trace):
     assert never_run(command_trace) == []
 
 
+def own_lines(node) -> set:
+    """The lines of a statement that none of its inner statements holds:
+    a compound statement's header (with its decorators), or all the lines
+    of a simple one."""
+    start = min([node.lineno]
+                + [d.lineno for d in getattr(node, "decorator_list", ())])
+    lines = set(range(start, node.end_lineno + 1))
+    for field in ("body", "orelse", "finalbody", "handlers"):
+        for child in getattr(node, field, ()):
+            lines -= set(range(child.lineno, child.end_lineno + 1))
+    return lines
+
+
+def is_main_block(node) -> bool:
+    return (isinstance(node, ast.If)
+            and ast.unparse(node.test) == "__name__ == '__main__'")
+
+
+def statement_lines(paths=SOURCES) -> dict:
+    """{(file, owner, first source line): own lines} of every statement of
+    the library's modules that runs code, exempt ones left out.  Exempt
+    are what the function guard exempts (`__repr__` bodies, `Value`'s
+    refusals of assignment), `__main__.py` and the `__main__` blocks, and
+    docstrings, which compile to no code."""
+    found = {}
+    for path in paths:
+        if path.name == "__main__.py":
+            continue
+        text = path.read_text()
+        source, tree = text.splitlines(), ast.parse(text)
+        exempt = {id(inner) for node in ast.walk(tree) if is_main_block(node)
+                  for inner in ast.walk(node) if inner is not node}
+        for owner, node in nodes_in(tree):
+            if (not isinstance(node, ast.stmt) or id(node) in exempt
+                    or (owner or "").endswith(".__repr__")
+                    or owner in ("Value.__setattr__", "Value.__delattr__")
+                    or (isinstance(node, ast.Expr)
+                        and isinstance(node.value, ast.Constant)
+                        and type(node.value.value) is str)):
+                continue
+            key = (path.name, owner, source[node.lineno - 1].strip())
+            found.setdefault(key, set()).update(own_lines(node))
+    return found
+
+
+def statements_no_command_runs(trace: dict, paths=SOURCES) -> set:
+    """(file, owner, first line) of each statement of the library, not
+    exempt, that no command ran."""
+    return {key for key, lines in statement_lines(paths).items()
+            if not lines & set(trace["lines"].get(key[0], ()))}
+
+
+# The statements that no command runs, each a refusal that only a direct
+# caller of the library can meet (a check the caller has made already,
+# or one a command's input never reaches) or a self-check that no input
+# can fire: (file, enclosing function, the statement's first line, the
+# test that makes it run, by its node id or one that every parametrised
+# case extends).  Any other statement runs under a command row, or goes.
+LIBRARY_GUARDS = [
+    ("artin.py", "coalgebra_morphism_violations",
+     'raise ValueError(f"morphism matrix must be {y.size} x {x.size}")',
+     "tests/test_artin.py::TestMorphismChecking::test_shape_mismatch"),
+    ("artin.py", "CoalgMorphism.__init__",
+     'raise ValueError(f"not a comonoid morphism: fails {violations}")',
+     "tests/test_artin.py::TestMorphismChecking::"
+     "test_a_failing_matrix_is_no_morphism"),
+    ("artin.py", "setmap_from_morphism",
+     'raise ValueError("matrix is not the graph of a set map")',
+     "tests/test_artin.py::TestGraphBijection::test_non_graph_rejected"),
+    # the solver's self-check: a command exits 1 once a fault is planted
+    ("artin.py", "solve_coalgebra_morphisms",
+     'raise AssertionError("graph candidate unexpectedly rejected")',
+     "tests/test_cli.py::TestDescentFaultsFail::"
+     "test_the_solver_refuses_a_rejected_graph"),
+    # a diagram a file describes is chained by its reader first
+    ("finsets.py", "FinDiagram.__init__",
+     'raise ValueError("empty diagram has no maps")',
+     "tests/test_finsets.py::TestFinDiagram::test_a_broken_chain_is_refused"),
+    ("finsets.py", "FinDiagram.__init__",
+     'raise ValueError("need exactly k-1 maps for k sets")',
+     "tests/test_finsets.py::TestFinDiagram::test_a_broken_chain_is_refused"),
+    ("finsets.py", "FinDiagram.__init__",
+     'raise ValueError(f"map {i} does not chain sets {i} -> {i+1}")',
+     "tests/test_finsets.py::TestFinDiagram::test_a_broken_chain_is_refused"),
+    ("finsets.py", "FinDiagram.relabel",
+     'raise ValueError("need one permutation per set")',
+     "tests/test_finsets.py::TestFinDiagram::"
+     "test_relabel_needs_one_permutation_per_set"),
+    # a file's action is read as maps of the carrier
+    ("galois.py", "GSet.__init__",
+     'raise ValueError("action maps must be endomaps of the carrier")',
+     "tests/test_galois.py::TestGSet::"
+     "test_an_action_map_off_the_carrier_is_refused"),
+    # `hocolim` picks the colimit by the cube's shape
+    ("hypercube.py", "punctured_cube_hocolim",
+     'raise ValueError("the cube has an ambient: its colimit is ks_hocolim")',
+     "tests/test_hypercube.py::TestCubeDiagram::"
+     "test_each_colimit_rejects_the_other_shape"),
+    ("hypercube.py", "ks_hocolim",
+     'raise ValueError("the cube has no ambient at the empty vertex")',
+     "tests/test_hypercube.py::TestCubeDiagram::"
+     "test_each_colimit_rejects_the_other_shape"),
+    # the census assembles only multisets of its own walk
+    ("monad.py", "assemble",
+     'raise ValueError("entry longer than the ambient length")',
+     "tests/test_monad.py::TestAssemble::test_entry_longer_than_k_rejected"),
+    ("monad.py", "assemble",
+     'raise ValueError("no full-length entry: leading level would be empty")',
+     "tests/test_monad.py::TestAssemble::test_empty_multiset_rejected"),
+    # a file's entries are read as integers or rational strings first
+    ("qlinalg.py", "_frac",
+     'raise TypeError(f"not an exact rational: {x!r}")',
+     "tests/test_qlinalg.py::TestQMatrix::test_floats_rejected"),
+    ("qlinalg.py", "QMatrix.__init__",
+     'raise ValueError("term index out of range")',
+     "tests/test_qlinalg.py::TestTerms::"
+     "test_a_term_index_out_of_range_is_refused"),
+    # a cube checks its blocks' shapes before it composes them
+    ("qlinalg.py", "product_terms",
+     'raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times '
+     '{b.rows}x{b.cols}")',
+     "tests/test_qlinalg.py::TestProductTerms::test_shape_mismatch"),
+    # class 0 keeps only the one-hot rows, which pass every class
+    ("resolution.py", "cofaces_agree", "return False",
+     "tests/test_resolution.py::TestCofaces::"
+     "test_a_row_summing_to_one_can_fail_a_higher_class"),
+]
+
+
+def test_every_statement_runs_under_a_command_or_is_a_registered_guard(
+        command_trace):
+    # the line-level guard: what no command row runs is a registered
+    # library guard, and a registered guard is no line a command runs
+    assert len(statement_lines()) > 1000
+    assert statements_no_command_runs(command_trace) == {
+        entry[:3] for entry in LIBRARY_GUARDS}
+
+
+def test_each_registered_guard_runs_under_its_test(command_trace):
+    lines = statement_lines()
+    silent = []
+    for path_name, owner, text, test in LIBRARY_GUARDS:
+        ran = set().union(*(found.get(path_name, ())
+                            for node_id, found in
+                            command_trace["by_test"].items()
+                            if node_id == test
+                            or node_id.startswith((test + "::", test + "["))))
+        if not lines[path_name, owner, text] & ran:
+            silent.append((path_name, owner, text, test))
+    assert silent == []
+
+
 def test_a_function_no_command_runs_is_caught(tmp_path):
     # planted in a copy of the checkout: a function nothing calls, and a
     # writer that only a test calls, outside `cli.main`; the static guard
-    # sees only the function, since reached code reads `to_json`
+    # sees only the function, since reached code reads `to_json`.  The
+    # line guard sees their bodies, a `raise` after a `return` of a
+    # function a command runs, and a branch that no row takes
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
@@ -862,6 +1020,16 @@ def test_a_function_no_command_runs_is_caught(tmp_path):
     assert text.count(anchor) == 1
     qlinalg.write_text(text.replace(anchor, anchor + (
         "\n    def to_json(self):\n        return {\"lo\": self.lo}\n")))
+    finsets = package / "finsets.py"
+    text = finsets.read_text()
+    anchors = ["        return (self.sizes(), fibers, values)\n",
+               "        sizes = [0] * self.cod.size\n"]
+    assert [text.count(anchor) for anchor in anchors] == [1, 1]
+    finsets.write_text(text.replace(anchors[0], anchors[0] + (
+        "        raise AssertionError(\"unreachable\")\n")).replace(
+        anchors[1], anchors[1] + (
+            "        if not sizes:  # a codomain is never empty\n"
+            "            return ()\n")))
     (tmp_path / "tests" / "test_planted.py").write_text(
         "from motivic_kit.qlinalg import single_degree_complex\n\n\n"
         "def test_calls_the_writer():\n"
@@ -873,6 +1041,15 @@ def test_a_function_no_command_runs_is_caught(tmp_path):
                               "tests/test_planted.py")
     assert never_run(trace) == ["hypercube.py:planted_function",
                                 "qlinalg.py:ChainComplex.to_json"]
+    unregistered = statements_no_command_runs(
+        trace, sorted(package.glob("*.py"))) - {
+            entry[:3] for entry in LIBRARY_GUARDS}
+    assert unregistered == {
+        ("hypercube.py", "planted_function", "return n"),
+        ("qlinalg.py", "ChainComplex.to_json", 'return {"lo": self.lo}'),
+        ("finsets.py", "FinDiagram.encoding",
+         'raise AssertionError("unreachable")'),
+        ("finsets.py", "SetMap.fiber_sizes", "return ()")}
 
 
 def test_every_definition_is_reached_from_cli_main():
@@ -933,11 +1110,12 @@ ONLY_TESTS_REACHED = [
      "def all_maps(dom, cod):\n"
      "    for values in map_values(dom, cod):\n"
      "        yield SetMap(dom, cod, values)"),
-    # its own read of `c.inverse` does not reach it
-    ("finsets.py", "DiagramIso", "inverse",
+    # its own read of `g.inverse` does not reach it
+    ("finsets.py", "PermGroup", "inverse",
      "def inverse(self):\n"
-     "    return DiagramIso(self.target, self.source,\n"
-     "                      tuple(c.inverse() for c in self.components))"),
+     "    return PermGroup(self.degrees,\n"
+     "                     tuple(g.inverse() for g in self.generators),\n"
+     "                     self.order)"),
 ]
 
 

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ChainMap, complex_json, cover_cube_diagram,
+from helpers import (ChainMap, DiagramIso, complex_json, cover_cube_diagram,
                      empty_block_cube_payload, fiber_chain, gset_json,
                      identity_map, identity_matrix, load_group,
                      morphism_from_setmap, reference_reader, regular_gset)
 from motivic_kit import finsets, qlinalg
 from motivic_kit._value import Value, compile_reader, degree_key
 from motivic_kit.artin import CoalgMorphism
-from motivic_kit.finsets import (DiagramIso, FinDiagram, FinSet, PermGroup,
-                                 SetMap, automorphism_group)
+from motivic_kit.finsets import (FinDiagram, FinSet, PermGroup, SetMap,
+                                 automorphism_group)
 from motivic_kit.galois import FiniteGroup, GSet
 from motivic_kit.hypercube import CubeDiagram, _subset
 from motivic_kit.qlinalg import ChainComplex, QMatrix
@@ -36,6 +36,7 @@ BUILDERS = {
     FinSet: lambda: FinSet(3, labels=["a", "b", "c"]),
     SetMap: lambda: SetMap(FinSet(3), FinSet(2), [0, 1, 1]),
     FinDiagram: diagram,
+    # the oracle of `aut`'s generators, kept in tests/helpers
     DiagramIso: lambda: DiagramIso(diagram(), diagram(),
                                    [identity_map(s) for s in diagram().sets]),
     PermGroup: lambda: automorphism_group(diagram()),
